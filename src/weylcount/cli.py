@@ -217,9 +217,11 @@ def resolve_mesh(spec):
 
 
 def auto_degree(surface, field, r_max, cut_factor):
-    """Sphere degree resolving 3.2x the ellipticity threshold at r_max."""
+    """Sphere degree resolving 1.6 * cut_factor times the ellipticity
+    threshold at r_max: the 1.5x truncation recount plus headroom, 3.2x at
+    the default cut factor 2."""
     constants = constants_for(field, surface)
-    target = 3.2 * constants.ellipticity_threshold(1.0 / r_max)
+    target = 1.6 * cut_factor * constants.ellipticity_threshold(1.0 / r_max)
     return max(int(sphere_degree_for(target)), 1)
 
 

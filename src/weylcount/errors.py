@@ -23,7 +23,7 @@ class MeshQualityError(WeylcountError):
 
 
 class InvalidFieldError(WeylcountError):
-    """Damping field is nonpositive, touches 1, or mixes regimes."""
+    """Damping field is nonpositive or touches 1."""
 
 
 class InsufficientSpectrumError(WeylcountError):

@@ -155,22 +155,6 @@ def normalized_legendre_block(order, max_degree, t):
     return out
 
 
-def axis_moment_blocks(max_degree, profile):
-    """Per-order moment matrices <q_{n,m}, f(t) q_{n',m}> on [-1, 1].
-
-    ``profile`` maps t-values to f(t).  Gauss-Legendre quadrature with
-    max_degree + 3 points: exact whenever f is a polynomial of degree <= 5.
-    Returns {m: matrix over degrees m..max_degree}.
-    """
-    t, w = roots_legendre(max_degree + 3)
-    f = np.asarray(profile(t), dtype=float)
-    blocks = {}
-    for m in range(max_degree + 1):
-        q = normalized_legendre_block(m, max_degree, t)
-        blocks[m] = (q * (w * f)) @ q.T
-    return blocks
-
-
 def _sphere_grid(max_degree, profile_degree=1):
     """Product quadrature on the sphere, exact for harmonic products.
 

@@ -6,12 +6,11 @@ and G the Gram matrix of the effective damping gamma0 under the surface mass
 inner product.  Its negative eigenvalues predict the eigenvalue count N(r),
 which the Weyl law pegs at (r^2 / 4 pi) * integral of (gamma0^2 - 1).
 
-Three interchangeable matrix representations keep scans cheap:
-
-* ``diagonal``  -- constant damping; G = gamma0 I exactly, no matrices.
-* ``blocks``    -- damping affine along the sphere's polar axis; the operator
-                   splits into small per-order blocks over Legendre degrees.
-* ``dense``     -- anything else, through tabulated mode values.
+The finite section is stored block diagonally, as symmetric blocks (or
+stacks of equal-size blocks) each repeated a number of times.  Constant
+damping makes every block 1 x 1, damping affine along the sphere's polar
+axis gives one tridiagonal block per order, and any other field one dense
+block from tabulated mode values.
 """
 
 import json
@@ -23,7 +22,7 @@ from scipy.linalg import eigh
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, InsufficientSpectrumError, UsageError
-from .lb_spectrum import SpectralBasis, axis_moment_blocks, _tabulate_sphere_modes
+from .lb_spectrum import _tabulate_sphere_modes
 
 ZERO_TOL = 1e-12
 CUT_FACTOR = 2.0
@@ -115,72 +114,36 @@ def inequality_check(constants, count=10000, seed=0, h_max=1.0,
 class GalerkinOperator:
     """Finite section D - G of the model operator at fixed h.
 
-    ``kind`` selects the stored representation: "diagonal" keeps the diagonal
-    of D - gamma0 I, "blocks" a list of (order, matrix, multiplicity), and
-    "dense" one symmetric matrix.  ``mode_cut`` counts retained basis modes.
+    ``blocks`` lists (matrix, multiplicity) pairs whose direct sum is the
+    section: ``matrix`` is one symmetric (k, k) block or a (b, k, k) stack of
+    them, and ``multiplicity`` an int or one count per stacked block.
+    ``mode_cut`` counts retained basis modes.
     """
 
-    h: float
-    basis: SpectralBasis
     mode_cut: int
-    kind: str
-    payload: object
-    gamma_label: str = ""
+    blocks: list
+
+    def block_spectra(self):
+        """Yield (eigenvalues as a (b, k) array, multiplicity) per block."""
+        for matrix, multiplicity in self.blocks:
+            values = np.linalg.eigvalsh(matrix)
+            yield values.reshape(-1, values.shape[-1]), multiplicity
 
     def eigenvalues(self):
         """All retained model eigenvalues, ascending, with multiplicity."""
-        if self.kind == "diagonal":
-            return np.sort(self.payload)
-        if self.kind == "blocks":
-            parts = []
-            for _, matrix, multiplicity in self.payload:
-                values = np.linalg.eigvalsh(matrix)
-                parts.extend([values] * multiplicity)
-            return np.sort(np.concatenate(parts))
-        return np.linalg.eigvalsh(self.payload)
-
-    def matrix(self):
-        """Dense realization (for inspection; block order for "blocks")."""
-        if self.kind == "diagonal":
-            return np.diag(self.payload)
-        if self.kind == "blocks":
-            size = sum(len(m) * mult for _, m, mult in self.payload)
-            out = np.zeros((size, size))
-            at = 0
-            for _, m, mult in self.payload:
-                for _ in range(mult):
-                    out[at:at + len(m), at:at + len(m)] = m
-                    at += len(m)
-            return out
-        return self.payload
-
-    def gamma_moments(self):
-        """The Gram matrix G in the same layout as ``matrix()``."""
-        lam = self.basis.eigenvalues[:self.mode_cut]
-        d = np.sqrt(1.0 + self.h * self.h * lam)
-        if self.kind == "diagonal":
-            return np.diag(d - self.payload)
-        if self.kind == "blocks":
-            out = np.zeros((self.mode_cut, self.mode_cut))
-            at = 0
-            for m, matrix, mult in self.payload:
-                size = len(matrix)
-                degrees = np.arange(m, m + size)
-                d_block = np.sqrt(1.0 + self.h * self.h
-                                  * degrees * (degrees + 1.0))
-                gram = np.diag(d_block) - matrix
-                for _ in range(mult):
-                    out[at:at + size, at:at + size] = gram
-                    at += size
-            return out
-        return np.diag(d) - self.payload
+        return np.sort(np.concatenate([
+            np.repeat(values, multiplicity, axis=0).ravel()
+            for values, multiplicity in self.block_spectra()]))
 
 
 def count_negative(operator, zero_tol=ZERO_TOL):
     """Count eigenvalues < -zero_tol; |eigenvalue| <= zero_tol is borderline."""
-    values = operator.eigenvalues()
-    negative = int(np.sum(values < -zero_tol))
-    borderline = int(np.sum(np.abs(values) <= zero_tol))
+    negative = borderline = 0
+    for values, multiplicity in operator.block_spectra():
+        negative += int(np.sum(
+            np.sum(values < -zero_tol, axis=1) * multiplicity))
+        borderline += int(np.sum(
+            np.sum(np.abs(values) <= zero_tol, axis=1) * multiplicity))
     return NegativeCount(negative, borderline)
 
 
@@ -200,11 +163,14 @@ def _mode_cut_index(eigenvalues, threshold):
 def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR):
     """Assemble the finite model of the counting operator at h.
 
-    Constant damping yields the exact diagonal; damping affine along the
-    z-axis on the exact sphere splits into per-order blocks; anything else
-    goes through tabulated mode values.  The retained section extends to
-    ``cut_factor`` times the ellipticity threshold (constant damping needs
-    no tail at all, so there only the threshold itself must be resolved).
+    Constant damping gives one 1 x 1 block per eigenvalue cluster.  Damping
+    whose effective coefficient a + b z is affine along the polar axis of the
+    exact sphere gives, per order m, diag(sqrt(1 + h^2 n(n+1)) - a) - b J_m
+    over degrees n >= m, with J_m the Jacobi matrix of the orthonormal
+    associated Legendre functions.  Anything else goes through tabulated mode
+    values.  The retained section extends to ``cut_factor`` times the
+    ellipticity threshold (constant damping needs no tail at all, so there
+    only the threshold itself must be resolved).
     """
     if h <= 0.0:
         raise UsageError(f"semiclassical parameter must be positive, got {h}")
@@ -214,48 +180,39 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR):
     lam_star = constants.ellipticity_threshold(h)
     lam = basis.eigenvalues
 
-    if field.kind == "constant":
-        gamma0 = max(field.value, 1.0 / field.value)
-        basis.require_top(lam_star, context=f"counting at h = {h:g}")
-        if lam_star > basis.trusted_horizon:
-            raise InsufficientSpectrumError(
-                f"threshold {lam_star:.6g} beyond the trusted horizon "
-                f"{basis.trusted_horizon:.6g}")
-        cut = _mode_cut_index(lam, min(cut_factor * lam_star, lam[-1]))
-        diag = np.sqrt(1.0 + h * h * lam[:cut]) - gamma0
-        return GalerkinOperator(h, basis, cut, "diagonal", diag,
-                                gamma_label=f"constant {gamma0:g}")
-
+    constant = field.kind == "constant"
     need = cut_factor * lam_star
-    basis.require_top(need, context=f"counting at h = {h:g}")
+    basis.require_top(lam_star if constant else need,
+                      context=f"counting at h = {h:g}")
     if lam_star > basis.trusted_horizon:
         raise InsufficientSpectrumError(
             f"threshold {lam_star:.6g} beyond the trusted horizon "
             f"{basis.trusted_horizon:.6g}")
-    cut = _mode_cut_index(lam, need)
+    cut = _mode_cut_index(lam, min(need, lam[-1]))
 
-    affine = field.effective_affine(surface) if surface is not None else None
+    if constant:
+        gamma0 = max(field.value, 1.0 / field.value)
+        clusters, sizes = np.unique(lam[:cut], return_counts=True)
+        values = np.sqrt(1.0 + h * h * clusters) - gamma0
+        return GalerkinOperator(cut, [(values[:, None, None], sizes)])
+
+    affine = field.effective_affine(surface)
     if (affine is not None and basis.source == "exact-sphere"
             and abs(abs(affine[2][2]) - 1.0) < 1e-14):
         offset, slope, axis = affine
         signed_slope = slope * axis[2]
         max_degree = int(basis.degrees[cut - 1])
-
-        def profile(t):
-            base = offset + signed_slope * t
-            return np.maximum(base, 1.0 / base)
-
-        moment_blocks = axis_moment_blocks(max_degree, profile)
-        blocks = []
         degrees = np.arange(max_degree + 1)
         d_full = np.sqrt(1.0 + h * h * degrees * (degrees + 1.0))
+        blocks = []
         for m in range(max_degree + 1):
-            gram = moment_blocks[m]
-            gram = 0.5 * (gram + gram.T)
-            block = np.diag(d_full[m:]) - gram
-            blocks.append((m, block, 1 if m == 0 else 2))
-        return GalerkinOperator(h, basis, (max_degree + 1) ** 2, "blocks",
-                                blocks, gamma_label="axis-affine")
+            n = np.arange(m, max_degree)
+            jacobi = np.sqrt(((n + 1.0) ** 2 - m * m)
+                             / ((2.0 * n + 1.0) * (2.0 * n + 3.0)))
+            block = np.diag(d_full[m:] - offset) - signed_slope * (
+                np.diag(jacobi, 1) + np.diag(jacobi, -1))
+            blocks.append((block, 1 if m == 0 else 2))
+        return GalerkinOperator(cut, blocks)
 
     if basis.modes is None:
         if basis.source == "exact-sphere":
@@ -268,8 +225,7 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR):
     gram = (modes * (basis.mass * gamma_values)[:, None]).T @ modes
     gram = 0.5 * (gram + gram.T)
     matrix = np.diag(np.sqrt(1.0 + h * h * lam[:cut])) - gram
-    return GalerkinOperator(h, basis, cut, "dense", matrix,
-                            gamma_label=field.kind)
+    return GalerkinOperator(cut, [(matrix, 1)])
 
 
 # ----------------------------------------------------------------------
@@ -475,52 +431,28 @@ class ProbeReport:
     def min_slope(self):
         return min((e.slope for e in self.events), default=None)
 
-    @property
-    def max_slope(self):
-        return max((e.slope for e in self.events), default=None)
-
     def passed(self):
         return not self.violations
 
 
 def _operator_spectra(basis, field, h_values, surface, cut_factor):
-    """Eigenvalues and eigenvectors per h, in fixed-size per-block layout."""
-    operators = [build_operator(basis, field, h, surface=surface,
-                                cut_factor=cut_factor) for h in h_values]
-    kinds = {op.kind for op in operators}
-    if len(kinds) != 1:
-        raise UsageError("operator representation changed across the window")
-    kind = kinds.pop()
-    sizes = {op.mode_cut for op in operators}
-    if len(sizes) != 1:
-        # keep the smallest common section so branches stay comparable
-        cut = min(sizes)
-    else:
-        cut = sizes.pop()
+    """Eigenvalues and eigenvectors per h and per block.
 
-    spectra = []
-    if kind == "diagonal":
-        for op in operators:
-            values = op.payload[:cut]
-            spectra.append([(np.asarray(values), np.eye(len(values)))])
-        return spectra
-    if kind == "blocks":
-        common = min(len(op.payload) for op in operators)
-        # sections may grow with 1/h; compare equal-size leading blocks
-        block_sizes = [min(len(op.payload[b][1]) for op in operators)
-                       for b in range(common)]
-        for op in operators:
-            per_block = []
-            for b in range(common):
-                size = block_sizes[b]
-                values, vectors = eigh(op.payload[b][1][:size, :size])
-                per_block.append((values, vectors))
-            spectra.append(per_block)
-        return spectra
-    for op in operators:
-        values, vectors = eigh(op.payload[:cut, :cut])
-        spectra.append([(values, vectors)])
-    return spectra
+    Sections may grow with 1/h, so every block is cut to its smallest size
+    across the window and only blocks present at every h are kept; branches
+    then stay comparable from one h to the next.
+    """
+    per_h = []
+    for h in h_values:
+        operator = build_operator(basis, field, h, surface=surface,
+                                  cut_factor=cut_factor)
+        per_h.append([block for matrix, _ in operator.blocks
+                      for block in np.reshape(matrix,
+                                              (-1,) + matrix.shape[-2:])])
+    common = min(len(blocks) for blocks in per_h)
+    sizes = [min(len(blocks[b]) for blocks in per_h) for b in range(common)]
+    return [[eigh(blocks[b][:size, :size]) for b, size in enumerate(sizes)]
+            for blocks in per_h]
 
 
 def monotonicity_probe(basis, field, h_window, surface=None, steps=7,
@@ -530,8 +462,7 @@ def monotonicity_probe(basis, field, h_window, surface=None, steps=7,
     Branches are tracked across the h grid by maximal eigenvector overlap
     (assignment problem on |V_a^T V_b|); pairs with best overlap below the
     threshold are skipped and counted.  Central differences at interior grid
-    points give the slopes; a slope below eps/4 (or above four times the
-    empirical maximum) is recorded as a violation.
+    points give the slopes; a slope below eps/4 is recorded as a violation.
     """
     h_lo, h_hi = float(h_window[0]), float(h_window[1])
     if not 0.0 < h_lo < h_hi:
@@ -587,9 +518,6 @@ def monotonicity_probe(basis, field, h_window, surface=None, steps=7,
 
     report = ProbeReport(h_grid=h_grid, delta=constants.delta,
                          eps=constants.eps, events=events, skipped=skipped)
-    if events:
-        top = 4.0 * max(e.slope for e in events)
-        floor = constants.eps / 4.0
-        report.violations = [e for e in events
-                             if e.slope < floor or e.slope > top]
+    floor = constants.eps / 4.0
+    report.violations = [e for e in events if e.slope < floor]
     return report

@@ -8,7 +8,7 @@ from .charts import (
     polar_bump,
     smooth_step,
 )
-from .damping import ABOVE_ONE, BELOW_ONE, DampingField
+from .damping import DampingField
 from .mesh import (
     SurfaceMesh,
     icosphere,
@@ -18,9 +18,7 @@ from .mesh import (
 )
 
 __all__ = [
-    "ABOVE_ONE",
     "AnalyticSurface",
-    "BELOW_ONE",
     "Chart",
     "DEFAULT_QUAD_ORDER",
     "DampingField",

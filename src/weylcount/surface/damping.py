@@ -11,8 +11,6 @@ import numpy as np
 
 from ..errors import InvalidFieldError, UsageError
 
-ABOVE_ONE = "above-one"
-BELOW_ONE = "below-one"
 KINDS = ("constant", "affine", "vertex-table")
 
 
@@ -33,14 +31,11 @@ class DampingField:
     a coefficient touching 1 anywhere is rejected.
     """
 
-    def __init__(self, kind, regime=None, *, value=None, offset=None,
-                 slope=None, axis=None, table=None, invert=False):
+    def __init__(self, kind, *, value=None, offset=None, slope=None,
+                 axis=None, table=None, invert=False):
         if kind not in KINDS:
             raise UsageError(f"unknown damping field kind {kind!r}")
-        if regime not in (None, ABOVE_ONE, BELOW_ONE):
-            raise UsageError(f"unknown damping regime {regime!r}")
         self.kind = kind
-        self.regime = regime
         self.invert = bool(invert)
         if kind == "constant":
             if value is None:
@@ -65,17 +60,17 @@ class DampingField:
 
     # convenience constructors -----------------------------------------
     @classmethod
-    def constant(cls, value, regime=None, invert=False):
-        return cls("constant", regime, value=value, invert=invert)
+    def constant(cls, value, invert=False):
+        return cls("constant", value=value, invert=invert)
 
     @classmethod
-    def affine(cls, offset, slope, axis, regime=None, invert=False):
-        return cls("affine", regime, offset=offset, slope=slope, axis=axis,
+    def affine(cls, offset, slope, axis, invert=False):
+        return cls("affine", offset=offset, slope=slope, axis=axis,
                    invert=invert)
 
     @classmethod
-    def vertex_table(cls, table, regime=None, invert=False):
-        return cls("vertex-table", regime, table=table, invert=invert)
+    def vertex_table(cls, table, invert=False):
+        return cls("vertex-table", table=table, invert=invert)
 
     # evaluation --------------------------------------------------------
     def base_values(self, points):
@@ -90,11 +85,6 @@ class DampingField:
                 f"vertex table has {len(self.table)} entries but "
                 f"{len(points)} points were supplied")
         return self.table.copy()
-
-    def values(self, points):
-        """gamma at ambient points."""
-        base = self.base_values(points)
-        return 1.0 / base if self.invert else base
 
     def effective(self, points):
         """Effective coefficient max(gamma, 1/gamma), computed from the base."""
@@ -123,13 +113,6 @@ class DampingField:
         base = self.base_values(surface.vertices)
         return float(base.min()), float(base.max())
 
-    def gamma_range(self, surface):
-        lo, hi = self.base_range(surface)
-        if lo <= 0.0:
-            raise InvalidFieldError(
-                f"damping field reaches {lo:g} <= 0 on the surface")
-        return (1.0 / hi, 1.0 / lo) if self.invert else (lo, hi)
-
     def effective_range(self, surface):
         """(min, max) of the effective coefficient; both are > 1."""
         lo, hi = self.base_range(surface)
@@ -156,20 +139,3 @@ class DampingField:
         if lo > 1.0:
             return self.offset, self.slope, self.axis
         return None
-
-    def validate_on(self, surface):
-        """Check positivity and regime consistency; resolve an unset regime."""
-        glo, ghi = self.gamma_range(surface)
-        if glo <= 0.0:
-            raise InvalidFieldError("damping field is not strictly positive")
-        if glo <= 1.0 <= ghi:
-            raise InvalidFieldError(
-                f"damping coefficient range [{glo:g}, {ghi:g}] touches 1")
-        actual = ABOVE_ONE if glo > 1.0 else BELOW_ONE
-        if self.regime is None:
-            self.regime = actual
-        elif self.regime != actual:
-            raise InvalidFieldError(
-                f"declared regime {self.regime!r} but coefficients lie in "
-                f"[{glo:g}, {ghi:g}]")
-        return self

@@ -96,10 +96,6 @@ class SurfaceMesh:
         p0, p1, p2 = self._corner_vectors()
         return float(np.sum(np.einsum("ij,ij->i", p0, np.cross(p1, p2))) / 6.0)
 
-    def face_normals(self):
-        cross = self.face_cross()
-        return cross / np.linalg.norm(cross, axis=-1)[:, None]
-
     def vertex_normals(self):
         """Area-weighted average of incident face normals, unit length."""
         cross = self.face_cross()  # = 2 * area * unit normal

@@ -119,6 +119,18 @@ def test_scan_degenerate_grid(capsys):
     assert "steps" in err
 
 
+def test_scan_auto_degree_follows_cut_factor(tmp_path, capsys):
+    # the automatic sphere degree must leave room for the 1.5x truncation
+    # recount at any cut factor, not only at the default 2
+    for cut_factor in ("2.5", "4"):
+        code, out, _ = run(capsys, "scan", "--gamma", "affine:2,0.5,z",
+                           "--r-min", "6", "--r-max", "12", "--steps", "4",
+                           "--cut-factor", cut_factor,
+                           "--output", str(tmp_path / cut_factor))
+        assert code == 0
+        assert "truncation_stable=pass" in out
+
+
 def test_scan_gate_failure_exit_code(tmp_path, monkeypatch, capsys):
     broken = CountReport(
         r_grid=np.array([5.0, 10.0]),

@@ -15,7 +15,6 @@ from weylcount.errors import (
 )
 from weylcount.lb_spectrum import (
     assemble_fem,
-    axis_moment_blocks,
     cache_key,
     cache_load,
     cache_store,
@@ -89,7 +88,7 @@ def test_tabulated_axis_moments_match_closed_form():
 
 
 # ----------------------------------------------------------------------
-# normalized Legendre recurrence / per-order moment blocks
+# normalized Legendre recurrence
 # ----------------------------------------------------------------------
 
 def test_normalized_legendre_orthonormal():
@@ -98,21 +97,6 @@ def test_normalized_legendre_orthonormal():
         q = normalized_legendre_block(m, 15, t)
         gram = (q * w) @ q.T
         assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-13
-
-
-def test_axis_moment_blocks_identity_and_linear():
-    blocks = axis_moment_blocks(8, np.ones_like)
-    for block in blocks.values():
-        assert np.max(np.abs(block - np.eye(len(block)))) < 1e-13
-
-    linear = axis_moment_blocks(10, lambda t: t)
-    for m, block in linear.items():
-        assert np.max(np.abs(np.diag(block))) < 1e-13
-        for i, n in enumerate(range(m, 10)):
-            c = np.sqrt(((n + 1.0) ** 2 - m * m)
-                        / ((2.0 * n + 1.0) * (2.0 * n + 3.0)))
-            assert abs(block[i, i + 1] - c) < 1e-13
-            assert abs(block[i + 1, i] - c) < 1e-13
 
 
 # ----------------------------------------------------------------------

@@ -93,20 +93,25 @@ def test_constants_from_field(sphere, tilted):
 def test_constant_operator_is_exact_diagonal(gamma_two):
     basis = exact_sphere_spectrum(2)
     op = build_operator(basis, gamma_two, 1.0)
-    assert op.kind == "diagonal"
-    assert op.payload[0] == pytest.approx(-1.0)
-    assert op.payload[1] == pytest.approx(np.sqrt(3.0) - 2.0)
-    dense = op.matrix()
-    assert np.max(np.abs(dense - np.diag(np.diag(dense)))) == 0.0
-    moments = op.gamma_moments()
-    assert np.max(np.abs(moments - 2.0 * np.eye(len(moments)))) < 1e-14
+    [(stack, sizes)] = op.blocks
+    assert stack.shape == (3, 1, 1)  # one 1 x 1 block per cluster
+    assert sizes.tolist() == [1, 3, 5]
+    assert stack[0, 0, 0] == pytest.approx(-1.0)
+    assert stack[1, 0, 0] == pytest.approx(np.sqrt(3.0) - 2.0)
+    basis = exact_sphere_spectrum(20)
+    for h in (1.0, 0.3):
+        op = build_operator(basis, gamma_two, h)
+        lam = basis.eigenvalues[:op.mode_cut]
+        assert np.array_equal(op.eigenvalues(),
+                              np.sqrt(1.0 + h * h * lam) - 2.0)
 
 
 def test_inverted_constant_equivalent():
     basis = exact_sphere_spectrum(12)
     above = build_operator(basis, DampingField.constant(2.0), 0.25)
     below = build_operator(basis, DampingField.constant(0.5), 0.25)
-    assert np.array_equal(above.payload, below.payload)
+    assert np.array_equal(above.blocks[0][0], below.blocks[0][0])
+    assert np.array_equal(above.eigenvalues(), below.eigenvalues())
 
 
 def test_mode_cut_never_splits_a_cluster(gamma_two):
@@ -139,28 +144,34 @@ def test_bad_h_rejected(gamma_two):
 def test_affine_operator_block_structure(sphere, tilted):
     basis = exact_sphere_spectrum(12)
     op = build_operator(basis, tilted, 1.0, surface=sphere)
-    assert op.kind == "blocks"
-    # G_00 = mean of gamma0 over the sphere = 2 (phi_0 constant)
-    moments = op.gamma_moments()
-    assert moments[0, 0] == pytest.approx(2.0, abs=1e-12)
-    assert np.max(np.abs(moments - moments.T)) < 1e-12
-    dense = op.matrix()
-    assert np.max(np.abs(dense - dense.T)) < 1e-12
+    # degrees 0..3 are retained: one block per order m over degrees m..3
+    assert [len(block) for block, _ in op.blocks] == [4, 3, 2, 1]
+    assert [multiplicity for _, multiplicity in op.blocks] == [1, 2, 2, 2]
+    assert op.mode_cut == 16 == len(op.eigenvalues())
+    # G_00 = mean of gamma0 over the sphere = 2 (phi_0 constant), D_00 = 1
+    assert op.blocks[0][0][0, 0] == pytest.approx(-1.0, abs=1e-12)
+    for block, _ in op.blocks:
+        assert np.array_equal(block, block.T)
+        assert np.array_equal(block, np.triu(np.tril(block, 1), -1))
 
 
 def test_block_and_dense_paths_agree(sphere):
-    # the same profile along z (block path) and along x (dense path) must
+    # the same profile along +-z (block path) and along +-x (dense path) must
     # give identical spectra by rotational symmetry of the sphere
     basis_z = exact_sphere_spectrum(12)
     basis_x = exact_sphere_spectrum(12)
-    along_z = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0))
-    along_x = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
-    op_z = build_operator(basis_z, along_z, 1.0, surface=sphere)
-    op_x = build_operator(basis_x, along_x, 1.0, surface=sphere)
-    assert op_z.kind == "blocks"
-    assert op_x.kind == "dense"
-    assert op_z.mode_cut == op_x.mode_cut
-    assert np.max(np.abs(op_z.eigenvalues() - op_x.eigenvalues())) < 1e-10
+    for offset, slope, sign in ((2.0, 0.5, 1.0), (2.0, -0.5, 1.0),
+                                (2.0, 0.5, -1.0), (3.0, -1.5, -1.0)):
+        along_z = DampingField.affine(offset, slope, (0.0, 0.0, sign))
+        along_x = DampingField.affine(offset, slope, (sign, 0.0, 0.0))
+        for h in (1.0, 0.5):
+            op_z = build_operator(basis_z, along_z, h, surface=sphere)
+            op_x = build_operator(basis_x, along_x, h, surface=sphere)
+            assert len(op_z.blocks) == basis_z.degrees[op_z.mode_cut - 1] + 1
+            assert len(op_x.blocks) == 1
+            assert op_z.mode_cut == op_x.mode_cut
+            assert np.max(np.abs(op_z.eigenvalues()
+                                 - op_x.eigenvalues())) < 1e-10
 
 
 # ----------------------------------------------------------------------

@@ -254,7 +254,7 @@ def test_effective_damping_of_constant_fields():
     pts = np.zeros((4, 3))
     assert np.all(DampingField.constant(0.5).effective(pts) == 2.0)
     assert np.all(DampingField.constant(2.0).effective(pts) == 2.0)
-    assert np.all(DampingField.constant(4.0, invert=True).values(pts) == 0.25)
+    assert np.all(DampingField.constant(4.0, invert=True).effective(pts) == 4.0)
 
 
 def test_affine_field_range_on_sphere():
@@ -262,8 +262,6 @@ def test_affine_field_range_on_sphere():
     field = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0))
     assert field.base_range(sphere) == (1.5, 2.5)
     assert field.effective_range(sphere) == (1.5, 2.5)
-    field.validate_on(sphere)
-    assert field.regime == "above-one"
 
 
 def test_reciprocal_field_effective_values_bit_identical():
@@ -273,48 +271,37 @@ def test_reciprocal_field_effective_values_bit_identical():
     pts /= np.linalg.norm(pts, axis=-1)[:, None]
     above = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0))
     below = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0), invert=True)
-    above.validate_on(sphere)
-    below.validate_on(sphere)
-    assert above.regime == "above-one"
-    assert below.regime == "below-one"
+    assert above.effective_range(sphere) == below.effective_range(sphere)
     ga = above.effective(pts)
     gb = below.effective(pts)
     assert np.array_equal(ga, gb)  # bit-for-bit
-    assert np.allclose(below.values(pts) * above.values(pts), 1.0, rtol=1e-15)
 
 
 def test_field_touching_one_rejected():
     sphere = AnalyticSurface.unit_sphere()
     field = DampingField.affine(1.5, 0.5, (0.0, 0.0, 1.0))
     with pytest.raises(InvalidFieldError, match="1"):
-        field.validate_on(sphere)
+        field.effective_range(sphere)
     with pytest.raises(InvalidFieldError):
-        DampingField.constant(1.0).validate_on(sphere)
+        DampingField.constant(1.0).effective_range(sphere)
 
 
 def test_nonpositive_field_rejected():
     sphere = AnalyticSurface.unit_sphere()
     with pytest.raises(InvalidFieldError):
-        DampingField.affine(0.5, 1.0, (0.0, 0.0, 1.0)).validate_on(sphere)
+        DampingField.affine(0.5, 1.0, (0.0, 0.0, 1.0)).effective_range(sphere)
     with pytest.raises(InvalidFieldError):
-        DampingField.constant(-2.0).validate_on(sphere)
-
-
-def test_declared_regime_mismatch_rejected():
-    sphere = AnalyticSurface.unit_sphere()
-    field = DampingField.constant(2.0, regime="below-one")
-    with pytest.raises(InvalidFieldError, match="regime"):
-        field.validate_on(sphere)
+        DampingField.constant(-2.0).effective_range(sphere)
 
 
 def test_vertex_table_field_alignment():
     mesh = icosphere(0)
     field = DampingField.vertex_table(np.full(12, 3.0))
-    field.validate_on(mesh)
+    assert field.effective_range(mesh) == (3.0, 3.0)
     assert np.all(field.effective(mesh.vertices) == 3.0)
     short = DampingField.vertex_table(np.full(10, 3.0))
     with pytest.raises(InvalidFieldError):
-        short.validate_on(mesh)
+        short.effective_range(mesh)
 
 
 def test_effective_affine_coefficients():
