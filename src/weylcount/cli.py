@@ -246,6 +246,10 @@ def _resolve_basis(args, surface, field, r_max):
             mesh, args.modes, tol=args.tol, directory=args.cache_dir,
             seed=args.seed)
         return basis, hit
+    if surface.name != "unit-sphere":
+        raise UsageError(
+            "the exact spectrum is the unit sphere's; surface %r needs a "
+            "--mesh basis" % (args.surface,))
     degree = args.max_degree
     if degree is None:
         degree = auto_degree(surface, field, r_max, args.cut_factor)

@@ -11,6 +11,10 @@ stacks of equal-size blocks) each repeated a number of times.  Constant
 damping makes every block 1 x 1, damping affine along the sphere's polar
 axis gives one tridiagonal block per order, and any other field one dense
 block from tabulated mode values.
+
+Counting computes no eigenvalues: by Sylvester's law of inertia the number
+of eigenvalues below a shift is the number of negative pivots of an LDL^T
+(Bunch-Kaufman) factorization of the shifted block.
 """
 
 import json
@@ -19,6 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, InsufficientSpectrumError, UsageError
@@ -123,27 +128,75 @@ class GalerkinOperator:
     mode_cut: int
     blocks: list
 
-    def block_spectra(self):
-        """Yield (eigenvalues as a (b, k) array, multiplicity) per block."""
-        for matrix, multiplicity in self.blocks:
-            values = np.linalg.eigvalsh(matrix)
-            yield values.reshape(-1, values.shape[-1]), multiplicity
-
     def eigenvalues(self):
         """All retained model eigenvalues, ascending, with multiplicity."""
-        return np.sort(np.concatenate([
-            np.repeat(values, multiplicity, axis=0).ravel()
-            for values, multiplicity in self.block_spectra()]))
+        spectra = []
+        for matrix, multiplicity in self.blocks:
+            values = np.linalg.eigvalsh(matrix)
+            spectra.append(np.repeat(values.reshape(-1, values.shape[-1]),
+                                     multiplicity, axis=0).ravel())
+        return np.sort(np.concatenate(spectra))
+
+
+def _inertia(matrix, shift):
+    """(negative, zero) eigenvalue counts of symmetric matrix + shift * I.
+
+    Sylvester's law of inertia gives them from the block diagonal D of a
+    Bunch-Kaufman factorization P L D L^T P^T: a 1 x 1 pivot counts by its
+    sign, a 2 x 2 pivot by its determinant and trace.
+    """
+    size = len(matrix)
+    # factored in place, so this Fortran-ordered copy is the only new buffer
+    shifted = np.array(matrix, order="F")
+    shifted[np.diag_indices(size)] += shift
+    # Without the workspace query LAPACK falls back to the unblocked
+    # factorization, about seven times slower at n ~ 1000.
+    lwork, _ = dsytrf_lwork(size, lower=1)
+    factor, pivots, _ = dsytrf(shifted, lower=1, lwork=int(lwork),
+                               overwrite_a=1)
+    diagonal = np.diag(factor)
+    # both rows of a 2 x 2 pivot carry the same negative index, so a run of
+    # negative indices holds whole pairs, each starting at an even offset
+    paired = pivots < 0
+    index = np.arange(size)
+    run_start = np.maximum.accumulate(np.where(paired, 0, index + 1))
+    first = np.flatnonzero(paired & ((index - run_start) % 2 == 0))
+
+    single = diagonal[~paired]
+    det = diagonal[first] * diagonal[first + 1] - factor[first + 1, first] ** 2
+    trace = diagonal[first] + diagonal[first + 1]
+    # det < 0: one eigenvalue of each sign; det > 0: two of the trace's
+    # sign; det == 0: one zero and the trace
+    negative = (np.count_nonzero(single < 0.0) + np.count_nonzero(det < 0.0)
+                + 2 * np.count_nonzero((det > 0.0) & (trace < 0.0))
+                + np.count_nonzero((det == 0.0) & (trace < 0.0)))
+    zero = (np.count_nonzero(single == 0.0) + np.count_nonzero(det == 0.0)
+            + np.count_nonzero((det == 0.0) & (trace == 0.0)))
+    return negative, zero
 
 
 def count_negative(operator, zero_tol=ZERO_TOL):
-    """Count eigenvalues < -zero_tol; |eigenvalue| <= zero_tol is borderline."""
+    """Count eigenvalues < -zero_tol; |eigenvalue| <= zero_tol is borderline.
+
+    Each block of size k > 1 is factored twice: the negative inertia of
+    A + zero_tol I counts eigenvalues below -zero_tol, and the negative plus
+    zero inertia of A - zero_tol I those up to zero_tol.  A stack of 1 x 1
+    blocks holds its eigenvalues and is counted directly.
+    """
     negative = borderline = 0
-    for values, multiplicity in operator.block_spectra():
-        negative += int(np.sum(
-            np.sum(values < -zero_tol, axis=1) * multiplicity))
-        borderline += int(np.sum(
-            np.sum(np.abs(values) <= zero_tol, axis=1) * multiplicity))
+    for matrix, multiplicity in operator.blocks:
+        size = matrix.shape[-1]
+        stack = matrix.reshape(-1, size, size)
+        if size == 1:
+            values = stack[:, 0, 0]
+            below, within = values < -zero_tol, np.abs(values) <= zero_tol
+        else:
+            below = np.array([_inertia(block, zero_tol)[0]
+                              for block in stack])
+            within = np.array([sum(_inertia(block, -zero_tol))
+                               for block in stack]) - below
+        negative += int(np.sum(below * multiplicity))
+        borderline += int(np.sum(within * multiplicity))
     return NegativeCount(negative, borderline)
 
 
@@ -160,47 +213,80 @@ def _mode_cut_index(eigenvalues, threshold):
     return cut
 
 
-def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR):
+def _mode_cut(basis, field, h, surface, cut_factor):
+    """Retained section size at h: ``cut_factor`` times the ellipticity
+    threshold (constant damping needs no tail at all, so there only the
+    threshold itself must be resolved).  Raises InsufficientSpectrumError
+    when the basis cannot resolve it."""
+    lam_star = constants_for(field, surface).ellipticity_threshold(h)
+    lam = basis.eigenvalues
+    need = cut_factor * lam_star
+    basis.require_top(lam_star if field.kind == "constant" else need,
+                      context=f"counting at h = {h:g}")
+    if lam_star > basis.trusted_horizon:
+        raise InsufficientSpectrumError(
+            f"threshold {lam_star:.6g} beyond the trusted horizon "
+            f"{basis.trusted_horizon:.6g}")
+    return _mode_cut_index(lam, min(need, lam[-1]))
+
+
+def _polar_affine(basis, field, surface):
+    """(offset, signed slope) of damping affine along the exact sphere's
+    polar axis, or None when the field needs the dense path."""
+    affine = field.effective_affine(surface)
+    if (affine is None or basis.source != "exact-sphere"
+            or abs(abs(affine[2][2]) - 1.0) >= 1e-14):
+        return None
+    offset, slope, axis = affine
+    return offset, slope * axis[2]
+
+
+def _damping_gram(basis, field, cut):
+    """Gram matrix of the effective damping on the first ``cut`` modes.
+
+    Formed as W^T W with W = modes * sqrt(mass * gamma0); both factors are
+    positive, and the product runs as one symmetric rank-k update whose
+    result is exactly symmetric.
+    """
+    if basis.modes is None:
+        if basis.source == "exact-sphere":
+            _tabulate_sphere_modes(basis)
+        else:
+            raise UsageError(
+                "dense assembly needs tabulated modes on the basis")
+    weights = np.sqrt(basis.mass * field.effective(basis.nodes))
+    scaled = basis.modes[:, :cut] * weights[:, None]
+    return scaled.T @ scaled
+
+
+def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
+                   _gram=None):
     """Assemble the finite model of the counting operator at h.
 
     Constant damping gives one 1 x 1 block per eigenvalue cluster.  Damping
     whose effective coefficient a + b z is affine along the polar axis of the
     exact sphere gives, per order m, diag(sqrt(1 + h^2 n(n+1)) - a) - b J_m
     over degrees n >= m, with J_m the Jacobi matrix of the orthonormal
-    associated Legendre functions.  Anything else goes through tabulated mode
-    values.  The retained section extends to ``cut_factor`` times the
-    ellipticity threshold (constant damping needs no tail at all, so there
-    only the threshold itself must be resolved).
+    associated Legendre functions.  Anything else goes through the Gram
+    matrix of tabulated mode values; ``scan`` forms it once and passes it as
+    ``_gram``, of which each h takes the leading section.
     """
     if h <= 0.0:
         raise UsageError(f"semiclassical parameter must be positive, got {h}")
     if field.kind != "constant" and surface is None:
         raise UsageError("variable damping needs the surface for its range")
-    constants = constants_for(field, surface)
-    lam_star = constants.ellipticity_threshold(h)
+    cut = _mode_cut(basis, field, h, surface, cut_factor)
     lam = basis.eigenvalues
 
-    constant = field.kind == "constant"
-    need = cut_factor * lam_star
-    basis.require_top(lam_star if constant else need,
-                      context=f"counting at h = {h:g}")
-    if lam_star > basis.trusted_horizon:
-        raise InsufficientSpectrumError(
-            f"threshold {lam_star:.6g} beyond the trusted horizon "
-            f"{basis.trusted_horizon:.6g}")
-    cut = _mode_cut_index(lam, min(need, lam[-1]))
-
-    if constant:
+    if field.kind == "constant":
         gamma0 = max(field.value, 1.0 / field.value)
         clusters, sizes = np.unique(lam[:cut], return_counts=True)
         values = np.sqrt(1.0 + h * h * clusters) - gamma0
         return GalerkinOperator(cut, [(values[:, None, None], sizes)])
 
-    affine = field.effective_affine(surface)
-    if (affine is not None and basis.source == "exact-sphere"
-            and abs(abs(affine[2][2]) - 1.0) < 1e-14):
-        offset, slope, axis = affine
-        signed_slope = slope * axis[2]
+    polar = _polar_affine(basis, field, surface)
+    if polar is not None:
+        offset, signed_slope = polar
         max_degree = int(basis.degrees[cut - 1])
         degrees = np.arange(max_degree + 1)
         d_full = np.sqrt(1.0 + h * h * degrees * (degrees + 1.0))
@@ -214,16 +300,8 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR):
             blocks.append((block, 1 if m == 0 else 2))
         return GalerkinOperator(cut, blocks)
 
-    if basis.modes is None:
-        if basis.source == "exact-sphere":
-            _tabulate_sphere_modes(basis)
-        else:
-            raise UsageError(
-                "dense assembly needs tabulated modes on the basis")
-    gamma_values = field.effective(basis.nodes)
-    modes = basis.modes[:, :cut]
-    gram = (modes * (basis.mass * gamma_values)[:, None]).T @ modes
-    gram = 0.5 * (gram + gram.T)
+    gram = _damping_gram(basis, field, cut) if _gram is None \
+        else _gram[:cut, :cut]
     matrix = np.diag(np.sqrt(1.0 + h * h * lam[:cut])) - gram
     return GalerkinOperator(cut, [(matrix, 1)])
 
@@ -357,7 +435,8 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
 
     The truncation-stability recount enlarges the mode cut by 50%; if the
     basis cannot support the recount the stability delta is left undefined
-    rather than failing the scan.
+    rather than failing the scan.  Dense sections share one Gram matrix,
+    formed at the widest cut the scan uses.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or len(r_grid) == 0:
@@ -365,26 +444,40 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     if np.any(np.diff(r_grid) <= 0.0):
         raise UsageError("r grid must be strictly ascending")
 
+    # Sections grow with r, so the widest is at r_max, and a recount the
+    # basis supports there it supports at every r.  One Gram matrix at that
+    # cut serves every h through a leading slice.
+    recount_factor = cut_factor * STABILITY_FACTOR
+    top_cuts = []
+    for factor in (cut_factor, recount_factor):
+        try:
+            top_cuts.append(_mode_cut(basis, field, 1.0 / r_grid[-1], surface,
+                                      factor))
+        except InsufficientSpectrumError:
+            break
+    gram = None
+    if (top_cuts and field.kind != "constant"
+            and _polar_affine(basis, field, surface) is None):
+        gram = _damping_gram(basis, field, top_cuts[-1])
+
     n_scalar, borderline, cuts = [], [], []
     for r in r_grid:
         operator = build_operator(basis, field, 1.0 / r, surface=surface,
-                                  cut_factor=cut_factor)
+                                  cut_factor=cut_factor, _gram=gram)
         outcome = count_negative(operator, zero_tol=zero_tol)
         n_scalar.append(outcome.negative)
         borderline.append(outcome.borderline)
         cuts.append(operator.mode_cut)
 
     stability_delta = None
-    try:
+    if len(top_cuts) == 2:
         deltas = []
         for i, r in enumerate(r_grid):
             operator = build_operator(basis, field, 1.0 / r, surface=surface,
-                                      cut_factor=cut_factor * STABILITY_FACTOR)
+                                      cut_factor=recount_factor, _gram=gram)
             deltas.append(abs(count_negative(operator, zero_tol=zero_tol).negative
                               - n_scalar[i]))
         stability_delta = int(max(deltas))
-    except InsufficientSpectrumError:
-        pass
 
     n_scalar = np.asarray(n_scalar, dtype=np.int64)
     coefficient, exponent = _fit_powers(r_grid, n_scalar)

@@ -161,6 +161,22 @@ def test_scan_insufficient_basis_exit_code(capsys):
     assert "1296" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--gamma", "2.0", "--r-min", "5", "--r-max", "8"),
+    ("count", "--gamma", "2.0", "--r", "5"),
+])
+def test_exact_basis_refuses_other_surfaces(tmp_path, capsys, argv):
+    # the exact spectrum is the sphere's: counting it and reporting the
+    # ellipsoid's Weyl coefficient would pass every gate on wrong numbers
+    out_dir = str(tmp_path / "out")
+    code, out, err = run(capsys, *argv, "--surface", "ellipsoid:2,1,1",
+                         *(("--output", out_dir) if argv[0] == "scan" else ()))
+    assert code == 64
+    assert "ellipsoid:2,1,1" in err
+    assert out == ""
+    assert not os.path.exists(out_dir)
+
+
 # ----------------------------------------------------------------------
 # count / weyl
 # ----------------------------------------------------------------------

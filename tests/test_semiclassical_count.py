@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg.lapack import dsytrf
 
+from weylcount import semiclassical_count
 from weylcount.errors import (
     DomainError,
     InsufficientSpectrumError,
@@ -12,8 +15,10 @@ from weylcount.errors import (
 )
 from weylcount.lb_spectrum import exact_sphere_spectrum
 from weylcount.semiclassical_count import (
+    ZERO_TOL,
     CountReport,
     DampingConstants,
+    GalerkinOperator,
     build_operator,
     constants_for,
     count_negative,
@@ -206,6 +211,68 @@ def test_borderline_at_exact_crossing(gamma_two):
     assert relaxed.borderline >= 7
 
 
+def eigvalsh_count(operator, zero_tol=ZERO_TOL):
+    """Reference count from the full spectrum."""
+    values = operator.eigenvalues()
+    return (int(np.sum(values < -zero_tol)),
+            int(np.sum(np.abs(values) <= zero_tol)))
+
+
+def planted(values, seed):
+    """Q diag(values) Q^T for a random orthogonal Q."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (len(values), len(values))))
+    return (q * np.asarray(values)) @ q.T
+
+
+def test_inertia_count_on_planted_spectra(monkeypatch):
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    operator = GalerkinOperator(0, [
+        (planted([0.0, 5e-13, -5e-13, 2e-12, -2e-12, -0.7, 1.3, 3.0], 1), 1),
+        (swap, 1),
+        # exactly on the thresholds: pivots of the shifted block are 0
+        (np.diag([ZERO_TOL, -ZERO_TOL, 0.5]), 1),
+        (planted([-2e-12, 0.0, 4e-13, -1.5, 0.25], 2), 2),
+        (np.stack([planted([-1.0, 1e-13, 2.0], 3),
+                   planted([-2e-12, -3e-13, 2e-12], 4)]), np.array([1, 3])),
+        (np.array([0.0, 5e-13, -5e-13, 2e-12, -2e-12])[:, None, None],
+         np.array([1, 2, 3, 4, 5])),
+    ])
+    # the swap block factors through a 2 x 2 pivot at either shift
+    for shift in (ZERO_TOL, -ZERO_TOL):
+        assert np.all(dsytrf(swap + shift * np.eye(2), lower=1)[1] < 0)
+
+    # block by block, as planted: eigenvalues below -tol, then |mu| <= tol
+    negative = 2 + 1 + 0 + 2 * 2 + (1 + 3 * 1) + 5
+    borderline = 3 + 0 + 2 + 2 * 2 + (1 + 3 * 1) + (1 + 2 + 3)
+    assert eigvalsh_count(operator) == (negative, borderline)
+
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("count_negative computed eigenvalues")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+    monkeypatch.setattr(semiclassical_count, "eigh", no_eigensolver)
+    assert count_negative(operator) == (negative, borderline)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(size=st.integers(2, 24), seed=st.integers(0, 2 ** 32 - 1),
+       diagonal=st.sampled_from([0.0, 1e-3, 1.0]),
+       scale=st.sampled_from([1e-6, 1.0, 1e3]),
+       multiplicity=st.integers(1, 3))
+def test_inertia_count_matches_eigvalsh(size, seed, diagonal, scale,
+                                        multiplicity):
+    # a small diagonal makes Bunch-Kaufman pick 2 x 2 pivots
+    matrix = np.random.default_rng(seed).standard_normal((size, size))
+    matrix = scale * (matrix + matrix.T)
+    matrix[np.diag_indices(size)] *= diagonal
+    values = np.linalg.eigvalsh(matrix)
+    assume(np.min(np.abs(np.abs(values) - ZERO_TOL)) >= 1e-9)
+    operator = GalerkinOperator(size, [(matrix, multiplicity)])
+    assert count_negative(operator) == eigvalsh_count(operator)
+
+
 # ----------------------------------------------------------------------
 # Weyl prediction
 # ----------------------------------------------------------------------
@@ -275,6 +342,41 @@ def test_scan_variable_field(sphere, tilted):
     assert abs(report.n_scalar[-1] / 256.0 - 37.0 / 12.0) <= 0.4
     assert report.stability_delta == 0
     assert np.all(np.diff(report.n_scalar) > 0)
+
+
+@pytest.mark.parametrize("degree", [20, 17])
+def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
+    # at r = 5 the cut needs degree 16 and the 1.5x recount degree 20
+    field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
+    r_grid = np.array([3.0, 4.0, 5.0])
+    gram_cuts = []
+    form = semiclassical_count._damping_gram
+
+    def counted(basis, field, cut):
+        gram_cuts.append(cut)
+        return form(basis, field, cut)
+
+    monkeypatch.setattr(semiclassical_count, "_damping_gram", counted)
+    report = scan(sphere, field, r_grid, exact_sphere_spectrum(degree))
+    assert len(gram_cuts) == 1
+
+    basis = exact_sphere_spectrum(degree)
+
+    def standalone(cut_factor):
+        operators = [build_operator(basis, field, 1.0 / r, surface=sphere,
+                                    cut_factor=cut_factor) for r in r_grid]
+        return ([count_negative(op).negative for op in operators],
+                operators[-1].mode_cut)
+
+    counts, last_cut = standalone(2.0)
+    assert list(report.n_scalar) == counts
+    if degree == 20:
+        recounts, last_cut = standalone(3.0)
+        assert report.stability_delta == max(
+            abs(a - b) for a, b in zip(recounts, counts))
+    else:
+        assert report.stability_delta is None
+    assert gram_cuts[0] == last_cut
 
 
 def test_scan_regime_symmetry_bit_exact(sphere):
