@@ -61,6 +61,7 @@ EXIT_GATE = 3
 EXIT_USAGE = 64
 
 RESIDUAL_GATE = 1e-8
+MESH_SURFACE_TOL = 1e-6
 
 _RESOURCE_ERRORS = (
     InsufficientSpectrumError,
@@ -71,6 +72,7 @@ _RESOURCE_ERRORS = (
     DomainError,
     ChartDegeneracyError,
     BranchError,
+    np.linalg.LinAlgError,
     OSError,
 )
 
@@ -242,6 +244,14 @@ def _resolve_basis(args, surface, field, r_max):
         if args.modes is None:
             raise UsageError("--mesh runs need --modes")
         mesh = resolve_mesh(args.mesh)
+        # the Weyl integral and the damping range come from the analytic
+        # surface, so the mesh must discretize that surface
+        off = np.max(np.abs(np.sum((mesh.vertices / surface.axes) ** 2,
+                                   axis=-1) - 1.0))
+        if off > MESH_SURFACE_TOL:
+            raise UsageError(
+                "mesh %r does not lie on surface %r: max |sum (x_i/a_i)^2 - 1|"
+                " = %.3g over its vertices" % (args.mesh, args.surface, off))
         basis, hit = cached_mesh_spectrum(
             mesh, args.modes, tol=args.tol, directory=args.cache_dir,
             seed=args.seed)

@@ -8,7 +8,8 @@ Two sources feed the counting pipeline with the same interface:
   sparse symmetric generalized eigenproblem for the lowest eigenpairs.
 
 Mesh solves are expensive, so they get a small binary disk cache ("WLB1"
-container plus a JSON sidecar).
+container plus a JSON sidecar), keyed by the mesh content, the mode count,
+the solver tolerance and the solver seed.
 """
 
 import hashlib
@@ -316,8 +317,9 @@ def solve_lowest(pencil, count, tol=1e-8, seed=SOLVER_SEED):
 # disk cache
 # ----------------------------------------------------------------------
 
-def cache_key(mesh_hash, count, tol):
-    text = f"{mesh_hash}:{int(count)}:{float(tol)!r}:v{CACHE_VERSION}"
+def cache_key(mesh_hash, count, tol, seed):
+    text = (f"{mesh_hash}:{int(count)}:{float(tol)!r}:{int(seed)}"
+            f":v{CACHE_VERSION}")
     return hashlib.sha256(text.encode()).hexdigest()[:32]
 
 
@@ -429,7 +431,7 @@ def cached_mesh_spectrum(mesh, count, tol=1e-8, directory=None, seed=SOLVER_SEED
         basis = solve_lowest(assemble_fem(mesh), count, tol=tol, seed=seed)
         basis.mesh_hash = mesh_hash
         return basis, False
-    key = cache_key(mesh_hash, count, tol)
+    key = cache_key(mesh_hash, count, tol, seed)
     cached = cache_load(directory, key)
     if cached is not None and cached.mesh_hash == mesh_hash:
         return cached, True

@@ -41,6 +41,20 @@ def test_spectrum_mesh_cache(tmp_path, capsys):
     assert first_out.splitlines()[1] == second_out.splitlines()[1]
 
 
+def test_spectrum_mesh_cache_is_per_solver_seed(tmp_path, capsys):
+    # solver seeds split near-degenerate clusters differently, so a basis
+    # solved under one seed must not answer a run under another
+    cache = str(tmp_path / "cache")
+    argv = ("spectrum", "--mesh", "icosphere:2", "--count", "20",
+            "--cache-dir", cache, "--seed")
+    hits = []
+    for seed in ("1", "2", "1", "2"):
+        code, out, _ = run(capsys, *argv, seed)
+        assert code == 0
+        hits.append("cache hit" in out)
+    assert hits == [False, False, True, True]
+
+
 def test_spectrum_mesh_needs_count(capsys):
     code, _, err = run(capsys, "spectrum", "--mesh", "icosphere:2")
     assert code == 64
@@ -175,6 +189,36 @@ def test_exact_basis_refuses_other_surfaces(tmp_path, capsys, argv):
     assert "ellipsoid:2,1,1" in err
     assert out == ""
     assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize("surface, expected", [
+    ("ellipsoid:2,1,1", 64),
+    ("unit-sphere", 0),
+])
+def test_mesh_must_lie_on_surface(capsys, surface, expected):
+    # the Weyl prediction is the analytic surface's, so a sphere mesh
+    # reported as an ellipsoid would pass its gates on wrong numbers
+    code, out, err = run(capsys, "count", "--gamma", "2.0", "--r", "1.5",
+                         "--mesh", "icosphere:2", "--modes", "60",
+                         "--surface", surface)
+    assert code == expected
+    if expected == 64:
+        assert "does not lie on surface 'ellipsoid:2,1,1'" in err
+        assert out == ""
+    else:
+        assert json.loads(out)["N_scalar"] == 9
+
+
+def test_linalg_error_is_resource_failure(monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "count_negative", singular)
+    code, out, err = run(capsys, "count", "--gamma", "2.0", "--r", "5",
+                         "--max-degree", "40")
+    assert code == 2
+    assert out == ""
+    assert err == "error: Singular matrix\n"
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from weylcount.errors import (
     UsageError,
 )
 from weylcount.lb_spectrum import (
+    SOLVER_SEED,
     assemble_fem,
     cache_key,
     cache_load,
@@ -260,7 +261,7 @@ def test_cache_version_mismatch_is_miss(tmp_path):
     directory = str(tmp_path)
     mesh = icosphere(1)
     basis, _ = cached_mesh_spectrum(mesh, 6, tol=1e-8, directory=directory)
-    key = cache_key(mesh.content_hash(), 6, 1e-8)
+    key = cache_key(mesh.content_hash(), 6, 1e-8, SOLVER_SEED)
     sidecar_path = os.path.join(directory, key + ".json")
     with open(sidecar_path, encoding="utf-8") as handle:
         sidecar = json.load(handle)
@@ -274,7 +275,7 @@ def test_cache_corrupt_container_raises(tmp_path):
     directory = str(tmp_path)
     mesh = icosphere(1)
     cached_mesh_spectrum(mesh, 6, tol=1e-8, directory=directory)
-    key = cache_key(mesh.content_hash(), 6, 1e-8)
+    key = cache_key(mesh.content_hash(), 6, 1e-8, SOLVER_SEED)
     bin_path = os.path.join(directory, key + ".wlb")
     blob = open(bin_path, "rb").read()
     with open(bin_path, "wb") as handle:
@@ -289,9 +290,22 @@ def test_cache_corrupt_container_raises(tmp_path):
 
 def test_cache_key_depends_on_inputs():
     keys = {
-        cache_key("abc", 10, 1e-8),
-        cache_key("abd", 10, 1e-8),
-        cache_key("abc", 11, 1e-8),
-        cache_key("abc", 10, 1e-7),
+        cache_key("abc", 10, 1e-8, 1),
+        cache_key("abd", 10, 1e-8, 1),
+        cache_key("abc", 11, 1e-8, 1),
+        cache_key("abc", 10, 1e-7, 1),
+        cache_key("abc", 10, 1e-8, 2),
     }
-    assert len(keys) == 4
+    assert len(keys) == 5
+
+
+def test_cache_hit_needs_the_same_solver_seed(tmp_path):
+    directory = str(tmp_path)
+    mesh = icosphere(1)
+    first, hit = cached_mesh_spectrum(mesh, 6, directory=directory, seed=1)
+    assert not hit
+    _, hit = cached_mesh_spectrum(mesh, 6, directory=directory, seed=2)
+    assert not hit
+    again, hit = cached_mesh_spectrum(mesh, 6, directory=directory, seed=1)
+    assert hit
+    assert np.array_equal(again.eigenvalues, first.eigenvalues)

@@ -5,9 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from weylcount.errors import BranchError, UsageError
+from weylcount import symbol_algebra
+from weylcount.errors import BranchError, ChartDegeneracyError, UsageError
 from weylcount.surface import AnalyticSurface
 from weylcount.symbol_algebra import (
+    chart_transfer,
     diagonalizing_frame,
     dispersion_diagonal,
     dispersion_matrix,
@@ -262,3 +264,119 @@ def test_identity_suite_ellipsoid():
 def test_suite_rejects_empty_batch(sphere):
     with pytest.raises(UsageError):
         random_samples(sphere, 0)
+
+
+def per_sample_suite(surface, count, seed):
+    """The identity suite one sample at a time, through the public
+    per-sample functions and the suite's two rng streams.  Returns the worst
+    residual per identity, per sample whether its chart transfer ran, and
+    the drawn h, gamma0, z and tangential g."""
+    rng = np.random.default_rng(seed + 1)
+    worst = {}
+    kept = []
+    draws = {"h": [], "gamma0": [], "z": [], "g": []}
+
+    def record(name, value):
+        worst[name] = max(worst.get(name, 0.0), float(value))
+
+    for drawn in random_samples(surface, count, seed=seed):
+        sample = sample_at(surface, drawn.chart_index, drawn.x, drawn.xi)
+        h = rng.uniform(0.05, 1.0)
+        t = rng.uniform(-h * h, h * h)
+        z = -1j / (1.0 + 1j * t)
+        gamma0 = rng.uniform(1.1, 5.0)
+
+        record("nu-beta-orthogonal", abs(sample.nu @ sample.beta))
+        record("r0-inverse-metric",
+               abs(sample.r0 - sample.inverse_metric_form()))
+        doubled = sample_at(surface, sample.chart_index, sample.x,
+                            2.0 * sample.xi)
+        record("beta-homogeneous",
+               np.max(np.abs(doubled.beta - 2.0 * sample.beta)))
+
+        matrix = rank_one(sample)
+        record("B-symmetric-psd",
+               max(np.max(np.abs(matrix - matrix.T)),
+                   max(0.0, -np.min(np.linalg.eigvalsh(matrix))),
+                   abs(np.trace(matrix) - sample.r0)))
+        for value, vector in eigenstructure(sample):
+            record("B-eigenstructure",
+                   np.max(np.abs(matrix @ vector - value * vector)))
+
+        frame = diagonalizing_frame(sample)
+        record("U-orthogonal", np.linalg.norm(frame.T @ frame - np.eye(3)))
+        record("U-diagonalizes-B",
+               np.max(np.abs(frame.T @ matrix @ frame
+                             - np.diag([0.0, 0.0, sample.r0]))))
+        record("dispersion-diagonalization",
+               np.max(np.abs(frame.T @ dispersion_matrix(sample, h, gamma0)
+                             @ frame
+                             - np.diag(dispersion_diagonal(sample, h,
+                                                           gamma0)))))
+
+        rho = elliptic_root(z, sample.r0)
+        record("rho-square", abs(rho * rho - (z * z - sample.r0)))
+        record("rho-branch-lower-bound",
+               max(0.0, min(1.0, 0.5 * np.sqrt(1.0 + sample.r0)) - rho.imag))
+
+        m = principal_m(sample, z)
+        record("m-symmetric", np.max(np.abs(m - m.T)))
+        m_at_i = principal_m(sample, -1j)
+        record("m-at-minus-i",
+               np.max(np.abs(-m_at_i - m_reference_at_minus_i(sample))))
+        record("m1-equals-minus-m",
+               np.max(np.abs(principal_m1(sample, -1j) + m_at_i)))
+
+        g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        g = np.cross(sample.nu, np.cross(g, sample.nu))
+        for name, value in zip(draws, (h, gamma0, z, g)):
+            draws[name].append(value)
+        for side in ("electric", "magnetic"):
+            solution = transport_principal(sample, z, g, side=side)
+            record(f"transport-{side}", max(solution.residuals().values()))
+
+        try:
+            moved = transfer_sample(sample, 1 - sample.chart_index)
+        except ChartDegeneracyError:
+            kept.append(False)
+        else:
+            kept.append(True)
+            record("chart-invariance",
+                   max(np.max(np.abs(moved.beta - sample.beta)),
+                       abs(moved.r0 - sample.r0)))
+    return worst, kept, draws
+
+
+@pytest.mark.parametrize("surface", [
+    AnalyticSurface.unit_sphere(),
+    AnalyticSurface.ellipsoid(2.0, 1.0, 1.0),
+], ids=["sphere", "ellipsoid"])
+def test_batched_suite_matches_per_sample_oracle(surface, monkeypatch):
+    count, seed = 50, 2024
+    worst, kept, draws = per_sample_suite(surface, count, seed)
+    seen = {}
+
+    def spy(name, keys):
+        function = getattr(symbol_algebra, name)
+
+        def wrapper(sample, *args, **kwargs):
+            seen.update(zip(keys, args))
+            return function(sample, *args, **kwargs)
+        monkeypatch.setattr(symbol_algebra, name, wrapper)
+
+    spy("dispersion_matrix", ("h", "gamma0"))
+    spy("transport_principal", ("z", "g"))
+    report = identity_suite(surface, samples=count, seed=seed)
+    # the residuals are roundoff-sized and blind to the draws; compare those
+    for name, values in draws.items():
+        assert np.allclose(seen[name], values, rtol=1e-15, atol=0.0), name
+    assert list(report["residuals"]) == sorted(worst)
+    assert len(worst) == 16
+    for name, value in worst.items():
+        assert abs(report["residuals"][name] - value) <= 1e-13, name
+
+    batch = random_samples(surface, count, seed=seed)
+    moved, interior = chart_transfer(batch, 1 - batch.chart_index)
+    assert interior.tolist() == kept
+    assert 0 < sum(kept) < count  # both outcomes are exercised
+    assert len(moved) == sum(kept)
