@@ -39,6 +39,8 @@ from .lb_spectrum import (
     sphere_degree_for,
 )
 from .semiclassical_count import (
+    CUT_FACTOR,
+    ZERO_TOL,
     build_operator,
     constants_for,
     count_negative,
@@ -62,6 +64,8 @@ EXIT_USAGE = 64
 
 RESIDUAL_GATE = 1e-8
 MESH_SURFACE_TOL = 1e-6
+# spectrum, scan and count share it, as the seed is part of the cache key
+DEFAULT_SEED = 42
 
 _RESOURCE_ERRORS = (
     InsufficientSpectrumError,
@@ -238,6 +242,14 @@ def _r_grid(args):
     return np.linspace(args.r_min, args.r_max, args.steps)
 
 
+def _require_unit_sphere(args, surface):
+    """The exact spectrum is the unit sphere's; refuse it for any other."""
+    if surface.name != "unit-sphere":
+        raise UsageError(
+            "the exact spectrum is the unit sphere's; surface %r needs a "
+            "--mesh basis" % (args.surface,))
+
+
 def _resolve_basis(args, surface, field, r_max):
     """(basis, cache_hit_or_None).  Mesh FEM when --mesh, else exact."""
     if getattr(args, "mesh", None):
@@ -256,10 +268,7 @@ def _resolve_basis(args, surface, field, r_max):
             mesh, args.modes, tol=args.tol, directory=args.cache_dir,
             seed=args.seed)
         return basis, hit
-    if surface.name != "unit-sphere":
-        raise UsageError(
-            "the exact spectrum is the unit sphere's; surface %r needs a "
-            "--mesh basis" % (args.surface,))
+    _require_unit_sphere(args, surface)
     degree = args.max_degree
     if degree is None:
         degree = auto_degree(surface, field, r_max, args.cut_factor)
@@ -287,7 +296,8 @@ def _emit_json(document):
 def cmd_spectrum(args, parser):
     _merge_config(args, parser)
     _defaults(args, surface="unit-sphere", max_degree=10, tol=1e-8,
-              seed=0x5EED)
+              seed=DEFAULT_SEED)
+    surface = resolve_surface(args.surface)
     if args.mesh:
         if args.count is None:
             raise UsageError("--mesh needs --count (number of modes)")
@@ -301,6 +311,7 @@ def cmd_spectrum(args, parser):
         print("area = %.12g, trusted horizon = %.12g, worst residual = %.3g"
               % (basis.area, basis.trusted_horizon, basis.residual))
     else:
+        _require_unit_sphere(args, surface)
         basis = exact_sphere_spectrum(args.max_degree)
         print("%d modes, top lambda = %g" % (basis.mode_count, basis.top))
         print("area = %.12g, trusted horizon = %.12g"
@@ -310,9 +321,9 @@ def cmd_spectrum(args, parser):
 
 def cmd_scan(args, parser):
     _merge_config(args, parser)
-    _defaults(args, surface="unit-sphere", gamma="2.0", r_min=5.0,
-              r_max=20.0, steps=4, log=False, invert=False, cut_factor=2.0,
-              zero_tol=1e-12, tol=1e-8, seed=42, output=".")
+    _defaults(args, surface="unit-sphere", gamma="2.0", r_min=5.0, r_max=20.0,
+              steps=4, log=False, invert=False, cut_factor=CUT_FACTOR,
+              zero_tol=ZERO_TOL, tol=1e-8, seed=DEFAULT_SEED, output=".")
     surface = resolve_surface(args.surface)
     field = resolve_field(args.gamma, invert=args.invert)
     grid = _r_grid(args)
@@ -352,7 +363,8 @@ def cmd_scan(args, parser):
 def cmd_count(args, parser):
     _merge_config(args, parser)
     _defaults(args, surface="unit-sphere", gamma="2.0", invert=False,
-              cut_factor=2.0, zero_tol=1e-12, tol=1e-8, seed=42)
+              cut_factor=CUT_FACTOR, zero_tol=ZERO_TOL, tol=1e-8,
+              seed=DEFAULT_SEED)
     if args.r is None or args.r <= 0.0:
         raise UsageError("count needs a positive --r")
     surface = resolve_surface(args.surface)

@@ -2,8 +2,8 @@
 
 Two sources feed the counting pipeline with the same interface:
 
-* the exact unit-sphere spectrum n(n+1) with multiplicity 2n+1, optionally
-  tabulated as orthonormal real harmonics on a product quadrature grid, and
+* the exact unit-sphere spectrum n(n+1) with multiplicity 2n+1, with its
+  real harmonics tabulated on a product quadrature grid on first use, and
 * cotangent finite elements with lumped mass on a triangle mesh, solved as a
   sparse symmetric generalized eigenproblem for the lowest eigenpairs.
 
@@ -40,15 +40,19 @@ CACHE_MAGIC = b"WLB1"
 CACHE_VERSION = 1
 
 Pencil = namedtuple("Pencil", ["stiffness", "mass", "nodes"])
+Quadrature = namedtuple("Quadrature", ["nodes", "mass", "modes"])
 
 
 @dataclass
 class SpectralBasis:
-    """Ascending Laplace-Beltrami eigenvalues plus optional tabulated modes.
+    """Ascending Laplace-Beltrami eigenvalues plus tabulated modes.
 
-    ``modes`` (when present) holds mode values at ``nodes`` with quadrature
-    weights ``mass``; the columns are orthonormal in the weighted inner
-    product.  ``degrees``/``orders`` are populated for the exact sphere.
+    ``modes`` holds mode values at ``nodes`` with quadrature weights
+    ``mass``; the columns are orthonormal in the weighted inner product.  A
+    mesh basis keeps the arrays it was solved or loaded with in
+    ``quadrature`` (None for a cache entry without them); the exact sphere
+    tabulates its harmonics on first access and keeps them there.
+    ``degrees``/``orders`` are populated for the exact sphere.
     ``trusted_horizon`` is the largest eigenvalue considered resolved: for a
     mesh, the Weyl count of 5% of the vertex budget, i.e.
     ``0.05 * vertex_count * 4 pi / area``.
@@ -60,9 +64,7 @@ class SpectralBasis:
     trusted_horizon: float
     degrees: np.ndarray = None
     orders: np.ndarray = None
-    mass: np.ndarray = None
-    nodes: np.ndarray = None
-    modes: np.ndarray = None
+    quadrature: Quadrature = None
     residual: float = 0.0
     mesh_hash: str = ""
 
@@ -70,6 +72,15 @@ class SpectralBasis:
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
         if np.any(np.diff(self.eigenvalues) < 0.0):
             raise SolverError("eigenvalues not ascending")
+
+    def _tabulated(self):
+        if self.quadrature is None and self.source == "exact-sphere":
+            self.quadrature = _tabulate_sphere_modes(int(self.degrees[-1]))
+        return self.quadrature or Quadrature(None, None, None)
+
+    nodes = property(lambda self: self._tabulated().nodes)
+    mass = property(lambda self: self._tabulated().mass)
+    modes = property(lambda self: self._tabulated().modes)
 
     @property
     def mode_count(self):
@@ -104,7 +115,7 @@ def sphere_degree_for(lam):
     return int(np.ceil(0.5 * (np.sqrt(1.0 + 4.0 * lam) - 1.0) - 1e-12))
 
 
-def exact_sphere_spectrum(max_degree, tabulated=False):
+def exact_sphere_spectrum(max_degree):
     """Unit-sphere spectrum up to the given degree: n(n+1), multiplicity 2n+1."""
     max_degree = int(max_degree)
     if max_degree < 0:
@@ -114,7 +125,7 @@ def exact_sphere_spectrum(max_degree, tabulated=False):
     orders = np.concatenate(
         [np.arange(-n, n + 1, dtype=np.int64) for n in range(max_degree + 1)])
     eigenvalues = degrees * (degrees + 1.0)
-    basis = SpectralBasis(
+    return SpectralBasis(
         eigenvalues=eigenvalues,
         source="exact-sphere",
         area=4.0 * np.pi,
@@ -122,9 +133,6 @@ def exact_sphere_spectrum(max_degree, tabulated=False):
         degrees=degrees,
         orders=orders,
     )
-    if tabulated:
-        _tabulate_sphere_modes(basis)
-    return basis
 
 
 def normalized_legendre_block(order, max_degree, t):
@@ -156,24 +164,17 @@ def normalized_legendre_block(order, max_degree, t):
     return out
 
 
-def _sphere_grid(max_degree, profile_degree=1):
-    """Product quadrature on the sphere, exact for harmonic products.
+def _tabulate_sphere_modes(max_degree):
+    """Real orthonormal harmonics up to max_degree, in the column order of
+    ``exact_sphere_spectrum``, at the nodes of a product quadrature.
 
-    Exact for integrands Y_i * Y_j * p with spherical-polynomial p of degree
-    <= profile_degree, for i, j up to max_degree.
+    The quadrature (Gauss-Legendre in z, equispaced in longitude) is exact
+    for integrands Y_i * Y_j * p with p affine in the coordinates.
     """
-    nt = max_degree + 1 + (profile_degree + 1) // 2 + 1
-    t, wt = roots_legendre(nt)
-    nphi = 2 * max_degree + profile_degree + 2
+    t, wt = roots_legendre(max_degree + 3)
+    nphi = 2 * max_degree + 3
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     wphi = np.full(nphi, 2.0 * np.pi / nphi)
-    return t, wt, phi, wphi
-
-
-def _tabulate_sphere_modes(basis, profile_degree=1):
-    """Attach quadrature nodes, weights, and harmonic values to the basis."""
-    max_degree = int(basis.degrees[-1])
-    t, wt, phi, wphi = _sphere_grid(max_degree, profile_degree)
     sin_theta = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     nodes = np.stack([
         np.outer(sin_theta, np.cos(phi)).ravel(),
@@ -182,7 +183,7 @@ def _tabulate_sphere_modes(basis, profile_degree=1):
     ], axis=-1)
     mass = np.outer(wt, wphi).ravel()
 
-    modes = np.empty((len(nodes), basis.mode_count))
+    modes = np.empty((len(nodes), (max_degree + 1) ** 2))
     cos_table = {m: np.cos(m * phi) for m in range(max_degree + 1)}
     sin_table = {m: np.sin(m * phi) for m in range(1, max_degree + 1)}
     for m in range(max_degree + 1):
@@ -198,10 +199,7 @@ def _tabulate_sphere_modes(basis, profile_degree=1):
                     block[row] / np.sqrt(np.pi), sin_table[m]).ravel()
                 modes[:, base + n + m] = np.outer(
                     block[row] / np.sqrt(np.pi), cos_table[m]).ravel()
-    basis.mass = mass
-    basis.nodes = nodes
-    basis.modes = modes
-    return basis
+    return Quadrature(nodes, mass, modes)
 
 
 # ----------------------------------------------------------------------
@@ -306,9 +304,7 @@ def solve_lowest(pencil, count, tol=1e-8, seed=SOLVER_SEED):
         source="mesh-fem",
         area=area,
         trusted_horizon=float(min(horizon, values[-1])),
-        mass=mass,
-        nodes=nodes,
-        modes=vectors,
+        quadrature=Quadrature(nodes, mass, vectors),
         residual=worst,
     )
 
@@ -400,11 +396,11 @@ def cache_load(directory, key):
             return arr.reshape(shape).copy()
 
         eigenvalues = take(k, (k,))
-        mass = nodes = modes = None
+        quadrature = None
         if p:
             mass = take(p, (p,))
-            nodes = take(3 * p, (p, 3))
-            modes = take(p * k, (p, k))
+            quadrature = Quadrature(take(3 * p, (p, 3)), mass,
+                                    take(p * k, (p, k)))
         if offset != len(blob):
             raise CacheError(f"trailing bytes in cache container {bin_path}")
     except (struct.error, ValueError) as exc:
@@ -416,9 +412,7 @@ def cache_load(directory, key):
         source=sidecar.get("source", "mesh-fem"),
         area=area,
         trusted_horizon=horizon,
-        mass=mass,
-        nodes=nodes,
-        modes=modes,
+        quadrature=quadrature,
         residual=residual,
         mesh_hash=sidecar.get("mesh_hash", ""),
     )
@@ -427,15 +421,13 @@ def cache_load(directory, key):
 def cached_mesh_spectrum(mesh, count, tol=1e-8, directory=None, seed=SOLVER_SEED):
     """Mesh spectrum with optional disk caching; returns (basis, hit)."""
     mesh_hash = mesh.content_hash()
-    if directory is None:
-        basis = solve_lowest(assemble_fem(mesh), count, tol=tol, seed=seed)
-        basis.mesh_hash = mesh_hash
-        return basis, False
     key = cache_key(mesh_hash, count, tol, seed)
-    cached = cache_load(directory, key)
-    if cached is not None and cached.mesh_hash == mesh_hash:
-        return cached, True
+    if directory is not None:
+        cached = cache_load(directory, key)
+        if cached is not None and cached.mesh_hash == mesh_hash:
+            return cached, True
     basis = solve_lowest(assemble_fem(mesh), count, tol=tol, seed=seed)
     basis.mesh_hash = mesh_hash
-    cache_store(directory, key, basis, count, tol)
+    if directory is not None:
+        cache_store(directory, key, basis, count, tol)
     return basis, False

@@ -10,7 +10,7 @@ The finite section is stored block diagonally, as symmetric blocks (or
 stacks of equal-size blocks) each repeated a number of times.  Constant
 damping makes every block 1 x 1, damping affine along the sphere's polar
 axis gives one tridiagonal block per order, and any other field one dense
-block from tabulated mode values.
+block from the mode values the basis tabulates, which this module reads.
 
 Counting computes no eigenvalues: by Sylvester's law of inertia the number
 of eigenvalues below a shift is the number of negative pivots of an LDL^T
@@ -27,7 +27,6 @@ from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, InsufficientSpectrumError, UsageError
-from .lb_spectrum import _tabulate_sphere_modes
 
 ZERO_TOL = 1e-12
 CUT_FACTOR = 2.0
@@ -249,11 +248,7 @@ def _damping_gram(basis, field, cut):
     result is exactly symmetric.
     """
     if basis.modes is None:
-        if basis.source == "exact-sphere":
-            _tabulate_sphere_modes(basis)
-        else:
-            raise UsageError(
-                "dense assembly needs tabulated modes on the basis")
+        raise UsageError("dense assembly needs tabulated modes on the basis")
     weights = np.sqrt(basis.mass * field.effective(basis.nodes))
     scaled = basis.modes[:, :cut] * weights[:, None]
     return scaled.T @ scaled

@@ -55,6 +55,37 @@ def test_spectrum_mesh_cache_is_per_solver_seed(tmp_path, capsys):
     assert hits == [False, False, True, True]
 
 
+def test_spectrum_warms_the_scan_cache(tmp_path, capsys):
+    # spectrum and scan default to the same solver seed, which is part of
+    # the cache key
+    cache = str(tmp_path / "cache")
+    code, _, _ = run(capsys, "spectrum", "--mesh", "icosphere:2",
+                     "--count", "60", "--cache-dir", cache)
+    assert code == 0
+    code, out, _ = run(capsys, "scan", "--gamma", "2.0", "--mesh",
+                       "icosphere:2", "--modes", "60", "--cache-dir", cache,
+                       "--r-min", "1.2", "--r-max", "1.5", "--steps", "2",
+                       "--output", str(tmp_path / "out"))
+    assert code == 0
+    assert "spectrum cache hit" in out
+
+
+@pytest.mark.parametrize("argv, expected, message", [
+    (("--surface", "ellipsoid:2,1,1", "--max-degree", "3"), 64,
+     "surface 'ellipsoid:2,1,1' needs a --mesh basis"),
+    (("--surface", "torus"), 64, "unknown surface 'torus'"),
+    (("--surface", "ellipsoid:2,1,1", "--mesh", "icosphere:1", "--count",
+      "6"), 0, ""),
+])
+def test_spectrum_surface(capsys, argv, expected, message):
+    # the exact spectrum is the unit sphere's; a --mesh basis is whatever
+    # the mesh is
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == expected
+    assert message in err
+    assert (out == "") == (expected == 64)
+
+
 def test_spectrum_mesh_needs_count(capsys):
     code, _, err = run(capsys, "spectrum", "--mesh", "icosphere:2")
     assert code == 64

@@ -1,5 +1,7 @@
 """Tests for the Laplace-Beltrami spectrum sources and the disk cache."""
 
+import copy
+import dataclasses
 import json
 import os
 
@@ -8,6 +10,7 @@ import pytest
 from scipy.linalg import eigvalsh
 from scipy.special import roots_legendre
 
+from weylcount import lb_spectrum
 from weylcount.errors import (
     CacheError,
     InsufficientSpectrumError,
@@ -25,7 +28,13 @@ from weylcount.lb_spectrum import (
     solve_lowest,
     sphere_degree_for,
 )
-from weylcount.surface import SurfaceMesh, icosphere
+from weylcount.semiclassical_count import build_operator, scan
+from weylcount.surface import (
+    AnalyticSurface,
+    DampingField,
+    SurfaceMesh,
+    icosphere,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +72,7 @@ def test_sphere_degree_for():
 
 
 def test_tabulated_modes_orthonormal():
-    basis = exact_sphere_spectrum(12, tabulated=True)
+    basis = exact_sphere_spectrum(12)
     assert abs(basis.mass.sum() - 4.0 * np.pi) < 1e-12
     gram = (basis.modes * basis.mass[:, None]).T @ basis.modes
     assert np.max(np.abs(gram - np.eye(basis.mode_count))) < 1e-12
@@ -74,7 +83,7 @@ def test_tabulated_modes_orthonormal():
 def test_tabulated_axis_moments_match_closed_form():
     # <Y_{n,m}, z Y_{n+1,m}> has a closed form; the tabulated grid must
     # reproduce it since the integrand is polynomial within quadrature reach.
-    basis = exact_sphere_spectrum(6, tabulated=True)
+    basis = exact_sphere_spectrum(6)
     z = basis.nodes[:, 2]
     moments = (basis.modes * (basis.mass * z)[:, None]).T @ basis.modes
     for n in range(6):
@@ -86,6 +95,63 @@ def test_tabulated_axis_moments_match_closed_form():
             assert abs(moments[i, j] - c) < 1e-12
     # all diagonal entries vanish: z is odd
     assert np.max(np.abs(np.diag(moments))) < 1e-12
+
+
+def reference_tabulation(max_degree):
+    """The tabulation formula, one harmonic column at a time: Gauss-Legendre
+    in z on max_degree + 3 nodes times 2 max_degree + 3 longitudes."""
+    nt, nphi = max_degree + 3, 2 * max_degree + 3
+    t, wt = roots_legendre(nt)
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    nodes = np.stack([np.outer(sin_theta, np.cos(phi)).ravel(),
+                      np.outer(sin_theta, np.sin(phi)).ravel(),
+                      np.outer(t, np.ones_like(phi)).ravel()], axis=-1)
+    mass = np.outer(wt, np.full(nphi, 2.0 * np.pi / nphi)).ravel()
+    modes = np.empty((nt * nphi, (max_degree + 1) ** 2))
+    for m in range(max_degree + 1):
+        block = normalized_legendre_block(m, max_degree, t)
+        for row, n in enumerate(range(m, max_degree + 1)):
+            if m == 0:
+                modes[:, n * n + n] = np.outer(
+                    block[row] / np.sqrt(2.0 * np.pi),
+                    np.ones_like(phi)).ravel()
+            else:
+                modes[:, n * n + n - m] = np.outer(
+                    block[row] / np.sqrt(np.pi), np.sin(m * phi)).ravel()
+                modes[:, n * n + n + m] = np.outer(
+                    block[row] / np.sqrt(np.pi), np.cos(m * phi)).ravel()
+    return nodes, mass, modes
+
+
+def test_exact_sphere_tabulates_once_and_counting_only_reads_it(monkeypatch):
+    for degree in (6, 12, 20):
+        basis = exact_sphere_spectrum(degree)
+        for name, frozen in zip(("nodes", "mass", "modes"),
+                                reference_tabulation(degree)):
+            assert np.array_equal(getattr(basis, name), frozen)
+
+    calls = []
+    tabulate = lb_spectrum._tabulate_sphere_modes
+
+    def counted(max_degree):
+        calls.append(max_degree)
+        return tabulate(max_degree)
+
+    monkeypatch.setattr(lb_spectrum, "_tabulate_sphere_modes", counted)
+    sphere = AnalyticSurface.unit_sphere()
+    field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
+    basis = exact_sphere_spectrum(20)
+    held = {item.name: getattr(basis, item.name)
+            for item in dataclasses.fields(basis) if item.name != "quadrature"}
+    frozen = copy.deepcopy(held)
+    scan(sphere, field, [3.0, 4.0, 5.0], basis)
+    for r in (3.0, 4.5, 5.0):
+        build_operator(basis, field, 1.0 / r, surface=sphere)
+    assert calls == [20]
+    for name, value in held.items():
+        assert getattr(basis, name) is value
+        assert np.array_equal(value, frozen[name])
 
 
 # ----------------------------------------------------------------------
