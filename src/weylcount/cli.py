@@ -10,30 +10,24 @@ Six commands wire the library into a scriptable pipeline:
 * ``regions``         complex-plane region membership and the real-axis bound
 
 Exit codes: 0 success, 2 resource/precondition failure, 3 invariant-gate
-failure, 64 usage error.  Options may also be supplied through a flat
-``key = value`` config file (``--config``); explicit flags win.
+failure, 64 usage error.  Each option is declared once, with its default,
+in :func:`build_parser`.  Options may also be supplied through a flat
+``key = value`` config file (``--config``), whose keys are option dests;
+its values become the command's defaults, so explicit flags win.
 """
 
 import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BranchError,
-    CacheError,
-    ChartDegeneracyError,
-    DomainError,
-    InsufficientSpectrumError,
-    InvalidFieldError,
-    MeshQualityError,
-    SolverError,
-    UsageError,
-)
+from .errors import UsageError, WeylcountError
 from .lb_spectrum import (
+    SOLVER_TOL,
     cached_mesh_spectrum,
     exact_sphere_spectrum,
     sphere_degree_for,
@@ -55,7 +49,7 @@ from .spectral_regions import (
 )
 from .surface import AnalyticSurface, DampingField
 from .surface.mesh import icosphere, read_off, read_vertex_values
-from .symbol_algebra import identity_suite
+from .symbol_algebra import DEFAULT_SAMPLES, SAMPLE_SEED, identity_suite
 
 EXIT_OK = 0
 EXIT_RESOURCE = 2
@@ -67,18 +61,8 @@ MESH_SURFACE_TOL = 1e-6
 # spectrum, scan and count share it, as the seed is part of the cache key
 DEFAULT_SEED = 42
 
-_RESOURCE_ERRORS = (
-    InsufficientSpectrumError,
-    MeshQualityError,
-    SolverError,
-    CacheError,
-    InvalidFieldError,
-    DomainError,
-    ChartDegeneracyError,
-    BranchError,
-    np.linalg.LinAlgError,
-    OSError,
-)
+# UsageError is caught first, so it still exits 64
+_RESOURCE_ERRORS = (WeylcountError, np.linalg.LinAlgError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +78,7 @@ def _parse_bool(text):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise UsageError("expected a boolean, got %r" % (text,))
+    raise ValueError("expected a boolean, got %r" % (text,))
 
 
 def read_config(path):
@@ -114,17 +98,14 @@ def read_config(path):
     return entries
 
 
-def _merge_config(args, parser):
-    """Fill options the user left at None from the config file."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    actions = {action.dest: action for action in parser._actions}
+def _config_defaults(parser, path):
+    """The config file's values, converted as the matching flags would be."""
+    actions = {action.dest: action for action in parser._actions
+               if action.dest not in ("config", "help")}
+    values = {}
     for key, text in read_config(path).items():
-        if key == "config" or key not in actions:
+        if key not in actions:
             raise UsageError("unknown config key %r" % (key,))
-        if getattr(args, key) is not None:
-            continue  # explicit flag wins
         action = actions[key]
         if action.type is not None:
             convert = action.type
@@ -133,16 +114,11 @@ def _merge_config(args, parser):
         else:
             convert = str
         try:
-            setattr(args, key, convert(text))
+            values[key] = convert(text)
         except (TypeError, ValueError) as err:
             raise UsageError(
                 "config key %r: %s" % (key, err)) from err
-
-
-def _defaults(args, **values):
-    for key, value in values.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +228,7 @@ def _require_unit_sphere(args, surface):
 
 def _resolve_basis(args, surface, field, r_max):
     """(basis, cache_hit_or_None).  Mesh FEM when --mesh, else exact."""
-    if getattr(args, "mesh", None):
+    if args.mesh:
         if args.modes is None:
             raise UsageError("--mesh runs need --modes")
         mesh = resolve_mesh(args.mesh)
@@ -293,12 +269,12 @@ def _emit_json(document):
 # commands
 # ----------------------------------------------------------------------
 
-def cmd_spectrum(args, parser):
-    _merge_config(args, parser)
-    _defaults(args, surface="unit-sphere", max_degree=10, tol=1e-8,
-              seed=DEFAULT_SEED)
+def cmd_spectrum(args):
     surface = resolve_surface(args.surface)
     if args.mesh:
+        if args.exact:
+            raise UsageError("--exact selects the closed-form sphere "
+                             "spectrum; it cannot be combined with --mesh")
         if args.count is None:
             raise UsageError("--mesh needs --count (number of modes)")
         mesh = resolve_mesh(args.mesh)
@@ -319,11 +295,7 @@ def cmd_spectrum(args, parser):
     return EXIT_OK
 
 
-def cmd_scan(args, parser):
-    _merge_config(args, parser)
-    _defaults(args, surface="unit-sphere", gamma="2.0", r_min=5.0, r_max=20.0,
-              steps=4, log=False, invert=False, cut_factor=CUT_FACTOR,
-              zero_tol=ZERO_TOL, tol=1e-8, seed=DEFAULT_SEED, output=".")
+def cmd_scan(args):
     surface = resolve_surface(args.surface)
     field = resolve_field(args.gamma, invert=args.invert)
     grid = _r_grid(args)
@@ -360,11 +332,7 @@ def cmd_scan(args, parser):
     return EXIT_OK
 
 
-def cmd_count(args, parser):
-    _merge_config(args, parser)
-    _defaults(args, surface="unit-sphere", gamma="2.0", invert=False,
-              cut_factor=CUT_FACTOR, zero_tol=ZERO_TOL, tol=1e-8,
-              seed=DEFAULT_SEED)
+def cmd_count(args):
     if args.r is None or args.r <= 0.0:
         raise UsageError("count needs a positive --r")
     surface = resolve_surface(args.surface)
@@ -388,9 +356,7 @@ def cmd_count(args, parser):
     return EXIT_OK
 
 
-def cmd_weyl(args, parser):
-    _merge_config(args, parser)
-    _defaults(args, surface="unit-sphere", gamma="2.0", invert=False)
+def cmd_weyl(args):
     surface = resolve_surface(args.surface)
     field = resolve_field(args.gamma, invert=args.invert)
     coefficient = weyl_coefficient(surface, field)
@@ -408,9 +374,7 @@ def cmd_weyl(args, parser):
     return EXIT_OK
 
 
-def cmd_verify_symbols(args, parser):
-    _merge_config(args, parser)
-    _defaults(args, surface="unit-sphere", samples=1000, seed=42)
+def cmd_verify_symbols(args):
     surface = resolve_surface(args.surface)
     suite = identity_suite(surface, samples=args.samples, seed=args.seed)
     residuals = suite["residuals"]
@@ -454,16 +418,13 @@ def _read_points(path):
     return points
 
 
-def cmd_regions(args, parser):
-    _merge_config(args, parser)
-    _defaults(args, c0=2.0, c2=1.0, c_eps=1.0, eps=0.1, c_m=1.0, m=2)
+def cmd_regions(args):
     if args.check is None and args.bound is None:
         raise UsageError("regions needs --check FILE and/or --bound GAMMA0")
-    params = RegionParams(c0=args.c0, c2=args.c2, c_eps=args.c_eps,
-                          eps=args.eps, c_m=args.c_m, m=args.m)
+    params = RegionParams(**{field.name: getattr(args, field.name)
+                             for field in fields(RegionParams)})
     document = {
-        "params": {"c0": params.c0, "c2": params.c2, "c_eps": params.c_eps,
-                   "eps": params.eps, "c_m": params.c_m, "m": params.m},
+        "params": asdict(params),
         "version": __version__,
     }
     if args.bound is not None:
@@ -480,29 +441,50 @@ def cmd_regions(args, parser):
 # parser assembly
 # ----------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--seed", type=int, help="RNG seed")
+def _add_command(commands, name, handler, help):
+    sub = commands.add_parser(name, help=help)
+    sub.add_argument("--config",
+                     help="flat key = value file of option defaults")
+    sub.set_defaults(handler=handler, _parser=sub)
+    return sub
 
 
-def _add_surface_field(sub):
-    sub.add_argument("--surface",
-                     help="unit-sphere (default) or ellipsoid:A,B,C")
-    sub.add_argument("--gamma",
+def _add_surface(sub):
+    sub.add_argument("--surface", default="unit-sphere",
+                     help="unit-sphere or ellipsoid:A,B,C "
+                          "(default %(default)s)")
+
+
+def _add_field(sub):
+    sub.add_argument("--gamma", default="2.0",
                      help="constant VALUE, affine:OFFSET,SLOPE,AXIS, "
-                          "or table:PATH")
-    sub.add_argument("--invert", action="store_true", default=None,
+                          "or table:PATH (default %(default)s)")
+    sub.add_argument("--invert", action="store_true",
                      help="use the reciprocal (below-one) field 1/gamma")
 
 
-def _add_basis(sub):
-    sub.add_argument("--max-degree", type=int,
-                     help="exact sphere basis degree (default: auto)")
+def _add_basis(sub, modes_flag, max_degree=None):
+    """Exact sphere or mesh FEM basis; the FEM mode count is modes_flag."""
+    sub.add_argument("--max-degree", type=int, default=max_degree,
+                     help="exact sphere basis degree (default %s)"
+                          % ("auto" if max_degree is None else max_degree))
     sub.add_argument("--mesh", help="icosphere:LEVEL or an OFF file")
-    sub.add_argument("--modes", type=int,
+    sub.add_argument(modes_flag, type=int,
                      help="number of FEM modes for --mesh runs")
     sub.add_argument("--cache-dir", help="spectrum cache directory")
-    sub.add_argument("--tol", type=float, help="FEM residual tolerance")
+    sub.add_argument("--tol", type=float, default=SOLVER_TOL,
+                     help="FEM residual tolerance (default %(default)s)")
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                     help="FEM solver seed, part of the cache key "
+                          "(default %(default)s)")
+
+
+def _add_counting(sub):
+    sub.add_argument("--cut-factor", type=float, default=CUT_FACTOR,
+                     help="mode-cut multiple of the ellipticity threshold "
+                          "(default %(default)s)")
+    sub.add_argument("--zero-tol", type=float, default=ZERO_TOL,
+                     help="borderline tolerance (default %(default)s)")
 
 
 def build_parser():
@@ -513,81 +495,64 @@ def build_parser():
                         version="weylcount " + __version__)
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    spectrum = commands.add_parser(
-        "spectrum", help="compute or load a spectral basis")
-    _add_common(spectrum)
-    spectrum.add_argument("--surface",
-                          help="unit-sphere (default) or ellipsoid:A,B,C")
-    spectrum.add_argument("--exact", action="store_true", default=None,
-                          help="use the closed-form sphere spectrum")
-    spectrum.add_argument("--max-degree", type=int,
-                          help="top spherical-harmonic degree")
-    spectrum.add_argument("--mesh", help="icosphere:LEVEL or an OFF file")
-    spectrum.add_argument("--count", type=int, help="number of FEM modes")
-    spectrum.add_argument("--cache-dir", help="spectrum cache directory")
-    spectrum.add_argument("--tol", type=float, help="FEM residual tolerance")
-    spectrum.set_defaults(handler=cmd_spectrum, _parser=spectrum)
+    spectrum = _add_command(commands, "spectrum", cmd_spectrum,
+                            "compute or load a spectral basis")
+    _add_surface(spectrum)
+    spectrum.add_argument("--exact", action="store_true",
+                          help="require the closed-form sphere spectrum")
+    _add_basis(spectrum, "--count", max_degree=10)
 
-    scan_cmd = commands.add_parser(
-        "scan", help="count negative modes over an r grid")
-    _add_common(scan_cmd)
-    _add_surface_field(scan_cmd)
-    _add_basis(scan_cmd)
-    scan_cmd.add_argument("--r-min", type=float, help="grid start (default 5)")
-    scan_cmd.add_argument("--r-max", type=float, help="grid end (default 20)")
-    scan_cmd.add_argument("--steps", type=int, help="grid size (default 4)")
-    scan_cmd.add_argument("--log", action="store_true", default=None,
+    scan_cmd = _add_command(commands, "scan", cmd_scan,
+                            "count negative modes over an r grid")
+    _add_surface(scan_cmd)
+    _add_field(scan_cmd)
+    _add_basis(scan_cmd, "--modes")
+    _add_counting(scan_cmd)
+    scan_cmd.add_argument("--r-min", type=float, default=5.0,
+                          help="grid start (default %(default)s)")
+    scan_cmd.add_argument("--r-max", type=float, default=20.0,
+                          help="grid end (default %(default)s)")
+    scan_cmd.add_argument("--steps", type=int, default=4,
+                          help="grid size (default %(default)s)")
+    scan_cmd.add_argument("--log", action="store_true",
                           help="geometric instead of linear r grid")
-    scan_cmd.add_argument("--cut-factor", type=float,
-                          help="mode-cut multiple of the ellipticity "
-                               "threshold (default 2)")
-    scan_cmd.add_argument("--zero-tol", type=float,
-                          help="borderline tolerance (default 1e-12)")
-    scan_cmd.add_argument("--output", help="report directory (default .)")
-    scan_cmd.set_defaults(handler=cmd_scan, _parser=scan_cmd)
+    scan_cmd.add_argument("--output", default=".",
+                          help="report directory (default %(default)s)")
 
-    count_cmd = commands.add_parser(
-        "count", help="single-radius negative-mode count")
-    _add_common(count_cmd)
-    _add_surface_field(count_cmd)
-    _add_basis(count_cmd)
+    count_cmd = _add_command(commands, "count", cmd_count,
+                             "single-radius negative-mode count")
+    _add_surface(count_cmd)
+    _add_field(count_cmd)
+    _add_basis(count_cmd, "--modes")
+    _add_counting(count_cmd)
     count_cmd.add_argument("--r", type=float, help="count radius")
-    count_cmd.add_argument("--cut-factor", type=float)
-    count_cmd.add_argument("--zero-tol", type=float)
-    count_cmd.set_defaults(handler=cmd_count, _parser=count_cmd)
 
-    weyl_cmd = commands.add_parser(
-        "weyl", help="predicted quadratic growth coefficient")
-    _add_common(weyl_cmd)
-    _add_surface_field(weyl_cmd)
+    weyl_cmd = _add_command(commands, "weyl", cmd_weyl,
+                            "predicted quadratic growth coefficient")
+    _add_surface(weyl_cmd)
+    _add_field(weyl_cmd)
     weyl_cmd.add_argument("--r", type=float,
                           help="also report the prediction at this radius")
-    weyl_cmd.set_defaults(handler=cmd_weyl, _parser=weyl_cmd)
 
-    verify = commands.add_parser(
-        "verify-symbols", help="run the symbol identity suite")
-    _add_common(verify)
-    verify.add_argument("--surface",
-                        help="unit-sphere (default) or ellipsoid:A,B,C")
-    verify.add_argument("--samples", type=int,
-                        help="cotangent samples (default 1000)")
-    verify.set_defaults(handler=cmd_verify_symbols, _parser=verify)
+    verify = _add_command(commands, "verify-symbols", cmd_verify_symbols,
+                          "run the symbol identity suite")
+    _add_surface(verify)
+    verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                        help="cotangent samples (default %(default)s)")
+    verify.add_argument("--seed", type=int, default=SAMPLE_SEED,
+                        help="sample seed (default %(default)s)")
 
-    regions_cmd = commands.add_parser(
-        "regions", help="region membership and the real-axis bound")
-    _add_common(regions_cmd)
+    regions_cmd = _add_command(commands, "regions", cmd_regions,
+                               "region membership and the real-axis bound")
     regions_cmd.add_argument("--check",
                              help="file of complex points, one 're im' "
                                   "pair per line")
     regions_cmd.add_argument("--bound", type=float,
                              help="report the |Re z| bound for this gamma0")
-    regions_cmd.add_argument("--c0", type=float)
-    regions_cmd.add_argument("--c2", type=float)
-    regions_cmd.add_argument("--c-eps", type=float)
-    regions_cmd.add_argument("--eps", type=float)
-    regions_cmd.add_argument("--c-m", type=float)
-    regions_cmd.add_argument("--m", type=int)
-    regions_cmd.set_defaults(handler=cmd_regions, _parser=regions_cmd)
+    for field in fields(RegionParams):
+        regions_cmd.add_argument("--" + field.name.replace("_", "-"),
+                                 type=field.type, default=field.default,
+                                 help="region constant (default %(default)s)")
 
     return parser
 
@@ -596,9 +561,14 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "handler", None) is None:
+        if args.command is None:
             raise UsageError("no command given (see --help)")
-        return args.handler(args, args._parser)
+        if args.config:
+            # config values become defaults, so explicit flags still win
+            args._parser.set_defaults(
+                **_config_defaults(args._parser, args.config))
+            args = parser.parse_args(argv)
+        return args.handler(args)
     except UsageError as err:
         print("usage error: %s" % err, file=sys.stderr)
         return EXIT_USAGE

@@ -35,6 +35,7 @@ from .errors import (
 )
 
 SOLVER_SEED = 0x5EED
+SOLVER_TOL = 1e-8
 TRUSTED_MODE_FRACTION = 0.05
 CACHE_MAGIC = b"WLB1"
 CACHE_VERSION = 1
@@ -241,7 +242,7 @@ def assemble_fem(mesh):
     return Pencil(stiffness, mesh.vertex_areas(), mesh.vertices)
 
 
-def solve_lowest(pencil, count, tol=1e-8, seed=SOLVER_SEED):
+def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
     """Lowest ``count`` eigenpairs of the (stiffness, mass) pencil.
 
     Deterministic: the Lanczos start vector is drawn from a fixed seed.
@@ -418,7 +419,8 @@ def cache_load(directory, key):
     )
 
 
-def cached_mesh_spectrum(mesh, count, tol=1e-8, directory=None, seed=SOLVER_SEED):
+def cached_mesh_spectrum(mesh, count, tol=SOLVER_TOL, directory=None,
+                         seed=SOLVER_SEED):
     """Mesh spectrum with optional disk caching; returns (basis, hit)."""
     mesh_hash = mesh.content_hash()
     key = cache_key(mesh_hash, count, tol, seed)

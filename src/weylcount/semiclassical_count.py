@@ -88,17 +88,17 @@ def inequality_margin(constants, s, gamma0):
             - 2.0 * c * gamma0 * s + (c * gamma0 * gamma0 - 1.0))
 
 
-def inequality_check(constants, count=10000, seed=0, h_max=1.0,
-                     lambda_max=None):
+def inequality_check(constants, count=10000, seed=0):
     """Sample (lambda, h, gamma0) triples and report the worst margin.
 
+    h is drawn from [1e-3, 1] and lambda from [0, 4x the ellipticity
+    threshold at h = 1].
     Returns {"min_margin", "margin_at_s1_c0", "samples", "violations"}.
     """
     rng = np.random.default_rng(seed)
-    if lambda_max is None:
-        lambda_max = 4.0 * constants.ellipticity_threshold(h_max)
-    lam = rng.uniform(0.0, lambda_max, size=count)
-    h = rng.uniform(1e-3, h_max, size=count)
+    lam = rng.uniform(0.0, 4.0 * constants.ellipticity_threshold(1.0),
+                      size=count)
+    h = rng.uniform(1e-3, 1.0, size=count)
     gamma0 = rng.uniform(constants.c0, constants.c1, size=count)
     s = np.sqrt(1.0 + h * h * lam)
     margins = inequality_margin(constants, s, gamma0)
@@ -311,11 +311,7 @@ def weyl_coefficient(surface, field):
         gamma0 = field.effective(points)
         return gamma0 * gamma0 - 1.0
 
-    if hasattr(surface, "integrate") and hasattr(surface, "charts"):
-        total = surface.integrate(integrand)
-    else:
-        total = surface.integrate(integrand(surface.vertices))
-    return float(total) / (4.0 * np.pi)
+    return float(surface.integrate(integrand)) / (4.0 * np.pi)
 
 
 def weyl_prediction(surface, field, r):
@@ -544,13 +540,14 @@ def _operator_spectra(basis, field, h_values, surface, cut_factor):
 
 
 def monotonicity_probe(basis, field, h_window, surface=None, steps=7,
-                       cut_factor=CUT_FACTOR, overlap=TRACK_OVERLAP):
+                       cut_factor=CUT_FACTOR):
     """Check h * dmu/dh > 0 for all branches inside the band [-delta, delta].
 
     Branches are tracked across the h grid by maximal eigenvector overlap
-    (assignment problem on |V_a^T V_b|); pairs with best overlap below the
-    threshold are skipped and counted.  Central differences at interior grid
-    points give the slopes; a slope below eps/4 is recorded as a violation.
+    (assignment problem on |V_a^T V_b|); pairs with best overlap at most
+    TRACK_OVERLAP are skipped and counted.  Central differences at interior
+    grid points give the slopes; a slope below eps/4 is recorded as a
+    violation.
     """
     h_lo, h_hi = float(h_window[0]), float(h_window[1])
     if not 0.0 < h_lo < h_hi:
@@ -576,7 +573,7 @@ def monotonicity_probe(basis, field, h_window, surface=None, steps=7,
             good = np.ones(size, dtype=bool)
             for row, col in zip(rows, cols):
                 mapping[row] = col
-                if overlap_matrix[row, col] <= overlap:
+                if overlap_matrix[row, col] <= TRACK_OVERLAP:
                     good[row] = False
             previous = permutations[-1]
             current = mapping[previous]

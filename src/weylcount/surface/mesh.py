@@ -16,7 +16,7 @@ class SurfaceMesh:
     (outward orientation).
     """
 
-    def __init__(self, vertices, triangles, validate=True):
+    def __init__(self, vertices, triangles):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self._vertex_areas = None
@@ -24,8 +24,7 @@ class SurfaceMesh:
             raise MeshQualityError("vertices must have shape (n, 3)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshQualityError("triangles must have shape (m, 3)")
-        if validate:
-            self.validate()
+        self.validate()
 
     # ------------------------------------------------------------------
     # topology / validity

@@ -26,6 +26,8 @@ SAMPLE_SEED = 42
 DEFAULT_SAMPLES = 1000
 TRANSITION_FD_STEP = 1e-3
 MIN_XI_NORM = 1e-6
+# random sample points keep this fraction of a chart's width off each edge
+CHART_MARGIN = 0.05
 
 _FIELDS = ("chart_index", "x", "xi", "point", "nu", "beta", "r0")
 
@@ -120,11 +122,11 @@ def sample_at(surface, chart_index, x, xi):
     return CotangentSample(surface, chart_index, x, xi)
 
 
-def random_samples(surface, count, seed=SAMPLE_SEED, margin=0.05):
+def random_samples(surface, count, seed=SAMPLE_SEED):
     """Seeded batch of nondegenerate cotangent samples, one chart each.
 
     Points are drawn uniformly in the chart parameter rectangle (shrunk by
-    ``margin`` of its width on both ends), covectors from a unit normal.
+    ``CHART_MARGIN`` of its width on both ends), covectors from a unit normal.
     Returns one :class:`CotangentSample` of batch shape (count,).
     """
     count = int(count)
@@ -139,8 +141,8 @@ def random_samples(surface, count, seed=SAMPLE_SEED, margin=0.05):
         k = int(rng.integers(len(surface.charts)))
         (ulo, uhi), (vlo, vhi) = surface.charts[k].domain
         du, dv = uhi - ulo, vhi - vlo
-        u = rng.uniform(ulo + margin * du, uhi - margin * du)
-        v = rng.uniform(vlo + margin * dv, vhi - margin * dv)
+        u = rng.uniform(ulo + CHART_MARGIN * du, uhi - CHART_MARGIN * du)
+        v = rng.uniform(vlo + CHART_MARGIN * dv, vhi - CHART_MARGIN * dv)
         covector = rng.standard_normal(2)
         if np.linalg.norm(covector) < MIN_XI_NORM:
             continue
@@ -306,7 +308,7 @@ def transport_principal(sample, z, g, side="electric"):
 # chart invariance
 # ----------------------------------------------------------------------
 
-def chart_transfer(sample, other_index, fd_step=TRANSITION_FD_STEP):
+def chart_transfer(sample, other_index):
     """Re-express samples in other charts, transforming xi covariantly.
 
     Returns ``(moved, interior)``.  ``interior`` has the batch shape and marks
@@ -355,10 +357,10 @@ def chart_transfer(sample, other_index, fd_step=TRANSITION_FD_STEP):
         jac = np.empty((len(group), 2, 2))
         for j in range(2):
             step = np.zeros(2)
-            step[j] = fd_step
+            step[j] = TRANSITION_FD_STEP
             jac[:, :, j] = (-near(base + 2 * step) + 8.0 * near(base + step)
-                            - 8.0 * near(base - step)
-                            + near(base - 2 * step)) / (12.0 * fd_step)
+                            - 8.0 * near(base - step) + near(base - 2 * step)
+                            ) / (12.0 * TRANSITION_FD_STEP)
         x_target[group] = landed
         xi_target[group] = np.linalg.solve(_transpose(jac),
                                            xi[group][..., None])[..., 0]
@@ -368,13 +370,13 @@ def chart_transfer(sample, other_index, fd_step=TRANSITION_FD_STEP):
     return moved, interior.reshape(sample.chart_index.shape)
 
 
-def transfer_sample(sample, other_index, fd_step=TRANSITION_FD_STEP):
+def transfer_sample(sample, other_index):
     """Re-express one sample in chart ``other_index``.
 
     Raises ChartDegeneracyError where :func:`chart_transfer` would drop the
     sample.
     """
-    moved, interior = chart_transfer(sample, other_index, fd_step)
+    moved, interior = chart_transfer(sample, other_index)
     if not np.all(interior):
         target = sample.surface.charts[other_index]
         raise ChartDegeneracyError(

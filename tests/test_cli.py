@@ -2,13 +2,17 @@
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from weylcount import cli
 from weylcount.cli import main
-from weylcount.semiclassical_count import CountReport
+from weylcount.lb_spectrum import SOLVER_TOL
+from weylcount.semiclassical_count import CUT_FACTOR, ZERO_TOL, CountReport
+from weylcount.spectral_regions import RegionParams
+from weylcount.symbol_algebra import DEFAULT_SAMPLES, SAMPLE_SEED
 
 
 def run(capsys, *argv):
@@ -86,6 +90,15 @@ def test_spectrum_surface(capsys, argv, expected, message):
     assert (out == "") == (expected == 64)
 
 
+def test_spectrum_exact_refuses_mesh(capsys):
+    code, out, err = run(capsys, "spectrum", "--mesh", "icosphere:2",
+                         "--count", "20", "--exact")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "--exact" in err
+
+
 def test_spectrum_mesh_needs_count(capsys):
     code, _, err = run(capsys, "spectrum", "--mesh", "icosphere:2")
     assert code == 64
@@ -148,6 +161,41 @@ def test_scan_config_file_and_override(tmp_path, capsys):
     rows = open(os.path.join(overridden, "report.csv"),
                 encoding="utf-8").read().splitlines()
     assert len(rows) == 4  # flag beats the config value
+
+
+def test_scan_config_booleans_match_flags(tmp_path, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("gamma = 2.0\ninvert = yes\nlog = true\nr-min = 5\n"
+                   "r-max = 10\nsteps = 3\nmax-degree = 40\n",
+                   encoding="utf-8")
+    from_cfg = str(tmp_path / "cfg")
+    from_flags = str(tmp_path / "flags")
+    assert run(capsys, "scan", "--config", str(cfg), "--output",
+               from_cfg)[0] == 0
+    assert run(capsys, "scan", "--gamma", "2.0", "--invert", "--log",
+               "--r-min", "5", "--r-max", "10", "--steps", "3",
+               "--max-degree", "40", "--output", from_flags)[0] == 0
+    for name in ("report.csv", "report.json"):
+        assert open(os.path.join(from_cfg, name), "rb").read() == \
+            open(os.path.join(from_flags, name), "rb").read()
+    payload = json.loads(open(os.path.join(from_cfg, "report.json"),
+                              encoding="utf-8").read())
+    assert payload["config"]["invert"] is True
+    assert payload["config"]["log"] is True
+
+
+@pytest.mark.parametrize("argv, text, expected_code, expected", [
+    (("spectrum",), "mesh = icosphere:1\ncount = 6\n", 0, "6 modes"),
+    (("regions", "--bound", "2"), "c0 = 3\n", 0, '"c0": 3.0'),
+    (("scan",), "steps = x\n", 64, "config key 'steps'"),
+    (("weyl",), "seed = 1\n", 64, "unknown config key 'seed'"),
+])
+def test_config_keys(tmp_path, capsys, argv, text, expected_code, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == expected_code
+    assert expected in out + err
 
 
 def test_scan_unknown_config_key(tmp_path, capsys):
@@ -378,6 +426,43 @@ def test_regions_param_validation(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # top level
 # ----------------------------------------------------------------------
+
+def parsed_defaults(command):
+    return vars(cli.build_parser().parse_args([command]))
+
+
+def test_parsed_defaults_are_the_library_constants():
+    for command in ("scan", "count"):
+        args = parsed_defaults(command)
+        assert args["cut_factor"] == CUT_FACTOR
+        assert args["zero_tol"] == ZERO_TOL
+    for command in ("spectrum", "scan", "count"):
+        assert parsed_defaults(command)["tol"] == SOLVER_TOL
+    verify = parsed_defaults("verify-symbols")
+    assert verify["samples"] == DEFAULT_SAMPLES
+    assert verify["seed"] == SAMPLE_SEED
+    regions = parsed_defaults("regions")
+    assert {name: regions[name] for name in asdict(RegionParams())} == \
+        asdict(RegionParams())
+
+
+def test_spectrum_scan_and_count_share_one_seed():
+    # the solver seed is part of the spectrum cache key
+    seeds = {parsed_defaults(command)["seed"]
+             for command in ("spectrum", "scan", "count")}
+    assert seeds == {cli.DEFAULT_SEED}
+
+
+@pytest.mark.parametrize("argv", [
+    ("weyl", "--seed", "1"),
+    ("regions", "--bound", "2", "--seed", "1"),
+])
+def test_seed_is_refused_where_nothing_is_random(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "--seed" in err
+
 
 def test_no_command(capsys):
     code, _, err = run(capsys)

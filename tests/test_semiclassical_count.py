@@ -30,6 +30,7 @@ from weylcount.semiclassical_count import (
     weyl_prediction,
 )
 from weylcount.surface import AnalyticSurface, DampingField
+from weylcount.surface.mesh import icosphere
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +289,17 @@ def test_weyl_affine_closed_form(sphere, tilted):
         37.0 / 12.0, abs=1e-8)
     assert weyl_prediction(sphere, tilted, 12.0) == pytest.approx(
         444.0, abs=1e-6)
+
+
+def test_weyl_on_mesh(tilted):
+    # a mesh integrates by its lumped vertex rule, close to the sphere's
+    # closed form 37/12 on a fine icosphere
+    mesh = icosphere(3)
+    gamma0 = tilted.effective(mesh.vertices)
+    lumped = np.dot(mesh.vertex_areas(), gamma0 * gamma0 - 1.0) / (4.0 * np.pi)
+    assert weyl_coefficient(mesh, tilted) == lumped
+    assert weyl_coefficient(mesh, tilted) == pytest.approx(37.0 / 12.0,
+                                                           rel=1e-2)
 
 
 def test_weyl_vanishes_toward_one(sphere):
