@@ -218,12 +218,16 @@ def _r_grid(args):
     return np.linspace(args.r_min, args.r_max, args.steps)
 
 
-def _require_unit_sphere(args, surface):
-    """The exact spectrum is the unit sphere's; refuse it for any other."""
+def _require_exact_basis(args, surface, modes_flag):
+    """The exact spectrum is the unit sphere's: refuse it for any other
+    surface, and refuse the options that only shape a --mesh basis."""
     if surface.name != "unit-sphere":
         raise UsageError(
             "the exact spectrum is the unit sphere's; surface %r needs a "
             "--mesh basis" % (args.surface,))
+    for flag in (modes_flag, "--cache-dir"):
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError("%s applies only to --mesh runs" % flag)
 
 
 def _resolve_basis(args, surface, field, r_max):
@@ -244,7 +248,7 @@ def _resolve_basis(args, surface, field, r_max):
             mesh, args.modes, tol=args.tol, directory=args.cache_dir,
             seed=args.seed)
         return basis, hit
-    _require_unit_sphere(args, surface)
+    _require_exact_basis(args, surface, "--modes")
     degree = args.max_degree
     if degree is None:
         degree = auto_degree(surface, field, r_max, args.cut_factor)
@@ -287,7 +291,7 @@ def cmd_spectrum(args):
         print("area = %.12g, trusted horizon = %.12g, worst residual = %.3g"
               % (basis.area, basis.trusted_horizon, basis.residual))
     else:
-        _require_unit_sphere(args, surface)
+        _require_exact_basis(args, surface, "--count")
         basis = exact_sphere_spectrum(args.max_degree)
         print("%d modes, top lambda = %g" % (basis.mode_count, basis.top))
         print("area = %.12g, trusted horizon = %.12g"

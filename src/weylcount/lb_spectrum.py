@@ -121,10 +121,10 @@ def exact_sphere_spectrum(max_degree):
     max_degree = int(max_degree)
     if max_degree < 0:
         raise InsufficientSpectrumError("max_degree must be >= 0")
-    degrees = np.concatenate(
-        [np.full(2 * n + 1, n, dtype=np.int64) for n in range(max_degree + 1)])
-    orders = np.concatenate(
-        [np.arange(-n, n + 1, dtype=np.int64) for n in range(max_degree + 1)])
+    each = np.arange(max_degree + 1, dtype=np.int64)
+    degrees = np.repeat(each, 2 * each + 1)
+    # degree n's modes start at index n^2, with orders -n..n
+    orders = np.arange(len(degrees), dtype=np.int64) - degrees * degrees - degrees
     eigenvalues = degrees * (degrees + 1.0)
     return SpectralBasis(
         eigenvalues=eigenvalues,

@@ -9,12 +9,16 @@ which the Weyl law pegs at (r^2 / 4 pi) * integral of (gamma0^2 - 1).
 The finite section is stored block diagonally, as symmetric blocks (or
 stacks of equal-size blocks) each repeated a number of times.  Constant
 damping makes every block 1 x 1, damping affine along the sphere's polar
-axis gives one tridiagonal block per order, and any other field one dense
-block from the mode values the basis tabulates, which this module reads.
+axis gives one tridiagonal block per order, kept as the diagonal and
+off-diagonals alone, and any other field one dense block from the mode
+values the basis tabulates, which this module reads.
 
 Counting computes no eigenvalues: by Sylvester's law of inertia the number
 of eigenvalues below a shift is the number of negative pivots of an LDL^T
-(Bunch-Kaufman) factorization of the shifted block.
+factorization of the shifted block.  Dense blocks are factored by LAPACK
+(Bunch-Kaufman); the tridiagonal blocks of a polar-affine section are
+counted by their pivot recurrence, a Sturm sequence, swept over the degrees
+once for all orders together, so no block is ever formed.
 """
 
 import json
@@ -22,7 +26,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 from scipy.optimize import linear_sum_assignment
 
@@ -114,13 +118,36 @@ def inequality_check(constants, count=10000, seed=0):
 # the Galerkin operator
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class TridiagonalFamily:
+    """Symmetric tridiagonal blocks T_0, ..., T_L that share one diagonal.
+
+    T_m spans rows m..L with diagonal ``diagonal[m:]``; its entry coupling
+    rows n - 1 and n (m < n <= L) is ``off_diagonal[n (n - 1) / 2 + m]``, so
+    the entries that couple row n to row n - 1 in all blocks are one run.
+    """
+
+    diagonal: np.ndarray
+    off_diagonal: np.ndarray
+
+    def __len__(self):
+        return len(self.diagonal)
+
+    def block(self, order):
+        """(diagonal, off-diagonal) of T_order."""
+        rows = np.arange(order + 1, len(self.diagonal))
+        return (self.diagonal[order:],
+                self.off_diagonal[rows * (rows - 1) // 2 + order])
+
+
 @dataclass
 class GalerkinOperator:
     """Finite section D - G of the model operator at fixed h.
 
     ``blocks`` lists (matrix, multiplicity) pairs whose direct sum is the
-    section: ``matrix`` is one symmetric (k, k) block or a (b, k, k) stack of
-    them, and ``multiplicity`` an int or one count per stacked block.
+    section: ``matrix`` is one symmetric (k, k) block, a (b, k, k) stack of
+    them, or a :class:`TridiagonalFamily` standing for its blocks, and
+    ``multiplicity`` an int or one count per stacked block or family member.
     ``mode_cut`` counts retained basis modes.
     """
 
@@ -131,6 +158,11 @@ class GalerkinOperator:
         """All retained model eigenvalues, ascending, with multiplicity."""
         spectra = []
         for matrix, multiplicity in self.blocks:
+            if isinstance(matrix, TridiagonalFamily):
+                spectra += [np.tile(eigvalsh_tridiagonal(*matrix.block(m)),
+                                    multiplicity[m])
+                            for m in range(len(matrix))]
+                continue
             values = np.linalg.eigvalsh(matrix)
             spectra.append(np.repeat(values.reshape(-1, values.shape[-1]),
                                      multiplicity, axis=0).ravel())
@@ -174,22 +206,55 @@ def _inertia(matrix, shift):
     return negative, zero
 
 
+def _sturm_counts(family, zero_tol):
+    """(eigenvalues < -zero_tol, eigenvalues <= zero_tol) per family block.
+
+    The LDL^T pivots of a tridiagonal T + s I obey the recurrence
+    d(n) = T_nn + s - T_n,n-1^2 / d(n - 1), and the negative pivots count
+    the eigenvalues of T below -s.  One sweep over the rows n updates the
+    pivots of every block holding row n, at s = zero_tol and s = -zero_tol
+    together.  An exactly zero pivot becomes +tiny at s = zero_tol and -tiny
+    at s = -zero_tol, so an eigenvalue exactly at -zero_tol is not counted
+    below it and one exactly at zero_tol is counted within it.
+    """
+    size = len(family)
+    shifts = np.array([[zero_tol], [-zero_tol]])
+    ties = np.array([[1.0], [-1.0]]) * np.finfo(float).tiny
+    squares = family.off_diagonal * family.off_diagonal
+    pivots = np.empty((2, size))
+    negative = np.zeros((2, size), dtype=np.int64)
+    # a tiny pivot overflows the next quotient to inf, whose pivot is then
+    # -inf, counted negative, and the pivot after it finite again
+    with np.errstate(over="ignore"):
+        for n in range(size):
+            head = pivots[:, :n + 1]
+            np.divide(squares[n * (n - 1) // 2:n * (n + 1) // 2], head[:, :n],
+                      out=head[:, :n])
+            head[:, n] = 0.0
+            np.subtract(family.diagonal[n] + shifts, head, out=head)
+            np.copyto(head, ties, where=head == 0.0)
+            negative[:, :n + 1] += head < 0.0
+    return negative[0], negative[1] - negative[0]
+
+
 def count_negative(operator, zero_tol=ZERO_TOL):
     """Count eigenvalues < -zero_tol; |eigenvalue| <= zero_tol is borderline.
 
-    Each block of size k > 1 is factored twice: the negative inertia of
-    A + zero_tol I counts eigenvalues below -zero_tol, and the negative plus
-    zero inertia of A - zero_tol I those up to zero_tol.  A stack of 1 x 1
-    blocks holds its eigenvalues and is counted directly.
+    Each dense block of size k > 1 is factored twice: the negative inertia
+    of A + zero_tol I counts eigenvalues below -zero_tol, and the negative
+    plus zero inertia of A - zero_tol I those up to zero_tol.  A tridiagonal
+    family is counted by its pivot recurrence at the same two shifts, and a
+    stack of 1 x 1 blocks holds its eigenvalues and is counted directly.
     """
     negative = borderline = 0
     for matrix, multiplicity in operator.blocks:
-        size = matrix.shape[-1]
-        stack = matrix.reshape(-1, size, size)
-        if size == 1:
-            values = stack[:, 0, 0]
+        if isinstance(matrix, TridiagonalFamily):
+            below, within = _sturm_counts(matrix, zero_tol)
+        elif matrix.shape[-1] == 1:
+            values = matrix.reshape(-1)
             below, within = values < -zero_tol, np.abs(values) <= zero_tol
         else:
+            stack = matrix.reshape((-1,) + matrix.shape[-2:])
             below = np.array([_inertia(block, zero_tol)[0]
                               for block in stack])
             within = np.array([sum(_inertia(block, -zero_tol))
@@ -207,9 +272,8 @@ def _mode_cut_index(eigenvalues, threshold):
         raise InsufficientSpectrumError(
             f"basis top {eigenvalues[-1]:.6g} below mode-cut threshold "
             f"{threshold:.6g}")
-    while cut < len(eigenvalues) and eigenvalues[cut] == eigenvalues[cut - 1]:
-        cut += 1
-    return cut
+    return int(np.searchsorted(eigenvalues, eigenvalues[cut - 1],
+                               side="right"))
 
 
 def _mode_cut(basis, field, h, surface, cut_factor):
@@ -262,7 +326,8 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
     whose effective coefficient a + b z is affine along the polar axis of the
     exact sphere gives, per order m, diag(sqrt(1 + h^2 n(n+1)) - a) - b J_m
     over degrees n >= m, with J_m the Jacobi matrix of the orthonormal
-    associated Legendre functions.  Anything else goes through the Gram
+    associated Legendre functions: one tridiagonal family, order m >= 1
+    counted twice for +-m.  Anything else goes through the Gram
     matrix of tabulated mode values; ``scan`` forms it once and passes it as
     ``_gram``, of which each h takes the leading section.
     """
@@ -275,25 +340,27 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
 
     if field.kind == "constant":
         gamma0 = max(field.value, 1.0 / field.value)
-        clusters, sizes = np.unique(lam[:cut], return_counts=True)
-        values = np.sqrt(1.0 + h * h * clusters) - gamma0
+        # the eigenvalues are sorted, so a cluster starts where they change
+        starts = np.append(0, np.flatnonzero(lam[1:cut] != lam[:cut - 1]) + 1)
+        sizes = np.diff(starts, append=cut)
+        values = np.sqrt(1.0 + h * h * lam[starts]) - gamma0
         return GalerkinOperator(cut, [(values[:, None, None], sizes)])
 
     polar = _polar_affine(basis, field, surface)
     if polar is not None:
         offset, signed_slope = polar
-        max_degree = int(basis.degrees[cut - 1])
-        degrees = np.arange(max_degree + 1)
-        d_full = np.sqrt(1.0 + h * h * degrees * (degrees + 1.0))
-        blocks = []
-        for m in range(max_degree + 1):
-            n = np.arange(m, max_degree)
-            jacobi = np.sqrt(((n + 1.0) ** 2 - m * m)
-                             / ((2.0 * n + 1.0) * (2.0 * n + 3.0)))
-            block = np.diag(d_full[m:] - offset) - signed_slope * (
-                np.diag(jacobi, 1) + np.diag(jacobi, -1))
-            blocks.append((block, 1 if m == 0 else 2))
-        return GalerkinOperator(cut, blocks)
+        degrees = np.arange(int(basis.degrees[cut - 1]) + 1)
+        # (row n, order m < n) in the family's off-diagonal layout
+        rows = np.repeat(degrees, degrees)
+        orders = np.arange(len(rows)) - rows * (rows - 1) // 2
+        jacobi = np.sqrt((rows * rows - orders * orders)
+                         / ((2.0 * rows - 1.0) * (2.0 * rows + 1.0)))
+        family = TridiagonalFamily(
+            np.sqrt(1.0 + h * h * degrees * (degrees + 1.0)) - offset,
+            -signed_slope * jacobi)
+        multiplicity = np.full(len(degrees), 2)
+        multiplicity[0] = 1
+        return GalerkinOperator(cut, [(family, multiplicity)])
 
     gram = _damping_gram(basis, field, cut) if _gram is None \
         else _gram[:cut, :cut]
@@ -524,15 +591,22 @@ def _operator_spectra(basis, field, h_values, surface, cut_factor):
 
     Sections may grow with 1/h, so every block is cut to its smallest size
     across the window and only blocks present at every h are kept; branches
-    then stay comparable from one h to the next.
+    then stay comparable from one h to the next.  Branch tracking needs
+    eigenvectors, so this is the one place tridiagonal blocks are formed.
     """
     per_h = []
     for h in h_values:
         operator = build_operator(basis, field, h, surface=surface,
                                   cut_factor=cut_factor)
-        per_h.append([block for matrix, _ in operator.blocks
-                      for block in np.reshape(matrix,
-                                              (-1,) + matrix.shape[-2:])])
+        blocks = []
+        for matrix, _ in operator.blocks:
+            if isinstance(matrix, TridiagonalFamily):
+                blocks += [np.diag(diagonal) + np.diag(off, 1)
+                           + np.diag(off, -1) for diagonal, off in
+                           map(matrix.block, range(len(matrix)))]
+            else:
+                blocks += list(np.reshape(matrix, (-1,) + matrix.shape[-2:]))
+        per_h.append(blocks)
     common = min(len(blocks) for blocks in per_h)
     sizes = [min(len(blocks[b]) for blocks in per_h) for b in range(common)]
     return [[eigh(blocks[b][:size, :size]) for b, size in enumerate(sizes)]

@@ -99,6 +99,28 @@ def test_spectrum_exact_refuses_mesh(capsys):
     assert "--exact" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("spectrum", "--count", "20"), "--count"),
+    (("spectrum", "--cache-dir", "zz"), "--cache-dir"),
+    (("scan", "--max-degree", "40", "--modes", "400"), "--modes"),
+    (("scan", "--max-degree", "40", "--cache-dir", "zz"), "--cache-dir"),
+    (("count", "--r", "5", "--max-degree", "40", "--modes", "400"),
+     "--modes"),
+    (("count", "--r", "5", "--max-degree", "40", "--cache-dir", "zz"),
+     "--cache-dir"),
+])
+def test_mesh_only_flags_need_mesh(capsys, tmp_path, monkeypatch, argv,
+                                   flag):
+    # they shape only a FEM basis, so on the exact one they would be ignored
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_spectrum_mesh_needs_count(capsys):
     code, _, err = run(capsys, "spectrum", "--mesh", "icosphere:2")
     assert code == 64

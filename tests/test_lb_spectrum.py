@@ -61,6 +61,13 @@ def test_exact_sphere_degrees_and_orders():
     for n in range(6):
         block = basis.orders[basis.degrees == n]
         assert block.tolist() == list(range(-n, n + 1))
+    # degree-major, orders ascending within each degree
+    for top in range(5):
+        basis = exact_sphere_spectrum(top)
+        layout = [(n, m) for n in range(top + 1) for m in range(-n, n + 1)]
+        assert list(zip(basis.degrees.tolist(),
+                        basis.orders.tolist())) == layout
+        assert basis.degrees.dtype == basis.orders.dtype == np.int64
 
 
 def test_sphere_degree_for():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dsytrf
 
 from weylcount import semiclassical_count
@@ -19,6 +20,7 @@ from weylcount.semiclassical_count import (
     CountReport,
     DampingConstants,
     GalerkinOperator,
+    TridiagonalFamily,
     build_operator,
     constants_for,
     count_negative,
@@ -151,14 +153,23 @@ def test_affine_operator_block_structure(sphere, tilted):
     basis = exact_sphere_spectrum(12)
     op = build_operator(basis, tilted, 1.0, surface=sphere)
     # degrees 0..3 are retained: one block per order m over degrees m..3
-    assert [len(block) for block, _ in op.blocks] == [4, 3, 2, 1]
-    assert [multiplicity for _, multiplicity in op.blocks] == [1, 2, 2, 2]
+    [(family, multiplicity)] = op.blocks
+    blocks = [family.block(m) for m in range(len(family))]
+    assert [len(diagonal) for diagonal, _ in blocks] == [4, 3, 2, 1]
+    assert multiplicity.tolist() == [1, 2, 2, 2]
     assert op.mode_cut == 16 == len(op.eigenvalues())
     # G_00 = mean of gamma0 over the sphere = 2 (phi_0 constant), D_00 = 1
-    assert op.blocks[0][0][0, 0] == pytest.approx(-1.0, abs=1e-12)
-    for block, _ in op.blocks:
+    assert blocks[0][0][0] == pytest.approx(-1.0, abs=1e-12)
+    for m, (diagonal, off_diagonal) in enumerate(blocks):
+        block = (np.diag(diagonal) + np.diag(off_diagonal, 1)
+                 + np.diag(off_diagonal, -1))
         assert np.array_equal(block, block.T)
         assert np.array_equal(block, np.triu(np.tril(block, 1), -1))
+        # -b times the Jacobi entries <q_{n-1,m}, z q_{n,m}>
+        n = np.arange(m + 1, 4)
+        assert np.allclose(off_diagonal, -0.5 * np.sqrt(
+            (n * n - m * m) / ((2.0 * n - 1.0) * (2.0 * n + 1.0))),
+            rtol=0.0, atol=1e-15)
 
 
 def test_block_and_dense_paths_agree(sphere):
@@ -173,7 +184,8 @@ def test_block_and_dense_paths_agree(sphere):
         for h in (1.0, 0.5):
             op_z = build_operator(basis_z, along_z, h, surface=sphere)
             op_x = build_operator(basis_x, along_x, h, surface=sphere)
-            assert len(op_z.blocks) == basis_z.degrees[op_z.mode_cut - 1] + 1
+            [(family, _)] = op_z.blocks
+            assert len(family) == basis_z.degrees[op_z.mode_cut - 1] + 1
             assert len(op_x.blocks) == 1
             assert op_z.mode_cut == op_x.mode_cut
             assert np.max(np.abs(op_z.eigenvalues()
@@ -256,6 +268,18 @@ def test_inertia_count_on_planted_spectra(monkeypatch):
     monkeypatch.setattr(semiclassical_count, "eigh", no_eigensolver)
     assert count_negative(operator) == (negative, borderline)
 
+    # a polar-affine section is counted without eigenvalues or factorizations
+    polar = build_operator(exact_sphere_spectrum(40), DampingField.affine(
+        2.0, 0.5, (0.0, 0.0, 1.0)), 0.25,
+        surface=AnalyticSurface.unit_sphere())
+    monkeypatch.undo()
+    expected = eigvalsh_count(polar)
+    for name in ("eigh", "eigvalsh_tridiagonal", "dsytrf"):
+        monkeypatch.setattr(semiclassical_count, name, no_eigensolver)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+    assert count_negative(polar) == expected
+
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(size=st.integers(2, 24), seed=st.integers(0, 2 ** 32 - 1),
@@ -272,6 +296,88 @@ def test_inertia_count_matches_eigvalsh(size, seed, diagonal, scale,
     assume(np.min(np.abs(np.abs(values) - ZERO_TOL)) >= 1e-9)
     operator = GalerkinOperator(size, [(matrix, multiplicity)])
     assert count_negative(operator) == eigvalsh_count(operator)
+
+
+def random_family(data, size):
+    """A TridiagonalFamily of ``size`` blocks drawn from Hypothesis data,
+    with some couplings zero and isolated diagonal entries planted at 0 and
+    +-ZERO_TOL."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    scale = data.draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    diagonal = scale * rng.standard_normal(size)
+    off_diagonal = scale * rng.standard_normal(size * (size - 1) // 2)
+    off_diagonal[rng.random(len(off_diagonal)) < 0.2] = 0.0
+    rows = np.repeat(np.arange(size), np.arange(size))
+    for n in data.draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        # row n decouples from its neighbours in every block
+        off_diagonal[(rows == n) | (rows == n + 1)] = 0.0
+        diagonal[n] = data.draw(st.sampled_from([0.0, ZERO_TOL, -ZERO_TOL]))
+    return TridiagonalFamily(diagonal, off_diagonal)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(size=st.integers(1, 24), data=st.data())
+def test_sturm_count_matches_eigvalsh_tridiagonal(size, data):
+    family = random_family(data, size)
+    multiplicity = np.array(data.draw(st.lists(
+        st.integers(1, 3), min_size=size, max_size=size)))
+    spectra = [eigvalsh_tridiagonal(*family.block(m)) for m in range(size)]
+    values = np.concatenate(spectra)
+    # planted eigenvalues are exact; any other must sit clear of the ties
+    gap = np.abs(np.abs(values) - ZERO_TOL)
+    planted = (values == 0.0) | (gap == 0.0)
+    assume(np.all(planted | (gap >= 1e-9 * max(1.0, np.max(np.abs(values))))))
+    reference = (
+        sum(k * np.sum(v < -ZERO_TOL) for k, v in zip(multiplicity, spectra)),
+        sum(k * np.sum(np.abs(v) <= ZERO_TOL)
+            for k, v in zip(multiplicity, spectra)))
+    operator = GalerkinOperator(0, [(family, multiplicity)])
+    assert count_negative(operator) == reference
+
+
+def test_sturm_count_at_exact_ties():
+    # [[3/4, 1], [1, 3/4]] has eigenvalues -1/4 and 7/4.  At zero_tol = 1/4
+    # the second pivot of T + I/4 is 1 - 1/1 = 0 exactly: -1/4 is not below
+    # -zero_tol but is within it.  Rows 2 and 3 are decoupled ties at
+    # +-zero_tol, so blocks 0..3 hold 3, 2, 2 and 1 borderline eigenvalues.
+    family = TridiagonalFamily(np.array([0.75, 0.75, 0.25, -0.25]),
+                               np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    assert count_negative(GalerkinOperator(0, [(family, np.ones(4))]),
+                          zero_tol=0.25) == (0, 3 + 2 + 2 + 1)
+    # block 0, [[-tol, 1], [1, 0]], has eigenvalues near -1 and 1, yet the
+    # first pivot of T + tol I is -tol + tol = 0 exactly, and the next one
+    # 0 - 1 / (+tiny) = -inf; block 1, [0], is one borderline eigenvalue
+    family = TridiagonalFamily(np.array([-ZERO_TOL, 0.0]), np.array([1.0]))
+    operator = GalerkinOperator(0, [(family, np.array([1, 1]))])
+    assert count_negative(operator) == (1, 1) == eigvalsh_count(operator)
+
+
+def closed_form_axis_count(r, offset, slope, zero_tol=ZERO_TOL):
+    """Count of affine:offset,slope,z on the unit sphere from scipy's
+    tridiagonal eigenvalues, truncated at 2x the ellipticity threshold."""
+    c1 = offset + abs(slope)
+    need = 2.0 * (c1 * c1 - 1.0) * r * r
+    top = 0
+    while top * (top + 1) < need:
+        top += 1
+    count = 0
+    for m in range(top + 1):
+        n = np.arange(m, top + 1)
+        diagonal = np.sqrt(1.0 + n * (n + 1.0) / (r * r)) - offset
+        k = n[1:]
+        jacobi = np.sqrt((k * k - m * m) / ((2.0 * k - 1.0) * (2.0 * k + 1.0)))
+        values = eigvalsh_tridiagonal(diagonal, -slope * jacobi)
+        count += (1 if m == 0 else 2) * int(np.sum(values < -zero_tol))
+    return count
+
+
+def test_axis_affine_counts_match_closed_form(sphere, tilted):
+    basis = exact_sphere_spectrum(420)
+    for r, expected in ((32.0, 3157), (64.0, 12626), (128.0, 50510)):
+        got = count_negative(build_operator(basis, tilted, 1.0 / r,
+                                            surface=sphere))
+        assert got.negative == expected == closed_form_axis_count(
+            r, 2.0, 0.5)
 
 
 # ----------------------------------------------------------------------
