@@ -264,6 +264,13 @@ def _echo_config(args, keys):
     return resolved
 
 
+def _basis_keys(args):
+    """Echoed basis options; the solver tolerance is part of the FEM cache
+    key, so --mesh runs echo it too."""
+    keys = ("max_degree", "mesh", "modes", "seed")
+    return keys + ("tol",) if args.mesh else keys
+
+
 def _emit_json(document):
     print(json.dumps(document, sort_keys=True, indent=2,
                      ensure_ascii=False))
@@ -308,7 +315,7 @@ def cmd_scan(args):
                   cut_factor=args.cut_factor, zero_tol=args.zero_tol)
     config = _echo_config(args, (
         "surface", "gamma", "invert", "r_min", "r_max", "steps", "log",
-        "cut_factor", "zero_tol", "max_degree", "mesh", "modes", "seed"))
+        "cut_factor", "zero_tol") + _basis_keys(args))
     os.makedirs(args.output, exist_ok=True)
     csv_path = os.path.join(args.output, "report.csv")
     json_path = os.path.join(args.output, "report.json")
@@ -326,8 +333,10 @@ def cmd_scan(args):
              "n/a" if report.fitted_coefficient is None
              else "%.12g" % report.fitted_coefficient))
     gates = report.gates()
+    reasons = report.gate_reasons()
     print("gates: " + ", ".join(
-        "%s=%s" % (name, {True: "pass", False: "FAIL", None: "n/a"}[value])
+        "%s=%s" % (name, "n/a (%s)" % reasons[name] if value is None
+                   else "pass" if value else "FAIL")
         for name, value in sorted(gates.items())))
     if not report.passed():
         failing = sorted(name for name, ok in gates.items() if ok is False)
@@ -353,8 +362,8 @@ def cmd_count(args):
         "W": weyl_prediction(surface, field, args.r),
         "mode_cut": op.mode_cut,
         "config": _echo_config(args, (
-            "surface", "gamma", "invert", "r", "cut_factor", "zero_tol",
-            "max_degree", "mesh", "modes", "seed")),
+            "surface", "gamma", "invert", "r", "cut_factor", "zero_tol")
+            + _basis_keys(args)),
         "version": __version__,
     })
     return EXIT_OK

@@ -184,7 +184,8 @@ def _tabulate_sphere_modes(max_degree):
     ], axis=-1)
     mass = np.outer(wt, wphi).ravel()
 
-    modes = np.empty((len(nodes), (max_degree + 1) ** 2))
+    # column-major, so each (degree, order) column below is one contiguous write
+    modes = np.empty(((max_degree + 1) ** 2, len(nodes))).T
     cos_table = {m: np.cos(m * phi) for m in range(max_degree + 1)}
     sin_table = {m: np.sin(m * phi) for m in range(1, max_degree + 1)}
     for m in range(max_degree + 1):

@@ -18,7 +18,10 @@ of eigenvalues below a shift is the number of negative pivots of an LDL^T
 factorization of the shifted block.  Dense blocks are factored by LAPACK
 (Bunch-Kaufman); the tridiagonal blocks of a polar-affine section are
 counted by their pivot recurrence, a Sturm sequence, swept over the degrees
-once for all orders together, so no block is ever formed.
+once for all orders together, so no block is ever formed.  A scan counts
+every section it needs, each radius and its recount, in one such sweep: a
+section through a lower degree is a leading part of one through a higher
+degree, and the sweep keeps its running count after each degree.
 """
 
 import json
@@ -35,6 +38,7 @@ from .errors import DomainError, InsufficientSpectrumError, UsageError
 ZERO_TOL = 1e-12
 CUT_FACTOR = 2.0
 STABILITY_FACTOR = 1.5
+EXPONENT_SPAN = 3.0
 TRACK_OVERLAP = 0.8
 
 NegativeCount = namedtuple("NegativeCount", ["negative", "borderline"])
@@ -122,21 +126,24 @@ def inequality_check(constants, count=10000, seed=0):
 class TridiagonalFamily:
     """Symmetric tridiagonal blocks T_0, ..., T_L that share one diagonal.
 
-    T_m spans rows m..L with diagonal ``diagonal[m:]``; its entry coupling
-    rows n - 1 and n (m < n <= L) is ``off_diagonal[n (n - 1) / 2 + m]``, so
-    the entries that couple row n to row n - 1 in all blocks are one run.
+    T_m spans rows m..L with diagonal ``diagonal[..., m:]``; its entry
+    coupling rows n - 1 and n (m < n <= L) is
+    ``off_diagonal[n (n - 1) / 2 + m]``, so the entries that couple row n to
+    row n - 1 in all blocks are one run, and the off-diagonals of the family
+    cut to rows 0..n are a leading slice.  Leading axes on ``diagonal`` hold
+    a batch of families that share the off-diagonals.
     """
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
 
     def __len__(self):
-        return len(self.diagonal)
+        return self.diagonal.shape[-1]
 
     def block(self, order):
         """(diagonal, off-diagonal) of T_order."""
-        rows = np.arange(order + 1, len(self.diagonal))
-        return (self.diagonal[order:],
+        rows = np.arange(order + 1, len(self))
+        return (self.diagonal[..., order:],
                 self.off_diagonal[rows * (rows - 1) // 2 + order])
 
 
@@ -206,35 +213,65 @@ def _inertia(matrix, shift):
     return negative, zero
 
 
-def _sturm_counts(family, zero_tol):
-    """(eigenvalues < -zero_tol, eigenvalues <= zero_tol) per family block.
+def _sturm_counts(family, multiplicity, zero_tol, degrees):
+    """(eigenvalues < -zero_tol, eigenvalues within zero_tol) of sections.
+
+    The section of a family through degree n is the direct sum of its blocks
+    T_m, m <= n, each cut to rows m..n and repeated ``multiplicity[m]``
+    times.  ``degrees`` has the family's batch shape plus one axis and names
+    the sections to count, with batch members in ascending order of the
+    last degree they read, as a scan's ascending radii are; the result has
+    its shape.
 
     The LDL^T pivots of a tridiagonal T + s I obey the recurrence
     d(n) = T_nn + s - T_n,n-1^2 / d(n - 1), and the negative pivots count
-    the eigenvalues of T below -s.  One sweep over the rows n updates the
-    pivots of every block holding row n, at s = zero_tol and s = -zero_tol
-    together.  An exactly zero pivot becomes +tiny at s = zero_tol and -tiny
-    at s = -zero_tol, so an eigenvalue exactly at -zero_tol is not counted
+    the eigenvalues of T below -s.  A section's pivots are the leading
+    pivots of every wider section, so one sweep over the rows n updates the
+    pivots of every block and every batch member holding row n, at
+    s = zero_tol and s = -zero_tol together, and keeps the running count
+    after each degree; a member is swept only through the last degree it
+    reads.  An exactly zero pivot becomes +tiny at s = zero_tol and -tiny at
+    s = -zero_tol, so an eigenvalue exactly at -zero_tol is not counted
     below it and one exactly at zero_tol is counted within it.
     """
     size = len(family)
+    diagonal = family.diagonal.reshape(-1, size)
+    degrees = np.asarray(degrees)
+    reads = degrees.reshape(len(diagonal), -1)
+    last = reads.max(axis=1)
+    if np.any(np.diff(last) < 0):
+        raise ValueError("batch members must read ascending last degrees")
+    # the first member still swept at row n; the members after it are too
+    first = np.searchsorted(last, np.arange(last[-1] + 1))
     shifts = np.array([[zero_tol], [-zero_tol]])
-    ties = np.array([[1.0], [-1.0]]) * np.finfo(float).tiny
+    shifted = diagonal.T[:, None, :, None] + shifts[:, :, None]
+    ties = np.array([[[1.0]], [[-1.0]]]) * np.finfo(float).tiny
     squares = family.off_diagonal * family.off_diagonal
-    pivots = np.empty((2, size))
-    negative = np.zeros((2, size), dtype=np.int64)
+    # counts are sums of whole multiplicities, exact in floating point
+    weights = np.asarray(multiplicity, dtype=float)
+    pivots = np.empty((2, len(diagonal), size))
+    scratch = np.empty_like(pivots)
+    # what each row adds to the count, summed after the sweep; zero past a
+    # member's last row
+    added = np.zeros_like(pivots)
     # a tiny pivot overflows the next quotient to inf, whose pivot is then
     # -inf, counted negative, and the pivot after it finite again
     with np.errstate(over="ignore"):
-        for n in range(size):
-            head = pivots[:, :n + 1]
-            np.divide(squares[n * (n - 1) // 2:n * (n + 1) // 2], head[:, :n],
-                      out=head[:, :n])
-            head[:, n] = 0.0
-            np.subtract(family.diagonal[n] + shifts, head, out=head)
+        for n, start in enumerate(first):
+            head = pivots[:, start:, :n + 1]
+            np.divide(squares[n * (n - 1) // 2:n * (n + 1) // 2], head[..., :n],
+                      out=head[..., :n])
+            head[..., n] = 0.0
+            np.subtract(shifted[n, :, start:], head, out=head)
             np.copyto(head, ties, where=head == 0.0)
-            negative[:, :n + 1] += head < 0.0
-    return negative[0], negative[1] - negative[0]
+            # the multiplicity of every block whose pivot is negative
+            weighted = np.less(head, 0.0, out=scratch[:, start:, :n + 1])
+            np.multiply(weighted, weights[:n + 1], out=weighted)
+            np.add.reduce(weighted, axis=-1, out=added[:, start:, n])
+    running = np.cumsum(added, axis=-1)
+    below, up_to = np.take_along_axis(running, reads[None],
+                                      axis=-1).astype(np.int64)
+    return below.reshape(degrees.shape), (up_to - below).reshape(degrees.shape)
 
 
 def count_negative(operator, zero_tol=ZERO_TOL):
@@ -249,8 +286,13 @@ def count_negative(operator, zero_tol=ZERO_TOL):
     negative = borderline = 0
     for matrix, multiplicity in operator.blocks:
         if isinstance(matrix, TridiagonalFamily):
-            below, within = _sturm_counts(matrix, zero_tol)
-        elif matrix.shape[-1] == 1:
+            # the sweep weighs each block by its multiplicity itself
+            below, within = _sturm_counts(matrix, multiplicity, zero_tol,
+                                          [len(matrix) - 1])
+            negative += int(below[0])
+            borderline += int(within[0])
+            continue
+        if matrix.shape[-1] == 1:
             values = matrix.reshape(-1)
             below, within = values < -zero_tol, np.abs(values) <= zero_tol
         else:
@@ -318,8 +360,41 @@ def _damping_gram(basis, field, cut):
     return scaled.T @ scaled
 
 
+def _shared_part(basis, field, surface, cut):
+    """What every section of at most ``cut`` modes takes a leading part of:
+    the cluster starts of constant damping, the off-diagonals of a
+    polar-affine family, or else the Gram matrix of the damping."""
+    lam = basis.eigenvalues
+    if field.kind == "constant":
+        # the eigenvalues are sorted, so a cluster starts where they change
+        return np.append(0, np.flatnonzero(lam[1:cut] != lam[:cut - 1]) + 1)
+    polar = _polar_affine(basis, field, surface)
+    if polar is not None:
+        degrees = np.arange(int(basis.degrees[cut - 1]) + 1)
+        # (row n, order m < n) in the family's off-diagonal layout
+        rows = np.repeat(degrees, degrees)
+        orders = np.arange(len(rows)) - rows * (rows - 1) // 2
+        jacobi = np.sqrt((rows * rows - orders * orders)
+                         / ((2.0 * rows - 1.0) * (2.0 * rows + 1.0)))
+        return -polar[1] * jacobi
+    return _damping_gram(basis, field, cut)
+
+
+def _polar_section(offset, off_diagonal, h, degree):
+    """(family, multiplicity) of a polar-affine section through ``degree``.
+
+    A column of h values gives a batch of families.  Orders m >= 1 count
+    twice, for +-m.
+    """
+    degrees = np.arange(degree + 1)
+    family = TridiagonalFamily(
+        np.sqrt(1.0 + h * h * degrees * (degrees + 1.0)) - offset,
+        off_diagonal[:degree * (degree + 1) // 2])
+    return family, np.where(degrees == 0, 1, 2)
+
+
 def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
-                   _gram=None):
+                   _shared=None):
     """Assemble the finite model of the counting operator at h.
 
     Constant damping gives one 1 x 1 block per eigenvalue cluster.  Damping
@@ -327,44 +402,35 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
     exact sphere gives, per order m, diag(sqrt(1 + h^2 n(n+1)) - a) - b J_m
     over degrees n >= m, with J_m the Jacobi matrix of the orthonormal
     associated Legendre functions: one tridiagonal family, order m >= 1
-    counted twice for +-m.  Anything else goes through the Gram
-    matrix of tabulated mode values; ``scan`` forms it once and passes it as
-    ``_gram``, of which each h takes the leading section.
+    counted twice for +-m.  Anything else goes through the Gram matrix of
+    tabulated mode values.  The h-independent part of the section comes
+    from :func:`_shared_part`; ``scan`` forms it once, at its widest cut,
+    and passes it as ``_shared``, of which each section takes a leading
+    part.
     """
     if h <= 0.0:
         raise UsageError(f"semiclassical parameter must be positive, got {h}")
     if field.kind != "constant" and surface is None:
         raise UsageError("variable damping needs the surface for its range")
     cut = _mode_cut(basis, field, h, surface, cut_factor)
+    if _shared is None:
+        _shared = _shared_part(basis, field, surface, cut)
     lam = basis.eigenvalues
 
     if field.kind == "constant":
         gamma0 = max(field.value, 1.0 / field.value)
-        # the eigenvalues are sorted, so a cluster starts where they change
-        starts = np.append(0, np.flatnonzero(lam[1:cut] != lam[:cut - 1]) + 1)
+        starts = _shared[:np.searchsorted(_shared, cut)]
         sizes = np.diff(starts, append=cut)
         values = np.sqrt(1.0 + h * h * lam[starts]) - gamma0
         return GalerkinOperator(cut, [(values[:, None, None], sizes)])
 
     polar = _polar_affine(basis, field, surface)
     if polar is not None:
-        offset, signed_slope = polar
-        degrees = np.arange(int(basis.degrees[cut - 1]) + 1)
-        # (row n, order m < n) in the family's off-diagonal layout
-        rows = np.repeat(degrees, degrees)
-        orders = np.arange(len(rows)) - rows * (rows - 1) // 2
-        jacobi = np.sqrt((rows * rows - orders * orders)
-                         / ((2.0 * rows - 1.0) * (2.0 * rows + 1.0)))
-        family = TridiagonalFamily(
-            np.sqrt(1.0 + h * h * degrees * (degrees + 1.0)) - offset,
-            -signed_slope * jacobi)
-        multiplicity = np.full(len(degrees), 2)
-        multiplicity[0] = 1
-        return GalerkinOperator(cut, [(family, multiplicity)])
+        section = _polar_section(polar[0], _shared, h,
+                                 int(basis.degrees[cut - 1]))
+        return GalerkinOperator(cut, [section])
 
-    gram = _damping_gram(basis, field, cut) if _gram is None \
-        else _gram[:cut, :cut]
-    matrix = np.diag(np.sqrt(1.0 + h * h * lam[:cut])) - gram
+    matrix = np.diag(np.sqrt(1.0 + h * h * lam[:cut])) - _shared[:cut, :cut]
     return GalerkinOperator(cut, [(matrix, 1)])
 
 
@@ -427,6 +493,19 @@ class CountReport:
             "exponent_in_window": exponent_gate,
         }
 
+    def gate_reasons(self):
+        """Why each gate that could not run (None in :meth:`gates`) did not."""
+        reasons = {}
+        if self.stability_delta is None:
+            reasons["truncation_stable"] = (
+                "basis cannot support the %gx recount" % STABILITY_FACTOR)
+        if self.fitted_exponent is None:
+            reasons["exponent_in_window"] = (
+                "r_max/r_min < %g" % EXPONENT_SPAN
+                if self.r_grid[-1] / self.r_grid[0] < EXPONENT_SPAN
+                else "fewer than 2 positive counts in the top half")
+        return reasons
+
     def passed(self):
         return all(value is not False for value in self.gates().values())
 
@@ -470,14 +549,15 @@ class CountReport:
 
 def _fit_powers(r_grid, counts):
     """Least-squares diagnostics: N ~ c r^2 on the whole grid, log-log slope
-    on the top half (slope only when the grid spans a factor >= 3 in r)."""
+    on the top half (slope only when the grid spans a factor of at least
+    EXPONENT_SPAN in r)."""
     r = np.asarray(r_grid, dtype=float)
     n = np.asarray(counts, dtype=float)
     coefficient = None
     if np.any(n > 0):
         coefficient = float(np.sum(n * r * r) / np.sum(r ** 4))
     exponent = None
-    if len(r) >= 2 and r[-1] / r[0] >= 3.0:
+    if len(r) >= 2 and r[-1] / r[0] >= EXPONENT_SPAN:
         half = len(r) // 2
         rr, nn = r[half:], n[half:]
         keep = nn > 0
@@ -493,8 +573,10 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
 
     The truncation-stability recount enlarges the mode cut by 50%; if the
     basis cannot support the recount the stability delta is left undefined
-    rather than failing the scan.  Dense sections share one Gram matrix,
-    formed at the widest cut the scan uses.
+    rather than failing the scan.  Every section of the scan, recounts
+    included, takes a leading part of one h-independent part formed at the
+    widest cut: cluster starts, polar-affine off-diagonals or the Gram
+    matrix.  Polar-affine sections are all counted by one Sturm sweep.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or len(r_grid) == 0:
@@ -502,50 +584,45 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     if np.any(np.diff(r_grid) <= 0.0):
         raise UsageError("r grid must be strictly ascending")
 
-    # Sections grow with r, so the widest is at r_max, and a recount the
-    # basis supports there it supports at every r.  One Gram matrix at that
-    # cut serves every h through a leading slice.
-    recount_factor = cut_factor * STABILITY_FACTOR
-    top_cuts = []
-    for factor in (cut_factor, recount_factor):
-        try:
-            top_cuts.append(_mode_cut(basis, field, 1.0 / r_grid[-1], surface,
-                                      factor))
-        except InsufficientSpectrumError:
-            break
-    gram = None
-    if (top_cuts and field.kind != "constant"
-            and _polar_affine(basis, field, surface) is None):
-        gram = _damping_gram(basis, field, top_cuts[-1])
+    h_grid = 1.0 / r_grid
+    factors = (cut_factor, cut_factor * STABILITY_FACTOR)
+    cuts = [[_mode_cut(basis, field, h, surface, cut_factor) for h in h_grid]]
+    try:
+        cuts.append([_mode_cut(basis, field, h, surface, factors[1])
+                     for h in h_grid])
+    except InsufficientSpectrumError:
+        factors = factors[:1]
+    cuts = np.array(cuts)
+    shared = _shared_part(basis, field, surface, int(np.max(cuts)))
 
-    n_scalar, borderline, cuts = [], [], []
-    for r in r_grid:
-        operator = build_operator(basis, field, 1.0 / r, surface=surface,
-                                  cut_factor=cut_factor, _gram=gram)
-        outcome = count_negative(operator, zero_tol=zero_tol)
-        n_scalar.append(outcome.negative)
-        borderline.append(outcome.borderline)
-        cuts.append(operator.mode_cut)
+    polar = _polar_affine(basis, field, surface)
+    if polar is not None:
+        degrees = basis.degrees[cuts - 1]
+        family, multiplicity = _polar_section(
+            polar[0], shared, h_grid[:, None], int(np.max(degrees)))
+        below, within = (counts.T for counts in _sturm_counts(
+            family, multiplicity, zero_tol, degrees.T))
+    else:
+        below, within = np.array([
+            [count_negative(build_operator(basis, field, h, surface=surface,
+                                           cut_factor=factor,
+                                           _shared=shared),
+                            zero_tol=zero_tol) for h in h_grid]
+            for factor in factors]).transpose(2, 0, 1)
 
     stability_delta = None
-    if len(top_cuts) == 2:
-        deltas = []
-        for i, r in enumerate(r_grid):
-            operator = build_operator(basis, field, 1.0 / r, surface=surface,
-                                      cut_factor=recount_factor, _gram=gram)
-            deltas.append(abs(count_negative(operator, zero_tol=zero_tol).negative
-                              - n_scalar[i]))
-        stability_delta = int(max(deltas))
+    if len(factors) == 2:
+        stability_delta = int(np.max(np.abs(below[1] - below[0])))
 
-    n_scalar = np.asarray(n_scalar, dtype=np.int64)
+    n_scalar = below[0]
     coefficient, exponent = _fit_powers(r_grid, n_scalar)
     return CountReport(
         r_grid=r_grid,
         n_scalar=n_scalar,
         n_system=2 * n_scalar,
-        borderline=np.asarray(borderline, dtype=np.int64),
+        borderline=within[0],
         coefficient=weyl_coefficient(surface, field),
-        mode_cuts=np.asarray(cuts, dtype=np.int64),
+        mode_cuts=cuts[0],
         fitted_coefficient=coefficient,
         fitted_exponent=exponent,
         stability_delta=stability_delta,

@@ -179,12 +179,13 @@ class AnalyticSurface:
         return float(np.linalg.norm(self.axes * direction))
 
     def partition_weights(self, chart_index, points):
-        """Normalized partition-of-unity weight of one chart at ambient points."""
-        raw = np.asarray(self.charts[chart_index].weight(points), dtype=float)
-        total = np.zeros_like(raw)
-        for chart in self.charts:
-            total = total + np.asarray(chart.weight(points), dtype=float)
-        return raw / total
+        """Normalized partition-of-unity weight of one chart at ambient points.
+
+        Each chart's raw weight is evaluated once.
+        """
+        raw = [np.asarray(chart.weight(points), dtype=float)
+               for chart in self.charts]
+        return raw[chart_index] / sum(raw)
 
     def integrate(self, f, order=None):
         """Integrate ``f(points) -> values`` over the surface.

@@ -246,6 +246,53 @@ def test_scan_auto_degree_follows_cut_factor(tmp_path, capsys):
         assert "truncation_stable=pass" in out
 
 
+def test_scan_prints_why_gates_did_not_run(tmp_path, capsys):
+    # r_max / r_min = 2, and degree 60 cannot hold the recount at r = 16
+    out_dir = str(tmp_path / "out")
+    code, out, _ = run(capsys, "scan", "--gamma", "affine:2,0.5,z",
+                       "--r-min", "8", "--r-max", "16", "--steps", "3",
+                       "--max-degree", "60", "--output", out_dir)
+    assert code == 0
+    assert ("gates: exponent_in_window=n/a (r_max/r_min < 3), "
+            "monotone=pass, truncation_stable=n/a (basis cannot support "
+            "the 1.5x recount)") in out.splitlines()
+    payload = json.loads(open(os.path.join(out_dir, "report.json"),
+                              encoding="utf-8").read())
+    assert payload["gates"]["exponent_in_window"] is None
+    assert payload["gates"]["truncation_stable"] is None
+    # a wide enough grid without two positive counts in its top half
+    empty = CountReport(
+        r_grid=np.array([1.0, 2.0, 4.0]), n_scalar=np.zeros(3, dtype=int),
+        n_system=np.zeros(3, dtype=int), borderline=np.zeros(3, dtype=int),
+        coefficient=3.0, mode_cuts=np.ones(3, dtype=int), stability_delta=0)
+    assert empty.gate_reasons() == {
+        "exponent_in_window": "fewer than 2 positive counts in the top half"}
+
+
+def test_only_mesh_reports_echo_the_solver_tolerance(tmp_path, capsys):
+    # --tol is part of the FEM cache key, so a --mesh report names it; an
+    # exact-sphere report does not, as no tolerance shaped its basis
+    mesh = ("--mesh", "icosphere:2", "--modes", "60", "--tol", "1e-7",
+            "--cache-dir", str(tmp_path / "cache"))
+    exact = ("--max-degree", "20")
+    for name, basis in (("mesh", mesh), ("exact", exact)):
+        out_dir = str(tmp_path / name)
+        code, _, _ = run(capsys, "scan", "--gamma", "2.0", "--r-min", "1.2",
+                         "--r-max", "1.5", "--steps", "2", "--output",
+                         out_dir, *basis)
+        assert code == 0
+        config = json.loads(open(os.path.join(out_dir, "report.json"),
+                                 encoding="utf-8").read())["config"]
+        code, out, _ = run(capsys, "count", "--gamma", "2.0", "--r", "1.5",
+                           *basis)
+        assert code == 0
+        for echoed in (config, json.loads(out)["config"]):
+            if name == "mesh":
+                assert echoed["tol"] == 1e-7
+            else:
+                assert "tol" not in echoed
+
+
 def test_scan_gate_failure_exit_code(tmp_path, monkeypatch, capsys):
     broken = CountReport(
         r_grid=np.array([5.0, 10.0]),

@@ -14,7 +14,7 @@ from weylcount.errors import (
     InsufficientSpectrumError,
     UsageError,
 )
-from weylcount.lb_spectrum import exact_sphere_spectrum
+from weylcount.lb_spectrum import exact_sphere_spectrum, sphere_degree_for
 from weylcount.semiclassical_count import (
     ZERO_TOL,
     CountReport,
@@ -495,6 +495,50 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
     else:
         assert report.stability_delta is None
     assert gram_cuts[0] == last_cut
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(offset=st.floats(1.1, 3.0), fraction=st.floats(-0.95, 0.95),
+       axis=st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]),
+       invert=st.booleans(),
+       radii=st.lists(st.floats(1.0, 7.0), min_size=1, max_size=5,
+                      unique=True),
+       cut_factor=st.sampled_from([0.4, 0.9, 2.0]), data=st.data())
+def test_polar_scan_matches_per_radius_counts(sphere, offset, fraction, axis,
+                                              invert, radii, cut_factor,
+                                              data):
+    # one Sturm sweep counts the whole scan; each section and its recount
+    # must equal a separate build and count at that radius.  Cuts below the
+    # ellipticity threshold make the counts depend on the last degree.
+    field = DampingField.affine(offset, fraction * (offset - 1.05), axis,
+                                invert=invert)
+    r_grid = np.sort(radii)
+    threshold = constants_for(field, sphere).ellipticity_threshold(
+        1.0 / r_grid[-1])
+    recount_factor = 1.5 * cut_factor
+    degree = data.draw(st.integers(
+        sphere_degree_for(max(cut_factor, 1.0) * threshold),
+        sphere_degree_for(max(recount_factor, 1.0) * threshold) + 1))
+    basis = exact_sphere_spectrum(degree)
+    report = scan(sphere, field, r_grid, basis, cut_factor=cut_factor)
+
+    def per_radius(cut_factor):
+        operators = [build_operator(basis, field, 1.0 / r, surface=sphere,
+                                    cut_factor=cut_factor) for r in r_grid]
+        return ([count_negative(op) for op in operators],
+                [op.mode_cut for op in operators])
+
+    counts, cuts = per_radius(cut_factor)
+    assert report.n_scalar.tolist() == [c.negative for c in counts]
+    assert report.borderline.tolist() == [c.borderline for c in counts]
+    assert report.mode_cuts.tolist() == cuts
+    try:
+        recounts, _ = per_radius(recount_factor)
+    except InsufficientSpectrumError:
+        assert report.stability_delta is None
+    else:
+        assert report.stability_delta == max(
+            abs(a.negative - b.negative) for a, b in zip(recounts, counts))
 
 
 def test_scan_regime_symmetry_bit_exact(sphere):

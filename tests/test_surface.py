@@ -119,6 +119,34 @@ def test_partition_of_unity_covers_sphere():
         assert np.all(chart.contains(u, v))
 
 
+@pytest.mark.parametrize("surface", [
+    AnalyticSurface.unit_sphere(), AnalyticSurface.ellipsoid(2.0, 1.0, 1.0)],
+    ids=["unit-sphere", "ellipsoid:2,1,1"])
+def test_integrate_weights_match_partition_weights(surface, monkeypatch):
+    raw_calls = []
+    for chart in surface.charts:
+        def counted(points, weight=chart.weight):
+            raw_calls.append(len(points))
+            return weight(points)
+        monkeypatch.setattr(chart, "weight", counted)
+    applied = []
+    partition = surface.partition_weights
+
+    def recorded(index, points):
+        weights = partition(index, points)
+        applied.append((index, points, weights))
+        return weights
+
+    monkeypatch.setattr(surface, "partition_weights", recorded)
+    surface.integrate(lambda points: 1.0)
+    # each chart's raw weight is evaluated once per chart grid
+    assert len(raw_calls) == len(surface.charts) ** 2
+    assert [index for index, _, _ in applied] == [0, 1]
+    for index, points, weights in applied:
+        raw = np.stack([chart.weight(points) for chart in surface.charts])
+        assert np.array_equal(weights, raw[index] / raw.sum(axis=0))
+
+
 def test_smooth_step_shape():
     assert smooth_step(0.0) == 0.0
     assert smooth_step(1.0) == 1.0
