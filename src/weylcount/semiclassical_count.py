@@ -19,9 +19,10 @@ factorization of the shifted block.  Dense blocks are factored by LAPACK
 (Bunch-Kaufman); the tridiagonal blocks of a polar-affine section are
 counted by their pivot recurrence, a Sturm sequence, swept over the degrees
 once for all orders together, so no block is ever formed.  A scan counts
-every section it needs, each radius and its recount, in one such sweep: a
-section through a lower degree is a leading part of one through a higher
-degree, and the sweep keeps its running count after each degree.
+every section it needs, each radius and its recount, in one such sweep,
+batched over h: a section through a lower degree is a leading part of one
+through a higher degree, so the sweep keeps each section's count at its
+last degree and runs only as far as the sections counted so far need.
 """
 
 import json
@@ -131,11 +132,15 @@ class TridiagonalFamily:
     ``off_diagonal[n (n - 1) / 2 + m]``, so the entries that couple row n to
     row n - 1 in all blocks are one run, and the off-diagonals of the family
     cut to rows 0..n are a leading slice.  Leading axes on ``diagonal`` hold
-    a batch of families that share the off-diagonals.
+    a batch of families that share the off-diagonals.  ``sweep`` is
+    (SturmSweep, member) when the family is a leading part of that member of
+    a batch whose one sweep counts it, as the sections of a scan are, and
+    None when it is counted on its own.
     """
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
+    sweep: tuple = None
 
     def __len__(self):
         return self.diagonal.shape[-1]
@@ -213,65 +218,88 @@ def _inertia(matrix, shift):
     return negative, zero
 
 
-def _sturm_counts(family, multiplicity, zero_tol, degrees):
-    """(eigenvalues < -zero_tol, eigenvalues within zero_tol) of sections.
+class SturmSweep:
+    """Counts of the sections of a batch of tridiagonal families, from one
+    pivot sweep over the degrees that runs only as far as the counts read so
+    far need.
 
     The section of a family through degree n is the direct sum of its blocks
     T_m, m <= n, each cut to rows m..n and repeated ``multiplicity[m]``
-    times.  ``degrees`` has the family's batch shape plus one axis and names
-    the sections to count, with batch members in ascending order of the
-    last degree they read, as a scan's ascending radii are; the result has
-    its shape.
+    times.  ``degrees`` has one row per batch member naming the degrees
+    through which its sections are read, with members in ascending order of
+    the last degree they read, as a scan's ascending radii are.
 
     The LDL^T pivots of a tridiagonal T + s I obey the recurrence
     d(n) = T_nn + s - T_n,n-1^2 / d(n - 1), and the negative pivots count
     the eigenvalues of T below -s.  A section's pivots are the leading
-    pivots of every wider section, so one sweep over the rows n updates the
-    pivots of every block and every batch member holding row n, at
-    s = zero_tol and s = -zero_tol together, and keeps the running count
-    after each degree; a member is swept only through the last degree it
-    reads.  An exactly zero pivot becomes +tiny at s = zero_tol and -tiny at
+    pivots of every wider section, so each row n is swept once, updating
+    the pivots of every block and every batch member holding row n at
+    s = zero_tol and s = -zero_tol together; a member's counts are kept at
+    each degree it names, and it is swept only through the last of them.
+    An exactly zero pivot becomes +tiny at s = zero_tol and -tiny at
     s = -zero_tol, so an eigenvalue exactly at -zero_tol is not counted
     below it and one exactly at zero_tol is counted within it.
     """
-    size = len(family)
-    diagonal = family.diagonal.reshape(-1, size)
-    degrees = np.asarray(degrees)
-    reads = degrees.reshape(len(diagonal), -1)
-    last = reads.max(axis=1)
-    if np.any(np.diff(last) < 0):
-        raise ValueError("batch members must read ascending last degrees")
-    # the first member still swept at row n; the members after it are too
-    first = np.searchsorted(last, np.arange(last[-1] + 1))
-    shifts = np.array([[zero_tol], [-zero_tol]])
-    shifted = diagonal.T[:, None, :, None] + shifts[:, :, None]
-    ties = np.array([[[1.0]], [[-1.0]]]) * np.finfo(float).tiny
-    squares = family.off_diagonal * family.off_diagonal
-    # counts are sums of whole multiplicities, exact in floating point
-    weights = np.asarray(multiplicity, dtype=float)
-    pivots = np.empty((2, len(diagonal), size))
-    scratch = np.empty_like(pivots)
-    # what each row adds to the count, summed after the sweep; zero past a
-    # member's last row
-    added = np.zeros_like(pivots)
-    # a tiny pivot overflows the next quotient to inf, whose pivot is then
-    # -inf, counted negative, and the pivot after it finite again
-    with np.errstate(over="ignore"):
-        for n, start in enumerate(first):
-            head = pivots[:, start:, :n + 1]
-            np.divide(squares[n * (n - 1) // 2:n * (n + 1) // 2], head[..., :n],
-                      out=head[..., :n])
-            head[..., n] = 0.0
-            np.subtract(shifted[n, :, start:], head, out=head)
-            np.copyto(head, ties, where=head == 0.0)
-            # the multiplicity of every block whose pivot is negative
-            weighted = np.less(head, 0.0, out=scratch[:, start:, :n + 1])
-            np.multiply(weighted, weights[:n + 1], out=weighted)
-            np.add.reduce(weighted, axis=-1, out=added[:, start:, n])
-    running = np.cumsum(added, axis=-1)
-    below, up_to = np.take_along_axis(running, reads[None],
-                                      axis=-1).astype(np.int64)
-    return below.reshape(degrees.shape), (up_to - below).reshape(degrees.shape)
+
+    def __init__(self, family, multiplicity, zero_tol, degrees):
+        size = len(family)
+        self.multiplicity = np.asarray(multiplicity)
+        self.zero_tol = zero_tol
+        diagonal = self._diagonal = family.diagonal.reshape(-1, size)
+        degrees = np.asarray(degrees).reshape(len(diagonal), -1)
+        last = degrees.max(axis=1)
+        if np.any(np.diff(last) < 0):
+            raise ValueError("batch members must read ascending last degrees")
+        # the first member still swept at row n; the members after it are too
+        self._first = np.searchsorted(last, np.arange(last[-1] + 1))
+        # row n -> the members read through it
+        self._reads = {}
+        for member, row in enumerate(degrees):
+            for n in set(row.tolist()):
+                self._reads.setdefault(n, []).append(member)
+        shifts = np.array([[zero_tol], [-zero_tol]])
+        self._shifted = diagonal.T[:, None, :, None] + shifts[:, :, None]
+        self._off_diagonal = family.off_diagonal
+        self._squares = family.off_diagonal * family.off_diagonal
+        self._pivots = np.empty((2, len(diagonal), size))
+        # negative pivots per shift, member and block so far
+        self._negative = np.zeros((2, len(diagonal), size), dtype=np.int64)
+        self._swept = 0
+        self._counts = {}
+
+    def section(self, member, degree):
+        """(family, multiplicity) of the section of ``member`` through
+        ``degree``, counted by this sweep."""
+        family = TridiagonalFamily(
+            self._diagonal[member, :degree + 1],
+            self._off_diagonal[:degree * (degree + 1) // 2],
+            sweep=(self, member))
+        return family, self.multiplicity[:degree + 1]
+
+    def count(self, member, degree):
+        """NegativeCount of the section of ``member`` through ``degree``,
+        one of the degrees it reads."""
+        ties = np.array([[[1.0]], [[-1.0]]]) * np.finfo(float).tiny
+        # a tiny pivot overflows the next quotient to inf, whose pivot is then
+        # -inf, counted negative, and the pivot after it finite again
+        with np.errstate(over="ignore"):
+            for n in range(self._swept, degree + 1):
+                start = self._first[n]
+                head = self._pivots[:, start:, :n + 1]
+                np.divide(self._squares[n * (n - 1) // 2:n * (n + 1) // 2],
+                          head[..., :n], out=head[..., :n])
+                head[..., n] = 0.0
+                np.subtract(self._shifted[n, :, start:], head, out=head)
+                np.copyto(head, ties, where=head == 0.0)
+                self._negative[:, start:, :n + 1] += head < 0.0
+                for read in self._reads.get(n, ()):
+                    # sums of whole multiplicities, exact in floating point
+                    below, up_to = (self._negative[:, read, :n + 1]
+                                    @ self.multiplicity[:n + 1])
+                    self._counts[read, n] = NegativeCount(
+                        int(below), int(up_to - below))
+        self._swept = max(self._swept, degree + 1)
+        return self._counts[member, degree]
 
 
 def count_negative(operator, zero_tol=ZERO_TOL):
@@ -280,17 +308,22 @@ def count_negative(operator, zero_tol=ZERO_TOL):
     Each dense block of size k > 1 is factored twice: the negative inertia
     of A + zero_tol I counts eigenvalues below -zero_tol, and the negative
     plus zero inertia of A - zero_tol I those up to zero_tol.  A tridiagonal
-    family is counted by its pivot recurrence at the same two shifts, and a
-    stack of 1 x 1 blocks holds its eigenvalues and is counted directly.
+    family is counted by its pivot recurrence at the same two shifts, read
+    from the sweep it shares when it has one, and a stack of 1 x 1 blocks
+    holds its eigenvalues and is counted directly.
     """
     negative = borderline = 0
     for matrix, multiplicity in operator.blocks:
         if isinstance(matrix, TridiagonalFamily):
+            shared = matrix.sweep
+            if shared is None or shared[0].zero_tol != zero_tol:
+                shared = (SturmSweep(matrix, multiplicity, zero_tol,
+                                     [len(matrix) - 1]), 0)
+            sweep, member = shared
             # the sweep weighs each block by its multiplicity itself
-            below, within = _sturm_counts(matrix, multiplicity, zero_tol,
-                                          [len(matrix) - 1])
-            negative += int(below[0])
-            borderline += int(within[0])
+            outcome = sweep.count(member, len(matrix) - 1)
+            negative += outcome.negative
+            borderline += outcome.borderline
             continue
         if matrix.shape[-1] == 1:
             values = matrix.reshape(-1)
@@ -360,36 +393,28 @@ def _damping_gram(basis, field, cut):
     return scaled.T @ scaled
 
 
-def _shared_part(basis, field, surface, cut):
-    """What every section of at most ``cut`` modes takes a leading part of:
-    the cluster starts of constant damping, the off-diagonals of a
-    polar-affine family, or else the Gram matrix of the damping."""
-    lam = basis.eigenvalues
-    if field.kind == "constant":
-        # the eigenvalues are sorted, so a cluster starts where they change
-        return np.append(0, np.flatnonzero(lam[1:cut] != lam[:cut - 1]) + 1)
-    polar = _polar_affine(basis, field, surface)
-    if polar is not None:
-        degrees = np.arange(int(basis.degrees[cut - 1]) + 1)
-        # (row n, order m < n) in the family's off-diagonal layout
-        rows = np.repeat(degrees, degrees)
-        orders = np.arange(len(rows)) - rows * (rows - 1) // 2
-        jacobi = np.sqrt((rows * rows - orders * orders)
-                         / ((2.0 * rows - 1.0) * (2.0 * rows + 1.0)))
-        return -polar[1] * jacobi
-    return _damping_gram(basis, field, cut)
+def _cluster_starts(eigenvalues, cut):
+    """Where the eigenvalue clusters among the first ``cut`` start; the
+    eigenvalues are sorted, so a cluster starts where they change."""
+    return np.append(0, np.flatnonzero(
+        eigenvalues[1:cut] != eigenvalues[:cut - 1]) + 1)
 
 
-def _polar_section(offset, off_diagonal, h, degree):
+def _polar_family(offset, slope, h, degree):
     """(family, multiplicity) of a polar-affine section through ``degree``.
 
-    A column of h values gives a batch of families.  Orders m >= 1 count
-    twice, for +-m.
+    A column of h values gives a batch of families, which share the
+    off-diagonals.  Orders m >= 1 count twice, for +-m.
     """
     degrees = np.arange(degree + 1)
+    # (row n, order m < n) in the family's off-diagonal layout
+    rows = np.repeat(degrees, degrees)
+    orders = np.arange(len(rows)) - rows * (rows - 1) // 2
+    jacobi = np.sqrt((rows * rows - orders * orders)
+                     / ((2.0 * rows - 1.0) * (2.0 * rows + 1.0)))
     family = TridiagonalFamily(
         np.sqrt(1.0 + h * h * degrees * (degrees + 1.0)) - offset,
-        off_diagonal[:degree * (degree + 1) // 2])
+        -slope * jacobi)
     return family, np.where(degrees == 0, 1, 2)
 
 
@@ -403,34 +428,37 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
     over degrees n >= m, with J_m the Jacobi matrix of the orthonormal
     associated Legendre functions: one tridiagonal family, order m >= 1
     counted twice for +-m.  Anything else goes through the Gram matrix of
-    tabulated mode values.  The h-independent part of the section comes
-    from :func:`_shared_part`; ``scan`` forms it once, at its widest cut,
-    and passes it as ``_shared``, of which each section takes a leading
-    part.
+    tabulated mode values.  ``scan`` forms the h-independent part of its
+    sections once, at its widest cut, and passes it as ``_shared``: the
+    cluster starts or the Gram matrix, of which each section takes a leading
+    part, or for polar-affine damping its :class:`SturmSweep` and the batch
+    member that stands for h.
     """
     if h <= 0.0:
         raise UsageError(f"semiclassical parameter must be positive, got {h}")
     if field.kind != "constant" and surface is None:
         raise UsageError("variable damping needs the surface for its range")
     cut = _mode_cut(basis, field, h, surface, cut_factor)
-    if _shared is None:
-        _shared = _shared_part(basis, field, surface, cut)
     lam = basis.eigenvalues
 
     if field.kind == "constant":
         gamma0 = max(field.value, 1.0 / field.value)
-        starts = _shared[:np.searchsorted(_shared, cut)]
+        starts = _cluster_starts(lam, cut) if _shared is None else _shared
+        starts = starts[:np.searchsorted(starts, cut)]
         sizes = np.diff(starts, append=cut)
         values = np.sqrt(1.0 + h * h * lam[starts]) - gamma0
         return GalerkinOperator(cut, [(values[:, None, None], sizes)])
 
     polar = _polar_affine(basis, field, surface)
     if polar is not None:
-        section = _polar_section(polar[0], _shared, h,
-                                 int(basis.degrees[cut - 1]))
-        return GalerkinOperator(cut, [section])
+        degree = int(basis.degrees[cut - 1])
+        if _shared is None:
+            return GalerkinOperator(cut, [_polar_family(*polar, h, degree)])
+        sweep, member = _shared
+        return GalerkinOperator(cut, [sweep.section(member, degree)])
 
-    matrix = np.diag(np.sqrt(1.0 + h * h * lam[:cut])) - _shared[:cut, :cut]
+    gram = _damping_gram(basis, field, cut) if _shared is None else _shared
+    matrix = np.diag(np.sqrt(1.0 + h * h * lam[:cut])) - gram[:cut, :cut]
     return GalerkinOperator(cut, [(matrix, 1)])
 
 
@@ -470,6 +498,8 @@ class CountReport:
     mode_cuts: np.ndarray
     fitted_coefficient: float = None
     fitted_exponent: float = None
+    # why no exponent was fitted, when none was
+    exponent_reason: str = None
     stability_delta: int = None
     gamma_label: str = ""
     basis_source: str = ""
@@ -500,10 +530,7 @@ class CountReport:
             reasons["truncation_stable"] = (
                 "basis cannot support the %gx recount" % STABILITY_FACTOR)
         if self.fitted_exponent is None:
-            reasons["exponent_in_window"] = (
-                "r_max/r_min < %g" % EXPONENT_SPAN
-                if self.r_grid[-1] / self.r_grid[0] < EXPONENT_SPAN
-                else "fewer than 2 positive counts in the top half")
+            reasons["exponent_in_window"] = self.exponent_reason
         return reasons
 
     def passed(self):
@@ -550,21 +577,23 @@ class CountReport:
 def _fit_powers(r_grid, counts):
     """Least-squares diagnostics: N ~ c r^2 on the whole grid, log-log slope
     on the top half (slope only when the grid spans a factor of at least
-    EXPONENT_SPAN in r)."""
+    EXPONENT_SPAN in r).  Returns (coefficient, exponent, reason), with the
+    reason no exponent was fitted, or None when one was."""
     r = np.asarray(r_grid, dtype=float)
     n = np.asarray(counts, dtype=float)
     coefficient = None
     if np.any(n > 0):
         coefficient = float(np.sum(n * r * r) / np.sum(r ** 4))
-    exponent = None
-    if len(r) >= 2 and r[-1] / r[0] >= EXPONENT_SPAN:
-        half = len(r) // 2
-        rr, nn = r[half:], n[half:]
-        keep = nn > 0
-        if np.sum(keep) >= 2:
-            slope = np.polyfit(np.log(rr[keep]), np.log(nn[keep]), 1)[0]
-            exponent = float(slope)
-    return coefficient, exponent
+    if r[-1] / r[0] < EXPONENT_SPAN:
+        return coefficient, None, "r_max/r_min < %g" % EXPONENT_SPAN
+    half = len(r) // 2
+    rr, nn = r[half:], n[half:]
+    keep = nn > 0
+    if np.sum(keep) < 2:
+        return (coefficient, None,
+                "fewer than 2 positive counts in the top half")
+    slope = np.polyfit(np.log(rr[keep]), np.log(nn[keep]), 1)[0]
+    return coefficient, float(slope), None
 
 
 def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
@@ -573,10 +602,13 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
 
     The truncation-stability recount enlarges the mode cut by 50%; if the
     basis cannot support the recount the stability delta is left undefined
-    rather than failing the scan.  Every section of the scan, recounts
-    included, takes a leading part of one h-independent part formed at the
-    widest cut: cluster starts, polar-affine off-diagonals or the Gram
-    matrix.  Polar-affine sections are all counted by one Sturm sweep.
+    rather than failing the scan.  Every section, recounts included, is
+    built and counted on its own, radii ascending, first at ``cut_factor``
+    and then at the recount, and takes a leading part of one h-independent
+    part formed at the widest cut: cluster starts or the Gram matrix.  The
+    polar-affine sections are members of one batch, one per radius, and one
+    :class:`SturmSweep` counts them all: each count carries the sweep on
+    only as far as its own section needs.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or len(r_grid) == 0:
@@ -593,29 +625,33 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     except InsufficientSpectrumError:
         factors = factors[:1]
     cuts = np.array(cuts)
-    shared = _shared_part(basis, field, surface, int(np.max(cuts)))
+    widest = int(np.max(cuts))
 
     polar = _polar_affine(basis, field, surface)
-    if polar is not None:
-        degrees = basis.degrees[cuts - 1]
-        family, multiplicity = _polar_section(
-            polar[0], shared, h_grid[:, None], int(np.max(degrees)))
-        below, within = (counts.T for counts in _sturm_counts(
-            family, multiplicity, zero_tol, degrees.T))
+    if field.kind == "constant":
+        shared = [_cluster_starts(basis.eigenvalues, widest)] * len(h_grid)
+    elif polar is not None:
+        # one batch member per radius, read at its cut and recount degrees
+        degrees = basis.degrees[cuts - 1].T
+        sweep = SturmSweep(*_polar_family(*polar, h_grid[:, None],
+                                          int(np.max(degrees))),
+                           zero_tol, degrees)
+        shared = [(sweep, member) for member in range(len(h_grid))]
     else:
-        below, within = np.array([
-            [count_negative(build_operator(basis, field, h, surface=surface,
-                                           cut_factor=factor,
-                                           _shared=shared),
-                            zero_tol=zero_tol) for h in h_grid]
-            for factor in factors]).transpose(2, 0, 1)
+        shared = [_damping_gram(basis, field, widest)] * len(h_grid)
+    below, within = np.array([
+        [count_negative(build_operator(basis, field, h, surface=surface,
+                                       cut_factor=factor, _shared=part),
+                        zero_tol=zero_tol)
+         for h, part in zip(h_grid, shared)]
+        for factor in factors]).transpose(2, 0, 1)
 
     stability_delta = None
     if len(factors) == 2:
         stability_delta = int(np.max(np.abs(below[1] - below[0])))
 
     n_scalar = below[0]
-    coefficient, exponent = _fit_powers(r_grid, n_scalar)
+    coefficient, exponent, exponent_reason = _fit_powers(r_grid, n_scalar)
     return CountReport(
         r_grid=r_grid,
         n_scalar=n_scalar,
@@ -625,6 +661,7 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
         mode_cuts=cuts[0],
         fitted_coefficient=coefficient,
         fitted_exponent=exponent,
+        exponent_reason=exponent_reason,
         stability_delta=stability_delta,
         gamma_label=getattr(field, "kind", ""),
         basis_source=basis.source,

@@ -10,7 +10,12 @@ import pytest
 from weylcount import cli
 from weylcount.cli import main
 from weylcount.lb_spectrum import SOLVER_TOL
-from weylcount.semiclassical_count import CUT_FACTOR, ZERO_TOL, CountReport
+from weylcount.semiclassical_count import (
+    CUT_FACTOR,
+    ZERO_TOL,
+    CountReport,
+    _fit_powers,
+)
 from weylcount.spectral_regions import RegionParams
 from weylcount.symbol_algebra import DEFAULT_SAMPLES, SAMPLE_SEED
 
@@ -260,13 +265,10 @@ def test_scan_prints_why_gates_did_not_run(tmp_path, capsys):
                               encoding="utf-8").read())
     assert payload["gates"]["exponent_in_window"] is None
     assert payload["gates"]["truncation_stable"] is None
-    # a wide enough grid without two positive counts in its top half
-    empty = CountReport(
-        r_grid=np.array([1.0, 2.0, 4.0]), n_scalar=np.zeros(3, dtype=int),
-        n_system=np.zeros(3, dtype=int), borderline=np.zeros(3, dtype=int),
-        coefficient=3.0, mode_cuts=np.ones(3, dtype=int), stability_delta=0)
-    assert empty.gate_reasons() == {
-        "exponent_in_window": "fewer than 2 positive counts in the top half"}
+    # a wide enough grid without two positive counts in its top half; every
+    # exact-sphere scan counts the mode of eigenvalue 0, so none gets here
+    assert _fit_powers([1.0, 2.0, 4.0], [0, 0, 1])[1:] == (
+        None, "fewer than 2 positive counts in the top half")
 
 
 def test_only_mesh_reports_echo_the_solver_tolerance(tmp_path, capsys):

@@ -541,6 +541,39 @@ def test_polar_scan_matches_per_radius_counts(sphere, offset, fraction, axis,
             abs(a.negative - b.negative) for a, b in zip(recounts, counts))
 
 
+def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
+    # every section is still built and counted by a call of its own, primary
+    # counts before recounts, and all of them read one shared sweep
+    calls, sweeps = [], []
+    for name in ("build_operator", "count_negative"):
+        def recorded(*args, _name=name,
+                     _original=getattr(semiclassical_count, name), **kwargs):
+            calls.append((_name, kwargs.get("cut_factor")))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(semiclassical_count, name, recorded)
+
+    class Recorded(semiclassical_count.SturmSweep):
+        def __init__(self, *args):
+            sweeps.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(semiclassical_count, "SturmSweep", Recorded)
+    field = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0))
+    basis = exact_sphere_spectrum(40)
+    report = scan(sphere, field, np.array([4.0, 6.0, 8.0]), basis)
+    assert calls == [("build_operator", 2.0), ("count_negative", None)] * 3 \
+        + [("build_operator", 3.0), ("count_negative", None)] * 3
+    assert len(sweeps) == 1
+    # a scan section counted at another tolerance is counted on its own
+    degree = int(basis.degrees[report.mode_cuts[0] - 1])
+    family, multiplicity = sweeps[0].section(0, degree)
+    alone = TridiagonalFamily(family.diagonal, family.off_diagonal)
+    for zero_tol in (ZERO_TOL, 0.5):
+        assert count_negative(GalerkinOperator(0, [(family, multiplicity)]),
+                              zero_tol=zero_tol) == count_negative(
+            GalerkinOperator(0, [(alone, multiplicity)]), zero_tol=zero_tol)
+
+
 def test_scan_regime_symmetry_bit_exact(sphere):
     basis = exact_sphere_spectrum(50)
     above = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0))
