@@ -81,6 +81,23 @@ def _parse_bool(text):
     raise ValueError("expected a boolean, got %r" % (text,))
 
 
+def _positive(text, or_zero=False):
+    """A finite float > 0, or >= 0 with ``or_zero``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (0.0 < value < np.inf or or_zero and value == 0.0):
+        raise argparse.ArgumentTypeError(
+            "expected a finite number %s 0, got %r"
+            % (">=" if or_zero else ">", text))
+    return value
+
+
+def _nonnegative(text):
+    return _positive(text, or_zero=True)
+
+
 def read_config(path):
     """Parse a flat ``key = value`` file; '#' starts a comment."""
     entries = {}
@@ -115,7 +132,7 @@ def _config_defaults(parser, path):
             convert = str
         try:
             values[key] = convert(text)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as err:
             raise UsageError(
                 "config key %r: %s" % (key, err)) from err
     return values
@@ -346,7 +363,7 @@ def cmd_scan(args):
 
 
 def cmd_count(args):
-    if args.r is None or args.r <= 0.0:
+    if args.r is None:
         raise UsageError("count needs a positive --r")
     surface = resolve_surface(args.surface)
     field = resolve_field(args.gamma, invert=args.invert)
@@ -379,8 +396,6 @@ def cmd_weyl(args):
         "version": __version__,
     }
     if args.r is not None:
-        if args.r <= 0.0:
-            raise UsageError("weyl needs a positive --r")
         document["r"] = args.r
         document["W"] = coefficient * args.r ** 2
     _emit_json(document)
@@ -493,10 +508,10 @@ def _add_basis(sub, modes_flag, max_degree=None):
 
 
 def _add_counting(sub):
-    sub.add_argument("--cut-factor", type=float, default=CUT_FACTOR,
+    sub.add_argument("--cut-factor", type=_positive, default=CUT_FACTOR,
                      help="mode-cut multiple of the ellipticity threshold "
                           "(default %(default)s)")
-    sub.add_argument("--zero-tol", type=float, default=ZERO_TOL,
+    sub.add_argument("--zero-tol", type=_nonnegative, default=ZERO_TOL,
                      help="borderline tolerance (default %(default)s)")
 
 
@@ -521,9 +536,9 @@ def build_parser():
     _add_field(scan_cmd)
     _add_basis(scan_cmd, "--modes")
     _add_counting(scan_cmd)
-    scan_cmd.add_argument("--r-min", type=float, default=5.0,
+    scan_cmd.add_argument("--r-min", type=_positive, default=5.0,
                           help="grid start (default %(default)s)")
-    scan_cmd.add_argument("--r-max", type=float, default=20.0,
+    scan_cmd.add_argument("--r-max", type=_positive, default=20.0,
                           help="grid end (default %(default)s)")
     scan_cmd.add_argument("--steps", type=int, default=4,
                           help="grid size (default %(default)s)")
@@ -538,13 +553,13 @@ def build_parser():
     _add_field(count_cmd)
     _add_basis(count_cmd, "--modes")
     _add_counting(count_cmd)
-    count_cmd.add_argument("--r", type=float, help="count radius")
+    count_cmd.add_argument("--r", type=_positive, help="count radius")
 
     weyl_cmd = _add_command(commands, "weyl", cmd_weyl,
                             "predicted quadratic growth coefficient")
     _add_surface(weyl_cmd)
     _add_field(weyl_cmd)
-    weyl_cmd.add_argument("--r", type=float,
+    weyl_cmd.add_argument("--r", type=_positive,
                           help="also report the prediction at this radius")
 
     verify = _add_command(commands, "verify-symbols", cmd_verify_symbols,

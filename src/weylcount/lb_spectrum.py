@@ -2,8 +2,9 @@
 
 Two sources feed the counting pipeline with the same interface:
 
-* the exact unit-sphere spectrum n(n+1) with multiplicity 2n+1, with its
-  real harmonics tabulated on a product quadrature grid on first use, and
+* the exact unit-sphere spectrum n(n+1) with multiplicity 2n+1, degree n
+  in columns n^2..n^2+2n with order m at n^2+n+m, its real harmonics
+  tabulated on a product quadrature grid on first use, and
 * cotangent finite elements with lumped mass on a triangle mesh, solved as a
   sparse symmetric generalized eigenproblem for the lowest eigenpairs.
 
@@ -52,8 +53,8 @@ class SpectralBasis:
     ``mass``; the columns are orthonormal in the weighted inner product.  A
     mesh basis keeps the arrays it was solved or loaded with in
     ``quadrature`` (None for a cache entry without them); the exact sphere
-    tabulates its harmonics on first access and keeps them there.
-    ``degrees``/``orders`` are populated for the exact sphere.
+    tabulates its harmonics there on first access, in the module's layout,
+    where a column's degree is ``sphere_degree_for`` of its eigenvalue.
     ``trusted_horizon`` is the largest eigenvalue considered resolved: for a
     mesh, the Weyl count of 5% of the vertex budget, i.e.
     ``0.05 * vertex_count * 4 pi / area``.
@@ -63,8 +64,6 @@ class SpectralBasis:
     source: str
     area: float
     trusted_horizon: float
-    degrees: np.ndarray = None
-    orders: np.ndarray = None
     quadrature: Quadrature = None
     residual: float = 0.0
     mesh_hash: str = ""
@@ -76,7 +75,8 @@ class SpectralBasis:
 
     def _tabulated(self):
         if self.quadrature is None and self.source == "exact-sphere":
-            self.quadrature = _tabulate_sphere_modes(int(self.degrees[-1]))
+            self.quadrature = _tabulate_sphere_modes(
+                sphere_degree_for(self.top))
         return self.quadrature or Quadrature(None, None, None)
 
     nodes = property(lambda self: self._tabulated().nodes)
@@ -122,18 +122,10 @@ def exact_sphere_spectrum(max_degree):
     if max_degree < 0:
         raise InsufficientSpectrumError("max_degree must be >= 0")
     each = np.arange(max_degree + 1, dtype=np.int64)
-    degrees = np.repeat(each, 2 * each + 1)
-    # degree n's modes start at index n^2, with orders -n..n
-    orders = np.arange(len(degrees), dtype=np.int64) - degrees * degrees - degrees
-    eigenvalues = degrees * (degrees + 1.0)
-    return SpectralBasis(
-        eigenvalues=eigenvalues,
-        source="exact-sphere",
-        area=4.0 * np.pi,
-        trusted_horizon=float(eigenvalues[-1]),
-        degrees=degrees,
-        orders=orders,
-    )
+    eigenvalues = np.repeat(each * (each + 1.0), 2 * each + 1)
+    return SpectralBasis(eigenvalues=eigenvalues, source="exact-sphere",
+                         area=4.0 * np.pi,
+                         trusted_horizon=float(eigenvalues[-1]))
 
 
 def normalized_legendre_block(order, max_degree, t):
@@ -191,15 +183,14 @@ def _tabulate_sphere_modes(max_degree):
     for m in range(max_degree + 1):
         block = normalized_legendre_block(m, max_degree, t)  # (deg span, nt)
         for row, n in enumerate(range(m, max_degree + 1)):
-            base = n * n  # first column of degree n (orders -n..n)
+            col = n * n + n  # order 0 of degree n; order +-m at col +- m
             if m == 0:
-                col = base + n
                 modes[:, col] = np.outer(block[row] / np.sqrt(2.0 * np.pi),
                                          np.ones_like(phi)).ravel()
             else:
-                modes[:, base + n - m] = np.outer(
+                modes[:, col - m] = np.outer(
                     block[row] / np.sqrt(np.pi), sin_table[m]).ravel()
-                modes[:, base + n + m] = np.outer(
+                modes[:, col + m] = np.outer(
                     block[row] / np.sqrt(np.pi), cos_table[m]).ravel()
     return Quadrature(nodes, mass, modes)
 

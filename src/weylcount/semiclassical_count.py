@@ -21,8 +21,8 @@ counted by their pivot recurrence, a Sturm sequence, swept over the degrees
 once for all orders together, so no block is ever formed.  A scan counts
 every section it needs, each radius and its recount, in one such sweep,
 batched over h: a section through a lower degree is a leading part of one
-through a higher degree, so the sweep keeps each section's count at its
-last degree and runs only as far as the sections counted so far need.
+through a higher degree, so the sweep keeps a running count through every
+degree and each section's count is a lookup in it.
 """
 
 import json
@@ -35,6 +35,7 @@ from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, InsufficientSpectrumError, UsageError
+from .lb_spectrum import sphere_degree_for
 
 ZERO_TOL = 1e-12
 CUT_FACTOR = 2.0
@@ -134,8 +135,8 @@ class TridiagonalFamily:
     cut to rows 0..n are a leading slice.  Leading axes on ``diagonal`` hold
     a batch of families that share the off-diagonals.  ``sweep`` is
     (SturmSweep, member) when the family is a leading part of that member of
-    a batch whose one sweep counts it, as the sections of a scan are, and
-    None when it is counted on its own.
+    a batch whose sweep counts it, as the sections of a scan are, and None
+    when it is counted on its own.
     """
 
     diagonal: np.ndarray
@@ -219,87 +220,66 @@ def _inertia(matrix, shift):
 
 
 class SturmSweep:
-    """Counts of the sections of a batch of tridiagonal families, from one
-    pivot sweep over the degrees that runs only as far as the counts read so
-    far need.
+    """Counts of the sections of a batch of tridiagonal families, looked up
+    in a table of running counts that one pivot sweep fills per tolerance.
 
     The section of a family through degree n is the direct sum of its blocks
     T_m, m <= n, each cut to rows m..n and repeated ``multiplicity[m]``
-    times.  ``degrees`` has one row per batch member naming the degrees
-    through which its sections are read, with members in ascending order of
-    the last degree they read, as a scan's ascending radii are.
+    times.  ``last`` holds each batch member's last degree counted, in
+    ascending order, as a scan's ascending radii are.
 
     The LDL^T pivots of a tridiagonal T + s I obey the recurrence
     d(n) = T_nn + s - T_n,n-1^2 / d(n - 1), and the negative pivots count
     the eigenvalues of T below -s.  A section's pivots are the leading
-    pivots of every wider section, so each row n is swept once, updating
-    the pivots of every block and every batch member holding row n at
-    s = zero_tol and s = -zero_tol together; a member's counts are kept at
-    each degree it names, and it is swept only through the last of them.
-    An exactly zero pivot becomes +tiny at s = zero_tol and -tiny at
-    s = -zero_tol, so an eigenvalue exactly at -zero_tol is not counted
-    below it and one exactly at zero_tol is counted within it.
+    pivots of every wider section, so each row n is swept once, for every
+    block and every member holding it (a member only through its ``last``),
+    at s = zero_tol and s = -zero_tol together.  An exactly zero pivot
+    becomes +tiny at s = zero_tol and -tiny at s = -zero_tol, so an
+    eigenvalue exactly at -zero_tol is not counted below it and one exactly
+    at zero_tol is counted within it.
     """
 
-    def __init__(self, family, multiplicity, zero_tol, degrees):
-        size = len(family)
+    def __init__(self, family, multiplicity, last):
+        self.family = family
         self.multiplicity = np.asarray(multiplicity)
-        self.zero_tol = zero_tol
-        diagonal = self._diagonal = family.diagonal.reshape(-1, size)
-        degrees = np.asarray(degrees).reshape(len(diagonal), -1)
-        last = degrees.max(axis=1)
-        if np.any(np.diff(last) < 0):
-            raise ValueError("batch members must read ascending last degrees")
+        if (len(last) != family.diagonal.size // len(family)
+                or np.any(np.diff(last) < 0)):
+            raise ValueError("need one ascending last degree per batch member")
         # the first member still swept at row n; the members after it are too
         self._first = np.searchsorted(last, np.arange(last[-1] + 1))
-        # row n -> the members read through it
-        self._reads = {}
-        for member, row in enumerate(degrees):
-            for n in set(row.tolist()):
-                self._reads.setdefault(n, []).append(member)
-        shifts = np.array([[zero_tol], [-zero_tol]])
-        self._shifted = diagonal.T[:, None, :, None] + shifts[:, :, None]
-        self._off_diagonal = family.off_diagonal
-        self._squares = family.off_diagonal * family.off_diagonal
-        self._pivots = np.empty((2, len(diagonal), size))
-        # negative pivots per shift, member and block so far
-        self._negative = np.zeros((2, len(diagonal), size), dtype=np.int64)
-        self._swept = 0
-        self._counts = {}
+        self._tables = {}
 
-    def section(self, member, degree):
-        """(family, multiplicity) of the section of ``member`` through
-        ``degree``, counted by this sweep."""
-        family = TridiagonalFamily(
-            self._diagonal[member, :degree + 1],
-            self._off_diagonal[:degree * (degree + 1) // 2],
-            sweep=(self, member))
-        return family, self.multiplicity[:degree + 1]
+    def count(self, member, degree, zero_tol):
+        """NegativeCount of the section of ``member`` through ``degree``."""
+        if zero_tol not in self._tables:
+            self._tables[zero_tol] = self._sweep(zero_tol)
+        below, up_to = self._tables[zero_tol][:, member, degree]
+        return NegativeCount(int(below), int(up_to - below))
 
-    def count(self, member, degree):
-        """NegativeCount of the section of ``member`` through ``degree``,
-        one of the degrees it reads."""
+    def _sweep(self, zero_tol):
+        """(2, members, rows) table of the running counts of negative pivots
+        at the shifts zero_tol and -zero_tol, weighed by multiplicity."""
+        rows = len(self._first)
+        diagonal = self.family.diagonal.reshape(-1, len(self.family))
+        shifted = (diagonal.T[:, None, :, None]
+                   + np.array([zero_tol, -zero_tol])[:, None, None])
+        squares = np.square(self.family.off_diagonal)
+        pivots = np.empty((2, len(diagonal), rows))
+        fresh = np.zeros((2, len(diagonal), rows), dtype=np.int64)
         ties = np.array([[[1.0]], [[-1.0]]]) * np.finfo(float).tiny
         # a tiny pivot overflows the next quotient to inf, whose pivot is then
         # -inf, counted negative, and the pivot after it finite again
         with np.errstate(over="ignore"):
-            for n in range(self._swept, degree + 1):
+            for n in range(rows):
                 start = self._first[n]
-                head = self._pivots[:, start:, :n + 1]
-                np.divide(self._squares[n * (n - 1) // 2:n * (n + 1) // 2],
+                head = pivots[:, start:, :n + 1]
+                np.divide(squares[n * (n - 1) // 2:n * (n + 1) // 2],
                           head[..., :n], out=head[..., :n])
                 head[..., n] = 0.0
-                np.subtract(self._shifted[n, :, start:], head, out=head)
+                np.subtract(shifted[n, :, start:], head, out=head)
                 np.copyto(head, ties, where=head == 0.0)
-                self._negative[:, start:, :n + 1] += head < 0.0
-                for read in self._reads.get(n, ()):
-                    # sums of whole multiplicities, exact in floating point
-                    below, up_to = (self._negative[:, read, :n + 1]
-                                    @ self.multiplicity[:n + 1])
-                    self._counts[read, n] = NegativeCount(
-                        int(below), int(up_to - below))
-        self._swept = max(self._swept, degree + 1)
-        return self._counts[member, degree]
+                fresh[:, start:, n] = (head < 0.0) @ self.multiplicity[:n + 1]
+        return np.cumsum(fresh, axis=-1)
 
 
 def count_negative(operator, zero_tol=ZERO_TOL):
@@ -312,18 +292,16 @@ def count_negative(operator, zero_tol=ZERO_TOL):
     from the sweep it shares when it has one, and a stack of 1 x 1 blocks
     holds its eigenvalues and is counted directly.
     """
+    if not zero_tol >= 0.0:
+        raise UsageError(f"zero tolerance must be >= 0, got {zero_tol}")
     negative = borderline = 0
     for matrix, multiplicity in operator.blocks:
         if isinstance(matrix, TridiagonalFamily):
-            shared = matrix.sweep
-            if shared is None or shared[0].zero_tol != zero_tol:
-                shared = (SturmSweep(matrix, multiplicity, zero_tol,
-                                     [len(matrix) - 1]), 0)
-            sweep, member = shared
+            sweep, member = matrix.sweep or (
+                SturmSweep(matrix, multiplicity, [len(matrix) - 1]), 0)
             # the sweep weighs each block by its multiplicity itself
-            outcome = sweep.count(member, len(matrix) - 1)
-            negative += outcome.negative
-            borderline += outcome.borderline
+            below, within = sweep.count(member, len(matrix) - 1, zero_tol)
+            negative, borderline = negative + below, borderline + within
             continue
         if matrix.shape[-1] == 1:
             values = matrix.reshape(-1)
@@ -434,7 +412,7 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
     part, or for polar-affine damping its :class:`SturmSweep` and the batch
     member that stands for h.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise UsageError(f"semiclassical parameter must be positive, got {h}")
     if field.kind != "constant" and surface is None:
         raise UsageError("variable damping needs the surface for its range")
@@ -451,11 +429,14 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
 
     polar = _polar_affine(basis, field, surface)
     if polar is not None:
-        degree = int(basis.degrees[cut - 1])
+        degree = sphere_degree_for(lam[cut - 1])
         if _shared is None:
             return GalerkinOperator(cut, [_polar_family(*polar, h, degree)])
         sweep, member = _shared
-        return GalerkinOperator(cut, [sweep.section(member, degree)])
+        part = TridiagonalFamily(
+            sweep.family.diagonal[member, :degree + 1],
+            sweep.family.off_diagonal[:degree * (degree + 1) // 2], _shared)
+        return GalerkinOperator(cut, [(part, sweep.multiplicity[:degree + 1])])
 
     gram = _damping_gram(basis, field, cut) if _shared is None else _shared
     matrix = np.diag(np.sqrt(1.0 + h * h * lam[:cut])) - gram[:cut, :cut]
@@ -607,8 +588,8 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     and then at the recount, and takes a leading part of one h-independent
     part formed at the widest cut: cluster starts or the Gram matrix.  The
     polar-affine sections are members of one batch, one per radius, and one
-    :class:`SturmSweep` counts them all: each count carries the sweep on
-    only as far as its own section needs.
+    :class:`SturmSweep` counts them all: it sweeps each member through the
+    degree of its widest cut once, and each count looks its section up.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or len(r_grid) == 0:
@@ -631,11 +612,11 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     if field.kind == "constant":
         shared = [_cluster_starts(basis.eigenvalues, widest)] * len(h_grid)
     elif polar is not None:
-        # one batch member per radius, read at its cut and recount degrees
-        degrees = basis.degrees[cuts - 1].T
-        sweep = SturmSweep(*_polar_family(*polar, h_grid[:, None],
-                                          int(np.max(degrees))),
-                           zero_tol, degrees)
+        # one batch member per radius, swept through its widest cut's degree
+        last = [sphere_degree_for(basis.eigenvalues[cut - 1])
+                for cut in cuts.max(axis=0)]
+        sweep = SturmSweep(*_polar_family(*polar, h_grid[:, None], last[-1]),
+                           last)
         shared = [(sweep, member) for member in range(len(h_grid))]
     else:
         shared = [_damping_gram(basis, field, widest)] * len(h_grid)

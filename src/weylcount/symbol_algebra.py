@@ -118,10 +118,6 @@ class CotangentSample:
         return _dot(self.xi, np.linalg.solve(gram, self.xi[..., None])[..., 0])
 
 
-def sample_at(surface, chart_index, x, xi):
-    return CotangentSample(surface, chart_index, x, xi)
-
-
 def random_samples(surface, count, seed=SAMPLE_SEED):
     """Seeded batch of nondegenerate cotangent samples, one chart each.
 
@@ -148,7 +144,7 @@ def random_samples(surface, count, seed=SAMPLE_SEED):
             continue
         index[drawn], x[drawn], xi[drawn] = k, (u, v), covector
         drawn += 1
-    return sample_at(surface, index, x, xi)
+    return CotangentSample(surface, index, x, xi)
 
 
 # ----------------------------------------------------------------------
@@ -365,8 +361,8 @@ def chart_transfer(sample, other_index):
         xi_target[group] = np.linalg.solve(_transpose(jac),
                                            xi[group][..., None])[..., 0]
         interior[group] = True
-    moved = sample_at(sample.surface, target_index[interior],
-                      x_target[interior], xi_target[interior])
+    moved = CotangentSample(sample.surface, target_index[interior],
+                            x_target[interior], xi_target[interior])
     return moved, interior.reshape(sample.chart_index.shape)
 
 
@@ -418,7 +414,8 @@ def identity_suite(surface, samples=DEFAULT_SAMPLES, seed=SAMPLE_SEED):
 
     record("nu-beta-orthogonal", np.abs(_dot(batch.nu, batch.beta)))
     record("r0-inverse-metric", np.abs(batch.r0 - batch.inverse_metric_form()))
-    doubled = sample_at(surface, batch.chart_index, batch.x, 2.0 * batch.xi)
+    doubled = CotangentSample(surface, batch.chart_index, batch.x,
+                              2.0 * batch.xi)
     record("beta-homogeneous", max_abs(doubled.beta - 2.0 * batch.beta, -1))
 
     matrix = rank_one(batch)

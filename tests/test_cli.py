@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 from dataclasses import asdict
 
 import numpy as np
@@ -142,15 +143,14 @@ def test_scan_frozen_rows(tmp_path, capsys):
                        "--r-max", "20", "--steps", "4",
                        "--output", out_dir)
     assert code == 0
-    text = open(os.path.join(out_dir, "report.csv"),
-                encoding="utf-8").read()
+    text = pathlib.Path(out_dir, "report.csv").read_text(encoding="utf-8")
     lines = text.splitlines()
     assert lines[0] == "r,N_scalar,N_system,W,borderline"
     assert lines[1].startswith("5,81,162,75.0000000")
     assert lines[2].startswith("10,289,578,300.0000000")
     assert lines[4].startswith("20,1225,2450,1200.0000000")
-    payload = json.loads(open(os.path.join(out_dir, "report.json"),
-                              encoding="utf-8").read())
+    payload = json.loads(pathlib.Path(out_dir, "report.json").read_text(
+        encoding="utf-8"))
     assert payload["version"]
     assert payload["config"]["gamma"] == "2.0"
     assert payload["gates"]["monotone"] is True
@@ -163,8 +163,8 @@ def test_scan_byte_identical_reruns(tmp_path, capsys):
     second = str(tmp_path / "b")
     assert run(capsys, *argv, "--output", first)[0] == 0
     assert run(capsys, *argv, "--output", second)[0] == 0
-    first_bytes = open(os.path.join(first, "report.csv"), "rb").read()
-    second_bytes = open(os.path.join(second, "report.csv"), "rb").read()
+    first_bytes = pathlib.Path(first, "report.csv").read_bytes()
+    second_bytes = pathlib.Path(second, "report.csv").read_bytes()
     assert first_bytes == second_bytes
     assert b"\r" not in first_bytes
 
@@ -177,16 +177,16 @@ def test_scan_config_file_and_override(tmp_path, capsys):
     code, _, _ = run(capsys, "scan", "--config", str(cfg),
                      "--output", from_cfg)
     assert code == 0
-    rows = open(os.path.join(from_cfg, "report.csv"),
-                encoding="utf-8").read().splitlines()
+    rows = pathlib.Path(from_cfg, "report.csv").read_text(
+        encoding="utf-8").splitlines()
     assert len(rows) == 3  # header + 2 grid points
 
     overridden = str(tmp_path / "cfg3")
     code, _, _ = run(capsys, "scan", "--config", str(cfg), "--steps", "3",
                      "--output", overridden)
     assert code == 0
-    rows = open(os.path.join(overridden, "report.csv"),
-                encoding="utf-8").read().splitlines()
+    rows = pathlib.Path(overridden, "report.csv").read_text(
+        encoding="utf-8").splitlines()
     assert len(rows) == 4  # flag beats the config value
 
 
@@ -203,10 +203,10 @@ def test_scan_config_booleans_match_flags(tmp_path, capsys):
                "--r-min", "5", "--r-max", "10", "--steps", "3",
                "--max-degree", "40", "--output", from_flags)[0] == 0
     for name in ("report.csv", "report.json"):
-        assert open(os.path.join(from_cfg, name), "rb").read() == \
-            open(os.path.join(from_flags, name), "rb").read()
-    payload = json.loads(open(os.path.join(from_cfg, "report.json"),
-                              encoding="utf-8").read())
+        assert pathlib.Path(from_cfg, name).read_bytes() == \
+            pathlib.Path(from_flags, name).read_bytes()
+    payload = json.loads(pathlib.Path(from_cfg, "report.json").read_text(
+        encoding="utf-8"))
     assert payload["config"]["invert"] is True
     assert payload["config"]["log"] is True
 
@@ -216,6 +216,8 @@ def test_scan_config_booleans_match_flags(tmp_path, capsys):
     (("regions", "--bound", "2"), "c0 = 3\n", 0, '"c0": 3.0'),
     (("scan",), "steps = x\n", 64, "config key 'steps'"),
     (("weyl",), "seed = 1\n", 64, "unknown config key 'seed'"),
+    (("scan",), "zero-tol = nan\n", 64,
+     "config key 'zero_tol': expected a finite number >= 0"),
 ])
 def test_config_keys(tmp_path, capsys, argv, text, expected_code, expected):
     cfg = tmp_path / "run.cfg"
@@ -261,8 +263,8 @@ def test_scan_prints_why_gates_did_not_run(tmp_path, capsys):
     assert ("gates: exponent_in_window=n/a (r_max/r_min < 3), "
             "monotone=pass, truncation_stable=n/a (basis cannot support "
             "the 1.5x recount)") in out.splitlines()
-    payload = json.loads(open(os.path.join(out_dir, "report.json"),
-                              encoding="utf-8").read())
+    payload = json.loads(pathlib.Path(out_dir, "report.json").read_text(
+        encoding="utf-8"))
     assert payload["gates"]["exponent_in_window"] is None
     assert payload["gates"]["truncation_stable"] is None
     # a wide enough grid without two positive counts in its top half; every
@@ -283,8 +285,8 @@ def test_only_mesh_reports_echo_the_solver_tolerance(tmp_path, capsys):
                          "--r-max", "1.5", "--steps", "2", "--output",
                          out_dir, *basis)
         assert code == 0
-        config = json.loads(open(os.path.join(out_dir, "report.json"),
-                                 encoding="utf-8").read())["config"]
+        config = json.loads(pathlib.Path(out_dir, "report.json").read_text(
+            encoding="utf-8"))["config"]
         code, out, _ = run(capsys, "count", "--gamma", "2.0", "--r", "1.5",
                            *basis)
         assert code == 0
@@ -390,6 +392,37 @@ def test_count_requires_radius(capsys):
     code, _, err = run(capsys, "count", "--gamma", "2.0")
     assert code == 64
     assert "--r" in err
+
+
+SCAN = ("scan", "--gamma", "2.0", "--r-min", "5", "--r-max", "10",
+        "--steps", "2")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (SCAN + ("--zero-tol", "-0.5"), "--zero-tol"),
+    (SCAN + ("--zero-tol", "nan"), "--zero-tol"),
+    (("count", "--gamma", "affine:2,0.5,z", "--r", "6", "--zero-tol",
+      "-0.5"), "--zero-tol"),
+    (("count", "--r", "nan"), "--r"),
+    (("count", "--r", "inf"), "--r"),
+    (("count", "--r", "0"), "--r"),
+    (("scan", "--cut-factor", "nan"), "--cut-factor"),
+    (("count", "--r", "5", "--cut-factor", "-inf"), "--cut-factor"),
+    (("scan", "--r-min", "-1"), "--r-min"),
+    (("scan", "--r-max", "inf"), "--r-max"),
+    (("weyl", "--r", "nan"), "--r"),
+])
+def test_numeric_options_must_be_finite_and_in_range(capsys, tmp_path,
+                                                     monkeypatch, argv, flag):
+    # a negative or NaN tolerance, radius or cut factor would count silently
+    # wrong, or crash, further in
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage error: argument %s: " % flag)
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_weyl_affine(capsys):

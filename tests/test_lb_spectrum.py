@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -55,19 +56,22 @@ def test_exact_sphere_small_degrees():
 
 
 def test_exact_sphere_degrees_and_orders():
+    # closed-form layout: degree n holds columns n^2..n^2+2n, order m sits
+    # at column n^2+n+m, and a column's degree follows from its eigenvalue
     basis = exact_sphere_spectrum(5)
     assert basis.mode_count == 36
-    assert np.all(basis.eigenvalues == basis.degrees * (basis.degrees + 1))
     for n in range(6):
-        block = basis.orders[basis.degrees == n]
-        assert block.tolist() == list(range(-n, n + 1))
-    # degree-major, orders ascending within each degree
+        for m in range(-n, n + 1):
+            assert basis.eigenvalues[n * n + n + m] == n * (n + 1)
+    # degree-major, 2n + 1 orders per degree
     for top in range(5):
         basis = exact_sphere_spectrum(top)
-        layout = [(n, m) for n in range(top + 1) for m in range(-n, n + 1)]
-        assert list(zip(basis.degrees.tolist(),
-                        basis.orders.tolist())) == layout
-        assert basis.degrees.dtype == basis.orders.dtype == np.int64
+        layout = [n for n in range(top + 1) for m in range(-n, n + 1)]
+        assert [sphere_degree_for(lam) for lam in basis.eigenvalues] == layout
+    # the degree is recovered exactly far beyond the degrees counted
+    each = np.arange(2001)
+    assert [sphere_degree_for(lam) for lam in each * (each + 1.0)] \
+        == each.tolist()
 
 
 def test_sphere_degree_for():
@@ -95,8 +99,8 @@ def test_tabulated_axis_moments_match_closed_form():
     moments = (basis.modes * (basis.mass * z)[:, None]).T @ basis.modes
     for n in range(6):
         for m in range(-n, n + 1):
-            i = np.flatnonzero((basis.degrees == n) & (basis.orders == m))[0]
-            j = np.flatnonzero((basis.degrees == n + 1) & (basis.orders == m))[0]
+            i, j = n * n + n + m, (n + 1) * (n + 2) + m
+            assert sphere_degree_for(basis.eigenvalues[j]) == n + 1
             c = np.sqrt(((n + 1.0) ** 2 - m * m)
                         / ((2.0 * n + 1.0) * (2.0 * n + 3.0)))
             assert abs(moments[i, j] - c) < 1e-12
@@ -350,7 +354,7 @@ def test_cache_corrupt_container_raises(tmp_path):
     cached_mesh_spectrum(mesh, 6, tol=1e-8, directory=directory)
     key = cache_key(mesh.content_hash(), 6, 1e-8, SOLVER_SEED)
     bin_path = os.path.join(directory, key + ".wlb")
-    blob = open(bin_path, "rb").read()
+    blob = pathlib.Path(bin_path).read_bytes()
     with open(bin_path, "wb") as handle:
         handle.write(blob[: len(blob) // 2])
     with pytest.raises(CacheError):

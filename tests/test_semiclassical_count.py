@@ -126,7 +126,7 @@ def test_mode_cut_never_splits_a_cluster(gamma_two):
     basis = exact_sphere_spectrum(40)
     op = build_operator(basis, gamma_two, 0.2)  # threshold 150, 2x policy
     assert op.mode_cut == 169  # degree-12 cluster (lambda = 156) kept whole
-    assert basis.degrees[op.mode_cut - 1] == 12
+    assert sphere_degree_for(basis.eigenvalues[op.mode_cut - 1]) == 12
     assert basis.eigenvalues[op.mode_cut - 1] == 156.0
 
 
@@ -145,8 +145,18 @@ def test_variable_field_needs_surface(tilted):
 
 def test_bad_h_rejected(gamma_two):
     basis = exact_sphere_spectrum(5)
-    with pytest.raises(UsageError):
-        build_operator(basis, gamma_two, 0.0)
+    for h in (0.0, -1.0, np.nan):
+        with pytest.raises(UsageError):
+            build_operator(basis, gamma_two, h)
+
+
+def test_bad_zero_tol_rejected(gamma_two):
+    # a negative tolerance would count eigenvalues above zero as negative,
+    # and a NaN one would count none
+    op = build_operator(exact_sphere_spectrum(20), gamma_two, 0.2)
+    for zero_tol in (-0.5, np.nan):
+        with pytest.raises(UsageError):
+            count_negative(op, zero_tol=zero_tol)
 
 
 def test_affine_operator_block_structure(sphere, tilted):
@@ -185,7 +195,8 @@ def test_block_and_dense_paths_agree(sphere):
             op_z = build_operator(basis_z, along_z, h, surface=sphere)
             op_x = build_operator(basis_x, along_x, h, surface=sphere)
             [(family, _)] = op_z.blocks
-            assert len(family) == basis_z.degrees[op_z.mode_cut - 1] + 1
+            assert len(family) == sphere_degree_for(
+                basis_z.eigenvalues[op_z.mode_cut - 1]) + 1
             assert len(op_x.blocks) == 1
             assert op_z.mode_cut == op_x.mode_cut
             assert np.max(np.abs(op_z.eigenvalues()
@@ -352,6 +363,21 @@ def test_sturm_count_at_exact_ties():
     assert count_negative(operator) == (1, 1) == eigvalsh_count(operator)
 
 
+def test_sturm_sweep_needs_one_ascending_last_degree_per_member():
+    # each member is swept only through its last degree, and members drop
+    # out of the sweep in order; a batch member without one would be
+    # counted by no row, or silently left out
+    family, multiplicity = semiclassical_count._polar_family(
+        2.0, 0.5, np.array([[0.5], [0.25]]), 6)
+    sweep = semiclassical_count.SturmSweep(family, multiplicity, [3, 6])
+    assert sweep.count(1, 6, ZERO_TOL) == count_negative(GalerkinOperator(
+        0, [(TridiagonalFamily(family.diagonal[1], family.off_diagonal),
+             multiplicity)]))
+    for last in ([6, 3], [6], [2, 4, 6]):
+        with pytest.raises(ValueError):
+            semiclassical_count.SturmSweep(family, multiplicity, last)
+
+
 def closed_form_axis_count(r, offset, slope, zero_tol=ZERO_TOL):
     """Count of affine:offset,slope,z on the unit sphere from scipy's
     tridiagonal eigenvalues, truncated at 2x the ellipticity threshold."""
@@ -503,10 +529,11 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
        invert=st.booleans(),
        radii=st.lists(st.floats(1.0, 7.0), min_size=1, max_size=5,
                       unique=True),
-       cut_factor=st.sampled_from([0.4, 0.9, 2.0]), data=st.data())
+       cut_factor=st.sampled_from([0.4, 0.9, 2.0]),
+       zero_tol=st.sampled_from([ZERO_TOL, 0.05, 0.5]), data=st.data())
 def test_polar_scan_matches_per_radius_counts(sphere, offset, fraction, axis,
                                               invert, radii, cut_factor,
-                                              data):
+                                              zero_tol, data):
     # one Sturm sweep counts the whole scan; each section and its recount
     # must equal a separate build and count at that radius.  Cuts below the
     # ellipticity threshold make the counts depend on the last degree.
@@ -520,12 +547,13 @@ def test_polar_scan_matches_per_radius_counts(sphere, offset, fraction, axis,
         sphere_degree_for(max(cut_factor, 1.0) * threshold),
         sphere_degree_for(max(recount_factor, 1.0) * threshold) + 1))
     basis = exact_sphere_spectrum(degree)
-    report = scan(sphere, field, r_grid, basis, cut_factor=cut_factor)
+    report = scan(sphere, field, r_grid, basis, cut_factor=cut_factor,
+                  zero_tol=zero_tol)
 
     def per_radius(cut_factor):
         operators = [build_operator(basis, field, 1.0 / r, surface=sphere,
                                     cut_factor=cut_factor) for r in r_grid]
-        return ([count_negative(op) for op in operators],
+        return ([count_negative(op, zero_tol=zero_tol) for op in operators],
                 [op.mode_cut for op in operators])
 
     counts, cuts = per_radius(cut_factor)
@@ -544,12 +572,15 @@ def test_polar_scan_matches_per_radius_counts(sphere, offset, fraction, axis,
 def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
     # every section is still built and counted by a call of its own, primary
     # counts before recounts, and all of them read one shared sweep
-    calls, sweeps = [], []
+    calls, built, sweeps = [], [], []
     for name in ("build_operator", "count_negative"):
         def recorded(*args, _name=name,
                      _original=getattr(semiclassical_count, name), **kwargs):
             calls.append((_name, kwargs.get("cut_factor")))
-            return _original(*args, **kwargs)
+            result = _original(*args, **kwargs)
+            if _name == "build_operator":
+                built.append(result)
+            return result
         monkeypatch.setattr(semiclassical_count, name, recorded)
 
     class Recorded(semiclassical_count.SturmSweep):
@@ -560,18 +591,20 @@ def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
     monkeypatch.setattr(semiclassical_count, "SturmSweep", Recorded)
     field = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0))
     basis = exact_sphere_spectrum(40)
-    report = scan(sphere, field, np.array([4.0, 6.0, 8.0]), basis)
+    scan(sphere, field, np.array([4.0, 6.0, 8.0]), basis)
     assert calls == [("build_operator", 2.0), ("count_negative", None)] * 3 \
         + [("build_operator", 3.0), ("count_negative", None)] * 3
     assert len(sweeps) == 1
-    # a scan section counted at another tolerance is counted on its own
-    degree = int(basis.degrees[report.mode_cuts[0] - 1])
-    family, multiplicity = sweeps[0].section(0, degree)
-    alone = TridiagonalFamily(family.diagonal, family.off_diagonal)
-    for zero_tol in (ZERO_TOL, 0.5):
-        assert count_negative(GalerkinOperator(0, [(family, multiplicity)]),
-                              zero_tol=zero_tol) == count_negative(
-            GalerkinOperator(0, [(alone, multiplicity)]), zero_tol=zero_tol)
+    # the scan's sections, counted again at another tolerance too, count as
+    # copies of them with no sweep of their own
+    for op in built:
+        [(family, multiplicity)] = op.blocks
+        assert family.sweep[0] is sweeps[0]
+        alone = GalerkinOperator(op.mode_cut, [(TridiagonalFamily(
+            family.diagonal, family.off_diagonal), multiplicity)])
+        for zero_tol in (0.5, ZERO_TOL):
+            assert count_negative(op, zero_tol=zero_tol) \
+                == count_negative(alone, zero_tol=zero_tol)
 
 
 def test_scan_regime_symmetry_bit_exact(sphere):

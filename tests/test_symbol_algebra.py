@@ -9,6 +9,7 @@ from weylcount import symbol_algebra
 from weylcount.errors import BranchError, ChartDegeneracyError, UsageError
 from weylcount.surface import AnalyticSurface
 from weylcount.symbol_algebra import (
+    CotangentSample,
     chart_transfer,
     diagonalizing_frame,
     dispersion_diagonal,
@@ -21,7 +22,6 @@ from weylcount.symbol_algebra import (
     principal_m1,
     random_samples,
     rank_one,
-    sample_at,
     transfer_sample,
     transport_principal,
 )
@@ -47,15 +47,15 @@ def synthetic(beta, nu):
 # ----------------------------------------------------------------------
 
 def test_equatorial_sphere_sample(sphere):
-    sample = sample_at(sphere, 0, (np.pi / 2.0, 0.7), (1.0, 0.0))
+    sample = CotangentSample(sphere, 0, (np.pi / 2.0, 0.7), (1.0, 0.0))
     assert sample.r0 == pytest.approx(1.0, abs=1e-12)
     assert abs(sample.nu @ sample.beta) < 1e-12
-    other = sample_at(sphere, 0, (np.pi / 2.0, 0.7), (0.0, 1.0))
+    other = CotangentSample(sphere, 0, (np.pi / 2.0, 0.7), (0.0, 1.0))
     assert other.r0 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_covector(sphere):
-    sample = sample_at(sphere, 0, (1.0, 1.0), (0.0, 0.0))
+    sample = CotangentSample(sphere, 0, (1.0, 1.0), (0.0, 0.0))
     assert np.all(sample.beta == 0.0)
     assert sample.r0 == 0.0
     with pytest.raises(UsageError):
@@ -66,7 +66,8 @@ def test_zero_covector(sphere):
 
 def test_beta_homogeneity(sphere):
     for sample in random_samples(sphere, 20, seed=7):
-        doubled = sample_at(sphere, sample.chart_index, sample.x, 2.0 * sample.xi)
+        doubled = CotangentSample(sphere, sample.chart_index, sample.x,
+                                  2.0 * sample.xi)
         assert np.max(np.abs(doubled.beta - 2.0 * sample.beta)) < 1e-12
         assert doubled.r0 == pytest.approx(4.0 * sample.r0, rel=1e-12)
 
@@ -156,7 +157,8 @@ def test_frame_example_and_invariance(sphere):
     for real in random_samples(sphere, 10, seed=11):
         u = diagonalizing_frame(real)
         assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-12
-        scaled = sample_at(sphere, real.chart_index, real.x, 2.0 * real.xi)
+        scaled = CotangentSample(sphere, real.chart_index, real.x,
+                                 2.0 * real.xi)
         assert np.max(np.abs(diagonalizing_frame(scaled) - u)) < 1e-12
 
 
@@ -237,7 +239,7 @@ def test_transport_residuals_on_surface_samples(sphere):
 # ----------------------------------------------------------------------
 
 def test_chart_transfer_preserves_beta(sphere):
-    sample = sample_at(sphere, 0, (np.pi / 2.0, 0.7), (0.4, -1.1))
+    sample = CotangentSample(sphere, 0, (np.pi / 2.0, 0.7), (0.4, -1.1))
     moved = transfer_sample(sample, 1)
     assert moved.chart_index == 1
     assert np.max(np.abs(moved.point - sample.point)) < 1e-12
@@ -280,7 +282,7 @@ def per_sample_suite(surface, count, seed):
         worst[name] = max(worst.get(name, 0.0), float(value))
 
     for drawn in random_samples(surface, count, seed=seed):
-        sample = sample_at(surface, drawn.chart_index, drawn.x, drawn.xi)
+        sample = CotangentSample(surface, drawn.chart_index, drawn.x, drawn.xi)
         h = rng.uniform(0.05, 1.0)
         t = rng.uniform(-h * h, h * h)
         z = -1j / (1.0 + 1j * t)
@@ -289,8 +291,8 @@ def per_sample_suite(surface, count, seed):
         record("nu-beta-orthogonal", abs(sample.nu @ sample.beta))
         record("r0-inverse-metric",
                abs(sample.r0 - sample.inverse_metric_form()))
-        doubled = sample_at(surface, sample.chart_index, sample.x,
-                            2.0 * sample.xi)
+        doubled = CotangentSample(surface, sample.chart_index, sample.x,
+                                  2.0 * sample.xi)
         record("beta-homogeneous",
                np.max(np.abs(doubled.beta - 2.0 * sample.beta)))
 
