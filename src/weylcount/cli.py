@@ -81,12 +81,24 @@ def _parse_bool(text):
     raise ValueError("expected a boolean, got %r" % (text,))
 
 
+def _float_or_nan(text):
+    try:
+        return float(text)
+    except ValueError:
+        return np.nan
+
+
+def _finite(text):
+    value = _float_or_nan(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            "expected a finite number, got %r" % (text,))
+    return value
+
+
 def _positive(text, or_zero=False):
     """A finite float > 0, or >= 0 with ``or_zero``."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
+    value = _float_or_nan(text)
     if not (0.0 < value < np.inf or or_zero and value == 0.0):
         raise argparse.ArgumentTypeError(
             "expected a finite number %s 0, got %r"
@@ -96,6 +108,13 @@ def _positive(text, or_zero=False):
 
 def _nonnegative(text):
     return _positive(text, or_zero=True)
+
+
+def _nonnegative_int(text):
+    if not str(text).isdecimal():
+        raise argparse.ArgumentTypeError(
+            "expected an integer >= 0, got %r" % (text,))
+    return int(text)
 
 
 def read_config(path):
@@ -141,6 +160,14 @@ def _config_defaults(parser, path):
 # ----------------------------------------------------------------------
 # argument resolution
 # ----------------------------------------------------------------------
+
+def _resolved(flag, resolve, *args):
+    """resolve(*args), its usage errors reported as errors in ``flag``."""
+    try:
+        return resolve(*args)
+    except UsageError as err:
+        raise UsageError("argument %s: %s" % (flag, err)) from err
+
 
 def resolve_surface(spec):
     """'unit-sphere' or 'ellipsoid:A,B,C'."""
@@ -298,7 +325,7 @@ def _emit_json(document):
 # ----------------------------------------------------------------------
 
 def cmd_spectrum(args):
-    surface = resolve_surface(args.surface)
+    surface = _resolved("--surface", resolve_surface, args.surface)
     if args.mesh:
         if args.exact:
             raise UsageError("--exact selects the closed-form sphere "
@@ -324,8 +351,8 @@ def cmd_spectrum(args):
 
 
 def cmd_scan(args):
-    surface = resolve_surface(args.surface)
-    field = resolve_field(args.gamma, invert=args.invert)
+    surface = _resolved("--surface", resolve_surface, args.surface)
+    field = _resolved("--gamma", resolve_field, args.gamma, args.invert)
     grid = _r_grid(args)
     basis, hit = _resolve_basis(args, surface, field, args.r_max)
     report = scan(surface, field, grid, basis,
@@ -365,8 +392,8 @@ def cmd_scan(args):
 def cmd_count(args):
     if args.r is None:
         raise UsageError("count needs a positive --r")
-    surface = resolve_surface(args.surface)
-    field = resolve_field(args.gamma, invert=args.invert)
+    surface = _resolved("--surface", resolve_surface, args.surface)
+    field = _resolved("--gamma", resolve_field, args.gamma, args.invert)
     basis, _ = _resolve_basis(args, surface, field, args.r)
     op = build_operator(basis, field, 1.0 / args.r, surface=surface,
                         cut_factor=args.cut_factor)
@@ -387,8 +414,8 @@ def cmd_count(args):
 
 
 def cmd_weyl(args):
-    surface = resolve_surface(args.surface)
-    field = resolve_field(args.gamma, invert=args.invert)
+    surface = _resolved("--surface", resolve_surface, args.surface)
+    field = _resolved("--gamma", resolve_field, args.gamma, args.invert)
     coefficient = weyl_coefficient(surface, field)
     document = {
         "coefficient": coefficient,
@@ -403,7 +430,7 @@ def cmd_weyl(args):
 
 
 def cmd_verify_symbols(args):
-    surface = resolve_surface(args.surface)
+    surface = _resolved("--surface", resolve_surface, args.surface)
     suite = identity_suite(surface, samples=args.samples, seed=args.seed)
     residuals = suite["residuals"]
     failures = sorted(
@@ -493,14 +520,15 @@ def _add_field(sub):
 
 def _add_basis(sub, modes_flag, max_degree=None):
     """Exact sphere or mesh FEM basis; the FEM mode count is modes_flag."""
-    sub.add_argument("--max-degree", type=int, default=max_degree,
+    sub.add_argument("--max-degree", type=_nonnegative_int,
+                     default=max_degree,
                      help="exact sphere basis degree (default %s)"
                           % ("auto" if max_degree is None else max_degree))
     sub.add_argument("--mesh", help="icosphere:LEVEL or an OFF file")
     sub.add_argument(modes_flag, type=int,
                      help="number of FEM modes for --mesh runs")
     sub.add_argument("--cache-dir", help="spectrum cache directory")
-    sub.add_argument("--tol", type=float, default=SOLVER_TOL,
+    sub.add_argument("--tol", type=_positive, default=SOLVER_TOL,
                      help="FEM residual tolerance (default %(default)s)")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help="FEM solver seed, part of the cache key "
@@ -575,11 +603,13 @@ def build_parser():
     regions_cmd.add_argument("--check",
                              help="file of complex points, one 're im' "
                                   "pair per line")
-    regions_cmd.add_argument("--bound", type=float,
+    regions_cmd.add_argument("--bound", type=_finite,
                              help="report the |Re z| bound for this gamma0")
     for field in fields(RegionParams):
         regions_cmd.add_argument("--" + field.name.replace("_", "-"),
-                                 type=field.type, default=field.default,
+                                 type=_finite if field.type is float
+                                 else field.type,
+                                 default=field.default,
                                  help="region constant (default %(default)s)")
 
     return parser

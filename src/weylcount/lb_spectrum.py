@@ -25,7 +25,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cholesky, eigh, solve_triangular
-from scipy.special import roots_legendre
 
 from .errors import (
     CacheError,
@@ -34,6 +33,7 @@ from .errors import (
     SolverError,
     UsageError,
 )
+from .surface.charts import sphere_grid
 
 SOLVER_SEED = 0x5EED
 SOLVER_TOL = 1e-8
@@ -159,22 +159,12 @@ def normalized_legendre_block(order, max_degree, t):
 
 def _tabulate_sphere_modes(max_degree):
     """Real orthonormal harmonics up to max_degree, in the column order of
-    ``exact_sphere_spectrum``, at the nodes of a product quadrature.
+    ``exact_sphere_spectrum``, at the nodes of ``sphere_grid(max_degree)``.
 
-    The quadrature (Gauss-Legendre in z, equispaced in longitude) is exact
-    for integrands Y_i * Y_j * p with p affine in the coordinates.
+    That grid (Gauss-Legendre in z, equispaced in longitude) is exact for
+    integrands Y_i * Y_j * p with p affine in the coordinates.
     """
-    t, wt = roots_legendre(max_degree + 3)
-    nphi = 2 * max_degree + 3
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    wphi = np.full(nphi, 2.0 * np.pi / nphi)
-    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    nodes = np.stack([
-        np.outer(sin_theta, np.cos(phi)).ravel(),
-        np.outer(sin_theta, np.sin(phi)).ravel(),
-        np.outer(t, np.ones_like(phi)).ravel(),
-    ], axis=-1)
-    mass = np.outer(wt, wphi).ravel()
+    t, phi, nodes, mass = sphere_grid(max_degree)
 
     # column-major, so each (degree, order) column below is one contiguous write
     modes = np.empty(((max_degree + 1) ** 2, len(nodes))).T

@@ -3,10 +3,6 @@
 from .charts import (
     AnalyticSurface,
     Chart,
-    DEFAULT_QUAD_ORDER,
-    MIN_QUAD_ORDER,
-    polar_bump,
-    smooth_step,
 )
 from .damping import DampingField
 from .mesh import (
@@ -20,14 +16,10 @@ from .mesh import (
 __all__ = [
     "AnalyticSurface",
     "Chart",
-    "DEFAULT_QUAD_ORDER",
     "DampingField",
-    "MIN_QUAD_ORDER",
     "SurfaceMesh",
     "icosphere",
-    "polar_bump",
     "read_off",
     "read_vertex_values",
-    "smooth_step",
     "write_off",
 ]

@@ -1,45 +1,51 @@
 """Parametric charts and quadrature on smooth closed surfaces.
 
 A closed surface is covered by two overlapping polar charts (rotated 90
-degrees against each other) plus a smooth partition of unity expressed in
-terms of the ambient point.  Surface integrals are evaluated chart by chart
-with tensor Gauss-Legendre rules and summed; the partition of unity prevents
-double counting on the overlaps.
+degrees against each other); they supply points, normals, frames and chart
+inverses.  Every surface here is an axis-aligned ellipsoid, the unit sphere
+mapped by diag(a, b, c), so surface integrals need no charts: they use the
+sphere's product grid (``sphere_grid``, shared with the tabulated sphere
+harmonics) mapped by that matrix.
 """
 
+from collections import namedtuple
+
 import numpy as np
-from scipy.special import betainc, roots_legendre
+from scipy.special import roots_legendre
 
 from ..errors import ChartDegeneracyError, UsageError
 
 FD_STEP = 1e-6
 GRAM_FLOOR = 1e-10
-MIN_QUAD_ORDER = 16
-DEFAULT_QUAD_ORDER = 96
+# degree of the sphere grid behind AnalyticSurface.integrate: 96 nodes in z,
+# 189 longitudes; exact for polynomials of degree <= 188 on the sphere
+INTEGRATION_DEGREE = 93
 
 POLAR_MARGIN = 0.1                      # polar caps excluded from each chart
-BLEND_WIDTH = np.pi / 2.0 - POLAR_MARGIN  # partition-of-unity roll-off width
+
+SphereGrid = namedtuple("SphereGrid", ["z", "phi", "nodes", "mass"])
 
 
-def smooth_step(t):
-    """Polynomial C^7 ramp: 0 for t <= 0, 1 for t >= 1, monotone between.
+def sphere_grid(degree):
+    """Product quadrature on the unit sphere.
 
-    The regularized incomplete beta I_t(8, 8); seven vanishing derivatives
-    at both ends keep Gauss-Legendre quadrature of blended integrands at
-    high algebraic order.
+    Gauss-Legendre in z with ``degree + 3`` nodes times ``2 degree + 3``
+    equispaced longitudes ``phi``; ``nodes`` (z-major, shape (..., 3)) and
+    ``mass`` are flattened over the grid.  The rule is exact for
+    polynomials in the coordinates of degree <= 2 degree + 2, so for
+    products Y_i Y_j p of harmonics of degree <= ``degree`` with p affine.
     """
-    return betainc(8.0, 8.0, np.clip(np.asarray(t, dtype=float), 0.0, 1.0))
-
-
-def polar_bump(theta):
-    """Partition-of-unity profile in the polar angle of a chart.
-
-    Identically zero outside (POLAR_MARGIN, pi - POLAR_MARGIN), identically
-    one once the angle is BLEND_WIDTH inside that interval.
-    """
-    lo = POLAR_MARGIN
-    hi = np.pi - POLAR_MARGIN
-    return smooth_step((theta - lo) / BLEND_WIDTH) * smooth_step((hi - theta) / BLEND_WIDTH)
+    z, wz = roots_legendre(degree + 3)
+    nphi = 2 * degree + 3
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    wphi = np.full(nphi, 2.0 * np.pi / nphi)
+    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    nodes = np.stack([
+        np.outer(sin_theta, np.cos(phi)).ravel(),
+        np.outer(sin_theta, np.sin(phi)).ravel(),
+        np.outer(z, np.ones_like(phi)).ravel(),
+    ], axis=-1)
+    return SphereGrid(z, phi, nodes, np.outer(wz, wphi).ravel())
 
 
 class Chart:
@@ -56,16 +62,13 @@ class Chart:
         omitted, central differences with step ``FD_STEP`` are used.
     inverse : callable, optional
         ``inverse(points) -> (u, v)`` for ambient points on the chart image.
-    weight : callable, optional
-        Unnormalized partition-of-unity weight at ambient points: smooth,
-        positive strictly inside the chart image, zero outside.
     interior_point : array-like
         Point strictly inside the enclosed volume; normals are oriented away
         from it.
     """
 
     def __init__(self, mapping, domain, jacobian=None, inverse=None,
-                 weight=None, interior_point=(0.0, 0.0, 0.0), name=""):
+                 interior_point=(0.0, 0.0, 0.0), name=""):
         self.mapping = mapping
         self.domain = tuple((float(lo), float(hi)) for lo, hi in domain)
         for lo, hi in self.domain:
@@ -73,7 +76,6 @@ class Chart:
                 raise UsageError("chart parameter rectangle is empty")
         self._jacobian = jacobian
         self.inverse = inverse
-        self.weight = weight
         self.interior_point = np.asarray(interior_point, dtype=float)
         self.name = name
 
@@ -115,10 +117,6 @@ class Chart:
         gram[..., 1, 0] = f
         gram[..., 1, 1] = g
         return gram
-
-    def area_element(self, u, v):
-        tu, tv = self.tangents(u, v)
-        return np.linalg.norm(np.cross(tu, tv), axis=-1)
 
     def normal(self, u, v):
         """Unit normal, oriented away from the interior point (outward)."""
@@ -168,6 +166,8 @@ class AnalyticSurface:
     @classmethod
     def ellipsoid(cls, a, b, c):
         axes = (float(a), float(b), float(c))
+        if not np.all(np.isfinite(axes)):
+            raise UsageError("ellipsoid semi-axes must be finite")
         if min(axes) <= 0.0:
             raise UsageError("ellipsoid semi-axes must be positive")
         name = "ellipsoid(%g,%g,%g)" % axes
@@ -178,42 +178,21 @@ class AnalyticSurface:
         direction = np.asarray(direction, dtype=float)
         return float(np.linalg.norm(self.axes * direction))
 
-    def partition_weights(self, chart_index, points):
-        """Normalized partition-of-unity weight of one chart at ambient points.
-
-        Each chart's raw weight is evaluated once.
-        """
-        raw = [np.asarray(chart.weight(points), dtype=float)
-               for chart in self.charts]
-        return raw[chart_index] / sum(raw)
-
-    def integrate(self, f, order=None):
+    def integrate(self, f):
         """Integrate ``f(points) -> values`` over the surface.
 
-        Tensor Gauss-Legendre quadrature of the given order (nodes per axis)
-        on every chart, weighted by the partition of unity.
+        The surface is the unit sphere mapped by diag(axes), so the rule is
+        the sphere's product grid mapped by the same matrix, each node
+        weighted by the area element a b c |x / axes^2| at its image x.
         """
-        order = DEFAULT_QUAD_ORDER if order is None else int(order)
-        if order < MIN_QUAD_ORDER:
-            raise UsageError(f"quadrature order must be >= {MIN_QUAD_ORDER}")
-        nodes, weights = roots_legendre(order)
-        total = 0.0
-        for index, chart in enumerate(self.charts):
-            (ulo, uhi), (vlo, vhi) = chart.domain
-            uu = 0.5 * (uhi - ulo) * nodes + 0.5 * (uhi + ulo)
-            wu = 0.5 * (uhi - ulo) * weights
-            vv = 0.5 * (vhi - vlo) * nodes + 0.5 * (vhi + vlo)
-            wv = 0.5 * (vhi - vlo) * weights
-            grid_u, grid_v = np.meshgrid(uu, vv, indexing="ij")
-            points = chart.point(grid_u, grid_v)
-            jac = chart.area_element(grid_u, grid_v)
-            pou = self.partition_weights(index, points)
-            values = np.broadcast_to(np.asarray(f(points), dtype=float), jac.shape)
-            total += float(np.sum(values * pou * jac * np.outer(wu, wv)))
-        return total
+        grid = sphere_grid(INTEGRATION_DEGREE)
+        points = grid.nodes * self.axes
+        weights = grid.mass * np.prod(self.axes) * np.linalg.norm(
+            points / self.axes ** 2, axis=-1)
+        return float(np.sum(np.asarray(f(points), dtype=float) * weights))
 
-    def area(self, order=None):
-        return self.integrate(lambda pts: 1.0, order=order)
+    def area(self):
+        return self.integrate(lambda pts: 1.0)
 
 
 def _polar_chart_pair(axes):
@@ -244,10 +223,6 @@ def _polar_chart_pair(axes):
         ph = np.mod(np.arctan2(u[..., 1], u[..., 0]), 2.0 * np.pi)
         return th, ph
 
-    def weight_z(points):
-        u = np.asarray(points, dtype=float) / ax
-        return polar_bump(np.arccos(np.clip(u[..., 2], -1.0, 1.0)))
-
     # Second chart: same construction conjugated by the rotation that sends
     # the z axis onto the x axis, so its polar caps sit on (+-a, 0, 0).
     def map_x(th, ph):
@@ -273,13 +248,7 @@ def _polar_chart_pair(axes):
         ph = np.mod(np.arctan2(u[..., 1], -u[..., 2]), 2.0 * np.pi)
         return th, ph
 
-    def weight_x(points):
-        u = np.asarray(points, dtype=float) / ax
-        return polar_bump(np.arccos(np.clip(u[..., 0], -1.0, 1.0)))
-
     return [
-        Chart(map_z, domain, jacobian=jac_z, inverse=inv_z,
-              weight=weight_z, name="polar-z"),
-        Chart(map_x, domain, jacobian=jac_x, inverse=inv_x,
-              weight=weight_x, name="polar-x"),
+        Chart(map_z, domain, jacobian=jac_z, inverse=inv_z, name="polar-z"),
+        Chart(map_x, domain, jacobian=jac_x, inverse=inv_x, name="polar-x"),
     ]

@@ -14,6 +14,13 @@ from ..errors import InvalidFieldError, UsageError
 KINDS = ("constant", "affine", "vertex-table")
 
 
+def _finite(value, what):
+    value = float(value)
+    if not np.isfinite(value):
+        raise UsageError("%s must be finite, got %r" % (what, value))
+    return value
+
+
 class DampingField:
     """Scalar damping coefficient gamma on a surface.
 
@@ -40,16 +47,17 @@ class DampingField:
         if kind == "constant":
             if value is None:
                 raise UsageError("constant field needs a value")
-            self.value = float(value)
+            self.value = _finite(value, "constant field value")
         elif kind == "affine":
             if offset is None or slope is None or axis is None:
                 raise UsageError("affine field needs offset, slope and axis")
-            self.offset = float(offset)
-            self.slope = float(slope)
+            self.offset = _finite(offset, "affine offset")
+            self.slope = _finite(slope, "affine slope")
             axis = np.asarray(axis, dtype=float)
             norm = np.linalg.norm(axis)
-            if axis.shape != (3,) or norm == 0.0:
-                raise UsageError("affine axis must be a nonzero 3-vector")
+            if axis.shape != (3,) or not 0.0 < norm < np.inf:
+                raise UsageError(
+                    "affine axis must be a finite nonzero 3-vector")
             self.axis = axis / norm
         else:
             if table is None:
@@ -57,6 +65,8 @@ class DampingField:
             self.table = np.asarray(table, dtype=float)
             if self.table.ndim != 1 or len(self.table) == 0:
                 raise UsageError("vertex table must be a nonempty 1-d array")
+            if not np.all(np.isfinite(self.table)):
+                raise UsageError("vertex table entries must be finite")
 
     # convenience constructors -----------------------------------------
     @classmethod

@@ -146,9 +146,13 @@ def test_scan_frozen_rows(tmp_path, capsys):
     text = pathlib.Path(out_dir, "report.csv").read_text(encoding="utf-8")
     lines = text.splitlines()
     assert lines[0] == "r,N_scalar,N_system,W,borderline"
-    assert lines[1].startswith("5,81,162,75.0000000")
-    assert lines[2].startswith("10,289,578,300.0000000")
-    assert lines[4].startswith("20,1225,2450,1200.0000000")
+    assert lines[1].startswith("5,81,162,")
+    assert lines[2].startswith("10,289,578,")
+    assert lines[4].startswith("20,1225,2450,")
+    # W = 3 r^2 to roundoff
+    for line in lines[1:]:
+        r, _, _, w, _ = line.split(",")
+        assert float(w) == pytest.approx(3.0 * float(r) ** 2, rel=1e-13)
     payload = json.loads(pathlib.Path(out_dir, "report.json").read_text(
         encoding="utf-8"))
     assert payload["version"]
@@ -411,6 +415,20 @@ SCAN = ("scan", "--gamma", "2.0", "--r-min", "5", "--r-max", "10",
     (("scan", "--r-min", "-1"), "--r-min"),
     (("scan", "--r-max", "inf"), "--r-max"),
     (("weyl", "--r", "nan"), "--r"),
+    (("weyl", "--gamma", "nan"), "--gamma"),
+    (("weyl", "--gamma", "affine:2,nan,z"), "--gamma"),
+    (("weyl", "--gamma", "affine:2,0.5,nan/0/1"), "--gamma"),
+    (("weyl", "--surface", "ellipsoid:inf,1,1"), "--surface"),
+    (("weyl", "--gamma", "inf"), "--gamma"),
+    (("count", "--gamma", "inf", "--r", "2", "--max-degree", "20"),
+     "--gamma"),
+    (("verify-symbols", "--surface", "ellipsoid:nan,1,1"), "--surface"),
+    (("regions", "--bound", "inf"), "--bound"),
+    (("regions", "--bound", "2", "--c0", "inf"), "--c0"),
+    (("spectrum", "--max-degree", "-1"), "--max-degree"),
+    (("scan", "--max-degree", "-3"), "--max-degree"),
+    (("count", "--r", "3", "--max-degree", "-2"), "--max-degree"),
+    (("spectrum", "--tol", "nan"), "--tol"),
 ])
 def test_numeric_options_must_be_finite_and_in_range(capsys, tmp_path,
                                                      monkeypatch, argv, flag):

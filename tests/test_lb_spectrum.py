@@ -36,6 +36,7 @@ from weylcount.surface import (
     SurfaceMesh,
     icosphere,
 )
+from weylcount.surface.charts import sphere_grid
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,10 @@ def test_exact_sphere_tabulates_once_and_counting_only_reads_it(monkeypatch):
         for name, frozen in zip(("nodes", "mass", "modes"),
                                 reference_tabulation(degree)):
             assert np.array_equal(getattr(basis, name), frozen)
+        # surface integrals use the same grid
+        grid = sphere_grid(degree)
+        assert np.array_equal(basis.nodes, grid.nodes)
+        assert np.array_equal(basis.mass, grid.mass)
 
     calls = []
     tabulate = lb_spectrum._tabulate_sphere_modes

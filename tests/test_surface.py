@@ -15,7 +15,6 @@ from weylcount.surface import (
     icosphere,
     read_off,
     read_vertex_values,
-    smooth_step,
     write_off,
 )
 
@@ -37,18 +36,43 @@ def test_sphere_moments_chart_quadrature():
     assert abs(sphere.integrate(lambda p: p[..., 2] ** 2) - SPHERE_AREA / 3.0) <= 1e-6
 
 
+def test_affine_coefficient_is_exact_along_every_axis():
+    # (1/4 pi) * integral of (a + b <axis, x>)^2 - 1 over the sphere is
+    # a^2 - 1 + b^2/3 for every unit axis
+    a, b = 2.0, 0.5
+    sphere = AnalyticSurface.unit_sphere()
+    coefficients = []
+    for axis in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                 (0.3, -0.7, 0.2)]:
+        axis = np.asarray(axis) / np.linalg.norm(axis)
+        coefficients.append(sphere.integrate(
+            lambda p: (a + b * (p @ axis)) ** 2 - 1.0) / (4.0 * np.pi))
+    coefficients = np.array(coefficients)
+    assert np.max(np.abs(coefficients - (a * a - 1.0 + b * b / 3.0))) <= 1e-14
+    assert np.ptp(coefficients) <= 1e-14
+
+
 def test_ellipsoid_area_matches_prolate_closed_form():
     # semi-axes (2, 1, 1): S = 2 pi b^2 (1 + a/(b e) asin e), e^2 = 1 - b^2/a^2
     ecc = np.sqrt(1.0 - 0.25)
     exact = 2.0 * np.pi * (1.0 + (2.0 / ecc) * np.arcsin(ecc))
     surf = AnalyticSurface.ellipsoid(2.0, 1.0, 1.0)
-    assert abs(surf.integrate(lambda p: 1.0) - exact) <= 1e-6
+    assert abs(surf.integrate(lambda p: 1.0) - exact) <= 1e-12
 
 
-def test_quadrature_order_floor():
-    sphere = AnalyticSurface.unit_sphere()
-    with pytest.raises(UsageError):
-        sphere.area(order=8)
+def test_ellipsoid_area_matches_oblate_closed_form():
+    # semi-axes (1, 1, 0.5): S = 2 pi a^2 (1 + (1 - e^2)/e atanh e),
+    # e^2 = 1 - c^2/a^2
+    ecc = np.sqrt(1.0 - 0.25)
+    exact = 2.0 * np.pi * (1.0 + (1.0 - ecc * ecc) / ecc * np.arctanh(ecc))
+    surf = AnalyticSurface.ellipsoid(1.0, 1.0, 0.5)
+    assert abs(surf.area() - exact) <= 1e-12
+
+
+def test_nonfinite_semi_axes_rejected():
+    for axes in [(np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, -np.inf)]:
+        with pytest.raises(UsageError, match="finite"):
+            AnalyticSurface.ellipsoid(*axes)
 
 
 def test_ellipsoid_normal_matches_implicit_gradient():
@@ -102,58 +126,6 @@ def test_chart_inverse_round_trip():
         u, v = chart.inverse(chart.point(th, ph))
         assert np.max(np.abs(u - th)) <= 1e-12
         assert np.max(np.abs(v - ph)) <= 1e-12
-
-
-def test_partition_of_unity_covers_sphere():
-    sphere = AnalyticSurface.unit_sphere()
-    rng = np.random.default_rng(5)
-    pts = rng.standard_normal((5000, 3))
-    pts /= np.linalg.norm(pts, axis=-1)[:, None]
-    weights = np.stack([sphere.partition_weights(i, pts) for i in range(2)])
-    assert np.all(weights >= 0.0)
-    assert np.max(np.abs(weights.sum(axis=0) - 1.0)) <= 1e-14
-    # every point with positive chart weight lies inside that chart's rectangle
-    for i, chart in enumerate(sphere.charts):
-        covered = weights[i] > 0.0
-        u, v = chart.inverse(pts[covered])
-        assert np.all(chart.contains(u, v))
-
-
-@pytest.mark.parametrize("surface", [
-    AnalyticSurface.unit_sphere(), AnalyticSurface.ellipsoid(2.0, 1.0, 1.0)],
-    ids=["unit-sphere", "ellipsoid:2,1,1"])
-def test_integrate_weights_match_partition_weights(surface, monkeypatch):
-    raw_calls = []
-    for chart in surface.charts:
-        def counted(points, weight=chart.weight):
-            raw_calls.append(len(points))
-            return weight(points)
-        monkeypatch.setattr(chart, "weight", counted)
-    applied = []
-    partition = surface.partition_weights
-
-    def recorded(index, points):
-        weights = partition(index, points)
-        applied.append((index, points, weights))
-        return weights
-
-    monkeypatch.setattr(surface, "partition_weights", recorded)
-    surface.integrate(lambda points: 1.0)
-    # each chart's raw weight is evaluated once per chart grid
-    assert len(raw_calls) == len(surface.charts) ** 2
-    assert [index for index, _, _ in applied] == [0, 1]
-    for index, points, weights in applied:
-        raw = np.stack([chart.weight(points) for chart in surface.charts])
-        assert np.array_equal(weights, raw[index] / raw.sum(axis=0))
-
-
-def test_smooth_step_shape():
-    assert smooth_step(0.0) == 0.0
-    assert smooth_step(1.0) == 1.0
-    t = np.linspace(0.0, 1.0, 101)
-    s = smooth_step(t)
-    assert np.all(np.diff(s) >= 0.0)
-    assert abs(smooth_step(0.5) - 0.5) <= 1e-14
 
 
 # ----------------------------------------------------------------------
@@ -320,6 +292,18 @@ def test_nonpositive_field_rejected():
         DampingField.affine(0.5, 1.0, (0.0, 0.0, 1.0)).effective_range(sphere)
     with pytest.raises(InvalidFieldError):
         DampingField.constant(-2.0).effective_range(sphere)
+
+
+def test_nonfinite_field_parameters_rejected():
+    for make in [lambda: DampingField.constant(np.nan),
+                 lambda: DampingField.constant(np.inf, invert=True),
+                 lambda: DampingField.affine(np.nan, 0.5, (0.0, 0.0, 1.0)),
+                 lambda: DampingField.affine(2.0, -np.inf, (0.0, 0.0, 1.0)),
+                 lambda: DampingField.affine(2.0, 0.5, (np.nan, 0.0, 1.0)),
+                 lambda: DampingField.affine(2.0, 0.5, (np.inf, 0.0, 0.0)),
+                 lambda: DampingField.vertex_table([3.0, np.nan, 3.0])]:
+        with pytest.raises(UsageError, match="finite"):
+            make()
 
 
 def test_vertex_table_field_alignment():
