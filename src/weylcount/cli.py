@@ -17,6 +17,7 @@ its values become the command's defaults, so explicit flags win.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -110,11 +111,17 @@ def _nonnegative(text):
     return _positive(text, or_zero=True)
 
 
-def _nonnegative_int(text):
-    if not str(text).isdecimal():
+def _positive_int(text, or_zero=False):
+    """An integer > 0, or >= 0 with ``or_zero``."""
+    if not (str(text).isdecimal() and (or_zero or int(text) > 0)):
         raise argparse.ArgumentTypeError(
-            "expected an integer >= 0, got %r" % (text,))
+            "expected an integer %s 0, got %r"
+            % (">=" if or_zero else ">", text))
     return int(text)
+
+
+def _nonnegative_int(text):
+    return _positive_int(text, or_zero=True)
 
 
 def read_config(path):
@@ -525,7 +532,7 @@ def _add_basis(sub, modes_flag, max_degree=None):
                      help="exact sphere basis degree (default %s)"
                           % ("auto" if max_degree is None else max_degree))
     sub.add_argument("--mesh", help="icosphere:LEVEL or an OFF file")
-    sub.add_argument(modes_flag, type=int,
+    sub.add_argument(modes_flag, type=_positive_int,
                      help="number of FEM modes for --mesh runs")
     sub.add_argument("--cache-dir", help="spectrum cache directory")
     sub.add_argument("--tol", type=_positive, default=SOLVER_TOL,
@@ -615,14 +622,23 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser():
+    """The parser of every call without ``--config``, built on first use."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.command is None:
             raise UsageError("no command given (see --help)")
         if args.config:
-            # config values become defaults, so explicit flags still win
+            # config values become defaults, so explicit flags still win;
+            # they go on a parser of this call's own, so no later call
+            # sees them
+            parser = build_parser()
+            args = parser.parse_args(argv)
             args._parser.set_defaults(
                 **_config_defaults(args._parser, args.config))
             args = parser.parse_args(argv)

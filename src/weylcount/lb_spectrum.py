@@ -1,12 +1,16 @@
 """Laplace-Beltrami spectra on closed surfaces.
 
-Two sources feed the counting pipeline with the same interface:
+A spectrum is a list of clusters: distinct eigenvalues, strictly ascending,
+each with a positive integer multiplicity.  Two sources feed the counting
+pipeline with the same interface:
 
-* the exact unit-sphere spectrum n(n+1) with multiplicity 2n+1, degree n
-  in columns n^2..n^2+2n with order m at n^2+n+m, its real harmonics
-  tabulated on a product quadrature grid on first use, and
+* the exact unit-sphere spectrum, cluster n holding n(n+1) with multiplicity
+  2n+1, so it is stored in O(degree) memory; its real harmonics are
+  tabulated on a product quadrature grid on first use, degree n in columns
+  n^2..n^2+2n with order m at n^2+n+m, and
 * cotangent finite elements with lumped mass on a triangle mesh, solved as a
-  sparse symmetric generalized eigenproblem for the lowest eigenpairs.
+  sparse symmetric generalized eigenproblem for the lowest eigenpairs, whose
+  exactly equal eigenvalues form one cluster.
 
 Mesh solves are expensive, so they get a small binary disk cache ("WLB1"
 container plus a JSON sidecar), keyed by the mesh content, the mode count,
@@ -47,20 +51,25 @@ Quadrature = namedtuple("Quadrature", ["nodes", "mass", "modes"])
 
 @dataclass
 class SpectralBasis:
-    """Ascending Laplace-Beltrami eigenvalues plus tabulated modes.
+    """Laplace-Beltrami eigenvalue clusters plus tabulated modes.
 
-    ``modes`` holds mode values at ``nodes`` with quadrature weights
-    ``mass``; the columns are orthonormal in the weighted inner product.  A
-    mesh basis keeps the arrays it was solved or loaded with in
-    ``quadrature`` (None for a cache entry without them); the exact sphere
-    tabulates its harmonics there on first access, in the module's layout,
-    where a column's degree is ``sphere_degree_for`` of its eigenvalue.
-    ``trusted_horizon`` is the largest eigenvalue considered resolved: for a
-    mesh, the Weyl count of 5% of the vertex budget, i.e.
-    ``0.05 * vertex_count * 4 pi / area``.
+    ``values`` holds the distinct eigenvalues, strictly ascending, and
+    ``multiplicities`` how many modes each cluster spans; ``ends`` is their
+    running sum, the number of modes through each cluster.  The per-mode
+    ``eigenvalues`` are expanded from the clusters on each access; counting
+    reads the clusters, and a dense section expands only its own modes
+    (``leading``).  ``modes`` holds mode values at ``nodes``
+    with quadrature weights ``mass``; the columns are orthonormal in the
+    weighted inner product.  A mesh basis keeps the arrays it was solved or
+    loaded with in ``quadrature`` (None for a cache entry without them); the
+    exact sphere, whose cluster index is the degree, tabulates its harmonics
+    there on first access, in the module's layout.  ``trusted_horizon`` is
+    the largest eigenvalue considered resolved: for a mesh, the Weyl count
+    of 5% of the vertex budget, i.e. ``0.05 * vertex_count * 4 pi / area``.
     """
 
-    eigenvalues: np.ndarray
+    values: np.ndarray
+    multiplicities: np.ndarray
     source: str
     area: float
     trusted_horizon: float
@@ -69,14 +78,19 @@ class SpectralBasis:
     mesh_hash: str = ""
 
     def __post_init__(self):
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(np.diff(self.eigenvalues) < 0.0):
-            raise SolverError("eigenvalues not ascending")
+        self.values = np.asarray(self.values, dtype=float)
+        self.multiplicities = np.asarray(self.multiplicities, dtype=np.int64)
+        if (self.values.ndim != 1 or len(self.values) == 0
+                or self.multiplicities.shape != self.values.shape
+                or not np.all(np.diff(self.values) > 0.0)
+                or not np.all(self.multiplicities >= 1)):
+            raise SolverError("eigenvalue clusters must be strictly ascending "
+                              "with positive multiplicities")
+        self.ends = np.cumsum(self.multiplicities)
 
     def _tabulated(self):
         if self.quadrature is None and self.source == "exact-sphere":
-            self.quadrature = _tabulate_sphere_modes(
-                sphere_degree_for(self.top))
+            self.quadrature = _tabulate_sphere_modes(len(self.values) - 1)
         return self.quadrature or Quadrature(None, None, None)
 
     nodes = property(lambda self: self._tabulated().nodes)
@@ -84,12 +98,23 @@ class SpectralBasis:
     modes = property(lambda self: self._tabulated().modes)
 
     @property
+    def eigenvalues(self):
+        """All per-mode eigenvalues, ascending, with multiplicity."""
+        return self.leading(self.mode_count)
+
+    def leading(self, cut):
+        """The first ``cut`` per-mode eigenvalues."""
+        clusters = int(np.searchsorted(self.ends, cut)) + 1
+        return np.repeat(self.values[:clusters],
+                         self.multiplicities[:clusters])[:cut]
+
+    @property
     def mode_count(self):
-        return len(self.eigenvalues)
+        return int(self.ends[-1])
 
     @property
     def top(self):
-        return float(self.eigenvalues[-1])
+        return float(self.values[-1])
 
     def modes_needed(self, lam):
         """Estimated number of modes required to resolve eigenvalue lam."""
@@ -105,6 +130,16 @@ class SpectralBasis:
                 f"modes are required")
 
 
+def clusters_of(eigenvalues):
+    """(values, multiplicities) of ascending per-mode eigenvalues: each run
+    of exactly equal eigenvalues is one cluster."""
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    if np.any(np.diff(eigenvalues) < 0.0):
+        raise SolverError("eigenvalues not ascending")
+    starts = np.flatnonzero(np.diff(eigenvalues, prepend=np.nan) != 0.0)
+    return eigenvalues[starts], np.diff(starts, append=len(eigenvalues))
+
+
 # ----------------------------------------------------------------------
 # exact sphere spectrum
 # ----------------------------------------------------------------------
@@ -117,15 +152,16 @@ def sphere_degree_for(lam):
 
 
 def exact_sphere_spectrum(max_degree):
-    """Unit-sphere spectrum up to the given degree: n(n+1), multiplicity 2n+1."""
+    """Unit-sphere spectrum up to the given degree: cluster n is n(n+1) with
+    multiplicity 2n+1."""
     max_degree = int(max_degree)
     if max_degree < 0:
         raise InsufficientSpectrumError("max_degree must be >= 0")
     each = np.arange(max_degree + 1, dtype=np.int64)
-    eigenvalues = np.repeat(each * (each + 1.0), 2 * each + 1)
-    return SpectralBasis(eigenvalues=eigenvalues, source="exact-sphere",
-                         area=4.0 * np.pi,
-                         trusted_horizon=float(eigenvalues[-1]))
+    values = each * (each + 1.0)
+    return SpectralBasis(values=values, multiplicities=2 * each + 1,
+                         source="exact-sphere", area=4.0 * np.pi,
+                         trusted_horizon=float(values[-1]))
 
 
 def normalized_legendre_block(order, max_degree, t):
@@ -283,7 +319,7 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
     area = float(np.sum(mass))
     horizon = TRUSTED_MODE_FRACTION * n * 4.0 * np.pi / area
     return SpectralBasis(
-        eigenvalues=values,
+        *clusters_of(values),
         source="mesh-fem",
         area=area,
         trusted_horizon=float(min(horizon, values[-1])),
@@ -391,7 +427,7 @@ def cache_load(directory, key):
     if version != CACHE_VERSION:
         return None
     return SpectralBasis(
-        eigenvalues=eigenvalues,
+        *clusters_of(eigenvalues),
         source=sidecar.get("source", "mesh-fem"),
         area=area,
         trusted_horizon=horizon,

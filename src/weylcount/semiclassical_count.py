@@ -6,12 +6,13 @@ and G the Gram matrix of the effective damping gamma0 under the surface mass
 inner product.  Its negative eigenvalues predict the eigenvalue count N(r),
 which the Weyl law pegs at (r^2 / 4 pi) * integral of (gamma0^2 - 1).
 
-The finite section is stored block diagonally, as symmetric blocks (or
-stacks of equal-size blocks) each repeated a number of times.  Constant
-damping makes every block 1 x 1, damping affine along the sphere's polar
-axis gives one tridiagonal block per order, kept as the diagonal and
-off-diagonals alone, and any other field one dense block from the mode
-values the basis tabulates, which this module reads.
+A section keeps whole eigenvalue clusters of the basis, and it is stored
+block diagonally, as symmetric blocks (or stacks of equal-size blocks) each
+repeated a number of times.  Constant damping makes one 1 x 1 block per
+cluster, damping affine along the sphere's polar axis gives one tridiagonal
+block per order, kept as the diagonal and a closed form of the couplings,
+and any other field one dense block from the mode values the basis
+tabulates, which this module reads.
 
 Counting computes no eigenvalues: by Sylvester's law of inertia the number
 of eigenvalues below a shift is the number of negative pivots of an LDL^T
@@ -35,9 +36,10 @@ from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, InsufficientSpectrumError, UsageError
-from .lb_spectrum import sphere_degree_for
 
 ZERO_TOL = 1e-12
+# rows whose couplings a Sturm sweep generates in one call, 32 640 entries
+SHORT_ROWS = 256
 CUT_FACTOR = 2.0
 STABILITY_FACTOR = 1.5
 EXPONENT_SPAN = 3.0
@@ -129,18 +131,18 @@ class TridiagonalFamily:
     """Symmetric tridiagonal blocks T_0, ..., T_L that share one diagonal.
 
     T_m spans rows m..L with diagonal ``diagonal[..., m:]``; its entry
-    coupling rows n - 1 and n (m < n <= L) is
-    ``off_diagonal[n (n - 1) / 2 + m]``, so the entries that couple row n to
-    row n - 1 in all blocks are one run, and the off-diagonals of the family
-    cut to rows 0..n are a leading slice.  Leading axes on ``diagonal`` hold
-    a batch of families that share the off-diagonals.  ``sweep`` is
-    (SturmSweep, member) when the family is a leading part of that member of
-    a batch whose sweep counts it, as the sections of a scan are, and None
-    when it is counted on its own.
+    coupling rows n - 1 and n (m < n <= L) is ``couplings(n, m)``, a
+    function that broadcasts over integer arrays of rows and orders, so
+    row n's entries in all blocks are ``couplings(n, arange(n))`` and no
+    family stores its off-diagonals.  Leading axes on ``diagonal`` hold a
+    batch of families that share the couplings.  ``sweep`` is (SturmSweep,
+    member) when the family is a leading part of that member of a batch
+    whose sweep counts it, as the sections of a scan are, and None when it
+    is counted on its own.
     """
 
     diagonal: np.ndarray
-    off_diagonal: np.ndarray
+    couplings: object
     sweep: tuple = None
 
     def __len__(self):
@@ -148,9 +150,8 @@ class TridiagonalFamily:
 
     def block(self, order):
         """(diagonal, off-diagonal) of T_order."""
-        rows = np.arange(order + 1, len(self))
         return (self.diagonal[..., order:],
-                self.off_diagonal[rows * (rows - 1) // 2 + order])
+                self.couplings(np.arange(order + 1, len(self)), order))
 
 
 @dataclass
@@ -219,6 +220,25 @@ def _inertia(matrix, shift):
     return negative, zero
 
 
+def _squared_rows(couplings, rows):
+    """The squares of row n's couplings, n = 0..rows - 1, in turn.
+
+    The first SHORT_ROWS rows come from one call over all their entries,
+    which saves a call per row where calls cost more than the entries; each
+    later row comes from a call of its own, so memory stays linear in the
+    rows.
+    """
+    short = min(rows, SHORT_ROWS)
+    row = np.repeat(np.arange(short), np.arange(short))
+    squares = np.square(couplings(
+        row, np.arange(len(row)) - row * (row - 1) // 2))
+    for n in range(short):
+        yield squares[n * (n - 1) // 2:n * (n + 1) // 2]
+    orders = np.arange(rows)
+    for n in range(short, rows):
+        yield np.square(couplings(n, orders[:n]))
+
+
 class SturmSweep:
     """Counts of the sections of a batch of tridiagonal families, looked up
     in a table of running counts that one pivot sweep fills per tolerance.
@@ -233,10 +253,11 @@ class SturmSweep:
     the eigenvalues of T below -s.  A section's pivots are the leading
     pivots of every wider section, so each row n is swept once, for every
     block and every member holding it (a member only through its ``last``),
-    at s = zero_tol and s = -zero_tol together.  An exactly zero pivot
-    becomes +tiny at s = zero_tol and -tiny at s = -zero_tol, so an
-    eigenvalue exactly at -zero_tol is not counted below it and one exactly
-    at zero_tol is counted within it.
+    at s = zero_tol and s = -zero_tol together.  Row n's couplings are
+    generated as the sweep reaches it, so memory stays linear in the rows.
+    An exactly zero pivot becomes +tiny at s = zero_tol and -tiny at
+    s = -zero_tol, so an eigenvalue exactly at -zero_tol is not counted
+    below it and one exactly at zero_tol is counted within it.
     """
 
     def __init__(self, family, multiplicity, last):
@@ -263,18 +284,17 @@ class SturmSweep:
         diagonal = self.family.diagonal.reshape(-1, len(self.family))
         shifted = (diagonal.T[:, None, :, None]
                    + np.array([zero_tol, -zero_tol])[:, None, None])
-        squares = np.square(self.family.off_diagonal)
         pivots = np.empty((2, len(diagonal), rows))
         fresh = np.zeros((2, len(diagonal), rows), dtype=np.int64)
         ties = np.array([[[1.0]], [[-1.0]]]) * np.finfo(float).tiny
         # a tiny pivot overflows the next quotient to inf, whose pivot is then
         # -inf, counted negative, and the pivot after it finite again
         with np.errstate(over="ignore"):
-            for n in range(rows):
+            for n, squares in enumerate(
+                    _squared_rows(self.family.couplings, rows)):
                 start = self._first[n]
                 head = pivots[:, start:, :n + 1]
-                np.divide(squares[n * (n - 1) // 2:n * (n + 1) // 2],
-                          head[..., :n], out=head[..., :n])
+                np.divide(squares, head[..., :n], out=head[..., :n])
                 head[..., n] = 0.0
                 np.subtract(shifted[n, :, start:], head, out=head)
                 np.copyto(head, ties, where=head == 0.0)
@@ -317,25 +337,14 @@ def count_negative(operator, zero_tol=ZERO_TOL):
     return NegativeCount(negative, borderline)
 
 
-def _mode_cut_index(eigenvalues, threshold):
-    """First section boundary whose last retained eigenvalue >= threshold,
-    extended so a degenerate cluster is never split."""
-    cut = int(np.searchsorted(eigenvalues, threshold, side="left")) + 1
-    if cut > len(eigenvalues):
-        raise InsufficientSpectrumError(
-            f"basis top {eigenvalues[-1]:.6g} below mode-cut threshold "
-            f"{threshold:.6g}")
-    return int(np.searchsorted(eigenvalues, eigenvalues[cut - 1],
-                               side="right"))
-
-
-def _mode_cut(basis, field, h, surface, cut_factor):
-    """Retained section size at h: ``cut_factor`` times the ellipticity
-    threshold (constant damping needs no tail at all, so there only the
-    threshold itself must be resolved).  Raises InsufficientSpectrumError
-    when the basis cannot resolve it."""
+def _last_cluster(basis, field, h, surface, cut_factor):
+    """Index of the last eigenvalue cluster of the section at h: the first
+    cluster at or above ``cut_factor`` times the ellipticity threshold, or
+    the basis top (constant damping needs no tail at all, so there only the
+    threshold itself must be resolved).  Clusters are never split, so the
+    section holds ``basis.ends[index]`` modes.  Raises
+    InsufficientSpectrumError when the basis cannot resolve it."""
     lam_star = constants_for(field, surface).ellipticity_threshold(h)
-    lam = basis.eigenvalues
     need = cut_factor * lam_star
     basis.require_top(lam_star if field.kind == "constant" else need,
                       context=f"counting at h = {h:g}")
@@ -343,7 +352,13 @@ def _mode_cut(basis, field, h, surface, cut_factor):
         raise InsufficientSpectrumError(
             f"threshold {lam_star:.6g} beyond the trusted horizon "
             f"{basis.trusted_horizon:.6g}")
-    return _mode_cut_index(lam, min(need, lam[-1]))
+    threshold = min(need, basis.top)
+    last = int(np.searchsorted(basis.values, threshold))
+    if last == len(basis.values):
+        raise InsufficientSpectrumError(
+            f"basis top {basis.top:.6g} below mode-cut threshold "
+            f"{threshold:.6g}")
+    return last
 
 
 def _polar_affine(basis, field, surface):
@@ -371,28 +386,22 @@ def _damping_gram(basis, field, cut):
     return scaled.T @ scaled
 
 
-def _cluster_starts(eigenvalues, cut):
-    """Where the eigenvalue clusters among the first ``cut`` start; the
-    eigenvalues are sorted, so a cluster starts where they change."""
-    return np.append(0, np.flatnonzero(
-        eigenvalues[1:cut] != eigenvalues[:cut - 1]) + 1)
-
-
 def _polar_family(offset, slope, h, degree):
     """(family, multiplicity) of a polar-affine section through ``degree``.
 
     A column of h values gives a batch of families, which share the
-    off-diagonals.  Orders m >= 1 count twice, for +-m.
+    couplings -slope J_m(n), J_m(n) = sqrt((n^2 - m^2) / ((2n - 1)(2n + 1)))
+    the Jacobi entries of the orthonormal associated Legendre functions.
+    Orders m >= 1 count twice, for +-m.
     """
     degrees = np.arange(degree + 1)
-    # (row n, order m < n) in the family's off-diagonal layout
-    rows = np.repeat(degrees, degrees)
-    orders = np.arange(len(rows)) - rows * (rows - 1) // 2
-    jacobi = np.sqrt((rows * rows - orders * orders)
-                     / ((2.0 * rows - 1.0) * (2.0 * rows + 1.0)))
+
+    def couplings(rows, orders):
+        return -slope * np.sqrt((rows * rows - orders * orders)
+                                / ((2.0 * rows - 1.0) * (2.0 * rows + 1.0)))
+
     family = TridiagonalFamily(
-        np.sqrt(1.0 + h * h * degrees * (degrees + 1.0)) - offset,
-        -slope * jacobi)
+        np.sqrt(1.0 + h * h * degrees * (degrees + 1.0)) - offset, couplings)
     return family, np.where(degrees == 0, 1, 2)
 
 
@@ -400,15 +409,16 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
                    _shared=None):
     """Assemble the finite model of the counting operator at h.
 
-    Constant damping gives one 1 x 1 block per eigenvalue cluster.  Damping
-    whose effective coefficient a + b z is affine along the polar axis of the
-    exact sphere gives, per order m, diag(sqrt(1 + h^2 n(n+1)) - a) - b J_m
-    over degrees n >= m, with J_m the Jacobi matrix of the orthonormal
-    associated Legendre functions: one tridiagonal family, order m >= 1
-    counted twice for +-m.  Anything else goes through the Gram matrix of
-    tabulated mode values.  ``scan`` forms the h-independent part of its
-    sections once, at its widest cut, and passes it as ``_shared``: the
-    cluster starts or the Gram matrix, of which each section takes a leading
+    Constant damping gives one 1 x 1 block per eigenvalue cluster, read
+    from the basis clusters alone.  Damping whose effective coefficient
+    a + b z is affine along the polar axis of the exact sphere gives, per
+    order m, diag(sqrt(1 + h^2 n(n+1)) - a) - b J_m over degrees n >= m,
+    with J_m the Jacobi matrix of the orthonormal associated Legendre
+    functions: one tridiagonal family through the last cluster's degree,
+    order m >= 1 counted twice for +-m.  Anything else goes through the Gram
+    matrix of tabulated mode values.  ``scan`` forms the h-independent part
+    of its variable-damping sections once, at its widest cut, and passes it
+    as ``_shared``: the Gram matrix, of which each section takes a leading
     part, or for polar-affine damping its :class:`SturmSweep` and the batch
     member that stands for h.
     """
@@ -416,30 +426,28 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
         raise UsageError(f"semiclassical parameter must be positive, got {h}")
     if field.kind != "constant" and surface is None:
         raise UsageError("variable damping needs the surface for its range")
-    cut = _mode_cut(basis, field, h, surface, cut_factor)
-    lam = basis.eigenvalues
+    last = _last_cluster(basis, field, h, surface, cut_factor)
+    cut = int(basis.ends[last])
 
     if field.kind == "constant":
         gamma0 = max(field.value, 1.0 / field.value)
-        starts = _cluster_starts(lam, cut) if _shared is None else _shared
-        starts = starts[:np.searchsorted(starts, cut)]
-        sizes = np.diff(starts, append=cut)
-        values = np.sqrt(1.0 + h * h * lam[starts]) - gamma0
-        return GalerkinOperator(cut, [(values[:, None, None], sizes)])
+        values = np.sqrt(1.0 + h * h * basis.values[:last + 1]) - gamma0
+        return GalerkinOperator(cut, [(values[:, None, None],
+                                       basis.multiplicities[:last + 1])])
 
     polar = _polar_affine(basis, field, surface)
     if polar is not None:
-        degree = sphere_degree_for(lam[cut - 1])
+        # the exact sphere's cluster index is its degree
         if _shared is None:
-            return GalerkinOperator(cut, [_polar_family(*polar, h, degree)])
+            return GalerkinOperator(cut, [_polar_family(*polar, h, last)])
         sweep, member = _shared
-        part = TridiagonalFamily(
-            sweep.family.diagonal[member, :degree + 1],
-            sweep.family.off_diagonal[:degree * (degree + 1) // 2], _shared)
-        return GalerkinOperator(cut, [(part, sweep.multiplicity[:degree + 1])])
+        part = TridiagonalFamily(sweep.family.diagonal[member, :last + 1],
+                                 sweep.family.couplings, _shared)
+        return GalerkinOperator(cut, [(part, sweep.multiplicity[:last + 1])])
 
     gram = _damping_gram(basis, field, cut) if _shared is None else _shared
-    matrix = np.diag(np.sqrt(1.0 + h * h * lam[:cut])) - gram[:cut, :cut]
+    matrix = np.diag(np.sqrt(1.0 + h * h * basis.leading(cut))) \
+        - gram[:cut, :cut]
     return GalerkinOperator(cut, [(matrix, 1)])
 
 
@@ -585,11 +593,12 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     basis cannot support the recount the stability delta is left undefined
     rather than failing the scan.  Every section, recounts included, is
     built and counted on its own, radii ascending, first at ``cut_factor``
-    and then at the recount, and takes a leading part of one h-independent
-    part formed at the widest cut: cluster starts or the Gram matrix.  The
-    polar-affine sections are members of one batch, one per radius, and one
-    :class:`SturmSweep` counts them all: it sweeps each member through the
-    degree of its widest cut once, and each count looks its section up.
+    and then at the recount.  Constant damping reads the basis clusters
+    alone; a dense section takes a leading part of one Gram matrix formed
+    at the widest cut.  The polar-affine sections are members of one batch,
+    one per radius, and one :class:`SturmSweep` counts them all: it sweeps
+    each member through the degree of its widest cut once, and each count
+    looks its section up.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or len(r_grid) == 0:
@@ -599,27 +608,28 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
 
     h_grid = 1.0 / r_grid
     factors = (cut_factor, cut_factor * STABILITY_FACTOR)
-    cuts = [[_mode_cut(basis, field, h, surface, cut_factor) for h in h_grid]]
+    last = [[_last_cluster(basis, field, h, surface, cut_factor)
+             for h in h_grid]]
     try:
-        cuts.append([_mode_cut(basis, field, h, surface, factors[1])
+        last.append([_last_cluster(basis, field, h, surface, factors[1])
                      for h in h_grid])
     except InsufficientSpectrumError:
         factors = factors[:1]
-    cuts = np.array(cuts)
-    widest = int(np.max(cuts))
+    last = np.array(last)
+    cuts = basis.ends[last]
 
     polar = _polar_affine(basis, field, surface)
     if field.kind == "constant":
-        shared = [_cluster_starts(basis.eigenvalues, widest)] * len(h_grid)
+        shared = [None] * len(h_grid)
     elif polar is not None:
         # one batch member per radius, swept through its widest cut's degree
-        last = [sphere_degree_for(basis.eigenvalues[cut - 1])
-                for cut in cuts.max(axis=0)]
-        sweep = SturmSweep(*_polar_family(*polar, h_grid[:, None], last[-1]),
-                           last)
+        widest = last.max(axis=0)
+        sweep = SturmSweep(*_polar_family(*polar, h_grid[:, None],
+                                          widest[-1]), widest)
         shared = [(sweep, member) for member in range(len(h_grid))]
     else:
-        shared = [_damping_gram(basis, field, widest)] * len(h_grid)
+        shared = [_damping_gram(basis, field, int(np.max(cuts)))] \
+            * len(h_grid)
     below, within = np.array([
         [count_negative(build_operator(basis, field, h, surface=surface,
                                        cut_factor=factor, _shared=part),

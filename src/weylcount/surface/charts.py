@@ -8,6 +8,7 @@ sphere's product grid (``sphere_grid``, shared with the tabulated sphere
 harmonics) mapped by that matrix.
 """
 
+import functools
 from collections import namedtuple
 
 import numpy as np
@@ -46,6 +47,15 @@ def sphere_grid(degree):
         np.outer(z, np.ones_like(phi)).ravel(),
     ], axis=-1)
     return SphereGrid(z, phi, nodes, np.outer(wz, wphi).ravel())
+
+
+@functools.lru_cache(maxsize=None)
+def _integration_grid():
+    """``sphere_grid(INTEGRATION_DEGREE)``, built on first use, read-only."""
+    grid = sphere_grid(INTEGRATION_DEGREE)
+    for array in grid:
+        array.flags.writeable = False
+    return grid
 
 
 class Chart:
@@ -185,7 +195,7 @@ class AnalyticSurface:
         the sphere's product grid mapped by the same matrix, each node
         weighted by the area element a b c |x / axes^2| at its image x.
         """
-        grid = sphere_grid(INTEGRATION_DEGREE)
+        grid = _integration_grid()
         points = grid.nodes * self.axes
         weights = grid.mass * np.prod(self.axes) * np.linalg.norm(
             points / self.axes ** 2, axis=-1)

@@ -3,12 +3,13 @@
 import json
 import os
 import pathlib
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from weylcount import cli
+from weylcount import cli, lb_spectrum
 from weylcount.cli import main
 from weylcount.lb_spectrum import SOLVER_TOL
 from weylcount.semiclassical_count import (
@@ -213,6 +214,34 @@ def test_scan_config_booleans_match_flags(tmp_path, capsys):
         encoding="utf-8"))
     assert payload["config"]["invert"] is True
     assert payload["config"]["log"] is True
+
+
+def test_config_defaults_stay_with_their_call(tmp_path, capsys, monkeypatch):
+    # calls share one parser; a --config call parses with one of its own,
+    # so the next plain call sees the built-in defaults
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("steps = 2\ncut-factor = 2.5\n", encoding="utf-8")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(capsys, "scan", "--config", str(cfg), "--output",
+               str(first))[0] == 0
+    assert run(capsys, "scan", "--output", str(second))[0] == 0
+    assert run(capsys, "weyl")[0] == 0
+    assert len(builds) == 2
+    config = json.loads((second / "report.json").read_text(
+        encoding="utf-8"))["config"]
+    assert (config["steps"], config["cut-factor"]) == (4, CUT_FACTOR)
+    assert len((second / "report.csv").read_text(
+        encoding="utf-8").splitlines()) == 1 + 4
+    cli._shared_parser.cache_clear()
 
 
 @pytest.mark.parametrize("argv, text, expected_code, expected", [
@@ -429,6 +458,8 @@ SCAN = ("scan", "--gamma", "2.0", "--r-min", "5", "--r-max", "10",
     (("scan", "--max-degree", "-3"), "--max-degree"),
     (("count", "--r", "3", "--max-degree", "-2"), "--max-degree"),
     (("spectrum", "--tol", "nan"), "--tol"),
+    (("spectrum", "--mesh", "icosphere:1", "--count", "-3"), "--count"),
+    (("scan", "--mesh", "icosphere:1", "--modes", "0"), "--modes"),
 ])
 def test_numeric_options_must_be_finite_and_in_range(capsys, tmp_path,
                                                      monkeypatch, argv, flag):
@@ -441,6 +472,61 @@ def test_numeric_options_must_be_finite_and_in_range(capsys, tmp_path,
     assert err.startswith("usage error: argument %s: " % flag)
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# the exact sphere at large radii
+# ----------------------------------------------------------------------
+
+def cluster_enumeration(gamma0, r):
+    """(n* + 1)^2: degrees n with n(n+1) < (gamma0^2 - 1) r^2 all count."""
+    threshold = (gamma0 * gamma0 - 1.0) * r * r
+    top = int(np.sqrt(threshold))
+    while top * (top + 1) >= threshold:
+        top -= 1
+    return (top + 1) ** 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--gamma", "2.0", "--r-min", "800", "--r-max", "4000"),
+    ("scan", "--gamma", "affine:2,0.5,z", "--r-min", "200", "--r-max",
+     "1000"),
+])
+def test_exact_sphere_scan_memory_is_linear_in_r(tmp_path, capsys, argv):
+    # a section through degree L holds (L + 1)^2 modes, 96 020 401 at the
+    # constant scan's top radius, and L^2 / 2 couplings, about 7.9 million
+    # at the z scan's widest recount; the scans read clusters and generate
+    # the couplings row by row
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, *argv, "--output", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 20 * 2 ** 20
+    rows = [line.split(",") for line in (tmp_path / "report.csv").read_text(
+        encoding="utf-8").splitlines()[1:]]
+    assert len(rows) == 4
+    if argv[2] == "2.0":
+        assert [int(row[1]) for row in rows] == [
+            cluster_enumeration(2.0, float(row[0])) for row in rows]
+
+
+def test_exact_sphere_counts_never_expand_the_spectrum(tmp_path, capsys,
+                                                      monkeypatch):
+    def expanded(self, cut):
+        raise AssertionError("per-mode eigenvalues expanded")
+
+    monkeypatch.setattr(lb_spectrum.SpectralBasis, "leading", expanded)
+    for argv in (("scan", "--gamma", "2.0"),
+                 ("scan", "--gamma", "affine:2,0.5,z", "--invert"),
+                 ("count", "--gamma", "0.5", "--r", "48"),
+                 ("count", "--gamma", "affine:2,-0.5,-z", "--r", "48"),
+                 ("spectrum", "--max-degree", "2000")):
+        code, _, err = run(capsys, *argv, "--output", str(tmp_path)) \
+            if argv[0] == "scan" else run(capsys, *argv)
+        assert code == 0, err
 
 
 def test_weyl_affine(capsys):

@@ -15,15 +15,18 @@ from weylcount import lb_spectrum
 from weylcount.errors import (
     CacheError,
     InsufficientSpectrumError,
+    SolverError,
     UsageError,
 )
 from weylcount.lb_spectrum import (
     SOLVER_SEED,
+    SpectralBasis,
     assemble_fem,
     cache_key,
     cache_load,
     cache_store,
     cached_mesh_spectrum,
+    clusters_of,
     exact_sphere_spectrum,
     normalized_legendre_block,
     solve_lowest,
@@ -61,6 +64,11 @@ def test_exact_sphere_degrees_and_orders():
     # at column n^2+n+m, and a column's degree follows from its eigenvalue
     basis = exact_sphere_spectrum(5)
     assert basis.mode_count == 36
+    # cluster n is degree n
+    each = np.arange(6)
+    assert basis.values.tolist() == (each * (each + 1)).tolist()
+    assert basis.multiplicities.tolist() == (2 * each + 1).tolist()
+    assert basis.ends.tolist() == ((each + 1) ** 2).tolist()
     for n in range(6):
         for m in range(-n, n + 1):
             assert basis.eigenvalues[n * n + n + m] == n * (n + 1)
@@ -73,6 +81,32 @@ def test_exact_sphere_degrees_and_orders():
     each = np.arange(2001)
     assert [sphere_degree_for(lam) for lam in each * (each + 1.0)] \
         == each.tolist()
+
+
+def test_exact_sphere_is_stored_in_linear_memory():
+    degree = 10 ** 5
+    basis = exact_sphere_spectrum(degree)
+    assert basis.mode_count == (degree + 1) ** 2
+    assert basis.top == basis.trusted_horizon == degree * (degree + 1.0)
+    stored = [value for value in vars(basis).values()
+              if isinstance(value, np.ndarray)]
+    assert sum(array.nbytes for array in stored) <= 24 * (degree + 1)
+    assert basis.quadrature is None  # nothing tabulated either
+    assert basis.leading(10).tolist() == [0.0] + [2.0] * 3 + [6.0] * 5 \
+        + [12.0]
+
+
+def test_clusters_must_ascend_with_positive_multiplicities():
+    for values, multiplicities in (([0.0, 2.0, 2.0], [1, 3, 5]),
+                                   ([0.0, 6.0, 2.0], [1, 3, 5]),
+                                   ([0.0, 2.0], [1, 0]),
+                                   ([0.0, 2.0], [1, 3, 5]),
+                                   ([], [])):
+        with pytest.raises(SolverError):
+            SpectralBasis(values, multiplicities, source="test", area=1.0,
+                          trusted_horizon=1.0)
+    with pytest.raises(SolverError):
+        clusters_of([0.0, 2.0, 1.0])
 
 
 def test_sphere_degree_for():
@@ -207,6 +241,38 @@ def test_fem_mass_trace_is_area():
     assert abs(pencil.mass.sum() - mesh.area) < 1e-12
     assert abs(pencil.mass.sum() - 4.0 * np.pi) < 0.005 * 4.0 * np.pi
     assert np.all(pencil.mass > 0.0)
+
+
+def test_fem_clusters_keep_the_per_mode_cuts(level4_basis):
+    # plant exact repeats: each sphere degree's FEM eigenvalues take the
+    # value of its lowest, so the basis has the exact sphere's multiplicities
+    lam = level4_basis.eigenvalues
+    each = np.arange(11)
+    starts = each * each
+    planted = np.repeat(lam[starts], 2 * each + 1)
+    values, multiplicities = clusters_of(planted)
+    assert multiplicities.tolist() == (2 * each + 1).tolist()
+    basis = SpectralBasis(values, multiplicities, source="mesh-fem",
+                          area=level4_basis.area,
+                          trusted_horizon=level4_basis.trusted_horizon,
+                          quadrature=level4_basis.quadrature)
+    assert np.array_equal(basis.eigenvalues, planted)
+    # the cut of the per-mode eigenvalues: the first mode at or above twice
+    # the ellipticity threshold, extended to the end of its cluster
+    sphere = AnalyticSurface.unit_sphere()
+    for field in (DampingField.constant(2.0),
+                  DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))):
+        c1 = field.effective_range(sphere)[1]
+        for r in np.linspace(1.0, 2.4, 15):
+            need = 2.0 * (c1 * c1 - 1.0) * r * r
+            first = np.searchsorted(planted, min(need, planted[-1]))
+            cut = np.searchsorted(planted, planted[first], side="right")
+            op = build_operator(basis, field, 1.0 / r, surface=sphere)
+            assert op.mode_cut == cut
+            if field.kind == "constant":
+                assert np.array_equal(
+                    op.eigenvalues(),
+                    np.sqrt(1.0 + (1.0 / r) ** 2 * planted[:cut]) - 2.0)
 
 
 def test_fem_degree_one_eigenvalues(level4_basis):

@@ -309,6 +309,13 @@ def test_inertia_count_matches_eigvalsh(size, seed, diagonal, scale,
     assert count_negative(operator) == eigvalsh_count(operator)
 
 
+def stored(off_diagonal):
+    """Coupling source of a family whose entry coupling rows n - 1 and n of
+    block m is ``off_diagonal[n (n - 1) / 2 + m]``: row n's entries are one
+    run."""
+    return lambda rows, orders: off_diagonal[rows * (rows - 1) // 2 + orders]
+
+
 def random_family(data, size):
     """A TridiagonalFamily of ``size`` blocks drawn from Hypothesis data,
     with some couplings zero and isolated diagonal entries planted at 0 and
@@ -323,7 +330,7 @@ def random_family(data, size):
         # row n decouples from its neighbours in every block
         off_diagonal[(rows == n) | (rows == n + 1)] = 0.0
         diagonal[n] = data.draw(st.sampled_from([0.0, ZERO_TOL, -ZERO_TOL]))
-    return TridiagonalFamily(diagonal, off_diagonal)
+    return TridiagonalFamily(diagonal, stored(off_diagonal))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -352,13 +359,14 @@ def test_sturm_count_at_exact_ties():
     # -zero_tol but is within it.  Rows 2 and 3 are decoupled ties at
     # +-zero_tol, so blocks 0..3 hold 3, 2, 2 and 1 borderline eigenvalues.
     family = TridiagonalFamily(np.array([0.75, 0.75, 0.25, -0.25]),
-                               np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+                               stored(np.array([1.0, 0, 0, 0, 0, 0])))
     assert count_negative(GalerkinOperator(0, [(family, np.ones(4))]),
                           zero_tol=0.25) == (0, 3 + 2 + 2 + 1)
     # block 0, [[-tol, 1], [1, 0]], has eigenvalues near -1 and 1, yet the
     # first pivot of T + tol I is -tol + tol = 0 exactly, and the next one
     # 0 - 1 / (+tiny) = -inf; block 1, [0], is one borderline eigenvalue
-    family = TridiagonalFamily(np.array([-ZERO_TOL, 0.0]), np.array([1.0]))
+    family = TridiagonalFamily(np.array([-ZERO_TOL, 0.0]),
+                               stored(np.array([1.0])))
     operator = GalerkinOperator(0, [(family, np.array([1, 1]))])
     assert count_negative(operator) == (1, 1) == eigvalsh_count(operator)
 
@@ -371,11 +379,27 @@ def test_sturm_sweep_needs_one_ascending_last_degree_per_member():
         2.0, 0.5, np.array([[0.5], [0.25]]), 6)
     sweep = semiclassical_count.SturmSweep(family, multiplicity, [3, 6])
     assert sweep.count(1, 6, ZERO_TOL) == count_negative(GalerkinOperator(
-        0, [(TridiagonalFamily(family.diagonal[1], family.off_diagonal),
+        0, [(TridiagonalFamily(family.diagonal[1], family.couplings),
              multiplicity)]))
     for last in ([6, 3], [6], [2, 4, 6]):
         with pytest.raises(ValueError):
             semiclassical_count.SturmSweep(family, multiplicity, last)
+
+
+@pytest.mark.parametrize("short_rows", [0, 1, 7, 256])
+def test_sweep_generates_each_row_of_couplings_once(monkeypatch, short_rows):
+    # rows come in order, bit for bit as the blocks read them, whether
+    # generated together or one call per row
+    monkeypatch.setattr(semiclassical_count, "SHORT_ROWS", short_rows)
+    family, multiplicity = semiclassical_count._polar_family(
+        2.0, 0.5, 1.0 / 12.0, 40)
+    rows = list(semiclassical_count._squared_rows(family.couplings, 41))
+    assert [len(row) for row in rows] == list(range(41))
+    for m in range(41):
+        assert np.array_equal(np.square(family.block(m)[1]),
+                              [rows[n][m] for n in range(m + 1, 41)])
+    operator = GalerkinOperator(0, [(family, multiplicity)])
+    assert count_negative(operator) == eigvalsh_count(operator)
 
 
 def closed_form_axis_count(r, offset, slope, zero_tol=ZERO_TOL):
@@ -601,7 +625,7 @@ def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
         [(family, multiplicity)] = op.blocks
         assert family.sweep[0] is sweeps[0]
         alone = GalerkinOperator(op.mode_cut, [(TridiagonalFamily(
-            family.diagonal, family.off_diagonal), multiplicity)])
+            family.diagonal, family.couplings), multiplicity)])
         for zero_tol in (0.5, ZERO_TOL):
             assert count_negative(op, zero_tol=zero_tol) \
                 == count_negative(alone, zero_tol=zero_tol)

@@ -17,6 +17,7 @@ from weylcount.surface import (
     read_vertex_values,
     write_off,
 )
+from weylcount.surface import charts
 
 SPHERE_AREA = 4.0 * np.pi
 
@@ -50,6 +51,24 @@ def test_affine_coefficient_is_exact_along_every_axis():
     coefficients = np.array(coefficients)
     assert np.max(np.abs(coefficients - (a * a - 1.0 + b * b / 3.0))) <= 1e-14
     assert np.ptp(coefficients) <= 1e-14
+
+
+def test_integration_grid_is_built_once_and_read_only(monkeypatch):
+    sphere = AnalyticSurface.unit_sphere()
+    ellipsoid = AnalyticSurface.ellipsoid(2.0, 1.0, 1.0)
+    first = [sphere.area(), ellipsoid.area()]
+    grid = charts._integration_grid()
+    assert np.array_equal(grid.nodes,
+                          charts.sphere_grid(charts.INTEGRATION_DEGREE).nodes)
+    for array in grid:
+        assert not array.flags.writeable
+
+    def rebuilt(degree):
+        raise AssertionError("integration grid rebuilt")
+
+    monkeypatch.setattr(charts, "sphere_grid", rebuilt)
+    assert [sphere.area(), ellipsoid.area()] == first
+    assert charts._integration_grid() is grid
 
 
 def test_ellipsoid_area_matches_prolate_closed_form():
