@@ -134,8 +134,6 @@ def clusters_of(eigenvalues):
     """(values, multiplicities) of ascending per-mode eigenvalues: each run
     of exactly equal eigenvalues is one cluster."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    if np.any(np.diff(eigenvalues) < 0.0):
-        raise SolverError("eigenvalues not ascending")
     starts = np.flatnonzero(np.diff(eigenvalues, prepend=np.nan) != 0.0)
     return eigenvalues[starts], np.diff(starts, append=len(eigenvalues))
 

@@ -38,8 +38,6 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DomainError, InsufficientSpectrumError, UsageError
 
 ZERO_TOL = 1e-12
-# rows whose couplings a Sturm sweep generates in one call, 32 640 entries
-SHORT_ROWS = 256
 CUT_FACTOR = 2.0
 STABILITY_FACTOR = 1.5
 EXPONENT_SPAN = 3.0
@@ -221,21 +219,10 @@ def _inertia(matrix, shift):
 
 
 def _squared_rows(couplings, rows):
-    """The squares of row n's couplings, n = 0..rows - 1, in turn.
-
-    The first SHORT_ROWS rows come from one call over all their entries,
-    which saves a call per row where calls cost more than the entries; each
-    later row comes from a call of its own, so memory stays linear in the
-    rows.
-    """
-    short = min(rows, SHORT_ROWS)
-    row = np.repeat(np.arange(short), np.arange(short))
-    squares = np.square(couplings(
-        row, np.arange(len(row)) - row * (row - 1) // 2))
-    for n in range(short):
-        yield squares[n * (n - 1) // 2:n * (n + 1) // 2]
+    """The squares of row n's couplings, n = 0..rows - 1, in turn, each
+    from a call of its own, so memory stays linear in the rows."""
     orders = np.arange(rows)
-    for n in range(short, rows):
+    for n in range(rows):
         yield np.square(couplings(n, orders[:n]))
 
 

@@ -105,8 +105,10 @@ def test_clusters_must_ascend_with_positive_multiplicities():
         with pytest.raises(SolverError):
             SpectralBasis(values, multiplicities, source="test", area=1.0,
                           trusted_horizon=1.0)
+    # out-of-order modes give out-of-order clusters, which the basis refuses
     with pytest.raises(SolverError):
-        clusters_of([0.0, 2.0, 1.0])
+        SpectralBasis(*clusters_of([0.0, 2.0, 2.0, 1.0]), source="test",
+                      area=1.0, trusted_horizon=1.0)
 
 
 def test_sphere_degree_for():

@@ -386,11 +386,8 @@ def test_sturm_sweep_needs_one_ascending_last_degree_per_member():
             semiclassical_count.SturmSweep(family, multiplicity, last)
 
 
-@pytest.mark.parametrize("short_rows", [0, 1, 7, 256])
-def test_sweep_generates_each_row_of_couplings_once(monkeypatch, short_rows):
-    # rows come in order, bit for bit as the blocks read them, whether
-    # generated together or one call per row
-    monkeypatch.setattr(semiclassical_count, "SHORT_ROWS", short_rows)
+def test_sweep_generates_each_row_of_couplings_once():
+    # rows come in order, bit for bit as the blocks read them
     family, multiplicity = semiclassical_count._polar_family(
         2.0, 0.5, 1.0 / 12.0, 40)
     rows = list(semiclassical_count._squared_rows(family.couplings, 41))
