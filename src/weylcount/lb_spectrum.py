@@ -200,22 +200,21 @@ def _tabulate_sphere_modes(max_degree):
     """
     t, phi, nodes, mass = sphere_grid(max_degree)
 
-    # column-major, so each (degree, order) column below is one contiguous write
+    # column-major, so each column is contiguous, and ``grid`` views column
+    # j as its (t, phi) table, the nodes' z-major order
     modes = np.empty(((max_degree + 1) ** 2, len(nodes))).T
-    cos_table = {m: np.cos(m * phi) for m in range(max_degree + 1)}
-    sin_table = {m: np.sin(m * phi) for m in range(1, max_degree + 1)}
+    grid = modes.T.reshape(-1, len(t), len(phi))
+    degrees = np.arange(max_degree + 1)
     for m in range(max_degree + 1):
         block = normalized_legendre_block(m, max_degree, t)  # (deg span, nt)
-        for row, n in enumerate(range(m, max_degree + 1)):
-            col = n * n + n  # order 0 of degree n; order +-m at col +- m
-            if m == 0:
-                modes[:, col] = np.outer(block[row] / np.sqrt(2.0 * np.pi),
-                                         np.ones_like(phi)).ravel()
-            else:
-                modes[:, col - m] = np.outer(
-                    block[row] / np.sqrt(np.pi), sin_table[m]).ravel()
-                modes[:, col + m] = np.outer(
-                    block[row] / np.sqrt(np.pi), cos_table[m]).ravel()
+        # order 0 of degrees m..max_degree; order +-m at these +- m
+        centre = degrees[m:] * (degrees[m:] + 1)
+        if m == 0:
+            grid[centre] = (block / np.sqrt(2.0 * np.pi))[:, :, None]
+        else:
+            scaled = (block / np.sqrt(np.pi))[:, :, None]
+            grid[centre - m] = scaled * np.sin(m * phi)
+            grid[centre + m] = scaled * np.cos(m * phi)
     return Quadrature(nodes, mass, modes)
 
 

@@ -186,7 +186,9 @@ def _inertia(matrix, shift):
 
     Sylvester's law of inertia gives them from the block diagonal D of a
     Bunch-Kaufman factorization P L D L^T P^T: a 1 x 1 pivot counts by its
-    sign, a 2 x 2 pivot by its determinant and trace.
+    sign, a 2 x 2 pivot by its determinant and trace.  Dense sections are
+    built F-ordered, as LAPACK stores them, so the copy factored here is a
+    plain memory copy.
     """
     size = len(matrix)
     # factored in place, so this Fortran-ordered copy is the only new buffer
@@ -297,8 +299,22 @@ def count_negative(operator, zero_tol=ZERO_TOL):
     plus zero inertia of A - zero_tol I those up to zero_tol.  A tridiagonal
     family is counted by its pivot recurrence at the same two shifts, read
     from the sweep it shares when it has one, and a stack of 1 x 1 blocks
-    holds its eigenvalues and is counted directly.
+    holds its eigenvalues and is counted directly.  :func:`count_below`
+    gives the first count alone, with one factorization per dense block.
     """
+    return _counts(operator, zero_tol, both_shifts=True)
+
+
+def count_below(operator, zero_tol=ZERO_TOL):
+    """The number of eigenvalues < -zero_tol, the ``negative`` of
+    :func:`count_negative`, with each dense block factored once, at
+    +zero_tol."""
+    return _counts(operator, zero_tol, both_shifts=False).negative
+
+
+def _counts(operator, zero_tol, both_shifts):
+    """NegativeCount of the operator; without ``both_shifts`` no dense block
+    is factored at -zero_tol, and dense blocks add no borderline."""
     if not zero_tol >= 0.0:
         raise UsageError(f"zero tolerance must be >= 0, got {zero_tol}")
     negative = borderline = 0
@@ -318,7 +334,8 @@ def count_negative(operator, zero_tol=ZERO_TOL):
             below = np.array([_inertia(block, zero_tol)[0]
                               for block in stack])
             within = np.array([sum(_inertia(block, -zero_tol))
-                               for block in stack]) - below
+                               for block in stack]) - below \
+                if both_shifts else 0
         negative += int(np.sum(below * multiplicity))
         borderline += int(np.sum(within * multiplicity))
     return NegativeCount(negative, borderline)
@@ -433,8 +450,11 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
         return GalerkinOperator(cut, [(part, sweep.multiplicity[:last + 1])])
 
     gram = _damping_gram(basis, field, cut) if _shared is None else _shared
-    matrix = np.diag(np.sqrt(1.0 + h * h * basis.leading(cut))) \
-        - gram[:cut, :cut]
+    # the Gram matrix is exactly symmetric, so the transpose of its leading
+    # part is the same matrix in Fortran order, the order LAPACK factors;
+    # (0 - g) + d rounds as d - g does, exact zeros keeping their sign
+    matrix = np.subtract(0.0, gram[:cut, :cut].T)
+    matrix[np.diag_indices(cut)] += np.sqrt(1.0 + h * h * basis.leading(cut))
     return GalerkinOperator(cut, [(matrix, 1)])
 
 
@@ -451,11 +471,18 @@ def weyl_coefficient(surface, field):
     return float(surface.integrate(integrand)) / (4.0 * np.pi)
 
 
+def _require_radii(r):
+    """``r`` as a float array; UsageError unless every radius is finite and
+    positive."""
+    r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r) & (r > 0.0)):
+        raise UsageError("radii must be finite and positive")
+    return r
+
+
 def weyl_prediction(surface, field, r):
     """The leading Weyl count coefficient * r^2."""
-    if np.any(np.asarray(r) <= 0.0):
-        raise UsageError("radius must be positive")
-    return weyl_coefficient(surface, field) * np.asarray(r, dtype=float) ** 2
+    return weyl_coefficient(surface, field) * _require_radii(r) ** 2
 
 
 # ----------------------------------------------------------------------
@@ -580,14 +607,19 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     basis cannot support the recount the stability delta is left undefined
     rather than failing the scan.  Every section, recounts included, is
     built and counted on its own, radii ascending, first at ``cut_factor``
-    and then at the recount.  Constant damping reads the basis clusters
-    alone; a dense section takes a leading part of one Gram matrix formed
-    at the widest cut.  The polar-affine sections are members of one batch,
-    one per radius, and one :class:`SturmSweep` counts them all: it sweeps
-    each member through the degree of its widest cut once, and each count
-    looks its section up.
+    and then at the recount.  A primary section is counted by
+    :func:`count_negative`, a dense one factored at +-zero_tol; of a recount
+    the report reads only the count below -zero_tol, so :func:`count_below`
+    counts it, a dense one factored at +zero_tol only.  Constant damping
+    reads the basis clusters alone; a dense section, built F-ordered, takes
+    a leading part of one Gram matrix formed at the widest cut.  The
+    polar-affine sections are members of one batch, one per radius, and one
+    :class:`SturmSweep` counts them all: it sweeps each member through the
+    degree of its widest cut once, and each count looks its section up.
+    Radii must be finite and positive, or UsageError is raised before any
+    mode cut.
     """
-    r_grid = np.asarray(r_grid, dtype=float)
+    r_grid = _require_radii(r_grid)
     if r_grid.ndim != 1 or len(r_grid) == 0:
         raise UsageError("r grid must be a nonempty 1-d array")
     if np.any(np.diff(r_grid) <= 0.0):
@@ -617,24 +649,26 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     else:
         shared = [_damping_gram(basis, field, int(np.max(cuts)))] \
             * len(h_grid)
-    below, within = np.array([
-        [count_negative(build_operator(basis, field, h, surface=surface,
-                                       cut_factor=factor, _shared=part),
-                        zero_tol=zero_tol)
-         for h, part in zip(h_grid, shared)]
-        for factor in factors]).transpose(2, 0, 1)
 
+    def count_sections(factor, count):
+        return np.array([
+            count(build_operator(basis, field, h, surface=surface,
+                                 cut_factor=factor, _shared=part),
+                  zero_tol=zero_tol)
+            for h, part in zip(h_grid, shared)])
+
+    n_scalar, borderline = count_sections(factors[0], count_negative).T
     stability_delta = None
     if len(factors) == 2:
-        stability_delta = int(np.max(np.abs(below[1] - below[0])))
+        stability_delta = int(np.max(np.abs(
+            count_sections(factors[1], count_below) - n_scalar)))
 
-    n_scalar = below[0]
     coefficient, exponent, exponent_reason = _fit_powers(r_grid, n_scalar)
     return CountReport(
         r_grid=r_grid,
         n_scalar=n_scalar,
         n_system=2 * n_scalar,
-        borderline=within[0],
+        borderline=borderline,
         coefficient=weyl_coefficient(surface, field),
         mode_cuts=cuts[0],
         fitted_coefficient=coefficient,

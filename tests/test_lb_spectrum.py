@@ -173,11 +173,14 @@ def reference_tabulation(max_degree):
 
 
 def test_exact_sphere_tabulates_once_and_counting_only_reads_it(monkeypatch):
-    for degree in (6, 12, 20):
+    # column n^2 + n + m, bit for bit: q_{n,|m|} / sqrt(pi) times sin(|m| phi)
+    # for m < 0 and cos(m phi) for m > 0, q_{n,0} / sqrt(2 pi) for m = 0
+    for degree in (*range(9), 12, 20):
         basis = exact_sphere_spectrum(degree)
         for name, frozen in zip(("nodes", "mass", "modes"),
                                 reference_tabulation(degree)):
             assert np.array_equal(getattr(basis, name), frozen)
+        assert basis.modes.flags.f_contiguous
         # surface integrals use the same grid
         grid = sphere_grid(degree)
         assert np.array_equal(basis.nodes, grid.nodes)

@@ -514,34 +514,64 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
     # at r = 5 the cut needs degree 16 and the 1.5x recount degree 20
     field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
     r_grid = np.array([3.0, 4.0, 5.0])
-    gram_cuts = []
-    form = semiclassical_count._damping_gram
+    basis = exact_sphere_spectrum(degree)
+    gram_cuts, factored = [], []
+    form, inertia = semiclassical_count._damping_gram, \
+        semiclassical_count._inertia
 
     def counted(basis, field, cut):
         gram_cuts.append(cut)
         return form(basis, field, cut)
 
+    def counted_inertia(matrix, shift):
+        factored.append(shift)
+        return inertia(matrix, shift)
+
     monkeypatch.setattr(semiclassical_count, "_damping_gram", counted)
-    report = scan(sphere, field, r_grid, exact_sphere_spectrum(degree))
-    assert len(gram_cuts) == 1
+    monkeypatch.setattr(semiclassical_count, "_inertia", counted_inertia)
 
-    basis = exact_sphere_spectrum(degree)
-
-    def standalone(cut_factor):
+    def standalone(cut_factor, zero_tol):
         operators = [build_operator(basis, field, 1.0 / r, surface=sphere,
                                     cut_factor=cut_factor) for r in r_grid]
-        return ([count_negative(op).negative for op in operators],
+        return ([count_negative(op, zero_tol=zero_tol) for op in operators],
                 operators[-1].mode_cut)
 
-    counts, last_cut = standalone(2.0)
-    assert list(report.n_scalar) == counts
-    if degree == 20:
-        recounts, last_cut = standalone(3.0)
-        assert report.stability_delta == max(
-            abs(a - b) for a, b in zip(recounts, counts))
-    else:
-        assert report.stability_delta is None
-    assert gram_cuts[0] == last_cut
+    for zero_tol in (ZERO_TOL, 0.05):
+        gram_cuts.clear()
+        factored.clear()
+        report = scan(sphere, field, r_grid, basis, zero_tol=zero_tol)
+        assert len(gram_cuts) == 1
+        # a primary section is factored at +-zero_tol, a recount at
+        # +zero_tol only: no report reads its borderline
+        assert factored == [zero_tol, -zero_tol] * len(r_grid) \
+            + [zero_tol] * len(r_grid) * (degree == 20)
+
+        counts, last_cut = standalone(2.0, zero_tol)
+        assert report.n_scalar.tolist() == [c.negative for c in counts]
+        assert report.borderline.tolist() == [c.borderline for c in counts]
+        if degree == 20:
+            recounts, last_cut = standalone(3.0, zero_tol)
+            assert report.stability_delta == max(
+                abs(a.negative - b.negative) for a, b in zip(recounts, counts))
+            # the borderlines the recount leaves out are not all zero
+            assert any(c.borderline for c in recounts) == (zero_tol == 0.05)
+        else:
+            assert report.stability_delta is None
+        assert gram_cuts[0] == last_cut
+
+
+def test_dense_section_is_built_in_fortran_order(sphere):
+    # the same bits as diag(d) - G, laid out for LAPACK, exact zeros of the
+    # Gram matrix included
+    basis = exact_sphere_spectrum(16)
+    field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
+    [(matrix, _)] = build_operator(basis, field, 0.25, surface=sphere).blocks
+    gram = semiclassical_count._damping_gram(basis, field, len(matrix))
+    assert np.any(gram == 0.0)
+    assert matrix.flags.f_contiguous
+    expected = np.diag(np.sqrt(
+        1.0 + 0.25 * 0.25 * basis.leading(len(matrix)))) - gram
+    assert matrix.tobytes(order="A") == expected.T.tobytes(order="C")
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -590,11 +620,44 @@ def test_polar_scan_matches_per_radius_counts(sphere, offset, fraction, axis,
             abs(a.negative - b.negative) for a, b in zip(recounts, counts))
 
 
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(offset=st.floats(1.1, 2.0), fraction=st.floats(-0.95, 0.95),
+       sign=st.sampled_from([1.0, -1.0]), invert=st.booleans(),
+       axis=st.sampled_from([0, 1]),
+       radii=st.lists(st.floats(1.0, 5.0), min_size=1, max_size=4,
+                      unique=True), data=st.data())
+def test_dense_scan_matches_polar_scan_rotated(sphere, offset, fraction,
+                                               sign, invert, axis, radii,
+                                               data):
+    # rotation oracle: the field along +-x or +-y, counted through the Gram
+    # matrix and Bunch-Kaufman inertia, against the same field along +-z,
+    # counted by the Sturm sweep; degrees between the cut's and one past the
+    # recount's leave the recount unsupported at times
+    direction = np.zeros(3)
+    direction[axis] = sign
+    slope = fraction * (offset - 1.05)
+    dense = DampingField.affine(offset, slope, direction, invert=invert)
+    polar = DampingField.affine(offset, slope, (0.0, 0.0, sign),
+                                invert=invert)
+    r_grid = np.sort(radii)
+    threshold = constants_for(dense, sphere).ellipticity_threshold(
+        1.0 / r_grid[-1])
+    basis = exact_sphere_spectrum(data.draw(st.integers(
+        sphere_degree_for(2.0 * threshold),
+        sphere_degree_for(3.0 * threshold) + 1)))
+    rotated, reference = (scan(sphere, field, r_grid, basis)
+                          for field in (dense, polar))
+    assert rotated.n_scalar.tolist() == reference.n_scalar.tolist()
+    assert rotated.mode_cuts.tolist() == reference.mode_cuts.tolist()
+    assert rotated.stability_delta == reference.stability_delta
+
+
 def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
     # every section is still built and counted by a call of its own, primary
-    # counts before recounts, and all of them read one shared sweep
+    # counts before recounts, the recounts below -zero_tol only, and all of
+    # them read one shared sweep
     calls, built, sweeps = [], [], []
-    for name in ("build_operator", "count_negative"):
+    for name in ("build_operator", "count_negative", "count_below"):
         def recorded(*args, _name=name,
                      _original=getattr(semiclassical_count, name), **kwargs):
             calls.append((_name, kwargs.get("cut_factor")))
@@ -614,7 +677,7 @@ def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
     basis = exact_sphere_spectrum(40)
     scan(sphere, field, np.array([4.0, 6.0, 8.0]), basis)
     assert calls == [("build_operator", 2.0), ("count_negative", None)] * 3 \
-        + [("build_operator", 3.0), ("count_negative", None)] * 3
+        + [("build_operator", 3.0), ("count_below", None)] * 3
     assert len(sweeps) == 1
     # the scan's sections, counted again at another tolerance too, count as
     # copies of them with no sweep of their own
@@ -673,6 +736,20 @@ def test_scan_rejects_bad_grids(sphere, gamma_two):
         scan(sphere, gamma_two, [10.0, 5.0], basis)
     with pytest.raises(UsageError):
         scan(sphere, gamma_two, [], basis)
+
+
+@pytest.mark.parametrize("radii", [[5.0, np.nan], [np.nan], [0.0, 5.0],
+                                   [np.inf], [5.0, np.inf], [-1.0, 5.0]])
+def test_bad_radii_rejected_before_any_mode_cut(sphere, gamma_two,
+                                                monkeypatch, radii):
+    def no_cut(*args):
+        raise AssertionError("a mode cut was computed")
+
+    monkeypatch.setattr(semiclassical_count, "_last_cluster", no_cut)
+    with pytest.raises(UsageError, match="finite and positive"):
+        scan(sphere, gamma_two, radii, exact_sphere_spectrum(40))
+    with pytest.raises(UsageError, match="finite and positive"):
+        weyl_prediction(sphere, gamma_two, radii)
 
 
 # ----------------------------------------------------------------------
