@@ -291,30 +291,20 @@ class SturmSweep:
         return np.cumsum(fresh, axis=-1)
 
 
-def count_negative(operator, zero_tol=ZERO_TOL):
+def count_negative(operator, zero_tol=ZERO_TOL, *, _borderline=True):
     """Count eigenvalues < -zero_tol; |eigenvalue| <= zero_tol is borderline.
 
-    Each dense block of size k > 1 is factored twice: the negative inertia
-    of A + zero_tol I counts eigenvalues below -zero_tol, and the negative
-    plus zero inertia of A - zero_tol I those up to zero_tol.  A tridiagonal
-    family is counted by its pivot recurrence at the same two shifts, read
-    from the sweep it shares when it has one, and a stack of 1 x 1 blocks
-    holds its eigenvalues and is counted directly.  :func:`count_below`
-    gives the first count alone, with one factorization per dense block.
+    Each dense block of size k > 1 is built F-ordered and factored twice:
+    the negative inertia of A + zero_tol I counts eigenvalues below
+    -zero_tol, and the negative plus zero inertia of A - zero_tol I those up
+    to zero_tol.  A tridiagonal family is counted by its pivot recurrence at
+    the same two shifts, read from the sweep it shares when it has one, and
+    a stack of 1 x 1 blocks holds its eigenvalues and is counted directly.
+
+    ``_borderline=False`` is for :func:`scan`'s recount, of which a report
+    reads only the count below -zero_tol: dense blocks are then factored at
+    +zero_tol only and add nothing to the borderline.
     """
-    return _counts(operator, zero_tol, both_shifts=True)
-
-
-def count_below(operator, zero_tol=ZERO_TOL):
-    """The number of eigenvalues < -zero_tol, the ``negative`` of
-    :func:`count_negative`, with each dense block factored once, at
-    +zero_tol."""
-    return _counts(operator, zero_tol, both_shifts=False).negative
-
-
-def _counts(operator, zero_tol, both_shifts):
-    """NegativeCount of the operator; without ``both_shifts`` no dense block
-    is factored at -zero_tol, and dense blocks add no borderline."""
     if not zero_tol >= 0.0:
         raise UsageError(f"zero tolerance must be >= 0, got {zero_tol}")
     negative = borderline = 0
@@ -335,7 +325,7 @@ def _counts(operator, zero_tol, both_shifts):
                               for block in stack])
             within = np.array([sum(_inertia(block, -zero_tol))
                                for block in stack]) - below \
-                if both_shifts else 0
+                if _borderline else 0
         negative += int(np.sum(below * multiplicity))
         borderline += int(np.sum(within * multiplicity))
     return NegativeCount(negative, borderline)
@@ -453,7 +443,7 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
     # the Gram matrix is exactly symmetric, so the transpose of its leading
     # part is the same matrix in Fortran order, the order LAPACK factors;
     # (0 - g) + d rounds as d - g does, exact zeros keeping their sign
-    matrix = np.subtract(0.0, gram[:cut, :cut].T)
+    matrix = np.subtract(0.0, gram[:cut, :cut].T, order="F")
     matrix[np.diag_indices(cut)] += np.sqrt(1.0 + h * h * basis.leading(cut))
     return GalerkinOperator(cut, [(matrix, 1)])
 
@@ -607,17 +597,16 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     basis cannot support the recount the stability delta is left undefined
     rather than failing the scan.  Every section, recounts included, is
     built and counted on its own, radii ascending, first at ``cut_factor``
-    and then at the recount.  A primary section is counted by
-    :func:`count_negative`, a dense one factored at +-zero_tol; of a recount
-    the report reads only the count below -zero_tol, so :func:`count_below`
-    counts it, a dense one factored at +zero_tol only.  Constant damping
-    reads the basis clusters alone; a dense section, built F-ordered, takes
-    a leading part of one Gram matrix formed at the widest cut.  The
-    polar-affine sections are members of one batch, one per radius, and one
-    :class:`SturmSweep` counts them all: it sweeps each member through the
-    degree of its widest cut once, and each count looks its section up.
-    Radii must be finite and positive, or UsageError is raised before any
-    mode cut.
+    and then at the recount, each by :func:`count_negative`: a dense primary
+    section is factored at +-zero_tol, and a dense recount, of which the
+    report reads only the count below -zero_tol, at +zero_tol only.
+    Constant damping reads the basis clusters alone; a dense section, built
+    F-ordered, takes a leading part of one Gram matrix formed at the widest
+    cut.  The polar-affine sections are members of one batch, one per
+    radius, and one :class:`SturmSweep` counts them all: it sweeps each
+    member through the degree of its widest cut once, and each count looks
+    its section up.  Radii must be finite and positive, or UsageError is
+    raised before any mode cut.
     """
     r_grid = _require_radii(r_grid)
     if r_grid.ndim != 1 or len(r_grid) == 0:
@@ -649,26 +638,25 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     else:
         shared = [_damping_gram(basis, field, int(np.max(cuts)))] \
             * len(h_grid)
+    below, within = np.array([
+        [count_negative(build_operator(basis, field, h, surface=surface,
+                                       cut_factor=factor, _shared=part),
+                        # no report reads a recount's borderline
+                        zero_tol=zero_tol, _borderline=factor == cut_factor)
+         for h, part in zip(h_grid, shared)]
+        for factor in factors]).transpose(2, 0, 1)
 
-    def count_sections(factor, count):
-        return np.array([
-            count(build_operator(basis, field, h, surface=surface,
-                                 cut_factor=factor, _shared=part),
-                  zero_tol=zero_tol)
-            for h, part in zip(h_grid, shared)])
-
-    n_scalar, borderline = count_sections(factors[0], count_negative).T
     stability_delta = None
     if len(factors) == 2:
-        stability_delta = int(np.max(np.abs(
-            count_sections(factors[1], count_below) - n_scalar)))
+        stability_delta = int(np.max(np.abs(below[1] - below[0])))
 
+    n_scalar = below[0]
     coefficient, exponent, exponent_reason = _fit_powers(r_grid, n_scalar)
     return CountReport(
         r_grid=r_grid,
         n_scalar=n_scalar,
         n_system=2 * n_scalar,
-        borderline=borderline,
+        borderline=within[0],
         coefficient=weyl_coefficient(surface, field),
         mode_cuts=cuts[0],
         fitted_coefficient=coefficient,

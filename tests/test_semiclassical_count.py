@@ -560,17 +560,24 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
         assert gram_cuts[0] == last_cut
 
 
-def test_dense_section_is_built_in_fortran_order(sphere):
+@pytest.mark.parametrize("wider", [False, True])
+def test_dense_section_is_built_in_fortran_order(sphere, wider):
     # the same bits as diag(d) - G, laid out for LAPACK, exact zeros of the
-    # Gram matrix included
+    # Gram matrix included, also from the leading part of a scan's wider
+    # Gram matrix
     basis = exact_sphere_spectrum(16)
     field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
-    [(matrix, _)] = build_operator(basis, field, 0.25, surface=sphere).blocks
-    gram = semiclassical_count._damping_gram(basis, field, len(matrix))
-    assert np.any(gram == 0.0)
+    shared = semiclassical_count._damping_gram(basis, field, 289) \
+        if wider else None
+    [(matrix, _)] = build_operator(basis, field, 0.25, surface=sphere,
+                                   _shared=shared).blocks
+    cut = len(matrix)
+    gram = semiclassical_count._damping_gram(basis, field, cut) \
+        if shared is None else shared[:cut, :cut]
+    assert cut < 289 and np.any(gram == 0.0)
     assert matrix.flags.f_contiguous
-    expected = np.diag(np.sqrt(
-        1.0 + 0.25 * 0.25 * basis.leading(len(matrix)))) - gram
+    expected = np.diag(np.sqrt(1.0 + 0.25 * 0.25 * basis.leading(cut))) \
+        - gram
     assert matrix.tobytes(order="A") == expected.T.tobytes(order="C")
 
 
@@ -654,13 +661,14 @@ def test_dense_scan_matches_polar_scan_rotated(sphere, offset, fraction,
 
 def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
     # every section is still built and counted by a call of its own, primary
-    # counts before recounts, the recounts below -zero_tol only, and all of
+    # counts before recounts, the recounts without a borderline, and all of
     # them read one shared sweep
     calls, built, sweeps = [], [], []
-    for name in ("build_operator", "count_negative", "count_below"):
+    for name in ("build_operator", "count_negative"):
         def recorded(*args, _name=name,
                      _original=getattr(semiclassical_count, name), **kwargs):
-            calls.append((_name, kwargs.get("cut_factor")))
+            calls.append((_name, kwargs.get("cut_factor",
+                                            kwargs.get("_borderline"))))
             result = _original(*args, **kwargs)
             if _name == "build_operator":
                 built.append(result)
@@ -676,8 +684,8 @@ def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
     field = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0))
     basis = exact_sphere_spectrum(40)
     scan(sphere, field, np.array([4.0, 6.0, 8.0]), basis)
-    assert calls == [("build_operator", 2.0), ("count_negative", None)] * 3 \
-        + [("build_operator", 3.0), ("count_below", None)] * 3
+    assert calls == [("build_operator", 2.0), ("count_negative", True)] * 3 \
+        + [("build_operator", 3.0), ("count_negative", False)] * 3
     assert len(sweeps) == 1
     # the scan's sections, counted again at another tolerance too, count as
     # copies of them with no sweep of their own
