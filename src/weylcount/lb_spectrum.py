@@ -6,8 +6,11 @@ pipeline with the same interface:
 
 * the exact unit-sphere spectrum, cluster n holding n(n+1) with multiplicity
   2n+1, so it is stored in O(degree) memory; its real harmonics are
-  tabulated on a product quadrature grid on first use, degree n in columns
-  n^2..n^2+2n with order m at n^2+n+m, and
+  tabulated on first use, degree n in columns n^2..n^2+2n with order m at
+  n^2+n+m.  On the product quadrature grid (Gauss-Legendre in z times
+  equispaced longitudes) a harmonic is a Legendre factor in z times a
+  longitude function, so the table holds the factors (O(degree^3) values)
+  and never their product at every node (O(degree^4)); and
 * cotangent finite elements with lumped mass on a triangle mesh, solved as a
   sparse symmetric generalized eigenproblem for the lowest eigenpairs, whose
   exactly equal eigenvalues form one cluster.
@@ -46,7 +49,8 @@ CACHE_MAGIC = b"WLB1"
 CACHE_VERSION = 1
 
 Pencil = namedtuple("Pencil", ["stiffness", "mass", "nodes"])
-Quadrature = namedtuple("Quadrature", ["nodes", "mass", "modes"])
+Quadrature = namedtuple("Quadrature", ["nodes", "mass", "modes", "longitudes",
+                                       "longitude_weights", "longitude_of"])
 
 
 @dataclass
@@ -58,12 +62,20 @@ class SpectralBasis:
     running sum, the number of modes through each cluster.  The per-mode
     ``eigenvalues`` are expanded from the clusters on each access; counting
     reads the clusters, and a dense section expands only its own modes
-    (``leading``).  ``modes`` holds mode values at ``nodes``
-    with quadrature weights ``mass``; the columns are orthonormal in the
-    weighted inner product.  A mesh basis keeps the arrays it was solved or
-    loaded with in ``quadrature`` (None for a cache entry without them); the
-    exact sphere, whose cluster index is the degree, tabulates its harmonics
-    there on first access, in the module's layout.  ``trusted_horizon`` is
+    (``leading``).
+
+    ``quadrature`` tabulates the modes in factored form on a grid of rows
+    times longitudes: mode j at row t and longitude k has the value
+    ``modes[t, j] * longitudes[longitude_of[j], k]`` and the quadrature
+    weight ``mass[t] * longitude_weights[k]``, at ``nodes[t * K + k]`` with
+    K longitudes.  The columns are orthonormal in that weighted inner
+    product.  A mesh basis has one longitude (``longitudes`` is [[1]] with
+    weight 1, see :func:`mesh_quadrature`), so a row is a vertex and
+    ``modes`` the mode values it was solved or loaded with (no quadrature
+    for a cache entry without them).  The exact sphere, whose cluster index
+    is the degree, tabulates its harmonics there on first access: rows are
+    Gauss-Legendre latitudes, ``modes`` the Legendre factors, ``longitudes``
+    the 2 degree + 1 functions of the longitude.  ``trusted_horizon`` is
     the largest eigenvalue considered resolved: for a mesh, the Weyl count
     of 5% of the vertex budget, i.e. ``0.05 * vertex_count * 4 pi / area``.
     """
@@ -88,14 +100,16 @@ class SpectralBasis:
                               "with positive multiplicities")
         self.ends = np.cumsum(self.multiplicities)
 
-    def _tabulated(self):
+    def tabulated(self):
+        """The factored mode table, built on first use for the exact sphere;
+        all fields None when the basis has none."""
         if self.quadrature is None and self.source == "exact-sphere":
             self.quadrature = _tabulate_sphere_modes(len(self.values) - 1)
-        return self.quadrature or Quadrature(None, None, None)
+        return self.quadrature or Quadrature(*[None] * len(Quadrature._fields))
 
-    nodes = property(lambda self: self._tabulated().nodes)
-    mass = property(lambda self: self._tabulated().mass)
-    modes = property(lambda self: self._tabulated().modes)
+    nodes = property(lambda self: self.tabulated().nodes)
+    mass = property(lambda self: self.tabulated().mass)
+    modes = property(lambda self: self.tabulated().modes)
 
     @property
     def eigenvalues(self):
@@ -162,60 +176,72 @@ def exact_sphere_spectrum(max_degree):
                          trusted_horizon=float(values[-1]))
 
 
-def normalized_legendre_block(order, max_degree, t):
-    """Orthonormal associated Legendre values q_{n,m}(t), n = m..max_degree.
+def normalized_legendre_table(max_degree, t):
+    """Orthonormal associated Legendre values of every order at once:
+    ``table[m, d]`` is q_{m+d,m}(t) for m + d <= max_degree, zero beyond.
 
     Normalized so that the integral of q_{n,m}^2 over [-1, 1] is 1; computed
-    with the standard stable three-term recurrence in the degree.
+    with the standard stable three-term recurrence in the degree, one step
+    for all orders together, each order with its own coefficients: the
+    seeds q_{m,m} are the running product of one recurrence in m, and step
+    d takes every order from degree m + d - 1 to m + d.
     """
-    m = int(order)
+    top = int(max_degree)
     t = np.asarray(t, dtype=float)
-    count = max_degree - m + 1
-    if count <= 0:
-        return np.zeros((0,) + t.shape)
-    out = np.empty((count,) + t.shape)
-    # seed q_{m,m}
+    table = np.zeros((top + 1, top + 1) + t.shape)
+
+    def column(values):
+        return values.reshape(values.shape + (1,) * t.ndim)
+
     q = np.full(t.shape, 1.0 / np.sqrt(2.0))
-    if m > 0:
-        s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        for k in range(1, m + 1):
-            q = np.sqrt((2.0 * k + 1.0) / (2.0 * k)) * s * q
-    out[0] = q
-    if count > 1:
-        out[1] = np.sqrt(2.0 * m + 3.0) * t * q
-    for n in range(m + 2, max_degree + 1):
+    table[0, 0] = q
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    for k in range(1, top + 1):
+        q = np.sqrt((2.0 * k + 1.0) / (2.0 * k)) * s * q
+        table[k, 0] = q
+    for d in range(1, top + 1):
+        m = np.arange(top + 1 - d)
+        if d == 1:
+            table[m, 1] = column(np.sqrt(2.0 * m + 3.0)) * t * table[m, 0]
+            continue
+        n = m + d
         alpha = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
         beta = np.sqrt((2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m)
                        / ((2.0 * n - 3.0) * (n * n - m * m)))
-        out[n - m] = alpha * t * out[n - m - 1] - beta * out[n - m - 2]
-    return out
+        table[m, d] = (column(alpha) * t * table[m, d - 1]
+                       - column(beta) * table[m, d - 2])
+    return table
 
 
 def _tabulate_sphere_modes(max_degree):
     """Real orthonormal harmonics up to max_degree, in the column order of
-    ``exact_sphere_spectrum``, at the nodes of ``sphere_grid(max_degree)``.
+    ``exact_sphere_spectrum``, factored on ``sphere_grid(max_degree)``.
 
-    That grid (Gauss-Legendre in z, equispaced in longitude) is exact for
-    integrands Y_i * Y_j * p with p affine in the coordinates.
+    Order m of degree n is q_{n,|m|}(z) times 1 / sqrt(2 pi) for m = 0,
+    cos(m phi) / sqrt(pi) for m > 0 and sin(|m| phi) / sqrt(pi) for m < 0;
+    longitude function m is row max_degree + m.  That grid (Gauss-Legendre
+    in z, equispaced in longitude) is exact for integrands Y_i * Y_j * p
+    with p affine in the coordinates.
     """
-    t, phi, nodes, mass = sphere_grid(max_degree)
+    grid = sphere_grid(max_degree)
+    degrees = np.repeat(np.arange(max_degree + 1),
+                        2 * np.arange(max_degree + 1) + 1)
+    orders = np.arange(len(degrees)) - degrees * (degrees + 1)
+    table = normalized_legendre_table(max_degree, grid.z)
+    legendre = table[np.abs(orders), degrees - np.abs(orders)].T
+    m = np.arange(-max_degree, max_degree + 1)[:, None]
+    angle = np.abs(m) * grid.phi
+    longitudes = np.where(m > 0, np.cos(angle), np.sin(angle)) / np.sqrt(np.pi)
+    longitudes[max_degree] = 1.0 / np.sqrt(2.0 * np.pi)
+    return Quadrature(grid.nodes, grid.z_weights,
+                      np.ascontiguousarray(legendre), longitudes,
+                      grid.phi_weights, orders + max_degree)
 
-    # column-major, so each column is contiguous, and ``grid`` views column
-    # j as its (t, phi) table, the nodes' z-major order
-    modes = np.empty(((max_degree + 1) ** 2, len(nodes))).T
-    grid = modes.T.reshape(-1, len(t), len(phi))
-    degrees = np.arange(max_degree + 1)
-    for m in range(max_degree + 1):
-        block = normalized_legendre_block(m, max_degree, t)  # (deg span, nt)
-        # order 0 of degrees m..max_degree; order +-m at these +- m
-        centre = degrees[m:] * (degrees[m:] + 1)
-        if m == 0:
-            grid[centre] = (block / np.sqrt(2.0 * np.pi))[:, :, None]
-        else:
-            scaled = (block / np.sqrt(np.pi))[:, :, None]
-            grid[centre - m] = scaled * np.sin(m * phi)
-            grid[centre + m] = scaled * np.cos(m * phi)
-    return Quadrature(nodes, mass, modes)
+
+def mesh_quadrature(nodes, mass, modes):
+    """Mode values at mesh vertices, as a quadrature of one longitude."""
+    return Quadrature(nodes, mass, modes, np.ones((1, 1)), np.ones(1),
+                      np.zeros(modes.shape[1], dtype=np.int64))
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +346,7 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
         source="mesh-fem",
         area=area,
         trusted_horizon=float(min(horizon, values[-1])),
-        quadrature=Quadrature(nodes, mass, vectors),
+        quadrature=mesh_quadrature(nodes, mass, vectors),
         residual=worst,
     )
 
@@ -415,8 +441,8 @@ def cache_load(directory, key):
         quadrature = None
         if p:
             mass = take(p, (p,))
-            quadrature = Quadrature(take(3 * p, (p, 3)), mass,
-                                    take(p * k, (p, k)))
+            quadrature = mesh_quadrature(take(3 * p, (p, 3)), mass,
+                                         take(p * k, (p, k)))
         if offset != len(blob):
             raise CacheError(f"trailing bytes in cache container {bin_path}")
     except (struct.error, ValueError) as exc:

@@ -369,15 +369,48 @@ def _polar_affine(basis, field, surface):
 def _damping_gram(basis, field, cut):
     """Gram matrix of the effective damping on the first ``cut`` modes.
 
-    Formed as W^T W with W = modes * sqrt(mass * gamma0); both factors are
-    positive, and the product runs as one symmetric rank-k update whose
-    result is exactly symmetric.
+    The basis tabulates mode i as P[t, i] Phi_a(phi) on a grid of rows t
+    and longitudes phi, with a = ``longitude_of[i]`` (see SpectralBasis).
+    The longitude sum goes first, F[t, a, b] = sum_phi w_phi gamma0 Phi_a
+    Phi_b in one batched product, so G[i, j] = sum_t w_t P[t, i] P[t, j]
+    F[t, a(i), a(j)] sums over rows alone.  G is built one longitude group
+    of modes at a time: the group's products with the groups before it,
+    mirrored, and its diagonal block S^T S with S = P * sqrt(w_t F[t, a,
+    a]) as one symmetric rank-k update (gamma0 > 0, so F[t, a, a] > 0).
+    The result is exactly symmetric.  A mesh basis is one group on one
+    longitude, where this is W^T W with W = modes * sqrt(mass * gamma0).
     """
-    if basis.modes is None:
+    table = basis.tabulated()
+    if table.modes is None:
         raise UsageError("dense assembly needs tabulated modes on the basis")
-    weights = np.sqrt(basis.mass * field.effective(basis.nodes))
-    scaled = basis.modes[:, :cut] * weights[:, None]
-    return scaled.T @ scaled
+    gamma0 = field.effective(table.nodes).reshape(len(table.mass), -1)
+    phi = table.longitudes
+    summed = (phi * (table.longitude_weights * gamma0)[:, None, :]) @ phi.T
+    weighted = table.mass[:, None, None] * summed
+
+    # modes grouped by longitude, each group in mode order
+    longitude = table.longitude_of[:cut]
+    order = np.argsort(longitude, kind="stable")
+    grouped = np.take(table.modes, order, axis=1)
+    longitude = longitude[order]
+    bounds = np.append(np.flatnonzero(np.diff(longitude, prepend=-1)), cut)
+    gram = np.empty((cut, cut))
+    # last group first: a group reads only the columns of the groups
+    # before it, so its own columns may be scaled in place for its
+    # diagonal block
+    for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
+        a = longitude[lo]
+        left = grouped[:, lo:hi]
+        if lo:
+            gram[lo:hi, :lo] = left.T @ (grouped[:, :lo]
+                                         * weighted[:, a, longitude[:lo]])
+            gram[:lo, lo:hi] = gram[lo:hi, :lo].T
+        left *= np.sqrt(weighted[:, a, a])[:, None]
+        gram[lo:hi, lo:hi] = left.T @ left
+    # back to mode order, rows then columns
+    inverse = np.argsort(order)
+    gram = gram.take(inverse, 0)
+    return gram.take(inverse, 1)
 
 
 def _polar_family(offset, slope, h, degree):

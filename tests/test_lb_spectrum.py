@@ -28,11 +28,11 @@ from weylcount.lb_spectrum import (
     cached_mesh_spectrum,
     clusters_of,
     exact_sphere_spectrum,
-    normalized_legendre_block,
+    normalized_legendre_table,
     solve_lowest,
     sphere_degree_for,
 )
-from weylcount.semiclassical_count import build_operator, scan
+from weylcount.semiclassical_count import _damping_gram, build_operator, scan
 from weylcount.surface import (
     AnalyticSurface,
     DampingField,
@@ -40,6 +40,8 @@ from weylcount.surface import (
     icosphere,
 )
 from weylcount.surface.charts import sphere_grid
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -120,34 +122,66 @@ def test_sphere_degree_for():
 
 
 def test_tabulated_modes_orthonormal():
+    # the factored table is orthonormal at the Gram level: constant damping
+    # c gives c times the identity, at every cut
     basis = exact_sphere_spectrum(12)
-    assert abs(basis.mass.sum() - 4.0 * np.pi) < 1e-12
-    gram = (basis.modes * basis.mass[:, None]).T @ basis.modes
-    assert np.max(np.abs(gram - np.eye(basis.mode_count))) < 1e-12
-    # nodes live on the unit sphere
-    assert np.max(np.abs(np.linalg.norm(basis.nodes, axis=-1) - 1.0)) < 1e-12
+    for c, cut in ((2.0, 169), (1.3, 169), (0.4, 100)):
+        gram = _damping_gram(basis, DampingField.constant(c), cut)
+        assert np.max(np.abs(gram - max(c, 1.0 / c) * np.eye(cut))) < 1e-12
+        assert np.array_equal(gram, gram.T)
+    # the table holds factors: Legendre values at the latitudes and the
+    # longitude functions, never a harmonic at every node
+    table = basis.tabulated()
+    assert table.modes.shape == (15, 169)
+    assert table.longitudes.shape == (25, 27)
+    assert abs(table.mass.sum() * table.longitude_weights.sum()
+               - 4.0 * np.pi) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(table.nodes, axis=-1) - 1.0)) < 1e-12
 
 
 def test_tabulated_axis_moments_match_closed_form():
-    # <Y_{n,m}, z Y_{n+1,m}> has a closed form; the tabulated grid must
-    # reproduce it since the integrand is polynomial within quadrature reach.
+    # damping a + b z has the Gram matrix a I + b Z, where
+    # <Y_{n,m}, z Y_{n+1,m}> = sqrt(((n+1)^2 - m^2) / ((2n+1)(2n+3))) and
+    # every other entry of Z vanishes; the grid integrates it exactly
     basis = exact_sphere_spectrum(6)
-    z = basis.nodes[:, 2]
-    moments = (basis.modes * (basis.mass * z)[:, None]).T @ basis.modes
-    for n in range(6):
-        for m in range(-n, n + 1):
-            i, j = n * n + n + m, (n + 1) * (n + 2) + m
-            assert sphere_degree_for(basis.eigenvalues[j]) == n + 1
-            c = np.sqrt(((n + 1.0) ** 2 - m * m)
-                        / ((2.0 * n + 1.0) * (2.0 * n + 3.0)))
-            assert abs(moments[i, j] - c) < 1e-12
-    # all diagonal entries vanish: z is odd
-    assert np.max(np.abs(np.diag(moments))) < 1e-12
+    for a, b in ((2.0, 0.5), (3.0, -1.5)):
+        gram = _damping_gram(basis, DampingField.affine(a, b, (0, 0, 1)), 49)
+        expected = a * np.eye(49)
+        for n in range(6):
+            for m in range(-n, n + 1):
+                i, j = n * n + n + m, (n + 1) * (n + 2) + m
+                assert sphere_degree_for(basis.eigenvalues[j]) == n + 1
+                c = np.sqrt(((n + 1.0) ** 2 - m * m)
+                            / ((2.0 * n + 1.0) * (2.0 * n + 3.0)))
+                expected[i, j] = expected[j, i] = b * c
+        assert np.max(np.abs(gram - expected)) < 1e-12
+        assert np.array_equal(gram, gram.T)
+
+
+def per_order_legendre(order, max_degree, t):
+    """q_{n,m}(t), n = m..max_degree, by the degree recurrence of one
+    order: the loop the table runs for all orders at once."""
+    m = order
+    out = np.empty((max_degree - m + 1,) + t.shape)
+    q = np.full(t.shape, 1.0 / np.sqrt(2.0))
+    if m > 0:
+        s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+        for k in range(1, m + 1):
+            q = np.sqrt((2.0 * k + 1.0) / (2.0 * k)) * s * q
+    out[0] = q
+    if len(out) > 1:
+        out[1] = np.sqrt(2.0 * m + 3.0) * t * q
+    for n in range(m + 2, max_degree + 1):
+        alpha = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+        beta = np.sqrt((2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m)
+                       / ((2.0 * n - 3.0) * (n * n - m * m)))
+        out[n - m] = alpha * t * out[n - m - 1] - beta * out[n - m - 2]
+    return out
 
 
 def reference_tabulation(max_degree):
-    """The tabulation formula, one harmonic column at a time: Gauss-Legendre
-    in z on max_degree + 3 nodes times 2 max_degree + 3 longitudes."""
+    """The harmonics at every node, one column at a time: Gauss-Legendre in
+    z on max_degree + 3 nodes times 2 max_degree + 3 longitudes."""
     nt, nphi = max_degree + 3, 2 * max_degree + 3
     t, wt = roots_legendre(nt)
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
@@ -158,7 +192,7 @@ def reference_tabulation(max_degree):
     mass = np.outer(wt, np.full(nphi, 2.0 * np.pi / nphi)).ravel()
     modes = np.empty((nt * nphi, (max_degree + 1) ** 2))
     for m in range(max_degree + 1):
-        block = normalized_legendre_block(m, max_degree, t)
+        block = per_order_legendre(m, max_degree, t)
         for row, n in enumerate(range(m, max_degree + 1)):
             if m == 0:
                 modes[:, n * n + n] = np.outer(
@@ -172,20 +206,30 @@ def reference_tabulation(max_degree):
     return nodes, mass, modes
 
 
-def test_exact_sphere_tabulates_once_and_counting_only_reads_it(monkeypatch):
-    # column n^2 + n + m, bit for bit: q_{n,|m|} / sqrt(pi) times sin(|m| phi)
-    # for m < 0 and cos(m phi) for m > 0, q_{n,0} / sqrt(2 pi) for m = 0
-    for degree in (*range(9), 12, 20):
+@pytest.mark.parametrize("field", [
+    DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0)),
+    DampingField.affine(2.0, 0.5, (1.0, 1.0, 1.0)),
+    DampingField.affine(3.0, -1.5, (1.0, 2.0, 2.0), invert=True),
+    # below one, so the effective coefficient 1 / (0.5 + 0.2 x) is not a
+    # polynomial and the grid does not integrate it exactly
+    DampingField.affine(0.5, 0.2, (1.0, 0.0, 0.0)),
+], ids=["x", "111", "122-inverted", "below-one-x"])
+def test_factored_gram_matches_product_gram(field):
+    # summing over longitudes first is the product rule over every node,
+    # W^T W with W = harmonics * sqrt(mass * gamma0), up to roundoff
+    for degree, cuts in ((8, (81, 50)), (20, (441, 289, 300))):
         basis = exact_sphere_spectrum(degree)
-        for name, frozen in zip(("nodes", "mass", "modes"),
-                                reference_tabulation(degree)):
-            assert np.array_equal(getattr(basis, name), frozen)
-        assert basis.modes.flags.f_contiguous
-        # surface integrals use the same grid
-        grid = sphere_grid(degree)
-        assert np.array_equal(basis.nodes, grid.nodes)
-        assert np.array_equal(basis.mass, grid.mass)
+        nodes, mass, modes = reference_tabulation(degree)
+        assert np.array_equal(basis.nodes, nodes)
+        scaled = modes * np.sqrt(mass * field.effective(nodes))[:, None]
+        product = scaled.T @ scaled
+        for cut in cuts:
+            gram = _damping_gram(basis, field, cut)
+            assert np.max(np.abs(gram - product[:cut, :cut])) < 1e-13
+            assert np.array_equal(gram, gram.T)
 
+
+def test_exact_sphere_tabulates_once_and_counting_only_reads_it(monkeypatch):
     calls = []
     tabulate = lb_spectrum._tabulate_sphere_modes
 
@@ -201,12 +245,23 @@ def test_exact_sphere_tabulates_once_and_counting_only_reads_it(monkeypatch):
             for item in dataclasses.fields(basis) if item.name != "quadrature"}
     frozen = copy.deepcopy(held)
     scan(sphere, field, [3.0, 4.0, 5.0], basis)
+    table = basis.quadrature
+    before = copy.deepcopy(table)
     for r in (3.0, 4.5, 5.0):
         build_operator(basis, field, 1.0 / r, surface=sphere)
     assert calls == [20]
     for name, value in held.items():
         assert getattr(basis, name) is value
         assert np.array_equal(value, frozen[name])
+    # the table itself is read, never written
+    assert basis.quadrature is table
+    for value, copied in zip(table, before):
+        assert np.array_equal(value, copied)
+    # surface integrals use the same grid
+    grid = sphere_grid(20)
+    assert np.array_equal(table.nodes, grid.nodes)
+    assert np.array_equal(table.mass, grid.z_weights)
+    assert np.array_equal(table.longitude_weights, grid.phi_weights)
 
 
 # ----------------------------------------------------------------------
@@ -215,10 +270,25 @@ def test_exact_sphere_tabulates_once_and_counting_only_reads_it(monkeypatch):
 
 def test_normalized_legendre_orthonormal():
     t, w = roots_legendre(40)
+    table = normalized_legendre_table(15, t)
     for m in (0, 1, 3, 7):
-        q = normalized_legendre_block(m, 15, t)
+        q = table[m, :16 - m]
         gram = (q * w) @ q.T
         assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-13
+    # zero beyond the top degree
+    assert not np.any(table[3, 13:])
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 8, 17, 33])
+def test_legendre_table_matches_per_order_recurrence(degree):
+    # all orders in one recurrence, each with its own arithmetic: the same
+    # bytes as one order at a time
+    t = sphere_grid(degree).z
+    table = normalized_legendre_table(degree, t)
+    assert table.shape == (degree + 1, degree + 1, degree + 3)
+    for m in range(degree + 1):
+        assert table[m, :degree + 1 - m].tobytes() \
+            == per_order_legendre(m, degree, t).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -393,6 +463,29 @@ def test_cache_round_trip_bit_exact(tmp_path):
     assert np.array_equal(basis.mass, again.mass)
     assert again.source == "mesh-fem"
     assert again.trusted_horizon == basis.trusted_horizon
+
+
+def test_cache_written_before_factored_tables_loads(tmp_path):
+    # a WLB1 version 1 container (icosphere:1, 6 modes) stored by the
+    # release that tabulated every basis at every node: it loads as a
+    # quadrature of one longitude, stores back to the same bytes, and its
+    # Gram matrix is W^T W with W = modes * sqrt(mass * gamma0)
+    source = DATA / "wlb1_cache"
+    key = "7c2dc468a90972a4707ccb1bb124af0c"
+    basis = cache_load(str(source), key)
+    assert basis is not None and basis.source == "mesh-fem"
+    assert basis.mode_count == 6 and basis.modes.shape == (42, 6)
+    table = basis.tabulated()
+    assert table.longitudes.tolist() == [[1.0]]
+    assert table.longitude_weights.tolist() == [1.0]
+    assert table.longitude_of.tolist() == [0] * 6
+    cache_store(str(tmp_path), key, basis, 6, 1e-8)
+    assert (tmp_path / (key + ".wlb")).read_bytes() \
+        == (source / (key + ".wlb")).read_bytes()
+    field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
+    scaled = basis.modes * np.sqrt(
+        basis.mass * field.effective(basis.nodes))[:, None]
+    assert np.array_equal(_damping_gram(basis, field, 6), scaled.T @ scaled)
 
 
 def test_cache_miss_on_perturbed_mesh(tmp_path):

@@ -14,7 +14,12 @@ from weylcount.errors import (
     InsufficientSpectrumError,
     UsageError,
 )
-from weylcount.lb_spectrum import exact_sphere_spectrum, sphere_degree_for
+from weylcount.lb_spectrum import (
+    assemble_fem,
+    exact_sphere_spectrum,
+    solve_lowest,
+    sphere_degree_for,
+)
 from weylcount.semiclassical_count import (
     ZERO_TOL,
     CountReport,
@@ -48,6 +53,11 @@ def gamma_two():
 @pytest.fixture(scope="module")
 def tilted():
     return DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0))
+
+
+@pytest.fixture(scope="module")
+def mesh_basis():
+    return solve_lowest(assemble_fem(icosphere(2)), 40)
 
 
 def oracle_sphere_count(r, gamma0):
@@ -561,24 +571,52 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
 
 
 @pytest.mark.parametrize("wider", [False, True])
-def test_dense_section_is_built_in_fortran_order(sphere, wider):
+def test_dense_section_is_built_in_fortran_order(sphere, monkeypatch,
+                                                 wider):
     # the same bits as diag(d) - G, laid out for LAPACK, exact zeros of the
     # Gram matrix included, also from the leading part of a scan's wider
-    # Gram matrix
+    # Gram matrix.  Zeros of both signs are planted where the Gram matrix
+    # is below roundoff, symmetrically, so they do not depend on how its
+    # sums round.
     basis = exact_sphere_spectrum(16)
     field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
-    shared = semiclassical_count._damping_gram(basis, field, 289) \
-        if wider else None
+    form = semiclassical_count._damping_gram
+
+    def planted(basis, field, cut):
+        gram = form(basis, field, cut)
+        tiny = np.abs(gram) < 1e-16
+        gram[tiny] = np.copysign(0.0, gram[tiny])
+        return gram
+
+    monkeypatch.setattr(semiclassical_count, "_damping_gram", planted)
+    shared = planted(basis, field, 289) if wider else None
     [(matrix, _)] = build_operator(basis, field, 0.25, surface=sphere,
                                    _shared=shared).blocks
     cut = len(matrix)
-    gram = semiclassical_count._damping_gram(basis, field, cut) \
-        if shared is None else shared[:cut, :cut]
-    assert cut < 289 and np.any(gram == 0.0)
+    gram = planted(basis, field, cut) if shared is None \
+        else shared[:cut, :cut]
+    zeros = gram[gram == 0.0]
+    assert cut < 289 and np.any(np.signbit(zeros)) \
+        and not np.all(np.signbit(zeros))
     assert matrix.flags.f_contiguous
     expected = np.diag(np.sqrt(1.0 + 0.25 * 0.25 * basis.leading(cut))) \
         - gram
     assert matrix.tobytes(order="A") == expected.T.tobytes(order="C")
+
+
+@pytest.mark.parametrize("field", [
+    DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0)),
+    DampingField.affine(0.5, 0.2, (1.0, 1.0, 1.0)),
+    DampingField.constant(2.0),
+], ids=["x", "below-one-111", "constant"])
+def test_mesh_gram_is_one_rank_k_update(mesh_basis, field):
+    # a mesh basis is one longitude: the Gram matrix is W^T W with
+    # W = modes * sqrt(mass * gamma0), bit for bit, at every cut
+    for cut in (40, 25):
+        scaled = mesh_basis.modes[:, :cut] * np.sqrt(
+            mesh_basis.mass * field.effective(mesh_basis.nodes))[:, None]
+        gram = semiclassical_count._damping_gram(mesh_basis, field, cut)
+        assert gram.tobytes() == (scaled.T @ scaled).tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -630,18 +668,20 @@ def test_polar_scan_matches_per_radius_counts(sphere, offset, fraction, axis,
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(offset=st.floats(1.1, 2.0), fraction=st.floats(-0.95, 0.95),
        sign=st.sampled_from([1.0, -1.0]), invert=st.booleans(),
-       axis=st.sampled_from([0, 1]),
+       axis=st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                             (1.0, 1.0, 0.0), (1.0, 2.0, 2.0)]),
        radii=st.lists(st.floats(1.0, 5.0), min_size=1, max_size=4,
                       unique=True), data=st.data())
 def test_dense_scan_matches_polar_scan_rotated(sphere, offset, fraction,
                                                sign, invert, axis, radii,
                                                data):
-    # rotation oracle: the field along +-x or +-y, counted through the Gram
-    # matrix and Bunch-Kaufman inertia, against the same field along +-z,
-    # counted by the Sturm sweep; degrees between the cut's and one past the
+    # rotation oracle: the field along +-x, +-y or a general axis
+    # ((1, 1, 0) / sqrt 2 and (1, 2, 2) / 3, whose Gram matrix couples
+    # every pair of longitude functions), counted through the Gram matrix
+    # and Bunch-Kaufman inertia, against the same field along +-z, counted
+    # by the Sturm sweep; degrees between the cut's and one past the
     # recount's leave the recount unsupported at times
-    direction = np.zeros(3)
-    direction[axis] = sign
+    direction = sign * np.asarray(axis)
     slope = fraction * (offset - 1.05)
     dense = DampingField.affine(offset, slope, direction, invert=invert)
     polar = DampingField.affine(offset, slope, (0.0, 0.0, sign),
