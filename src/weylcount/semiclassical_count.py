@@ -388,25 +388,27 @@ def _damping_gram(basis, field, cut):
     summed = (phi * (table.longitude_weights * gamma0)[:, None, :]) @ phi.T
     weighted = table.mass[:, None, None] * summed
 
-    # modes grouped by longitude, each group in mode order
+    # modes grouped by longitude, each group in mode order; a mesh basis,
+    # one group, is grouped already and is read in place
     longitude = table.longitude_of[:cut]
     order = np.argsort(longitude, kind="stable")
-    grouped = np.take(table.modes, order, axis=1)
+    in_order = np.array_equal(order, np.arange(cut))
+    grouped = table.modes[:, :cut] if in_order \
+        else np.take(table.modes, order, axis=1)
     longitude = longitude[order]
     bounds = np.append(np.flatnonzero(np.diff(longitude, prepend=-1)), cut)
     gram = np.empty((cut, cut))
-    # last group first: a group reads only the columns of the groups
-    # before it, so its own columns may be scaled in place for its
-    # diagonal block
-    for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         a = longitude[lo]
         left = grouped[:, lo:hi]
         if lo:
             gram[lo:hi, :lo] = left.T @ (grouped[:, :lo]
                                          * weighted[:, a, longitude[:lo]])
             gram[:lo, lo:hi] = gram[lo:hi, :lo].T
-        left *= np.sqrt(weighted[:, a, a])[:, None]
-        gram[lo:hi, lo:hi] = left.T @ left
+        scaled = left * np.sqrt(weighted[:, a, a])[:, None]
+        gram[lo:hi, lo:hi] = scaled.T @ scaled
+    if in_order:
+        return gram
     # back to mode order, rows then columns
     inverse = np.argsort(order)
     gram = gram.take(inverse, 0)

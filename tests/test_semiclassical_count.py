@@ -676,8 +676,9 @@ def test_dense_scan_matches_polar_scan_rotated(sphere, offset, fraction,
                                                sign, invert, axis, radii,
                                                data):
     # rotation oracle: the field along +-x, +-y or a general axis
-    # ((1, 1, 0) / sqrt 2 and (1, 2, 2) / 3, whose Gram matrix couples
-    # every pair of longitude functions), counted through the Gram matrix
+    # ((1, 1, 0) / sqrt 2 and (1, 2, 2) / 3, which couple the sine and the
+    # cosine functions of neighbouring orders, and with a z part each
+    # longitude function with itself), counted through the Gram matrix
     # and Bunch-Kaufman inertia, against the same field along +-z, counted
     # by the Sturm sweep; degrees between the cut's and one past the
     # recount's leave the recount unsupported at times
