@@ -177,8 +177,9 @@ def exact_sphere_spectrum(max_degree):
 
 
 def normalized_legendre_table(max_degree, t):
-    """Orthonormal associated Legendre values of every order at once:
-    ``table[m, d]`` is q_{m+d,m}(t) for m + d <= max_degree, zero beyond.
+    """Orthonormal associated Legendre values of every order at once at the
+    points ``t`` (1-d): ``table[m, d]`` is q_{m+d,m}(t) for
+    m + d <= max_degree, zero beyond.
 
     Normalized so that the integral of q_{n,m}^2 over [-1, 1] is 1; computed
     with the standard stable three-term recurrence in the degree, one step
@@ -188,11 +189,7 @@ def normalized_legendre_table(max_degree, t):
     """
     top = int(max_degree)
     t = np.asarray(t, dtype=float)
-    table = np.zeros((top + 1, top + 1) + t.shape)
-
-    def column(values):
-        return values.reshape(values.shape + (1,) * t.ndim)
-
+    table = np.zeros((top + 1, top + 1, len(t)))
     q = np.full(t.shape, 1.0 / np.sqrt(2.0))
     table[0, 0] = q
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
@@ -202,14 +199,14 @@ def normalized_legendre_table(max_degree, t):
     for d in range(1, top + 1):
         m = np.arange(top + 1 - d)
         if d == 1:
-            table[m, 1] = column(np.sqrt(2.0 * m + 3.0)) * t * table[m, 0]
+            table[m, 1] = np.sqrt(2.0 * m + 3.0)[:, None] * t * table[m, 0]
             continue
         n = m + d
         alpha = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
         beta = np.sqrt((2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m)
                        / ((2.0 * n - 3.0) * (n * n - m * m)))
-        table[m, d] = (column(alpha) * t * table[m, d - 1]
-                       - column(beta) * table[m, d - 2])
+        table[m, d] = (alpha[:, None] * t * table[m, d - 1]
+                       - beta[:, None] * table[m, d - 2])
     return table
 
 

@@ -385,8 +385,9 @@ def _damping_gram(basis, field, cut):
         raise UsageError("dense assembly needs tabulated modes on the basis")
     gamma0 = field.effective(table.nodes).reshape(len(table.mass), -1)
     phi = table.longitudes
-    summed = (phi * (table.longitude_weights * gamma0)[:, None, :]) @ phi.T
-    weighted = table.mass[:, None, None] * summed
+    # w_t F[t, a, b]
+    weighted = table.mass[:, None, None] * (
+        (phi * (table.longitude_weights * gamma0)[:, None, :]) @ phi.T)
 
     # modes grouped by longitude, each group in mode order; a mesh basis,
     # one group, is grouped already and is read in place
