@@ -537,7 +537,7 @@ def _add_basis(sub, modes_flag, max_degree=None):
     sub.add_argument("--cache-dir", help="spectrum cache directory")
     sub.add_argument("--tol", type=_positive, default=SOLVER_TOL,
                      help="FEM residual tolerance (default %(default)s)")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    sub.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED,
                      help="FEM solver seed, part of the cache key "
                           "(default %(default)s)")
 
@@ -602,7 +602,8 @@ def build_parser():
     _add_surface(verify)
     verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                         help="cotangent samples (default %(default)s)")
-    verify.add_argument("--seed", type=int, default=SAMPLE_SEED,
+    verify.add_argument("--seed", type=_nonnegative_int,
+                        default=SAMPLE_SEED,
                         help="sample seed (default %(default)s)")
 
     regions_cmd = _add_command(commands, "regions", cmd_regions,

@@ -800,12 +800,10 @@ def monotonicity_probe(basis, field, h_window, surface=None, steps=7,
                 if overlap_matrix[row, col] <= TRACK_OVERLAP:
                     good[row] = False
             previous = permutations[-1]
-            current = mapping[previous]
-            lost = ~good[previous]
+            live = previous >= 0
+            lost = live & ~good[previous]
             skipped += int(np.sum(lost))
-            current = np.where(lost, -1, current)
-            current = np.where(previous < 0, -1, current)
-            permutations.append(current)
+            permutations.append(np.where(live & ~lost, mapping[previous], -1))
 
         for i in range(1, len(h_grid) - 1):
             before, here, after = (permutations[i - 1], permutations[i],

@@ -1,11 +1,11 @@
-"""Parametric charts and quadrature on smooth closed surfaces.
+"""Charts and quadrature on axis-aligned ellipsoids.
 
-A closed surface is covered by two overlapping polar charts (rotated 90
-degrees against each other); they supply points, normals, frames and chart
-inverses.  Every surface here is an axis-aligned ellipsoid, the unit sphere
-mapped by diag(a, b, c), so surface integrals need no charts: they use the
-sphere's product grid (``sphere_grid``, shared with the tabulated sphere
-harmonics) mapped by that matrix.
+Every surface here is the unit sphere mapped by diag(a, b, c).  It is
+covered by two overlapping charts, the sphere's polar chart turned onto the
+z and x axes and scaled by that matrix; they supply points, normals, frames
+and chart inverses.  Surface integrals need no charts: they use the sphere's
+product grid (``sphere_grid``, shared with the tabulated sphere harmonics)
+mapped by the same matrix.
 """
 
 import functools
@@ -16,7 +16,6 @@ from scipy.special import roots_legendre
 
 from ..errors import ChartDegeneracyError, UsageError
 
-FD_STEP = 1e-6
 GRAM_FLOOR = 1e-10
 # degree of the sphere grid behind AnalyticSurface.integrate: 96 nodes in z,
 # 189 longitudes; exact for polynomials of degree <= 188 on the sphere
@@ -61,60 +60,64 @@ def _integration_grid():
 
 
 class Chart:
-    """One parametric patch of a closed surface.
+    """The polar chart (theta, phi) of the ellipsoid diag(axes) S^2.
 
-    Parameters
-    ----------
-    mapping : callable
-        ``mapping(u, v) -> (..., 3)`` ambient points; must broadcast.
-    domain : ((float, float), (float, float))
-        Closed parameter rectangle.
-    jacobian : callable, optional
-        ``jacobian(u, v) -> (..., 3, 2)`` analytic first derivatives.  When
-        omitted, central differences with step ``FD_STEP`` are used.
-    inverse : callable, optional
-        ``inverse(points) -> (u, v)`` for ambient points on the chart image.
-    interior_point : array-like
-        Point strictly inside the enclosed volume; normals are oriented away
-        from it.
+    A point is axes * P s(theta, phi), s = (sin theta cos phi,
+    sin theta sin phi, cos theta), where the signed coordinate permutation P
+    puts the chart's pole on its axis: the identity for ``pole="z"``, and
+    (x, y, z) -> (z, y, -x) for ``pole="x"``.  P is a rotation and the axes
+    are positive, so on the domain, where sin theta > 0, the cross product
+    of the tangents points away from the centre.
     """
 
-    def __init__(self, mapping, domain, jacobian=None, inverse=None,
-                 interior_point=(0.0, 0.0, 0.0), name=""):
-        self.mapping = mapping
-        self.domain = tuple((float(lo), float(hi)) for lo, hi in domain)
-        for lo, hi in self.domain:
-            if not hi > lo:
-                raise UsageError("chart parameter rectangle is empty")
-        self._jacobian = jacobian
-        self.inverse = inverse
-        self.interior_point = np.asarray(interior_point, dtype=float)
-        self.name = name
+    DOMAIN = ((POLAR_MARGIN, np.pi - POLAR_MARGIN), (0.0, 2.0 * np.pi))
+    # component i of P s is sign_i * s[order_i]
+    PERMUTATIONS = {"z": ((0, 1, 2), (1.0, 1.0, 1.0)),
+                    "x": ((2, 1, 0), (1.0, 1.0, -1.0))}
+
+    def __init__(self, axes, pole):
+        order, signs = self.PERMUTATIONS[pole]
+        self.name = "polar-" + pole
+        self._order = order
+        self._unorder = np.argsort(order)
+        self._scale = np.asarray(axes, dtype=float) * signs
+
+    def _place(self, components):
+        """axes * P applied to the three components of a sphere vector."""
+        return np.stack([components[i] for i in self._order],
+                        axis=-1) * self._scale
+
+    def _evaluate(self, u, v, tangents=True):
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                   np.asarray(v, dtype=float))
+        st, ct = np.sin(u), np.cos(u)
+        sp, cp = np.sin(v), np.cos(v)
+        point = self._place((st * cp, st * sp, ct))
+        if not tangents:
+            return point
+        return (point, self._place((ct * cp, ct * sp, -st)),
+                self._place((-st * sp, st * cp, np.zeros_like(st))))
 
     def point(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return np.asarray(self.mapping(u, v), dtype=float)
+        return self._evaluate(u, v, tangents=False)
+
+    def inverse(self, points):
+        """Chart parameters (theta, phi) of points on the surface."""
+        s = (np.asarray(points, dtype=float) / self._scale)[..., self._unorder]
+        theta = np.arccos(np.clip(s[..., 2], -1.0, 1.0))
+        phi = np.mod(np.arctan2(s[..., 1], s[..., 0]), 2.0 * np.pi)
+        return theta, phi
 
     def contains(self, u, v, tol=0.0):
-        (ulo, uhi), (vlo, vhi) = self.domain
+        (ulo, uhi), (vlo, vhi) = self.DOMAIN
         return (u >= ulo - tol) & (u <= uhi + tol) & (v >= vlo - tol) & (v <= vhi + tol)
 
     def tangents(self, u, v):
         """First derivatives (ds/du, ds/dv), each of shape (..., 3)."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self._jacobian is not None:
-            jac = np.asarray(self._jacobian(u, v), dtype=float)
-            return jac[..., 0], jac[..., 1]
-        h = FD_STEP
-        du = (self.point(u + h, v) - self.point(u - h, v)) / (2.0 * h)
-        dv = (self.point(u, v + h) - self.point(u, v - h)) / (2.0 * h)
-        return du, dv
+        return self._evaluate(u, v)[1:]
 
-    def metric(self, u, v):
-        """First fundamental form, shape (..., 2, 2)."""
-        tu, tv = self.tangents(u, v)
+    def _gram(self, tu, tv):
+        """Entries e, f, g and determinant of the first fundamental form."""
         e = np.sum(tu * tu, axis=-1)
         f = np.sum(tu * tv, axis=-1)
         g = np.sum(tv * tv, axis=-1)
@@ -123,6 +126,11 @@ class Chart:
             raise ChartDegeneracyError(
                 f"chart {self.name!r}: Gram determinant {float(np.min(det)):.3e} "
                 f"<= {GRAM_FLOOR:g}")
+        return e, f, g, det
+
+    def metric(self, u, v):
+        """First fundamental form, shape (..., 2, 2)."""
+        e, f, g, _ = self._gram(*self.tangents(u, v))
         gram = np.empty(np.shape(e) + (2, 2))
         gram[..., 0, 0] = e
         gram[..., 0, 1] = f
@@ -130,50 +138,37 @@ class Chart:
         gram[..., 1, 1] = g
         return gram
 
-    def normal(self, u, v):
-        """Unit normal, oriented away from the interior point (outward)."""
-        tu, tv = self.tangents(u, v)
-        n = np.cross(tu, tv)
-        nn = np.linalg.norm(n, axis=-1)
-        if np.any(nn * nn <= GRAM_FLOOR):
-            raise ChartDegeneracyError(
-                f"chart {self.name!r}: degenerate tangent plane")
-        n = n / nn[..., None]
-        outward = np.sum(n * (self.point(u, v) - self.interior_point), axis=-1)
-        return n * np.where(outward < 0.0, -1.0, 1.0)[..., None]
+    def frames(self, u, v):
+        """Point, outward unit normal and dual frame (e_u, e_v) at (u, v).
 
-    def dual_frame(self, u, v):
-        """Covector frame (e_u, e_v): tangential, with <e_i, t_j> = delta_ij."""
-        tu, tv = self.tangents(u, v)
-        e = np.sum(tu * tu, axis=-1)
-        f = np.sum(tu * tv, axis=-1)
-        g = np.sum(tv * tv, axis=-1)
-        det = e * g - f * f
-        if np.any(det <= GRAM_FLOOR):
-            raise ChartDegeneracyError(
-                f"chart {self.name!r}: Gram determinant below {GRAM_FLOOR:g}")
+        One evaluation of the point and tangents serves all four; the dual
+        frame is tangential with <e_i, t_j> = delta_ij.
+        """
+        point, tu, tv = self._evaluate(u, v)
+        e, f, g, det = self._gram(tu, tv)
+        normal = np.cross(tu, tv)
+        normal = normal / np.linalg.norm(normal, axis=-1)[..., None]
         eu = (g[..., None] * tu - f[..., None] * tv) / det[..., None]
         ev = (-f[..., None] * tu + e[..., None] * tv) / det[..., None]
-        return eu, ev
+        return point, normal, eu, ev
 
 
 class AnalyticSurface:
-    """Closed surface covered by two rotated polar charts.
+    """Axis-aligned ellipsoid covered by two polar charts, poles on z and x.
 
     Instances are produced by :meth:`unit_sphere` and :meth:`ellipsoid`.
     ``axes`` stores the semi-axes, so the unit sphere is the special case
     (1, 1, 1).
     """
 
-    def __init__(self, name, axes, charts):
+    def __init__(self, name, axes):
         self.name = name
         self.axes = np.asarray(axes, dtype=float)
-        self.charts = list(charts)
+        self.charts = [Chart(self.axes, pole) for pole in "zx"]
 
     @classmethod
     def unit_sphere(cls):
-        return cls("unit-sphere", (1.0, 1.0, 1.0),
-                   _polar_chart_pair((1.0, 1.0, 1.0)))
+        return cls("unit-sphere", (1.0, 1.0, 1.0))
 
     @classmethod
     def ellipsoid(cls, a, b, c):
@@ -183,7 +178,7 @@ class AnalyticSurface:
         if min(axes) <= 0.0:
             raise UsageError("ellipsoid semi-axes must be positive")
         name = "ellipsoid(%g,%g,%g)" % axes
-        return cls(name, axes, _polar_chart_pair(axes))
+        return cls(name, axes)
 
     def support(self, direction):
         """max over the surface of <direction, x> (exact for ellipsoids)."""
@@ -206,61 +201,3 @@ class AnalyticSurface:
     def area(self):
         return self.integrate(lambda pts: 1.0)
 
-
-def _polar_chart_pair(axes):
-    """Two polar charts of an axis-aligned ellipsoid, poles on z and on x."""
-    ax = np.asarray(axes, dtype=float)
-    lo = POLAR_MARGIN
-    hi = np.pi - POLAR_MARGIN
-    domain = ((lo, hi), (0.0, 2.0 * np.pi))
-
-    def map_z(th, ph):
-        st, ct = np.sin(th), np.cos(th)
-        return np.stack([ax[0] * st * np.cos(ph),
-                         ax[1] * st * np.sin(ph),
-                         ax[2] * ct], axis=-1)
-
-    def jac_z(th, ph):
-        st, ct = np.sin(th), np.cos(th)
-        sp, cp = np.sin(ph), np.cos(ph)
-        d_th = np.stack([ax[0] * ct * cp, ax[1] * ct * sp,
-                         -ax[2] * st * np.ones_like(cp)], axis=-1)
-        d_ph = np.stack([-ax[0] * st * sp, ax[1] * st * cp,
-                         np.zeros_like(st * sp)], axis=-1)
-        return np.stack([d_th, d_ph], axis=-1)
-
-    def inv_z(points):
-        u = np.asarray(points, dtype=float) / ax
-        th = np.arccos(np.clip(u[..., 2], -1.0, 1.0))
-        ph = np.mod(np.arctan2(u[..., 1], u[..., 0]), 2.0 * np.pi)
-        return th, ph
-
-    # Second chart: same construction conjugated by the rotation that sends
-    # the z axis onto the x axis, so its polar caps sit on (+-a, 0, 0).
-    def map_x(th, ph):
-        st, ct = np.sin(th), np.cos(th)
-        return np.stack([ax[0] * ct,
-                         ax[1] * st * np.sin(ph),
-                         -ax[2] * st * np.cos(ph)], axis=-1)
-
-    def jac_x(th, ph):
-        st, ct = np.sin(th), np.cos(th)
-        sp, cp = np.sin(ph), np.cos(ph)
-        d_th = np.stack([-ax[0] * st * np.ones_like(cp),
-                         ax[1] * ct * sp,
-                         -ax[2] * ct * cp], axis=-1)
-        d_ph = np.stack([np.zeros_like(st * sp),
-                         ax[1] * st * cp,
-                         ax[2] * st * sp], axis=-1)
-        return np.stack([d_th, d_ph], axis=-1)
-
-    def inv_x(points):
-        u = np.asarray(points, dtype=float) / ax
-        th = np.arccos(np.clip(u[..., 0], -1.0, 1.0))
-        ph = np.mod(np.arctan2(u[..., 1], -u[..., 2]), 2.0 * np.pi)
-        return th, ph
-
-    return [
-        Chart(map_z, domain, jacobian=jac_z, inverse=inv_z, name="polar-z"),
-        Chart(map_x, domain, jacobian=jac_x, inverse=inv_x, name="polar-x"),
-    ]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchError, ChartDegeneracyError, UsageError
+from .surface.charts import Chart
 
 SAMPLE_SEED = 42
 DEFAULT_SAMPLES = 1000
@@ -70,10 +71,6 @@ def _per_chart(charts, index, x, evaluate, *shapes):
     return [o.reshape(index.shape + o.shape[1:]) for o in out]
 
 
-def _frames(chart, u, v):
-    return (chart.point(u, v), chart.normal(u, v), *chart.dual_frame(u, v))
-
-
 class CotangentSample:
     """Chart points together with cotangent vectors and derived frames.
 
@@ -93,7 +90,7 @@ class CotangentSample:
         self.x = np.asarray(x, dtype=float).reshape(shape + (2,))
         self.xi = np.asarray(xi, dtype=float).reshape(shape + (2,))
         self.point, self.nu, dual_u, dual_v = _per_chart(
-            surface.charts, self.chart_index, self.x, _frames,
+            surface.charts, self.chart_index, self.x, Chart.frames,
             (3,), (3,), (3,), (3,))
         self.beta = self.xi[..., 0:1] * dual_u + self.xi[..., 1:2] * dual_v
         self.r0 = _dot(self.beta, self.beta)
@@ -121,29 +118,25 @@ class CotangentSample:
 def random_samples(surface, count, seed=SAMPLE_SEED):
     """Seeded batch of nondegenerate cotangent samples, one chart each.
 
-    Points are drawn uniformly in the chart parameter rectangle (shrunk by
-    ``CHART_MARGIN`` of its width on both ends), covectors from a unit normal.
-    Returns one :class:`CotangentSample` of batch shape (count,).
+    Charts are drawn uniformly, points uniformly in the chart parameter
+    rectangle (shrunk by ``CHART_MARGIN`` of its width on both ends) and
+    covectors from a unit normal, each as one array; covectors shorter than
+    ``MIN_XI_NORM`` are redrawn.  Returns one :class:`CotangentSample` of
+    batch shape (count,).
     """
     count = int(count)
     if count < 1:
         raise UsageError("sample count must be positive")
     rng = np.random.default_rng(seed)
-    index = np.empty(count, dtype=int)
-    x = np.empty((count, 2))
-    xi = np.empty((count, 2))
-    drawn = 0
-    while drawn < count:
-        k = int(rng.integers(len(surface.charts)))
-        (ulo, uhi), (vlo, vhi) = surface.charts[k].domain
-        du, dv = uhi - ulo, vhi - vlo
-        u = rng.uniform(ulo + CHART_MARGIN * du, uhi - CHART_MARGIN * du)
-        v = rng.uniform(vlo + CHART_MARGIN * dv, vhi - CHART_MARGIN * dv)
-        covector = rng.standard_normal(2)
-        if np.linalg.norm(covector) < MIN_XI_NORM:
-            continue
-        index[drawn], x[drawn], xi[drawn] = k, (u, v), covector
-        drawn += 1
+    index = rng.integers(len(surface.charts), size=count)
+    domain = np.array(Chart.DOMAIN)
+    margin = CHART_MARGIN * (domain[:, 1] - domain[:, 0])
+    x = rng.uniform(domain[:, 0] + margin, domain[:, 1] - margin, (count, 2))
+    xi = rng.standard_normal((count, 2))
+    short = np.flatnonzero(np.linalg.norm(xi, axis=1) < MIN_XI_NORM)
+    while short.size:
+        xi[short] = rng.standard_normal((short.size, 2))
+        short = short[np.linalg.norm(xi[short], axis=1) < MIN_XI_NORM]
     return CotangentSample(surface, index, x, xi)
 
 
@@ -329,8 +322,6 @@ def chart_transfer(sample, other_index):
     interior = np.zeros(len(x), dtype=bool)
     for s, t in sorted(set(zip(source_index.tolist(), target_index.tolist()))):
         source, target = charts[s], charts[t]
-        if target.inverse is None or source.inverse is None:
-            raise UsageError("both charts need inverses for a transition")
 
         def transition(y):
             return np.stack(target.inverse(source.point(y[:, 0], y[:, 1])),
@@ -338,7 +329,7 @@ def chart_transfer(sample, other_index):
 
         group = np.flatnonzero((source_index == s) & (target_index == t))
         landed = transition(x[group])
-        (ulo, uhi), _ = target.domain
+        (ulo, uhi), _ = Chart.DOMAIN
         inside = target.contains(landed[:, 0], landed[:, 1],
                                  tol=-0.1 * (uhi - ulo))
         group, landed = group[inside], landed[inside]
@@ -389,19 +380,17 @@ def identity_suite(surface, samples=DEFAULT_SAMPLES, seed=SAMPLE_SEED):
 
     Returns {"surface", "samples", "seed", "residuals": {name: max residual}}.
     The spectral parameter is drawn per sample as z = -i/(1 + i t) with
-    |t| <= h^2 and h uniform in (0, 1]; gamma0 is uniform in (1.1, 5).
-    Each residual is computed for the whole batch at once.
+    |t| <= h^2 and h uniform in (0.05, 1); gamma0 is uniform in (1.1, 5).
+    Each draw is one array over the batch, and each residual is computed
+    for the whole batch at once.
     """
     batch = random_samples(surface, samples, seed=seed)
     count = len(batch)
     rng = np.random.default_rng(seed + 1)
-    h, t, gamma0 = np.empty(count), np.empty(count), np.empty(count)
-    g = np.empty((count, 3), dtype=complex)
-    for k in range(count):
-        h[k] = rng.uniform(0.05, 1.0)
-        t[k] = rng.uniform(-h[k] * h[k], h[k] * h[k])
-        gamma0[k] = rng.uniform(1.1, 5.0)
-        g[k] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    h = rng.uniform(0.05, 1.0, count)
+    t = rng.uniform(-h * h, h * h)
+    gamma0 = rng.uniform(1.1, 5.0, count)
+    g = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
     z = -1j / (1.0 + 1j * t)
     eye = np.eye(3)
     worst = {}

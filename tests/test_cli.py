@@ -251,6 +251,8 @@ def test_config_defaults_stay_with_their_call(tmp_path, capsys, monkeypatch):
     (("weyl",), "seed = 1\n", 64, "unknown config key 'seed'"),
     (("scan",), "zero-tol = nan\n", 64,
      "config key 'zero_tol': expected a finite number >= 0"),
+    (("verify-symbols",), "seed = -1\n", 64,
+     "config key 'seed': expected an integer >= 0"),
 ])
 def test_config_keys(tmp_path, capsys, argv, text, expected_code, expected):
     cfg = tmp_path / "run.cfg"
@@ -460,6 +462,10 @@ SCAN = ("scan", "--gamma", "2.0", "--r-min", "5", "--r-max", "10",
     (("spectrum", "--tol", "nan"), "--tol"),
     (("spectrum", "--mesh", "icosphere:1", "--count", "-3"), "--count"),
     (("scan", "--mesh", "icosphere:1", "--modes", "0"), "--modes"),
+    (("verify-symbols", "--samples", "10", "--seed", "-1"), "--seed"),
+    (("scan", "--seed", "-1", "--mesh", "icosphere:3", "--modes", "40",
+      "--r-min", "1", "--r-max", "2"), "--seed"),
+    (("scan", "--seed", "-1"), "--seed"),
 ])
 def test_numeric_options_must_be_finite_and_in_range(capsys, tmp_path,
                                                      monkeypatch, argv, flag):
@@ -567,6 +573,14 @@ def test_verify_symbols_passes(capsys):
     payload = json.loads(out)
     assert payload["failures"] == []
     assert max(payload["residuals"].values()) < 1e-8
+
+
+def test_verify_symbols_reruns_are_byte_identical(capsys):
+    argv = ("verify-symbols", "--surface", "ellipsoid:3,2,1", "--samples",
+            "200", "--seed", "5")
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv) == first
 
 
 def test_verify_symbols_zero_samples(capsys):

@@ -829,6 +829,26 @@ def test_probe_variable_field(sphere, tilted):
     assert not probe.violations
 
 
+def test_probe_counts_each_lost_branch_once(gamma_two, monkeypatch):
+    # three branches over three h: a 45 degree turn in the (0, 1) plane
+    # loses branches 0 and 1, a second one in the (1, 2) plane then loses
+    # branch 2; the branches lost before must not be counted again
+    def turn(i, j):
+        c = np.sqrt(0.5)
+        matrix = np.eye(3)
+        matrix[[i, i, j, j], [i, j, i, j]] = c, -c, c, c
+        return matrix
+
+    vectors = [np.eye(3), turn(0, 1), turn(0, 1) @ turn(1, 2)]
+    values = np.array([-0.5, 0.0, 0.5])
+    monkeypatch.setattr(semiclassical_count, "_operator_spectra",
+                        lambda *args: [[(values, v)] for v in vectors])
+    probe = monotonicity_probe(exact_sphere_spectrum(4), gamma_two,
+                               (0.2, 0.3), steps=3)
+    assert probe.skipped == 3
+    assert probe.events == []
+
+
 def test_probe_rejects_bad_window(gamma_two):
     basis = exact_sphere_spectrum(10)
     with pytest.raises(UsageError):

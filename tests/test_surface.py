@@ -9,7 +9,6 @@ from weylcount.errors import (
 )
 from weylcount.surface import (
     AnalyticSurface,
-    Chart,
     DampingField,
     SurfaceMesh,
     icosphere,
@@ -94,54 +93,77 @@ def test_nonfinite_semi_axes_rejected():
             AnalyticSurface.ellipsoid(*axes)
 
 
-def test_ellipsoid_normal_matches_implicit_gradient():
-    surf = AnalyticSurface.ellipsoid(2.0, 1.0, 1.0)
-    chart = surf.charts[0]
-    n = chart.normal(np.pi / 2.0, 0.0)
-    assert np.allclose(n, [1.0, 0.0, 0.0], atol=1e-12)
+def ellipsoid_charts():
+    """Both charts of the ellipsoids (2, 1, 1) and (3, 2, 1), with their
+    surface; on the second, a y/z mix-up in a chart's scale shows."""
+    for axes in [(2.0, 1.0, 1.0), (3.0, 2.0, 1.0)]:
+        surf = AnalyticSurface.ellipsoid(*axes)
+        for chart in surf.charts:
+            yield surf, chart
 
+
+def test_ellipsoid_normal_matches_implicit_gradient():
     rng = np.random.default_rng(7)
     th = rng.uniform(0.15, np.pi - 0.15, 256)
     ph = rng.uniform(0.0, 2.0 * np.pi, 256)
-    pts = chart.point(th, ph)
-    normals = chart.normal(th, ph)
-    # gradient of x^2/a^2 + y^2/b^2 + z^2/c^2, normalized
-    grad = 2.0 * pts / surf.axes**2
-    grad /= np.linalg.norm(grad, axis=-1)[:, None]
-    assert np.max(np.abs(normals - grad)) <= 1e-9
-    assert np.max(np.abs(np.linalg.norm(normals, axis=-1) - 1.0)) <= 1e-12
-    # outward for a star-shaped surface
-    assert np.all(np.einsum("ij,ij->i", normals, pts) > 0.0)
+    for surf, chart in ellipsoid_charts():
+        if chart.name == "polar-z":
+            _, n, _, _ = chart.frames(np.pi / 2.0, 0.0)
+            assert np.allclose(n, [1.0, 0.0, 0.0], atol=1e-12)
+        pts, normals, _, _ = chart.frames(th, ph)
+        assert np.max(np.abs(chart.point(th, ph) - pts)) == 0.0
+        assert np.max(np.abs(np.sum((pts / surf.axes) ** 2, axis=-1)
+                             - 1.0)) <= 1e-12
+        # gradient of x^2/a^2 + y^2/b^2 + z^2/c^2, normalized
+        grad = 2.0 * pts / surf.axes**2
+        grad /= np.linalg.norm(grad, axis=-1)[:, None]
+        assert np.max(np.abs(normals - grad)) <= 1e-9
+        assert np.max(np.abs(np.linalg.norm(normals, axis=-1) - 1.0)) <= 1e-12
+        # outward for a star-shaped surface
+        assert np.all(np.einsum("ij,ij->i", normals, pts) > 0.0)
 
 
 def test_finite_difference_tangents_match_analytic():
-    surf = AnalyticSurface.ellipsoid(2.0, 1.0, 1.0)
-    analytic = surf.charts[1]
-    fd = Chart(analytic.mapping, analytic.domain)
     rng = np.random.default_rng(11)
     th = rng.uniform(0.15, np.pi - 0.15, 128)
     ph = rng.uniform(0.0, 2.0 * np.pi, 128)
-    for got, want in zip(fd.tangents(th, ph), analytic.tangents(th, ph)):
-        assert np.max(np.abs(got - want)) <= 1e-8
+    step = 1e-6
+    for _, chart in ellipsoid_charts():
+        fd = ((chart.point(th + step, ph) - chart.point(th - step, ph)),
+              (chart.point(th, ph + step) - chart.point(th, ph - step)))
+        for got, want in zip(fd, chart.tangents(th, ph)):
+            assert np.max(np.abs(got / (2.0 * step) - want)) <= 1e-8
+
+
+def test_frames_dual_to_tangents():
+    chart = AnalyticSurface.ellipsoid(3.0, 2.0, 1.0).charts[1]
+    rng = np.random.default_rng(5)
+    th = rng.uniform(0.15, np.pi - 0.15, 64)
+    ph = rng.uniform(0.0, 2.0 * np.pi, 64)
+    _, normal, eu, ev = chart.frames(th, ph)
+    tu, tv = chart.tangents(th, ph)
+    pairing = np.einsum("kai,kbi->kab", np.stack([eu, ev], axis=1),
+                        np.stack([tu, tv], axis=1))
+    assert np.max(np.abs(pairing - np.eye(2))) <= 1e-12
+    assert np.max(np.abs(np.einsum("ki,ki->k", normal, eu))) <= 1e-12
+    assert np.max(np.abs(np.einsum("ki,ki->k", normal, ev))) <= 1e-12
 
 
 def test_degenerate_chart_raises():
-    collapsed = Chart(
-        lambda u, v: np.stack([u, u, np.zeros_like(u * v)], axis=-1),
-        ((0.0, 1.0), (0.0, 1.0)),
-    )
+    # at the equator of the polar-z chart the theta tangent is (0, 0, -c),
+    # so the Gram determinant is c^2 = 1e-12, below GRAM_FLOOR
+    chart = AnalyticSurface.ellipsoid(1.0, 1.0, 1e-6).charts[0]
     with pytest.raises(ChartDegeneracyError):
-        collapsed.metric(0.5, 0.5)
+        chart.metric(np.pi / 2.0, 0.5)
     with pytest.raises(ChartDegeneracyError):
-        collapsed.normal(0.5, 0.5)
+        chart.frames(np.pi / 2.0, 0.5)
 
 
 def test_chart_inverse_round_trip():
-    surf = AnalyticSurface.ellipsoid(2.0, 1.0, 1.0)
     rng = np.random.default_rng(3)
     th = rng.uniform(0.2, np.pi - 0.2, 200)
     ph = rng.uniform(0.01, 2.0 * np.pi - 0.01, 200)
-    for chart in surf.charts:
+    for _, chart in ellipsoid_charts():
         u, v = chart.inverse(chart.point(th, ph))
         assert np.max(np.abs(u - th)) <= 1e-12
         assert np.max(np.abs(v - ph)) <= 1e-12

@@ -263,6 +263,18 @@ def test_identity_suite_ellipsoid():
     assert max(report["residuals"].values()) < 1e-8
 
 
+def test_random_samples_redraw_short_covectors(sphere, monkeypatch):
+    # about two in three unit-normal covectors are shorter than 1.5, so the
+    # redraw loop runs many rounds
+    monkeypatch.setattr(symbol_algebra, "MIN_XI_NORM", 1.5)
+    batch = random_samples(sphere, 200, seed=3)
+    assert np.all(np.linalg.norm(batch.xi, axis=-1) >= 1.5)
+    assert set(batch.chart_index.tolist()) == {0, 1}
+    (ulo, uhi), (vlo, vhi) = sphere.charts[0].DOMAIN
+    assert np.all(batch.x[:, 0] > ulo) and np.all(batch.x[:, 0] < uhi)
+    assert np.all(batch.x[:, 1] > vlo) and np.all(batch.x[:, 1] < vhi)
+
+
 def test_suite_rejects_empty_batch(sphere):
     with pytest.raises(UsageError):
         random_samples(sphere, 0)
@@ -270,10 +282,15 @@ def test_suite_rejects_empty_batch(sphere):
 
 def per_sample_suite(surface, count, seed):
     """The identity suite one sample at a time, through the public
-    per-sample functions and the suite's two rng streams.  Returns the worst
+    per-sample functions and the suite's two rng streams, each drawn in
+    blocks of ``count`` as the suite draws them.  Returns the worst
     residual per identity, per sample whether its chart transfer ran, and
     the drawn h, gamma0, z and tangential g."""
     rng = np.random.default_rng(seed + 1)
+    hs = rng.uniform(0.05, 1.0, count)
+    ts = rng.uniform(-hs * hs, hs * hs)
+    gamma0s = rng.uniform(1.1, 5.0, count)
+    gs = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
     worst = {}
     kept = []
     draws = {"h": [], "gamma0": [], "z": [], "g": []}
@@ -281,12 +298,10 @@ def per_sample_suite(surface, count, seed):
     def record(name, value):
         worst[name] = max(worst.get(name, 0.0), float(value))
 
-    for drawn in random_samples(surface, count, seed=seed):
+    for k, drawn in enumerate(random_samples(surface, count, seed=seed)):
         sample = CotangentSample(surface, drawn.chart_index, drawn.x, drawn.xi)
-        h = rng.uniform(0.05, 1.0)
-        t = rng.uniform(-h * h, h * h)
-        z = -1j / (1.0 + 1j * t)
-        gamma0 = rng.uniform(1.1, 5.0)
+        h, gamma0 = hs[k], gamma0s[k]
+        z = -1j / (1.0 + 1j * ts[k])
 
         record("nu-beta-orthogonal", abs(sample.nu @ sample.beta))
         record("r0-inverse-metric",
@@ -329,8 +344,7 @@ def per_sample_suite(surface, count, seed):
         record("m1-equals-minus-m",
                np.max(np.abs(principal_m1(sample, -1j) + m_at_i)))
 
-        g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        g = np.cross(sample.nu, np.cross(g, sample.nu))
+        g = np.cross(sample.nu, np.cross(gs[k], sample.nu))
         for name, value in zip(draws, (h, gamma0, z, g)):
             draws[name].append(value)
         for side in ("electric", "magnetic"):
@@ -352,7 +366,8 @@ def per_sample_suite(surface, count, seed):
 @pytest.mark.parametrize("surface", [
     AnalyticSurface.unit_sphere(),
     AnalyticSurface.ellipsoid(2.0, 1.0, 1.0),
-], ids=["sphere", "ellipsoid"])
+    AnalyticSurface.ellipsoid(3.0, 2.0, 1.0),
+], ids=["sphere", "ellipsoid", "triaxial"])
 def test_batched_suite_matches_per_sample_oracle(surface, monkeypatch):
     count, seed = 50, 2024
     worst, kept, draws = per_sample_suite(surface, count, seed)
