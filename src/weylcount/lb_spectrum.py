@@ -10,7 +10,9 @@ pipeline with the same interface:
   n^2+n+m.  On the product quadrature grid (Gauss-Legendre in z times
   equispaced longitudes) a harmonic is a Legendre factor in z times a
   longitude function, so the table holds the factors (O(degree^3) values)
-  and never their product at every node (O(degree^4)); and
+  and never their product at every node (O(degree^4)).  The grid maps onto
+  itself under z -> -z and y -> -y, and each harmonic is even or odd under
+  both, so the table also carries every harmonic's parities; and
 * cotangent finite elements with lumped mass on a triangle mesh, solved as a
   sparse symmetric generalized eigenproblem for the lowest eigenpairs, whose
   exactly equal eigenvalues form one cluster.
@@ -48,9 +50,15 @@ TRUSTED_MODE_FRACTION = 0.05
 CACHE_MAGIC = b"WLB1"
 CACHE_VERSION = 1
 
+# the coordinates whose negation maps the exact sphere's grid onto itself:
+# bit b of a mode's parity is set when the mode is odd under negating
+# coordinate REFLECTED_AXES[b]
+REFLECTED_AXES = (2, 1)
+
 Pencil = namedtuple("Pencil", ["stiffness", "mass", "nodes"])
 Quadrature = namedtuple("Quadrature", ["nodes", "mass", "modes", "longitudes",
-                                       "longitude_weights", "longitude_of"])
+                                       "longitude_weights", "longitude_of",
+                                       "parity"])
 
 
 @dataclass
@@ -72,10 +80,12 @@ class SpectralBasis:
     product.  A mesh basis has one longitude (``longitudes`` is [[1]] with
     weight 1, see :func:`mesh_quadrature`), so a row is a vertex and
     ``modes`` the mode values it was solved or loaded with (no quadrature
-    for a cache entry without them).  The exact sphere, whose cluster index
-    is the degree, tabulates its harmonics there on first access: rows are
-    Gauss-Legendre latitudes, ``modes`` the Legendre factors, ``longitudes``
-    the 2 degree + 1 functions of the longitude.  ``trusted_horizon`` is
+    for a cache entry without them), and its modes have no ``parity``.  The
+    exact sphere, whose cluster index is the degree, tabulates its
+    harmonics there on first access: rows are Gauss-Legendre latitudes,
+    ``modes`` the Legendre factors, ``longitudes`` the 2 degree + 1
+    functions of the longitude, and ``parity`` each harmonic's bits, as
+    ``REFLECTED_AXES`` defines them.  ``trusted_horizon`` is
     the largest eigenvalue considered resolved: for a mesh, the Weyl count
     of 5% of the vertex budget, i.e. ``0.05 * vertex_count * 4 pi / area``.
     """
@@ -218,7 +228,8 @@ def _tabulate_sphere_modes(max_degree):
     cos(m phi) / sqrt(pi) for m > 0 and sin(|m| phi) / sqrt(pi) for m < 0;
     longitude function m is row max_degree + m.  That grid (Gauss-Legendre
     in z, equispaced in longitude) is exact for integrands Y_i * Y_j * p
-    with p affine in the coordinates.
+    with p affine in the coordinates.  q_{n,|m|} has the parity of n + |m|
+    in z, and sin(|m| phi) is odd in y, the cosines even.
     """
     grid = sphere_grid(max_degree)
     degrees = np.repeat(np.arange(max_degree + 1),
@@ -232,13 +243,14 @@ def _tabulate_sphere_modes(max_degree):
     longitudes[max_degree] = 1.0 / np.sqrt(2.0 * np.pi)
     return Quadrature(grid.nodes, grid.z_weights,
                       np.ascontiguousarray(legendre), longitudes,
-                      grid.phi_weights, orders + max_degree)
+                      grid.phi_weights, orders + max_degree,
+                      (degrees + orders) % 2 + 2 * (orders < 0))
 
 
 def mesh_quadrature(nodes, mass, modes):
     """Mode values at mesh vertices, as a quadrature of one longitude."""
     return Quadrature(nodes, mass, modes, np.ones((1, 1)), np.ones(1),
-                      np.zeros(modes.shape[1], dtype=np.int64))
+                      np.zeros(modes.shape[1], dtype=np.int64), None)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,13 @@ block diagonally, as symmetric blocks (or stacks of equal-size blocks) each
 repeated a number of times.  Constant damping makes one 1 x 1 block per
 cluster, damping affine along the sphere's polar axis gives one tridiagonal
 block per order, kept as the diagonal and a closed form of the couplings,
-and any other field one dense block from the mode values the basis
-tabulates, which this module reads.
+and any other field one dense block per reflection class from the mode
+values the basis tabulates, which this module reads: the exact sphere's
+harmonics are even or odd under z -> -z and y -> -y, so when a reflection
+leaves the damping unchanged too, the section couples no even mode to an
+odd one, and a field along x splits into four blocks of about a quarter
+of the modes each.  A mesh basis, or a field no reflection leaves
+unchanged, is one dense block.
 
 Counting computes no eigenvalues: by Sylvester's law of inertia the number
 of eigenvalues below a shift is the number of negative pivots of an LDL^T
@@ -36,6 +41,7 @@ from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, InsufficientSpectrumError, UsageError
+from .lb_spectrum import REFLECTED_AXES
 
 ZERO_TOL = 1e-12
 CUT_FACTOR = 2.0
@@ -367,38 +373,69 @@ def _polar_affine(basis, field, surface):
 
 
 def _damping_gram(basis, field, cut):
-    """Gram matrix of the effective damping on the first ``cut`` modes.
+    """Gram matrices of the effective damping on the first ``cut`` modes,
+    one per reflection class, as (columns, matrix) pairs.
+
+    A reflection in ``REFLECTED_AXES`` maps the exact sphere's grid onto
+    itself and each of its harmonics to +-itself (their ``parity`` bits).
+    When it also leaves the damping unchanged, bit for bit at the grid
+    nodes, the Gram entries between an even and an odd mode vanish in exact
+    arithmetic, so the modes split into classes of equal parity under
+    every such reflection and only the entries within a class are formed.
+    The classes come in ascending parity bits, each with its columns
+    ascending.  A basis without parities (a mesh basis), a vertex table or
+    a damping that no reflection leaves unchanged gives one class, every
+    column.
 
     The basis tabulates mode i as P[t, i] Phi_a(phi) on a grid of rows t
     and longitudes phi, with a = ``longitude_of[i]`` (see SpectralBasis).
     The longitude sum goes first, F[t, a, b] = sum_phi w_phi gamma0 Phi_a
     Phi_b in one batched product, so G[i, j] = sum_t w_t P[t, i] P[t, j]
-    F[t, a(i), a(j)] sums over rows alone.  G is built one longitude group
-    of modes at a time: the group's products with the groups before it,
-    mirrored, and its diagonal block S^T S with S = P * sqrt(w_t F[t, a,
-    a]) as one symmetric rank-k update (gamma0 > 0, so F[t, a, a] > 0).
-    The result is exactly symmetric.  A mesh basis is one group on one
-    longitude, where this is W^T W with W = modes * sqrt(mass * gamma0).
+    F[t, a(i), a(j)] sums over rows alone.  A class's G is built one
+    longitude group of its modes at a time: the group's products with the
+    groups before it, mirrored, and its diagonal block S^T S with S = P *
+    sqrt(w_t F[t, a, a]) as one symmetric rank-k update (gamma0 > 0, so
+    F[t, a, a] > 0).  The result is exactly symmetric.  A mesh basis is one
+    group on one longitude, where this is W^T W with W = modes * sqrt(mass
+    * gamma0).
     """
     table = basis.tabulated()
     if table.modes is None:
         raise UsageError("dense assembly needs tabulated modes on the basis")
-    gamma0 = field.effective(table.nodes).reshape(len(table.mass), -1)
+    gamma0 = field.effective(table.nodes)
+    parity = np.zeros(cut, dtype=np.int64)
+    # a vertex table is read by node index, whatever the points, so no
+    # reflection of the points tells whether it is symmetric
+    if table.parity is not None and field.kind != "vertex-table":
+        for bit, axis in enumerate(REFLECTED_AXES):
+            mirrored = table.nodes.copy()
+            mirrored[:, axis] *= -1.0
+            if np.array_equal(field.effective(mirrored), gamma0):
+                parity |= table.parity[:cut] & (1 << bit)
     phi = table.longitudes
     # w_t F[t, a, b]
     weighted = table.mass[:, None, None] * (
-        (phi * (table.longitude_weights * gamma0)[:, None, :]) @ phi.T)
+        (phi * (table.longitude_weights
+                * gamma0.reshape(len(table.mass), -1))[:, None, :]) @ phi.T)
+    classes = [np.flatnonzero(parity == bits) for bits in np.unique(parity)]
+    return [(columns, _class_gram(table, weighted, columns))
+            for columns in classes]
 
-    # modes grouped by longitude, each group in mode order; a mesh basis,
-    # one group, is grouped already and is read in place
-    longitude = table.longitude_of[:cut]
+
+def _class_gram(table, weighted, columns):
+    """G over the modes ``columns`` (ascending), from w_t F[t, a, b]."""
+    size = len(columns)
+    # the class's modes grouped by longitude, each group in mode order; a
+    # mesh basis, one group of leading modes, is read in place
+    longitude = table.longitude_of[columns]
     order = np.argsort(longitude, kind="stable")
-    in_order = np.array_equal(order, np.arange(cut))
-    grouped = table.modes[:, :cut] if in_order \
-        else np.take(table.modes, order, axis=1)
+    picked = columns[order]
+    grouped = table.modes[:, :size] \
+        if np.array_equal(picked, np.arange(size)) \
+        else np.take(table.modes, picked, axis=1)
     longitude = longitude[order]
-    bounds = np.append(np.flatnonzero(np.diff(longitude, prepend=-1)), cut)
-    gram = np.empty((cut, cut))
+    bounds = np.append(np.flatnonzero(np.diff(longitude, prepend=-1)), size)
+    gram = np.empty((size, size))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         a = longitude[lo]
         left = grouped[:, lo:hi]
@@ -408,7 +445,7 @@ def _damping_gram(basis, field, cut):
             gram[:lo, lo:hi] = gram[lo:hi, :lo].T
         scaled = left * np.sqrt(weighted[:, a, a])[:, None]
         gram[lo:hi, lo:hi] = scaled.T @ scaled
-    if in_order:
+    if np.array_equal(order, np.arange(size)):
         return gram
     # back to mode order, rows then columns
     inverse = np.argsort(order)
@@ -446,11 +483,13 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
     with J_m the Jacobi matrix of the orthonormal associated Legendre
     functions: one tridiagonal family through the last cluster's degree,
     order m >= 1 counted twice for +-m.  Anything else goes through the Gram
-    matrix of tabulated mode values.  ``scan`` forms the h-independent part
-    of its variable-damping sections once, at its widest cut, and passes it
-    as ``_shared``: the Gram matrix, of which each section takes a leading
-    part, or for polar-affine damping its :class:`SturmSweep` and the batch
-    member that stands for h.
+    matrices of tabulated mode values, one per reflection class (see
+    :func:`_damping_gram`): one dense block diag(sqrt(1 + h^2 lambda)) - G
+    per class, over the class's modes below the cut.  ``scan`` forms the
+    h-independent part of its variable-damping sections once, at its widest
+    cut, and passes it as ``_shared``: the classes' Gram matrices, of which
+    each section takes leading parts, or for polar-affine damping its
+    :class:`SturmSweep` and the batch member that stands for h.
     """
     if not h > 0.0:
         raise UsageError(f"semiclassical parameter must be positive, got {h}")
@@ -475,13 +514,22 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
                                  sweep.family.couplings, _shared)
         return GalerkinOperator(cut, [(part, sweep.multiplicity[:last + 1])])
 
-    gram = _damping_gram(basis, field, cut) if _shared is None else _shared
-    # the Gram matrix is exactly symmetric, so the transpose of its leading
-    # part is the same matrix in Fortran order, the order LAPACK factors;
-    # (0 - g) + d rounds as d - g does, exact zeros keeping their sign
-    matrix = np.subtract(0.0, gram[:cut, :cut].T, order="F")
-    matrix[np.diag_indices(cut)] += np.sqrt(1.0 + h * h * basis.leading(cut))
-    return GalerkinOperator(cut, [(matrix, 1)])
+    diagonal = np.sqrt(1.0 + h * h * basis.leading(cut))
+    blocks = []
+    for columns, gram in _shared or _damping_gram(basis, field, cut):
+        # the class's columns below the cut lead it; a section through
+        # degree 1 has no mode odd under both reflections
+        size = int(np.searchsorted(columns, cut))
+        if not size:
+            continue
+        # the Gram matrix is exactly symmetric, so the transpose of its
+        # leading part is the same matrix in Fortran order, the order LAPACK
+        # factors; (0 - g) + d rounds as d - g does, exact zeros keeping
+        # their sign
+        matrix = np.subtract(0.0, gram[:size, :size].T, order="F")
+        matrix[np.diag_indices(size)] += diagonal[columns[:size]]
+        blocks.append((matrix, 1))
+    return GalerkinOperator(cut, blocks)
 
 
 # ----------------------------------------------------------------------
@@ -637,12 +685,12 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     section is factored at +-zero_tol, and a dense recount, of which the
     report reads only the count below -zero_tol, at +zero_tol only.
     Constant damping reads the basis clusters alone; a dense section, built
-    F-ordered, takes a leading part of one Gram matrix formed at the widest
-    cut.  The polar-affine sections are members of one batch, one per
-    radius, and one :class:`SturmSweep` counts them all: it sweeps each
-    member through the degree of its widest cut once, and each count looks
-    its section up.  Radii must be finite and positive, or UsageError is
-    raised before any mode cut.
+    F-ordered, takes a leading part of each reflection class's Gram matrix,
+    all formed at the widest cut.  The polar-affine sections are members of
+    one batch, one per radius, and one :class:`SturmSweep` counts them all:
+    it sweeps each member through the degree of its widest cut once, and
+    each count looks its section up.  Radii must be finite and positive, or
+    UsageError is raised before any mode cut.
     """
     r_grid = _require_radii(r_grid)
     if r_grid.ndim != 1 or len(r_grid) == 0:

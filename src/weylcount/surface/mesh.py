@@ -179,34 +179,36 @@ def icosphere(level):
         [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1],
     ], dtype=float)
     vertices /= np.linalg.norm(vertices, axis=-1)[:, None]
-    faces = [
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = [tuple(v) for v in vertices]
+    ], dtype=np.int64)
 
     for _ in range(level):
-        cache = {}
-        points = list(verts)
+        # every face's edges ab, bc, ca in turn; each edge's midpoint is
+        # numbered in the order its edge is first met
+        edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        key = edges.min(axis=1) * len(vertices) + edges.max(axis=1)
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        met = np.argsort(first)
+        number = np.empty_like(met)
+        number[met] = len(vertices) + np.arange(len(met))
+        ends = edges[first[met]]
+        mid = vertices[ends[:, 0]] + vertices[ends[:, 1]]
+        # each row's dot product by itself, from the routine np.linalg.norm
+        # calls on one vector, so the bits are those of a norm per vertex; a
+        # norm along an axis or einsum sums in another order
+        mid /= np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
+        ab, bc, ca = number[inverse].reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=-1).reshape(-1, 3)
+        vertices = np.concatenate([vertices, mid])
 
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                mid = np.asarray(points[i]) + np.asarray(points[j])
-                mid /= np.linalg.norm(mid)
-                cache[key] = len(points)
-                points.append(tuple(mid))
-            return cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-        verts, faces = points, new_faces
-
-    return SurfaceMesh(np.asarray(verts, dtype=float), np.asarray(faces, dtype=np.int64))
+    return SurfaceMesh(vertices, faces)
 
 
 def _off_tokens(path):

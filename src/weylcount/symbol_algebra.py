@@ -25,7 +25,6 @@ from .surface.charts import Chart
 
 SAMPLE_SEED = 42
 DEFAULT_SAMPLES = 1000
-TRANSITION_FD_STEP = 1e-3
 MIN_XI_NORM = 1e-6
 # random sample points keep this fraction of a chart's width off each edge
 CHART_MARGIN = 0.05
@@ -306,9 +305,10 @@ def chart_transfer(sample, other_index):
     Close to a target's polar edge the inverse map is ill-conditioned and
     the comparison would measure roundoff amplification, not invariance.
 
-    The transition Jacobian is taken by a fourth-order central difference of
-    the chart transition map; covector components transform with its inverse
-    transpose.  The result's beta and r0 must match the original's (global
+    The transition Jacobian d(target)/d(source) pairs the target's dual
+    frame at the image with the source's tangents at the sample, J[i, j] =
+    <e_i, t_j>; covector components transform with its inverse transpose.
+    The result's beta and r0 must match the original's (global
     invariance), which the identity suite checks.
     """
     charts = sample.surface.charts
@@ -322,32 +322,17 @@ def chart_transfer(sample, other_index):
     interior = np.zeros(len(x), dtype=bool)
     for s, t in sorted(set(zip(source_index.tolist(), target_index.tolist()))):
         source, target = charts[s], charts[t]
-
-        def transition(y):
-            return np.stack(target.inverse(source.point(y[:, 0], y[:, 1])),
-                            axis=-1)
-
         group = np.flatnonzero((source_index == s) & (target_index == t))
-        landed = transition(x[group])
+        landed = np.stack(target.inverse(source.point(x[group, 0],
+                                                      x[group, 1])), axis=-1)
         (ulo, uhi), _ = Chart.DOMAIN
         inside = target.contains(landed[:, 0], landed[:, 1],
                                  tol=-0.1 * (uhi - ulo))
         group, landed = group[inside], landed[inside]
 
-        def near(y):
-            # undo 2 pi jumps of the angular coordinate across the seam
-            value = transition(y)
-            turns = np.round((value - landed) / (2.0 * np.pi))
-            return value - 2.0 * np.pi * turns
-
-        base = x[group]
-        jac = np.empty((len(group), 2, 2))
-        for j in range(2):
-            step = np.zeros(2)
-            step[j] = TRANSITION_FD_STEP
-            jac[:, :, j] = (-near(base + 2 * step) + 8.0 * near(base + step)
-                            - 8.0 * near(base - step) + near(base - 2 * step)
-                            ) / (12.0 * TRANSITION_FD_STEP)
+        _, _, dual_u, dual_v = target.frames(landed[:, 0], landed[:, 1])
+        jac = np.stack([dual_u, dual_v], axis=-2) @ np.stack(
+            source.tangents(x[group, 0], x[group, 1]), axis=-1)
         x_target[group] = landed
         xi_target[group] = np.linalg.solve(_transpose(jac),
                                            xi[group][..., None])[..., 0]

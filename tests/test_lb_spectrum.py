@@ -19,6 +19,7 @@ from weylcount.errors import (
     UsageError,
 )
 from weylcount.lb_spectrum import (
+    REFLECTED_AXES,
     SOLVER_SEED,
     SpectralBasis,
     assemble_fem,
@@ -42,6 +43,18 @@ from weylcount.surface import (
 from weylcount.surface.charts import sphere_grid
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def full_gram(basis, field, cut):
+    """The class Gram matrices of ``_damping_gram`` in one cut x cut matrix,
+    zero between classes; the classes must partition the columns."""
+    gram = np.zeros((cut, cut))
+    classes = _damping_gram(basis, field, cut)
+    assert np.array_equal(np.sort(np.concatenate([c for c, _ in classes])),
+                          np.arange(cut))
+    for columns, block in classes:
+        gram[np.ix_(columns, columns)] = block
+    return gram
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +139,7 @@ def test_tabulated_modes_orthonormal():
     # c gives c times the identity, at every cut
     basis = exact_sphere_spectrum(12)
     for c, cut in ((2.0, 169), (1.3, 169), (0.4, 100)):
-        gram = _damping_gram(basis, DampingField.constant(c), cut)
+        gram = full_gram(basis, DampingField.constant(c), cut)
         assert np.max(np.abs(gram - max(c, 1.0 / c) * np.eye(cut))) < 1e-12
         assert np.array_equal(gram, gram.T)
     # the table holds factors: Legendre values at the latitudes and the
@@ -139,13 +152,45 @@ def test_tabulated_modes_orthonormal():
     assert np.max(np.abs(np.linalg.norm(table.nodes, axis=-1) - 1.0)) < 1e-12
 
 
+def test_tabulated_parities_match_reflected_harmonics():
+    # bit b of a harmonic's parity is set exactly when Y(sigma p) = -Y(p)
+    # for sigma the negation of coordinate REFLECTED_AXES[b] (z, then y),
+    # with the harmonics evaluated from the Legendre table and the
+    # longitude functions directly, at the nodes and at their mirror images
+    degree = 9
+    table = exact_sphere_spectrum(degree).tabulated()
+    grid = sphere_grid(degree)
+    assert REFLECTED_AXES == (2, 1)
+
+    def harmonics(z, phi):
+        legendre = normalized_legendre_table(degree, z)
+        columns = []
+        for n in range(degree + 1):
+            for m in range(-n, n + 1):
+                longitude = (np.cos(m * phi) if m > 0 else np.sin(-m * phi)
+                             if m < 0 else np.full(phi.shape, np.sqrt(0.5)))
+                columns.append(np.outer(legendre[abs(m), n - abs(m)],
+                                        longitude / np.sqrt(np.pi)).ravel())
+        return np.stack(columns, axis=-1)
+
+    here = harmonics(grid.z, grid.phi)
+    factored = np.einsum("tj,jk->tkj", table.modes,
+                         table.longitudes[table.longitude_of])
+    assert np.max(np.abs(factored.reshape(here.shape) - here)) < 1e-13
+    for bit, mirrored in enumerate((harmonics(-grid.z, grid.phi),
+                                    harmonics(grid.z, -grid.phi))):
+        sign = np.where(table.parity & (1 << bit), -1.0, 1.0)
+        assert 0 < np.count_nonzero(sign < 0) < len(sign)
+        assert np.max(np.abs(mirrored - sign * here)) < 1e-13
+
+
 def test_tabulated_axis_moments_match_closed_form():
     # damping a + b z has the Gram matrix a I + b Z, where
     # <Y_{n,m}, z Y_{n+1,m}> = sqrt(((n+1)^2 - m^2) / ((2n+1)(2n+3))) and
     # every other entry of Z vanishes; the grid integrates it exactly
     basis = exact_sphere_spectrum(6)
     for a, b in ((2.0, 0.5), (3.0, -1.5)):
-        gram = _damping_gram(basis, DampingField.affine(a, b, (0, 0, 1)), 49)
+        gram = full_gram(basis, DampingField.affine(a, b, (0, 0, 1)), 49)
         expected = a * np.eye(49)
         for n in range(6):
             for m in range(-n, n + 1):
@@ -224,7 +269,7 @@ def test_factored_gram_matches_product_gram(field):
         scaled = modes * np.sqrt(mass * field.effective(nodes))[:, None]
         product = scaled.T @ scaled
         for cut in cuts:
-            gram = _damping_gram(basis, field, cut)
+            gram = full_gram(basis, field, cut)
             assert np.max(np.abs(gram - product[:cut, :cut])) < 1e-13
             assert np.array_equal(gram, gram.T)
 
@@ -479,13 +524,16 @@ def test_cache_written_before_factored_tables_loads(tmp_path):
     assert table.longitudes.tolist() == [[1.0]]
     assert table.longitude_weights.tolist() == [1.0]
     assert table.longitude_of.tolist() == [0] * 6
+    assert table.parity is None
     cache_store(str(tmp_path), key, basis, 6, 1e-8)
     assert (tmp_path / (key + ".wlb")).read_bytes() \
         == (source / (key + ".wlb")).read_bytes()
     field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
     scaled = basis.modes * np.sqrt(
         basis.mass * field.effective(basis.nodes))[:, None]
-    assert np.array_equal(_damping_gram(basis, field, 6), scaled.T @ scaled)
+    [(columns, gram)] = _damping_gram(basis, field, 6)
+    assert columns.tolist() == list(range(6))
+    assert np.array_equal(gram, scaled.T @ scaled)
 
 
 def test_cache_miss_on_perturbed_mesh(tmp_path):

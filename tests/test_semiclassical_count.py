@@ -207,7 +207,9 @@ def test_block_and_dense_paths_agree(sphere):
             [(family, _)] = op_z.blocks
             assert len(family) == sphere_degree_for(
                 basis_z.eigenvalues[op_z.mode_cut - 1]) + 1
-            assert len(op_x.blocks) == 1
+            # x -> -x is no symmetry of the grid; z -> -z and y -> -y are,
+            # and of the field too: one block per pair of parities
+            assert len(op_x.blocks) == 4
             assert op_z.mode_cut == op_x.mode_cut
             assert np.max(np.abs(op_z.eigenvalues()
                                  - op_x.eigenvalues())) < 1e-10
@@ -531,7 +533,9 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
 
     def counted(basis, field, cut):
         gram_cuts.append(cut)
-        return form(basis, field, cut)
+        classes = form(basis, field, cut)
+        assert len(classes) == 4
+        return classes
 
     def counted_inertia(matrix, shift):
         factored.append(shift)
@@ -551,10 +555,11 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
         factored.clear()
         report = scan(sphere, field, r_grid, basis, zero_tol=zero_tol)
         assert len(gram_cuts) == 1
-        # a primary section is factored at +-zero_tol, a recount at
+        # one Gram matrix per reflection class, and each class's block of a
+        # primary section is factored at +-zero_tol, of a recount at
         # +zero_tol only: no report reads its borderline
-        assert factored == [zero_tol, -zero_tol] * len(r_grid) \
-            + [zero_tol] * len(r_grid) * (degree == 20)
+        assert factored == [zero_tol, -zero_tol] * 4 * len(r_grid) \
+            + [zero_tol] * 4 * len(r_grid) * (degree == 20)
 
         counts, last_cut = standalone(2.0, zero_tol)
         assert report.n_scalar.tolist() == [c.negative for c in counts]
@@ -583,24 +588,110 @@ def test_dense_section_is_built_in_fortran_order(sphere, monkeypatch,
     form = semiclassical_count._damping_gram
 
     def planted(basis, field, cut):
-        gram = form(basis, field, cut)
-        tiny = np.abs(gram) < 1e-16
-        gram[tiny] = np.copysign(0.0, gram[tiny])
-        return gram
+        classes = form(basis, field, cut)
+        for _, gram in classes:
+            tiny = np.abs(gram) < 1e-16
+            gram[tiny] = np.copysign(0.0, gram[tiny])
+        return classes
 
     monkeypatch.setattr(semiclassical_count, "_damping_gram", planted)
     shared = planted(basis, field, 289) if wider else None
-    [(matrix, _)] = build_operator(basis, field, 0.25, surface=sphere,
-                                   _shared=shared).blocks
+    operator = build_operator(basis, field, 0.25, surface=sphere,
+                              _shared=shared)
+    cut = operator.mode_cut
+    classes = planted(basis, field, cut) if shared is None else [
+        (columns[columns < cut], gram[:np.sum(columns < cut),
+                                      :np.sum(columns < cut)])
+        for columns, gram in shared]
+    assert cut < 289 and len(operator.blocks) == len(classes) == 4
+    diagonal = np.sqrt(1.0 + 0.25 * 0.25 * basis.leading(cut))
+    zeros = np.concatenate([gram[gram == 0.0] for _, gram in classes])
+    assert np.any(np.signbit(zeros)) and not np.all(np.signbit(zeros))
+    for (matrix, _), (columns, gram) in zip(operator.blocks, classes):
+        assert matrix.flags.f_contiguous
+        expected = np.diag(diagonal[columns]) - gram
+        assert matrix.tobytes(order="A") == expected.T.tobytes(order="C")
+
+
+@pytest.mark.parametrize("axis, classes", [
+    ((1.0, 0.0, 0.0), (3, 4, 4)), ((0.0, 1.0, 0.0), (2, 2, 2)),
+    ((1.0, 1.0, 0.0), (2, 2, 2)), ((0.0, 1.0, 1.0), (1, 1, 1))],
+    ids=["x", "y", "110", "011"])
+def test_reflection_classes_count_as_one_block(sphere, monkeypatch, axis,
+                                               classes):
+    # z -> -z leaves a field without a z part unchanged, y -> -y one
+    # without a y part; each such reflection halves the section (at h = 4
+    # it stops at degree 1, where no mode is odd under both).  The blocks
+    # of the classes must count as the whole section does, formed with no
+    # reflection, and hold its eigenvalues to roundoff
+    basis = exact_sphere_spectrum(16)
+    field = DampingField.affine(2.0, 0.5, axis)
+    for h, blocks in zip((4.0, 0.5, 0.3), classes):
+        split = build_operator(basis, field, h, surface=sphere)
+        with monkeypatch.context() as patch:
+            patch.setattr(semiclassical_count, "REFLECTED_AXES", ())
+            whole = build_operator(basis, field, h, surface=sphere)
+        assert len(split.blocks) == blocks and len(whole.blocks) == 1
+        assert split.mode_cut == whole.mode_cut
+        assert np.max(np.abs(split.eigenvalues()
+                             - whole.eigenvalues())) <= 1e-13
+        for zero_tol in (ZERO_TOL, 0.05):
+            assert count_negative(split, zero_tol=zero_tol) \
+                == count_negative(whole, zero_tol=zero_tol)
+
+
+def test_vertex_table_on_the_grid_is_one_class():
+    # a table of one value per grid node ignores the points it is given, so
+    # mirrored points would read back the same values: no reflection may
+    # be taken for a symmetry of it
+    basis = exact_sphere_spectrum(4)
+    table = np.random.default_rng(3).uniform(1.5, 2.5, len(basis.nodes))
+    [(columns, _)] = semiclassical_count._damping_gram(
+        basis, DampingField.vertex_table(table), 25)
+    assert columns.tolist() == list(range(25))
+
+
+def grouped_gram(basis, field, cut):
+    """The Gram matrix on the first ``cut`` modes as one block: the
+    longitude sum first, then the modes one longitude group at a time."""
+    table = basis.tabulated()
+    gamma0 = field.effective(table.nodes).reshape(len(table.mass), -1)
+    phi = table.longitudes
+    weighted = table.mass[:, None, None] * (
+        (phi * (table.longitude_weights * gamma0)[:, None, :]) @ phi.T)
+    order = np.argsort(table.longitude_of[:cut], kind="stable")
+    grouped = np.take(table.modes, order, axis=1)
+    longitude = table.longitude_of[order]
+    bounds = np.append(np.flatnonzero(np.diff(longitude, prepend=-1)), cut)
+    gram = np.empty((cut, cut))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        a = longitude[lo]
+        left = grouped[:, lo:hi]
+        if lo:
+            gram[lo:hi, :lo] = left.T @ (grouped[:, :lo]
+                                         * weighted[:, a, longitude[:lo]])
+            gram[:lo, lo:hi] = gram[lo:hi, :lo].T
+        scaled = left * np.sqrt(weighted[:, a, a])[:, None]
+        gram[lo:hi, lo:hi] = scaled.T @ scaled
+    inverse = np.argsort(order)
+    return gram.take(inverse, 0).take(inverse, 1)
+
+
+def test_generic_axis_is_one_block_of_the_whole_gram(sphere):
+    # no reflection of the grid leaves the field along (2, -1, 2) / 3
+    # unchanged: one class, every column, its Gram matrix bit for bit the
+    # one-block formula, and the section diag(d) - G
+    basis = exact_sphere_spectrum(16)
+    field = DampingField.affine(2.0, 0.5, (2.0, -1.0, 2.0), invert=True)
+    [(columns, gram)] = semiclassical_count._damping_gram(basis, field, 289)
+    assert columns.tolist() == list(range(289))
+    assert gram.tobytes() == grouped_gram(basis, field, 289).tobytes()
+    [(matrix, multiplicity)] = build_operator(basis, field, 0.25,
+                                              surface=sphere).blocks
     cut = len(matrix)
-    gram = planted(basis, field, cut) if shared is None \
-        else shared[:cut, :cut]
-    zeros = gram[gram == 0.0]
-    assert cut < 289 and np.any(np.signbit(zeros)) \
-        and not np.all(np.signbit(zeros))
-    assert matrix.flags.f_contiguous
+    assert multiplicity == 1
     expected = np.diag(np.sqrt(1.0 + 0.25 * 0.25 * basis.leading(cut))) \
-        - gram
+        - grouped_gram(basis, field, cut)
     assert matrix.tobytes(order="A") == expected.T.tobytes(order="C")
 
 
@@ -615,7 +706,9 @@ def test_mesh_gram_is_one_rank_k_update(mesh_basis, field):
     for cut in (40, 25):
         scaled = mesh_basis.modes[:, :cut] * np.sqrt(
             mesh_basis.mass * field.effective(mesh_basis.nodes))[:, None]
-        gram = semiclassical_count._damping_gram(mesh_basis, field, cut)
+        [(columns, gram)] = semiclassical_count._damping_gram(
+            mesh_basis, field, cut)
+        assert columns.tolist() == list(range(cut))
         assert gram.tobytes() == (scaled.T @ scaled).tobytes()
 
 
@@ -669,19 +762,22 @@ def test_polar_scan_matches_per_radius_counts(sphere, offset, fraction, axis,
 @given(offset=st.floats(1.1, 2.0), fraction=st.floats(-0.95, 0.95),
        sign=st.sampled_from([1.0, -1.0]), invert=st.booleans(),
        axis=st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                             (1.0, 1.0, 0.0), (1.0, 2.0, 2.0)]),
+                             (1.0, 1.0, 0.0), (1.0, 2.0, 2.0),
+                             (2.0, -1.0, 2.0)]),
        radii=st.lists(st.floats(1.0, 5.0), min_size=1, max_size=4,
                       unique=True), data=st.data())
 def test_dense_scan_matches_polar_scan_rotated(sphere, offset, fraction,
                                                sign, invert, axis, radii,
                                                data):
     # rotation oracle: the field along +-x, +-y or a general axis
-    # ((1, 1, 0) / sqrt 2 and (1, 2, 2) / 3, which couple the sine and the
-    # cosine functions of neighbouring orders, and with a z part each
-    # longitude function with itself), counted through the Gram matrix
-    # and Bunch-Kaufman inertia, against the same field along +-z, counted
-    # by the Sturm sweep; degrees between the cut's and one past the
-    # recount's leave the recount unsupported at times
+    # ((1, 1, 0) / sqrt 2, (1, 2, 2) / 3 and (2, -1, 2) / 3, which couple
+    # the sine and the cosine functions of neighbouring orders, and with a
+    # z part each longitude function with itself), counted through the Gram
+    # matrices of its reflection classes (four along x, two along y and
+    # (1, 1, 0), one dense block along the axes with a z part) and
+    # Bunch-Kaufman inertia, against the same field along +-z, counted by
+    # the Sturm sweep; degrees between the cut's and one past the recount's
+    # leave the recount unsupported at times
     direction = sign * np.asarray(axis)
     slope = fraction * (offset - 1.05)
     dense = DampingField.affine(offset, slope, direction, invert=invert)
@@ -827,6 +923,37 @@ def test_probe_variable_field(sphere, tilted):
     assert probe.min_slope > 0.0
     assert probe.min_slope >= probe.eps / 4.0
     assert not probe.violations
+
+
+def test_probe_on_dense_classes_is_blind_to_roundoff(sphere, monkeypatch):
+    # the x-affine section is symmetric about the x axis, so its spectrum
+    # has exactly degenerate eigenvalues and branch tracking through it
+    # followed the last bits of the Gram matrix; within each reflection
+    # class the gaps are at least 2e-4, so a planted symmetric 1e-15
+    # perturbation of every class Gram matrix moves no event
+    basis = exact_sphere_spectrum(30)
+    field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
+    form = semiclassical_count._damping_gram
+
+    def probe():
+        report = monotonicity_probe(basis, field, (1.0 / 8.5, 1.0 / 7.5),
+                                    surface=sphere, steps=7)
+        assert not report.violations
+        return len(report.events), report.skipped
+
+    plain = probe()
+    assert plain[0] > 600
+    rng = np.random.default_rng(5)
+
+    def perturbed(basis, field, cut):
+        classes = []
+        for columns, gram in form(basis, field, cut):
+            noise = rng.standard_normal(gram.shape) * 1e-15
+            classes.append((columns, gram + (noise + noise.T) / 2.0))
+        return classes
+
+    monkeypatch.setattr(semiclassical_count, "_damping_gram", perturbed)
+    assert probe() == plain
 
 
 def test_probe_counts_each_lost_branch_once(gamma_two, monkeypatch):

@@ -182,6 +182,42 @@ def test_icosphere_counts_and_topology():
         assert mesh.signed_volume() > 0.0
 
 
+def loop_icosphere(level):
+    """The icosphere subdivided one face edge at a time: each midpoint gets
+    the next vertex number when its edge is first met and is projected by
+    its own np.linalg.norm."""
+    base = icosphere(0)
+    points = [tuple(v) for v in base.vertices]
+    faces = [tuple(f) for f in base.triangles.tolist()]
+    for _ in range(level):
+        numbers = {}
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in numbers:
+                mid = np.asarray(points[i]) + np.asarray(points[j])
+                mid /= np.linalg.norm(mid)
+                numbers[key] = len(points)
+                points.append(tuple(mid))
+            return numbers[key]
+
+        subdivided = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            subdivided.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc),
+                               (ab, bc, ca)])
+        faces = subdivided
+    return SurfaceMesh(np.asarray(points), np.asarray(faces))
+
+
+def test_icosphere_matches_loop_subdivision_bit_for_bit():
+    # the content hash keys the FEM cache, so the vectorized subdivision
+    # must number and place every vertex exactly as the loop does
+    for level in range(6):
+        assert icosphere(level).content_hash() \
+            == loop_icosphere(level).content_hash()
+
+
 def test_icosphere_area_second_order_from_below():
     errors = [SPHERE_AREA - icosphere(level).area for level in (1, 2, 3)]
     assert all(e > 0.0 for e in errors)  # inscribed, from below
