@@ -9,9 +9,14 @@ which the Weyl law pegs at (r^2 / 4 pi) * integral of (gamma0^2 - 1).
 A section keeps whole eigenvalue clusters of the basis, and it is stored
 block diagonally, as symmetric blocks (or stacks of equal-size blocks) each
 repeated a number of times.  Constant damping makes one 1 x 1 block per
-cluster, damping affine along the sphere's polar axis gives one tridiagonal
-block per order, kept as the diagonal and a closed form of the couplings,
-and any other field one dense block per reflection class from the mode
+cluster.  On the exact sphere, damping whose effective coefficient is
+affine, a + b<axis, x> along any axis, gives one tridiagonal block per
+order, kept as the diagonal and a closed form of the couplings: a rotation
+taking the axis to +z maps each degree's harmonics onto themselves, where
+the diagonal sqrt(1 + h^2 n(n+1)) is constant, so the section is unitarily
+equivalent to the one for a + b z.  Any other field (one below one, whose
+effective coefficient 1 / (a + b<axis, x>) is not affine, or any field on
+a mesh basis) gives one dense block per reflection class from the mode
 values the basis tabulates, which this module reads: the exact sphere's
 harmonics are even or odd under z -> -z and y -> -y, so when a reflection
 leaves the damping unchanged too, the section couples no even mode to an
@@ -22,13 +27,13 @@ unchanged, is one dense block.
 Counting computes no eigenvalues: by Sylvester's law of inertia the number
 of eigenvalues below a shift is the number of negative pivots of an LDL^T
 factorization of the shifted block.  Dense blocks are factored by LAPACK
-(Bunch-Kaufman); the tridiagonal blocks of a polar-affine section are
-counted by their pivot recurrence, a Sturm sequence, swept over the degrees
-once for all orders together, so no block is ever formed.  A scan counts
-every section it needs, each radius and its recount, in one such sweep,
-batched over h: a section through a lower degree is a leading part of one
-through a higher degree, so the sweep keeps a running count through every
-degree and each section's count is a lookup in it.
+(Bunch-Kaufman); the tridiagonal blocks of an affine section are counted
+by their pivot recurrence, a Sturm sequence, swept over the degrees once
+for all orders together, so no block is ever formed.  A scan counts every
+section it needs, each radius and its recount, in one such sweep, batched
+over h: a section through a lower degree is a leading part of one through
+a higher degree, so the sweep keeps a running count through every degree
+and each section's count is a lookup in it.
 """
 
 import json
@@ -361,15 +366,16 @@ def _last_cluster(basis, field, h, surface, cut_factor):
     return last
 
 
-def _polar_affine(basis, field, surface):
-    """(offset, signed slope) of damping affine along the exact sphere's
-    polar axis, or None when the field needs the dense path."""
+def _sphere_affine(basis, field, surface):
+    """(offset, slope) of damping whose effective coefficient a + b<axis, x>
+    is affine, on the exact sphere, or None when the field needs the dense
+    path.  Whatever the axis, a rotation taking it to +z maps each degree's
+    harmonics onto themselves, where sqrt(1 + h^2 n(n+1)) is constant, so
+    every section is unitarily equivalent to the one for a + b z."""
     affine = field.effective_affine(surface)
-    if (affine is None or basis.source != "exact-sphere"
-            or abs(abs(affine[2][2]) - 1.0) >= 1e-14):
+    if affine is None or basis.source != "exact-sphere":
         return None
-    offset, slope, axis = affine
-    return offset, slope * axis[2]
+    return affine[:2]
 
 
 def _damping_gram(basis, field, cut):
@@ -478,17 +484,18 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
 
     Constant damping gives one 1 x 1 block per eigenvalue cluster, read
     from the basis clusters alone.  Damping whose effective coefficient
-    a + b z is affine along the polar axis of the exact sphere gives, per
-    order m, diag(sqrt(1 + h^2 n(n+1)) - a) - b J_m over degrees n >= m,
-    with J_m the Jacobi matrix of the orthonormal associated Legendre
-    functions: one tridiagonal family through the last cluster's degree,
-    order m >= 1 counted twice for +-m.  Anything else goes through the Gram
-    matrices of tabulated mode values, one per reflection class (see
+    a + b<axis, x> is affine on the exact sphere, along any axis, gives the
+    section of a + b z, to which it is unitarily equivalent: per order m,
+    diag(sqrt(1 + h^2 n(n+1)) - a) - b J_m over degrees n >= m, with J_m
+    the Jacobi matrix of the orthonormal associated Legendre functions, one
+    tridiagonal family through the last cluster's degree, order m >= 1
+    counted twice for +-m.  Anything else goes through the Gram matrices of
+    tabulated mode values, one per reflection class (see
     :func:`_damping_gram`): one dense block diag(sqrt(1 + h^2 lambda)) - G
     per class, over the class's modes below the cut.  ``scan`` forms the
     h-independent part of its variable-damping sections once, at its widest
     cut, and passes it as ``_shared``: the classes' Gram matrices, of which
-    each section takes leading parts, or for polar-affine damping its
+    each section takes leading parts, or for affine damping its
     :class:`SturmSweep` and the batch member that stands for h.
     """
     if not h > 0.0:
@@ -504,11 +511,11 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
         return GalerkinOperator(cut, [(values[:, None, None],
                                        basis.multiplicities[:last + 1])])
 
-    polar = _polar_affine(basis, field, surface)
-    if polar is not None:
+    affine = _sphere_affine(basis, field, surface)
+    if affine is not None:
         # the exact sphere's cluster index is its degree
         if _shared is None:
-            return GalerkinOperator(cut, [_polar_family(*polar, h, last)])
+            return GalerkinOperator(cut, [_polar_family(*affine, h, last)])
         sweep, member = _shared
         part = TridiagonalFamily(sweep.family.diagonal[member, :last + 1],
                                  sweep.family.couplings, _shared)
@@ -686,8 +693,9 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     report reads only the count below -zero_tol, at +zero_tol only.
     Constant damping reads the basis clusters alone; a dense section, built
     F-ordered, takes a leading part of each reflection class's Gram matrix,
-    all formed at the widest cut.  The polar-affine sections are members of
-    one batch, one per radius, and one :class:`SturmSweep` counts them all:
+    all formed at the widest cut.  The sections of an affine field on the
+    exact sphere, along any axis, are members of one batch, one per
+    radius, and one :class:`SturmSweep` counts them all:
     it sweeps each member through the degree of its widest cut once, and
     each count looks its section up.  Radii must be finite and positive, or
     UsageError is raised before any mode cut.
@@ -710,13 +718,13 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     last = np.array(last)
     cuts = basis.ends[last]
 
-    polar = _polar_affine(basis, field, surface)
+    affine = _sphere_affine(basis, field, surface)
     if field.kind == "constant":
         shared = [None] * len(h_grid)
-    elif polar is not None:
+    elif affine is not None:
         # one batch member per radius, swept through its widest cut's degree
         widest = last.max(axis=0)
-        sweep = SturmSweep(*_polar_family(*polar, h_grid[:, None],
+        sweep = SturmSweep(*_polar_family(*affine, h_grid[:, None],
                                           widest[-1]), widest)
         shared = [(sweep, member) for member in range(len(h_grid))]
     else:

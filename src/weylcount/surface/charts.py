@@ -59,6 +59,20 @@ def _integration_grid():
     return grid
 
 
+# each mapped rule holds about 0.6 MB
+@functools.lru_cache(maxsize=8)
+def _mapped_rule(axes):
+    """(points, weights) of the integration grid mapped onto the ellipsoid
+    with semi-axes ``axes`` (a tuple), built on first use, read-only."""
+    grid = _integration_grid()
+    axes = np.asarray(axes)
+    points = grid.nodes * axes
+    weights = grid.mass * np.prod(axes) * np.linalg.norm(
+        points / axes ** 2, axis=-1)
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights
+
+
 class Chart:
     """The polar chart (theta, phi) of the ellipsoid diag(axes) S^2.
 
@@ -191,11 +205,10 @@ class AnalyticSurface:
         The surface is the unit sphere mapped by diag(axes), so the rule is
         the sphere's product grid mapped by the same matrix, each node
         weighted by the area element a b c |x / axes^2| at its image x.
+        The mapped rule is built once per semi-axes and read-only, so ``f``
+        must not write into its points.
         """
-        grid = _integration_grid()
-        points = grid.nodes * self.axes
-        weights = grid.mass * np.prod(self.axes) * np.linalg.norm(
-            points / self.axes ** 2, axis=-1)
+        points, weights = _mapped_rule(tuple(self.axes.tolist()))
         return float(np.sum(np.asarray(f(points), dtype=float) * weights))
 
     def area(self):

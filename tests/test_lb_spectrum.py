@@ -284,7 +284,9 @@ def test_exact_sphere_tabulates_once_and_counting_only_reads_it(monkeypatch):
 
     monkeypatch.setattr(lb_spectrum, "_tabulate_sphere_modes", counted)
     sphere = AnalyticSurface.unit_sphere()
-    field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
+    # below one, so the effective coefficient 1 / (0.5 + 0.1 x) is not
+    # affine and counting reads the tabulated harmonics
+    field = DampingField.affine(0.5, 0.1, (1.0, 0.0, 0.0))
     basis = exact_sphere_spectrum(20)
     held = {item.name: getattr(basis, item.name)
             for item in dataclasses.fields(basis) if item.name != "quadrature"}

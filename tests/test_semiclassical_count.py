@@ -1,5 +1,6 @@
 """Tests for the Galerkin counting model and the Weyl-law scan."""
 
+import itertools
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dsytrf
 
-from weylcount import semiclassical_count
+from weylcount import lb_spectrum, semiclassical_count
 from weylcount.errors import (
     DomainError,
     InsufficientSpectrumError,
@@ -192,27 +193,68 @@ def test_affine_operator_block_structure(sphere, tilted):
             rtol=0.0, atol=1e-15)
 
 
+def below_one(axis):
+    """A field along ``axis`` whose base stays below one: its effective
+    coefficient 1 / (0.5 + 0.1 <axis, x>), in [1.67, 2.5], is not affine,
+    so the exact sphere counts it by the dense path.  Its c1 = 2.5 is that
+    of 2 + 0.5 <axis, x>, so the two have the same mode cuts."""
+    return DampingField.affine(0.5, 0.1, axis)
+
+
+def sphere_cut(sphere, field, h, cut_factor, degree):
+    """The exact sphere's mode cut in closed form: degrees 0..n, n the first
+    with n(n+1) >= cut_factor times the ellipticity threshold, so (n + 1)^2
+    modes; None when the basis stops below degree n."""
+    need = cut_factor * constants_for(field, sphere).ellipticity_threshold(h)
+    n = 0
+    while n * (n + 1) < need:
+        n += 1
+    return None if n > degree else (n + 1) ** 2
+
+
+def quadrature_section(basis, h, cut, classes):
+    """Reference section diag(sqrt(1 + h^2 lambda)) - G on the first
+    ``cut`` modes, G the leading parts of the 2-D quadrature Gram matrices
+    ``classes`` (from ``_damping_gram`` at a cut of at least ``cut``), one
+    dense block per reflection class, counted by Bunch-Kaufman inertia."""
+    diagonal = np.sqrt(1.0 + h * h * basis.leading(cut))
+    blocks = []
+    for columns, gram in classes:
+        size = int(np.sum(columns < cut))
+        if size:
+            blocks.append((np.diag(diagonal[columns[:size]])
+                           - gram[:size, :size], 1))
+    return GalerkinOperator(cut, blocks)
+
+
 def test_block_and_dense_paths_agree(sphere):
-    # the same profile along +-z (block path) and along +-x (dense path) must
-    # give identical spectra by rotational symmetry of the sphere
-    basis_z = exact_sphere_spectrum(12)
-    basis_x = exact_sphere_spectrum(12)
-    for offset, slope, sign in ((2.0, 0.5, 1.0), (2.0, -0.5, 1.0),
-                                (2.0, 0.5, -1.0), (3.0, -1.5, -1.0)):
-        along_z = DampingField.affine(offset, slope, (0.0, 0.0, sign))
-        along_x = DampingField.affine(offset, slope, (sign, 0.0, 0.0))
-        for h in (1.0, 0.5):
-            op_z = build_operator(basis_z, along_z, h, surface=sphere)
-            op_x = build_operator(basis_x, along_x, h, surface=sphere)
-            [(family, _)] = op_z.blocks
-            assert len(family) == sphere_degree_for(
-                basis_z.eigenvalues[op_z.mode_cut - 1]) + 1
-            # x -> -x is no symmetry of the grid; z -> -z and y -> -y are,
-            # and of the field too: one block per pair of parities
-            assert len(op_x.blocks) == 4
-            assert op_z.mode_cut == op_x.mode_cut
-            assert np.max(np.abs(op_z.eigenvalues()
-                                 - op_x.eigenvalues())) < 1e-10
+    # rotation oracle: an affine field along any axis is counted by the
+    # Sturm sweep of a + b z; the same field's 2-D quadrature Gram matrices
+    # on the tabulated harmonics, counted by Bunch-Kaufman inertia, must
+    # give the same mode cuts, counts and borderlines, and the same spectra
+    basis = exact_sphere_spectrum(32)
+    for axis, (offset, slope, sign, radii) in itertools.product(
+            [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0),
+             (2.0, -1.0, 2.0), (0.3, 0.1, -0.9)],
+            [(2.0, 0.5, 1.0, (1.0, 2.5, 4.0, 10.0)),
+             (2.0, -0.5, -1.0, (1.5, 7.0)),
+             (3.0, -1.5, 1.0, (1.0, 2.0, 4.0))]):
+        field = DampingField.affine(offset, slope, sign * np.asarray(axis))
+        classes = semiclassical_count._damping_gram(basis, field, sphere_cut(
+            sphere, field, 1.0 / radii[-1], 2.0, 32))
+        for r in radii:
+            op = build_operator(basis, field, 1.0 / r, surface=sphere)
+            [(family, _)] = op.blocks
+            assert isinstance(family, TridiagonalFamily)
+            assert op.mode_cut == sphere_cut(sphere, field, 1.0 / r, 2.0, 32)
+            reference = quadrature_section(basis, 1.0 / r, op.mode_cut,
+                                           classes)
+            for zero_tol in (ZERO_TOL, 0.05):
+                assert count_negative(op, zero_tol=zero_tol) \
+                    == count_negative(reference, zero_tol=zero_tol)
+            if r <= 4.0:
+                assert np.max(np.abs(op.eigenvalues()
+                                     - reference.eigenvalues())) < 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -521,10 +563,52 @@ def test_scan_variable_field(sphere, tilted):
     assert np.all(np.diff(report.n_scalar) > 0)
 
 
+@pytest.mark.parametrize("axis, classes", [
+    ((1.0, 0.0, 0.0), 4), ((0.0, 1.0, 0.0), 2), ((1.0, 1.0, 0.0), 2),
+    ((2.0, -1.0, 2.0), 1)], ids=["x", "y", "110", "212"])
+def test_affine_field_on_the_sphere_takes_the_sweep(sphere, monkeypatch,
+                                                    axis, classes):
+    # a field affine along any axis, base above one, inverted or not, is
+    # counted by the Sturm sweep alone: no harmonic is tabulated, no Gram
+    # matrix formed and nothing factored, in a scan or a single section
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an affine field took the dense path")
+
+    basis = exact_sphere_spectrum(30)
+    with monkeypatch.context() as patch:
+        for module, name in ((semiclassical_count, "_damping_gram"),
+                             (semiclassical_count, "_inertia"),
+                             (lb_spectrum, "_tabulate_sphere_modes")):
+            patch.setattr(module, name, forbidden)
+        for invert in (False, True):
+            field = DampingField.affine(2.0, 0.5, axis, invert=invert)
+            scan(sphere, field, [2.0, 4.0, 6.0], basis)
+            op = build_operator(basis, field, 0.25, surface=sphere)
+            [(family, _)] = op.blocks
+            assert isinstance(family, TridiagonalFamily)
+            count_negative(op)
+    assert basis.quadrature is None
+    # the same profile below one is not affine in its effective coefficient:
+    # it still forms the Gram matrices of its reflection classes, once
+    formed = []
+    form = semiclassical_count._damping_gram
+
+    def counted(*args):
+        formed.append(form(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(semiclassical_count, "_damping_gram", counted)
+    field = below_one(axis)
+    scan(sphere, field, [2.0, 4.0, 6.0], basis)
+    assert [len(gram) for gram in formed] == [classes]
+    assert len(build_operator(basis, field, 0.25, surface=sphere).blocks) \
+        == classes
+
+
 @pytest.mark.parametrize("degree", [20, 17])
 def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
     # at r = 5 the cut needs degree 16 and the 1.5x recount degree 20
-    field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
+    field = below_one((1.0, 0.0, 0.0))
     r_grid = np.array([3.0, 4.0, 5.0])
     basis = exact_sphere_spectrum(degree)
     gram_cuts, factored = [], []
@@ -582,9 +666,12 @@ def test_dense_section_is_built_in_fortran_order(sphere, monkeypatch,
     # Gram matrix included, also from the leading part of a scan's wider
     # Gram matrix.  Zeros of both signs are planted where the Gram matrix
     # is below roundoff, symmetrically, so they do not depend on how its
-    # sums round.
+    # sums round.  The effective coefficient 1 / (0.5 + 0.01 x) is not
+    # affine, so the field takes the dense path, and its part of degree k
+    # falls off like 0.02^k, so the couplings of degrees far apart are
+    # below roundoff, of both signs.
     basis = exact_sphere_spectrum(16)
-    field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
+    field = DampingField.affine(0.5, 0.01, (1.0, 0.0, 0.0))
     form = semiclassical_count._damping_gram
 
     def planted(basis, field, cut):
@@ -625,7 +712,7 @@ def test_reflection_classes_count_as_one_block(sphere, monkeypatch, axis,
     # of the classes must count as the whole section does, formed with no
     # reflection, and hold its eigenvalues to roundoff
     basis = exact_sphere_spectrum(16)
-    field = DampingField.affine(2.0, 0.5, axis)
+    field = below_one(axis)
     for h, blocks in zip((4.0, 0.5, 0.3), classes):
         split = build_operator(basis, field, h, surface=sphere)
         with monkeypatch.context() as patch:
@@ -682,7 +769,7 @@ def test_generic_axis_is_one_block_of_the_whole_gram(sphere):
     # unchanged: one class, every column, its Gram matrix bit for bit the
     # one-block formula, and the section diag(d) - G
     basis = exact_sphere_spectrum(16)
-    field = DampingField.affine(2.0, 0.5, (2.0, -1.0, 2.0), invert=True)
+    field = below_one((2.0, -1.0, 2.0))
     [(columns, gram)] = semiclassical_count._damping_gram(basis, field, 289)
     assert columns.tolist() == list(range(289))
     assert gram.tobytes() == grouped_gram(basis, field, 289).tobytes()
@@ -758,42 +845,75 @@ def test_polar_scan_matches_per_radius_counts(sphere, offset, fraction, axis,
             abs(a.negative - b.negative) for a, b in zip(recounts, counts))
 
 
+unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda axis: np.linalg.norm(axis) >= 0.1)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(offset=st.floats(1.1, 2.0), fraction=st.floats(-0.95, 0.95),
-       sign=st.sampled_from([1.0, -1.0]), invert=st.booleans(),
-       axis=st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                             (1.0, 1.0, 0.0), (1.0, 2.0, 2.0),
-                             (2.0, -1.0, 2.0)]),
+       axis=unit_axes, invert=st.booleans(),
        radii=st.lists(st.floats(1.0, 5.0), min_size=1, max_size=4,
                       unique=True), data=st.data())
 def test_dense_scan_matches_polar_scan_rotated(sphere, offset, fraction,
-                                               sign, invert, axis, radii,
-                                               data):
-    # rotation oracle: the field along +-x, +-y or a general axis
-    # ((1, 1, 0) / sqrt 2, (1, 2, 2) / 3 and (2, -1, 2) / 3, which couple
-    # the sine and the cosine functions of neighbouring orders, and with a
-    # z part each longitude function with itself), counted through the Gram
-    # matrices of its reflection classes (four along x, two along y and
-    # (1, 1, 0), one dense block along the axes with a z part) and
-    # Bunch-Kaufman inertia, against the same field along +-z, counted by
-    # the Sturm sweep; degrees between the cut's and one past the recount's
-    # leave the recount unsupported at times
-    direction = sign * np.asarray(axis)
-    slope = fraction * (offset - 1.05)
-    dense = DampingField.affine(offset, slope, direction, invert=invert)
-    polar = DampingField.affine(offset, slope, (0.0, 0.0, sign),
+                                               axis, invert, radii, data):
+    # rotation oracle: a scan of an affine field along a random axis, which
+    # the Sturm sweep counts as the same field along +z, against the 2-D
+    # quadrature Gram matrices of the field itself on the tabulated
+    # harmonics (one dense block for an axis no reflection of the grid
+    # fixes), counted by Bunch-Kaufman inertia at each radius, its cut and
+    # its 1.5x recount; degrees between the cut's and one past the
+    # recount's leave the recount unsupported at times
+    field = DampingField.affine(offset, fraction * (offset - 1.05), axis,
                                 invert=invert)
     r_grid = np.sort(radii)
-    threshold = constants_for(dense, sphere).ellipticity_threshold(
+    threshold = constants_for(field, sphere).ellipticity_threshold(
         1.0 / r_grid[-1])
-    basis = exact_sphere_spectrum(data.draw(st.integers(
-        sphere_degree_for(2.0 * threshold),
-        sphere_degree_for(3.0 * threshold) + 1)))
-    rotated, reference = (scan(sphere, field, r_grid, basis)
-                          for field in (dense, polar))
-    assert rotated.n_scalar.tolist() == reference.n_scalar.tolist()
-    assert rotated.mode_cuts.tolist() == reference.mode_cuts.tolist()
-    assert rotated.stability_delta == reference.stability_delta
+    degree = data.draw(st.integers(sphere_degree_for(2.0 * threshold),
+                                   sphere_degree_for(3.0 * threshold) + 1))
+    basis = exact_sphere_spectrum(degree)
+    report = scan(sphere, field, r_grid, basis)
+
+    cuts = [[sphere_cut(sphere, field, 1.0 / r, factor, degree)
+             for r in r_grid] for factor in (2.0, 3.0)]
+    widest = max(cut for cut in cuts[0] + cuts[1] if cut is not None)
+    classes = semiclassical_count._damping_gram(basis, field, widest)
+    counts = [count_negative(quadrature_section(basis, 1.0 / r, cut,
+                                                classes))
+              for r, cut in zip(r_grid, cuts[0])]
+    assert report.mode_cuts.tolist() == cuts[0]
+    assert report.n_scalar.tolist() == [c.negative for c in counts]
+    assert report.borderline.tolist() == [c.borderline for c in counts]
+    if None in cuts[1]:
+        assert report.stability_delta is None
+    else:
+        assert report.stability_delta == max(
+            abs(count_negative(quadrature_section(
+                basis, 1.0 / r, cut, classes)).negative - c.negative)
+            for r, cut, c in zip(r_grid, cuts[1], counts))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(offset=st.floats(1.1, 3.0), fraction=st.floats(-0.95, 0.95),
+       axis=unit_axes,
+       radii=st.lists(st.floats(0.5, 30.0), min_size=2, max_size=8,
+                      unique=True))
+def test_affine_scan_is_regime_symmetric_and_monotone(sphere, offset,
+                                                      fraction, axis, radii):
+    # the field and its pointwise reciprocal have the same effective
+    # coefficient, so the same report bytes; and counts never fall as r
+    # grows: D(h) decreases with r, the cuts are nested and, by Cauchy
+    # interlacing, a wider section has at least as many eigenvalues below
+    # -zero_tol
+    slope = fraction * (offset - 1.05)
+    above, below = (DampingField.affine(offset, slope, axis, invert=invert)
+                    for invert in (False, True))
+    r_grid = np.sort(radii)
+    basis = exact_sphere_spectrum(sphere_degree_for(
+        3.2 * constants_for(above, sphere).ellipticity_threshold(
+            1.0 / r_grid[-1])))
+    report = scan(sphere, above, r_grid, basis)
+    assert report.to_csv() == scan(sphere, below, r_grid, basis).to_csv()
+    assert np.all(np.diff(report.n_scalar) >= 0)
 
 
 def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
@@ -926,13 +1046,13 @@ def test_probe_variable_field(sphere, tilted):
 
 
 def test_probe_on_dense_classes_is_blind_to_roundoff(sphere, monkeypatch):
-    # the x-affine section is symmetric about the x axis, so its spectrum
-    # has exactly degenerate eigenvalues and branch tracking through it
-    # followed the last bits of the Gram matrix; within each reflection
-    # class the gaps are at least 2e-4, so a planted symmetric 1e-15
-    # perturbation of every class Gram matrix moves no event
+    # a section of a field along x is symmetric about the x axis, so its
+    # spectrum has exactly degenerate eigenvalues and branch tracking
+    # through it followed the last bits of the Gram matrix; within each
+    # reflection class the gaps are clear of roundoff, so a planted
+    # symmetric 1e-15 perturbation of every class Gram matrix moves no event
     basis = exact_sphere_spectrum(30)
-    field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
+    field = below_one((1.0, 0.0, 0.0))
     form = semiclassical_count._damping_gram
 
     def probe():

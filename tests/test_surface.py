@@ -70,6 +70,36 @@ def test_integration_grid_is_built_once_and_read_only(monkeypatch):
     assert charts._integration_grid() is grid
 
 
+@pytest.mark.parametrize("axes", [(1.0, 1.0, 1.0), (2.0, 1.0, 1.0)],
+                         ids=["unit-sphere", "ellipsoid:2,1,1"])
+def test_mapped_rule_is_built_once_and_read_only(axes):
+    # the mapped points and area weights are the uncached formula's, bit for
+    # bit, built once per semi-axes, and an integrand cannot write into them
+    surface = AnalyticSurface.ellipsoid(*axes)
+    grid = charts._integration_grid()
+    points = grid.nodes * surface.axes
+    weights = grid.mass * np.prod(surface.axes) * np.linalg.norm(
+        points / surface.axes ** 2, axis=-1)
+    cached = charts._mapped_rule(tuple(surface.axes.tolist()))
+    assert cached[0].tobytes() == points.tobytes()
+    assert cached[1].tobytes() == weights.tobytes()
+    assert charts._mapped_rule(axes) is cached
+
+    def integrand(p):
+        return p[..., 0] ** 2 + 2.0 * p[..., 2]
+
+    assert surface.integrate(integrand) == float(np.sum(
+        integrand(points) * weights))
+
+    def writes(p):
+        p[..., 0] = 0.0
+        return 1.0
+
+    with pytest.raises(ValueError):
+        surface.integrate(writes)
+    assert cached[0].tobytes() == points.tobytes()
+
+
 def test_ellipsoid_area_matches_prolate_closed_form():
     # semi-axes (2, 1, 1): S = 2 pi b^2 (1 + a/(b e) asin e), e^2 = 1 - b^2/a^2
     ecc = np.sqrt(1.0 - 0.25)
