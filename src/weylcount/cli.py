@@ -281,8 +281,18 @@ def _require_exact_basis(args, surface, modes_flag):
             raise UsageError("%s applies only to --mesh runs" % flag)
 
 
+def _require_no_table(field):
+    """A vertex table holds one value per mesh vertex, so only a --mesh run
+    has points to read it at: refuse it anywhere else, before any count."""
+    if field.kind == "vertex-table":
+        raise UsageError("a table: field holds one value per mesh vertex; "
+                         "only --mesh runs of scan and count read it")
+
+
 def _resolve_basis(args, surface, field, r_max):
-    """(basis, cache_hit_or_None).  Mesh FEM when --mesh, else exact."""
+    """(basis, cache_hit_or_None, counting surface).  Mesh FEM when --mesh,
+    else exact.  The counting surface is the analytic one, except for a
+    vertex table, which is read, ranged and integrated on the mesh."""
     if args.mesh:
         if args.modes is None:
             raise UsageError("--mesh runs need --modes")
@@ -298,12 +308,13 @@ def _resolve_basis(args, surface, field, r_max):
         basis, hit = cached_mesh_spectrum(
             mesh, args.modes, tol=args.tol, directory=args.cache_dir,
             seed=args.seed)
-        return basis, hit
+        return basis, hit, mesh if field.kind == "vertex-table" else surface
+    _require_no_table(field)
     _require_exact_basis(args, surface, "--modes")
     degree = args.max_degree
     if degree is None:
         degree = auto_degree(surface, field, r_max, args.cut_factor)
-    return exact_sphere_spectrum(degree), None
+    return exact_sphere_spectrum(degree), None, surface
 
 
 def _echo_config(args, keys):
@@ -361,8 +372,8 @@ def cmd_scan(args):
     surface = _resolved("--surface", resolve_surface, args.surface)
     field = _resolved("--gamma", resolve_field, args.gamma, args.invert)
     grid = _r_grid(args)
-    basis, hit = _resolve_basis(args, surface, field, args.r_max)
-    report = scan(surface, field, grid, basis,
+    basis, hit, counted_on = _resolve_basis(args, surface, field, args.r_max)
+    report = scan(counted_on, field, grid, basis,
                   cut_factor=args.cut_factor, zero_tol=args.zero_tol)
     config = _echo_config(args, (
         "surface", "gamma", "invert", "r_min", "r_max", "steps", "log",
@@ -401,8 +412,8 @@ def cmd_count(args):
         raise UsageError("count needs a positive --r")
     surface = _resolved("--surface", resolve_surface, args.surface)
     field = _resolved("--gamma", resolve_field, args.gamma, args.invert)
-    basis, _ = _resolve_basis(args, surface, field, args.r)
-    op = build_operator(basis, field, 1.0 / args.r, surface=surface,
+    basis, _, counted_on = _resolve_basis(args, surface, field, args.r)
+    op = build_operator(basis, field, 1.0 / args.r, surface=counted_on,
                         cut_factor=args.cut_factor)
     outcome = count_negative(op, zero_tol=args.zero_tol)
     _emit_json({
@@ -410,7 +421,7 @@ def cmd_count(args):
         "N_scalar": outcome.negative,
         "N_system": 2 * outcome.negative,
         "borderline": outcome.borderline,
-        "W": weyl_prediction(surface, field, args.r),
+        "W": weyl_prediction(counted_on, field, args.r),
         "mode_cut": op.mode_cut,
         "config": _echo_config(args, (
             "surface", "gamma", "invert", "r", "cut_factor", "zero_tol")
@@ -423,6 +434,7 @@ def cmd_count(args):
 def cmd_weyl(args):
     surface = _resolved("--surface", resolve_surface, args.surface)
     field = _resolved("--gamma", resolve_field, args.gamma, args.invert)
+    _require_no_table(field)
     coefficient = weyl_coefficient(surface, field)
     document = {
         "coefficient": coefficient,

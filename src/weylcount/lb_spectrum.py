@@ -5,17 +5,15 @@ each with a positive integer multiplicity.  Two sources feed the counting
 pipeline with the same interface:
 
 * the exact unit-sphere spectrum, cluster n holding n(n+1) with multiplicity
-  2n+1, so it is stored in O(degree) memory; its real harmonics are
-  tabulated on first use, degree n in columns n^2..n^2+2n with order m at
-  n^2+n+m.  On the product quadrature grid (Gauss-Legendre in z times
-  equispaced longitudes) a harmonic is a Legendre factor in z times a
-  longitude function, so the table holds the factors (O(degree^3) values)
-  and never their product at every node (O(degree^4)).  The grid maps onto
-  itself under z -> -z and y -> -y, and each harmonic is even or odd under
-  both, so the table also carries every harmonic's parities; and
+  2n+1, so it is stored in O(degree) memory.  It tabulates nothing: a
+  field counted on it is a function of one coordinate, so counting needs
+  only the orthonormal associated Legendre functions of that coordinate,
+  which :func:`normalized_legendre_table` gives for every order at once;
+  and
 * cotangent finite elements with lumped mass on a triangle mesh, solved as a
   sparse symmetric generalized eigenproblem for the lowest eigenpairs, whose
-  exactly equal eigenvalues form one cluster.
+  exactly equal eigenvalues form one cluster.  The basis keeps its mode
+  values at the vertices with the vertex masses, as its ``quadrature``.
 
 Mesh solves are expensive, so they get a small binary disk cache ("WLB1"
 container plus a JSON sidecar), keyed by the mesh content, the mode count,
@@ -42,7 +40,6 @@ from .errors import (
     SolverError,
     UsageError,
 )
-from .surface.charts import sphere_grid
 
 SOLVER_SEED = 0x5EED
 SOLVER_TOL = 1e-8
@@ -50,44 +47,28 @@ TRUSTED_MODE_FRACTION = 0.05
 CACHE_MAGIC = b"WLB1"
 CACHE_VERSION = 1
 
-# the coordinates whose negation maps the exact sphere's grid onto itself:
-# bit b of a mode's parity is set when the mode is odd under negating
-# coordinate REFLECTED_AXES[b]
-REFLECTED_AXES = (2, 1)
-
 Pencil = namedtuple("Pencil", ["stiffness", "mass", "nodes"])
-Quadrature = namedtuple("Quadrature", ["nodes", "mass", "modes", "longitudes",
-                                       "longitude_weights", "longitude_of",
-                                       "parity"])
+Quadrature = namedtuple("Quadrature", ["nodes", "mass", "modes"])
 
 
 @dataclass
 class SpectralBasis:
-    """Laplace-Beltrami eigenvalue clusters plus tabulated modes.
+    """Laplace-Beltrami eigenvalue clusters plus, for a mesh, mode values.
 
     ``values`` holds the distinct eigenvalues, strictly ascending, and
     ``multiplicities`` how many modes each cluster spans; ``ends`` is their
     running sum, the number of modes through each cluster.  The per-mode
     ``eigenvalues`` are expanded from the clusters on each access; counting
-    reads the clusters, and a dense section expands only its own modes
+    reads the clusters, and a mesh section expands only its own modes
     (``leading``).
 
-    ``quadrature`` tabulates the modes in factored form on a grid of rows
-    times longitudes: mode j at row t and longitude k has the value
-    ``modes[t, j] * longitudes[longitude_of[j], k]`` and the quadrature
-    weight ``mass[t] * longitude_weights[k]``, at ``nodes[t * K + k]`` with
-    K longitudes.  The columns are orthonormal in that weighted inner
-    product.  A mesh basis has one longitude (``longitudes`` is [[1]] with
-    weight 1, see :func:`mesh_quadrature`), so a row is a vertex and
-    ``modes`` the mode values it was solved or loaded with (no quadrature
-    for a cache entry without them), and its modes have no ``parity``.  The
-    exact sphere, whose cluster index is the degree, tabulates its
-    harmonics there on first access: rows are Gauss-Legendre latitudes,
-    ``modes`` the Legendre factors, ``longitudes`` the 2 degree + 1
-    functions of the longitude, and ``parity`` each harmonic's bits, as
-    ``REFLECTED_AXES`` defines them.  ``trusted_horizon`` is
-    the largest eigenvalue considered resolved: for a mesh, the Weyl count
-    of 5% of the vertex budget, i.e. ``0.05 * vertex_count * 4 pi / area``.
+    A mesh basis holds its ``quadrature``: ``modes[t, j]`` is mode j at
+    vertex ``nodes[t]``, whose lumped ``mass[t]`` makes the columns
+    orthonormal, as it was solved or loaded (None for a cache entry without
+    them).  The exact sphere, whose cluster index is the degree, holds
+    none.  ``trusted_horizon`` is the largest eigenvalue considered
+    resolved: for a mesh, the Weyl count of 5% of the vertex budget, i.e.
+    ``0.05 * vertex_count * 4 pi / area``.
     """
 
     values: np.ndarray
@@ -110,16 +91,9 @@ class SpectralBasis:
                               "with positive multiplicities")
         self.ends = np.cumsum(self.multiplicities)
 
-    def tabulated(self):
-        """The factored mode table, built on first use for the exact sphere;
-        all fields None when the basis has none."""
-        if self.quadrature is None and self.source == "exact-sphere":
-            self.quadrature = _tabulate_sphere_modes(len(self.values) - 1)
-        return self.quadrature or Quadrature(*[None] * len(Quadrature._fields))
-
-    nodes = property(lambda self: self.tabulated().nodes)
-    mass = property(lambda self: self.tabulated().mass)
-    modes = property(lambda self: self.tabulated().modes)
+    nodes = property(lambda self: getattr(self.quadrature, "nodes", None))
+    mass = property(lambda self: getattr(self.quadrature, "mass", None))
+    modes = property(lambda self: getattr(self.quadrature, "modes", None))
 
     @property
     def eigenvalues(self):
@@ -218,39 +192,6 @@ def normalized_legendre_table(max_degree, t):
         table[m, d] = (alpha[:, None] * t * table[m, d - 1]
                        - beta[:, None] * table[m, d - 2])
     return table
-
-
-def _tabulate_sphere_modes(max_degree):
-    """Real orthonormal harmonics up to max_degree, in the column order of
-    ``exact_sphere_spectrum``, factored on ``sphere_grid(max_degree)``.
-
-    Order m of degree n is q_{n,|m|}(z) times 1 / sqrt(2 pi) for m = 0,
-    cos(m phi) / sqrt(pi) for m > 0 and sin(|m| phi) / sqrt(pi) for m < 0;
-    longitude function m is row max_degree + m.  That grid (Gauss-Legendre
-    in z, equispaced in longitude) is exact for integrands Y_i * Y_j * p
-    with p affine in the coordinates.  q_{n,|m|} has the parity of n + |m|
-    in z, and sin(|m| phi) is odd in y, the cosines even.
-    """
-    grid = sphere_grid(max_degree)
-    degrees = np.repeat(np.arange(max_degree + 1),
-                        2 * np.arange(max_degree + 1) + 1)
-    orders = np.arange(len(degrees)) - degrees * (degrees + 1)
-    table = normalized_legendre_table(max_degree, grid.z)
-    legendre = table[np.abs(orders), degrees - np.abs(orders)].T
-    m = np.arange(-max_degree, max_degree + 1)[:, None]
-    angle = np.abs(m) * grid.phi
-    longitudes = np.where(m > 0, np.cos(angle), np.sin(angle)) / np.sqrt(np.pi)
-    longitudes[max_degree] = 1.0 / np.sqrt(2.0 * np.pi)
-    return Quadrature(grid.nodes, grid.z_weights,
-                      np.ascontiguousarray(legendre), longitudes,
-                      grid.phi_weights, orders + max_degree,
-                      (degrees + orders) % 2 + 2 * (orders < 0))
-
-
-def mesh_quadrature(nodes, mass, modes):
-    """Mode values at mesh vertices, as a quadrature of one longitude."""
-    return Quadrature(nodes, mass, modes, np.ones((1, 1)), np.ones(1),
-                      np.zeros(modes.shape[1], dtype=np.int64), None)
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +296,7 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
         source="mesh-fem",
         area=area,
         trusted_horizon=float(min(horizon, values[-1])),
-        quadrature=mesh_quadrature(nodes, mass, vectors),
+        quadrature=Quadrature(nodes, mass, vectors),
         residual=worst,
     )
 
@@ -450,8 +391,8 @@ def cache_load(directory, key):
         quadrature = None
         if p:
             mass = take(p, (p,))
-            quadrature = mesh_quadrature(take(3 * p, (p, 3)), mass,
-                                         take(p * k, (p, k)))
+            quadrature = Quadrature(take(3 * p, (p, 3)), mass,
+                                    take(p * k, (p, k)))
         if offset != len(blob):
             raise CacheError(f"trailing bytes in cache container {bin_path}")
     except (struct.error, ValueError) as exc:

@@ -9,20 +9,17 @@ which the Weyl law pegs at (r^2 / 4 pi) * integral of (gamma0^2 - 1).
 A section keeps whole eigenvalue clusters of the basis, and it is stored
 block diagonally, as symmetric blocks (or stacks of equal-size blocks) each
 repeated a number of times.  Constant damping makes one 1 x 1 block per
-cluster.  On the exact sphere, damping whose effective coefficient is
-affine, a + b<axis, x> along any axis, gives one tridiagonal block per
-order, kept as the diagonal and a closed form of the couplings: a rotation
-taking the axis to +z maps each degree's harmonics onto themselves, where
-the diagonal sqrt(1 + h^2 n(n+1)) is constant, so the section is unitarily
-equivalent to the one for a + b z.  Any other field (one below one, whose
-effective coefficient 1 / (a + b<axis, x>) is not affine, or any field on
-a mesh basis) gives one dense block per reflection class from the mode
-values the basis tabulates, which this module reads: the exact sphere's
-harmonics are even or odd under z -> -z and y -> -y, so when a reflection
-leaves the damping unchanged too, the section couples no even mode to an
-odd one, and a field along x splits into four blocks of about a quarter
-of the modes each.  A mesh basis, or a field no reflection leaves
-unchanged, is one dense block.
+cluster.  On the exact sphere every other field the program accepts is
+zonal, a function g(<axis, x>), and a rotation taking the axis to +z maps
+each degree's harmonics onto themselves, where the diagonal
+sqrt(1 + h^2 n(n+1)) is constant, so the section is unitarily equivalent
+to the one for g(z), which splits by order m.  When the effective
+coefficient is affine, a + b<axis, x>, each order is a tridiagonal block,
+kept as the diagonal and a closed form of the couplings.  Otherwise (a
+field below one, whose effective coefficient 1 / (a + b<axis, x>) is not
+affine) each order is one dense block, whose Gram matrix comes from the
+orthonormal associated Legendre functions on a Gauss-Legendre rule in z.
+A mesh basis gives one dense block, from the mode values it holds.
 
 Counting computes no eigenvalues: by Sylvester's law of inertia the number
 of eigenvalues below a shift is the number of negative pivots of an LDL^T
@@ -44,9 +41,10 @@ import numpy as np
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 from scipy.optimize import linear_sum_assignment
+from scipy.special import roots_legendre
 
 from .errors import DomainError, InsufficientSpectrumError, UsageError
-from .lb_spectrum import REFLECTED_AXES
+from .lb_spectrum import normalized_legendre_table
 
 ZERO_TOL = 1e-12
 CUT_FACTOR = 2.0
@@ -378,85 +376,55 @@ def _sphere_affine(basis, field, surface):
     return affine[:2]
 
 
-def _damping_gram(basis, field, cut):
-    """Gram matrices of the effective damping on the first ``cut`` modes,
-    one per reflection class, as (columns, matrix) pairs.
+def _damping_gram(basis, field, last):
+    """The h-independent part of a dense section through cluster ``last``:
+    the Gram matrix of the effective damping gamma0 on the modes there.
 
-    A reflection in ``REFLECTED_AXES`` maps the exact sphere's grid onto
-    itself and each of its harmonics to +-itself (their ``parity`` bits).
-    When it also leaves the damping unchanged, bit for bit at the grid
-    nodes, the Gram entries between an even and an odd mode vanish in exact
-    arithmetic, so the modes split into classes of equal parity under
-    every such reflection and only the entries within a class are formed.
-    The classes come in ascending parity bits, each with its columns
-    ascending.  A basis without parities (a mesh basis), a vertex table or
-    a damping that no reflection leaves unchanged gives one class, every
-    column.
+    On the exact sphere gamma0 = g(<axis, x>) is zonal about its axis, and a
+    rotation taking the axis to +z maps each degree's harmonics onto
+    themselves, so the Gram matrix splits by order m into
+    G_m[i, j] = integral over [-1, 1] of q_{m+i,m} q_{m+j,m} g dz, with
+    q_{n,m} the orthonormal associated Legendre functions.  These come as
+    one (last + 1, last + 1, last + 1) stack, zero beyond degree ``last``,
+    from one batched product over the Gauss-Legendre rule on degree + 3
+    nodes, degree the basis top, which is exact for g affine; g is read
+    with ``field.effective`` on one meridian through the axis.
 
-    The basis tabulates mode i as P[t, i] Phi_a(phi) on a grid of rows t
-    and longitudes phi, with a = ``longitude_of[i]`` (see SpectralBasis).
-    The longitude sum goes first, F[t, a, b] = sum_phi w_phi gamma0 Phi_a
-    Phi_b in one batched product, so G[i, j] = sum_t w_t P[t, i] P[t, j]
-    F[t, a(i), a(j)] sums over rows alone.  A class's G is built one
-    longitude group of its modes at a time: the group's products with the
-    groups before it, mirrored, and its diagonal block S^T S with S = P *
-    sqrt(w_t F[t, a, a]) as one symmetric rank-k update (gamma0 > 0, so
-    F[t, a, a] > 0).  The result is exactly symmetric.  A mesh basis is one
-    group on one longitude, where this is W^T W with W = modes * sqrt(mass
-    * gamma0).
+    A mesh basis gives the Gram matrix on its first ``basis.ends[last]``
+    modes as W^T W, W = modes * sqrt(mass * gamma0) (gamma0 > 0), so the
+    result is exactly symmetric.
     """
-    table = basis.tabulated()
-    if table.modes is None:
+    if basis.source == "exact-sphere":
+        if field.kind != "affine":
+            raise UsageError("the exact sphere counts fields of one "
+                             "coordinate; a vertex table holds one value per "
+                             "mesh vertex, so it needs a mesh basis")
+        z, weights = roots_legendre(len(basis.values) + 2)
+        axis = field.axis
+        # the meridian's second direction, a unit vector across the axis
+        across = np.cross(axis, np.eye(3)[np.argmin(np.abs(axis))])
+        across /= np.linalg.norm(across)
+        g = field.effective(np.outer(z, axis)
+                            + np.outer(np.sqrt(1.0 - z * z), across))
+        table = normalized_legendre_table(last, z)
+        return (table * (weights * g)) @ table.transpose(0, 2, 1)
+    if basis.modes is None:
         raise UsageError("dense assembly needs tabulated modes on the basis")
-    gamma0 = field.effective(table.nodes)
-    parity = np.zeros(cut, dtype=np.int64)
-    # a vertex table is read by node index, whatever the points, so no
-    # reflection of the points tells whether it is symmetric
-    if table.parity is not None and field.kind != "vertex-table":
-        for bit, axis in enumerate(REFLECTED_AXES):
-            mirrored = table.nodes.copy()
-            mirrored[:, axis] *= -1.0
-            if np.array_equal(field.effective(mirrored), gamma0):
-                parity |= table.parity[:cut] & (1 << bit)
-    phi = table.longitudes
-    # w_t F[t, a, b]
-    weighted = table.mass[:, None, None] * (
-        (phi * (table.longitude_weights
-                * gamma0.reshape(len(table.mass), -1))[:, None, :]) @ phi.T)
-    classes = [np.flatnonzero(parity == bits) for bits in np.unique(parity)]
-    return [(columns, _class_gram(table, weighted, columns))
-            for columns in classes]
+    cut = int(basis.ends[last])
+    scaled = basis.modes[:, :cut] * np.sqrt(
+        basis.mass * field.effective(basis.nodes))[:, None]
+    return scaled.T @ scaled
 
 
-def _class_gram(table, weighted, columns):
-    """G over the modes ``columns`` (ascending), from w_t F[t, a, b]."""
-    size = len(columns)
-    # the class's modes grouped by longitude, each group in mode order; a
-    # mesh basis, one group of leading modes, is read in place
-    longitude = table.longitude_of[columns]
-    order = np.argsort(longitude, kind="stable")
-    picked = columns[order]
-    grouped = table.modes[:, :size] \
-        if np.array_equal(picked, np.arange(size)) \
-        else np.take(table.modes, picked, axis=1)
-    longitude = longitude[order]
-    bounds = np.append(np.flatnonzero(np.diff(longitude, prepend=-1)), size)
-    gram = np.empty((size, size))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        a = longitude[lo]
-        left = grouped[:, lo:hi]
-        if lo:
-            gram[lo:hi, :lo] = left.T @ (grouped[:, :lo]
-                                         * weighted[:, a, longitude[:lo]])
-            gram[:lo, lo:hi] = gram[lo:hi, :lo].T
-        scaled = left * np.sqrt(weighted[:, a, a])[:, None]
-        gram[lo:hi, lo:hi] = scaled.T @ scaled
-    if np.array_equal(order, np.arange(size)):
-        return gram
-    # back to mode order, rows then columns
-    inverse = np.argsort(order)
-    gram = gram.take(inverse, 0)
-    return gram.take(inverse, 1)
+def _dense_block(diagonal, gram):
+    """diag(diagonal) - gram, built F-ordered, the order LAPACK factors.
+
+    The transpose of ``gram`` is the same matrix in Fortran order where it
+    is exactly symmetric; (0 - g) + d rounds as d - g does, exact zeros
+    keeping their sign."""
+    matrix = np.subtract(0.0, gram.T, order="F")
+    matrix[np.diag_indices(len(diagonal))] += diagonal
+    return matrix
 
 
 def _polar_family(offset, slope, h, degree):
@@ -489,14 +457,17 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
     diag(sqrt(1 + h^2 n(n+1)) - a) - b J_m over degrees n >= m, with J_m
     the Jacobi matrix of the orthonormal associated Legendre functions, one
     tridiagonal family through the last cluster's degree, order m >= 1
-    counted twice for +-m.  Anything else goes through the Gram matrices of
-    tabulated mode values, one per reflection class (see
-    :func:`_damping_gram`): one dense block diag(sqrt(1 + h^2 lambda)) - G
-    per class, over the class's modes below the cut.  ``scan`` forms the
-    h-independent part of its variable-damping sections once, at its widest
-    cut, and passes it as ``_shared``: the classes' Gram matrices, of which
-    each section takes leading parts, or for affine damping its
-    :class:`SturmSweep` and the batch member that stands for h.
+    counted twice for +-m.  Any other field on the exact sphere (one below
+    one, whose effective coefficient 1 / (a + b<axis, x>) is not affine) is
+    zonal about its axis too, so it gives one dense block per order m,
+    diag(sqrt(1 + h^2 n(n+1))) - G_m over degrees m..last, again counted
+    twice for m >= 1, with G_m from :func:`_damping_gram`.  A mesh basis
+    gives one dense block diag(sqrt(1 + h^2 lambda)) - G over the modes
+    below the cut.  ``scan`` forms the h-independent part of its
+    variable-damping sections once, at its widest cut, and passes it as
+    ``_shared``: the Gram matrices, of which each section takes leading
+    parts, or for affine damping its :class:`SturmSweep` and the batch
+    member that stands for h.
     """
     if not h > 0.0:
         raise UsageError(f"semiclassical parameter must be positive, got {h}")
@@ -521,22 +492,16 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
                                  sweep.family.couplings, _shared)
         return GalerkinOperator(cut, [(part, sweep.multiplicity[:last + 1])])
 
-    diagonal = np.sqrt(1.0 + h * h * basis.leading(cut))
-    blocks = []
-    for columns, gram in _shared or _damping_gram(basis, field, cut):
-        # the class's columns below the cut lead it; a section through
-        # degree 1 has no mode odd under both reflections
-        size = int(np.searchsorted(columns, cut))
-        if not size:
-            continue
-        # the Gram matrix is exactly symmetric, so the transpose of its
-        # leading part is the same matrix in Fortran order, the order LAPACK
-        # factors; (0 - g) + d rounds as d - g does, exact zeros keeping
-        # their sign
-        matrix = np.subtract(0.0, gram[:size, :size].T, order="F")
-        matrix[np.diag_indices(size)] += diagonal[columns[:size]]
-        blocks.append((matrix, 1))
-    return GalerkinOperator(cut, blocks)
+    gram = _damping_gram(basis, field, last) if _shared is None else _shared
+    if basis.source == "exact-sphere":
+        # order m spans degrees m..last; orders m >= 1 count twice, for +-m
+        size = last + 1
+        diagonal = np.sqrt(1.0 + h * h * basis.values[:size])
+        return GalerkinOperator(cut, [
+            (_dense_block(diagonal[m:], gram[m, :size - m, :size - m]),
+             1 if m == 0 else 2) for m in range(size)])
+    return GalerkinOperator(cut, [(_dense_block(
+        np.sqrt(1.0 + h * h * basis.leading(cut)), gram[:cut, :cut]), 1)])
 
 
 # ----------------------------------------------------------------------
@@ -692,13 +657,13 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     section is factored at +-zero_tol, and a dense recount, of which the
     report reads only the count below -zero_tol, at +zero_tol only.
     Constant damping reads the basis clusters alone; a dense section, built
-    F-ordered, takes a leading part of each reflection class's Gram matrix,
-    all formed at the widest cut.  The sections of an affine field on the
-    exact sphere, along any axis, are members of one batch, one per
-    radius, and one :class:`SturmSweep` counts them all:
-    it sweeps each member through the degree of its widest cut once, and
-    each count looks its section up.  Radii must be finite and positive, or
-    UsageError is raised before any mode cut.
+    F-ordered, takes leading parts of the Gram matrices (one per order on
+    the exact sphere, one on a mesh), formed once at the widest cut.  The
+    sections of an affine field on the exact sphere, along any axis, are
+    members of one batch, one per radius, and one :class:`SturmSweep`
+    counts them all: it sweeps each member through the degree of its
+    widest cut once, and each count looks its section up.  Radii must be
+    finite and positive, or UsageError is raised before any mode cut.
     """
     r_grid = _require_radii(r_grid)
     if r_grid.ndim != 1 or len(r_grid) == 0:
@@ -728,7 +693,7 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
                                           widest[-1]), widest)
         shared = [(sweep, member) for member in range(len(h_grid))]
     else:
-        shared = [_damping_gram(basis, field, int(np.max(cuts)))] \
+        shared = [_damping_gram(basis, field, int(np.max(last)))] \
             * len(h_grid)
     below, within = np.array([
         [count_negative(build_operator(basis, field, h, surface=surface,

@@ -4,8 +4,8 @@ Every surface here is the unit sphere mapped by diag(a, b, c).  It is
 covered by two overlapping charts, the sphere's polar chart turned onto the
 z and x axes and scaled by that matrix; they supply points, normals, frames
 and chart inverses.  Surface integrals need no charts: they use the sphere's
-product grid (``sphere_grid``, shared with the tabulated sphere harmonics)
-mapped by the same matrix.
+product grid (``sphere_grid``: Gauss-Legendre in z times equispaced
+longitudes) mapped by the same matrix.
 """
 
 import functools

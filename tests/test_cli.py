@@ -19,6 +19,7 @@ from weylcount.semiclassical_count import (
     _fit_powers,
 )
 from weylcount.spectral_regions import RegionParams
+from weylcount.surface.mesh import icosphere
 from weylcount.symbol_algebra import DEFAULT_SAMPLES, SAMPLE_SEED
 
 
@@ -396,6 +397,61 @@ def test_mesh_must_lie_on_surface(capsys, surface, expected):
         assert json.loads(out)["N_scalar"] == 9
 
 
+@pytest.mark.parametrize("argv", [("scan",), ("count", "--r", "2"),
+                                  ("weyl",)])
+def test_vertex_table_needs_a_mesh(capsys, tmp_path, monkeypatch, argv):
+    # a table holds one value per mesh vertex: without a mesh there are no
+    # points to read it at, so it is refused before anything is counted
+    # or integrated
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a vertex table was counted without a mesh")
+
+    for name in ("scan", "build_operator", "weyl_coefficient",
+                 "weyl_prediction"):
+        monkeypatch.setattr(cli, name, forbidden)
+    (tmp_path / "table.txt").write_text("3.0\n" * 12, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--gamma", "table:table.txt")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "--mesh" in err
+    assert [path.name for path in tmp_path.iterdir()] == ["table.txt"]
+
+
+def test_vertex_table_is_counted_on_its_mesh(capsys, tmp_path):
+    # a table is read at the mesh's vertices, so its range and its Weyl
+    # integral come from the mesh too: a constant 3.0 table counts as
+    # --gamma 3.0 on the same basis, with coefficient 8 * mesh area / 4 pi
+    (tmp_path / "table.txt").write_text("3.0\n" * 642, encoding="utf-8")
+    basis = ("--mesh", "icosphere:3", "--modes", "100",
+             "--cache-dir", str(tmp_path / "cache"))
+    reports = {}
+    for gamma in ("table:%s" % (tmp_path / "table.txt"), "3.0"):
+        output = tmp_path / gamma[:5]
+        code, _, err = run(capsys, "scan", "--gamma", gamma, *basis,
+                           "--r-min", "1", "--r-max", "1.5",
+                           "--output", str(output))
+        assert code == 0, err
+        rows = [line.split(",") for line in (output / "report.csv")
+                .read_text(encoding="utf-8").splitlines()[1:]]
+        report = json.loads((output / "report.json").read_text(
+            encoding="utf-8"))
+        code, out, err = run(capsys, "count", "--gamma", gamma, "--r", "1.3",
+                             *basis)
+        assert code == 0, err
+        reports[gamma[:5]] = rows, report, json.loads(out)
+    (rows, report, count), (same_rows, same, same_count) = reports.values()
+    assert [(row[1], row[2], row[4]) for row in rows] \
+        == [(row[1], row[2], row[4]) for row in same_rows]
+    assert report["truncation"] == same["truncation"]
+    assert [count[key] for key in ("N_scalar", "borderline", "mode_cut")] \
+        == [same_count[key] for key in ("N_scalar", "borderline", "mode_cut")]
+    coefficient = 8.0 * icosphere(3).area / (4.0 * np.pi)
+    assert report["coefficient"] == pytest.approx(coefficient, rel=1e-12)
+    assert count["W"] == pytest.approx(coefficient * 1.3 ** 2, rel=1e-12)
+
+
 def test_linalg_error_is_resource_failure(monkeypatch, capsys):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -517,6 +573,23 @@ def test_exact_sphere_scan_memory_is_linear_in_r(tmp_path, capsys, argv):
     if argv[2] == "2.0":
         assert [int(row[1]) for row in rows] == [
             cluster_enumeration(2.0, float(row[0])) for row in rows]
+
+
+def test_below_one_exact_sphere_scan_memory_is_bounded(tmp_path, capsys):
+    # the effective coefficient 1 / (0.4 - 0.2 <axis, x>) is not affine, so
+    # each section is one dense block per order, from Gram matrices formed
+    # once per scan on a 1-D rule: (L + 1)^3 values through the widest cut
+    # degree L, 59 here, and never a harmonic at every node of a 2-D grid
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "scan", "--gamma", "affine:0.4,-0.2,1/2/2",
+                           "--r-min", "2", "--r-max", "7",
+                           "--output", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak < 32 * 2 ** 20
 
 
 def test_exact_sphere_counts_never_expand_the_spectrum(tmp_path, capsys,

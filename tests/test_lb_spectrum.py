@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import json
 import os
 import pathlib
@@ -11,7 +12,6 @@ import pytest
 from scipy.linalg import eigvalsh
 from scipy.special import roots_legendre
 
-from weylcount import lb_spectrum
 from weylcount.errors import (
     CacheError,
     InsufficientSpectrumError,
@@ -19,7 +19,6 @@ from weylcount.errors import (
     UsageError,
 )
 from weylcount.lb_spectrum import (
-    REFLECTED_AXES,
     SOLVER_SEED,
     SpectralBasis,
     assemble_fem,
@@ -33,6 +32,7 @@ from weylcount.lb_spectrum import (
     solve_lowest,
     sphere_degree_for,
 )
+from weylcount import semiclassical_count
 from weylcount.semiclassical_count import _damping_gram, build_operator, scan
 from weylcount.surface import (
     AnalyticSurface,
@@ -42,19 +42,9 @@ from weylcount.surface import (
 )
 from weylcount.surface.charts import sphere_grid
 
+from sphere_reference import per_order_legendre, product_gram
+
 DATA = pathlib.Path(__file__).parent / "data"
-
-
-def full_gram(basis, field, cut):
-    """The class Gram matrices of ``_damping_gram`` in one cut x cut matrix,
-    zero between classes; the classes must partition the columns."""
-    gram = np.zeros((cut, cut))
-    classes = _damping_gram(basis, field, cut)
-    assert np.array_equal(np.sort(np.concatenate([c for c, _ in classes])),
-                          np.arange(cut))
-    for columns, block in classes:
-        gram[np.ix_(columns, columns)] = block
-    return gram
 
 
 @pytest.fixture(scope="module")
@@ -134,121 +124,36 @@ def test_sphere_degree_for():
     assert sphere_degree_for(110.1) == 11
 
 
-def test_tabulated_modes_orthonormal():
-    # the factored table is orthonormal at the Gram level: constant damping
-    # c gives c times the identity, at every cut
-    basis = exact_sphere_spectrum(12)
-    for c, cut in ((2.0, 169), (1.3, 169), (0.4, 100)):
-        gram = full_gram(basis, DampingField.constant(c), cut)
-        assert np.max(np.abs(gram - max(c, 1.0 / c) * np.eye(cut))) < 1e-12
-        assert np.array_equal(gram, gram.T)
-    # the table holds factors: Legendre values at the latitudes and the
-    # longitude functions, never a harmonic at every node
-    table = basis.tabulated()
-    assert table.modes.shape == (15, 169)
-    assert table.longitudes.shape == (25, 27)
-    assert abs(table.mass.sum() * table.longitude_weights.sum()
-               - 4.0 * np.pi) < 1e-12
-    assert np.max(np.abs(np.linalg.norm(table.nodes, axis=-1) - 1.0)) < 1e-12
-
-
-def test_tabulated_parities_match_reflected_harmonics():
-    # bit b of a harmonic's parity is set exactly when Y(sigma p) = -Y(p)
-    # for sigma the negation of coordinate REFLECTED_AXES[b] (z, then y),
-    # with the harmonics evaluated from the Legendre table and the
-    # longitude functions directly, at the nodes and at their mirror images
-    degree = 9
-    table = exact_sphere_spectrum(degree).tabulated()
-    grid = sphere_grid(degree)
-    assert REFLECTED_AXES == (2, 1)
-
-    def harmonics(z, phi):
-        legendre = normalized_legendre_table(degree, z)
-        columns = []
-        for n in range(degree + 1):
-            for m in range(-n, n + 1):
-                longitude = (np.cos(m * phi) if m > 0 else np.sin(-m * phi)
-                             if m < 0 else np.full(phi.shape, np.sqrt(0.5)))
-                columns.append(np.outer(legendre[abs(m), n - abs(m)],
-                                        longitude / np.sqrt(np.pi)).ravel())
-        return np.stack(columns, axis=-1)
-
-    here = harmonics(grid.z, grid.phi)
-    factored = np.einsum("tj,jk->tkj", table.modes,
-                         table.longitudes[table.longitude_of])
-    assert np.max(np.abs(factored.reshape(here.shape) - here)) < 1e-13
-    for bit, mirrored in enumerate((harmonics(-grid.z, grid.phi),
-                                    harmonics(grid.z, -grid.phi))):
-        sign = np.where(table.parity & (1 << bit), -1.0, 1.0)
-        assert 0 < np.count_nonzero(sign < 0) < len(sign)
-        assert np.max(np.abs(mirrored - sign * here)) < 1e-13
+def per_order_spectrum(stack, top):
+    """The eigenvalues of the per-order Gram matrices ``stack`` through
+    degree ``top``, ascending, order m >= 1 counted twice, for +-m."""
+    return np.sort(np.concatenate([
+        np.tile(np.linalg.eigvalsh(stack[m, :top + 1 - m, :top + 1 - m]),
+                1 if m == 0 else 2) for m in range(top + 1)]))
 
 
 def test_tabulated_axis_moments_match_closed_form():
-    # damping a + b z has the Gram matrix a I + b Z, where
-    # <Y_{n,m}, z Y_{n+1,m}> = sqrt(((n+1)^2 - m^2) / ((2n+1)(2n+3))) and
-    # every other entry of Z vanishes; the grid integrates it exactly
+    # damping a + b<axis, x> has, whatever the axis, the per-order Gram
+    # matrices a I + b J_m, where J_m couples degrees n and n + 1 by
+    # <q_{n,m}, z q_{n+1,m}> = sqrt(((n+1)^2 - m^2) / ((2n+1)(2n+3))) and
+    # every other entry vanishes; the rule integrates it exactly, b = 0
+    # leaves a times the identity, and the stack is zero beyond its degree
     basis = exact_sphere_spectrum(6)
-    for a, b in ((2.0, 0.5), (3.0, -1.5)):
-        gram = full_gram(basis, DampingField.affine(a, b, (0, 0, 1)), 49)
-        expected = a * np.eye(49)
-        for n in range(6):
-            for m in range(-n, n + 1):
-                i, j = n * n + n + m, (n + 1) * (n + 2) + m
-                assert sphere_degree_for(basis.eigenvalues[j]) == n + 1
-                c = np.sqrt(((n + 1.0) ** 2 - m * m)
-                            / ((2.0 * n + 1.0) * (2.0 * n + 3.0)))
-                expected[i, j] = expected[j, i] = b * c
-        assert np.max(np.abs(gram - expected)) < 1e-12
-        assert np.array_equal(gram, gram.T)
-
-
-def per_order_legendre(order, max_degree, t):
-    """q_{n,m}(t), n = m..max_degree, by the degree recurrence of one
-    order: the loop the table runs for all orders at once."""
-    m = order
-    out = np.empty((max_degree - m + 1,) + t.shape)
-    q = np.full(t.shape, 1.0 / np.sqrt(2.0))
-    if m > 0:
-        s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        for k in range(1, m + 1):
-            q = np.sqrt((2.0 * k + 1.0) / (2.0 * k)) * s * q
-    out[0] = q
-    if len(out) > 1:
-        out[1] = np.sqrt(2.0 * m + 3.0) * t * q
-    for n in range(m + 2, max_degree + 1):
-        alpha = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-        beta = np.sqrt((2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m)
-                       / ((2.0 * n - 3.0) * (n * n - m * m)))
-        out[n - m] = alpha * t * out[n - m - 1] - beta * out[n - m - 2]
-    return out
-
-
-def reference_tabulation(max_degree):
-    """The harmonics at every node, one column at a time: Gauss-Legendre in
-    z on max_degree + 3 nodes times 2 max_degree + 3 longitudes."""
-    nt, nphi = max_degree + 3, 2 * max_degree + 3
-    t, wt = roots_legendre(nt)
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    nodes = np.stack([np.outer(sin_theta, np.cos(phi)).ravel(),
-                      np.outer(sin_theta, np.sin(phi)).ravel(),
-                      np.outer(t, np.ones_like(phi)).ravel()], axis=-1)
-    mass = np.outer(wt, np.full(nphi, 2.0 * np.pi / nphi)).ravel()
-    modes = np.empty((nt * nphi, (max_degree + 1) ** 2))
-    for m in range(max_degree + 1):
-        block = per_order_legendre(m, max_degree, t)
-        for row, n in enumerate(range(m, max_degree + 1)):
-            if m == 0:
-                modes[:, n * n + n] = np.outer(
-                    block[row] / np.sqrt(2.0 * np.pi),
-                    np.ones_like(phi)).ravel()
-            else:
-                modes[:, n * n + n - m] = np.outer(
-                    block[row] / np.sqrt(np.pi), np.sin(m * phi)).ravel()
-                modes[:, n * n + n + m] = np.outer(
-                    block[row] / np.sqrt(np.pi), np.cos(m * phi)).ravel()
-    return nodes, mass, modes
+    for (a, b), axis, last in itertools.product(
+            ((2.0, 0.5), (3.0, -1.5), (1.3, 0.0)),
+            ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 2.0, 2.0)), (6, 4)):
+        stack = _damping_gram(basis, DampingField.affine(a, b, axis), last)
+        assert stack.shape == (last + 1,) * 3
+        for m in range(last + 1):
+            size = last + 1 - m
+            n = np.arange(m, last)
+            coupling = np.diag(b * np.sqrt(
+                ((n + 1.0) ** 2 - m * m)
+                / ((2.0 * n + 1.0) * (2.0 * n + 3.0))), 1)
+            expected = a * np.eye(size) + coupling + coupling.T
+            assert np.max(np.abs(stack[m, :size, :size] - expected)) < 1e-12
+            assert not np.any(stack[m, size:]) \
+                and not np.any(stack[m, :, size:])
 
 
 @pytest.mark.parametrize("field", [
@@ -256,59 +161,59 @@ def reference_tabulation(max_degree):
     DampingField.affine(2.0, 0.5, (1.0, 1.0, 1.0)),
     DampingField.affine(3.0, -1.5, (1.0, 2.0, 2.0), invert=True),
     # below one, so the effective coefficient 1 / (0.5 + 0.2 x) is not a
-    # polynomial and the grid does not integrate it exactly
+    # polynomial and neither rule integrates it exactly
     DampingField.affine(0.5, 0.2, (1.0, 0.0, 0.0)),
 ], ids=["x", "111", "122-inverted", "below-one-x"])
 def test_factored_gram_matches_product_gram(field):
-    # summing over longitudes first is the product rule over every node,
-    # W^T W with W = harmonics * sqrt(mass * gamma0), up to roundoff
-    for degree, cuts in ((8, (81, 50)), (20, (441, 289, 300))):
-        basis = exact_sphere_spectrum(degree)
-        nodes, mass, modes = reference_tabulation(degree)
-        assert np.array_equal(basis.nodes, nodes)
-        scaled = modes * np.sqrt(mass * field.effective(nodes))[:, None]
-        product = scaled.T @ scaled
-        for cut in cuts:
-            gram = full_gram(basis, field, cut)
-            assert np.max(np.abs(gram - product[:cut, :cut])) < 1e-13
-            assert np.array_equal(gram, gram.T)
+    # the Gram matrix factored by order, on a 1-D rule along the field's
+    # axis, is the 2-D product rule's over every node up to the rotation
+    # taking the axis to +z: through each degree both have one spectrum.
+    # Both rules integrate an affine field exactly, so they agree to
+    # roundoff through every degree.  Neither integrates a field below one
+    # exactly: the error of each falls off like rho^(-2k) for degree k
+    # below the top, rho = 4.8 for 1 / (0.5 + 0.2 t), so they agree to
+    # roundoff from 8 degrees below the top down
+    affine = field.effective_affine(AnalyticSurface.unit_sphere())
+    for degree in (8, 20):
+        stack = _damping_gram(exact_sphere_spectrum(degree), field, degree)
+        product = product_gram(degree, field)
+        for top in range(degree + 1 if affine else degree - 7):
+            cut = (top + 1) ** 2
+            assert np.max(np.abs(per_order_spectrum(stack, top) - eigvalsh(
+                product[:cut, :cut]))) < 1e-12
 
 
 def test_exact_sphere_tabulates_once_and_counting_only_reads_it(monkeypatch):
     calls = []
-    tabulate = lb_spectrum._tabulate_sphere_modes
+    tabulate = semiclassical_count.normalized_legendre_table
 
-    def counted(max_degree):
-        calls.append(max_degree)
-        return tabulate(max_degree)
+    def counted(max_degree, t):
+        calls.append((max_degree, len(t)))
+        return tabulate(max_degree, t)
 
-    monkeypatch.setattr(lb_spectrum, "_tabulate_sphere_modes", counted)
+    monkeypatch.setattr(semiclassical_count, "normalized_legendre_table",
+                        counted)
     sphere = AnalyticSurface.unit_sphere()
     # below one, so the effective coefficient 1 / (0.5 + 0.1 x) is not
-    # affine and counting reads the tabulated harmonics
+    # affine and counting forms its per-order Gram matrices
     field = DampingField.affine(0.5, 0.1, (1.0, 0.0, 0.0))
     basis = exact_sphere_spectrum(20)
     held = {item.name: getattr(basis, item.name)
-            for item in dataclasses.fields(basis) if item.name != "quadrature"}
+            for item in dataclasses.fields(basis)}
     frozen = copy.deepcopy(held)
-    scan(sphere, field, [3.0, 4.0, 5.0], basis)
-    table = basis.quadrature
-    before = copy.deepcopy(table)
+    report = scan(sphere, field, [3.0, 4.0, 5.0], basis)
+    # a scan tabulates once, through the degree of its widest cut, on the
+    # Gauss-Legendre rule of the basis degree + 3 nodes
+    assert report.mode_cuts.tolist() == [121, 196, 289]
+    assert calls == [(20, 23)]
     for r in (3.0, 4.5, 5.0):
         build_operator(basis, field, 1.0 / r, surface=sphere)
-    assert calls == [20]
+    assert calls[1:] == [(10, 23), (15, 23), (16, 23)]
+    # the basis is read, never written, and holds no table
     for name, value in held.items():
         assert getattr(basis, name) is value
         assert np.array_equal(value, frozen[name])
-    # the table itself is read, never written
-    assert basis.quadrature is table
-    for value, copied in zip(table, before):
-        assert np.array_equal(value, copied)
-    # surface integrals use the same grid
-    grid = sphere_grid(20)
-    assert np.array_equal(table.nodes, grid.nodes)
-    assert np.array_equal(table.mass, grid.z_weights)
-    assert np.array_equal(table.longitude_weights, grid.phi_weights)
+    assert basis.quadrature is None
 
 
 # ----------------------------------------------------------------------
@@ -514,27 +419,22 @@ def test_cache_round_trip_bit_exact(tmp_path):
 
 def test_cache_written_before_factored_tables_loads(tmp_path):
     # a WLB1 version 1 container (icosphere:1, 6 modes) stored by the
-    # release that tabulated every basis at every node: it loads as a
-    # quadrature of one longitude, stores back to the same bytes, and its
-    # Gram matrix is W^T W with W = modes * sqrt(mass * gamma0)
+    # release that tabulated every basis at every node: it loads as mode
+    # values at the vertices, stores back to the same bytes, and its Gram
+    # matrix is W^T W with W = modes * sqrt(mass * gamma0)
     source = DATA / "wlb1_cache"
     key = "7c2dc468a90972a4707ccb1bb124af0c"
     basis = cache_load(str(source), key)
     assert basis is not None and basis.source == "mesh-fem"
     assert basis.mode_count == 6 and basis.modes.shape == (42, 6)
-    table = basis.tabulated()
-    assert table.longitudes.tolist() == [[1.0]]
-    assert table.longitude_weights.tolist() == [1.0]
-    assert table.longitude_of.tolist() == [0] * 6
-    assert table.parity is None
+    assert basis.quadrature._fields == ("nodes", "mass", "modes")
     cache_store(str(tmp_path), key, basis, 6, 1e-8)
     assert (tmp_path / (key + ".wlb")).read_bytes() \
         == (source / (key + ".wlb")).read_bytes()
     field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
     scaled = basis.modes * np.sqrt(
         basis.mass * field.effective(basis.nodes))[:, None]
-    [(columns, gram)] = _damping_gram(basis, field, 6)
-    assert columns.tolist() == list(range(6))
+    gram = _damping_gram(basis, field, len(basis.values) - 1)
     assert np.array_equal(gram, scaled.T @ scaled)
 
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dsytrf
 
-from weylcount import lb_spectrum, semiclassical_count
+from weylcount import semiclassical_count
 from weylcount.errors import (
     DomainError,
     InsufficientSpectrumError,
@@ -39,6 +39,12 @@ from weylcount.semiclassical_count import (
 )
 from weylcount.surface import AnalyticSurface, DampingField
 from weylcount.surface.mesh import icosphere
+
+from sphere_reference import (
+    product_gram,
+    product_section,
+    reflection_classes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -196,8 +202,8 @@ def test_affine_operator_block_structure(sphere, tilted):
 def below_one(axis):
     """A field along ``axis`` whose base stays below one: its effective
     coefficient 1 / (0.5 + 0.1 <axis, x>), in [1.67, 2.5], is not affine,
-    so the exact sphere counts it by the dense path.  Its c1 = 2.5 is that
-    of 2 + 0.5 <axis, x>, so the two have the same mode cuts."""
+    so the exact sphere counts it by dense per-order blocks.  Its c1 = 2.5
+    is that of 2 + 0.5 <axis, x>, so the two have the same mode cuts."""
     return DampingField.affine(0.5, 0.1, axis)
 
 
@@ -212,26 +218,11 @@ def sphere_cut(sphere, field, h, cut_factor, degree):
     return None if n > degree else (n + 1) ** 2
 
 
-def quadrature_section(basis, h, cut, classes):
-    """Reference section diag(sqrt(1 + h^2 lambda)) - G on the first
-    ``cut`` modes, G the leading parts of the 2-D quadrature Gram matrices
-    ``classes`` (from ``_damping_gram`` at a cut of at least ``cut``), one
-    dense block per reflection class, counted by Bunch-Kaufman inertia."""
-    diagonal = np.sqrt(1.0 + h * h * basis.leading(cut))
-    blocks = []
-    for columns, gram in classes:
-        size = int(np.sum(columns < cut))
-        if size:
-            blocks.append((np.diag(diagonal[columns[:size]])
-                           - gram[:size, :size], 1))
-    return GalerkinOperator(cut, blocks)
-
-
 def test_block_and_dense_paths_agree(sphere):
     # rotation oracle: an affine field along any axis is counted by the
-    # Sturm sweep of a + b z; the same field's 2-D quadrature Gram matrices
-    # on the tabulated harmonics, counted by Bunch-Kaufman inertia, must
-    # give the same mode cuts, counts and borderlines, and the same spectra
+    # Sturm sweep of a + b z; the same field's 2-D product-rule Gram matrix
+    # on the harmonics, counted by Bunch-Kaufman inertia, must give the
+    # same mode cuts, counts and borderlines, and the same spectra
     basis = exact_sphere_spectrum(32)
     for axis, (offset, slope, sign, radii) in itertools.product(
             [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0),
@@ -240,15 +231,14 @@ def test_block_and_dense_paths_agree(sphere):
              (2.0, -0.5, -1.0, (1.5, 7.0)),
              (3.0, -1.5, 1.0, (1.0, 2.0, 4.0))]):
         field = DampingField.affine(offset, slope, sign * np.asarray(axis))
-        classes = semiclassical_count._damping_gram(basis, field, sphere_cut(
+        gram = product_gram(32, field, sphere_cut(
             sphere, field, 1.0 / radii[-1], 2.0, 32))
         for r in radii:
             op = build_operator(basis, field, 1.0 / r, surface=sphere)
             [(family, _)] = op.blocks
             assert isinstance(family, TridiagonalFamily)
             assert op.mode_cut == sphere_cut(sphere, field, 1.0 / r, 2.0, 32)
-            reference = quadrature_section(basis, 1.0 / r, op.mode_cut,
-                                           classes)
+            reference = product_section(basis, 1.0 / r, op.mode_cut, gram)
             for zero_tol in (ZERO_TOL, 0.05):
                 assert count_negative(op, zero_tol=zero_tol) \
                     == count_negative(reference, zero_tol=zero_tol)
@@ -563,23 +553,22 @@ def test_scan_variable_field(sphere, tilted):
     assert np.all(np.diff(report.n_scalar) > 0)
 
 
-@pytest.mark.parametrize("axis, classes", [
-    ((1.0, 0.0, 0.0), 4), ((0.0, 1.0, 0.0), 2), ((1.0, 1.0, 0.0), 2),
-    ((2.0, -1.0, 2.0), 1)], ids=["x", "y", "110", "212"])
+@pytest.mark.parametrize("axis", [
+    (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (2.0, -1.0, 2.0)],
+    ids=["x", "y", "110", "212"])
 def test_affine_field_on_the_sphere_takes_the_sweep(sphere, monkeypatch,
-                                                    axis, classes):
+                                                    axis):
     # a field affine along any axis, base above one, inverted or not, is
-    # counted by the Sturm sweep alone: no harmonic is tabulated, no Gram
+    # counted by the Sturm sweep alone: no Legendre table is built, no Gram
     # matrix formed and nothing factored, in a scan or a single section
     def forbidden(*args, **kwargs):
         raise AssertionError("an affine field took the dense path")
 
     basis = exact_sphere_spectrum(30)
     with monkeypatch.context() as patch:
-        for module, name in ((semiclassical_count, "_damping_gram"),
-                             (semiclassical_count, "_inertia"),
-                             (lb_spectrum, "_tabulate_sphere_modes")):
-            patch.setattr(module, name, forbidden)
+        for name in ("_damping_gram", "_inertia",
+                     "normalized_legendre_table"):
+            patch.setattr(semiclassical_count, name, forbidden)
         for invert in (False, True):
             field = DampingField.affine(2.0, 0.5, axis, invert=invert)
             scan(sphere, field, [2.0, 4.0, 6.0], basis)
@@ -589,7 +578,9 @@ def test_affine_field_on_the_sphere_takes_the_sweep(sphere, monkeypatch,
             count_negative(op)
     assert basis.quadrature is None
     # the same profile below one is not affine in its effective coefficient:
-    # it still forms the Gram matrices of its reflection classes, once
+    # a scan forms its per-order Gram matrices once, through the degree of
+    # its widest cut (24, for the recount at r = 6), and a section through
+    # degree 13 is 14 dense blocks
     formed = []
     form = semiclassical_count._damping_gram
 
@@ -599,10 +590,11 @@ def test_affine_field_on_the_sphere_takes_the_sweep(sphere, monkeypatch,
 
     monkeypatch.setattr(semiclassical_count, "_damping_gram", counted)
     field = below_one(axis)
-    scan(sphere, field, [2.0, 4.0, 6.0], basis)
-    assert [len(gram) for gram in formed] == [classes]
+    report = scan(sphere, field, [2.0, 4.0, 6.0], basis)
+    assert report.stability_delta is not None
+    assert [stack.shape for stack in formed] == [(25, 25, 25)]
     assert len(build_operator(basis, field, 0.25, surface=sphere).blocks) \
-        == classes
+        == 14
 
 
 @pytest.mark.parametrize("degree", [20, 17])
@@ -611,39 +603,59 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
     field = below_one((1.0, 0.0, 0.0))
     r_grid = np.array([3.0, 4.0, 5.0])
     basis = exact_sphere_spectrum(degree)
-    gram_cuts, factored = [], []
+    lasts, factored, built = [], [], []
     form, inertia = semiclassical_count._damping_gram, \
         semiclassical_count._inertia
+    build = semiclassical_count.build_operator
 
-    def counted(basis, field, cut):
-        gram_cuts.append(cut)
-        classes = form(basis, field, cut)
-        assert len(classes) == 4
-        return classes
+    def counted(basis, field, last):
+        lasts.append(last)
+        return form(basis, field, last)
 
     def counted_inertia(matrix, shift):
         factored.append(shift)
         return inertia(matrix, shift)
 
+    def recorded(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
     monkeypatch.setattr(semiclassical_count, "_damping_gram", counted)
     monkeypatch.setattr(semiclassical_count, "_inertia", counted_inertia)
+    monkeypatch.setattr(semiclassical_count, "build_operator", recorded)
 
     def standalone(cut_factor, zero_tol):
-        operators = [build_operator(basis, field, 1.0 / r, surface=sphere,
-                                    cut_factor=cut_factor) for r in r_grid]
+        operators = [build(basis, field, 1.0 / r, surface=sphere,
+                           cut_factor=cut_factor) for r in r_grid]
         return ([count_negative(op, zero_tol=zero_tol) for op in operators],
                 operators[-1].mode_cut)
 
     for zero_tol in (ZERO_TOL, 0.05):
-        gram_cuts.clear()
+        lasts.clear()
         factored.clear()
+        built.clear()
         report = scan(sphere, field, r_grid, basis, zero_tol=zero_tol)
-        assert len(gram_cuts) == 1
-        # one Gram matrix per reflection class, and each class's block of a
-        # primary section is factored at +-zero_tol, of a recount at
-        # +zero_tol only: no report reads its borderline
-        assert factored == [zero_tol, -zero_tol] * 4 * len(r_grid) \
-            + [zero_tol] * 4 * len(r_grid) * (degree == 20)
+        assert len(lasts) == 1
+        # a section through degree L is one F-ordered block per order m,
+        # degrees m..L, of multiplicity 1 for m = 0 and 2 after it; each
+        # block of more than one row is factored, in a primary section at
+        # +-zero_tol, in a recount at +zero_tol only: no report reads its
+        # borderline
+        tops = []
+        for op in built:
+            top = len(op.blocks) - 1
+            assert op.mode_cut == (top + 1) ** 2
+            assert [(len(matrix), multiplicity)
+                    for matrix, multiplicity in op.blocks] \
+                == [(top + 1 - m, 1 if m == 0 else 2)
+                    for m in range(top + 1)]
+            assert all(matrix.flags.f_contiguous for matrix, _ in op.blocks)
+            tops.append(top)
+        assert factored == [
+            shift for top in tops[:3] for _ in range(top)
+            for shift in (zero_tol, -zero_tol)] \
+            + [zero_tol for top in tops[3:] for _ in range(top)]
+        assert len(built) == 3 * (1 + (degree == 20))
 
         counts, last_cut = standalone(2.0, zero_tol)
         assert report.n_scalar.tolist() == [c.negative for c in counts]
@@ -656,16 +668,16 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
             assert any(c.borderline for c in recounts) == (zero_tol == 0.05)
         else:
             assert report.stability_delta is None
-        assert gram_cuts[0] == last_cut
+        assert (lasts[0] + 1) ** 2 == last_cut
 
 
 @pytest.mark.parametrize("wider", [False, True])
 def test_dense_section_is_built_in_fortran_order(sphere, monkeypatch,
                                                  wider):
-    # the same bits as diag(d) - G, laid out for LAPACK, exact zeros of the
-    # Gram matrix included, also from the leading part of a scan's wider
-    # Gram matrix.  Zeros of both signs are planted where the Gram matrix
-    # is below roundoff, symmetrically, so they do not depend on how its
+    # the same bits as diag(d) - G_m for each order m, laid out for LAPACK,
+    # exact zeros of the Gram matrices included, also from the leading part
+    # of a scan's wider stack.  Zeros of both signs are planted where the
+    # Gram matrices are below roundoff, so they do not depend on how its
     # sums round.  The effective coefficient 1 / (0.5 + 0.01 x) is not
     # affine, so the field takes the dense path, and its part of degree k
     # falls off like 0.02^k, so the couplings of degrees far apart are
@@ -674,112 +686,98 @@ def test_dense_section_is_built_in_fortran_order(sphere, monkeypatch,
     field = DampingField.affine(0.5, 0.01, (1.0, 0.0, 0.0))
     form = semiclassical_count._damping_gram
 
-    def planted(basis, field, cut):
-        classes = form(basis, field, cut)
-        for _, gram in classes:
-            tiny = np.abs(gram) < 1e-16
-            gram[tiny] = np.copysign(0.0, gram[tiny])
-        return classes
+    def planted(basis, field, last):
+        stack = form(basis, field, last)
+        tiny = np.abs(stack) < 1e-16
+        stack[tiny] = np.copysign(0.0, stack[tiny])
+        return stack
 
     monkeypatch.setattr(semiclassical_count, "_damping_gram", planted)
-    shared = planted(basis, field, 289) if wider else None
+    shared = planted(basis, field, 16) if wider else None
     operator = build_operator(basis, field, 0.25, surface=sphere,
                               _shared=shared)
-    cut = operator.mode_cut
-    classes = planted(basis, field, cut) if shared is None else [
-        (columns[columns < cut], gram[:np.sum(columns < cut),
-                                      :np.sum(columns < cut)])
-        for columns, gram in shared]
-    assert cut < 289 and len(operator.blocks) == len(classes) == 4
-    diagonal = np.sqrt(1.0 + 0.25 * 0.25 * basis.leading(cut))
-    zeros = np.concatenate([gram[gram == 0.0] for _, gram in classes])
+    top = len(operator.blocks) - 1
+    stack = planted(basis, field, top) if shared is None else shared
+    assert top < 16 and operator.mode_cut == (top + 1) ** 2
+    diagonal = np.sqrt(1.0 + 0.25 * 0.25 * basis.values[:top + 1])
+    zeros = np.concatenate([stack[m, :top + 1 - m, :top + 1 - m][
+        stack[m, :top + 1 - m, :top + 1 - m] == 0.0] for m in range(top)])
     assert np.any(np.signbit(zeros)) and not np.all(np.signbit(zeros))
-    for (matrix, _), (columns, gram) in zip(operator.blocks, classes):
-        assert matrix.flags.f_contiguous
-        expected = np.diag(diagonal[columns]) - gram
-        assert matrix.tobytes(order="A") == expected.T.tobytes(order="C")
+    for m, (matrix, multiplicity) in enumerate(operator.blocks):
+        size = top + 1 - m
+        assert matrix.flags.f_contiguous and multiplicity == min(m + 1, 2)
+        expected = np.diag(diagonal[m:]) - stack[m, :size, :size]
+        assert matrix.T.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("axis, classes", [
     ((1.0, 0.0, 0.0), (3, 4, 4)), ((0.0, 1.0, 0.0), (2, 2, 2)),
     ((1.0, 1.0, 0.0), (2, 2, 2)), ((0.0, 1.0, 1.0), (1, 1, 1))],
     ids=["x", "y", "110", "011"])
-def test_reflection_classes_count_as_one_block(sphere, monkeypatch, axis,
-                                               classes):
-    # z -> -z leaves a field without a z part unchanged, y -> -y one
-    # without a y part; each such reflection halves the section (at h = 4
-    # it stops at degree 1, where no mode is odd under both).  The blocks
-    # of the classes must count as the whole section does, formed with no
-    # reflection, and hold its eigenvalues to roundoff
+def test_reflection_classes_count_as_one_block(sphere, axis, classes):
+    # the 2-D product-rule reference splits by reflection: z -> -z leaves a
+    # field without a z part unchanged, y -> -y one without a y part, and
+    # each such reflection halves the section (at h = 4 it stops at
+    # degree 1, where no mode is odd under both).  The blocks of the
+    # classes must count as the whole reference section does and hold its
+    # eigenvalues to roundoff, and so must the per-order blocks of the
+    # section that is counted
     basis = exact_sphere_spectrum(16)
     field = below_one(axis)
+    gram = product_gram(16, field)
+    split_by = reflection_classes(16, field)
     for h, blocks in zip((4.0, 0.5, 0.3), classes):
-        split = build_operator(basis, field, h, surface=sphere)
-        with monkeypatch.context() as patch:
-            patch.setattr(semiclassical_count, "REFLECTED_AXES", ())
-            whole = build_operator(basis, field, h, surface=sphere)
+        counted = build_operator(basis, field, h, surface=sphere)
+        cut = counted.mode_cut
+        split = product_section(basis, h, cut, gram, split_by)
+        whole = product_section(basis, h, cut, gram)
         assert len(split.blocks) == blocks and len(whole.blocks) == 1
-        assert split.mode_cut == whole.mode_cut
         assert np.max(np.abs(split.eigenvalues()
                              - whole.eigenvalues())) <= 1e-13
+        assert np.max(np.abs(counted.eigenvalues()
+                             - whole.eigenvalues())) <= 1e-12
         for zero_tol in (ZERO_TOL, 0.05):
             assert count_negative(split, zero_tol=zero_tol) \
-                == count_negative(whole, zero_tol=zero_tol)
+                == count_negative(whole, zero_tol=zero_tol) \
+                == count_negative(counted, zero_tol=zero_tol)
 
 
-def test_vertex_table_on_the_grid_is_one_class():
-    # a table of one value per grid node ignores the points it is given, so
-    # mirrored points would read back the same values: no reflection may
-    # be taken for a symmetry of it
+@pytest.mark.parametrize("axis", [
+    (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+    (1.0, 1.0, 0.0), (1.0, 2.0, 2.0)],
+    ids=["z", "-z", "x", "y", "110", "122"])
+def test_per_order_sections_match_the_product_rule(sphere, axis):
+    # the test reference: the 2-D product rule over the whole grid, one
+    # dense block.  A rotation taking the axis to +z makes the per-order
+    # blocks equivalent to it; along +-z no rotation is needed and only
+    # roundoff separates them, along other axes the two rules' errors
+    # as well, which the cuts keep 10 degrees below the basis top
+    degree = 30
+    basis = exact_sphere_spectrum(degree)
+    field = below_one(axis)
+    gram = product_gram(degree, field)
+    tolerance = 1e-13 if axis[:2] == (0.0, 0.0) else 1e-9
+    for r in (0.25, 1.0, 2.5, 4.0, 6.0):
+        counted = build_operator(basis, field, 1.0 / r, surface=sphere)
+        reference = product_section(basis, 1.0 / r, counted.mode_cut, gram)
+        assert counted.mode_cut == sphere_cut(sphere, field, 1.0 / r, 2.0,
+                                              degree)
+        assert np.max(np.abs(counted.eigenvalues()
+                             - reference.eigenvalues())) < tolerance
+        for zero_tol in (ZERO_TOL, 0.05):
+            assert count_negative(counted, zero_tol=zero_tol) \
+                == count_negative(reference, zero_tol=zero_tol)
+
+
+def test_exact_sphere_refuses_a_vertex_table(sphere):
+    # a table of one value per mesh vertex has no points on the exact
+    # sphere to be read at
     basis = exact_sphere_spectrum(4)
-    table = np.random.default_rng(3).uniform(1.5, 2.5, len(basis.nodes))
-    [(columns, _)] = semiclassical_count._damping_gram(
-        basis, DampingField.vertex_table(table), 25)
-    assert columns.tolist() == list(range(25))
-
-
-def grouped_gram(basis, field, cut):
-    """The Gram matrix on the first ``cut`` modes as one block: the
-    longitude sum first, then the modes one longitude group at a time."""
-    table = basis.tabulated()
-    gamma0 = field.effective(table.nodes).reshape(len(table.mass), -1)
-    phi = table.longitudes
-    weighted = table.mass[:, None, None] * (
-        (phi * (table.longitude_weights * gamma0)[:, None, :]) @ phi.T)
-    order = np.argsort(table.longitude_of[:cut], kind="stable")
-    grouped = np.take(table.modes, order, axis=1)
-    longitude = table.longitude_of[order]
-    bounds = np.append(np.flatnonzero(np.diff(longitude, prepend=-1)), cut)
-    gram = np.empty((cut, cut))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        a = longitude[lo]
-        left = grouped[:, lo:hi]
-        if lo:
-            gram[lo:hi, :lo] = left.T @ (grouped[:, :lo]
-                                         * weighted[:, a, longitude[:lo]])
-            gram[:lo, lo:hi] = gram[lo:hi, :lo].T
-        scaled = left * np.sqrt(weighted[:, a, a])[:, None]
-        gram[lo:hi, lo:hi] = scaled.T @ scaled
-    inverse = np.argsort(order)
-    return gram.take(inverse, 0).take(inverse, 1)
-
-
-def test_generic_axis_is_one_block_of_the_whole_gram(sphere):
-    # no reflection of the grid leaves the field along (2, -1, 2) / 3
-    # unchanged: one class, every column, its Gram matrix bit for bit the
-    # one-block formula, and the section diag(d) - G
-    basis = exact_sphere_spectrum(16)
-    field = below_one((2.0, -1.0, 2.0))
-    [(columns, gram)] = semiclassical_count._damping_gram(basis, field, 289)
-    assert columns.tolist() == list(range(289))
-    assert gram.tobytes() == grouped_gram(basis, field, 289).tobytes()
-    [(matrix, multiplicity)] = build_operator(basis, field, 0.25,
-                                              surface=sphere).blocks
-    cut = len(matrix)
-    assert multiplicity == 1
-    expected = np.diag(np.sqrt(1.0 + 0.25 * 0.25 * basis.leading(cut))) \
-        - grouped_gram(basis, field, cut)
-    assert matrix.tobytes(order="A") == expected.T.tobytes(order="C")
+    field = DampingField.vertex_table(np.full(25, 2.0))
+    with pytest.raises(UsageError, match="mesh basis"):
+        build_operator(basis, field, 1.0, surface=sphere)
+    with pytest.raises(UsageError, match="mesh basis"):
+        scan(sphere, field, [0.5, 1.0], basis)
 
 
 @pytest.mark.parametrize("field", [
@@ -788,14 +786,13 @@ def test_generic_axis_is_one_block_of_the_whole_gram(sphere):
     DampingField.constant(2.0),
 ], ids=["x", "below-one-111", "constant"])
 def test_mesh_gram_is_one_rank_k_update(mesh_basis, field):
-    # a mesh basis is one longitude: the Gram matrix is W^T W with
-    # W = modes * sqrt(mass * gamma0), bit for bit, at every cut
-    for cut in (40, 25):
+    # the Gram matrix of a mesh basis is W^T W with
+    # W = modes * sqrt(mass * gamma0), bit for bit, through every cluster
+    for last in (len(mesh_basis.values) - 1, len(mesh_basis.values) // 2):
+        cut = int(mesh_basis.ends[last])
         scaled = mesh_basis.modes[:, :cut] * np.sqrt(
             mesh_basis.mass * field.effective(mesh_basis.nodes))[:, None]
-        [(columns, gram)] = semiclassical_count._damping_gram(
-            mesh_basis, field, cut)
-        assert columns.tolist() == list(range(cut))
+        gram = semiclassical_count._damping_gram(mesh_basis, field, last)
         assert gram.tobytes() == (scaled.T @ scaled).tobytes()
 
 
@@ -858,10 +855,9 @@ def test_dense_scan_matches_polar_scan_rotated(sphere, offset, fraction,
                                                axis, invert, radii, data):
     # rotation oracle: a scan of an affine field along a random axis, which
     # the Sturm sweep counts as the same field along +z, against the 2-D
-    # quadrature Gram matrices of the field itself on the tabulated
-    # harmonics (one dense block for an axis no reflection of the grid
-    # fixes), counted by Bunch-Kaufman inertia at each radius, its cut and
-    # its 1.5x recount; degrees between the cut's and one past the
+    # product-rule Gram matrix of the field itself on the harmonics, one
+    # dense block counted by Bunch-Kaufman inertia at each radius, its cut
+    # and its 1.5x recount; degrees between the cut's and one past the
     # recount's leave the recount unsupported at times
     field = DampingField.affine(offset, fraction * (offset - 1.05), axis,
                                 invert=invert)
@@ -876,9 +872,8 @@ def test_dense_scan_matches_polar_scan_rotated(sphere, offset, fraction,
     cuts = [[sphere_cut(sphere, field, 1.0 / r, factor, degree)
              for r in r_grid] for factor in (2.0, 3.0)]
     widest = max(cut for cut in cuts[0] + cuts[1] if cut is not None)
-    classes = semiclassical_count._damping_gram(basis, field, widest)
-    counts = [count_negative(quadrature_section(basis, 1.0 / r, cut,
-                                                classes))
+    gram = product_gram(degree, field, widest)
+    counts = [count_negative(product_section(basis, 1.0 / r, cut, gram))
               for r, cut in zip(r_grid, cuts[0])]
     assert report.mode_cuts.tolist() == cuts[0]
     assert report.n_scalar.tolist() == [c.negative for c in counts]
@@ -887,8 +882,8 @@ def test_dense_scan_matches_polar_scan_rotated(sphere, offset, fraction,
         assert report.stability_delta is None
     else:
         assert report.stability_delta == max(
-            abs(count_negative(quadrature_section(
-                basis, 1.0 / r, cut, classes)).negative - c.negative)
+            abs(count_negative(product_section(
+                basis, 1.0 / r, cut, gram)).negative - c.negative)
             for r, cut, c in zip(r_grid, cuts[1], counts))
 
 
@@ -1047,10 +1042,11 @@ def test_probe_variable_field(sphere, tilted):
 
 def test_probe_on_dense_classes_is_blind_to_roundoff(sphere, monkeypatch):
     # a section of a field along x is symmetric about the x axis, so its
-    # spectrum has exactly degenerate eigenvalues and branch tracking
-    # through it followed the last bits of the Gram matrix; within each
-    # reflection class the gaps are clear of roundoff, so a planted
-    # symmetric 1e-15 perturbation of every class Gram matrix moves no event
+    # spectrum has exactly degenerate eigenvalues, and branch tracking
+    # through them would follow the last bits of the Gram matrix; each
+    # degenerate pair of orders +-m is one block of multiplicity 2, and
+    # within a block the gaps are clear of roundoff, so a planted symmetric
+    # 1e-15 perturbation of every order's Gram matrix moves no event
     basis = exact_sphere_spectrum(30)
     field = below_one((1.0, 0.0, 0.0))
     form = semiclassical_count._damping_gram
@@ -1062,15 +1058,13 @@ def test_probe_on_dense_classes_is_blind_to_roundoff(sphere, monkeypatch):
         return len(report.events), report.skipped
 
     plain = probe()
-    assert plain[0] > 600
+    assert plain[0] > 400 and plain[1] == 0
     rng = np.random.default_rng(5)
 
-    def perturbed(basis, field, cut):
-        classes = []
-        for columns, gram in form(basis, field, cut):
-            noise = rng.standard_normal(gram.shape) * 1e-15
-            classes.append((columns, gram + (noise + noise.T) / 2.0))
-        return classes
+    def perturbed(basis, field, last):
+        stack = form(basis, field, last)
+        noise = rng.standard_normal(stack.shape) * 1e-15
+        return stack + (noise + noise.transpose(0, 2, 1)) / 2.0
 
     monkeypatch.setattr(semiclassical_count, "_damping_gram", perturbed)
     assert probe() == plain
