@@ -59,7 +59,8 @@ EXIT_USAGE = 64
 
 RESIDUAL_GATE = 1e-8
 MESH_SURFACE_TOL = 1e-6
-# spectrum, scan and count share it, as the seed is part of the cache key
+# spectrum, scan and count share it, as the seed is part of the cache key;
+# it seeds only the symmetry classes of a mesh solved by Lanczos
 DEFAULT_SEED = 42
 
 # UsageError is caught first, so it still exits 64
@@ -550,7 +551,8 @@ def _add_basis(sub, modes_flag, max_degree=None):
     sub.add_argument("--tol", type=_positive, default=SOLVER_TOL,
                      help="FEM residual tolerance (default %(default)s)")
     sub.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED,
-                     help="FEM solver seed, part of the cache key "
+                     help="FEM solver seed: it seeds only symmetry classes "
+                          "solved by Lanczos, and is part of the cache key "
                           "(default %(default)s)")
 
 

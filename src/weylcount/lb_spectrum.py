@@ -12,12 +12,15 @@ pipeline with the same interface:
   and
 * cotangent finite elements with lumped mass on a triangle mesh, solved as a
   sparse symmetric generalized eigenproblem for the lowest eigenpairs, whose
-  exactly equal eigenvalues form one cluster.  The basis keeps its mode
-  values at the vertices with the vertex masses, as its ``quadrature``.
+  exactly equal eigenvalues form one cluster.  Every coordinate reflection
+  that maps the mesh onto itself (each icosphere has all three) splits the
+  pencil into symmetry classes, up to 8, each solved on its own and merged;
+  a mesh with none is one class.  The basis keeps its mode values at the
+  vertices with the vertex masses, as its ``quadrature``.
 
 Mesh solves are expensive, so they get a small binary disk cache ("WLB1"
 container plus a JSON sidecar), keyed by the mesh content, the mode count,
-the solver tolerance and the solver seed.
+the solver tolerance, the solver seed and the solver revision.
 """
 
 import hashlib
@@ -46,6 +49,9 @@ SOLVER_TOL = 1e-8
 TRUSTED_MODE_FRACTION = 0.05
 CACHE_MAGIC = b"WLB1"
 CACHE_VERSION = 1
+# names the eigensolver in the cache key, so an entry solved another way
+# (such as the whole-pencil Lanczos solve) never answers a run
+SOLVER_REVISION = "reflection-classes"
 
 Pencil = namedtuple("Pencil", ["stiffness", "mass", "nodes"])
 Quadrature = namedtuple("Quadrature", ["nodes", "mass", "modes"])
@@ -233,13 +239,133 @@ def assemble_fem(mesh):
     return Pencil(stiffness, mesh.vertex_areas(), mesh.vertices)
 
 
+def _reflections(stiffness, mass, nodes):
+    """Vertex permutations of the coordinate reflections x -> -x, y -> -y
+    and z -> -z that map the (stiffness, mass) pencil onto itself.
+
+    A reflection must map the vertices onto themselves exactly: the points
+    and their mirror images are sorted lexicographically and compared
+    exactly, by value, so -0.0 matches 0.0.  A match is kept only if it
+    leaves the stiffness and the mass invariant to 1e-12 of their largest
+    entries.  ``perm[i]`` is the mirror image of vertex i.
+    """
+    order = np.lexsort(nodes.T)
+    if np.any(np.all(np.diff(nodes[order], axis=0) == 0.0, axis=1)):
+        return []  # a repeated vertex has no unique mirror image
+    largest = abs(stiffness).max()
+    reflections = []
+    for axis in range(3):
+        mirrored = nodes.copy()
+        mirrored[:, axis] *= -1.0
+        mirror_order = np.lexsort(mirrored.T)
+        if not np.array_equal(nodes[order], mirrored[mirror_order]):
+            continue
+        perm = np.empty(len(nodes), dtype=np.int64)
+        perm[order] = mirror_order
+        if (abs(stiffness[perm][:, perm] - stiffness).max()
+                <= 1e-12 * largest
+                and np.max(np.abs(mass[perm] - mass))
+                <= 1e-12 * np.max(mass)):
+            reflections.append(perm)
+    return reflections
+
+
+def _class_bases(reflections, n):
+    """One orthonormal sparse basis per character of the group the
+    commuting ``reflections`` generate, in vertex space.
+
+    Column j of a character's basis is the projection of the j-th vertex
+    orbit's first vertex onto that character, normalized: +-1/sqrt(orbit
+    size) on the orbit.  An orbit whose stabilizer the character does not
+    fix projects to zero and is dropped, and so is a character with no
+    column left.
+    """
+    group = [np.arange(n)]
+    for perm in reflections:
+        group += [element[perm] for element in group]
+    images = np.stack(group)
+    firsts = np.flatnonzero(images.min(axis=0) == np.arange(n))
+    columns = np.tile(np.arange(len(firsts)), len(group))
+    bases = []
+    for character in range(len(group)):
+        signs = np.array([(-1.0) ** bin(character & element).count("1")
+                          for element in range(len(group))])
+        basis = sp.csc_matrix(
+            (np.repeat(signs, len(firsts)), (images[:, firsts].ravel(),
+                                             columns)),
+            shape=(n, len(firsts)))
+        norms = np.sqrt(np.asarray(basis.multiply(basis).sum(axis=0))[0])
+        kept = np.flatnonzero(norms > 0.0)
+        if len(kept):
+            scale = sp.diags(1.0 / norms[kept])
+            bases.append((basis[:, kept] @ scale).tocsc())
+    return bases
+
+
+def _lowest_pairs(stiffness, mass, count, seed):
+    """Lowest ``count`` eigenpairs of one pencil with diagonal mass: a dense
+    solve of the mass-scaled problem for large requests, shift-invert
+    Lanczos from a seeded start vector otherwise."""
+    n = stiffness.shape[0]
+    if count > n // 4 or count >= n - 1:
+        scale = 1.0 / np.sqrt(mass)
+        dense = stiffness.toarray() * scale[:, None] * scale[None, :]
+        dense = 0.5 * (dense + dense.T)
+        values, vectors = eigh(dense, subset_by_index=[0, count - 1])
+        return values, vectors * scale[:, None]
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n)
+    shift = -0.1 * (1.0 + stiffness.diagonal().max() / mass.max()) * 1e-2
+    try:
+        values, vectors = spla.eigsh(
+            stiffness, k=count, M=sp.diags(mass), sigma=shift,
+            which="LM", v0=v0, maxiter=max(2000, 40 * count))
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(f"Lanczos failed to converge: {exc}") from exc
+    order = np.argsort(values)
+    return values[order], vectors[:, order]
+
+
+def _lowest_by_class(stiffness, mass, count, seed, bases):
+    """Lowest ``count`` eigenpairs of the pencil, one symmetry class at a
+    time: class Q takes the lowest min(count, columns) pairs of
+    (Q^T K Q, Q^T M Q), whose mass is still diagonal, the classes' values
+    are merged by a stable sort, and only the selected vectors are mapped
+    back to the vertices."""
+    values, blocks = [], []
+    for basis in bases:
+        share = min(count, basis.shape[1])
+        block_values, block_vectors = _lowest_pairs(
+            basis.T @ stiffness @ basis,
+            basis.multiply(basis).T @ mass, share, seed)
+        values.append(block_values)
+        blocks.append(block_vectors)
+    sizes = [len(v) for v in values]
+    owner = np.repeat(np.arange(len(bases)), sizes)
+    start = np.cumsum([0] + sizes)
+    values = np.concatenate(values)
+    order = np.argsort(values, kind="stable")[:count]
+    vectors = np.empty((stiffness.shape[0], count))
+    for c, basis in enumerate(bases):
+        picked = np.flatnonzero(owner[order] == c)
+        vectors[:, picked] = basis @ blocks[c][:, order[picked] - start[c]]
+        blocks[c] = None
+    return values[order], vectors
+
+
 def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
     """Lowest ``count`` eigenpairs of the (stiffness, mass) pencil.
 
-    Deterministic: the Lanczos start vector is drawn from a fixed seed.
-    Large requests fall back to a dense solve of the mass-scaled problem.
-    Residuals ||K v - lambda M v|| / ||v|| are checked against
-    ``tol * (1 + lambda)``; failure raises SolverError with the worst value.
+    Each coordinate reflection that maps the mesh onto itself splits the
+    pencil, so it is solved one symmetry class at a time, up to 8 classes
+    (Bossavit, CMAME 56, 1986); a mesh with no such reflection is one
+    class.  Each class takes a dense solve of the mass-scaled problem for
+    large requests and shift-invert Lanczos otherwise, whose start vector
+    is drawn from ``seed``, so the result is deterministic and depends on
+    the seed only through Lanczos classes.  Residuals
+    ||K v - lambda M v|| / ||v|| of the merged pairs are checked on the
+    whole pencil against ``tol * (1 + lambda)``; failure raises SolverError
+    with the worst value.
     """
     stiffness, mass, nodes = pencil
     n = stiffness.shape[0]
@@ -252,24 +378,12 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
         raise InsufficientSpectrumError(
             f"{count} modes requested from a {n}-vertex mesh")
 
-    if count > n // 4 or count >= n - 1:
-        scale = 1.0 / np.sqrt(mass)
-        dense = stiffness.toarray() * scale[:, None] * scale[None, :]
-        dense = 0.5 * (dense + dense.T)
-        values, vectors = eigh(dense, subset_by_index=[0, count - 1])
-        vectors = vectors * scale[:, None]
+    reflections = _reflections(stiffness, mass, nodes)
+    if reflections:
+        values, vectors = _lowest_by_class(stiffness, mass, count, seed,
+                                           _class_bases(reflections, n))
     else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        shift = -0.1 * (1.0 + stiffness.diagonal().max() / mass.max()) * 1e-2
-        try:
-            values, vectors = spla.eigsh(
-                stiffness, k=count, M=sp.diags(mass), sigma=shift,
-                which="LM", v0=v0, maxiter=max(2000, 40 * count))
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"Lanczos failed to converge: {exc}") from exc
-        order = np.argsort(values)
-        values, vectors = values[order], vectors[:, order]
+        values, vectors = _lowest_pairs(stiffness, mass, count, seed)
 
     if values[0] < -1e-8:
         raise SolverError(f"spurious negative eigenvalue {values[0]:.3e}",
@@ -281,7 +395,12 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
     chol = cholesky(gram, lower=False)
     vectors = solve_triangular(chol.T, vectors.T, lower=True).T
 
-    residuals = stiffness @ vectors - mass[:, None] * vectors * values
+    # K V - M V diag(values), in place to keep the peak of a large basis low
+    residuals = stiffness @ vectors
+    scaled = vectors * mass[:, None]
+    scaled *= values
+    residuals -= scaled
+    del scaled
     rnorm = np.linalg.norm(residuals, axis=0) / np.linalg.norm(vectors, axis=0)
     worst = float(np.max(rnorm / (1.0 + values)))
     if worst > tol:
@@ -307,7 +426,7 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
 
 def cache_key(mesh_hash, count, tol, seed):
     text = (f"{mesh_hash}:{int(count)}:{float(tol)!r}:{int(seed)}"
-            f":v{CACHE_VERSION}")
+            f":v{CACHE_VERSION}:{SOLVER_REVISION}")
     return hashlib.sha256(text.encode()).hexdigest()[:32]
 
 

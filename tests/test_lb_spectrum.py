@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -9,6 +10,7 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigvalsh
 from scipy.special import roots_legendre
 
@@ -32,7 +34,8 @@ from weylcount.lb_spectrum import (
     solve_lowest,
     sphere_degree_for,
 )
-from weylcount import semiclassical_count
+from weylcount import lb_spectrum, semiclassical_count
+from weylcount.lb_spectrum import _class_bases, _reflections
 from weylcount.semiclassical_count import _damping_gram, build_operator, scan
 from weylcount.surface import (
     AnalyticSurface,
@@ -45,6 +48,30 @@ from weylcount.surface.charts import sphere_grid
 from sphere_reference import per_order_legendre, product_gram
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def rotated(mesh):
+    """The mesh turned by a rotation that maps no coordinate axis onto
+    another, so no coordinate reflection maps it onto itself."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    c, s = np.cos(0.7), np.sin(0.7)
+    turn = turn @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return SurfaceMesh(mesh.vertices @ turn.T, mesh.triangles)
+
+
+def counted_eigsh(monkeypatch):
+    """Patch the Lanczos solver to record each call's size; returns the
+    list of (rows, k)."""
+    calls = []
+    eigsh = lb_spectrum.spla.eigsh
+
+    def counted(matrix, k, **kwargs):
+        calls.append((matrix.shape[0], k))
+        return eigsh(matrix, k=k, **kwargs)
+
+    monkeypatch.setattr(lb_spectrum.spla, "eigsh", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +374,131 @@ def test_dense_and_sparse_paths_agree():
                          - dense_path.eigenvalues[:20])) < 1e-9
 
 
+def test_dense_and_sparse_paths_agree_without_reflections(monkeypatch):
+    # every class of icosphere(2) is small enough for the dense solve, so a
+    # rotated copy, one class, keeps the Lanczos branch covered
+    calls = counted_eigsh(monkeypatch)
+    solve_lowest(assemble_fem(icosphere(2)), 20, tol=1e-8)
+    assert calls == []
+    pencil = assemble_fem(rotated(icosphere(2)))  # 162 vertices
+    assert _reflections(*pencil) == []
+    sparse_path = solve_lowest(pencil, 20, tol=1e-8)   # 20 <= 162 // 4
+    assert calls == [(162, 20)]
+    dense_path = solve_lowest(pencil, 60, tol=1e-8)    # 60 > 162 // 4
+    assert calls == [(162, 20)]
+    assert np.max(np.abs(sparse_path.eigenvalues
+                         - dense_path.eigenvalues[:20])) < 1e-9
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+def test_icosphere_splits_into_reflection_classes(level):
+    # x -> -x, y -> -y and z -> -z each map an icosphere onto itself bit for
+    # bit, so its pencil splits into the 8 characters of the group they
+    # generate; no icosahedron vertex lies off all three coordinate planes,
+    # so at level 0 the character odd under all three has no column
+    mesh = icosphere(level)
+    pencil = assemble_fem(mesh)
+    n = mesh.vertex_count
+    reflections = _reflections(*pencil)
+    assert len(reflections) == 3
+    for axis, perm in enumerate(reflections):
+        mirrored = mesh.vertices[perm].copy()
+        mirrored[:, axis] *= -1.0
+        assert np.array_equal(mirrored, mesh.vertices)
+    # vertices are matched by value: -0.0 has other bytes than 0.0 but
+    # is the same point
+    signed = np.where(mesh.vertices == 0.0, -0.0, mesh.vertices)
+    assert np.signbit(signed[mesh.vertices == 0.0]).all()
+    assert all(np.array_equal(p, q) for p, q in zip(
+        _reflections(pencil.stiffness, pencil.mass, signed), reflections))
+    bases = _class_bases(reflections, n)
+    assert len(bases) == (7 if level == 0 else 8)
+    assert sum(basis.shape[1] for basis in bases) == n
+    if level > 2:
+        return
+    # together the classes are an orthonormal basis of vertex space in
+    # which the stiffness is block diagonal and the mass diagonal
+    whole = np.hstack([basis.toarray() for basis in bases])
+    assert np.max(np.abs(whole.T @ whole - np.eye(n))) < 1e-15
+    ends = np.cumsum([basis.shape[1] for basis in bases])
+    block = np.searchsorted(ends, np.arange(n), side="right")
+    stiffness = whole.T @ pencil.stiffness.toarray() @ whole
+    scale = np.max(np.abs(stiffness))
+    assert np.max(np.abs(stiffness[block[:, None] != block[None, :]])) \
+        < 1e-14 * scale
+    # within a class exactly: its columns have disjoint supports; between
+    # classes to the mass's invariance under the reflections
+    mass = whole.T @ (pencil.mass[:, None] * whole)
+    assert np.max(np.abs(mass - np.diag(np.diag(mass)))) \
+        < 1e-15 * np.max(pencil.mass)
+    for basis in bases:
+        product = (basis.T @ sp.diags(pencil.mass) @ basis).tocoo()
+        assert np.array_equal(product.row, product.col)
+
+
+def test_mesh_without_exact_reflections_is_one_class():
+    mesh = icosphere(2)
+    assert _reflections(*assemble_fem(rotated(mesh))) == []
+    vertices = mesh.vertices.copy()
+    vertices[0] += 1e-3
+    nudged = SurfaceMesh(vertices, mesh.triangles)
+    assert _reflections(*assemble_fem(nudged)) == []
+    # two coincident copies: a repeated vertex has no unique mirror image
+    n = mesh.vertex_count
+    doubled = SurfaceMesh(np.vstack([mesh.vertices, mesh.vertices]),
+                          np.vstack([mesh.triangles, mesh.triangles + n]))
+    assert _reflections(*assemble_fem(doubled)) == []
+    # mirror-symmetric vertices but one edge flipped: every reflection maps
+    # the vertices onto themselves, and the pencil gates refuse each, since
+    # the flipped edge joins two vertices off every coordinate plane
+    triangles = mesh.triangles.copy()
+    generic = np.all(mesh.vertices != 0.0, axis=1)
+    for t, (a, b, c) in enumerate(triangles):
+        if generic[b] and generic[c]:
+            break
+    rows, slots = np.nonzero((triangles == c) & np.isin(
+        np.roll(triangles, -1, axis=1), [b]))
+    other, slot = rows[0], slots[0]
+    d = triangles[other, (slot + 2) % 3]
+    triangles[t], triangles[other] = (a, b, d), (a, d, c)
+    flipped = assemble_fem(SurfaceMesh(mesh.vertices, triangles))
+    pencil = assemble_fem(mesh)
+    assert abs(flipped.stiffness - pencil.stiffness).max() > 0.1
+    assert _reflections(*flipped) == []
+    # each gate on its own: the flipped stiffness with the symmetric mass,
+    # and the symmetric stiffness with the flipped mass
+    assert _reflections(flipped.stiffness, pencil.mass, mesh.vertices) == []
+    assert _reflections(pencil.stiffness, flipped.mass, mesh.vertices) == []
+
+
+def test_reflected_and_rotated_solves_agree():
+    # the icosphere is solved as 8 dense classes, its rotated copy as one
+    # Lanczos pencil: the same spectrum, both mass-orthonormal and resolved
+    mesh = icosphere(3)
+    split = solve_lowest(assemble_fem(mesh), 100, tol=1e-8)
+    whole = solve_lowest(assemble_fem(rotated(mesh)), 100, tol=1e-8)
+    assert np.all(np.abs(split.eigenvalues - whole.eigenvalues)
+                  <= 1e-9 * (1.0 + whole.eigenvalues))
+    for basis in (split, whole):
+        gram = (basis.modes * basis.mass[:, None]).T @ basis.modes
+        assert np.max(np.abs(gram - np.eye(100))) < 1e-12
+        assert basis.residual <= 1e-8
+
+
+@pytest.mark.parametrize("level, count", [(3, 100), (4, 400)])
+def test_icosphere_modes_do_not_depend_on_the_seed(monkeypatch, level,
+                                                   count):
+    # every reflection class is asked for more than a quarter of its
+    # modes, so all are solved dense and no start vector is drawn
+    calls = counted_eigsh(monkeypatch)
+    pencil = assemble_fem(icosphere(level))
+    one = solve_lowest(pencil, count, tol=1e-8, seed=1)
+    two = solve_lowest(pencil, count, tol=1e-8, seed=2)
+    assert calls == []
+    assert one.eigenvalues.tobytes() == two.eigenvalues.tobytes()
+    assert one.modes.tobytes() == two.modes.tobytes()
+
+
 def test_solver_rejects_bad_requests():
     pencil = assemble_fem(icosphere(0))
     with pytest.raises(InsufficientSpectrumError):
@@ -493,6 +645,22 @@ def test_cache_key_depends_on_inputs():
         cache_key("abc", 10, 1e-8, 2),
     }
     assert len(keys) == 5
+
+
+def test_cache_entry_of_the_whole_pencil_solve_is_a_miss(tmp_path):
+    # an entry stored under the key of the solver that took the whole
+    # pencil at once, with no solver revision, never answers a run
+    directory = str(tmp_path)
+    mesh = icosphere(1)
+    basis = solve_lowest(assemble_fem(mesh), 6, tol=1e-8)
+    basis.mesh_hash = mesh.content_hash()
+    text = f"{basis.mesh_hash}:6:{1e-8!r}:{SOLVER_SEED}:v1"
+    old_key = hashlib.sha256(text.encode()).hexdigest()[:32]
+    assert old_key != cache_key(basis.mesh_hash, 6, 1e-8, SOLVER_SEED)
+    cache_store(directory, old_key, basis, 6, 1e-8)
+    assert cache_load(directory, old_key) is not None
+    _, hit = cached_mesh_spectrum(mesh, 6, directory=directory)
+    assert not hit
 
 
 def test_cache_hit_needs_the_same_solver_seed(tmp_path):
