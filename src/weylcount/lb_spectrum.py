@@ -20,11 +20,15 @@ pipeline with the same interface:
 
 Mesh solves are expensive, so they get a small binary disk cache ("WLB1"
 container plus a JSON sidecar), keyed by the mesh content, the mode count,
-the solver tolerance, the solver seed and the solver revision.
+the solver tolerance, the solver seed and the solver revision.  A hit maps
+the container read-only and views its arrays in place, copying nothing;
+this is safe because a writer only ever replaces an entry by atomic
+rename, so a mapped file is never truncated under a live basis.
 """
 
 import hashlib
 import json
+import mmap
 import os
 import struct
 import time
@@ -71,7 +75,8 @@ class SpectralBasis:
     A mesh basis holds its ``quadrature``: ``modes[t, j]`` is mode j at
     vertex ``nodes[t]``, whose lumped ``mass[t]`` makes the columns
     orthonormal, as it was solved or loaded (None for a cache entry without
-    them).  The exact sphere, whose cluster index is the degree, holds
+    them).  A loaded basis holds read-only views of the mapped cache
+    container.  The exact sphere, whose cluster index is the degree, holds
     none.  ``trusted_horizon`` is the largest eigenvalue considered
     resolved: for a mesh, the Weyl count of 5% of the vertex budget, i.e.
     ``0.05 * vertex_count * 4 pi / area``.
@@ -451,11 +456,11 @@ def cache_store(directory, key, basis, count, tol):
         handle.write(struct.pack("<IQQ", CACHE_VERSION, k, p))
         handle.write(struct.pack("<ddd", basis.area, basis.trusted_horizon,
                                  basis.residual))
-        handle.write(basis.eigenvalues.astype("<f8").tobytes())
+        arrays = [basis.eigenvalues]
         if p:
-            handle.write(basis.mass.astype("<f8").tobytes())
-            handle.write(basis.nodes.astype("<f8").tobytes())
-            handle.write(basis.modes.astype("<f8").tobytes())
+            arrays += [basis.mass, basis.nodes, basis.modes]
+        for array in arrays:
+            handle.write(np.ascontiguousarray(array, dtype="<f8"))
     sidecar = {
         "format": CACHE_MAGIC.decode(),
         "version": CACHE_VERSION,
@@ -476,7 +481,14 @@ def cache_store(directory, key, basis, count, tol):
 
 
 def cache_load(directory, key):
-    """Load a cached basis; returns None on miss (including version skew)."""
+    """Load a cached basis; returns None on miss (including version skew).
+
+    A hit maps the container read-only: the eigenvalues, masses, nodes and
+    mode values are views of the mapping, not copies.  The mapping outlives
+    any later store of the same key, which writes a new file and renames
+    it over the old one.  A short, empty or overlong container raises
+    CacheError.
+    """
     bin_path, json_path = _cache_paths(directory, key)
     if not (os.path.exists(bin_path) and os.path.exists(json_path)):
         return None
@@ -489,8 +501,11 @@ def cache_load(directory, key):
             or sidecar.get("version") != CACHE_VERSION:
         return None  # version skew is a miss, never a silent wrong answer
 
-    with open(bin_path, "rb") as handle:
-        blob = handle.read()
+    try:
+        with open(bin_path, "rb") as handle:
+            blob = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError) as exc:  # an empty file cannot be mapped
+        raise CacheError(f"unreadable cache container {bin_path}: {exc}") from exc
     if blob[:4] != CACHE_MAGIC:
         raise CacheError(f"bad magic in cache container {bin_path}")
     try:
@@ -501,10 +516,9 @@ def cache_load(directory, key):
 
         def take(count, shape):
             nonlocal offset
-            nbytes = 8 * count
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-            offset += nbytes
-            return arr.reshape(shape).copy()
+            offset += 8 * count
+            return arr.reshape(shape)
 
         eigenvalues = take(k, (k,))
         quadrature = None

@@ -39,20 +39,26 @@ class SurfaceMesh:
         if np.any((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2])
                   | (tri[:, 0] == tri[:, 2])):
             raise MeshQualityError("triangle with repeated vertex")
-        directed = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-        keys = directed[:, 0] * nv + directed[:, 1]
-        if len(np.unique(keys)) != len(keys):
+        keys = self._edge_keys()
+        if np.any(keys[1:] == keys[:-1]):
             raise MeshQualityError("directed edge used twice: inconsistent orientation")
-        swapped = directed[:, 1] * nv + directed[:, 0]
-        if not np.array_equal(np.sort(keys), np.sort(swapped)):
+        if not np.array_equal(keys, np.sort(keys % nv * nv + keys // nv)):
             raise MeshQualityError("boundary edge found: mesh is not watertight")
-        areas = self.face_areas()
+        corners = self._corner_vectors()
+        areas = _face_areas(*corners)
         if np.any(areas < DEGENERATE_AREA):
             worst = int(np.argmin(areas))
             raise MeshQualityError(
                 f"degenerate triangle {worst} with area {areas[worst]:.3e}")
-        if self.signed_volume() <= 0.0:
+        if _signed_volume(*corners) <= 0.0:
             raise MeshQualityError("negative signed volume: mesh oriented inward")
+
+    def _edge_keys(self):
+        """Sorted keys a * n + b of the directed triangle edges (a, b), n the
+        vertex count."""
+        tri = self.triangles
+        directed = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+        return np.sort(directed[:, 0] * len(self.vertices) + directed[:, 1])
 
     @property
     def vertex_count(self):
@@ -64,11 +70,10 @@ class SurfaceMesh:
 
     @property
     def edge_count(self):
-        directed = np.concatenate([self.triangles[:, [0, 1]],
-                                   self.triangles[:, [1, 2]],
-                                   self.triangles[:, [2, 0]]])
-        directed = np.sort(directed, axis=1)
-        return len(np.unique(directed[:, 0] * len(self.vertices) + directed[:, 1]))
+        # validation found each directed edge (a, b) once and with its
+        # reverse, so each undirected edge is the one key with a < b
+        keys, nv = self._edge_keys(), len(self.vertices)
+        return int(np.count_nonzero(keys // nv < keys % nv))
 
     def euler_characteristic(self):
         return self.vertex_count - self.edge_count + self.triangle_count
@@ -85,15 +90,14 @@ class SurfaceMesh:
         return np.cross(p1 - p0, p2 - p0)
 
     def face_areas(self):
-        return 0.5 * np.linalg.norm(self.face_cross(), axis=-1)
+        return _face_areas(*self._corner_vectors())
 
     @property
     def area(self):
         return float(np.sum(self.face_areas()))
 
     def signed_volume(self):
-        p0, p1, p2 = self._corner_vectors()
-        return float(np.sum(np.einsum("ij,ij->i", p0, np.cross(p1, p2))) / 6.0)
+        return _signed_volume(*self._corner_vectors())
 
     def vertex_normals(self):
         """Area-weighted average of incident face normals, unit length."""
@@ -115,9 +119,8 @@ class SurfaceMesh:
         """
         if self._vertex_areas is not None:
             return self._vertex_areas
-        p0, p1, p2 = self._corner_vectors()
-        corners = (p0, p1, p2)
-        areas = self.face_areas()
+        corners = self._corner_vectors()
+        areas = _face_areas(*corners)
         double = 2.0 * areas
 
         cots = []
@@ -164,6 +167,14 @@ class SurfaceMesh:
         return digest.hexdigest()
 
 
+def _face_areas(p0, p1, p2):
+    return 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=-1)
+
+
+def _signed_volume(p0, p1, p2):
+    return float(np.sum(np.einsum("ij,ij->i", p0, np.cross(p1, p2))) / 6.0)
+
+
 # ----------------------------------------------------------------------
 # generators / IO
 # ----------------------------------------------------------------------
@@ -191,8 +202,11 @@ def icosphere(level):
         # numbered in the order its edge is first met
         edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
         key = edges.min(axis=1) * len(vertices) + edges.max(axis=1)
-        _, first, inverse = np.unique(key, return_index=True,
-                                      return_inverse=True)
+        order = np.argsort(key, kind="stable")
+        new = np.diff(key[order], prepend=-1) != 0
+        first = order[new]  # each edge's first occurrence, by key
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(new) - 1
         met = np.argsort(first)
         number = np.empty_like(met)
         number[met] = len(vertices) + np.arange(len(met))

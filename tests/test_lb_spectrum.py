@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from weylcount.errors import (
     UsageError,
 )
 from weylcount.lb_spectrum import (
+    CACHE_MAGIC,
+    CACHE_VERSION,
     SOLVER_SEED,
     SpectralBasis,
     assemble_fem,
@@ -634,6 +637,69 @@ def test_cache_corrupt_container_raises(tmp_path):
         handle.write(b"NOPE" + blob[4:])
     with pytest.raises(CacheError):
         cache_load(directory, key)
+
+
+@pytest.mark.parametrize("contents", [
+    b"",
+    CACHE_MAGIC,
+    CACHE_MAGIC + struct.pack("<IQQ", CACHE_VERSION, 6, 42)
+    + struct.pack("<ddd", 4.0 * np.pi, 10.0, 0.0),
+], ids=["empty", "magic-only", "header-only"])
+def test_cache_short_container_raises(tmp_path, contents):
+    directory = str(tmp_path)
+    mesh = icosphere(1)
+    cached_mesh_spectrum(mesh, 6, tol=1e-8, directory=directory)
+    key = cache_key(mesh.content_hash(), 6, 1e-8, SOLVER_SEED)
+    pathlib.Path(directory, key + ".wlb").write_bytes(contents)
+    with pytest.raises(CacheError):
+        cache_load(directory, key)
+
+
+def test_cache_hit_holds_read_only_views(tmp_path):
+    directory = str(tmp_path)
+    mesh = icosphere(2)
+    cached_mesh_spectrum(mesh, 12, tol=1e-8, directory=directory)
+    loaded, hit = cached_mesh_spectrum(mesh, 12, tol=1e-8,
+                                       directory=directory)
+    assert hit
+    for array in (loaded.modes, loaded.mass, loaded.nodes):
+        assert not array.flags.writeable
+        assert not array.flags.owndata
+    with pytest.raises(ValueError):
+        loaded.modes[0, 0] = 0.0
+
+
+def test_loaded_basis_keeps_its_bits_when_its_key_is_rewritten(tmp_path):
+    directory = str(tmp_path)
+    mesh = icosphere(2)
+    cached_mesh_spectrum(mesh, 12, tol=1e-8, directory=directory)
+    key = cache_key(mesh.content_hash(), 12, 1e-8, SOLVER_SEED)
+    loaded = cache_load(directory, key)
+    modes, mass = loaded.modes.copy(), loaded.mass.copy()
+    flipped = dataclasses.replace(
+        loaded, quadrature=loaded.quadrature._replace(modes=-loaded.modes))
+    cache_store(directory, key, flipped, 12, 1e-8)
+    assert np.array_equal(loaded.modes, modes)
+    assert np.array_equal(loaded.mass, mass)
+    assert np.array_equal(cache_load(directory, key).modes, -modes)
+
+
+def test_loaded_basis_gives_the_solved_gram_bit_for_bit(tmp_path):
+    # 41 modes put the mode table 8 bytes past a 16-byte boundary of the
+    # mapping, unlike the aligned copy the solve returns
+    directory = str(tmp_path)
+    mesh = icosphere(3)
+    solved, hit = cached_mesh_spectrum(mesh, 41, tol=1e-8,
+                                       directory=directory)
+    assert not hit
+    loaded, hit = cached_mesh_spectrum(mesh, 41, tol=1e-8,
+                                       directory=directory)
+    assert hit
+    last = len(solved.values) - 1
+    for field in (DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0)),
+                  DampingField.constant(1.5)):
+        assert np.array_equal(_damping_gram(loaded, field, last),
+                              _damping_gram(solved, field, last))
 
 
 def test_cache_key_depends_on_inputs():

@@ -204,10 +204,11 @@ def test_chart_inverse_round_trip():
 # ----------------------------------------------------------------------
 
 def test_icosphere_counts_and_topology():
-    for level, nv in [(0, 12), (1, 42), (2, 162), (3, 642)]:
+    for level, nv in [(0, 12), (1, 42), (2, 162), (3, 642), (4, 2562)]:
         mesh = icosphere(level)
         assert mesh.vertex_count == nv
         assert mesh.triangle_count == 20 * 4**level
+        assert mesh.edge_count == 30 * 4**level
         assert mesh.euler_characteristic() == 2
         assert mesh.signed_volume() > 0.0
 
@@ -288,7 +289,14 @@ def test_inconsistent_orientation_rejected():
     mesh = icosphere(1)
     tri = mesh.triangles.copy()
     tri[0] = tri[0][::-1]
-    with pytest.raises(MeshQualityError):
+    with pytest.raises(MeshQualityError, match="used twice"):
+        SurfaceMesh(mesh.vertices, tri)
+
+
+def test_duplicated_triangle_rejected():
+    mesh = icosphere(1)
+    tri = np.concatenate([mesh.triangles, mesh.triangles[:1]])
+    with pytest.raises(MeshQualityError, match="used twice"):
         SurfaceMesh(mesh.vertices, tri)
 
 
