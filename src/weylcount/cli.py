@@ -561,7 +561,8 @@ def _add_counting(sub):
                      help="mode-cut multiple of the ellipticity threshold "
                           "(default %(default)s)")
     sub.add_argument("--zero-tol", type=_nonnegative, default=ZERO_TOL,
-                     help="borderline tolerance (default %(default)s)")
+                     help="eigenvalues within +-zero_tol count as "
+                          "borderline, not negative (default %(default)s)")
 
 
 def build_parser():

@@ -6,10 +6,8 @@ pipeline with the same interface:
 
 * the exact unit-sphere spectrum, cluster n holding n(n+1) with multiplicity
   2n+1, so it is stored in O(degree) memory.  It tabulates nothing: a
-  field counted on it is a function of one coordinate, so counting needs
-  only the orthonormal associated Legendre functions of that coordinate,
-  which :func:`normalized_legendre_table` gives for every order at once;
-  and
+  field counted on it has an affine base profile, whose sections are
+  tridiagonal in each order with couplings in closed form; and
 * cotangent finite elements with lumped mass on a triangle mesh, solved as a
   sparse symmetric generalized eigenproblem for the lowest eigenpairs, whose
   exactly equal eigenvalues form one cluster.  Every coordinate reflection
@@ -169,40 +167,6 @@ def exact_sphere_spectrum(max_degree):
     return SpectralBasis(values=values, multiplicities=2 * each + 1,
                          source="exact-sphere", area=4.0 * np.pi,
                          trusted_horizon=float(values[-1]))
-
-
-def normalized_legendre_table(max_degree, t):
-    """Orthonormal associated Legendre values of every order at once at the
-    points ``t`` (1-d): ``table[m, d]`` is q_{m+d,m}(t) for
-    m + d <= max_degree, zero beyond.
-
-    Normalized so that the integral of q_{n,m}^2 over [-1, 1] is 1; computed
-    with the standard stable three-term recurrence in the degree, one step
-    for all orders together, each order with its own coefficients: the
-    seeds q_{m,m} are the running product of one recurrence in m, and step
-    d takes every order from degree m + d - 1 to m + d.
-    """
-    top = int(max_degree)
-    t = np.asarray(t, dtype=float)
-    table = np.zeros((top + 1, top + 1, len(t)))
-    q = np.full(t.shape, 1.0 / np.sqrt(2.0))
-    table[0, 0] = q
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    for k in range(1, top + 1):
-        q = np.sqrt((2.0 * k + 1.0) / (2.0 * k)) * s * q
-        table[k, 0] = q
-    for d in range(1, top + 1):
-        m = np.arange(top + 1 - d)
-        if d == 1:
-            table[m, 1] = np.sqrt(2.0 * m + 3.0)[:, None] * t * table[m, 0]
-            continue
-        n = m + d
-        alpha = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-        beta = np.sqrt((2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m)
-                       / ((2.0 * n - 3.0) * (n * n - m * m)))
-        table[m, d] = (alpha[:, None] * t * table[m, d - 1]
-                       - beta[:, None] * table[m, d - 2])
-    return table
 
 
 # ----------------------------------------------------------------------

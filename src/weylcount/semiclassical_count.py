@@ -9,17 +9,21 @@ which the Weyl law pegs at (r^2 / 4 pi) * integral of (gamma0^2 - 1).
 A section keeps whole eigenvalue clusters of the basis, and it is stored
 block diagonally, as symmetric blocks (or stacks of equal-size blocks) each
 repeated a number of times.  Constant damping makes one 1 x 1 block per
-cluster.  On the exact sphere every other field the program accepts is
-zonal, a function g(<axis, x>), and a rotation taking the axis to +z maps
-each degree's harmonics onto themselves, where the diagonal
+cluster.  On the exact sphere every other field the program accepts has an
+affine base profile p = a + b<axis, x>, and a rotation taking the axis to
++z maps each degree's harmonics onto themselves, where the diagonal
 sqrt(1 + h^2 n(n+1)) is constant, so the section is unitarily equivalent
-to the one for g(z), which splits by order m.  When the effective
-coefficient is affine, a + b<axis, x>, each order is a tridiagonal block,
-kept as the diagonal and a closed form of the couplings.  Otherwise (a
-field below one, whose effective coefficient 1 / (a + b<axis, x>) is not
-affine) each order is one dense block, whose Gram matrix comes from the
-orthonormal associated Legendre functions on a Gauss-Legendre rule in z.
-A mesh basis gives one dense block, from the mode values it holds.
+to the one for a + b z, which splits by order m into tridiagonal blocks,
+kept as the diagonal and a closed form of the couplings.  Above one the
+effective coefficient is p itself, and the blocks are those of D - P, P
+the section of multiplication by p.  Below one it is 1 / p, which is not
+affine, and the blocks are those of the dual P - D^-1.  D and P are
+positive definite, so by Haynsworth's inertia additivity on
+[[P, I], [I, D]] the dual has the inertia of D - P^-1; and P^-1 is at
+most the section of multiplication by 1 / p (Davis-Choi-Jensen), so a dual
+section counts no more than the Gram section of 1 / p at the same cut,
+and the two agree once the cut has converged.  A mesh basis gives one
+dense block, from the mode values it holds.
 
 Counting computes no eigenvalues: by Sylvester's law of inertia the number
 of eigenvalues below a shift is the number of negative pivots of an LDL^T
@@ -41,10 +45,8 @@ import numpy as np
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 from scipy.optimize import linear_sum_assignment
-from scipy.special import roots_legendre
 
 from .errors import DomainError, InsufficientSpectrumError, UsageError
-from .lb_spectrum import normalized_legendre_table
 
 ZERO_TOL = 1e-12
 CUT_FACTOR = 2.0
@@ -146,11 +148,19 @@ class TridiagonalFamily:
     member) when the family is a leading part of that member of a batch
     whose sweep counts it, as the sections of a scan are, and None when it
     is counted on its own.
+
+    ``dual`` is None when the blocks are sections of the model themselves,
+    and otherwise the model's diagonal D, of the diagonal's shape: the
+    blocks are then the dual P - D^-1 of the model's D - P^-1, with
+    diagonal a - D^-1.  The two have the same inertia, but not the same
+    eigenvalues, so a shift s of the model enters the dual inside the
+    inverse, as P - (D + s)^-1 (see :class:`SturmSweep`).
     """
 
     diagonal: np.ndarray
     couplings: object
     sweep: tuple = None
+    dual: np.ndarray = None
 
     def __len__(self):
         return self.diagonal.shape[-1]
@@ -176,7 +186,12 @@ class GalerkinOperator:
     blocks: list
 
     def eigenvalues(self):
-        """All retained model eigenvalues, ascending, with multiplicity."""
+        """All retained model eigenvalues, ascending, with multiplicity.
+
+        A dual family (a field below one on the exact sphere) holds the
+        eigenvalues of the dual P - D^-1 instead: they cross zero where the
+        model's do, and as h grows both rise, but their values and their
+        band around zero are the dual's."""
         spectra = []
         for matrix, multiplicity in self.blocks:
             if isinstance(matrix, TridiagonalFamily):
@@ -256,6 +271,13 @@ class SturmSweep:
     An exactly zero pivot becomes +tiny at s = zero_tol and -tiny at
     s = -zero_tol, so an eigenvalue exactly at -zero_tol is not counted
     below it and one exactly at zero_tol is counted within it.
+
+    A dual family counts the model D - P^-1 + s I by the inertia of its
+    dual at the same shift, P - (D + s)^-1, whose diagonal is
+    a - (D + s)^-1.  By Haynsworth's additivity the two agree where D + s
+    is positive definite; at s = -zero_tol every row n with D_n < zero_tol
+    adds one negative eigenvalue to each block holding it, and a row with
+    D_n = zero_tol has the diagonal -inf, one negative pivot.
     """
 
     def __init__(self, family, multiplicity, last):
@@ -279,17 +301,35 @@ class SturmSweep:
         """(2, members, rows) table of the running counts of negative pivots
         at the shifts zero_tol and -zero_tol, weighed by multiplicity."""
         rows = len(self._first)
-        diagonal = self.family.diagonal.reshape(-1, len(self.family))
-        shifted = (diagonal.T[:, None, :, None]
-                   + np.array([zero_tol, -zero_tol])[:, None, None])
-        pivots = np.empty((2, len(diagonal), rows))
-        fresh = np.zeros((2, len(diagonal), rows), dtype=np.int64)
+        family = self.family
+        shifts = np.array([zero_tol, -zero_tol])[:, None, None]
+
+        def by_row(array):
+            """(rows, 1, members, 1): row n of every member."""
+            return array.reshape(-1, len(family)).T[:rows, None, :, None]
+
+        outright = 0
+        if family.dual is None:
+            shifted = by_row(family.diagonal) + shifts
+        else:
+            model = by_row(family.dual)
+            moved = model + shifts
+            # a - D^-1 + (D^-1 - (D + s)^-1) = a - (D + s)^-1, -inf at D = -s
+            with np.errstate(divide="ignore"):
+                shifted = by_row(family.diagonal) + (1.0 / model
+                                                     - 1.0 / moved)
+            # row n lies in the blocks through it, multiplicity[:n + 1]
+            outright = ((moved < 0.0)[..., 0].transpose(1, 2, 0)
+                        * np.cumsum(self.multiplicity)[:rows])
+        members = shifted.shape[2]
+        pivots = np.empty((2, members, rows))
+        fresh = np.zeros((2, members, rows), dtype=np.int64)
         ties = np.array([[[1.0]], [[-1.0]]]) * np.finfo(float).tiny
         # a tiny pivot overflows the next quotient to inf, whose pivot is then
         # -inf, counted negative, and the pivot after it finite again
         with np.errstate(over="ignore"):
             for n, squares in enumerate(
-                    _squared_rows(self.family.couplings, rows)):
+                    _squared_rows(family.couplings, rows)):
                 start = self._first[n]
                 head = pivots[:, start:, :n + 1]
                 np.divide(squares, head[..., :n], out=head[..., :n])
@@ -297,6 +337,7 @@ class SturmSweep:
                 np.subtract(shifted[n, :, start:], head, out=head)
                 np.copyto(head, ties, where=head == 0.0)
                 fresh[:, start:, n] = (head < 0.0) @ self.multiplicity[:n + 1]
+        fresh += outright
         return np.cumsum(fresh, axis=-1)
 
 
@@ -365,51 +406,27 @@ def _last_cluster(basis, field, h, surface, cut_factor):
 
 
 def _sphere_affine(basis, field, surface):
-    """(offset, slope) of damping whose effective coefficient a + b<axis, x>
-    is affine, on the exact sphere, or None when the field needs the dense
-    path.  Whatever the axis, a rotation taking it to +z maps each degree's
-    harmonics onto themselves, where sqrt(1 + h^2 n(n+1)) is constant, so
-    every section is unitarily equivalent to the one for a + b z."""
-    affine = field.effective_affine(surface)
-    if affine is None or basis.source != "exact-sphere":
+    """(offset, slope, dual) of an affine base profile a + b<axis, x> on the
+    exact sphere, dual when the base range is below one, or None when the
+    field needs the dense path.  Whatever the axis, a rotation taking it to
+    +z maps each degree's harmonics onto themselves, where
+    sqrt(1 + h^2 n(n+1)) is constant, so every section is unitarily
+    equivalent to the one for a + b z."""
+    if field.kind != "affine" or basis.source != "exact-sphere":
         return None
-    return affine[:2]
+    return field.offset, field.slope, field.base_range(surface)[1] < 1.0
 
 
 def _damping_gram(basis, field, last):
     """The h-independent part of a dense section through cluster ``last``:
-    the Gram matrix of the effective damping gamma0 on the modes there.
-
-    On the exact sphere gamma0 = g(<axis, x>) is zonal about its axis, and a
-    rotation taking the axis to +z maps each degree's harmonics onto
-    themselves, so the Gram matrix splits by order m into
-    G_m[i, j] = integral over [-1, 1] of q_{m+i,m} q_{m+j,m} g dz, with
-    q_{n,m} the orthonormal associated Legendre functions.  These come as
-    one (last + 1, last + 1, last + 1) stack, zero beyond degree ``last``,
-    from one batched product over the Gauss-Legendre rule on degree + 3
-    nodes, degree the basis top, which is exact for g affine; g is read
-    with ``field.effective`` on one meridian through the axis.
-
-    A mesh basis gives the Gram matrix on its first ``basis.ends[last]``
-    modes as W^T W, W = modes * sqrt(mass * gamma0) (gamma0 > 0), so the
-    result is exactly symmetric.
+    the Gram matrix of the effective damping gamma0 on the first
+    ``basis.ends[last]`` modes of a mesh basis, W^T W with
+    W = modes * sqrt(mass * gamma0) (gamma0 > 0), so exactly symmetric.
     """
-    if basis.source == "exact-sphere":
-        if field.kind != "affine":
-            raise UsageError("the exact sphere counts fields of one "
-                             "coordinate; a vertex table holds one value per "
-                             "mesh vertex, so it needs a mesh basis")
-        z, weights = roots_legendre(len(basis.values) + 2)
-        axis = field.axis
-        # the meridian's second direction, a unit vector across the axis
-        across = np.cross(axis, np.eye(3)[np.argmin(np.abs(axis))])
-        across /= np.linalg.norm(across)
-        g = field.effective(np.outer(z, axis)
-                            + np.outer(np.sqrt(1.0 - z * z), across))
-        table = normalized_legendre_table(last, z)
-        return (table * (weights * g)) @ table.transpose(0, 2, 1)
     if basis.modes is None:
-        raise UsageError("dense assembly needs tabulated modes on the basis")
+        raise UsageError("dense assembly reads the field at the nodes of a "
+                         "mesh basis; a vertex table holds one value per "
+                         "mesh vertex, so it needs a mesh basis")
     cut = int(basis.ends[last])
     scaled = basis.modes[:, :cut] * np.sqrt(
         basis.mass * field.effective(basis.nodes))[:, None]
@@ -427,22 +444,26 @@ def _dense_block(diagonal, gram):
     return matrix
 
 
-def _polar_family(offset, slope, h, degree):
+def _polar_family(offset, slope, dual, h, degree):
     """(family, multiplicity) of a polar-affine section through ``degree``.
 
-    A column of h values gives a batch of families, which share the
-    couplings -slope J_m(n), J_m(n) = sqrt((n^2 - m^2) / ((2n - 1)(2n + 1)))
-    the Jacobi entries of the orthonormal associated Legendre functions.
-    Orders m >= 1 count twice, for +-m.
+    Above one the blocks are diag(sqrt(1 + h^2 n(n+1)) - offset) - slope J_m,
+    with J_m(n) = sqrt((n^2 - m^2) / ((2n - 1)(2n + 1))) the Jacobi entries
+    of the orthonormal associated Legendre functions; a ``dual`` family,
+    below one, has the blocks diag(offset - 1 / sqrt(1 + h^2 n(n+1)))
+    + slope J_m.  A column of h values gives a batch of families, which
+    share the couplings.  Orders m >= 1 count twice, for +-m.
     """
     degrees = np.arange(degree + 1)
+    scale = slope if dual else -slope
 
     def couplings(rows, orders):
-        return -slope * np.sqrt((rows * rows - orders * orders)
-                                / ((2.0 * rows - 1.0) * (2.0 * rows + 1.0)))
+        return scale * np.sqrt((rows * rows - orders * orders)
+                               / ((2.0 * rows - 1.0) * (2.0 * rows + 1.0)))
 
-    family = TridiagonalFamily(
-        np.sqrt(1.0 + h * h * degrees * (degrees + 1.0)) - offset, couplings)
+    model = np.sqrt(1.0 + h * h * degrees * (degrees + 1.0))
+    family = TridiagonalFamily(offset - 1.0 / model, couplings, dual=model) \
+        if dual else TridiagonalFamily(model - offset, couplings)
     return family, np.where(degrees == 0, 1, 2)
 
 
@@ -451,23 +472,19 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
     """Assemble the finite model of the counting operator at h.
 
     Constant damping gives one 1 x 1 block per eigenvalue cluster, read
-    from the basis clusters alone.  Damping whose effective coefficient
-    a + b<axis, x> is affine on the exact sphere, along any axis, gives the
-    section of a + b z, to which it is unitarily equivalent: per order m,
-    diag(sqrt(1 + h^2 n(n+1)) - a) - b J_m over degrees n >= m, with J_m
-    the Jacobi matrix of the orthonormal associated Legendre functions, one
-    tridiagonal family through the last cluster's degree, order m >= 1
-    counted twice for +-m.  Any other field on the exact sphere (one below
-    one, whose effective coefficient 1 / (a + b<axis, x>) is not affine) is
-    zonal about its axis too, so it gives one dense block per order m,
-    diag(sqrt(1 + h^2 n(n+1))) - G_m over degrees m..last, again counted
-    twice for m >= 1, with G_m from :func:`_damping_gram`.  A mesh basis
-    gives one dense block diag(sqrt(1 + h^2 lambda)) - G over the modes
-    below the cut.  ``scan`` forms the h-independent part of its
-    variable-damping sections once, at its widest cut, and passes it as
-    ``_shared``: the Gram matrices, of which each section takes leading
-    parts, or for affine damping its :class:`SturmSweep` and the batch
-    member that stands for h.
+    from the basis clusters alone.  A field with an affine base profile
+    a + b<axis, x> on the exact sphere, along any axis, gives the section
+    of a + b z, to which it is unitarily equivalent, one tridiagonal family
+    through the last cluster's degree (:func:`_polar_family`), order m >= 1
+    counted twice for +-m: per order m, over degrees n >= m, above one
+    diag(sqrt(1 + h^2 n(n+1)) - a) - b J_m, with J_m the Jacobi matrix of
+    the orthonormal associated Legendre functions, and below one its dual
+    diag(a - 1 / sqrt(1 + h^2 n(n+1))) + b J_m.  A mesh basis gives one
+    dense block diag(sqrt(1 + h^2 lambda)) - G over the modes below the
+    cut.  ``scan`` forms the h-independent part of its variable-damping
+    sections once, at its widest cut, and passes it as ``_shared``: the
+    Gram matrix, of which each section takes a leading part, or for affine
+    damping its :class:`SturmSweep` and the batch member that stands for h.
     """
     if not h > 0.0:
         raise UsageError(f"semiclassical parameter must be positive, got {h}")
@@ -488,18 +505,13 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
         if _shared is None:
             return GalerkinOperator(cut, [_polar_family(*affine, h, last)])
         sweep, member = _shared
-        part = TridiagonalFamily(sweep.family.diagonal[member, :last + 1],
-                                 sweep.family.couplings, _shared)
+        whole, rows = sweep.family, np.s_[member, :last + 1]
+        part = TridiagonalFamily(
+            whole.diagonal[rows], whole.couplings, _shared,
+            None if whole.dual is None else whole.dual[rows])
         return GalerkinOperator(cut, [(part, sweep.multiplicity[:last + 1])])
 
     gram = _damping_gram(basis, field, last) if _shared is None else _shared
-    if basis.source == "exact-sphere":
-        # order m spans degrees m..last; orders m >= 1 count twice, for +-m
-        size = last + 1
-        diagonal = np.sqrt(1.0 + h * h * basis.values[:size])
-        return GalerkinOperator(cut, [
-            (_dense_block(diagonal[m:], gram[m, :size - m, :size - m]),
-             1 if m == 0 else 2) for m in range(size)])
     return GalerkinOperator(cut, [(_dense_block(
         np.sqrt(1.0 + h * h * basis.leading(cut)), gram[:cut, :cut]), 1)])
 
@@ -656,14 +668,14 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     and then at the recount, each by :func:`count_negative`: a dense primary
     section is factored at +-zero_tol, and a dense recount, of which the
     report reads only the count below -zero_tol, at +zero_tol only.
-    Constant damping reads the basis clusters alone; a dense section, built
-    F-ordered, takes leading parts of the Gram matrices (one per order on
-    the exact sphere, one on a mesh), formed once at the widest cut.  The
-    sections of an affine field on the exact sphere, along any axis, are
-    members of one batch, one per radius, and one :class:`SturmSweep`
-    counts them all: it sweeps each member through the degree of its
-    widest cut once, and each count looks its section up.  Radii must be
-    finite and positive, or UsageError is raised before any mode cut.
+    Constant damping reads the basis clusters alone; a dense section, on a
+    mesh basis, built F-ordered, takes a leading part of the Gram matrix
+    formed once at the widest cut.  The sections of an affine field on the
+    exact sphere, along any axis, above one or below, are members of one
+    batch, one per radius, and one :class:`SturmSweep` counts them all: it
+    sweeps each member through the degree of its widest cut once, and each
+    count looks its section up.  Radii must be finite and positive, or
+    UsageError is raised before any mode cut.
     """
     r_grid = _require_radii(r_grid)
     if r_grid.ndim != 1 or len(r_grid) == 0:
@@ -792,7 +804,10 @@ def monotonicity_probe(basis, field, h_window, surface=None, steps=7,
     (assignment problem on |V_a^T V_b|); pairs with best overlap at most
     TRACK_OVERLAP are skipped and counted.  Central differences at interior
     grid points give the slopes; a slope below eps/4 is recorded as a
-    violation.
+    violation.  A field below one on the exact sphere is probed on its dual
+    section, whose eigenvalues are not the model's: they cross zero where
+    the model's do and their h-slopes have the model's sign, but the band
+    and the slope sizes are the dual's.
     """
     h_lo, h_hi = float(h_window[0]), float(h_window[1])
     if not 0.0 < h_lo < h_hi:

@@ -135,17 +135,3 @@ class DampingField:
             return 1.0 / hi, 1.0 / lo
         raise InvalidFieldError(
             f"damping coefficient range [{lo:g}, {hi:g}] touches 1")
-
-    def effective_affine(self, surface):
-        """(offset, slope, axis) of the effective coefficient if it is affine.
-
-        That holds exactly when the base profile stays > 1, in which case
-        the effective coefficient coincides with the base whether or not the
-        field is inverted.  Returns None otherwise.
-        """
-        if self.kind != "affine":
-            return None
-        lo, _ = self.base_range(surface)
-        if lo > 1.0:
-            return self.offset, self.slope, self.axis
-        return None

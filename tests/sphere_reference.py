@@ -1,11 +1,11 @@
 """The exact sphere's 2-D product rule, kept as a reference for the tests.
 
-The counting code forms the Gram matrix of a damping field on the exact
-sphere one order at a time, from the Legendre table on a 1-D rule in the
-coordinate along the field's axis.  The reference here builds it the
-direct way instead: every real harmonic at every node of
-``sphere_grid(degree)`` (Gauss-Legendre in z times equispaced longitudes),
-one column at a time, and the Gram matrix W^T W with
+The counting code forms no Gram matrix of a damping field on the exact
+sphere: it counts closed-form tridiagonal sections of the field's affine
+base profile, or their duals below one.  The reference here builds the
+Gram matrix of the effective damping the direct way: every real harmonic
+at every node of ``sphere_grid(degree)`` (Gauss-Legendre in z times
+equispaced longitudes), one column at a time, and W^T W with
 W = harmonics * sqrt(mass * gamma0), in the column order of
 ``exact_sphere_spectrum``: degree n in columns n^2..n^2+2n, order m at
 n^2+n+m.
@@ -21,7 +21,8 @@ from weylcount.surface.charts import sphere_grid
 
 def per_order_legendre(order, max_degree, t):
     """q_{n,m}(t), n = m..max_degree, by the degree recurrence of one
-    order: the loop the table runs for all orders at once."""
+    order, normalized so that the integral of q_{n,m}^2 over [-1, 1] is
+    1."""
     m = order
     out = np.empty((max_degree - m + 1,) + t.shape)
     q = np.full(t.shape, 1.0 / np.sqrt(2.0))

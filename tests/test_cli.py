@@ -577,9 +577,9 @@ def test_exact_sphere_scan_memory_is_linear_in_r(tmp_path, capsys, argv):
 
 def test_below_one_exact_sphere_scan_memory_is_bounded(tmp_path, capsys):
     # the effective coefficient 1 / (0.4 - 0.2 <axis, x>) is not affine, so
-    # each section is one dense block per order, from Gram matrices formed
-    # once per scan on a 1-D rule: (L + 1)^3 values through the widest cut
-    # degree L, 59 here, and never a harmonic at every node of a 2-D grid
+    # its sections are the dual tridiagonal families of the base, counted
+    # by one sweep per scan in memory linear in the widest cut degree, 59
+    # here: no Gram matrix and never a harmonic at every node of a 2-D grid
     tracemalloc.start()
     try:
         code, _, err = run(capsys, "scan", "--gamma", "affine:0.4,-0.2,1/2/2",

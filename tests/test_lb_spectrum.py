@@ -1,9 +1,7 @@
 """Tests for the Laplace-Beltrami spectrum sources and the disk cache."""
 
-import copy
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 import pathlib
@@ -33,22 +31,20 @@ from weylcount.lb_spectrum import (
     cached_mesh_spectrum,
     clusters_of,
     exact_sphere_spectrum,
-    normalized_legendre_table,
     solve_lowest,
     sphere_degree_for,
 )
-from weylcount import lb_spectrum, semiclassical_count
+from weylcount import lb_spectrum
 from weylcount.lb_spectrum import _class_bases, _reflections
-from weylcount.semiclassical_count import _damping_gram, build_operator, scan
+from weylcount.semiclassical_count import _damping_gram, build_operator
 from weylcount.surface import (
     AnalyticSurface,
     DampingField,
     SurfaceMesh,
     icosphere,
 )
-from weylcount.surface.charts import sphere_grid
 
-from sphere_reference import per_order_legendre, product_gram
+from sphere_reference import per_order_legendre
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -154,123 +150,17 @@ def test_sphere_degree_for():
     assert sphere_degree_for(110.1) == 11
 
 
-def per_order_spectrum(stack, top):
-    """The eigenvalues of the per-order Gram matrices ``stack`` through
-    degree ``top``, ascending, order m >= 1 counted twice, for +-m."""
-    return np.sort(np.concatenate([
-        np.tile(np.linalg.eigvalsh(stack[m, :top + 1 - m, :top + 1 - m]),
-                1 if m == 0 else 2) for m in range(top + 1)]))
-
-
-def test_tabulated_axis_moments_match_closed_form():
-    # damping a + b<axis, x> has, whatever the axis, the per-order Gram
-    # matrices a I + b J_m, where J_m couples degrees n and n + 1 by
-    # <q_{n,m}, z q_{n+1,m}> = sqrt(((n+1)^2 - m^2) / ((2n+1)(2n+3))) and
-    # every other entry vanishes; the rule integrates it exactly, b = 0
-    # leaves a times the identity, and the stack is zero beyond its degree
-    basis = exact_sphere_spectrum(6)
-    for (a, b), axis, last in itertools.product(
-            ((2.0, 0.5), (3.0, -1.5), (1.3, 0.0)),
-            ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 2.0, 2.0)), (6, 4)):
-        stack = _damping_gram(basis, DampingField.affine(a, b, axis), last)
-        assert stack.shape == (last + 1,) * 3
-        for m in range(last + 1):
-            size = last + 1 - m
-            n = np.arange(m, last)
-            coupling = np.diag(b * np.sqrt(
-                ((n + 1.0) ** 2 - m * m)
-                / ((2.0 * n + 1.0) * (2.0 * n + 3.0))), 1)
-            expected = a * np.eye(size) + coupling + coupling.T
-            assert np.max(np.abs(stack[m, :size, :size] - expected)) < 1e-12
-            assert not np.any(stack[m, size:]) \
-                and not np.any(stack[m, :, size:])
-
-
-@pytest.mark.parametrize("field", [
-    DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0)),
-    DampingField.affine(2.0, 0.5, (1.0, 1.0, 1.0)),
-    DampingField.affine(3.0, -1.5, (1.0, 2.0, 2.0), invert=True),
-    # below one, so the effective coefficient 1 / (0.5 + 0.2 x) is not a
-    # polynomial and neither rule integrates it exactly
-    DampingField.affine(0.5, 0.2, (1.0, 0.0, 0.0)),
-], ids=["x", "111", "122-inverted", "below-one-x"])
-def test_factored_gram_matches_product_gram(field):
-    # the Gram matrix factored by order, on a 1-D rule along the field's
-    # axis, is the 2-D product rule's over every node up to the rotation
-    # taking the axis to +z: through each degree both have one spectrum.
-    # Both rules integrate an affine field exactly, so they agree to
-    # roundoff through every degree.  Neither integrates a field below one
-    # exactly: the error of each falls off like rho^(-2k) for degree k
-    # below the top, rho = 4.8 for 1 / (0.5 + 0.2 t), so they agree to
-    # roundoff from 8 degrees below the top down
-    affine = field.effective_affine(AnalyticSurface.unit_sphere())
-    for degree in (8, 20):
-        stack = _damping_gram(exact_sphere_spectrum(degree), field, degree)
-        product = product_gram(degree, field)
-        for top in range(degree + 1 if affine else degree - 7):
-            cut = (top + 1) ** 2
-            assert np.max(np.abs(per_order_spectrum(stack, top) - eigvalsh(
-                product[:cut, :cut]))) < 1e-12
-
-
-def test_exact_sphere_tabulates_once_and_counting_only_reads_it(monkeypatch):
-    calls = []
-    tabulate = semiclassical_count.normalized_legendre_table
-
-    def counted(max_degree, t):
-        calls.append((max_degree, len(t)))
-        return tabulate(max_degree, t)
-
-    monkeypatch.setattr(semiclassical_count, "normalized_legendre_table",
-                        counted)
-    sphere = AnalyticSurface.unit_sphere()
-    # below one, so the effective coefficient 1 / (0.5 + 0.1 x) is not
-    # affine and counting forms its per-order Gram matrices
-    field = DampingField.affine(0.5, 0.1, (1.0, 0.0, 0.0))
-    basis = exact_sphere_spectrum(20)
-    held = {item.name: getattr(basis, item.name)
-            for item in dataclasses.fields(basis)}
-    frozen = copy.deepcopy(held)
-    report = scan(sphere, field, [3.0, 4.0, 5.0], basis)
-    # a scan tabulates once, through the degree of its widest cut, on the
-    # Gauss-Legendre rule of the basis degree + 3 nodes
-    assert report.mode_cuts.tolist() == [121, 196, 289]
-    assert calls == [(20, 23)]
-    for r in (3.0, 4.5, 5.0):
-        build_operator(basis, field, 1.0 / r, surface=sphere)
-    assert calls[1:] == [(10, 23), (15, 23), (16, 23)]
-    # the basis is read, never written, and holds no table
-    for name, value in held.items():
-        assert getattr(basis, name) is value
-        assert np.array_equal(value, frozen[name])
-    assert basis.quadrature is None
-
-
 # ----------------------------------------------------------------------
 # normalized Legendre recurrence
 # ----------------------------------------------------------------------
 
 def test_normalized_legendre_orthonormal():
+    # the test reference's recurrence, one order at a time
     t, w = roots_legendre(40)
-    table = normalized_legendre_table(15, t)
     for m in (0, 1, 3, 7):
-        q = table[m, :16 - m]
+        q = per_order_legendre(m, 15, t)
         gram = (q * w) @ q.T
         assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-13
-    # zero beyond the top degree
-    assert not np.any(table[3, 13:])
-
-
-@pytest.mark.parametrize("degree", [0, 1, 2, 8, 17, 33])
-def test_legendre_table_matches_per_order_recurrence(degree):
-    # all orders in one recurrence, each with its own arithmetic: the same
-    # bytes as one order at a time
-    t = sphere_grid(degree).z
-    table = normalized_legendre_table(degree, t)
-    assert table.shape == (degree + 1, degree + 1, degree + 3)
-    for m in range(degree + 1):
-        assert table[m, :degree + 1 - m].tobytes() \
-            == per_order_legendre(m, degree, t).tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the Galerkin counting model and the Weyl-law scan."""
 
+import dataclasses
 import itertools
 import json
 
@@ -202,8 +203,9 @@ def test_affine_operator_block_structure(sphere, tilted):
 def below_one(axis):
     """A field along ``axis`` whose base stays below one: its effective
     coefficient 1 / (0.5 + 0.1 <axis, x>), in [1.67, 2.5], is not affine,
-    so the exact sphere counts it by dense per-order blocks.  Its c1 = 2.5
-    is that of 2 + 0.5 <axis, x>, so the two have the same mode cuts."""
+    so the exact sphere counts it by the dual family of its base.  Its
+    c1 = 2.5 is that of 2 + 0.5 <axis, x>, so the two have the same mode
+    cuts."""
     return DampingField.affine(0.5, 0.1, axis)
 
 
@@ -420,7 +422,7 @@ def test_sturm_sweep_needs_one_ascending_last_degree_per_member():
     # out of the sweep in order; a batch member without one would be
     # counted by no row, or silently left out
     family, multiplicity = semiclassical_count._polar_family(
-        2.0, 0.5, np.array([[0.5], [0.25]]), 6)
+        2.0, 0.5, False, np.array([[0.5], [0.25]]), 6)
     sweep = semiclassical_count.SturmSweep(family, multiplicity, [3, 6])
     assert sweep.count(1, 6, ZERO_TOL) == count_negative(GalerkinOperator(
         0, [(TridiagonalFamily(family.diagonal[1], family.couplings),
@@ -433,7 +435,7 @@ def test_sturm_sweep_needs_one_ascending_last_degree_per_member():
 def test_sweep_generates_each_row_of_couplings_once():
     # rows come in order, bit for bit as the blocks read them
     family, multiplicity = semiclassical_count._polar_family(
-        2.0, 0.5, 1.0 / 12.0, 40)
+        2.0, 0.5, False, 1.0 / 12.0, 40)
     rows = list(semiclassical_count._squared_rows(family.couplings, 41))
     assert [len(row) for row in rows] == list(range(41))
     for m in range(41):
@@ -486,6 +488,11 @@ def test_weyl_affine_closed_form(sphere, tilted):
         37.0 / 12.0, abs=1e-8)
     assert weyl_prediction(sphere, tilted, 12.0) == pytest.approx(
         444.0, abs=1e-6)
+    # below one, along a tilted axis: half the integral of (a + b t)^-2 - 1
+    # over [-1, 1] is 1 / (a^2 - b^2) - 1
+    below = DampingField.affine(0.5, 0.3, (1.0, 2.0, 2.0))
+    assert weyl_coefficient(sphere, below) == pytest.approx(
+        1.0 / (0.5 ** 2 - 0.3 ** 2) - 1.0, abs=1e-13)
 
 
 def test_weyl_on_mesh(tilted):
@@ -553,56 +560,67 @@ def test_scan_variable_field(sphere, tilted):
     assert np.all(np.diff(report.n_scalar) > 0)
 
 
+def test_below_one_scan_reaches_large_r(sphere):
+    # the north star below one, out of a dense section's reach: the dual
+    # sweep counts 1 / (0.5 + 0.3 <axis, x>) along an oblique axis at
+    # r = 50..100, through degree 850, against the Weyl coefficient
+    # c = 1 / (a^2 - b^2) - 1 = 5.25.  With K the scan's own largest
+    # |N - c r^2| / r, the least-squares coefficient is within
+    # K sum(r^3) / sum(r^4) of c
+    field = DampingField.affine(0.5, 0.3, (1.0, 2.0, 2.0))
+    r_grid = np.linspace(50.0, 100.0, 11)
+    basis = exact_sphere_spectrum(sphere_degree_for(
+        3.0 * constants_for(field, sphere).ellipticity_threshold(
+            1.0 / r_grid[-1])))
+    report = scan(sphere, field, r_grid, basis)
+    assert report.stability_delta == 0 and report.passed()
+    assert report.coefficient == pytest.approx(5.25, abs=1e-13)
+    remainder = np.max(np.abs(report.n_scalar - 5.25 * r_grid ** 2)
+                       / r_grid)
+    assert remainder < 1.0
+    assert abs(report.fitted_coefficient - 5.25) \
+        <= remainder * np.sum(r_grid ** 3) / np.sum(r_grid ** 4)
+
+
 @pytest.mark.parametrize("axis", [
     (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (2.0, -1.0, 2.0)],
     ids=["x", "y", "110", "212"])
 def test_affine_field_on_the_sphere_takes_the_sweep(sphere, monkeypatch,
                                                     axis):
-    # a field affine along any axis, base above one, inverted or not, is
-    # counted by the Sturm sweep alone: no Legendre table is built, no Gram
-    # matrix formed and nothing factored, in a scan or a single section
+    # a field affine along any axis, its base above one or below, inverted
+    # or not, is counted by the Sturm sweep alone: no Gram matrix is formed
+    # and nothing factored, in a scan or a single section.  Below one the
+    # family is the dual, whose diagonal a - D^-1 rises towards a
     def forbidden(*args, **kwargs):
         raise AssertionError("an affine field took the dense path")
 
     basis = exact_sphere_spectrum(30)
-    with monkeypatch.context() as patch:
-        for name in ("_damping_gram", "_inertia",
-                     "normalized_legendre_table"):
-            patch.setattr(semiclassical_count, name, forbidden)
-        for invert in (False, True):
-            field = DampingField.affine(2.0, 0.5, axis, invert=invert)
-            scan(sphere, field, [2.0, 4.0, 6.0], basis)
-            op = build_operator(basis, field, 0.25, surface=sphere)
-            [(family, _)] = op.blocks
-            assert isinstance(family, TridiagonalFamily)
-            count_negative(op)
+    for name in ("_damping_gram", "_inertia"):
+        monkeypatch.setattr(semiclassical_count, name, forbidden)
+    for (offset, slope), invert in itertools.product(
+            ((2.0, 0.5), (0.5, 0.1)), (False, True)):
+        field = DampingField.affine(offset, slope, axis, invert=invert)
+        report = scan(sphere, field, [2.0, 4.0, 6.0], basis)
+        assert report.stability_delta is not None
+        op = build_operator(basis, field, 0.25, surface=sphere)
+        [(family, _)] = op.blocks
+        assert isinstance(family, TridiagonalFamily)
+        assert (family.dual is None) == (offset > 1.0)
+        if family.dual is not None:
+            assert np.all(np.diff(family.diagonal) > 0.0)
+            assert np.all(family.diagonal < offset)
+        count_negative(op)
     assert basis.quadrature is None
-    # the same profile below one is not affine in its effective coefficient:
-    # a scan forms its per-order Gram matrices once, through the degree of
-    # its widest cut (24, for the recount at r = 6), and a section through
-    # degree 13 is 14 dense blocks
-    formed = []
-    form = semiclassical_count._damping_gram
-
-    def counted(*args):
-        formed.append(form(*args))
-        return formed[-1]
-
-    monkeypatch.setattr(semiclassical_count, "_damping_gram", counted)
-    field = below_one(axis)
-    report = scan(sphere, field, [2.0, 4.0, 6.0], basis)
-    assert report.stability_delta is not None
-    assert [stack.shape for stack in formed] == [(25, 25, 25)]
-    assert len(build_operator(basis, field, 0.25, surface=sphere).blocks) \
-        == 14
 
 
-@pytest.mark.parametrize("degree", [20, 17])
-def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
-    # at r = 5 the cut needs degree 16 and the 1.5x recount degree 20
+@pytest.mark.parametrize("modes", [40, 20])
+def test_dense_scan_forms_one_gram(sphere, monkeypatch, modes):
+    # the dense path serves mesh bases alone.  At r = 1.2 the cut needs
+    # lambda up to 15.1, which the 20 lowest modes of icosphere:2 reach,
+    # and the 1.5x recount up to 22.7, which only the 40 lowest do
     field = below_one((1.0, 0.0, 0.0))
-    r_grid = np.array([3.0, 4.0, 5.0])
-    basis = exact_sphere_spectrum(degree)
+    r_grid = np.array([0.8, 1.0, 1.2])
+    basis = solve_lowest(assemble_fem(icosphere(2)), modes)
     lasts, factored, built = [], [], []
     form, inertia = semiclassical_count._damping_gram, \
         semiclassical_count._inertia
@@ -636,31 +654,21 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
         built.clear()
         report = scan(sphere, field, r_grid, basis, zero_tol=zero_tol)
         assert len(lasts) == 1
-        # a section through degree L is one F-ordered block per order m,
-        # degrees m..L, of multiplicity 1 for m = 0 and 2 after it; each
-        # block of more than one row is factored, in a primary section at
-        # +-zero_tol, in a recount at +zero_tol only: no report reads its
-        # borderline
-        tops = []
+        # a section is one F-ordered block over the modes below its cut,
+        # factored in a primary section at +-zero_tol, in a recount at
+        # +zero_tol only: no report reads its borderline
         for op in built:
-            top = len(op.blocks) - 1
-            assert op.mode_cut == (top + 1) ** 2
-            assert [(len(matrix), multiplicity)
-                    for matrix, multiplicity in op.blocks] \
-                == [(top + 1 - m, 1 if m == 0 else 2)
-                    for m in range(top + 1)]
-            assert all(matrix.flags.f_contiguous for matrix, _ in op.blocks)
-            tops.append(top)
-        assert factored == [
-            shift for top in tops[:3] for _ in range(top)
-            for shift in (zero_tol, -zero_tol)] \
-            + [zero_tol for top in tops[3:] for _ in range(top)]
-        assert len(built) == 3 * (1 + (degree == 20))
+            [(matrix, multiplicity)] = op.blocks
+            assert matrix.shape == (op.mode_cut,) * 2 and multiplicity == 1
+            assert matrix.flags.f_contiguous
+        assert factored == [zero_tol, -zero_tol] * 3 \
+            + [zero_tol] * (len(built) - 3)
+        assert len(built) == 3 * (1 + (modes == 40))
 
         counts, last_cut = standalone(2.0, zero_tol)
         assert report.n_scalar.tolist() == [c.negative for c in counts]
         assert report.borderline.tolist() == [c.borderline for c in counts]
-        if degree == 20:
+        if modes == 40:
             recounts, last_cut = standalone(3.0, zero_tol)
             assert report.stability_delta == max(
                 abs(a.negative - b.negative) for a, b in zip(recounts, counts))
@@ -668,46 +676,60 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, degree):
             assert any(c.borderline for c in recounts) == (zero_tol == 0.05)
         else:
             assert report.stability_delta is None
-        assert (lasts[0] + 1) ** 2 == last_cut
+        assert basis.ends[lasts[0]] == last_cut
 
 
 @pytest.mark.parametrize("wider", [False, True])
-def test_dense_section_is_built_in_fortran_order(sphere, monkeypatch,
-                                                 wider):
-    # the same bits as diag(d) - G_m for each order m, laid out for LAPACK,
-    # exact zeros of the Gram matrices included, also from the leading part
-    # of a scan's wider stack.  Zeros of both signs are planted where the
-    # Gram matrices are below roundoff, so they do not depend on how its
-    # sums round.  The effective coefficient 1 / (0.5 + 0.01 x) is not
-    # affine, so the field takes the dense path, and its part of degree k
-    # falls off like 0.02^k, so the couplings of degrees far apart are
-    # below roundoff, of both signs.
-    basis = exact_sphere_spectrum(16)
-    field = DampingField.affine(0.5, 0.01, (1.0, 0.0, 0.0))
+def test_dense_section_is_built_in_fortran_order(sphere, mesh_basis,
+                                                 monkeypatch, wider):
+    # the same bits as diag(d) - G, laid out for LAPACK, exact zeros of the
+    # Gram matrix included, also from the leading part of a scan's wider
+    # one.  Zeros of both signs are planted where the Gram matrix is below
+    # roundoff, as it is between modes of different reflection classes, so
+    # they do not depend on how its sums round
+    field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
     form = semiclassical_count._damping_gram
 
     def planted(basis, field, last):
-        stack = form(basis, field, last)
-        tiny = np.abs(stack) < 1e-16
-        stack[tiny] = np.copysign(0.0, stack[tiny])
-        return stack
+        gram = form(basis, field, last)
+        tiny = np.abs(gram) < 1e-16
+        gram[tiny] = np.copysign(0.0, gram[tiny])
+        return gram
 
     monkeypatch.setattr(semiclassical_count, "_damping_gram", planted)
-    shared = planted(basis, field, 16) if wider else None
-    operator = build_operator(basis, field, 0.25, surface=sphere,
+    top = len(mesh_basis.values) - 1
+    shared = planted(mesh_basis, field, top) if wider else None
+    h = 1.25
+    operator = build_operator(mesh_basis, field, h, surface=sphere,
                               _shared=shared)
-    top = len(operator.blocks) - 1
-    stack = planted(basis, field, top) if shared is None else shared
-    assert top < 16 and operator.mode_cut == (top + 1) ** 2
-    diagonal = np.sqrt(1.0 + 0.25 * 0.25 * basis.values[:top + 1])
-    zeros = np.concatenate([stack[m, :top + 1 - m, :top + 1 - m][
-        stack[m, :top + 1 - m, :top + 1 - m] == 0.0] for m in range(top)])
+    [(matrix, multiplicity)] = operator.blocks
+    cut = operator.mode_cut
+    assert cut < mesh_basis.mode_count and multiplicity == 1
+    gram = (planted(mesh_basis, field, int(np.searchsorted(
+        mesh_basis.ends, cut))) if shared is None else shared)[:cut, :cut]
+    zeros = gram[gram == 0.0]
     assert np.any(np.signbit(zeros)) and not np.all(np.signbit(zeros))
-    for m, (matrix, multiplicity) in enumerate(operator.blocks):
-        size = top + 1 - m
-        assert matrix.flags.f_contiguous and multiplicity == min(m + 1, 2)
-        expected = np.diag(diagonal[m:]) - stack[m, :size, :size]
-        assert matrix.T.tobytes() == expected.tobytes()
+    expected = np.diag(np.sqrt(1.0 + h * h * mesh_basis.leading(cut))) - gram
+    assert matrix.flags.f_contiguous
+    assert matrix.T.tobytes() == expected.tobytes()
+
+
+def dual_counts_below_reference(operator, basis, h, gram, zero_tol):
+    """Whether every leading section of the dual ``operator``, through each
+    degree, counts no more eigenvalues below -zero_tol, nor up to zero_tol,
+    than the reference section through that degree: by Davis-Choi-Jensen
+    P^-1 is at most the section of 1 / p, so the dual's model D - P^-1 is
+    at least the reference's D - G."""
+    [(family, multiplicity)] = operator.blocks
+    sweep = semiclassical_count.SturmSweep(family, multiplicity,
+                                           [len(family) - 1])
+    for degree in range(len(family)):
+        dual = sweep.count(0, degree, zero_tol)
+        reference = count_negative(product_section(
+            basis, h, (degree + 1) ** 2, gram), zero_tol=zero_tol)
+        if dual.negative > reference.negative or sum(dual) > sum(reference):
+            return False
+    return True
 
 
 @pytest.mark.parametrize("axis, classes", [
@@ -719,9 +741,8 @@ def test_reflection_classes_count_as_one_block(sphere, axis, classes):
     # field without a z part unchanged, y -> -y one without a y part, and
     # each such reflection halves the section (at h = 4 it stops at
     # degree 1, where no mode is odd under both).  The blocks of the
-    # classes must count as the whole reference section does and hold its
-    # eigenvalues to roundoff, and so must the per-order blocks of the
-    # section that is counted
+    # classes must count as the whole reference section does, and so must
+    # the dual section that is counted, which counts no more at any cut
     basis = exact_sphere_spectrum(16)
     field = below_one(axis)
     gram = product_gram(16, field)
@@ -734,12 +755,12 @@ def test_reflection_classes_count_as_one_block(sphere, axis, classes):
         assert len(split.blocks) == blocks and len(whole.blocks) == 1
         assert np.max(np.abs(split.eigenvalues()
                              - whole.eigenvalues())) <= 1e-13
-        assert np.max(np.abs(counted.eigenvalues()
-                             - whole.eigenvalues())) <= 1e-12
         for zero_tol in (ZERO_TOL, 0.05):
             assert count_negative(split, zero_tol=zero_tol) \
                 == count_negative(whole, zero_tol=zero_tol) \
                 == count_negative(counted, zero_tol=zero_tol)
+            assert dual_counts_below_reference(counted, basis, h, gram,
+                                               zero_tol)
 
 
 @pytest.mark.parametrize("axis", [
@@ -748,25 +769,55 @@ def test_reflection_classes_count_as_one_block(sphere, axis, classes):
     ids=["z", "-z", "x", "y", "110", "122"])
 def test_per_order_sections_match_the_product_rule(sphere, axis):
     # the test reference: the 2-D product rule over the whole grid, one
-    # dense block.  A rotation taking the axis to +z makes the per-order
-    # blocks equivalent to it; along +-z no rotation is needed and only
-    # roundoff separates them, along other axes the two rules' errors
-    # as well, which the cuts keep 10 degrees below the basis top
+    # dense block D - G.  The dual section counts its model D - P^-1, which
+    # is at least D - G, so no more eigenvalues than the reference at any
+    # cut, and as many at the converged cuts the counts use
     degree = 30
     basis = exact_sphere_spectrum(degree)
-    field = below_one(axis)
-    gram = product_gram(degree, field)
-    tolerance = 1e-13 if axis[:2] == (0.0, 0.0) else 1e-9
-    for r in (0.25, 1.0, 2.5, 4.0, 6.0):
-        counted = build_operator(basis, field, 1.0 / r, surface=sphere)
-        reference = product_section(basis, 1.0 / r, counted.mode_cut, gram)
-        assert counted.mode_cut == sphere_cut(sphere, field, 1.0 / r, 2.0,
-                                              degree)
-        assert np.max(np.abs(counted.eigenvalues()
-                             - reference.eigenvalues())) < tolerance
-        for zero_tol in (ZERO_TOL, 0.05):
-            assert count_negative(counted, zero_tol=zero_tol) \
-                == count_negative(reference, zero_tol=zero_tol)
+    for offset, slope in ((0.5, 0.1), (0.7, -0.2)):
+        field = DampingField.affine(offset, slope, axis)
+        gram = product_gram(degree, field)
+        for r in (0.25, 1.0, 2.5, 4.0, 6.0):
+            counted = build_operator(basis, field, 1.0 / r, surface=sphere)
+            assert counted.mode_cut == sphere_cut(sphere, field, 1.0 / r,
+                                                  2.0, degree)
+            reference = product_section(basis, 1.0 / r, counted.mode_cut,
+                                        gram)
+            for zero_tol in (ZERO_TOL, 0.05):
+                assert count_negative(counted, zero_tol=zero_tol) \
+                    == count_negative(reference, zero_tol=zero_tol)
+                assert dual_counts_below_reference(counted, basis, 1.0 / r,
+                                                   gram, zero_tol)
+
+
+@pytest.mark.parametrize("zero_tol", [ZERO_TOL, 0.05, 1.0, 1.5, 3.0])
+def test_dual_section_counts_the_inverse_model(sphere, zero_tol):
+    # at a shift s the dual is counted as P - (D + s)^-1, plus each row
+    # with D + s < 0 once per block holding it (Haynsworth), so its counts
+    # are those of the model D - P^-1 itself, formed here one order at a
+    # time with P = a I + b J_m.  D_0 = 1, so at zero_tol = 1 the shifted
+    # inverse meets 1 / 0 in row 0; at 1.5 and 3 the rows of D below the
+    # tolerance are counted outright
+    basis = exact_sphere_spectrum(60)
+    for (offset, slope), r in itertools.product(
+            ((0.5, 0.3), (0.7, -0.2)), (0.5, 2.5, 6.0)):
+        h = 1.0 / r
+        field = DampingField.affine(offset, slope, (1.0, 2.0, 2.0))
+        operator = build_operator(basis, field, h, surface=sphere)
+        top = len(operator.blocks[0][0]) - 1
+        values = []
+        for m in range(top + 1):
+            n = np.arange(m, top + 1)
+            k = n[1:]
+            coupling = np.diag(slope * np.sqrt(
+                (k * k - m * m) / ((2.0 * k - 1.0) * (2.0 * k + 1.0))), 1)
+            section = offset * np.eye(len(n)) + coupling + coupling.T
+            model = np.diag(np.sqrt(1.0 + h * h * n * (n + 1.0))) \
+                - np.linalg.inv(section)
+            values += [np.linalg.eigvalsh(model)] * (1 if m == 0 else 2)
+        values = np.concatenate(values)
+        assert count_negative(operator, zero_tol=zero_tol) == (
+            np.sum(values < -zero_tol), np.sum(np.abs(values) <= zero_tol))
 
 
 def test_exact_sphere_refuses_a_vertex_table(sphere):
@@ -796,21 +847,36 @@ def test_mesh_gram_is_one_rank_k_update(mesh_basis, field):
         assert gram.tobytes() == (scaled.T @ scaled).tobytes()
 
 
+def drawn_base(offset, fraction, dual):
+    """(a, b) of an affine base profile from Hypothesis draws, offset in
+    [1.1, 3] and fraction in [-0.95, 0.95]: above one a = offset and
+    |b| < a - 1.05; below one (``dual``) a = 1 / offset and |b| is less
+    than a's distance to 0.05 and to 0.95, so the base stays inside
+    (0.05, 0.95)."""
+    if not dual:
+        return offset, fraction * (offset - 1.05)
+    return 1.0 / offset, fraction * min(1.0 / offset - 0.05,
+                                        0.95 - 1.0 / offset)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(offset=st.floats(1.1, 3.0), fraction=st.floats(-0.95, 0.95),
+       dual=st.booleans(),
        axis=st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]),
        invert=st.booleans(),
        radii=st.lists(st.floats(1.0, 7.0), min_size=1, max_size=5,
                       unique=True),
        cut_factor=st.sampled_from([0.4, 0.9, 2.0]),
-       zero_tol=st.sampled_from([ZERO_TOL, 0.05, 0.5]), data=st.data())
-def test_polar_scan_matches_per_radius_counts(sphere, offset, fraction, axis,
-                                              invert, radii, cut_factor,
+       zero_tol=st.sampled_from([ZERO_TOL, 0.05, 0.5, 1.5]), data=st.data())
+def test_polar_scan_matches_per_radius_counts(sphere, offset, fraction, dual,
+                                              axis, invert, radii, cut_factor,
                                               zero_tol, data):
-    # one Sturm sweep counts the whole scan; each section and its recount
-    # must equal a separate build and count at that radius.  Cuts below the
-    # ellipticity threshold make the counts depend on the last degree.
-    field = DampingField.affine(offset, fraction * (offset - 1.05), axis,
+    # one Sturm sweep counts the whole scan, above one or below; each
+    # section and its recount must equal a separate build and count at that
+    # radius.  Cuts below the ellipticity threshold make the counts depend
+    # on the last degree, and a tolerance above one makes the dual count
+    # rows of D below it outright.
+    field = DampingField.affine(*drawn_base(offset, fraction, dual), axis,
                                 invert=invert)
     r_grid = np.sort(radii)
     threshold = constants_for(field, sphere).ellipticity_threshold(
@@ -889,25 +955,28 @@ def test_dense_scan_matches_polar_scan_rotated(sphere, offset, fraction,
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(offset=st.floats(1.1, 3.0), fraction=st.floats(-0.95, 0.95),
-       axis=unit_axes,
+       dual=st.booleans(), axis=unit_axes,
        radii=st.lists(st.floats(0.5, 30.0), min_size=2, max_size=8,
                       unique=True))
 def test_affine_scan_is_regime_symmetric_and_monotone(sphere, offset,
-                                                      fraction, axis, radii):
+                                                      fraction, dual, axis,
+                                                      radii):
     # the field and its pointwise reciprocal have the same effective
-    # coefficient, so the same report bytes; and counts never fall as r
-    # grows: D(h) decreases with r, the cuts are nested and, by Cauchy
-    # interlacing, a wider section has at least as many eigenvalues below
-    # -zero_tol
-    slope = fraction * (offset - 1.05)
-    above, below = (DampingField.affine(offset, slope, axis, invert=invert)
-                    for invert in (False, True))
+    # coefficient, so the same report bytes, its base range above one or
+    # below; and counts never fall as r grows: D(h) decreases with r, and
+    # with it D - P and the dual P - D^-1 at every shift, the cuts are
+    # nested and, by Cauchy interlacing, a wider section has at least as
+    # many eigenvalues below -zero_tol
+    field, reciprocal = (
+        DampingField.affine(*drawn_base(offset, fraction, dual), axis,
+                            invert=invert) for invert in (False, True))
     r_grid = np.sort(radii)
     basis = exact_sphere_spectrum(sphere_degree_for(
-        3.2 * constants_for(above, sphere).ellipticity_threshold(
+        3.2 * constants_for(field, sphere).ellipticity_threshold(
             1.0 / r_grid[-1])))
-    report = scan(sphere, above, r_grid, basis)
-    assert report.to_csv() == scan(sphere, below, r_grid, basis).to_csv()
+    report = scan(sphere, field, r_grid, basis)
+    assert report.to_csv() == scan(sphere, reciprocal, r_grid,
+                                   basis).to_csv()
     assert np.all(np.diff(report.n_scalar) >= 0)
 
 
@@ -1043,13 +1112,15 @@ def test_probe_variable_field(sphere, tilted):
 def test_probe_on_dense_classes_is_blind_to_roundoff(sphere, monkeypatch):
     # a section of a field along x is symmetric about the x axis, so its
     # spectrum has exactly degenerate eigenvalues, and branch tracking
-    # through them would follow the last bits of the Gram matrix; each
+    # through them would follow the last bits of the section; each
     # degenerate pair of orders +-m is one block of multiplicity 2, and
-    # within a block the gaps are clear of roundoff, so a planted symmetric
-    # 1e-15 perturbation of every order's Gram matrix moves no event
+    # within a block the gaps are clear of roundoff, so a planted 1e-15
+    # perturbation of the diagonal that every order's block shares moves
+    # no event.  The field is below one, so the probe sees the dual section
     basis = exact_sphere_spectrum(30)
     field = below_one((1.0, 0.0, 0.0))
-    form = semiclassical_count._damping_gram
+    polar = semiclassical_count._polar_family
+    families = []
 
     def probe():
         report = monotonicity_probe(basis, field, (1.0 / 8.5, 1.0 / 7.5),
@@ -1057,17 +1128,27 @@ def test_probe_on_dense_classes_is_blind_to_roundoff(sphere, monkeypatch):
         assert not report.violations
         return len(report.events), report.skipped
 
+    def recorded(*args):
+        families.append(polar(*args))
+        return families[-1]
+
+    monkeypatch.setattr(semiclassical_count, "_polar_family", recorded)
     plain = probe()
-    assert plain[0] > 400 and plain[1] == 0
+    assert plain[0] > 1000 and plain[1] == 0
+    assert all(family.dual is not None for family, _ in families)
     rng = np.random.default_rng(5)
 
-    def perturbed(basis, field, last):
-        stack = form(basis, field, last)
-        noise = rng.standard_normal(stack.shape) * 1e-15
-        return stack + (noise + noise.transpose(0, 2, 1)) / 2.0
+    def perturbed(*args):
+        family, multiplicity = polar(*args)
+        noise = rng.standard_normal(family.diagonal.shape) * 1e-15
+        families.append((dataclasses.replace(
+            family, diagonal=family.diagonal + noise), multiplicity))
+        return families[-1]
 
-    monkeypatch.setattr(semiclassical_count, "_damping_gram", perturbed)
+    monkeypatch.setattr(semiclassical_count, "_polar_family", perturbed)
+    families.clear()
     assert probe() == plain
+    assert len(families) == 7
 
 
 def test_probe_counts_each_lost_branch_once(gamma_two, monkeypatch):

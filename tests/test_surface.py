@@ -429,18 +429,3 @@ def test_vertex_table_field_alignment():
     short = DampingField.vertex_table(np.full(10, 3.0))
     with pytest.raises(InvalidFieldError):
         short.effective_range(mesh)
-
-
-def test_effective_affine_coefficients():
-    sphere = AnalyticSurface.unit_sphere()
-    above = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0))
-    below = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0), invert=True)
-    for field in (above, below):
-        coeffs = field.effective_affine(sphere)
-        assert coeffs is not None
-        offset, slope, axis = coeffs
-        assert (offset, slope) == (2.0, 0.5)
-        assert np.array_equal(axis, [0.0, 0.0, 1.0])
-    # base dips below 1: the effective coefficient is no longer affine
-    wide = DampingField.affine(2.0, 1.5, (0.0, 0.0, 1.0))
-    assert wide.effective_affine(sphere) is None
