@@ -39,12 +39,11 @@ and each section's count is a lookup in it.
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, InsufficientSpectrumError, UsageError
 
@@ -52,7 +51,6 @@ ZERO_TOL = 1e-12
 CUT_FACTOR = 2.0
 STABILITY_FACTOR = 1.5
 EXPONENT_SPAN = 3.0
-TRACK_OVERLAP = 0.8
 
 NegativeCount = namedtuple("NegativeCount", ["negative", "borderline"])
 
@@ -190,8 +188,9 @@ class GalerkinOperator:
 
         A dual family (a field below one on the exact sphere) holds the
         eigenvalues of the dual P - D^-1 instead: they cross zero where the
-        model's do, and as h grows both rise, but their values and their
-        band around zero are the dual's."""
+        model's do, with h-slopes of the model's sign, but their values,
+        their slopes and their band around zero are the dual's, as
+        :func:`monotonicity_probe` sees them too."""
         spectra = []
         for matrix, multiplicity in self.blocks:
             if isinstance(matrix, TridiagonalFamily):
@@ -743,7 +742,9 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
 
 @dataclass
 class BranchEvent:
-    """One in-band finite-difference slope along a tracked branch."""
+    """One in-band eigenvalue ``mu`` of one block at one h, with its exact
+    slope h * dmu/dh; ``branch`` is its index in the block's ascending
+    spectrum at that h."""
 
     block: int
     branch: int
@@ -758,8 +759,7 @@ class ProbeReport:
     delta: float
     eps: float
     events: list
-    skipped: int
-    violations: list = dataclass_field(default_factory=list)
+    violations: list
 
     @property
     def min_slope(self):
@@ -769,45 +769,54 @@ class ProbeReport:
         return not self.violations
 
 
-def _operator_spectra(basis, field, h_values, surface, cut_factor):
-    """Eigenvalues and eigenvectors per h and per block.
+def _block_slopes(basis, operator, h):
+    """(eigenvalues, slopes h * dmu/dh) of each block of the section at h,
+    block by block: a tridiagonal family's blocks by order, a 1 x 1 stack's
+    blocks one by one.
 
-    Sections may grow with 1/h, so every block is cut to its smallest size
-    across the window and only blocks present at every h are kept; branches
-    then stay comparable from one h to the next.  Branch tracking needs
-    eigenvectors, so this is the one place tridiagonal blocks are formed.
+    Only the diagonal of a section depends on h, so by the Hellmann-Feynman
+    theorem an eigenvalue mu with unit eigenvector v has
+    h * dmu/dh = sum_i v_i^2 w_i, w_i = h * d(diagonal_i)/dh.  With
+    D_i = sqrt(1 + h^2 lambda_i) from row i's basis eigenvalue, a model row's
+    diagonal D_i - c has w_i = (D_i^2 - 1) / D_i, and a dual row's
+    a - 1 / D_i has w_i = (D_i^2 - 1) / D_i^3.
     """
-    per_h = []
-    for h in h_values:
-        operator = build_operator(basis, field, h, surface=surface,
-                                  cut_factor=cut_factor)
-        blocks = []
-        for matrix, _ in operator.blocks:
-            if isinstance(matrix, TridiagonalFamily):
-                blocks += [np.diag(diagonal) + np.diag(off, 1)
-                           + np.diag(off, -1) for diagonal, off in
-                           map(matrix.block, range(len(matrix)))]
-            else:
-                blocks += list(np.reshape(matrix, (-1,) + matrix.shape[-2:]))
-        per_h.append(blocks)
-    common = min(len(blocks) for blocks in per_h)
-    sizes = [min(len(blocks[b]) for blocks in per_h) for b in range(common)]
-    return [[eigh(blocks[b][:size, :size]) for b, size in enumerate(sizes)]
-            for blocks in per_h]
+    def weights(lam, dual=False):
+        model = np.sqrt(1.0 + h * h * lam)
+        return h * h * lam / model ** (3 if dual else 1)
+
+    for matrix, _ in operator.blocks:
+        if isinstance(matrix, TridiagonalFamily):
+            # the exact sphere's cluster index is its degree
+            w = weights(basis.values[:len(matrix)], matrix.dual is not None)
+            for order in range(len(matrix)):
+                values, vectors = eigh_tridiagonal(*matrix.block(order))
+                yield values, np.square(vectors).T @ w[order:]
+        elif matrix.shape[-1] == 1:
+            values = matrix.reshape(-1, 1)
+            yield from zip(values, weights(basis.values[:len(values), None]))
+        else:
+            values, vectors = np.linalg.eigh(matrix)
+            yield values, np.square(vectors).T @ weights(
+                basis.leading(len(matrix)))
 
 
 def monotonicity_probe(basis, field, h_window, surface=None, steps=7,
                        cut_factor=CUT_FACTOR):
-    """Check h * dmu/dh > 0 for all branches inside the band [-delta, delta].
+    """Check h * dmu/dh > 0 for every eigenvalue mu in the band
+    [-delta, delta], at every point of a grid of ``steps`` h values spanning
+    the window, its ends included.
 
-    Branches are tracked across the h grid by maximal eigenvector overlap
-    (assignment problem on |V_a^T V_b|); pairs with best overlap at most
-    TRACK_OVERLAP are skipped and counted.  Central differences at interior
-    grid points give the slopes; a slope below eps/4 is recorded as a
-    violation.  A field below one on the exact sphere is probed on its dual
-    section, whose eigenvalues are not the model's: they cross zero where
-    the model's do and their h-slopes have the model's sign, but the band
-    and the slope sizes are the dual's.
+    Each section is eigendecomposed block by block, and each eigenvalue's
+    exact slope read from its eigenvector (:func:`_block_slopes`), so no
+    eigenvalue is followed from one h to the next.  A slope below eps/4 is
+    recorded as a violation.  Where an eigenvalue is repeated within a block
+    its eigenvector is any unit vector of the eigenspace, and its slope lies
+    between the smallest and largest slope of the branches through it.  A
+    field below one on the exact sphere is probed on its dual section, whose
+    eigenvalues are not the model's: they cross zero where the model's do
+    and their h-slopes have the model's sign, but the band and the slope
+    sizes are the dual's.
     """
     h_lo, h_hi = float(h_window[0]), float(h_window[1])
     if not 0.0 < h_lo < h_hi:
@@ -815,52 +824,18 @@ def monotonicity_probe(basis, field, h_window, surface=None, steps=7,
     constants = constants_for(field, surface)
     h_grid = np.linspace(h_lo, h_hi, int(steps))
 
-    spectra = _operator_spectra(basis, field, h_grid, surface, cut_factor)
-    blocks = len(spectra[0])
     events = []
-    skipped = 0
+    for h in h_grid:
+        operator = build_operator(basis, field, h, surface=surface,
+                                  cut_factor=cut_factor)
+        for block, (values, slopes) in enumerate(
+                _block_slopes(basis, operator, h)):
+            for branch in np.flatnonzero(np.abs(values) <= constants.delta):
+                events.append(BranchEvent(block, int(branch), float(h),
+                                          float(values[branch]),
+                                          float(slopes[branch])))
 
-    for block in range(blocks):
-        size = len(spectra[0][block][0])
-        # permutation[i] maps branch id -> eigen index at grid point i
-        permutations = [np.arange(size)]
-        for i in range(1, len(h_grid)):
-            _, prev_vectors = spectra[i - 1][block]
-            _, next_vectors = spectra[i][block]
-            overlap_matrix = np.abs(prev_vectors.T @ next_vectors)
-            rows, cols = linear_sum_assignment(-overlap_matrix)
-            mapping = np.empty(size, dtype=np.int64)
-            good = np.ones(size, dtype=bool)
-            for row, col in zip(rows, cols):
-                mapping[row] = col
-                if overlap_matrix[row, col] <= TRACK_OVERLAP:
-                    good[row] = False
-            previous = permutations[-1]
-            live = previous >= 0
-            lost = live & ~good[previous]
-            skipped += int(np.sum(lost))
-            permutations.append(np.where(live & ~lost, mapping[previous], -1))
-
-        for i in range(1, len(h_grid) - 1):
-            before, here, after = (permutations[i - 1], permutations[i],
-                                   permutations[i + 1])
-            mu_prev = spectra[i - 1][block][0]
-            mu_here = spectra[i][block][0]
-            mu_next = spectra[i + 1][block][0]
-            for branch in range(size):
-                if before[branch] < 0 or here[branch] < 0 or after[branch] < 0:
-                    continue
-                mu = mu_here[here[branch]]
-                if abs(mu) > constants.delta:
-                    continue
-                dh = h_grid[i + 1] - h_grid[i - 1]
-                slope = (h_grid[i] * (mu_next[after[branch]]
-                                      - mu_prev[before[branch]]) / dh)
-                events.append(BranchEvent(block, branch, float(h_grid[i]),
-                                          float(mu), float(slope)))
-
-    report = ProbeReport(h_grid=h_grid, delta=constants.delta,
-                         eps=constants.eps, events=events, skipped=skipped)
     floor = constants.eps / 4.0
-    report.violations = [e for e in events if e.slope < floor]
-    return report
+    return ProbeReport(h_grid=h_grid, delta=constants.delta,
+                       eps=constants.eps, events=events,
+                       violations=[e for e in events if e.slope < floor])

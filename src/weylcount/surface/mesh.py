@@ -10,10 +10,10 @@ DEGENERATE_AREA = 1e-14
 class SurfaceMesh:
     """Watertight, consistently oriented triangle mesh with outward normals.
 
-    Validation enforces: every directed edge appears exactly once (so every
-    undirected edge is shared by exactly two triangles with opposite
-    orientation), no degenerate triangles, and positive signed volume
-    (outward orientation).
+    Validation enforces: finite vertex coordinates, every directed edge
+    appears exactly once (so every undirected edge is shared by exactly two
+    triangles with opposite orientation), no degenerate triangles, and
+    positive signed volume (outward orientation).
     """
 
     def __init__(self, vertices, triangles):
@@ -32,6 +32,10 @@ class SurfaceMesh:
     def validate(self):
         nv = len(self.vertices)
         tri = self.triangles
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            raise MeshQualityError(
+                f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
         if len(tri) == 0:
             raise MeshQualityError("mesh has no triangles")
         if tri.min() < 0 or tri.max() >= nv:

@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
 
@@ -19,7 +21,7 @@ from weylcount.semiclassical_count import (
     _fit_powers,
 )
 from weylcount.spectral_regions import RegionParams
-from weylcount.surface.mesh import icosphere
+from weylcount.surface.mesh import icosphere, write_off
 from weylcount.symbol_algebra import DEFAULT_SAMPLES, SAMPLE_SEED
 
 
@@ -773,6 +775,38 @@ def test_missing_mesh_file(capsys):
     code, _, err = run(capsys, "spectrum", "--mesh", "no-such-file.off",
                        "--count", "10")
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [("scan", "--modes", "40"),
+                                  ("spectrum", "--count", "40")])
+def test_nonfinite_mesh_vertex_is_mesh_failure(capsys, tmp_path, value,
+                                               argv):
+    # a NaN vertex compares False, so it passed validation and the
+    # on-surface check and crashed the FEM solve; an inf one passed
+    # validation too.  Both are malformed meshes, which exit 2
+    path = tmp_path / "bad.off"
+    write_off(icosphere(2), path)
+    lines = path.read_text().splitlines()
+    lines[7] = " ".join([value] + lines[7].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, argv[0], "--mesh", str(path), *argv[1:])
+    assert code == 2
+    assert "vertex 5 has a non-finite coordinate" in err
+    assert out == ""
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # the command line needs no optimizer, and importing scipy.optimize
+    # costs every process time and memory
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, weylcount.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_bad_icosphere_level(capsys):

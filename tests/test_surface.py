@@ -315,6 +315,18 @@ def test_degenerate_triangle_rejected():
         SurfaceMesh(vertices, triangles)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_vertex_rejected(value):
+    # a NaN compares False, so without its own check a NaN vertex passes
+    # every other one and fails only in the FEM solve
+    mesh = icosphere(1)
+    vertices = mesh.vertices.copy()
+    vertices[3, 1] = value
+    with pytest.raises(MeshQualityError,
+                       match="vertex 3 has a non-finite coordinate"):
+        SurfaceMesh(vertices, mesh.triangles)
+
+
 def test_content_hash_sensitive_to_perturbation():
     mesh = icosphere(1)
     moved = mesh.vertices.copy()
