@@ -36,6 +36,7 @@ from .lb_spectrum import (
 from .semiclassical_count import (
     CUT_FACTOR,
     ZERO_TOL,
+    _require_radii,
     build_operator,
     constants_for,
     count_negative,
@@ -110,6 +111,14 @@ def _positive(text, or_zero=False):
 
 def _nonnegative(text):
     return _positive(text, or_zero=True)
+
+
+def _radius(text):
+    """A radius r > 0 whose r^2 and 1/r^2 are finite and positive."""
+    try:
+        return float(_require_radii(_float_or_nan(text), "a radius"))
+    except UsageError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
 
 
 def _positive_int(text, or_zero=False):
@@ -485,11 +494,11 @@ def _read_points(path):
                 raise UsageError(
                     "%s:%d: expected 're im', got %r"
                     % (path, lineno, raw.rstrip("\n")))
-            try:
-                points.append(complex(float(parts[0]), float(parts[1])))
-            except ValueError as err:
+            point = complex(*map(_float_or_nan, parts))
+            if not np.isfinite(point):
                 raise UsageError(
-                    "%s:%d: bad number in %r" % (path, lineno, line)) from err
+                    "%s:%d: bad number in %r" % (path, lineno, line))
+            points.append(point)
     return points
 
 
@@ -586,9 +595,9 @@ def build_parser():
     _add_field(scan_cmd)
     _add_basis(scan_cmd, "--modes")
     _add_counting(scan_cmd)
-    scan_cmd.add_argument("--r-min", type=_positive, default=5.0,
+    scan_cmd.add_argument("--r-min", type=_radius, default=5.0,
                           help="grid start (default %(default)s)")
-    scan_cmd.add_argument("--r-max", type=_positive, default=20.0,
+    scan_cmd.add_argument("--r-max", type=_radius, default=20.0,
                           help="grid end (default %(default)s)")
     scan_cmd.add_argument("--steps", type=int, default=4,
                           help="grid size (default %(default)s)")
@@ -603,13 +612,13 @@ def build_parser():
     _add_field(count_cmd)
     _add_basis(count_cmd, "--modes")
     _add_counting(count_cmd)
-    count_cmd.add_argument("--r", type=_positive, help="count radius")
+    count_cmd.add_argument("--r", type=_radius, help="count radius")
 
     weyl_cmd = _add_command(commands, "weyl", cmd_weyl,
                             "predicted quadratic growth coefficient")
     _add_surface(weyl_cmd)
     _add_field(weyl_cmd)
-    weyl_cmd.add_argument("--r", type=_positive,
+    weyl_cmd.add_argument("--r", type=_radius,
                           help="also report the prediction at this radius")
 
     verify = _add_command(commands, "verify-symbols", cmd_verify_symbols,

@@ -41,7 +41,6 @@ from scipy.linalg import cholesky, eigh, solve_triangular
 from .errors import (
     CacheError,
     InsufficientSpectrumError,
-    MeshQualityError,
     SolverError,
     UsageError,
 )
@@ -182,20 +181,9 @@ def assemble_fem(mesh):
     trace equals the surface area.
     """
     tri = mesh.triangles
-    corners = [mesh.vertices[tri[:, k]] for k in range(3)]
-    double_area = np.linalg.norm(
-        np.cross(corners[1] - corners[0], corners[2] - corners[0]), axis=-1)
-    if np.any(0.5 * double_area < 1e-14):
-        worst = int(np.argmin(double_area))
-        raise MeshQualityError(
-            f"degenerate triangle {worst}: area {0.5 * double_area[worst]:.3e}")
-
     rows, cols, vals = [], [], []
-    for c in range(3):
+    for c, cot in enumerate(mesh.corner_cotangents()):
         a, b = (c + 1) % 3, (c + 2) % 3
-        cot = np.einsum("ij,ij->i",
-                        corners[a] - corners[c],
-                        corners[b] - corners[c]) / double_area
         half = 0.5 * cot
         ia, ib = tri[:, a], tri[:, b]
         rows.extend([ia, ib, ia, ib])

@@ -7,11 +7,10 @@ inner product.  Its negative eigenvalues predict the eigenvalue count N(r),
 which the Weyl law pegs at (r^2 / 4 pi) * integral of (gamma0^2 - 1).
 
 A section keeps whole eigenvalue clusters of the basis, and it is stored
-block diagonally, as symmetric blocks (or stacks of equal-size blocks) each
-repeated a number of times.  Constant damping makes one 1 x 1 block per
-cluster.  On the exact sphere every other field the program accepts has an
-affine base profile p = a + b<axis, x>, and a rotation taking the axis to
-+z maps each degree's harmonics onto themselves, where the diagonal
+block diagonally (:class:`GalerkinOperator`).  On the exact sphere every
+nonconstant field the program accepts has an affine base profile
+p = a + b<axis, x>, and a rotation taking the axis to +z maps each
+degree's harmonics onto themselves, where the diagonal
 sqrt(1 + h^2 n(n+1)) is constant, so the section is unitarily equivalent
 to the one for a + b z, which splits by order m into tridiagonal blocks,
 kept as the diagonal and a closed form of the couplings.  Above one the
@@ -174,9 +173,15 @@ class GalerkinOperator:
     """Finite section D - G of the model operator at fixed h.
 
     ``blocks`` lists (matrix, multiplicity) pairs whose direct sum is the
-    section: ``matrix`` is one symmetric (k, k) block, a (b, k, k) stack of
-    them, or a :class:`TridiagonalFamily` standing for its blocks, and
-    ``multiplicity`` an int or one count per stacked block or family member.
+    section.  ``matrix`` is one of three kinds:
+
+    * a 1-d array of cluster values, value i a 1 x 1 block repeated
+      ``multiplicity[i]`` times (constant damping);
+    * a symmetric 2-d (k, k) block repeated ``multiplicity`` times, an int
+      (a mesh basis gives one, F-ordered, with multiplicity 1);
+    * a :class:`TridiagonalFamily`, its block T_m repeated
+      ``multiplicity[m]`` times (an affine field on the exact sphere).
+
     ``mode_cut`` counts retained basis modes.
     """
 
@@ -197,10 +202,11 @@ class GalerkinOperator:
                 spectra += [np.tile(eigvalsh_tridiagonal(*matrix.block(m)),
                                     multiplicity[m])
                             for m in range(len(matrix))]
-                continue
-            values = np.linalg.eigvalsh(matrix)
-            spectra.append(np.repeat(values.reshape(-1, values.shape[-1]),
-                                     multiplicity, axis=0).ravel())
+            elif matrix.ndim == 1:
+                spectra.append(np.repeat(matrix, multiplicity))
+            else:
+                spectra.append(np.tile(np.linalg.eigvalsh(matrix),
+                                       multiplicity))
         return np.sort(np.concatenate(spectra))
 
 
@@ -343,12 +349,11 @@ class SturmSweep:
 def count_negative(operator, zero_tol=ZERO_TOL, *, _borderline=True):
     """Count eigenvalues < -zero_tol; |eigenvalue| <= zero_tol is borderline.
 
-    Each dense block of size k > 1 is built F-ordered and factored twice:
+    Cluster values are counted directly.  A dense block is factored twice:
     the negative inertia of A + zero_tol I counts eigenvalues below
     -zero_tol, and the negative plus zero inertia of A - zero_tol I those up
     to zero_tol.  A tridiagonal family is counted by its pivot recurrence at
-    the same two shifts, read from the sweep it shares when it has one, and
-    a stack of 1 x 1 blocks holds its eigenvalues and is counted directly.
+    the same two shifts, read from the sweep it shares when it has one.
 
     ``_borderline=False`` is for :func:`scan`'s recount, of which a report
     reads only the count below -zero_tol: dense blocks are then factored at
@@ -365,15 +370,11 @@ def count_negative(operator, zero_tol=ZERO_TOL, *, _borderline=True):
             below, within = sweep.count(member, len(matrix) - 1, zero_tol)
             negative, borderline = negative + below, borderline + within
             continue
-        if matrix.shape[-1] == 1:
-            values = matrix.reshape(-1)
-            below, within = values < -zero_tol, np.abs(values) <= zero_tol
+        if matrix.ndim == 1:
+            below, within = matrix < -zero_tol, np.abs(matrix) <= zero_tol
         else:
-            stack = matrix.reshape((-1,) + matrix.shape[-2:])
-            below = np.array([_inertia(block, zero_tol)[0]
-                              for block in stack])
-            within = np.array([sum(_inertia(block, -zero_tol))
-                               for block in stack]) - below \
+            below = _inertia(matrix, zero_tol)[0]
+            within = sum(_inertia(matrix, -zero_tol)) - below \
                 if _borderline else 0
         negative += int(np.sum(below * multiplicity))
         borderline += int(np.sum(within * multiplicity))
@@ -470,8 +471,8 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
                    _shared=None):
     """Assemble the finite model of the counting operator at h.
 
-    Constant damping gives one 1 x 1 block per eigenvalue cluster, read
-    from the basis clusters alone.  A field with an affine base profile
+    Constant damping gives the cluster values sqrt(1 + h^2 lambda) - gamma0,
+    read from the basis clusters alone.  A field with an affine base profile
     a + b<axis, x> on the exact sphere, along any axis, gives the section
     of a + b z, to which it is unitarily equivalent, one tridiagonal family
     through the last cluster's degree (:func:`_polar_family`), order m >= 1
@@ -485,8 +486,7 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
     Gram matrix, of which each section takes a leading part, or for affine
     damping its :class:`SturmSweep` and the batch member that stands for h.
     """
-    if not h > 0.0:
-        raise UsageError(f"semiclassical parameter must be positive, got {h}")
+    _require_radii(h, "semiclassical parameter h")
     if field.kind != "constant" and surface is None:
         raise UsageError("variable damping needs the surface for its range")
     last = _last_cluster(basis, field, h, surface, cut_factor)
@@ -495,7 +495,7 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
     if field.kind == "constant":
         gamma0 = max(field.value, 1.0 / field.value)
         values = np.sqrt(1.0 + h * h * basis.values[:last + 1]) - gamma0
-        return GalerkinOperator(cut, [(values[:, None, None],
+        return GalerkinOperator(cut, [(values,
                                        basis.multiplicities[:last + 1])])
 
     affine = _sphere_affine(basis, field, surface)
@@ -528,12 +528,17 @@ def weyl_coefficient(surface, field):
     return float(surface.integrate(integrand)) / (4.0 * np.pi)
 
 
-def _require_radii(r):
-    """``r`` as a float array; UsageError unless every radius is finite and
-    positive."""
+def _require_radii(r, what="radii"):
+    """``r`` as a float array; UsageError unless every entry r is positive
+    and r^2 and 1 / r^2 are finite and positive, as a section needs of the
+    squares of both r and h = 1 / r."""
     r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r) & (r > 0.0)):
-        raise UsageError("radii must be finite and positive")
+    with np.errstate(over="ignore", divide="ignore"):
+        square = r * r
+        if not np.all((r > 0.0) & (square < np.inf)
+                      & (1.0 / square < np.inf)):
+            raise UsageError(f"{what} must be positive with finite and "
+                             f"positive squares and inverse squares, got {r}")
     return r
 
 
@@ -771,8 +776,8 @@ class ProbeReport:
 
 def _block_slopes(basis, operator, h):
     """(eigenvalues, slopes h * dmu/dh) of each block of the section at h,
-    block by block: a tridiagonal family's blocks by order, a 1 x 1 stack's
-    blocks one by one.
+    block by block: a tridiagonal family's blocks by order, cluster values
+    one by one.
 
     Only the diagonal of a section depends on h, so by the Hellmann-Feynman
     theorem an eigenvalue mu with unit eigenvector v has
@@ -792,9 +797,9 @@ def _block_slopes(basis, operator, h):
             for order in range(len(matrix)):
                 values, vectors = eigh_tridiagonal(*matrix.block(order))
                 yield values, np.square(vectors).T @ w[order:]
-        elif matrix.shape[-1] == 1:
-            values = matrix.reshape(-1, 1)
-            yield from zip(values, weights(basis.values[:len(values), None]))
+        elif matrix.ndim == 1:
+            yield from zip(matrix[:, None],
+                           weights(basis.values[:len(matrix), None]))
         else:
             values, vectors = np.linalg.eigh(matrix)
             yield values, np.square(vectors).T @ weights(

@@ -23,8 +23,7 @@ INTEGRATION_DEGREE = 93
 
 POLAR_MARGIN = 0.1                      # polar caps excluded from each chart
 
-SphereGrid = namedtuple("SphereGrid", ["z", "phi", "nodes", "mass",
-                                       "z_weights", "phi_weights"])
+SphereGrid = namedtuple("SphereGrid", ["z", "phi", "nodes", "mass"])
 
 
 def sphere_grid(degree):
@@ -32,8 +31,7 @@ def sphere_grid(degree):
 
     Gauss-Legendre in z with ``degree + 3`` nodes times ``2 degree + 3``
     equispaced longitudes ``phi``; ``nodes`` (z-major, shape (..., 3)) and
-    ``mass`` are flattened over the grid, ``mass`` the product of the
-    factor weights ``z_weights`` and ``phi_weights``.  The rule is exact for
+    their weights ``mass`` are flattened over the grid.  The rule is exact for
     polynomials in the coordinates of degree <= 2 degree + 2, so for
     products Y_i Y_j p of harmonics of degree <= ``degree`` with p affine.
     """
@@ -47,7 +45,7 @@ def sphere_grid(degree):
         np.outer(sin_theta, np.sin(phi)).ravel(),
         np.outer(z, np.ones_like(phi)).ravel(),
     ], axis=-1)
-    return SphereGrid(z, phi, nodes, np.outer(wz, wphi).ravel(), wz, wphi)
+    return SphereGrid(z, phi, nodes, np.outer(wz, wphi).ravel())
 
 
 @functools.lru_cache(maxsize=None)

@@ -89,10 +89,6 @@ class SurfaceMesh:
         v = self.vertices[self.triangles]
         return v[:, 0], v[:, 1], v[:, 2]
 
-    def face_cross(self):
-        p0, p1, p2 = self._corner_vectors()
-        return np.cross(p1 - p0, p2 - p0)
-
     def face_areas(self):
         return _face_areas(*self._corner_vectors())
 
@@ -103,16 +99,16 @@ class SurfaceMesh:
     def signed_volume(self):
         return _signed_volume(*self._corner_vectors())
 
-    def vertex_normals(self):
-        """Area-weighted average of incident face normals, unit length."""
-        cross = self.face_cross()  # = 2 * area * unit normal
-        normals = np.zeros_like(self.vertices)
-        for k in range(3):
-            np.add.at(normals, self.triangles[:, k], cross)
-        norms = np.linalg.norm(normals, axis=-1)
-        if np.any(norms == 0.0):
-            raise MeshQualityError("vertex with vanishing averaged normal")
-        return normals / norms[:, None]
+    def corner_cotangents(self):
+        """(3, faces): row k holds the cotangent of each face's angle at its
+        corner k, <b - a, c - a> / |(b - a) x (c - a)| for that corner a and
+        the next two, b and c.  The norm is twice the face area, as
+        :meth:`face_areas` computes it from corner 0."""
+        corners = self._corner_vectors()
+        double = 2.0 * _face_areas(*corners)
+        return np.array([np.einsum("ij,ij->i", corners[(k + 1) % 3] - a,
+                                   corners[(k + 2) % 3] - a) / double
+                         for k, a in enumerate(corners)])
 
     def vertex_areas(self):
         """Lumped vertex areas: Voronoi weights, barycentric fallback.
@@ -125,14 +121,7 @@ class SurfaceMesh:
             return self._vertex_areas
         corners = self._corner_vectors()
         areas = _face_areas(*corners)
-        double = 2.0 * areas
-
-        cots = []
-        for k in range(3):
-            a, b, c = corners[k], corners[(k + 1) % 3], corners[(k + 2) % 3]
-            cots.append(np.einsum("ij,ij->i", b - a, c - a) / double)
-        cots = np.asarray(cots)  # (3, faces); cot of angle at each corner
-
+        cots = self.corner_cotangents()
         obtuse = np.any(cots < 0.0, axis=0)
         weights = np.empty((3, len(areas)))
         for k in range(3):
@@ -275,7 +264,7 @@ def write_off(mesh, path):
             handle.write("3 %d %d %d\n" % tuple(t))
 
 
-def read_vertex_values(path, expected_count=None):
+def read_vertex_values(path):
     """Read a per-vertex scalar table: one decimal value per line."""
     values = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -287,8 +276,4 @@ def read_vertex_values(path, expected_count=None):
                 values.append(float(line))
             except ValueError:
                 raise MeshQualityError(f"{path}:{ln}: not a number: {line!r}") from None
-    values = np.asarray(values, dtype=float)
-    if expected_count is not None and len(values) != expected_count:
-        raise MeshQualityError(
-            f"{path}: {len(values)} values for {expected_count} vertices")
-    return values
+    return np.asarray(values, dtype=float)

@@ -481,6 +481,17 @@ def test_count_single_radius(capsys):
     assert payload["W"] == pytest.approx(75.0, abs=1e-6)
 
 
+def test_count_at_the_smallest_radii(capsys):
+    # mode 0 has D - gamma0 = 1 - 2 = -1 at every r, so it counts down to
+    # the smallest radius whose 1 / r^2 is finite
+    code, out, _ = run(capsys, "count", "--gamma", "2.0", "--r", "1e-150")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["N_scalar"], payload["borderline"]) == (1, 0)
+    # the cut ends at the first cluster at or above twice the threshold
+    assert payload["mode_cut"] == 4
+
+
 def test_count_requires_radius(capsys):
     code, _, err = run(capsys, "count", "--gamma", "2.0")
     assert code == 64
@@ -524,6 +535,11 @@ SCAN = ("scan", "--gamma", "2.0", "--r-min", "5", "--r-max", "10",
     (("scan", "--seed", "-1", "--mesh", "icosphere:3", "--modes", "40",
       "--r-min", "1", "--r-max", "2"), "--seed"),
     (("scan", "--seed", "-1"), "--seed"),
+    # r^2 or 1/r^2 overflows or underflows: a section squares r and 1 / r
+    (("count", "--r", "1e-155"), "--r"),
+    (("count", "--r", "1e200"), "--r"),
+    (("scan", "--r-max", "1e160"), "--r-max"),
+    (("weyl", "--r", "1e200"), "--r"),
 ])
 def test_numeric_options_must_be_finite_and_in_range(capsys, tmp_path,
                                                      monkeypatch, argv, flag):
@@ -699,12 +715,17 @@ def test_regions_requires_input(capsys):
     assert code == 64
 
 
-def test_regions_bad_point_line(tmp_path, capsys):
+@pytest.mark.parametrize("line, message", [
+    ("-3", "expected 're im'"), ("nan 0", "bad number"),
+    ("-3 inf", "bad number")], ids=["no-im", "nan", "inf"])
+def test_regions_bad_point_line(tmp_path, capsys, line, message):
+    # a non-finite point has no place in any region, and NaN is not JSON
     points = tmp_path / "points.txt"
-    points.write_text("-3\n", encoding="utf-8")
-    code, _, err = run(capsys, "regions", "--check", str(points))
+    points.write_text("0 1\n" + line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "regions", "--check", str(points))
     assert code == 64
-    assert "re im" in err
+    assert out == ""
+    assert "%s:2: %s" % (points, message) in err
 
 
 def test_regions_bound_domain_error(capsys):

@@ -119,11 +119,11 @@ def test_constants_from_field(sphere, tilted):
 def test_constant_operator_is_exact_diagonal(gamma_two):
     basis = exact_sphere_spectrum(2)
     op = build_operator(basis, gamma_two, 1.0)
-    [(stack, sizes)] = op.blocks
-    assert stack.shape == (3, 1, 1)  # one 1 x 1 block per cluster
+    [(values, sizes)] = op.blocks
+    assert values.shape == (3,)  # one value per cluster
     assert sizes.tolist() == [1, 3, 5]
-    assert stack[0, 0, 0] == pytest.approx(-1.0)
-    assert stack[1, 0, 0] == pytest.approx(np.sqrt(3.0) - 2.0)
+    assert values[0] == pytest.approx(-1.0)
+    assert values[1] == pytest.approx(np.sqrt(3.0) - 2.0)
     basis = exact_sphere_spectrum(20)
     for h in (1.0, 0.3):
         op = build_operator(basis, gamma_two, h)
@@ -163,7 +163,8 @@ def test_variable_field_needs_surface(tilted):
 
 def test_bad_h_rejected(gamma_two):
     basis = exact_sphere_spectrum(5)
-    for h in (0.0, -1.0, np.nan):
+    # h^2 overflows at 1e155 and underflows at 1e-200
+    for h in (0.0, -1.0, np.nan, np.inf, 1e155, 1e-200):
         with pytest.raises(UsageError):
             build_operator(basis, gamma_two, h)
 
@@ -198,6 +199,42 @@ def test_affine_operator_block_structure(sphere, tilted):
         assert np.allclose(off_diagonal, -0.5 * np.sqrt(
             (n * n - m * m) / ((2.0 * n - 1.0) * (2.0 * n + 1.0))),
             rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("case", ["sphere constant", "mesh constant",
+                                  "z-affine", "mesh affine"])
+def test_sections_hold_one_of_three_block_kinds(sphere, mesh_basis, case):
+    # cluster values with one multiplicity each, one F-ordered mesh block of
+    # multiplicity 1, or one tridiagonal family with one multiplicity per
+    # order: each weighs its blocks to the mode cut
+    basis, field, h = {
+        "sphere constant": (exact_sphere_spectrum(20),
+                            DampingField.constant(2.0), 0.3),
+        "mesh constant": (mesh_basis, DampingField.constant(2.0), 1.25),
+        "z-affine": (exact_sphere_spectrum(20),
+                     DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0)), 0.3),
+        "mesh affine": (mesh_basis,
+                        DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0)), 1.25),
+    }[case]
+    op = build_operator(basis, field, h, surface=sphere)
+    [(matrix, multiplicity)] = op.blocks
+    if case.endswith("constant"):
+        assert isinstance(matrix, np.ndarray) and matrix.ndim == 1
+        assert multiplicity.dtype.kind == "i"
+        assert multiplicity.shape == matrix.shape
+        assert np.sum(multiplicity) == op.mode_cut
+    elif case == "z-affine":
+        assert isinstance(matrix, TridiagonalFamily)
+        assert multiplicity.dtype.kind == "i"
+        assert multiplicity.shape == (len(matrix),)
+        assert np.sum(multiplicity * np.arange(len(matrix), 0, -1)) \
+            == op.mode_cut
+    else:
+        assert isinstance(matrix, np.ndarray)
+        assert matrix.shape == (op.mode_cut,) * 2
+        assert matrix.flags.f_contiguous
+        assert type(multiplicity) is int and multiplicity == 1
+    assert len(op.eigenvalues()) == op.mode_cut
 
 
 def below_one(axis):
@@ -303,9 +340,10 @@ def test_inertia_count_on_planted_spectra(monkeypatch):
         # exactly on the thresholds: pivots of the shifted block are 0
         (np.diag([ZERO_TOL, -ZERO_TOL, 0.5]), 1),
         (planted([-2e-12, 0.0, 4e-13, -1.5, 0.25], 2), 2),
-        (np.stack([planted([-1.0, 1e-13, 2.0], 3),
-                   planted([-2e-12, -3e-13, 2e-12], 4)]), np.array([1, 3])),
-        (np.array([0.0, 5e-13, -5e-13, 2e-12, -2e-12])[:, None, None],
+        (planted([-1.0, 1e-13, 2.0], 3), 1),
+        (planted([-2e-12, -3e-13, 2e-12], 4), 3),
+        # cluster values, each with its own multiplicity
+        (np.array([0.0, 5e-13, -5e-13, 2e-12, -2e-12]),
          np.array([1, 2, 3, 4, 5])),
     ])
     # the swap block factors through a 2 x 2 pivot at either shift
@@ -1069,7 +1107,8 @@ def test_scan_rejects_bad_grids(sphere, gamma_two):
 
 
 @pytest.mark.parametrize("radii", [[5.0, np.nan], [np.nan], [0.0, 5.0],
-                                   [np.inf], [5.0, np.inf], [-1.0, 5.0]])
+                                   [np.inf], [5.0, np.inf], [-1.0, 5.0],
+                                   [1e-155], [5.0, 1e160], [1e200]])
 def test_bad_radii_rejected_before_any_mode_cut(sphere, gamma_two,
                                                 monkeypatch, radii):
     def no_cut(*args):
@@ -1112,14 +1151,14 @@ def test_probe_variable_field(sphere, tilted):
 
 def block_spectra(operator):
     """Eigenvalues of each block of a section, in the probe's block order:
-    a family's blocks by order, a 1 x 1 stack's blocks one by one."""
+    a family's blocks by order, cluster values one by one."""
     spectra = []
     for matrix, _ in operator.blocks:
         if isinstance(matrix, TridiagonalFamily):
             spectra += [eigvalsh_tridiagonal(*matrix.block(m))
                         for m in range(len(matrix))]
-        elif matrix.shape[-1] == 1:
-            spectra += list(matrix.reshape(-1, 1))
+        elif matrix.ndim == 1:
+            spectra += list(matrix[:, None])
         else:
             spectra.append(np.linalg.eigvalsh(matrix))
     return spectra

@@ -263,20 +263,71 @@ def test_vertex_areas_partition_mesh_area():
     assert abs(areas.sum() - mesh.area) <= 1e-12 * mesh.area
 
 
+def stretched_icosphere():
+    """icosphere(2) mapped by diag(3, 1, 1): 184 of its 320 faces are
+    obtuse."""
+    mesh = icosphere(2)
+    return SurfaceMesh(mesh.vertices * [3.0, 1.0, 1.0], mesh.triangles)
+
+
+def angle_cotangents(mesh):
+    """(3, faces): cot theta at each corner, theta the arccos of the inner
+    product of the unit vectors along the corner's two edges."""
+    corners = mesh.vertices[mesh.triangles]
+    cots = []
+    for k in range(3):
+        b, c = (edge / np.linalg.norm(edge, axis=-1)[:, None] for edge in (
+            corners[:, (k + 1) % 3] - corners[:, k],
+            corners[:, (k + 2) % 3] - corners[:, k]))
+        cots.append(1.0 / np.tan(np.arccos(np.sum(b * c, axis=-1))))
+    return np.array(cots)
+
+
+@pytest.mark.parametrize("stretched", [False, True])
+def test_corner_cotangents_match_the_angles(stretched):
+    mesh = stretched_icosphere() if stretched else icosphere(2)
+    cots = mesh.corner_cotangents()
+    assert cots.shape == (3, mesh.triangle_count)
+    np.testing.assert_allclose(cots, angle_cotangents(mesh),
+                               rtol=0.0, atol=1e-12)
+    assert np.count_nonzero(np.any(cots < 0.0, axis=0)) \
+        == (184 if stretched else 0)
+
+
+def test_obtuse_faces_give_each_corner_a_third():
+    # a non-obtuse face gives corner k the Voronoi weight
+    # (|x_k - x_j|^2 cot_i + |x_k - x_i|^2 cot_j) / 8, i and j its other
+    # corners; an obtuse face gives each corner a third of its area.  The
+    # weights of every face sum to its area, so the vertex areas sum to the
+    # mesh area
+    mesh = stretched_icosphere()
+    corners = mesh.vertices[mesh.triangles]
+    cots = angle_cotangents(mesh)
+    thirds = mesh.face_areas() / 3.0
+    obtuse = np.any(cots < 0.0, axis=0)
+    voronoi = np.zeros(mesh.vertex_count)
+    expected = np.zeros(mesh.vertex_count)
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        weight = (np.sum((corners[:, k] - corners[:, j]) ** 2, axis=-1)
+                  * cots[i]
+                  + np.sum((corners[:, k] - corners[:, i]) ** 2, axis=-1)
+                  * cots[j]) / 8.0
+        np.add.at(voronoi, mesh.triangles[:, k], weight)
+        np.add.at(expected, mesh.triangles[:, k],
+                  np.where(obtuse, thirds, weight))
+    areas = mesh.vertex_areas()
+    np.testing.assert_allclose(areas, expected, rtol=1e-12, atol=0.0)
+    # the obtuse faces' Voronoi weights would have been other areas
+    assert np.max(np.abs(voronoi - expected) / expected) > 0.01
+    assert abs(areas.sum() - mesh.area) <= 1e-12 * mesh.area
+
+
 def test_mesh_integrate_matches_chart_quadrature():
     mesh = icosphere(3)
     assert abs(mesh.integrate(lambda p: 1.0) - SPHERE_AREA) <= 0.005 * SPHERE_AREA
     z2 = mesh.integrate(lambda p: p[..., 2] ** 2)
     assert abs(z2 - SPHERE_AREA / 3.0) <= 0.01 * SPHERE_AREA / 3.0
-
-
-def test_vertex_normals_radial_on_icosphere():
-    mesh = icosphere(3)
-    normals = mesh.vertex_normals()
-    assert np.max(np.abs(np.linalg.norm(normals, axis=-1) - 1.0)) <= 1e-12
-    deviation = np.linalg.norm(normals - mesh.vertices, axis=-1)
-    assert np.max(deviation) <= 0.02
-    assert np.mean(deviation) <= 0.01
 
 
 def test_open_mesh_rejected():
@@ -369,8 +420,6 @@ def test_vertex_table_io(tmp_path):
     path.write_text("2.0\n# comment\n2.5\n\n3.0\n")
     values = read_vertex_values(path)
     assert np.array_equal(values, [2.0, 2.5, 3.0])
-    with pytest.raises(MeshQualityError, match="values"):
-        read_vertex_values(path, expected_count=4)
 
 
 # ----------------------------------------------------------------------
