@@ -26,8 +26,9 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
-from .errors import UsageError, WeylcountError
+from .errors import InsufficientSpectrumError, UsageError, WeylcountError
 from .lb_spectrum import (
+    MAX_EXACT_DEGREE,
     SOLVER_TOL,
     cached_mesh_spectrum,
     exact_sphere_spectrum,
@@ -262,10 +263,23 @@ def resolve_mesh(spec):
 def auto_degree(surface, field, r_max, cut_factor):
     """Sphere degree resolving 1.6 * cut_factor times the ellipticity
     threshold at r_max: the 1.5x truncation recount plus headroom, 3.2x at
-    the default cut factor 2."""
+    the default cut factor 2.  A degree above MAX_EXACT_DEGREE is refused
+    (:func:`_require_exact_degree`), judged as a float first, since an
+    overflowing threshold has no integer degree."""
     constants = constants_for(field, surface)
     target = 1.6 * cut_factor * constants.ellipticity_threshold(1.0 / r_max)
+    _require_exact_degree(0.5 * (np.sqrt(1.0 + 4.0 * target) - 1.0))
     return max(int(sphere_degree_for(target)), 1)
+
+
+def _require_exact_degree(degree):
+    """Refuse an exact sphere basis above MAX_EXACT_DEGREE before anything
+    is allocated: its sections and sweeps grow with the degree squared."""
+    if not degree <= MAX_EXACT_DEGREE:
+        raise InsufficientSpectrumError(
+            "exact sphere degree %.15g is above the cap of %d; use smaller "
+            "radii or a --mesh basis"
+            % (degree, MAX_EXACT_DEGREE))
 
 
 def _r_grid(args):
@@ -324,6 +338,7 @@ def _resolve_basis(args, surface, field, r_max):
     degree = args.max_degree
     if degree is None:
         degree = auto_degree(surface, field, r_max, args.cut_factor)
+    _require_exact_degree(degree)
     return exact_sphere_spectrum(degree), None, surface
 
 
@@ -371,6 +386,7 @@ def cmd_spectrum(args):
               % (basis.area, basis.trusted_horizon, basis.residual))
     else:
         _require_exact_basis(args, surface, "--count")
+        _require_exact_degree(args.max_degree)
         basis = exact_sphere_spectrum(args.max_degree)
         print("%d modes, top lambda = %g" % (basis.mode_count, basis.top))
         print("area = %.12g, trusted horizon = %.12g"

@@ -14,14 +14,23 @@ pipeline with the same interface:
   that maps the mesh onto itself (each icosphere has all three) splits the
   pencil into symmetry classes, up to 8, each solved on its own and merged;
   a mesh with none is one class.  The basis keeps its mode values at the
-  vertices with the vertex masses, as its ``quadrature``.
+  vertices with the vertex masses, as its ``quadrature``, together with the
+  vertex permutation of each reflection found and each mode's parity under
+  them, so counting can split a section by class too.
 
 Mesh solves are expensive, so they get a small binary disk cache ("WLB1"
 container plus a JSON sidecar), keyed by the mesh content, the mode count,
-the solver tolerance, the solver seed and the solver revision.  A hit maps
-the container read-only and views its arrays in place, copying nothing;
-this is safe because a writer only ever replaces an entry by atomic
-rename, so a mapped file is never truncated under a live basis.
+the solver tolerance, the solver seed and the solver revision.  Container
+version 2 is laid out little-endian as the magic, a ``<IQQQ`` header
+(version, mode count k, vertex count p, reflection count q), a ``<ddd``
+header (area, trusted horizon, residual), the k eigenvalues (``<f8``) and,
+when p > 0, the p masses, the (p, 3) nodes and the (p, k) mode values
+(``<f8``), then the k parities and the (q, p) reflection permutations
+(``<i8``); every array starts 8-byte aligned.  A hit maps the container
+read-only and views its arrays in place, copying nothing; this is safe
+because a writer only ever replaces an entry by atomic rename, so a mapped
+file is never truncated under a live basis.  An entry of another version
+is a miss.
 """
 
 import hashlib
@@ -48,14 +57,17 @@ from .errors import (
 SOLVER_SEED = 0x5EED
 SOLVER_TOL = 1e-8
 TRUSTED_MODE_FRACTION = 0.05
+# the largest exact sphere degree the command line builds a basis for
+MAX_EXACT_DEGREE = 100_000
 CACHE_MAGIC = b"WLB1"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 # names the eigensolver in the cache key, so an entry solved another way
 # (such as the whole-pencil Lanczos solve) never answers a run
 SOLVER_REVISION = "reflection-classes"
 
 Pencil = namedtuple("Pencil", ["stiffness", "mass", "nodes"])
-Quadrature = namedtuple("Quadrature", ["nodes", "mass", "modes"])
+Quadrature = namedtuple("Quadrature",
+                        ["nodes", "mass", "modes", "parity", "reflections"])
 
 
 @dataclass
@@ -72,11 +84,14 @@ class SpectralBasis:
     A mesh basis holds its ``quadrature``: ``modes[t, j]`` is mode j at
     vertex ``nodes[t]``, whose lumped ``mass[t]`` makes the columns
     orthonormal, as it was solved or loaded (None for a cache entry without
-    them).  A loaded basis holds read-only views of the mapped cache
-    container.  The exact sphere, whose cluster index is the degree, holds
-    none.  ``trusted_horizon`` is the largest eigenvalue considered
-    resolved: for a mesh, the Weyl count of 5% of the vertex budget, i.e.
-    ``0.05 * vertex_count * 4 pi / area``.
+    them).  Row b of the int64 ``reflections`` is the vertex permutation of
+    the b-th coordinate reflection that maps the mesh onto itself (none
+    for a mesh without one), and bit b of the int64 ``parity[j]`` is set
+    when mode j is odd under it.  A loaded basis holds read-only views of
+    the mapped cache container.  The exact sphere, whose cluster index is
+    the degree, holds none.  ``trusted_horizon`` is the largest eigenvalue
+    considered resolved: for a mesh, the Weyl count of 5% of the vertex
+    budget, i.e. ``0.05 * vertex_count * 4 pi / area``.
     """
 
     values: np.ndarray
@@ -228,8 +243,9 @@ def _reflections(stiffness, mass, nodes):
 
 
 def _class_bases(reflections, n):
-    """One orthonormal sparse basis per character of the group the
-    commuting ``reflections`` generate, in vertex space.
+    """(character, basis) pairs: one orthonormal sparse basis per character
+    of the group the commuting ``reflections`` generate, in vertex space.
+    Bit b of a character is set when its basis is odd under reflection b.
 
     Column j of a character's basis is the projection of the j-th vertex
     orbit's first vertex onto that character, normalized: +-1/sqrt(orbit
@@ -255,7 +271,7 @@ def _class_bases(reflections, n):
         kept = np.flatnonzero(norms > 0.0)
         if len(kept):
             scale = sp.diags(1.0 / norms[kept])
-            bases.append((basis[:, kept] @ scale).tocsc())
+            bases.append((character, (basis[:, kept] @ scale).tocsc()))
     return bases
 
 
@@ -283,12 +299,14 @@ def _lowest_pairs(stiffness, mass, count, seed):
     return values[order], vectors[:, order]
 
 
-def _lowest_by_class(stiffness, mass, count, seed, bases):
+def _lowest_by_class(stiffness, mass, count, seed, classes):
     """Lowest ``count`` eigenpairs of the pencil, one symmetry class at a
-    time: class Q takes the lowest min(count, columns) pairs of
+    time, and each pair's class character: class Q of ``classes``
+    (:func:`_class_bases`) takes the lowest min(count, columns) pairs of
     (Q^T K Q, Q^T M Q), whose mass is still diagonal, the classes' values
     are merged by a stable sort, and only the selected vectors are mapped
     back to the vertices."""
+    characters, bases = zip(*classes)
     values, blocks = [], []
     for basis in bases:
         share = min(count, basis.shape[1])
@@ -307,7 +325,7 @@ def _lowest_by_class(stiffness, mass, count, seed, bases):
         picked = np.flatnonzero(owner[order] == c)
         vectors[:, picked] = basis @ blocks[c][:, order[picked] - start[c]]
         blocks[c] = None
-    return values[order], vectors
+    return values[order], vectors, np.array(characters)[owner[order]]
 
 
 def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
@@ -319,7 +337,9 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
     class.  Each class takes a dense solve of the mass-scaled problem for
     large requests and shift-invert Lanczos otherwise, whose start vector
     is drawn from ``seed``, so the result is deterministic and depends on
-    the seed only through Lanczos classes.  Residuals
+    the seed only through Lanczos classes.  The basis keeps the
+    reflections' vertex permutations and each mode's class character as
+    its parity.  Residuals
     ||K v - lambda M v|| / ||v|| of the merged pairs are checked on the
     whole pencil against ``tol * (1 + lambda)``; failure raises SolverError
     with the worst value.
@@ -337,10 +357,11 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
 
     reflections = _reflections(stiffness, mass, nodes)
     if reflections:
-        values, vectors = _lowest_by_class(stiffness, mass, count, seed,
-                                           _class_bases(reflections, n))
+        values, vectors, parity = _lowest_by_class(
+            stiffness, mass, count, seed, _class_bases(reflections, n))
     else:
         values, vectors = _lowest_pairs(stiffness, mass, count, seed)
+        parity = np.zeros(count, dtype=np.int64)
 
     if values[0] < -1e-8:
         raise SolverError(f"spurious negative eigenvalue {values[0]:.3e}",
@@ -372,7 +393,9 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
         source="mesh-fem",
         area=area,
         trusted_horizon=float(min(horizon, values[-1])),
-        quadrature=Quadrature(nodes, mass, vectors),
+        quadrature=Quadrature(nodes, mass, vectors, parity,
+                              np.array(reflections, dtype=np.int64)
+                              .reshape(-1, n)),
         residual=worst,
     )
 
@@ -401,18 +424,22 @@ def cache_store(directory, key, basis, count, tol):
     os.makedirs(directory, exist_ok=True)
     bin_path, json_path = _cache_paths(directory, key)
     k = basis.mode_count
-    p = 0 if basis.modes is None else len(basis.nodes)
+    quadrature = basis.quadrature
+    p = 0 if quadrature is None else len(quadrature.nodes)
+    q = 0 if quadrature is None else len(quadrature.reflections)
     tmp_bin = f"{bin_path}.{os.getpid()}.tmp"
     with open(tmp_bin, "wb") as handle:
         handle.write(CACHE_MAGIC)
-        handle.write(struct.pack("<IQQ", CACHE_VERSION, k, p))
+        handle.write(struct.pack("<IQQQ", CACHE_VERSION, k, p, q))
         handle.write(struct.pack("<ddd", basis.area, basis.trusted_horizon,
                                  basis.residual))
-        arrays = [basis.eigenvalues]
+        arrays = [(basis.eigenvalues, "<f8")]
         if p:
-            arrays += [basis.mass, basis.nodes, basis.modes]
-        for array in arrays:
-            handle.write(np.ascontiguousarray(array, dtype="<f8"))
+            arrays += [(quadrature.mass, "<f8"), (quadrature.nodes, "<f8"),
+                       (quadrature.modes, "<f8"), (quadrature.parity, "<i8"),
+                       (quadrature.reflections, "<i8")]
+        for array, dtype in arrays:
+            handle.write(np.ascontiguousarray(array, dtype=dtype))
     sidecar = {
         "format": CACHE_MAGIC.decode(),
         "version": CACHE_VERSION,
@@ -435,11 +462,11 @@ def cache_store(directory, key, basis, count, tol):
 def cache_load(directory, key):
     """Load a cached basis; returns None on miss (including version skew).
 
-    A hit maps the container read-only: the eigenvalues, masses, nodes and
-    mode values are views of the mapping, not copies.  The mapping outlives
-    any later store of the same key, which writes a new file and renames
-    it over the old one.  A short, empty or overlong container raises
-    CacheError.
+    A hit maps the container read-only: the eigenvalues, masses, nodes,
+    mode values, parities and reflections are views of the mapping, not
+    copies.  The mapping outlives any later store of the same key, which
+    writes a new file and renames it over the old one.  A short, empty or
+    overlong container raises CacheError.
     """
     bin_path, json_path = _cache_paths(directory, key)
     if not (os.path.exists(bin_path) and os.path.exists(json_path)):
@@ -461,14 +488,17 @@ def cache_load(directory, key):
     if blob[:4] != CACHE_MAGIC:
         raise CacheError(f"bad magic in cache container {bin_path}")
     try:
-        version, k, p = struct.unpack_from("<IQQ", blob, 4)
-        offset = 4 + struct.calcsize("<IQQ")
+        version, = struct.unpack_from("<I", blob, 4)
+        if version != CACHE_VERSION:
+            return None
+        _, k, p, q = struct.unpack_from("<IQQQ", blob, 4)
+        offset = 4 + struct.calcsize("<IQQQ")
         area, horizon, residual = struct.unpack_from("<ddd", blob, offset)
         offset += struct.calcsize("<ddd")
 
-        def take(count, shape):
+        def take(count, shape, dtype="<f8"):
             nonlocal offset
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+            arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
             offset += 8 * count
             return arr.reshape(shape)
 
@@ -477,13 +507,12 @@ def cache_load(directory, key):
         if p:
             mass = take(p, (p,))
             quadrature = Quadrature(take(3 * p, (p, 3)), mass,
-                                    take(p * k, (p, k)))
+                                    take(p * k, (p, k)), take(k, (k,), "<i8"),
+                                    take(q * p, (q, p), "<i8"))
         if offset != len(blob):
             raise CacheError(f"trailing bytes in cache container {bin_path}")
     except (struct.error, ValueError) as exc:
         raise CacheError(f"corrupt cache container {bin_path}: {exc}") from exc
-    if version != CACHE_VERSION:
-        return None
     return SpectralBasis(
         *clusters_of(eigenvalues),
         source=sidecar.get("source", "mesh-fem"),

@@ -21,8 +21,10 @@ positive definite, so by Haynsworth's inertia additivity on
 [[P, I], [I, D]] the dual has the inertia of D - P^-1; and P^-1 is at
 most the section of multiplication by 1 / p (Davis-Choi-Jensen), so a dual
 section counts no more than the Gram section of 1 / p at the same cut,
-and the two agree once the cut has converged.  A mesh basis gives one
-dense block, from the mode values it holds.
+and the two agree once the cut has converged.  A mesh basis gives dense
+blocks, from the mode values it holds: one per reflection class of the
+mesh that the field does not mix, since the Gram matrix couples no modes
+of opposite parity under a reflection that leaves the field unchanged.
 
 Counting computes no eigenvalues: by Sylvester's law of inertia the number
 of eigenvalues below a shift is the number of negative pivots of an LDL^T
@@ -172,15 +174,16 @@ class TridiagonalFamily:
 class GalerkinOperator:
     """Finite section D - G of the model operator at fixed h.
 
-    ``blocks`` lists (matrix, multiplicity) pairs whose direct sum is the
+    ``blocks`` lists (matrix, layout) pairs whose direct sum is the
     section.  ``matrix`` is one of three kinds:
 
     * a 1-d array of cluster values, value i a 1 x 1 block repeated
-      ``multiplicity[i]`` times (constant damping);
-    * a symmetric 2-d (k, k) block repeated ``multiplicity`` times, an int
-      (a mesh basis gives one, F-ordered, with multiplicity 1);
-    * a :class:`TridiagonalFamily`, its block T_m repeated
-      ``multiplicity[m]`` times (an affine field on the exact sphere).
+      ``layout[i]`` times (constant damping);
+    * a symmetric, F-ordered 2-d (k, k) block of a mesh basis, ``layout``
+      the k ascending basis modes its rows stand for, one reflection
+      class's modes below the cut (variable damping on a mesh);
+    * a :class:`TridiagonalFamily`, its block T_m repeated ``layout[m]``
+      times (an affine field on the exact sphere).
 
     ``mode_cut`` counts retained basis modes.
     """
@@ -197,16 +200,15 @@ class GalerkinOperator:
         their slopes and their band around zero are the dual's, as
         :func:`monotonicity_probe` sees them too."""
         spectra = []
-        for matrix, multiplicity in self.blocks:
+        for matrix, layout in self.blocks:
             if isinstance(matrix, TridiagonalFamily):
                 spectra += [np.tile(eigvalsh_tridiagonal(*matrix.block(m)),
-                                    multiplicity[m])
+                                    layout[m])
                             for m in range(len(matrix))]
             elif matrix.ndim == 1:
-                spectra.append(np.repeat(matrix, multiplicity))
+                spectra.append(np.repeat(matrix, layout))
             else:
-                spectra.append(np.tile(np.linalg.eigvalsh(matrix),
-                                       multiplicity))
+                spectra.append(np.linalg.eigvalsh(matrix))
         return np.sort(np.concatenate(spectra))
 
 
@@ -362,23 +364,21 @@ def count_negative(operator, zero_tol=ZERO_TOL, *, _borderline=True):
     if not zero_tol >= 0.0:
         raise UsageError(f"zero tolerance must be >= 0, got {zero_tol}")
     negative = borderline = 0
-    for matrix, multiplicity in operator.blocks:
+    for matrix, layout in operator.blocks:
         if isinstance(matrix, TridiagonalFamily):
             sweep, member = matrix.sweep or (
-                SturmSweep(matrix, multiplicity, [len(matrix) - 1]), 0)
+                SturmSweep(matrix, layout, [len(matrix) - 1]), 0)
             # the sweep weighs each block by its multiplicity itself
             below, within = sweep.count(member, len(matrix) - 1, zero_tol)
-            negative, borderline = negative + below, borderline + within
-            continue
-        if matrix.ndim == 1:
-            below, within = matrix < -zero_tol, np.abs(matrix) <= zero_tol
+        elif matrix.ndim == 1:
+            below = np.sum((matrix < -zero_tol) * layout)
+            within = np.sum((np.abs(matrix) <= zero_tol) * layout)
         else:
             below = _inertia(matrix, zero_tol)[0]
             within = sum(_inertia(matrix, -zero_tol)) - below \
                 if _borderline else 0
-        negative += int(np.sum(below * multiplicity))
-        borderline += int(np.sum(within * multiplicity))
-    return NegativeCount(negative, borderline)
+        negative, borderline = negative + below, borderline + within
+    return NegativeCount(int(negative), int(borderline))
 
 
 def _last_cluster(basis, field, h, surface, cut_factor):
@@ -420,17 +420,43 @@ def _sphere_affine(basis, field, surface):
 def _damping_gram(basis, field, last):
     """The h-independent part of a dense section through cluster ``last``:
     the Gram matrix of the effective damping gamma0 on the first
-    ``basis.ends[last]`` modes of a mesh basis, W^T W with
-    W = modes * sqrt(mass * gamma0) (gamma0 > 0), so exactly symmetric.
+    ``basis.ends[last]`` modes of a mesh basis, as (columns, G_c) pairs,
+    one per class of modes of equal parity under H, the group of the
+    basis's reflections that leave gamma0 unchanged at the nodes, bit for
+    bit.  The whole Gram matrix is W^T W with W = modes * sqrt(mass *
+    gamma0) (gamma0 > 0); between two classes its entries are odd under
+    some reflection of H, so zero, and within one they are sums over the
+    vertices of terms that H leaves unchanged, so sums over the vertex
+    orbits of H of the term at one vertex times the orbit's size.  So G_c
+    is W_c^T W_c, W_c = modes[reps, columns] * sqrt(size * mass * gamma0)
+    [reps], over the first vertex of each orbit, and exactly symmetric.
+    Where H is trivial (an oblique field, a mesh without reflections) that
+    is one pair, W^T W itself.
     """
     if basis.modes is None:
         raise UsageError("dense assembly reads the field at the nodes of a "
                          "mesh basis; a vertex table holds one value per "
                          "mesh vertex, so it needs a mesh basis")
     cut = int(basis.ends[last])
-    scaled = basis.modes[:, :cut] * np.sqrt(
-        basis.mass * field.effective(basis.nodes))[:, None]
-    return scaled.T @ scaled
+    _, mass, modes, parity, reflections = basis.quadrature
+    gamma0 = field.effective(basis.nodes)
+    group, mask = [np.arange(len(mass))], 0
+    for bit, perm in enumerate(reflections):
+        if np.array_equal(gamma0[perm], gamma0):
+            group += [element[perm] for element in group]
+            mask |= 1 << bit
+    # each vertex's orbit under H, named by its first vertex
+    orbit = np.min(group, axis=0)
+    reps = np.flatnonzero(orbit == np.arange(len(mass)))
+    weight = np.sqrt(np.bincount(orbit)[reps] * mass[reps] * gamma0[reps])
+    scaled = modes[reps, :cut] * weight[:, None]
+    classes = parity[:cut] & mask
+    grams = []
+    for character in np.unique(classes):
+        columns = np.flatnonzero(classes == character)
+        part = scaled[:, columns]
+        grams.append((columns, part.T @ part))
+    return grams
 
 
 def _dense_block(diagonal, gram):
@@ -480,11 +506,12 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
     diag(sqrt(1 + h^2 n(n+1)) - a) - b J_m, with J_m the Jacobi matrix of
     the orthonormal associated Legendre functions, and below one its dual
     diag(a - 1 / sqrt(1 + h^2 n(n+1))) + b J_m.  A mesh basis gives one
-    dense block diag(sqrt(1 + h^2 lambda)) - G over the modes below the
-    cut.  ``scan`` forms the h-independent part of its variable-damping
-    sections once, at its widest cut, and passes it as ``_shared``: the
-    Gram matrix, of which each section takes a leading part, or for affine
-    damping its :class:`SturmSweep` and the batch member that stands for h.
+    dense block diag(sqrt(1 + h^2 lambda)) - G_c per class of
+    :func:`_damping_gram`, over that class's modes below the cut.  ``scan``
+    forms the h-independent part of its variable-damping sections once, at
+    its widest cut, and passes it as ``_shared``: the class Gram matrices,
+    of which each section takes leading parts, or for affine damping its
+    :class:`SturmSweep` and the batch member that stands for h.
     """
     _require_radii(h, "semiclassical parameter h")
     if field.kind != "constant" and surface is None:
@@ -510,9 +537,16 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
             None if whole.dual is None else whole.dual[rows])
         return GalerkinOperator(cut, [(part, sweep.multiplicity[:last + 1])])
 
-    gram = _damping_gram(basis, field, last) if _shared is None else _shared
-    return GalerkinOperator(cut, [(_dense_block(
-        np.sqrt(1.0 + h * h * basis.leading(cut)), gram[:cut, :cut]), 1)])
+    grams = _damping_gram(basis, field, last) if _shared is None else _shared
+    diagonal = np.sqrt(1.0 + h * h * basis.leading(cut))
+    blocks = []
+    for columns, gram in grams:
+        # a class's columns ascend, so those below the cut lead
+        kept = int(np.searchsorted(columns, cut))
+        if kept:
+            blocks.append((_dense_block(diagonal[columns[:kept]],
+                                        gram[:kept, :kept]), columns[:kept]))
+    return GalerkinOperator(cut, blocks)
 
 
 # ----------------------------------------------------------------------
@@ -673,13 +707,14 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     section is factored at +-zero_tol, and a dense recount, of which the
     report reads only the count below -zero_tol, at +zero_tol only.
     Constant damping reads the basis clusters alone; a dense section, on a
-    mesh basis, built F-ordered, takes a leading part of the Gram matrix
-    formed once at the widest cut.  The sections of an affine field on the
-    exact sphere, along any axis, above one or below, are members of one
-    batch, one per radius, and one :class:`SturmSweep` counts them all: it
-    sweeps each member through the degree of its widest cut once, and each
-    count looks its section up.  Radii must be finite and positive, or
-    UsageError is raised before any mode cut.
+    mesh basis, one F-ordered block per reflection class the field does
+    not mix, takes leading parts of the class Gram matrices formed once at
+    the widest cut (:func:`_damping_gram`).  The sections of an affine
+    field on the exact sphere, along any axis, above one or below, are
+    members of one batch, one per radius, and one :class:`SturmSweep`
+    counts them all: it sweeps each member through the degree of its
+    widest cut once, and each count looks its section up.  Radii must be
+    finite and positive, or UsageError is raised before any mode cut.
     """
     r_grid = _require_radii(r_grid)
     if r_grid.ndim != 1 or len(r_grid) == 0:
@@ -777,7 +812,7 @@ class ProbeReport:
 def _block_slopes(basis, operator, h):
     """(eigenvalues, slopes h * dmu/dh) of each block of the section at h,
     block by block: a tridiagonal family's blocks by order, cluster values
-    one by one.
+    one by one, a dense block by the basis modes it spans.
 
     Only the diagonal of a section depends on h, so by the Hellmann-Feynman
     theorem an eigenvalue mu with unit eigenvector v has
@@ -790,7 +825,7 @@ def _block_slopes(basis, operator, h):
         model = np.sqrt(1.0 + h * h * lam)
         return h * h * lam / model ** (3 if dual else 1)
 
-    for matrix, _ in operator.blocks:
+    for matrix, layout in operator.blocks:
         if isinstance(matrix, TridiagonalFamily):
             # the exact sphere's cluster index is its degree
             w = weights(basis.values[:len(matrix)], matrix.dual is not None)
@@ -803,7 +838,7 @@ def _block_slopes(basis, operator, h):
         else:
             values, vectors = np.linalg.eigh(matrix)
             yield values, np.square(vectors).T @ weights(
-                basis.leading(len(matrix)))
+                basis.leading(operator.mode_cut)[layout])
 
 
 def monotonicity_probe(basis, field, h_window, surface=None, steps=7,

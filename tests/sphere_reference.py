@@ -110,5 +110,5 @@ def product_section(basis, h, cut, gram, classes=None):
         columns = columns[columns < cut]
         if len(columns):
             blocks.append((np.diag(diagonal[columns])
-                           - gram[np.ix_(columns, columns)], 1))
+                           - gram[np.ix_(columns, columns)], columns))
     return GalerkinOperator(cut, blocks)

@@ -13,7 +13,7 @@ import pytest
 
 from weylcount import cli, lb_spectrum
 from weylcount.cli import main
-from weylcount.lb_spectrum import SOLVER_TOL
+from weylcount.lb_spectrum import MAX_EXACT_DEGREE, SOLVER_TOL
 from weylcount.semiclassical_count import (
     CUT_FACTOR,
     ZERO_TOL,
@@ -289,6 +289,32 @@ def test_scan_auto_degree_follows_cut_factor(tmp_path, capsys):
                            "--output", str(tmp_path / cut_factor))
         assert code == 0
         assert "truncation_stable=pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--r", "1e8"), ("count", "--r", "1e150"),
+    ("count", "--gamma", "1e200", "--r", "1"),
+    ("scan", "--r-min", "1", "--r-max", "1e8"),
+    ("count", "--r", "2", "--max-degree", str(MAX_EXACT_DEGREE + 1)),
+    ("spectrum", "--exact", "--max-degree", str(MAX_EXACT_DEGREE + 1))],
+    ids=["auto", "auto-huge", "auto-overflow", "scan", "count-flag",
+         "spectrum-flag"])
+def test_exact_degree_above_the_cap_is_refused(capsys, tmp_path,
+                                               monkeypatch, argv):
+    # the degree is judged before the basis is built, so nothing the size
+    # of the degree is ever allocated
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact basis above the cap was built")
+
+    monkeypatch.setattr(cli, "exact_sphere_spectrum", forbidden)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: exact sphere degree ")
+    assert "above the cap of %d" % MAX_EXACT_DEGREE in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_prints_why_gates_did_not_run(tmp_path, capsys):

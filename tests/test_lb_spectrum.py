@@ -304,8 +304,13 @@ def test_icosphere_splits_into_reflection_classes(level):
     assert np.signbit(signed[mesh.vertices == 0.0]).all()
     assert all(np.array_equal(p, q) for p, q in zip(
         _reflections(pencil.stiffness, pencil.mass, signed), reflections))
-    bases = _class_bases(reflections, n)
-    assert len(bases) == (7 if level == 0 else 8)
+    characters, bases = zip(*_class_bases(reflections, n))
+    # bit b of a character: its basis is odd under reflection b
+    assert characters == tuple(range(7 if level == 0 else 8))
+    for character, basis in zip(characters, bases):
+        for bit, perm in enumerate(reflections):
+            sign = -1.0 if character >> bit & 1 else 1.0
+            assert (basis[perm] - sign * basis).count_nonzero() == 0
     assert sum(basis.shape[1] for basis in bases) == n
     if level > 2:
         return
@@ -362,6 +367,28 @@ def test_mesh_without_exact_reflections_is_one_class():
     # and the symmetric stiffness with the flipped mass
     assert _reflections(flipped.stiffness, pencil.mass, mesh.vertices) == []
     assert _reflections(pencil.stiffness, flipped.mass, mesh.vertices) == []
+
+
+def test_solved_modes_keep_their_reflections_and_parities():
+    # bit b of a mode's parity says whether it is odd under reflection b,
+    # to roundoff: the classes are solved apart and only the final mass
+    # re-orthonormalization mixes them.  A mesh without reflections keeps
+    # none, and every mode has parity 0
+    mesh = icosphere(3)
+    basis = solve_lowest(assemble_fem(mesh), 100, tol=1e-8)
+    reflections = basis.quadrature.reflections
+    parity = basis.quadrature.parity
+    assert reflections.dtype == parity.dtype == np.int64
+    assert np.array_equal(reflections, _reflections(*assemble_fem(mesh)))
+    assert np.array_equal(np.unique(parity), np.arange(8))
+    scale = np.max(np.abs(basis.modes))
+    for bit, perm in enumerate(reflections):
+        sign = np.where(parity >> bit & 1, -1.0, 1.0)
+        assert np.max(np.abs(basis.modes[perm] - sign * basis.modes)) \
+            < 1e-12 * scale
+    turned = solve_lowest(assemble_fem(rotated(mesh)), 20, tol=1e-8)
+    assert turned.quadrature.reflections.shape == (0, mesh.vertex_count)
+    assert np.array_equal(turned.quadrature.parity, np.zeros(20))
 
 
 def test_reflected_and_rotated_solves_agree():
@@ -464,23 +491,42 @@ def test_cache_round_trip_bit_exact(tmp_path):
 
 def test_cache_written_before_factored_tables_loads(tmp_path):
     # a WLB1 version 1 container (icosphere:1, 6 modes) stored by the
-    # release that tabulated every basis at every node: it loads as mode
-    # values at the vertices, stores back to the same bytes, and its Gram
-    # matrix is W^T W with W = modes * sqrt(mass * gamma0)
+    # release that tabulated every basis at every node holds no reflections
+    # and no parities, so it is a miss.  A version 2 container loads as mode
+    # values at the vertices with the mesh's reflections and the modes'
+    # parities, stores back to the same bytes, and its Gram matrix is
+    # W^T W with W = modes * sqrt(mass * gamma0), split by class
     source = DATA / "wlb1_cache"
-    key = "7c2dc468a90972a4707ccb1bb124af0c"
-    basis = cache_load(str(source), key)
+    assert cache_load(str(source), "7c2dc468a90972a4707ccb1bb124af0c") \
+        is None
+    mesh = icosphere(1)
+    written = tmp_path / "written"
+    solved, hit = cached_mesh_spectrum(mesh, 6, tol=1e-8,
+                                       directory=str(written))
+    assert not hit
+    key = cache_key(mesh.content_hash(), 6, 1e-8, SOLVER_SEED)
+    basis = cache_load(str(written), key)
     assert basis is not None and basis.source == "mesh-fem"
     assert basis.mode_count == 6 and basis.modes.shape == (42, 6)
-    assert basis.quadrature._fields == ("nodes", "mass", "modes")
+    assert basis.quadrature._fields == ("nodes", "mass", "modes", "parity",
+                                        "reflections")
+    assert basis.quadrature.reflections.shape == (3, 42)
+    for array, solved_array in zip(basis.quadrature, solved.quadrature):
+        assert array.dtype == solved_array.dtype
+        assert np.array_equal(array, solved_array)
     cache_store(str(tmp_path), key, basis, 6, 1e-8)
     assert (tmp_path / (key + ".wlb")).read_bytes() \
-        == (source / (key + ".wlb")).read_bytes()
+        == (written / (key + ".wlb")).read_bytes()
     field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
     scaled = basis.modes * np.sqrt(
         basis.mass * field.effective(basis.nodes))[:, None]
-    gram = _damping_gram(basis, field, len(basis.values) - 1)
-    assert np.array_equal(gram, scaled.T @ scaled)
+    whole = scaled.T @ scaled
+    grams = _damping_gram(basis, field, len(basis.values) - 1)
+    columns = np.concatenate([columns for columns, _ in grams])
+    assert len(grams) > 1 and np.array_equal(np.sort(columns), np.arange(6))
+    for columns, gram in grams:
+        np.testing.assert_allclose(gram, whole[np.ix_(columns, columns)],
+                                   rtol=0.0, atol=1e-14)
 
 
 def test_cache_miss_on_perturbed_mesh(tmp_path):
@@ -588,8 +634,11 @@ def test_loaded_basis_gives_the_solved_gram_bit_for_bit(tmp_path):
     last = len(solved.values) - 1
     for field in (DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0)),
                   DampingField.constant(1.5)):
-        assert np.array_equal(_damping_gram(loaded, field, last),
-                              _damping_gram(solved, field, last))
+        pairs = zip(_damping_gram(loaded, field, last),
+                    _damping_gram(solved, field, last), strict=True)
+        for (loaded_columns, loaded_gram), (columns, gram) in pairs:
+            assert np.array_equal(loaded_columns, columns)
+            assert loaded_gram.tobytes() == gram.tobytes()
 
 
 def test_cache_key_depends_on_inputs():

@@ -46,6 +46,7 @@ from sphere_reference import (
     product_section,
     reflection_classes,
 )
+from test_lb_spectrum import rotated
 
 
 @pytest.fixture(scope="module")
@@ -204,8 +205,9 @@ def test_affine_operator_block_structure(sphere, tilted):
 @pytest.mark.parametrize("case", ["sphere constant", "mesh constant",
                                   "z-affine", "mesh affine"])
 def test_sections_hold_one_of_three_block_kinds(sphere, mesh_basis, case):
-    # cluster values with one multiplicity each, one F-ordered mesh block of
-    # multiplicity 1, or one tridiagonal family with one multiplicity per
+    # cluster values with one multiplicity each, F-ordered mesh blocks, one
+    # per reflection class, each with the ascending basis modes its rows
+    # stand for, or one tridiagonal family with one multiplicity per
     # order: each weighs its blocks to the mode cut
     basis, field, h = {
         "sphere constant": (exact_sphere_spectrum(20),
@@ -217,23 +219,31 @@ def test_sections_hold_one_of_three_block_kinds(sphere, mesh_basis, case):
                         DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0)), 1.25),
     }[case]
     op = build_operator(basis, field, h, surface=sphere)
+    if case == "mesh affine":
+        # x -> -x changes the field, y -> -y and z -> -z do not
+        assert len(op.blocks) == 4
+        for matrix, columns in op.blocks:
+            assert isinstance(matrix, np.ndarray)
+            assert columns.dtype.kind == "i"
+            assert np.all(np.diff(columns) > 0)
+            assert matrix.shape == (len(columns),) * 2
+            assert matrix.flags.f_contiguous
+        assert np.array_equal(np.sort(np.concatenate(
+            [columns for _, columns in op.blocks])), np.arange(op.mode_cut))
+        assert len(op.eigenvalues()) == op.mode_cut
+        return
     [(matrix, multiplicity)] = op.blocks
     if case.endswith("constant"):
         assert isinstance(matrix, np.ndarray) and matrix.ndim == 1
         assert multiplicity.dtype.kind == "i"
         assert multiplicity.shape == matrix.shape
         assert np.sum(multiplicity) == op.mode_cut
-    elif case == "z-affine":
+    else:
         assert isinstance(matrix, TridiagonalFamily)
         assert multiplicity.dtype.kind == "i"
         assert multiplicity.shape == (len(matrix),)
         assert np.sum(multiplicity * np.arange(len(matrix), 0, -1)) \
             == op.mode_cut
-    else:
-        assert isinstance(matrix, np.ndarray)
-        assert matrix.shape == (op.mode_cut,) * 2
-        assert matrix.flags.f_contiguous
-        assert type(multiplicity) is int and multiplicity == 1
     assert len(op.eigenvalues()) == op.mode_cut
 
 
@@ -332,16 +342,24 @@ def planted(values, seed):
     return (q * np.asarray(values)) @ q.T
 
 
+def repeated(matrix, times=1):
+    """``times`` copies of a dense block, each standing for modes of its
+    own: a dense block's layout is its modes, so a repeat is listed."""
+    return [(matrix, np.arange(len(matrix)) + len(matrix) * copy)
+            for copy in range(times)]
+
+
 def test_inertia_count_on_planted_spectra(monkeypatch):
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     operator = GalerkinOperator(0, [
-        (planted([0.0, 5e-13, -5e-13, 2e-12, -2e-12, -0.7, 1.3, 3.0], 1), 1),
-        (swap, 1),
+        *repeated(planted([0.0, 5e-13, -5e-13, 2e-12, -2e-12, -0.7, 1.3,
+                           3.0], 1)),
+        *repeated(swap),
         # exactly on the thresholds: pivots of the shifted block are 0
-        (np.diag([ZERO_TOL, -ZERO_TOL, 0.5]), 1),
-        (planted([-2e-12, 0.0, 4e-13, -1.5, 0.25], 2), 2),
-        (planted([-1.0, 1e-13, 2.0], 3), 1),
-        (planted([-2e-12, -3e-13, 2e-12], 4), 3),
+        *repeated(np.diag([ZERO_TOL, -ZERO_TOL, 0.5])),
+        *repeated(planted([-2e-12, 0.0, 4e-13, -1.5, 0.25], 2), 2),
+        *repeated(planted([-1.0, 1e-13, 2.0], 3)),
+        *repeated(planted([-2e-12, -3e-13, 2e-12], 4), 3),
         # cluster values, each with its own multiplicity
         (np.array([0.0, 5e-13, -5e-13, 2e-12, -2e-12]),
          np.array([1, 2, 3, 4, 5])),
@@ -390,7 +408,8 @@ def test_inertia_count_matches_eigvalsh(size, seed, diagonal, scale,
     matrix[np.diag_indices(size)] *= diagonal
     values = np.linalg.eigvalsh(matrix)
     assume(np.min(np.abs(np.abs(values) - ZERO_TOL)) >= 1e-9)
-    operator = GalerkinOperator(size, [(matrix, multiplicity)])
+    operator = GalerkinOperator(size * multiplicity,
+                                repeated(matrix, multiplicity))
     assert count_negative(operator) == eigvalsh_count(operator)
 
 
@@ -693,15 +712,22 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, modes):
         built.clear()
         report = scan(sphere, field, r_grid, basis, zero_tol=zero_tol)
         assert len(lasts) == 1
-        # a section is one F-ordered block over the modes below its cut,
-        # factored in a primary section at +-zero_tol, in a recount at
-        # +zero_tol only: no report reads its borderline
-        for op in built:
-            [(matrix, multiplicity)] = op.blocks
-            assert matrix.shape == (op.mode_cut,) * 2 and multiplicity == 1
-            assert matrix.flags.f_contiguous
-        assert factored == [zero_tol, -zero_tol] * 3 \
-            + [zero_tol] * (len(built) - 3)
+        # a section is one F-ordered block per reflection class over the
+        # modes below its cut, each factored in a primary section at
+        # +-zero_tol, in a recount at +zero_tol only: no report reads its
+        # borderline.  y -> -y and z -> -z leave the field unchanged, so
+        # there are four classes, all present from the first cut on
+        expected = []
+        for index, op in enumerate(built):
+            assert len(op.blocks) == 4
+            assert sum(len(columns) for _, columns in op.blocks) \
+                == op.mode_cut
+            for matrix, columns in op.blocks:
+                assert matrix.shape == (len(columns),) * 2
+                assert matrix.flags.f_contiguous
+                expected += [zero_tol, -zero_tol] if index < 3 \
+                    else [zero_tol]
+        assert factored == expected
         assert len(built) == 3 * (1 + (modes == 40))
 
         counts, last_cut = standalone(2.0, zero_tol)
@@ -721,19 +747,24 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, modes):
 @pytest.mark.parametrize("wider", [False, True])
 def test_dense_section_is_built_in_fortran_order(sphere, mesh_basis,
                                                  monkeypatch, wider):
-    # the same bits as diag(d) - G, laid out for LAPACK, exact zeros of the
-    # Gram matrix included, also from the leading part of a scan's wider
-    # one.  Zeros of both signs are planted where the Gram matrix is below
-    # roundoff, as it is between modes of different reflection classes, so
-    # they do not depend on how its sums round
+    # each class block has the same bits as diag(d) - G_c over the class's
+    # modes below the cut, laid out for LAPACK, exact zeros of the Gram
+    # matrix included, also from the leading part of a scan's wider one.
+    # Zeros of both signs are planted where a class Gram matrix is below
+    # roundoff, and at two fixed places, so they do not depend on how its
+    # sums round
     field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
     form = semiclassical_count._damping_gram
 
     def planted(basis, field, last):
-        gram = form(basis, field, last)
-        tiny = np.abs(gram) < 1e-16
-        gram[tiny] = np.copysign(0.0, gram[tiny])
-        return gram
+        grams = form(basis, field, last)
+        for _, gram in grams:
+            tiny = np.abs(gram) < 1e-16
+            gram[tiny] = np.copysign(0.0, gram[tiny])
+            if len(gram) > 2:
+                gram[0, 1] = gram[1, 0] = -0.0
+                gram[0, 2] = gram[2, 0] = 0.0
+        return grams
 
     monkeypatch.setattr(semiclassical_count, "_damping_gram", planted)
     top = len(mesh_basis.values) - 1
@@ -741,16 +772,22 @@ def test_dense_section_is_built_in_fortran_order(sphere, mesh_basis,
     h = 1.25
     operator = build_operator(mesh_basis, field, h, surface=sphere,
                               _shared=shared)
-    [(matrix, multiplicity)] = operator.blocks
     cut = operator.mode_cut
-    assert cut < mesh_basis.mode_count and multiplicity == 1
-    gram = (planted(mesh_basis, field, int(np.searchsorted(
-        mesh_basis.ends, cut))) if shared is None else shared)[:cut, :cut]
-    zeros = gram[gram == 0.0]
+    assert cut < mesh_basis.mode_count
+    grams = planted(mesh_basis, field, int(np.searchsorted(
+        mesh_basis.ends, cut))) if shared is None else shared
+    diagonal = np.sqrt(1.0 + h * h * mesh_basis.leading(cut))
+    assert len(operator.blocks) == len(grams) == 4
+    zeros = []
+    for (matrix, columns), (all_columns, gram) in zip(operator.blocks,
+                                                      grams):
+        assert np.array_equal(columns, all_columns[all_columns < cut])
+        gram = gram[:len(columns), :len(columns)]
+        zeros += gram[gram == 0.0].tolist()
+        expected = np.diag(diagonal[columns]) - gram
+        assert matrix.flags.f_contiguous
+        assert matrix.T.tobytes() == expected.tobytes()
     assert np.any(np.signbit(zeros)) and not np.all(np.signbit(zeros))
-    expected = np.diag(np.sqrt(1.0 + h * h * mesh_basis.leading(cut))) - gram
-    assert matrix.flags.f_contiguous
-    assert matrix.T.tobytes() == expected.tobytes()
 
 
 def dual_counts_below_reference(operator, basis, h, gram, zero_tol):
@@ -870,20 +907,39 @@ def test_exact_sphere_refuses_a_vertex_table(sphere):
         scan(sphere, field, [0.5, 1.0], basis)
 
 
-@pytest.mark.parametrize("field", [
-    DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0)),
-    DampingField.affine(0.5, 0.2, (1.0, 1.0, 1.0)),
-    DampingField.constant(2.0),
+@pytest.mark.parametrize("field, invariant", [
+    (DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0)), 0b110),
+    (DampingField.affine(0.5, 0.2, (1.0, 1.0, 1.0)), 0b000),
+    (DampingField.constant(2.0), 0b111),
 ], ids=["x", "below-one-111", "constant"])
-def test_mesh_gram_is_one_rank_k_update(mesh_basis, field):
+def test_mesh_gram_is_one_rank_k_update(mesh_basis, field, invariant):
     # the Gram matrix of a mesh basis is W^T W with
-    # W = modes * sqrt(mass * gamma0), bit for bit, through every cluster
+    # W = modes * sqrt(mass * gamma0), through every cluster, kept as one
+    # rank-k update per class of modes of equal parity under the
+    # reflections x, y, z (bits 0, 1, 2) that leave the field unchanged.
+    # What the classes drop is roundoff, and each class keeps its part of
+    # W^T W to roundoff; a field no reflection leaves unchanged is one
+    # class, W^T W bit for bit
+    parity = mesh_basis.quadrature.parity
     for last in (len(mesh_basis.values) - 1, len(mesh_basis.values) // 2):
         cut = int(mesh_basis.ends[last])
         scaled = mesh_basis.modes[:, :cut] * np.sqrt(
             mesh_basis.mass * field.effective(mesh_basis.nodes))[:, None]
-        gram = semiclassical_count._damping_gram(mesh_basis, field, last)
-        assert gram.tobytes() == (scaled.T @ scaled).tobytes()
+        whole = scaled.T @ scaled
+        grams = semiclassical_count._damping_gram(mesh_basis, field, last)
+        classes = parity[:cut] & invariant
+        assert [columns.tolist() for columns, _ in grams] == [
+            np.flatnonzero(classes == c).tolist() for c in np.unique(classes)]
+        if not invariant:
+            [(_, gram)] = grams
+            assert gram.tobytes() == whole.tobytes()
+        scale = np.max(np.abs(whole))
+        assert np.max(np.abs(whole[classes[:, None] != classes[None, :]]),
+                      initial=0.0) < 1e-15 * scale
+        for columns, gram in grams:
+            assert np.array_equal(gram, gram.T)
+            assert np.max(np.abs(gram - whole[np.ix_(columns, columns)])) \
+                < 1e-14 * scale
 
 
 def drawn_base(offset, fraction, dual):
@@ -896,6 +952,97 @@ def drawn_base(offset, fraction, dual):
         return offset, fraction * (offset - 1.05)
     return 1.0 / offset, fraction * min(1.0 / offset - 0.05,
                                         0.95 - 1.0 / offset)
+
+
+@pytest.fixture(scope="module")
+def level3_bases():
+    """(mesh, basis) of 150 modes on icosphere:3, which x -> -x, y -> -y
+    and z -> -z map onto itself, and on a rotated copy, which none does."""
+    meshes = icosphere(3), rotated(icosphere(3))
+    return [(mesh, solve_lowest(assemble_fem(mesh), 150)) for mesh in meshes]
+
+
+MESH_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0),
+             "110": (1.0, 1.0, 0.0), "oblique": (0.3, 0.1, -0.9)}
+
+
+def drawn_mesh_field(data, nodes):
+    """(field, mixes) from Hypothesis draws: an affine field along one of
+    MESH_AXES, or a vertex table that every coordinate reflection leaves
+    unchanged or one none does, each above one or below.  ``mixes`` is
+    True when no coordinate reflection leaves the field unchanged."""
+    kind = data.draw(st.sampled_from(sorted(MESH_AXES) + ["symmetric",
+                                                          "asymmetric"]))
+    invert = data.draw(st.booleans())
+    if kind in MESH_AXES:
+        # a slope too small to move gamma0 would leave it unchanged
+        base = drawn_base(data.draw(st.floats(1.1, 3.0)),
+                          data.draw(st.one_of(st.floats(-0.95, -0.1),
+                                              st.floats(0.1, 0.95))),
+                          data.draw(st.booleans()))
+        return (DampingField.affine(*base, MESH_AXES[kind], invert=invert),
+                kind == "oblique")
+    if kind == "symmetric":
+        x, y, z = np.abs(nodes).T
+        table = 1.5 + x * x + 0.5 * y * z
+    else:
+        table = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))
+                                      ).uniform(1.5, 2.5, len(nodes))
+    if data.draw(st.booleans()):
+        table = 1.0 / table
+    return (DampingField.vertex_table(table, invert=invert),
+            kind == "asymmetric")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(turned=st.booleans(),
+       fractions=st.lists(st.floats(0.05, 0.99), min_size=1, max_size=4,
+                          unique=True),
+       data=st.data())
+def test_mesh_class_counts_match_the_whole_block(level3_bases, turned,
+                                                 fractions, data):
+    # counting one block per reflection class must give the counts and
+    # borderlines of the whole block diag(d) - W^T W,
+    # W = modes * sqrt(mass * gamma0), at every radius, recount included,
+    # and counts that do not fall as r grows.  A field that no reflection
+    # leaves unchanged, and any field on the rotated mesh, stays one block
+    # whose Gram matrix is W^T W bit for bit
+    mesh, basis = level3_bases[turned]
+    field, mixes = drawn_mesh_field(data, basis.nodes)
+    one_block = mixes or turned
+    c1 = constants_for(field, mesh).c1
+    r_grid = np.sort(fractions) * np.sqrt(basis.trusted_horizon
+                                          / (c1 * c1 - 1.0))
+    for zero_tol in (ZERO_TOL, 0.05):
+        report = scan(mesh, field, r_grid, basis, zero_tol=zero_tol)
+        assert np.all(np.diff(report.n_scalar) >= 0)
+        recounts = []
+        for r, negative, borderline in zip(r_grid, report.n_scalar,
+                                           report.borderline):
+            operator = build_operator(basis, field, 1.0 / r, surface=mesh)
+            cut = operator.mode_cut
+            last = int(np.searchsorted(basis.ends, cut))
+            scaled = basis.modes[:, :cut] * np.sqrt(
+                basis.mass * field.effective(basis.nodes))[:, None]
+            whole = scaled.T @ scaled
+            assert count_negative(product_section(
+                basis, 1.0 / r, cut, whole), zero_tol=zero_tol) \
+                == (negative, borderline)
+            if one_block:
+                [(_, gram)] = semiclassical_count._damping_gram(
+                    basis, field, last)
+                assert gram.tobytes() == whole.tobytes()
+                assert len(operator.blocks) == 1
+            if report.stability_delta is not None:
+                wider = build_operator(basis, field, 1.0 / r, surface=mesh,
+                                       cut_factor=3.0).mode_cut
+                scaled = basis.modes[:, :wider] * np.sqrt(
+                    basis.mass * field.effective(basis.nodes))[:, None]
+                recounts.append(count_negative(product_section(
+                    basis, 1.0 / r, wider, scaled.T @ scaled),
+                    zero_tol=zero_tol).negative - negative)
+        if recounts:
+            assert report.stability_delta == max(map(abs, recounts))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -1189,7 +1336,9 @@ def test_probe_slopes_match_central_differences(sphere, case):
                      for d in (step, -step))
     assert len(blocks) == len(after) == len(before) > 0
     if case == "mesh":
-        assert len(blocks) == 1 and len(blocks[0][0]) == operator.mode_cut
+        # one block per class of the field's reflections y and z
+        assert len(blocks) == 4
+        assert sum(len(values) for values, _ in blocks) == operator.mode_cut
     for (values, slopes), up, down in zip(blocks, after, before):
         assert np.array_equal(values, np.sort(values))
         np.testing.assert_allclose(slopes, h * (up - down) / (2.0 * step),
