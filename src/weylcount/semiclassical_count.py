@@ -35,7 +35,8 @@ for all orders together, so no block is ever formed.  A scan counts every
 section it needs, each radius and its recount, in one such sweep, batched
 over h: a section through a lower degree is a leading part of one through
 a higher degree, so the sweep keeps a running count through every degree
-and each section's count is a lookup in it.
+and each section's count is a lookup in it.  A member leaves the sweep
+once a pivot bound proves that no later row adds a negative pivot.
 """
 
 import json
@@ -154,12 +155,18 @@ class TridiagonalFamily:
     diagonal a - D^-1.  The two have the same inertia, but not the same
     eigenvalues, so a shift s of the model enters the dual inside the
     inverse, as P - (D + s)^-1 (see :class:`SturmSweep`).
+
+    ``bound`` is a float kappa at least every |couplings(n, m)| as
+    computed, over all rows and orders, or None when the family declares
+    none; with one, a sweep leaves the rows that a pivot bound proves add
+    no negative pivot (see :class:`SturmSweep`).
     """
 
     diagonal: np.ndarray
     couplings: object
     sweep: tuple = None
     dual: np.ndarray = None
+    bound: float = None
 
     def __len__(self):
         return self.diagonal.shape[-1]
@@ -217,9 +224,14 @@ def _inertia(matrix, shift):
 
     Sylvester's law of inertia gives them from the block diagonal D of a
     Bunch-Kaufman factorization P L D L^T P^T: a 1 x 1 pivot counts by its
-    sign, a 2 x 2 pivot by its determinant and trace.  Dense sections are
-    built F-ordered, as LAPACK stores them, so the copy factored here is a
-    plain memory copy.
+    sign, and a 2 x 2 pivot holds one eigenvalue of each sign.  Bunch and
+    Kaufman take the pivot [[a, c], [c, b]], |c| the largest entry below
+    the diagonal in a's column, only when |a| w < alpha c^2 and
+    |b| < alpha w, w the largest off-diagonal entry in b's row and
+    alpha = (1 + sqrt(17)) / 8, so |ab| < alpha^2 c^2 < c^2 and its
+    determinant ab - c^2 is negative.  Dense sections are built F-ordered,
+    as LAPACK stores them, so the copy factored here is a plain memory
+    copy.
     """
     size = len(matrix)
     # factored in place, so this Fortran-ordered copy is the only new buffer
@@ -230,33 +242,30 @@ def _inertia(matrix, shift):
     lwork, _ = dsytrf_lwork(size, lower=1)
     factor, pivots, _ = dsytrf(shifted, lower=1, lwork=int(lwork),
                                overwrite_a=1)
-    diagonal = np.diag(factor)
-    # both rows of a 2 x 2 pivot carry the same negative index, so a run of
-    # negative indices holds whole pairs, each starting at an even offset
-    paired = pivots < 0
-    index = np.arange(size)
-    run_start = np.maximum.accumulate(np.where(paired, 0, index + 1))
-    first = np.flatnonzero(paired & ((index - run_start) % 2 == 0))
+    # both rows of a 2 x 2 pivot carry a negative index, a 1 x 1 pivot's
+    # row a positive one
+    single = factor.diagonal()[pivots > 0]
+    return (np.count_nonzero(single < 0.0) + (size - len(single)) // 2,
+            np.count_nonzero(single == 0.0))
 
-    single = diagonal[~paired]
-    det = diagonal[first] * diagonal[first + 1] - factor[first + 1, first] ** 2
-    trace = diagonal[first] + diagonal[first + 1]
-    # det < 0: one eigenvalue of each sign; det > 0: two of the trace's
-    # sign; det == 0: one zero and the trace
-    negative = (np.count_nonzero(single < 0.0) + np.count_nonzero(det < 0.0)
-                + 2 * np.count_nonzero((det > 0.0) & (trace < 0.0))
-                + np.count_nonzero((det == 0.0) & (trace < 0.0)))
-    zero = (np.count_nonzero(single == 0.0) + np.count_nonzero(det == 0.0)
-            + np.count_nonzero((det == 0.0) & (trace == 0.0)))
-    return negative, zero
+
+# rows of couplings generated by one call
+CHUNK_ROWS = 16
+# rows swept between two checks of the pivot bound
+CERTIFY_STRIDE = 8
 
 
 def _squared_rows(couplings, rows):
-    """The squares of row n's couplings, n = 0..rows - 1, in turn, each
-    from a call of its own, so memory stays linear in the rows."""
-    orders = np.arange(rows)
-    for n in range(rows):
-        yield np.square(couplings(n, orders[:n]))
+    """The squares of row n's couplings, n = 0..rows - 1, in turn, from one
+    call per CHUNK_ROWS rows, so memory stays linear in the rows."""
+    for first in range(0, rows, CHUNK_ROWS):
+        degrees = np.arange(first, min(first + CHUNK_ROWS, rows))
+        ends = np.cumsum(degrees)
+        # row n holds orders 0..n - 1, the rows one run after another
+        orders = np.arange(ends[-1]) - np.repeat(ends - degrees, degrees)
+        squares = np.square(couplings(np.repeat(degrees, degrees), orders))
+        for n, end in zip(degrees, ends):
+            yield squares[end - n:end]
 
 
 class SturmSweep:
@@ -274,10 +283,11 @@ class SturmSweep:
     pivots of every wider section, so each row n is swept once, for every
     block and every member holding it (a member only through its ``last``),
     at s = zero_tol and s = -zero_tol together.  Row n's couplings are
-    generated as the sweep reaches it, so memory stays linear in the rows.
-    An exactly zero pivot becomes +tiny at s = zero_tol and -tiny at
-    s = -zero_tol, so an eigenvalue exactly at -zero_tol is not counted
-    below it and one exactly at zero_tol is counted within it.
+    generated as the sweep reaches it, CHUNK_ROWS rows at a time, so memory
+    stays linear in the rows.  An exactly zero pivot becomes +tiny at
+    s = zero_tol and -tiny at s = -zero_tol, so an eigenvalue exactly at
+    -zero_tol is not counted below it and one exactly at zero_tol is
+    counted within it.
 
     A dual family counts the model D - P^-1 + s I by the inertia of its
     dual at the same shift, P - (D + s)^-1, whose diagonal is
@@ -285,6 +295,35 @@ class SturmSweep:
     is positive definite; at s = -zero_tol every row n with D_n < zero_tol
     adds one negative eigenvalue to each block holding it, and a row with
     D_n = zero_tol has the diagonal -inf, one negative pivot.
+
+    A family with a coupling bound kappa leaves the sweep early, bit for
+    bit.  Every CERTIFY_STRIDE rows, after row n, let delta be a member's
+    smallest pivot over both shifts and the orders m <= n, sigma the
+    smallest shifted diagonal over both shifts and its rows n + 1..last,
+    read from a suffix minimum formed once per sweep, K = kappa^2 and
+    x = min(delta, sigma / 2), all as computed.  The member is certified
+    when x > 0 and fl(sigma - fl(K / x)) >= x, and the leading run of
+    certified members leaves the sweep.
+
+    Proof that no later row of a certified member adds a negative pivot,
+    for the recurrence as computed: d' = fl(s - fl(c / d)), with c = fl(t^2)
+    a computed squared coupling, s a computed shifted diagonal and fl
+    rounding to nearest, which is monotone.  Claim: every pivot from row n
+    on is >= x.  At row n every pivot is >= delta >= x.  At a later row, a
+    pivot d >= x (+inf included) has c <= K, since |t| <= kappa, so
+    fl(c / d) <= fl(K / x); and s >= sigma, so
+    d' = fl(s - fl(c / d)) >= fl(sigma - fl(K / x)) >= x.  An order opening
+    at that row has the first pivot fl(s - 0) = s >= sigma, and
+    sigma >= fl(sigma - fl(K / x)) >= x.  So every later pivot is positive,
+    no tie is replaced, and the running counts past row n stay those at n.
+    The rows of a dual family counted outright are added outside the
+    recurrence and are untouched; a -inf or negative shifted diagonal
+    makes sigma <= 0, so x <= 0 and no certificate.  In exact arithmetic
+    the test holds if and only if delta > 0, sigma > 0,
+    sigma^2 >= 4 kappa^2 and delta >= (sigma - sqrt(sigma^2 - 4 kappa^2))
+    / 2, the smaller fixed point of d -> sigma - kappa^2 / d.  A test
+    against that root in closed form would need a rounding margin eta; the
+    test above applies the computed map itself, so it needs none: eta = 0.
     """
 
     def __init__(self, family, multiplicity, last):
@@ -293,6 +332,7 @@ class SturmSweep:
         if (len(last) != family.diagonal.size // len(family)
                 or np.any(np.diff(last) < 0)):
             raise ValueError("need one ascending last degree per batch member")
+        self._last = np.asarray(last)
         # the first member still swept at row n; the members after it are too
         self._first = np.searchsorted(last, np.arange(last[-1] + 1))
         self._tables = {}
@@ -303,6 +343,15 @@ class SturmSweep:
             self._tables[zero_tol] = self._sweep(zero_tol)
         below, up_to = self._tables[zero_tol][:, member, degree]
         return NegativeCount(int(below), int(up_to - below))
+
+    def _floor(self, shifted):
+        """(rows + 1, members) table: entry [n, j] is the smallest shifted
+        diagonal of member j over both shifts and its rows n..last, +inf
+        past its last row."""
+        lowest = shifted.min(axis=1)[..., 0]
+        lowest[np.arange(len(lowest))[:, None] > self._last] = np.inf
+        lowest = np.vstack([lowest, np.full(lowest.shape[1], np.inf)])
+        return np.minimum.accumulate(lowest[::-1], axis=0)[::-1]
 
     def _sweep(self, zero_tol):
         """(2, members, rows) table of the running counts of negative pivots
@@ -332,18 +381,35 @@ class SturmSweep:
         pivots = np.empty((2, members, rows))
         fresh = np.zeros((2, members, rows), dtype=np.int64)
         ties = np.array([[[1.0]], [[-1.0]]]) * np.finfo(float).tiny
+        if family.bound is not None:
+            floor = self._floor(shifted)
+            square_bound = family.bound * family.bound
+        certified = 0
         # a tiny pivot overflows the next quotient to inf, whose pivot is then
         # -inf, counted negative, and the pivot after it finite again
         with np.errstate(over="ignore"):
             for n, squares in enumerate(
                     _squared_rows(family.couplings, rows)):
-                start = self._first[n]
+                start = max(self._first[n], certified)
+                if start == members:
+                    break
                 head = pivots[:, start:, :n + 1]
                 np.divide(squares, head[..., :n], out=head[..., :n])
                 head[..., n] = 0.0
                 np.subtract(shifted[n, :, start:], head, out=head)
-                np.copyto(head, ties, where=head == 0.0)
+                zero = head == 0.0
+                if zero.any():
+                    np.copyto(head, ties, where=zero)
                 fresh[:, start:, n] = (head < 0.0) @ self.multiplicity[:n + 1]
+                if family.bound is not None \
+                        and n % CERTIFY_STRIDE == CERTIFY_STRIDE - 1:
+                    sigma = floor[n + 1, start:]
+                    x = np.minimum(head.min(axis=(0, 2)), 0.5 * sigma)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        proved = (x > 0.0) & (sigma - square_bound / x >= x)
+                    # the first member past the leading certified run
+                    certified = start + int(np.argmin(np.append(proved,
+                                                                False)))
         fresh += outright
         return np.cumsum(fresh, axis=-1)
 
@@ -479,6 +545,10 @@ def _polar_family(offset, slope, dual, h, degree):
     below one, has the blocks diag(offset - 1 / sqrt(1 + h^2 n(n+1)))
     + slope J_m.  A column of h values gives a batch of families, which
     share the couplings.  Orders m >= 1 count twice, for +-m.
+
+    J_m(n)^2 <= n^2 / (4n^2 - 1) <= 1/3 for n >= 1, and the few roundings
+    of a computed coupling stay far inside the 2^-40 headroom of the
+    family's bound |slope| / sqrt(3).
     """
     degrees = np.arange(degree + 1)
     scale = slope if dual else -slope
@@ -488,8 +558,10 @@ def _polar_family(offset, slope, dual, h, degree):
                                / ((2.0 * rows - 1.0) * (2.0 * rows + 1.0)))
 
     model = np.sqrt(1.0 + h * h * degrees * (degrees + 1.0))
-    family = TridiagonalFamily(offset - 1.0 / model, couplings, dual=model) \
-        if dual else TridiagonalFamily(model - offset, couplings)
+    bound = abs(slope) * (1.0 + 2.0 ** -40) / np.sqrt(3.0)
+    family = TridiagonalFamily(offset - 1.0 / model, couplings, dual=model,
+                               bound=bound) \
+        if dual else TridiagonalFamily(model - offset, couplings, bound=bound)
     return family, np.where(degrees == 0, 1, 2)
 
 

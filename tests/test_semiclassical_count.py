@@ -423,10 +423,12 @@ def stored(off_diagonal):
 def random_family(data, size):
     """A TridiagonalFamily of ``size`` blocks drawn from Hypothesis data,
     with some couplings zero and isolated diagonal entries planted at 0 and
-    +-ZERO_TOL."""
+    +-ZERO_TOL.  Half the families declare the bound max |off-diagonal|,
+    and some diagonals drift upwards, so that a sweep may leave early."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     scale = data.draw(st.sampled_from([1e-6, 1.0, 1e3]))
-    diagonal = scale * rng.standard_normal(size)
+    drift = data.draw(st.sampled_from([0.0, 1.0, 4.0]))
+    diagonal = scale * (rng.standard_normal(size) + drift * np.arange(size))
     off_diagonal = scale * rng.standard_normal(size * (size - 1) // 2)
     off_diagonal[rng.random(len(off_diagonal)) < 0.2] = 0.0
     rows = np.repeat(np.arange(size), np.arange(size))
@@ -434,7 +436,9 @@ def random_family(data, size):
         # row n decouples from its neighbours in every block
         off_diagonal[(rows == n) | (rows == n + 1)] = 0.0
         diagonal[n] = data.draw(st.sampled_from([0.0, ZERO_TOL, -ZERO_TOL]))
-    return TridiagonalFamily(diagonal, stored(off_diagonal))
+    bound = float(np.max(np.abs(off_diagonal), initial=0.0)) \
+        if data.draw(st.booleans()) else None
+    return TridiagonalFamily(diagonal, stored(off_diagonal), bound=bound)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -501,6 +505,168 @@ def test_sweep_generates_each_row_of_couplings_once():
                               [rows[n][m] for n in range(m + 1, 41)])
     operator = GalerkinOperator(0, [(family, multiplicity)])
     assert count_negative(operator) == eigvalsh_count(operator)
+
+
+def full_recurrence(family, multiplicity, last, zero_tol):
+    """The running-count table a SturmSweep of ``family`` fills, from the
+    plain pivot recurrence: every row of every member through its last,
+    one row's couplings per call, no exit."""
+    rows = last[-1] + 1
+    members = np.arange(len(last))
+    diagonal = family.diagonal.reshape(-1, len(family))[:, :rows]
+    shifts = np.array([zero_tol, -zero_tol])[:, None, None]
+    outright = 0
+    if family.dual is None:
+        shifted = diagonal + shifts
+    else:
+        model = family.dual.reshape(-1, len(family))[:, :rows]
+        moved = model + shifts
+        with np.errstate(divide="ignore"):
+            shifted = diagonal + (1.0 / model - 1.0 / moved)
+        outright = (moved < 0.0) * np.cumsum(multiplicity)[:rows]
+    ties = np.array([1.0, -1.0])[:, None, None] * np.finfo(float).tiny
+    fresh = np.zeros(shifted.shape, dtype=np.int64)
+    pivots = np.zeros((2, len(last), 0))
+    for n in range(rows):
+        squares = np.square(family.couplings(n, np.arange(n)))
+        with np.errstate(over="ignore"):
+            pivots = shifted[..., n, None] - np.append(
+                squares / pivots, np.zeros((2, len(last), 1)), axis=-1)
+        pivots = np.where(pivots == 0.0, ties, pivots)
+        swept = members[np.asarray(last) >= n]
+        fresh[:, swept, n] = (pivots[:, swept] < 0.0) @ multiplicity[:n + 1]
+    return np.cumsum(fresh + outright, axis=-1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(offset=st.floats(1.1, 3.0), fraction=st.floats(-0.95, 0.95),
+       dual=st.booleans(),
+       radii=st.lists(st.floats(2.0, 40.0), min_size=1, max_size=5,
+                      unique=True),
+       factor=st.sampled_from([2.0, 3.0]),
+       zero_tol=st.sampled_from([0.0, ZERO_TOL, 0.05, 1.0, 1.5, 3.0]))
+def test_sweep_table_matches_the_full_recurrence(sphere, offset, fraction,
+                                                 dual, radii, factor,
+                                                 zero_tol):
+    # leaving the sweep at a certificate changes no running count at any
+    # degree of any member, bit for bit, above one and below
+    base = drawn_base(offset, fraction, dual)
+    field = DampingField.affine(*base, (0.0, 0.0, 1.0))
+    r_grid = np.sort(radii)
+    last = [sphere_degree_for(factor * constants_for(
+        field, sphere).ellipticity_threshold(1.0 / r)) for r in r_grid]
+    family, multiplicity = semiclassical_count._polar_family(
+        *base, dual, 1.0 / r_grid[:, None], last[-1])
+    assert family.bound is not None
+    sweep = semiclassical_count.SturmSweep(family, multiplicity, last)
+    assert np.array_equal(sweep._sweep(zero_tol),
+                          full_recurrence(family, multiplicity, last,
+                                          zero_tol))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(size=st.integers(2, 30), seed=st.integers(0, 2 ** 32 - 1),
+       diagonal=st.sampled_from([0.0, 1e-3, 0.3, 1.0]))
+def test_two_by_two_pivots_have_negative_determinant(size, seed, diagonal):
+    # so each 2 x 2 pivot holds one eigenvalue of each sign, as _inertia
+    # counts it
+    matrix = np.random.default_rng(seed).standard_normal((size, size))
+    matrix = matrix + matrix.T
+    matrix[np.diag_indices(size)] *= diagonal
+    factor, pivots, _ = dsytrf(matrix, lower=1)
+    k = 0
+    while k < size:
+        if pivots[k] < 0:
+            assert pivots[k + 1] == pivots[k]
+            assert factor[k, k] * factor[k + 1, k + 1] \
+                - factor[k + 1, k] ** 2 < 0.0
+            k += 2
+        else:
+            k += 1
+
+
+def planted_dual(zero_tol):
+    """A bounded dual family of 40 rows whose model diagonal D passes
+    zero_tol exactly at row 20, where the shifted diagonal a - (D - zero_tol)
+    ^-1 is -inf, after a run of rows counted outright."""
+    model = np.concatenate([np.linspace(1.0, 2.9, 20), [zero_tol],
+                            np.full(19, zero_tol + 4.0)])
+    couplings = np.full(40 * 39 // 2, 0.01)
+    return TridiagonalFamily(0.5 - 1.0 / model, stored(couplings),
+                             dual=model, bound=0.01)
+
+
+def test_late_negative_diagonals_block_the_exit(sphere):
+    # where a shifted diagonal past the check row is negative or -inf no
+    # certificate holds, however positive the pivots so far: at zero_tol 3
+    # the dual diagonal a - (D - 3)^-1 of affine:0.5,0.3,z dips far below
+    # zero where D passes 3, on its scan's recount cuts at r 4..14, and a
+    # planted dual row is -inf
+    field = DampingField.affine(0.5, 0.3, (0.0, 0.0, 1.0))
+    r_grid = np.linspace(4.0, 14.0, 11)
+    last = [sphere_degree_for(3.0 * constants_for(
+        field, sphere).ellipticity_threshold(1.0 / r)) for r in r_grid]
+    family, multiplicity = semiclassical_count._polar_family(
+        0.5, 0.3, True, 1.0 / r_grid[:, None], last[-1])
+    shifted = family.diagonal + 1.0 / family.dual - 1.0 / (family.dual - 3.0)
+    assert np.any(shifted[:, semiclassical_count.CERTIFY_STRIDE:] < 0.0)
+    for family, multiplicity, last in [
+            (family, multiplicity, last),
+            (planted_dual(3.0), np.ones(40, dtype=int), [39])]:
+        sweep = semiclassical_count.SturmSweep(family, multiplicity, last)
+        assert np.array_equal(sweep._sweep(3.0),
+                              full_recurrence(family, multiplicity, last, 3.0))
+    # the -inf row is one negative pivot in each of the 21 blocks through it
+    table = full_recurrence(planted_dual(3.0), np.ones(40, dtype=int), [39],
+                            3.0)
+    assert table[1, 0, 20] - table[1, 0, 19] == 21
+    # and a bounded family whose diagonal dips negative after a long
+    # positive run still counts the dip
+    diagonal = np.full(60, 4.0)
+    diagonal[44] = -1.0
+    family = TridiagonalFamily(diagonal, stored(np.full(60 * 59 // 2, 0.5)),
+                               bound=0.5)
+    operator = GalerkinOperator(0, [(family, np.ones(60, dtype=int))])
+    assert count_negative(operator) == eigvalsh_count(operator)
+    assert count_negative(operator).negative == 45
+
+
+def test_sweep_leaves_once_every_later_row_is_certified(sphere, monkeypatch):
+    # the z batch of the axis-blocks benchmark workload sweeps at most 65%
+    # of its rows; without a bound the same batch sweeps all of them, to
+    # the same table
+    consumed, sweeps = [], []
+    original = semiclassical_count._squared_rows
+
+    def spied(couplings, rows):
+        consumed.append([rows, 0])
+        for row in original(couplings, rows):
+            consumed[-1][1] += 1
+            yield row
+
+    class Recorded(semiclassical_count.SturmSweep):
+        def __init__(self, *args):
+            sweeps.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(semiclassical_count, "_squared_rows", spied)
+    monkeypatch.setattr(semiclassical_count, "SturmSweep", Recorded)
+    field = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0))
+    r_grid = np.linspace(12.32, 48.32, 4)
+    basis = exact_sphere_spectrum(sphere_degree_for(
+        3.2 * constants_for(field, sphere).ellipticity_threshold(
+            1.0 / r_grid[-1])))
+    report = scan(sphere, field, r_grid, basis)
+    [(rows, swept)] = consumed
+    assert swept <= 0.65 * rows
+    [sweep] = sweeps
+    unbounded = Recorded(dataclasses.replace(sweep.family, bound=None),
+                         sweep.multiplicity, sweep._last)
+    assert np.array_equal(unbounded._sweep(ZERO_TOL),
+                          sweep._tables[ZERO_TOL])
+    assert consumed[1] == [rows, rows]
+    assert report.n_scalar.tolist() == [
+        closed_form_axis_count(r, 2.0, 0.5) for r in r_grid]
 
 
 def closed_form_axis_count(r, offset, slope, zero_tol=ZERO_TOL):
