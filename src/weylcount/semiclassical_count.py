@@ -31,12 +31,13 @@ of eigenvalues below a shift is the number of negative pivots of an LDL^T
 factorization of the shifted block.  Dense blocks are factored by LAPACK
 (Bunch-Kaufman); the tridiagonal blocks of an affine section are counted
 by their pivot recurrence, a Sturm sequence, swept over the degrees once
-for all orders together, so no block is ever formed.  A scan counts every
-section it needs, each radius and its recount, in one such sweep, batched
-over h: a section through a lower degree is a leading part of one through
-a higher degree, so the sweep keeps a running count through every degree
-and each section's count is a lookup in it.  A member leaves the sweep
-once a pivot bound proves that no later row adds a negative pivot.
+for all orders together, so no block is ever formed.  A scan first plans
+the last cluster of each radius and its recount; an affine field's planned
+sections are then counted by one such sweep, batched over h: a section
+through a lower degree is a leading part of one through a higher degree,
+so the sweep keeps a running count through every degree and each count is
+a lookup in it.  A member leaves the sweep once a pivot bound proves that
+no later row adds a negative pivot.
 """
 
 import json
@@ -144,10 +145,8 @@ class TridiagonalFamily:
     function that broadcasts over integer arrays of rows and orders, so
     row n's entries in all blocks are ``couplings(n, arange(n))`` and no
     family stores its off-diagonals.  Leading axes on ``diagonal`` hold a
-    batch of families that share the couplings.  ``sweep`` is (SturmSweep,
-    member) when the family is a leading part of that member of a batch
-    whose sweep counts it, as the sections of a scan are, and None when it
-    is counted on its own.
+    batch of families that share the couplings, as the sections of a scan
+    do, one per radius, counted by one :class:`SturmSweep`.
 
     ``dual`` is None when the blocks are sections of the model themselves,
     and otherwise the model's diagonal D, of the diagonal's shape: the
@@ -164,7 +163,6 @@ class TridiagonalFamily:
 
     diagonal: np.ndarray
     couplings: object
-    sweep: tuple = None
     dual: np.ndarray = None
     bound: float = None
 
@@ -340,6 +338,7 @@ class SturmSweep:
     def count(self, member, degree, zero_tol):
         """NegativeCount of the section of ``member`` through ``degree``."""
         if zero_tol not in self._tables:
+            _require_tolerance(zero_tol)
             self._tables[zero_tol] = self._sweep(zero_tol)
         below, up_to = self._tables[zero_tol][:, member, degree]
         return NegativeCount(int(below), int(up_to - below))
@@ -414,6 +413,11 @@ class SturmSweep:
         return np.cumsum(fresh, axis=-1)
 
 
+def _require_tolerance(zero_tol):
+    if not zero_tol >= 0.0:
+        raise UsageError(f"zero tolerance must be >= 0, got {zero_tol}")
+
+
 def count_negative(operator, zero_tol=ZERO_TOL, *, _borderline=True):
     """Count eigenvalues < -zero_tol; |eigenvalue| <= zero_tol is borderline.
 
@@ -421,21 +425,20 @@ def count_negative(operator, zero_tol=ZERO_TOL, *, _borderline=True):
     the negative inertia of A + zero_tol I counts eigenvalues below
     -zero_tol, and the negative plus zero inertia of A - zero_tol I those up
     to zero_tol.  A tridiagonal family is counted by its pivot recurrence at
-    the same two shifts, read from the sweep it shares when it has one.
+    the same two shifts, as a :class:`SturmSweep` of one member.
 
     ``_borderline=False`` is for :func:`scan`'s recount, of which a report
     reads only the count below -zero_tol: dense blocks are then factored at
     +zero_tol only and add nothing to the borderline.
     """
-    if not zero_tol >= 0.0:
-        raise UsageError(f"zero tolerance must be >= 0, got {zero_tol}")
+    _require_tolerance(zero_tol)
     negative = borderline = 0
     for matrix, layout in operator.blocks:
         if isinstance(matrix, TridiagonalFamily):
-            sweep, member = matrix.sweep or (
-                SturmSweep(matrix, layout, [len(matrix) - 1]), 0)
+            top = len(matrix) - 1
             # the sweep weighs each block by its multiplicity itself
-            below, within = sweep.count(member, len(matrix) - 1, zero_tol)
+            below, within = SturmSweep(matrix, layout, [top]).count(
+                0, top, zero_tol)
         elif matrix.ndim == 1:
             below = np.sum((matrix < -zero_tol) * layout)
             within = np.sum((np.abs(matrix) <= zero_tol) * layout)
@@ -447,14 +450,14 @@ def count_negative(operator, zero_tol=ZERO_TOL, *, _borderline=True):
     return NegativeCount(int(negative), int(borderline))
 
 
-def _last_cluster(basis, field, h, surface, cut_factor):
+def _last_cluster(basis, field, constants, h, cut_factor):
     """Index of the last eigenvalue cluster of the section at h: the first
-    cluster at or above ``cut_factor`` times the ellipticity threshold, or
-    the basis top (constant damping needs no tail at all, so there only the
-    threshold itself must be resolved).  Clusters are never split, so the
-    section holds ``basis.ends[index]`` modes.  Raises
+    cluster at or above ``cut_factor`` times the ellipticity threshold of
+    ``constants``, or the basis top (constant damping needs no tail at all,
+    so there only the threshold itself must be resolved).  Clusters are
+    never split, so the section holds ``basis.ends[index]`` modes.  Raises
     InsufficientSpectrumError when the basis cannot resolve it."""
-    lam_star = constants_for(field, surface).ellipticity_threshold(h)
+    lam_star = constants.ellipticity_threshold(h)
     need = cut_factor * lam_star
     basis.require_top(lam_star if field.kind == "constant" else need,
                       context=f"counting at h = {h:g}")
@@ -565,8 +568,29 @@ def _polar_family(offset, slope, dual, h, degree):
     return family, np.where(degrees == 0, 1, 2)
 
 
-def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
-                   _shared=None):
+def _section(basis, field, h, last, grams):
+    """The section at h through cluster ``last``: cluster values for
+    constant damping, else a dense block per pair of ``grams``
+    (:func:`_damping_gram`, at this cut or a wider one)."""
+    cut = int(basis.ends[last])
+    if field.kind == "constant":
+        gamma0 = max(field.value, 1.0 / field.value)
+        values = np.sqrt(1.0 + h * h * basis.values[:last + 1]) - gamma0
+        return GalerkinOperator(cut, [(values,
+                                       basis.multiplicities[:last + 1])])
+
+    diagonal = np.sqrt(1.0 + h * h * basis.leading(cut))
+    blocks = []
+    for columns, gram in grams:
+        # a class's columns ascend, so those below the cut lead
+        kept = int(np.searchsorted(columns, cut))
+        if kept:
+            blocks.append((_dense_block(diagonal[columns[:kept]],
+                                        gram[:kept, :kept]), columns[:kept]))
+    return GalerkinOperator(cut, blocks)
+
+
+def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR):
     """Assemble the finite model of the counting operator at h.
 
     Constant damping gives the cluster values sqrt(1 + h^2 lambda) - gamma0,
@@ -579,46 +603,20 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR, *,
     the orthonormal associated Legendre functions, and below one its dual
     diag(a - 1 / sqrt(1 + h^2 n(n+1))) + b J_m.  A mesh basis gives one
     dense block diag(sqrt(1 + h^2 lambda)) - G_c per class of
-    :func:`_damping_gram`, over that class's modes below the cut.  ``scan``
-    forms the h-independent part of its variable-damping sections once, at
-    its widest cut, and passes it as ``_shared``: the class Gram matrices,
-    of which each section takes leading parts, or for affine damping its
-    :class:`SturmSweep` and the batch member that stands for h.
+    :func:`_damping_gram`, over that class's modes below the cut.
     """
     _require_radii(h, "semiclassical parameter h")
     if field.kind != "constant" and surface is None:
         raise UsageError("variable damping needs the surface for its range")
-    last = _last_cluster(basis, field, h, surface, cut_factor)
-    cut = int(basis.ends[last])
-
-    if field.kind == "constant":
-        gamma0 = max(field.value, 1.0 / field.value)
-        values = np.sqrt(1.0 + h * h * basis.values[:last + 1]) - gamma0
-        return GalerkinOperator(cut, [(values,
-                                       basis.multiplicities[:last + 1])])
-
+    last = _last_cluster(basis, field, constants_for(field, surface), h,
+                         cut_factor)
     affine = _sphere_affine(basis, field, surface)
     if affine is not None:
         # the exact sphere's cluster index is its degree
-        if _shared is None:
-            return GalerkinOperator(cut, [_polar_family(*affine, h, last)])
-        sweep, member = _shared
-        whole, rows = sweep.family, np.s_[member, :last + 1]
-        part = TridiagonalFamily(
-            whole.diagonal[rows], whole.couplings, _shared,
-            None if whole.dual is None else whole.dual[rows])
-        return GalerkinOperator(cut, [(part, sweep.multiplicity[:last + 1])])
-
-    grams = _damping_gram(basis, field, last) if _shared is None else _shared
-    diagonal = np.sqrt(1.0 + h * h * basis.leading(cut))
-    blocks = []
-    for columns, gram in grams:
-        # a class's columns ascend, so those below the cut lead
-        kept = int(np.searchsorted(columns, cut))
-        if kept:
-            blocks.append((_dense_block(diagonal[columns[:kept]],
-                                        gram[:kept, :kept]), columns[:kept]))
-    return GalerkinOperator(cut, blocks)
+        return GalerkinOperator(int(basis.ends[last]),
+                                [_polar_family(*affine, h, last)])
+    return _section(basis, field, h, last, None if field.kind == "constant"
+                    else _damping_gram(basis, field, last))
 
 
 # ----------------------------------------------------------------------
@@ -773,20 +771,20 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
 
     The truncation-stability recount enlarges the mode cut by 50%; if the
     basis cannot support the recount the stability delta is left undefined
-    rather than failing the scan.  Every section, recounts included, is
-    built and counted on its own, radii ascending, first at ``cut_factor``
-    and then at the recount, each by :func:`count_negative`: a dense primary
-    section is factored at +-zero_tol, and a dense recount, of which the
-    report reads only the count below -zero_tol, at +zero_tol only.
-    Constant damping reads the basis clusters alone; a dense section, on a
-    mesh basis, one F-ordered block per reflection class the field does
-    not mix, takes leading parts of the class Gram matrices formed once at
-    the widest cut (:func:`_damping_gram`).  The sections of an affine
-    field on the exact sphere, along any axis, above one or below, are
-    members of one batch, one per radius, and one :class:`SturmSweep`
-    counts them all: it sweeps each member through the degree of its
-    widest cut once, and each count looks its section up.  Radii must be
-    finite and positive, or UsageError is raised before any mode cut.
+    rather than failing the scan.  The scan plans its sections first: the
+    last cluster of each radius, ascending, at ``cut_factor`` and then at
+    the recount, each found once.  The sections of an affine field on the
+    exact sphere, along any axis, above one or below, are members of one
+    batch, one per radius, and one :class:`SturmSweep` counts them all: it
+    sweeps each member through the degree of its widest cut once, and each
+    count is a lookup in it.  Any other section is built from the plan and
+    counted by :func:`count_negative`: constant damping from the basis
+    clusters alone, a mesh basis as one F-ordered block per reflection
+    class the field does not mix, from the class Gram matrices formed once
+    at the widest cut.  A dense primary section is factored at +-zero_tol,
+    and a dense recount, of which the report reads only the count below
+    -zero_tol, at +zero_tol only.  Radii must be finite and positive, or
+    UsageError is raised before any mode cut.
     """
     r_grid = _require_radii(r_grid)
     if r_grid.ndim != 1 or len(r_grid) == 0:
@@ -795,39 +793,37 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
         raise UsageError("r grid must be strictly ascending")
 
     h_grid = 1.0 / r_grid
-    factors = (cut_factor, cut_factor * STABILITY_FACTOR)
-    last = [[_last_cluster(basis, field, h, surface, cut_factor)
+    constants = constants_for(field, surface)
+    last = [[_last_cluster(basis, field, constants, h, cut_factor)
              for h in h_grid]]
     try:
-        last.append([_last_cluster(basis, field, h, surface, factors[1])
+        last.append([_last_cluster(basis, field, constants, h,
+                                   cut_factor * STABILITY_FACTOR)
                      for h in h_grid])
     except InsufficientSpectrumError:
-        factors = factors[:1]
+        pass
     last = np.array(last)
-    cuts = basis.ends[last]
 
     affine = _sphere_affine(basis, field, surface)
-    if field.kind == "constant":
-        shared = [None] * len(h_grid)
-    elif affine is not None:
+    if affine is not None:
         # one batch member per radius, swept through its widest cut's degree
         widest = last.max(axis=0)
         sweep = SturmSweep(*_polar_family(*affine, h_grid[:, None],
                                           widest[-1]), widest)
-        shared = [(sweep, member) for member in range(len(h_grid))]
+        counts = [[sweep.count(member, degree, zero_tol)
+                   for member, degree in enumerate(row)] for row in last]
     else:
-        shared = [_damping_gram(basis, field, int(np.max(last)))] \
-            * len(h_grid)
-    below, within = np.array([
-        [count_negative(build_operator(basis, field, h, surface=surface,
-                                       cut_factor=factor, _shared=part),
-                        # no report reads a recount's borderline
-                        zero_tol=zero_tol, _borderline=factor == cut_factor)
-         for h, part in zip(h_grid, shared)]
-        for factor in factors]).transpose(2, 0, 1)
+        grams = None if field.kind == "constant" \
+            else _damping_gram(basis, field, int(np.max(last)))
+        counts = [[count_negative(_section(basis, field, h, degree, grams),
+                                  # no report reads a recount's borderline
+                                  zero_tol=zero_tol, _borderline=row == 0)
+                   for h, degree in zip(h_grid, degrees)]
+                  for row, degrees in enumerate(last)]
+    below, within = np.array(counts).transpose(2, 0, 1)
 
     stability_delta = None
-    if len(factors) == 2:
+    if len(last) == 2:
         stability_delta = int(np.max(np.abs(below[1] - below[0])))
 
     n_scalar = below[0]
@@ -838,7 +834,7 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
         n_system=2 * n_scalar,
         borderline=within[0],
         coefficient=weyl_coefficient(surface, field),
-        mode_cuts=cuts[0],
+        mode_cuts=basis.ends[last[0]],
         fitted_coefficient=coefficient,
         fitted_exponent=exponent,
         exponent_reason=exponent_reason,

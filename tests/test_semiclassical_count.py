@@ -23,6 +23,7 @@ from weylcount.lb_spectrum import (
     sphere_degree_for,
 )
 from weylcount.semiclassical_count import (
+    STABILITY_FACTOR,
     ZERO_TOL,
     CountReport,
     DampingConstants,
@@ -848,7 +849,7 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, modes):
     lasts, factored, built = [], [], []
     form, inertia = semiclassical_count._damping_gram, \
         semiclassical_count._inertia
-    build = semiclassical_count.build_operator
+    section = semiclassical_count._section
 
     def counted(basis, field, last):
         lasts.append(last)
@@ -858,17 +859,17 @@ def test_dense_scan_forms_one_gram(sphere, monkeypatch, modes):
         factored.append(shift)
         return inertia(matrix, shift)
 
-    def recorded(*args, **kwargs):
-        built.append(build(*args, **kwargs))
+    def recorded(*args):
+        built.append(section(*args))
         return built[-1]
 
     monkeypatch.setattr(semiclassical_count, "_damping_gram", counted)
     monkeypatch.setattr(semiclassical_count, "_inertia", counted_inertia)
-    monkeypatch.setattr(semiclassical_count, "build_operator", recorded)
+    monkeypatch.setattr(semiclassical_count, "_section", recorded)
 
     def standalone(cut_factor, zero_tol):
-        operators = [build(basis, field, 1.0 / r, surface=sphere,
-                           cut_factor=cut_factor) for r in r_grid]
+        operators = [build_operator(basis, field, 1.0 / r, surface=sphere,
+                                    cut_factor=cut_factor) for r in r_grid]
         return ([count_negative(op, zero_tol=zero_tol) for op in operators],
                 operators[-1].mode_cut)
 
@@ -915,7 +916,8 @@ def test_dense_section_is_built_in_fortran_order(sphere, mesh_basis,
                                                  monkeypatch, wider):
     # each class block has the same bits as diag(d) - G_c over the class's
     # modes below the cut, laid out for LAPACK, exact zeros of the Gram
-    # matrix included, also from the leading part of a scan's wider one.
+    # matrix included, also when the section helper takes the leading part
+    # of a wider cut's Gram matrices, as a scan's sections do.
     # Zeros of both signs are planted where a class Gram matrix is below
     # roundoff, and at two fixed places, so they do not depend on how its
     # sums round
@@ -936,8 +938,11 @@ def test_dense_section_is_built_in_fortran_order(sphere, mesh_basis,
     top = len(mesh_basis.values) - 1
     shared = planted(mesh_basis, field, top) if wider else None
     h = 1.25
-    operator = build_operator(mesh_basis, field, h, surface=sphere,
-                              _shared=shared)
+    operator = build_operator(mesh_basis, field, h, surface=sphere)
+    if wider:
+        operator = semiclassical_count._section(
+            mesh_basis, field, h, int(np.searchsorted(
+                mesh_basis.ends, operator.mode_cut)), shared)
     cut = operator.mode_cut
     assert cut < mesh_basis.mode_count
     grams = planted(mesh_basis, field, int(np.searchsorted(
@@ -1233,16 +1238,24 @@ def test_polar_scan_matches_per_radius_counts(sphere, offset, fraction, dual,
     r_grid = np.sort(radii)
     threshold = constants_for(field, sphere).ellipticity_threshold(
         1.0 / r_grid[-1])
-    recount_factor = 1.5 * cut_factor
     degree = data.draw(st.integers(
         sphere_degree_for(max(cut_factor, 1.0) * threshold),
-        sphere_degree_for(max(recount_factor, 1.0) * threshold) + 1))
-    basis = exact_sphere_spectrum(degree)
-    report = scan(sphere, field, r_grid, basis, cut_factor=cut_factor,
+        sphere_degree_for(max(STABILITY_FACTOR * cut_factor, 1.0)
+                          * threshold) + 1))
+    assert_scan_matches_per_radius(sphere, field, r_grid,
+                                   exact_sphere_spectrum(degree), cut_factor,
+                                   zero_tol)
+
+
+def assert_scan_matches_per_radius(surface, field, r_grid, basis, cut_factor,
+                                   zero_tol):
+    """A scan's counts, borderlines, mode cuts and stability delta equal
+    those of a separate build and count at each radius, recount included."""
+    report = scan(surface, field, r_grid, basis, cut_factor=cut_factor,
                   zero_tol=zero_tol)
 
     def per_radius(cut_factor):
-        operators = [build_operator(basis, field, 1.0 / r, surface=sphere,
+        operators = [build_operator(basis, field, 1.0 / r, surface=surface,
                                     cut_factor=cut_factor) for r in r_grid]
         return ([count_negative(op, zero_tol=zero_tol) for op in operators],
                 [op.mode_cut for op in operators])
@@ -1252,12 +1265,39 @@ def test_polar_scan_matches_per_radius_counts(sphere, offset, fraction, dual,
     assert report.borderline.tolist() == [c.borderline for c in counts]
     assert report.mode_cuts.tolist() == cuts
     try:
-        recounts, _ = per_radius(recount_factor)
+        recounts, _ = per_radius(STABILITY_FACTOR * cut_factor)
     except InsufficientSpectrumError:
         assert report.stability_delta is None
     else:
         assert report.stability_delta == max(
             abs(a.negative - b.negative) for a, b in zip(recounts, counts))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(value=st.sampled_from([2.0, 0.5]),
+       radii=st.lists(st.floats(1.0, 60.0), min_size=1, max_size=5,
+                      unique=True),
+       cut_factor=st.sampled_from([0.9, 2.0]),
+       zero_tol=st.sampled_from([ZERO_TOL, 0.05, 0.5]), data=st.data())
+def test_constant_scan_matches_per_radius_counts(sphere, value, radii,
+                                                 cut_factor, zero_tol, data):
+    # constant damping above one and below: each section and its recount
+    # must equal a separate build and count at that radius.  The basis
+    # stops anywhere from the threshold's degree to one past the recount's,
+    # so cuts land at the basis top at times, and a cut below the threshold
+    # makes the counts depend on it: at large r several clusters lie
+    # between 0.9 times the threshold and the threshold, so the recount
+    # there counts more than the section
+    field = DampingField.constant(value)
+    r_grid = np.sort(radii)
+    threshold = constants_for(field, sphere).ellipticity_threshold(
+        1.0 / r_grid[-1])
+    degree = data.draw(st.integers(
+        sphere_degree_for(threshold),
+        sphere_degree_for(STABILITY_FACTOR * cut_factor * threshold) + 1))
+    assert_scan_matches_per_radius(sphere, field, r_grid,
+                                   exact_sphere_spectrum(degree), cut_factor,
+                                   zero_tol)
 
 
 unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
@@ -1333,43 +1373,90 @@ def test_affine_scan_is_regime_symmetric_and_monotone(sphere, offset,
 
 
 def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
-    # every section is still built and counted by a call of its own, primary
-    # counts before recounts, the recounts without a borderline, and all of
-    # them read one shared sweep
-    calls, built, sweeps = [], [], []
-    for name in ("build_operator", "count_negative"):
-        def recorded(*args, _name=name,
-                     _original=getattr(semiclassical_count, name), **kwargs):
-            calls.append((_name, kwargs.get("cut_factor",
-                                            kwargs.get("_borderline"))))
-            result = _original(*args, **kwargs)
-            if _name == "build_operator":
-                built.append(result)
-            return result
-        monkeypatch.setattr(semiclassical_count, name, recorded)
+    # a scan of an affine field, above one or below, builds and counts no
+    # section of its own: one sweep holds every count, primary and recount,
+    # and its lookups equal the counts of the lone families that
+    # build_operator gives at each radius and cut, at the scan's tolerance
+    # and at another.  A cut below the threshold makes the counts depend
+    # on the cut
+    sweeps = []
 
     class Recorded(semiclassical_count.SturmSweep):
         def __init__(self, *args):
             sweeps.append(self)
             super().__init__(*args)
 
-    monkeypatch.setattr(semiclassical_count, "SturmSweep", Recorded)
-    field = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0))
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a scan built or counted a section of its own")
+
     basis = exact_sphere_spectrum(40)
-    scan(sphere, field, np.array([4.0, 6.0, 8.0]), basis)
-    assert calls == [("build_operator", 2.0), ("count_negative", True)] * 3 \
-        + [("build_operator", 3.0), ("count_negative", False)] * 3
-    assert len(sweeps) == 1
-    # the scan's sections, counted again at another tolerance too, count as
-    # copies of them with no sweep of their own
-    for op in built:
-        [(family, multiplicity)] = op.blocks
-        assert family.sweep[0] is sweeps[0]
-        alone = GalerkinOperator(op.mode_cut, [(TridiagonalFamily(
-            family.diagonal, family.couplings), multiplicity)])
-        for zero_tol in (0.5, ZERO_TOL):
-            assert count_negative(op, zero_tol=zero_tol) \
-                == count_negative(alone, zero_tol=zero_tol)
+    for (base, radii), cut_factor in itertools.product(
+            (((2.0, 0.5), [4.0, 6.0, 8.0]), ((0.5, 0.3), [2.0, 3.0, 4.0])),
+            (2.0, 0.4)):
+        sweeps.clear()
+        monkeypatch.setattr(semiclassical_count, "SturmSweep", Recorded)
+        for name in ("build_operator", "count_negative", "_section",
+                     "GalerkinOperator"):
+            monkeypatch.setattr(semiclassical_count, name, forbidden)
+        field = DampingField.affine(*base, (0.0, 0.0, 1.0))
+        report = scan(sphere, field, np.array(radii), basis,
+                      cut_factor=cut_factor)
+        monkeypatch.undo()
+        [sweep] = sweeps
+        delta = 0
+        for member, r in enumerate(radii):
+            primary, recount = (build_operator(
+                basis, field, 1.0 / r, surface=sphere, cut_factor=factor)
+                for factor in (cut_factor, STABILITY_FACTOR * cut_factor))
+            for alone in (primary, recount):
+                [(family, _)] = alone.blocks
+                for zero_tol in (0.5, ZERO_TOL):
+                    assert sweep.count(member, len(family) - 1, zero_tol) \
+                        == count_negative(alone, zero_tol=zero_tol)
+            assert report.mode_cuts[member] == primary.mode_cut
+            assert (report.n_scalar[member], report.borderline[member]) \
+                == count_negative(primary)
+            delta = max(delta, abs(count_negative(recount).negative
+                                   - count_negative(primary).negative))
+        assert report.stability_delta == delta
+
+
+@pytest.mark.parametrize("field, size, radii, recounts", [
+    (DampingField.constant(2.0), 40, [4.0, 6.0, 8.0], 3),
+    (DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0)), 40, [4.0, 6.0, 8.0], 3),
+    (DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0)), 16, [4.0, 4.2, 4.4], 1),
+    (below_one((1.0, 0.0, 0.0)), -40, [0.8, 1.0, 1.2], 3),
+    (below_one((1.0, 0.0, 0.0)), -20, [0.8, 1.1, 1.2], 1)],
+    ids=["constant", "polar", "polar-short", "mesh", "mesh-short"])
+def test_scan_finds_each_mode_cut_once(sphere, monkeypatch, field, size,
+                                       radii, recounts):
+    # a scan finds the last cluster of each radius once per cut factor,
+    # ascending, and builds or looks up its sections from that plan; a
+    # recount the basis supports at the first ``recounts`` radii only ends
+    # the plan at the next one.  A negative size is a mesh basis of that
+    # many icosphere:2 modes, a positive one the exact sphere's degree
+    basis = exact_sphere_spectrum(size) if size > 0 \
+        else solve_lowest(assemble_fem(icosphere(2)), -size)
+    for r in radii[:recounts]:
+        build_operator(basis, field, 1.0 / r, surface=sphere, cut_factor=3.0)
+    if recounts < len(radii):
+        with pytest.raises(InsufficientSpectrumError):
+            build_operator(basis, field, 1.0 / radii[recounts],
+                           surface=sphere, cut_factor=3.0)
+
+    factors = []
+    find = semiclassical_count._last_cluster
+
+    def recorded(*args):
+        # the cut factor is the last argument
+        factors.append(args[-1])
+        return find(*args)
+
+    monkeypatch.setattr(semiclassical_count, "_last_cluster", recorded)
+    report = scan(sphere, field, radii, basis)
+    assert (report.stability_delta is None) == (recounts < len(radii))
+    assert factors == [2.0] * len(radii) \
+        + [3.0] * min(recounts + 1, len(radii))
 
 
 def test_scan_regime_symmetry_bit_exact(sphere):
