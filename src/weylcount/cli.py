@@ -254,8 +254,10 @@ def resolve_mesh(spec):
     if spec.startswith("icosphere:"):
         try:
             level = int(spec[len("icosphere:"):])
-        except ValueError as err:
-            raise UsageError("bad icosphere level in %r" % (spec,)) from err
+        except ValueError:
+            level = -1
+        if level < 0:
+            raise UsageError("bad icosphere level in %r" % (spec,))
         return icosphere(level)
     return read_off(spec)
 

@@ -43,7 +43,7 @@ class BranchError(WeylcountError):
 
 
 class CacheError(WeylcountError):
-    """Spectrum cache container is corrupt or inconsistent with its sidecar."""
+    """Spectrum cache container is unreadable, short, overlong or corrupt."""
 
 
 class DomainError(WeylcountError):

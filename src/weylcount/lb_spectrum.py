@@ -18,27 +18,26 @@ pipeline with the same interface:
   vertex permutation of each reflection found and each mode's parity under
   them, so counting can split a section by class too.
 
-Mesh solves are expensive, so they get a small binary disk cache ("WLB1"
-container plus a JSON sidecar), keyed by the mesh content, the mode count,
-the solver tolerance, the solver seed and the solver revision.  Container
-version 2 is laid out little-endian as the magic, a ``<IQQQ`` header
-(version, mode count k, vertex count p, reflection count q), a ``<ddd``
-header (area, trusted horizon, residual), the k eigenvalues (``<f8``) and,
-when p > 0, the p masses, the (p, 3) nodes and the (p, k) mode values
-(``<f8``), then the k parities and the (q, p) reflection permutations
-(``<i8``); every array starts 8-byte aligned.  A hit maps the container
-read-only and views its arrays in place, copying nothing; this is safe
-because a writer only ever replaces an entry by atomic rename, so a mapped
-file is never truncated under a live basis.  An entry of another version
-is a miss.
+Mesh solves are expensive, so they get a small binary disk cache: one
+self-describing "WLB1" container per entry, keyed by the mesh content, the
+mode count, the solver tolerance, the solver seed and the solver revision.
+Container version 3 is laid out little-endian as the magic, a ``<IQQQ``
+header (version, mode count k, vertex count p, reflection count q), the 32
+raw bytes of the mesh's sha256, a ``<ddd`` header (area, trusted horizon,
+residual), the k eigenvalues (``<f8``) and, when p > 0, the p masses, the
+(p, 3) nodes and the (p, k) mode values (``<f8``), then the k parities and
+the (q, p) reflection permutations (``<i8``); the arrays start at byte 88,
+so every array starts 8-byte aligned.  A hit maps the container read-only
+and views its arrays in place, copying nothing; this is safe because a
+writer only ever publishes an entry by one atomic rename, so a mapped file
+is never truncated under a live basis.  An entry of another version, or
+whose digest names another mesh, is a miss.
 """
 
 import hashlib
-import json
 import mmap
 import os
 import struct
-import time
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -60,7 +59,9 @@ TRUSTED_MODE_FRACTION = 0.05
 # the largest exact sphere degree the command line builds a basis for
 MAX_EXACT_DEGREE = 100_000
 CACHE_MAGIC = b"WLB1"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
+# after the magic: version, k, p, q, mesh sha256, area, horizon, residual
+_CACHE_HEADER = "<IQQQ32sddd"
 # names the eigensolver in the cache key, so an entry solved another way
 # (such as the whole-pencil Lanczos solve) never answers a run
 SOLVER_REVISION = "reflection-classes"
@@ -410,29 +411,29 @@ def cache_key(mesh_hash, count, tol, seed):
     return hashlib.sha256(text.encode()).hexdigest()[:32]
 
 
-def _cache_paths(directory, key):
-    return (os.path.join(directory, key + ".wlb"),
-            os.path.join(directory, key + ".json"))
+def cache_store(directory, key, basis):
+    """Write the basis into <key>.wlb; returns the path.
 
-
-def cache_store(directory, key, basis, count, tol):
-    """Write the basis into <key>.wlb plus a JSON sidecar; returns the path.
-
-    Writes go to process-unique temp files followed by an atomic rename, so
-    concurrent writers resolve to last-writer-wins without torn files.
+    The container is written to a process-unique temp file and published by
+    one atomic rename, so concurrent writers resolve to last-writer-wins
+    without torn files.  A ``mesh_hash`` that is not a sha256 hex digest
+    raises ValueError before anything is written.
     """
+    digest = bytes.fromhex(basis.mesh_hash)
+    if len(basis.mesh_hash) != 64 or len(digest) != 32:
+        raise ValueError(f"mesh_hash {basis.mesh_hash!r} is not a sha256 "
+                         "hex digest")
     os.makedirs(directory, exist_ok=True)
-    bin_path, json_path = _cache_paths(directory, key)
+    path = os.path.join(directory, key + ".wlb")
     k = basis.mode_count
     quadrature = basis.quadrature
     p = 0 if quadrature is None else len(quadrature.nodes)
     q = 0 if quadrature is None else len(quadrature.reflections)
-    tmp_bin = f"{bin_path}.{os.getpid()}.tmp"
-    with open(tmp_bin, "wb") as handle:
-        handle.write(CACHE_MAGIC)
-        handle.write(struct.pack("<IQQQ", CACHE_VERSION, k, p, q))
-        handle.write(struct.pack("<ddd", basis.area, basis.trusted_horizon,
-                                 basis.residual))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as handle:
+        handle.write(CACHE_MAGIC + struct.pack(
+            _CACHE_HEADER, CACHE_VERSION, k, p, q, digest, basis.area,
+            basis.trusted_horizon, basis.residual))
         arrays = [(basis.eigenvalues, "<f8")]
         if p:
             arrays += [(quadrature.mass, "<f8"), (quadrature.nodes, "<f8"),
@@ -440,23 +441,8 @@ def cache_store(directory, key, basis, count, tol):
                        (quadrature.reflections, "<i8")]
         for array, dtype in arrays:
             handle.write(np.ascontiguousarray(array, dtype=dtype))
-    sidecar = {
-        "format": CACHE_MAGIC.decode(),
-        "version": CACHE_VERSION,
-        "key": key,
-        "mesh_hash": basis.mesh_hash,
-        "count": int(count),
-        "tol": float(tol),
-        "source": basis.source,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    tmp_json = f"{json_path}.{os.getpid()}.tmp"
-    with open(tmp_json, "w", encoding="utf-8") as handle:
-        json.dump(sidecar, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    os.replace(tmp_bin, bin_path)
-    os.replace(tmp_json, json_path)
-    return bin_path
+    os.replace(tmp, path)
+    return path
 
 
 def cache_load(directory, key):
@@ -466,35 +452,25 @@ def cache_load(directory, key):
     mode values, parities and reflections are views of the mapping, not
     copies.  The mapping outlives any later store of the same key, which
     writes a new file and renames it over the old one.  A short, empty or
-    overlong container raises CacheError.
+    overlong container, or one with a bad magic, raises CacheError.
     """
-    bin_path, json_path = _cache_paths(directory, key)
-    if not (os.path.exists(bin_path) and os.path.exists(json_path)):
+    path = os.path.join(directory, key + ".wlb")
+    if not os.path.exists(path):
         return None
     try:
-        with open(json_path, "r", encoding="utf-8") as handle:
-            sidecar = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CacheError(f"unreadable cache sidecar {json_path}: {exc}") from exc
-    if sidecar.get("format") != CACHE_MAGIC.decode() \
-            or sidecar.get("version") != CACHE_VERSION:
-        return None  # version skew is a miss, never a silent wrong answer
-
-    try:
-        with open(bin_path, "rb") as handle:
+        with open(path, "rb") as handle:
             blob = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError) as exc:  # an empty file cannot be mapped
-        raise CacheError(f"unreadable cache container {bin_path}: {exc}") from exc
+        raise CacheError(f"unreadable cache container {path}: {exc}") from exc
     if blob[:4] != CACHE_MAGIC:
-        raise CacheError(f"bad magic in cache container {bin_path}")
+        raise CacheError(f"bad magic in cache container {path}")
     try:
         version, = struct.unpack_from("<I", blob, 4)
         if version != CACHE_VERSION:
-            return None
-        _, k, p, q = struct.unpack_from("<IQQQ", blob, 4)
-        offset = 4 + struct.calcsize("<IQQQ")
-        area, horizon, residual = struct.unpack_from("<ddd", blob, offset)
-        offset += struct.calcsize("<ddd")
+            return None  # version skew is a miss, never a silent wrong answer
+        _, k, p, q, digest, area, horizon, residual = struct.unpack_from(
+            _CACHE_HEADER, blob, 4)
+        offset = 4 + struct.calcsize(_CACHE_HEADER)
 
         def take(count, shape, dtype="<f8"):
             nonlocal offset
@@ -510,23 +486,25 @@ def cache_load(directory, key):
                                     take(p * k, (p, k)), take(k, (k,), "<i8"),
                                     take(q * p, (q, p), "<i8"))
         if offset != len(blob):
-            raise CacheError(f"trailing bytes in cache container {bin_path}")
+            raise CacheError(f"trailing bytes in cache container {path}")
     except (struct.error, ValueError) as exc:
-        raise CacheError(f"corrupt cache container {bin_path}: {exc}") from exc
+        raise CacheError(f"corrupt cache container {path}: {exc}") from exc
     return SpectralBasis(
         *clusters_of(eigenvalues),
-        source=sidecar.get("source", "mesh-fem"),
+        source="mesh-fem",
         area=area,
         trusted_horizon=horizon,
         quadrature=quadrature,
         residual=residual,
-        mesh_hash=sidecar.get("mesh_hash", ""),
+        mesh_hash=digest.hex(),
     )
 
 
 def cached_mesh_spectrum(mesh, count, tol=SOLVER_TOL, directory=None,
                          seed=SOLVER_SEED):
-    """Mesh spectrum with optional disk caching; returns (basis, hit)."""
+    """Mesh spectrum with optional disk caching; returns (basis, hit).
+
+    A hit needs the container's own mesh digest to match the mesh."""
     mesh_hash = mesh.content_hash()
     key = cache_key(mesh_hash, count, tol, seed)
     if directory is not None:
@@ -536,5 +514,5 @@ def cached_mesh_spectrum(mesh, count, tol=SOLVER_TOL, directory=None,
     basis = solve_lowest(assemble_fem(mesh), count, tol=tol, seed=seed)
     basis.mesh_hash = mesh_hash
     if directory is not None:
-        cache_store(directory, key, basis, count, tol)
+        cache_store(directory, key, basis)
     return basis, False

@@ -156,15 +156,15 @@ class TridiagonalFamily:
     inverse, as P - (D + s)^-1 (see :class:`SturmSweep`).
 
     ``bound`` is a float kappa at least every |couplings(n, m)| as
-    computed, over all rows and orders, or None when the family declares
-    none; with one, a sweep leaves the rows that a pivot bound proves add
-    no negative pivot (see :class:`SturmSweep`).
+    computed, over all rows and orders, and +inf when the family declares
+    none; a sweep leaves the rows that a pivot bound proves add no negative
+    pivot (see :class:`SturmSweep`), which an infinite kappa never proves.
     """
 
     diagonal: np.ndarray
     couplings: object
     dual: np.ndarray = None
-    bound: float = None
+    bound: float = np.inf
 
     def __len__(self):
         return self.diagonal.shape[-1]
@@ -301,7 +301,8 @@ class SturmSweep:
     read from a suffix minimum formed once per sweep, K = kappa^2 and
     x = min(delta, sigma / 2), all as computed.  The member is certified
     when x > 0 and fl(sigma - fl(K / x)) >= x, and the leading run of
-    certified members leaves the sweep.
+    certified members leaves the sweep.  An infinite kappa certifies
+    nothing: fl(sigma - inf) is -inf, or NaN at sigma = inf, never >= x.
 
     Proof that no later row of a certified member adds a negative pivot,
     for the recurrence as computed: d' = fl(s - fl(c / d)), with c = fl(t^2)
@@ -380,9 +381,8 @@ class SturmSweep:
         pivots = np.empty((2, members, rows))
         fresh = np.zeros((2, members, rows), dtype=np.int64)
         ties = np.array([[[1.0]], [[-1.0]]]) * np.finfo(float).tiny
-        if family.bound is not None:
-            floor = self._floor(shifted)
-            square_bound = family.bound * family.bound
+        floor = self._floor(shifted)
+        square_bound = family.bound * family.bound
         certified = 0
         # a tiny pivot overflows the next quotient to inf, whose pivot is then
         # -inf, counted negative, and the pivot after it finite again
@@ -400,8 +400,7 @@ class SturmSweep:
                 if zero.any():
                     np.copyto(head, ties, where=zero)
                 fresh[:, start:, n] = (head < 0.0) @ self.multiplicity[:n + 1]
-                if family.bound is not None \
-                        and n % CERTIFY_STRIDE == CERTIFY_STRIDE - 1:
+                if n % CERTIFY_STRIDE == CERTIFY_STRIDE - 1:
                     sigma = floor[n + 1, start:]
                     x = np.minimum(head.min(axis=(0, 2)), 0.5 * sigma)
                     with np.errstate(divide="ignore", invalid="ignore"):

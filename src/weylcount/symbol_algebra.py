@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, ChartDegeneracyError, UsageError
+from .errors import BranchError, UsageError
 from .surface.charts import Chart
 
 SAMPLE_SEED = 42
@@ -340,20 +340,6 @@ def chart_transfer(sample, other_index):
     moved = CotangentSample(sample.surface, target_index[interior],
                             x_target[interior], xi_target[interior])
     return moved, interior.reshape(sample.chart_index.shape)
-
-
-def transfer_sample(sample, other_index):
-    """Re-express one sample in chart ``other_index``.
-
-    Raises ChartDegeneracyError where :func:`chart_transfer` would drop the
-    sample.
-    """
-    moved, interior = chart_transfer(sample, other_index)
-    if not np.all(interior):
-        target = sample.surface.charts[other_index]
-        raise ChartDegeneracyError(
-            f"point not interior to chart {target.name!r}")
-    return moved[0]
 
 
 # ----------------------------------------------------------------------

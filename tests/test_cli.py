@@ -857,6 +857,7 @@ def test_cli_import_leaves_scipy_optimize_out():
 
 
 def test_bad_icosphere_level(capsys):
-    code, _, err = run(capsys, "spectrum", "--mesh", "icosphere:x",
-                       "--count", "10")
-    assert code == 64
+    for spec in ("icosphere:x", "icosphere:-1"):
+        code, _, err = run(capsys, "spectrum", "--mesh", spec, "--count", "10")
+        assert code == 64
+        assert repr(spec) in err

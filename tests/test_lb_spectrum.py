@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import json
 import os
 import pathlib
 import struct
@@ -492,7 +491,7 @@ def test_cache_round_trip_bit_exact(tmp_path):
 def test_cache_written_before_factored_tables_loads(tmp_path):
     # a WLB1 version 1 container (icosphere:1, 6 modes) stored by the
     # release that tabulated every basis at every node holds no reflections
-    # and no parities, so it is a miss.  A version 2 container loads as mode
+    # and no parities, so it is a miss.  A version 3 container loads as mode
     # values at the vertices with the mesh's reflections and the modes'
     # parities, stores back to the same bytes, and its Gram matrix is
     # W^T W with W = modes * sqrt(mass * gamma0), split by class
@@ -514,7 +513,7 @@ def test_cache_written_before_factored_tables_loads(tmp_path):
     for array, solved_array in zip(basis.quadrature, solved.quadrature):
         assert array.dtype == solved_array.dtype
         assert np.array_equal(array, solved_array)
-    cache_store(str(tmp_path), key, basis, 6, 1e-8)
+    cache_store(str(tmp_path), key, basis)
     assert (tmp_path / (key + ".wlb")).read_bytes() \
         == (written / (key + ".wlb")).read_bytes()
     field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
@@ -547,15 +546,60 @@ def test_cache_absent_key_is_miss(tmp_path):
 def test_cache_version_mismatch_is_miss(tmp_path):
     directory = str(tmp_path)
     mesh = icosphere(1)
-    basis, _ = cached_mesh_spectrum(mesh, 6, tol=1e-8, directory=directory)
+    cached_mesh_spectrum(mesh, 6, tol=1e-8, directory=directory)
     key = cache_key(mesh.content_hash(), 6, 1e-8, SOLVER_SEED)
-    sidecar_path = os.path.join(directory, key + ".json")
-    with open(sidecar_path, encoding="utf-8") as handle:
-        sidecar = json.load(handle)
-    sidecar["version"] = 99
-    with open(sidecar_path, "w", encoding="utf-8") as handle:
-        json.dump(sidecar, handle)
+    path = pathlib.Path(directory, key + ".wlb")
+    blob = path.read_bytes()
+    assert cache_load(directory, key) is not None
+    path.write_bytes(blob[:4] + struct.pack("<I", 99) + blob[8:])
     assert cache_load(directory, key) is None
+
+
+def test_cache_version_2_header_is_miss(tmp_path):
+    # version 2 had no mesh digest between the counts and the <ddd> header
+    directory = str(tmp_path)
+    mesh = icosphere(1)
+    cached_mesh_spectrum(mesh, 6, tol=1e-8, directory=directory)
+    key = cache_key(mesh.content_hash(), 6, 1e-8, SOLVER_SEED)
+    pathlib.Path(directory, key + ".wlb").write_bytes(
+        CACHE_MAGIC + struct.pack("<IQQQ", 2, 6, 42, 3)
+        + struct.pack("<ddd", 4.0 * np.pi, 10.0, 0.0))
+    assert cache_load(directory, key) is None
+    _, hit = cached_mesh_spectrum(mesh, 6, tol=1e-8, directory=directory)
+    assert not hit
+
+
+def test_cache_entry_is_one_file(tmp_path):
+    directory = str(tmp_path)
+    mesh = icosphere(1)
+    cached_mesh_spectrum(mesh, 6, tol=1e-8, directory=directory)
+    key = cache_key(mesh.content_hash(), 6, 1e-8, SOLVER_SEED)
+    assert os.listdir(directory) == [key + ".wlb"]
+
+
+def test_cache_entry_of_another_mesh_is_a_miss(tmp_path):
+    # the key is only a truncated hash; the container's own digest decides
+    directory = str(tmp_path)
+    mesh, other = icosphere(1), rotated(icosphere(1))
+    solved, _ = cached_mesh_spectrum(other, 6, tol=1e-8, directory=directory)
+    key = cache_key(mesh.content_hash(), 6, 1e-8, SOLVER_SEED)
+    cache_store(directory, key, solved)
+    loaded = cache_load(directory, key)
+    assert loaded.mesh_hash == other.content_hash() != mesh.content_hash()
+    _, hit = cached_mesh_spectrum(mesh, 6, tol=1e-8, directory=directory)
+    assert not hit
+    assert cache_load(directory, key).mesh_hash == mesh.content_hash()
+
+
+@pytest.mark.parametrize("mesh_hash", [
+    "", "ab" * 31, "xy" * 32, "ab " * 32,
+], ids=["empty", "short", "not-hex", "spaced"])
+def test_cache_store_refuses_a_bad_mesh_hash(tmp_path, mesh_hash):
+    basis = solve_lowest(assemble_fem(icosphere(1)), 6, tol=1e-8)
+    basis.mesh_hash = mesh_hash
+    with pytest.raises(ValueError):
+        cache_store(str(tmp_path), "0" * 32, basis)
+    assert os.listdir(tmp_path) == []
 
 
 def test_cache_corrupt_container_raises(tmp_path):
@@ -578,7 +622,7 @@ def test_cache_corrupt_container_raises(tmp_path):
 @pytest.mark.parametrize("contents", [
     b"",
     CACHE_MAGIC,
-    CACHE_MAGIC + struct.pack("<IQQ", CACHE_VERSION, 6, 42)
+    CACHE_MAGIC + struct.pack("<IQQQ", CACHE_VERSION, 6, 42, 3) + bytes(32)
     + struct.pack("<ddd", 4.0 * np.pi, 10.0, 0.0),
 ], ids=["empty", "magic-only", "header-only"])
 def test_cache_short_container_raises(tmp_path, contents):
@@ -614,7 +658,7 @@ def test_loaded_basis_keeps_its_bits_when_its_key_is_rewritten(tmp_path):
     modes, mass = loaded.modes.copy(), loaded.mass.copy()
     flipped = dataclasses.replace(
         loaded, quadrature=loaded.quadrature._replace(modes=-loaded.modes))
-    cache_store(directory, key, flipped, 12, 1e-8)
+    cache_store(directory, key, flipped)
     assert np.array_equal(loaded.modes, modes)
     assert np.array_equal(loaded.mass, mass)
     assert np.array_equal(cache_load(directory, key).modes, -modes)
@@ -662,7 +706,7 @@ def test_cache_entry_of_the_whole_pencil_solve_is_a_miss(tmp_path):
     text = f"{basis.mesh_hash}:6:{1e-8!r}:{SOLVER_SEED}:v1"
     old_key = hashlib.sha256(text.encode()).hexdigest()[:32]
     assert old_key != cache_key(basis.mesh_hash, 6, 1e-8, SOLVER_SEED)
-    cache_store(directory, old_key, basis, 6, 1e-8)
+    cache_store(directory, old_key, basis)
     assert cache_load(directory, old_key) is not None
     _, hit = cached_mesh_spectrum(mesh, 6, directory=directory)
     assert not hit

@@ -438,7 +438,7 @@ def random_family(data, size):
         off_diagonal[(rows == n) | (rows == n + 1)] = 0.0
         diagonal[n] = data.draw(st.sampled_from([0.0, ZERO_TOL, -ZERO_TOL]))
     bound = float(np.max(np.abs(off_diagonal), initial=0.0)) \
-        if data.draw(st.booleans()) else None
+        if data.draw(st.booleans()) else np.inf
     return TridiagonalFamily(diagonal, stored(off_diagonal), bound=bound)
 
 
@@ -558,7 +558,7 @@ def test_sweep_table_matches_the_full_recurrence(sphere, offset, fraction,
         field, sphere).ellipticity_threshold(1.0 / r)) for r in r_grid]
     family, multiplicity = semiclassical_count._polar_family(
         *base, dual, 1.0 / r_grid[:, None], last[-1])
-    assert family.bound is not None
+    assert np.isfinite(family.bound)
     sweep = semiclassical_count.SturmSweep(family, multiplicity, last)
     assert np.array_equal(sweep._sweep(zero_tol),
                           full_recurrence(family, multiplicity, last,
@@ -661,7 +661,7 @@ def test_sweep_leaves_once_every_later_row_is_certified(sphere, monkeypatch):
     [(rows, swept)] = consumed
     assert swept <= 0.65 * rows
     [sweep] = sweeps
-    unbounded = Recorded(dataclasses.replace(sweep.family, bound=None),
+    unbounded = Recorded(dataclasses.replace(sweep.family, bound=np.inf),
                          sweep.multiplicity, sweep._last)
     assert np.array_equal(unbounded._sweep(ZERO_TOL),
                           sweep._tables[ZERO_TOL])
