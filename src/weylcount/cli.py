@@ -51,7 +51,12 @@ from .spectral_regions import (
     real_eigenvalue_bound,
 )
 from .surface import AnalyticSurface, DampingField
-from .surface.mesh import icosphere, read_off, read_vertex_values
+from .surface.mesh import (
+    MeshSpec,
+    icosphere_spec,
+    off_spec,
+    read_vertex_values,
+)
 from .symbol_algebra import DEFAULT_SAMPLES, SAMPLE_SEED, identity_suite
 
 EXIT_OK = 0
@@ -249,7 +254,8 @@ def resolve_field(spec, invert=False):
 
 
 def resolve_mesh(spec):
-    """'icosphere:LEVEL' or a path to an OFF file."""
+    """'icosphere:LEVEL' or a path to an OFF file, as a MeshSpec: named by
+    its identity, and built only when its ``build`` is called."""
     spec = spec.strip()
     if spec.startswith("icosphere:"):
         try:
@@ -258,8 +264,8 @@ def resolve_mesh(spec):
             level = -1
         if level < 0:
             raise UsageError("bad icosphere level in %r" % (spec,))
-        return icosphere(level)
-    return read_off(spec)
+        return icosphere_spec(level)
+    return off_spec(spec)
 
 
 def auto_degree(surface, field, r_max, cut_factor):
@@ -315,26 +321,35 @@ def _require_no_table(field):
                          "only --mesh runs of scan and count read it")
 
 
+def _require_on_surface(args, surface, nodes):
+    """The Weyl integral and the damping range come from the analytic
+    surface, so the mesh must discretize that surface: refuse mesh nodes
+    off it."""
+    off = np.max(np.abs(np.sum((nodes / surface.axes) ** 2, axis=-1) - 1.0))
+    if off > MESH_SURFACE_TOL:
+        raise UsageError(
+            "mesh %r does not lie on surface %r: max |sum (x_i/a_i)^2 - 1|"
+            " = %.3g over its vertices" % (args.mesh, args.surface, off))
+
+
 def _resolve_basis(args, surface, field, r_max):
     """(basis, cache_hit_or_None, counting surface).  Mesh FEM when --mesh,
     else exact.  The counting surface is the analytic one, except for a
-    vertex table, which is read, ranged and integrated on the mesh."""
+    vertex table, which is read, ranged and integrated on the mesh, so only
+    a table run builds the mesh on a cache hit."""
     if args.mesh:
         if args.modes is None:
             raise UsageError("--mesh runs need --modes")
         mesh = resolve_mesh(args.mesh)
-        # the Weyl integral and the damping range come from the analytic
-        # surface, so the mesh must discretize that surface
-        off = np.max(np.abs(np.sum((mesh.vertices / surface.axes) ** 2,
-                                   axis=-1) - 1.0))
-        if off > MESH_SURFACE_TOL:
-            raise UsageError(
-                "mesh %r does not lie on surface %r: max |sum (x_i/a_i)^2 - 1|"
-                " = %.3g over its vertices" % (args.mesh, args.surface, off))
+        counted_on = surface
+        if field.kind == "vertex-table":
+            counted_on = built = mesh.build()
+            mesh = MeshSpec(mesh.identity, lambda: built)
         basis, hit = cached_mesh_spectrum(
             mesh, args.modes, tol=args.tol, directory=args.cache_dir,
-            seed=args.seed)
-        return basis, hit, mesh if field.kind == "vertex-table" else surface
+            seed=args.seed,
+            check_nodes=functools.partial(_require_on_surface, args, surface))
+        return basis, hit, counted_on
     _require_no_table(field)
     _require_exact_basis(args, surface, "--modes")
     degree = args.max_degree
@@ -377,10 +392,9 @@ def cmd_spectrum(args):
                              "spectrum; it cannot be combined with --mesh")
         if args.count is None:
             raise UsageError("--mesh needs --count (number of modes)")
-        mesh = resolve_mesh(args.mesh)
         basis, hit = cached_mesh_spectrum(
-            mesh, args.count, tol=args.tol, directory=args.cache_dir,
-            seed=args.seed)
+            resolve_mesh(args.mesh), args.count, tol=args.tol,
+            directory=args.cache_dir, seed=args.seed)
         note = " (cache hit)" if hit else ""
         print("%d modes, top lambda = %.12g%s"
               % (basis.mode_count, basis.top, note))

@@ -19,18 +19,21 @@ pipeline with the same interface:
   them, so counting can split a section by class too.
 
 Mesh solves are expensive, so they get a small binary disk cache: one
-self-describing "WLB1" container per entry, keyed by the mesh content, the
-mode count, the solver tolerance, the solver seed and the solver revision.
-Container version 3 is laid out little-endian as the magic, a ``<IQQQ``
-header (version, mode count k, vertex count p, reflection count q), the 32
-raw bytes of the mesh's sha256, a ``<ddd`` header (area, trusted horizon,
-residual), the k eigenvalues (``<f8``) and, when p > 0, the p masses, the
-(p, 3) nodes and the (p, k) mode values (``<f8``), then the k parities and
-the (q, p) reflection permutations (``<i8``); the arrays start at byte 88,
-so every array starts 8-byte aligned.  A hit maps the container read-only
-and views its arrays in place, copying nothing; this is safe because a
-writer only ever publishes an entry by one atomic rename, so a mapped file
-is never truncated under a live basis.  An entry of another version, or
+self-describing "WLB1" container per entry, keyed by the mesh's identity,
+the mode count, the solver tolerance, the solver seed and the solver
+revision.  The identity is a sha256 hex digest named before any mesh is
+built (:class:`~weylcount.surface.mesh.MeshSpec`): of an icosphere's level
+and generator revision, of an OFF file's bytes, or of a SurfaceMesh's
+content.  Container version 3 is laid out little-endian as the magic, a
+``<IQQQ`` header (version, mode count k, vertex count p, reflection count
+q), the 32 raw bytes of that identity, a ``<ddd`` header (area, trusted
+horizon, residual), the k eigenvalues (``<f8``) and, when p > 0, the p
+masses, the (p, 3) nodes and the (p, k) mode values (``<f8``), then the k
+parities and the (q, p) reflection permutations (``<i8``); the arrays start
+at byte 88, so every array starts 8-byte aligned.  A hit maps the
+container read-only and views its arrays in place, copying nothing; this
+is safe because a writer only ever publishes an entry by one atomic
+rename, so a mapped file is never truncated under a live basis.  An entry of another version, or
 whose digest names another mesh, is a miss.
 """
 
@@ -414,10 +417,12 @@ def cache_key(mesh_hash, count, tol, seed):
 def cache_store(directory, key, basis):
     """Write the basis into <key>.wlb; returns the path.
 
-    The container is written to a process-unique temp file and published by
-    one atomic rename, so concurrent writers resolve to last-writer-wins
-    without torn files.  A ``mesh_hash`` that is not a sha256 hex digest
-    raises ValueError before anything is written.
+    The basis's ``mesh_hash``, the identity of the mesh it was solved on,
+    goes into the header as its 32 raw bytes.  The container is written to
+    a process-unique temp file and published by one atomic rename, so
+    concurrent writers resolve to last-writer-wins without torn files.  A
+    ``mesh_hash`` that is not a sha256 hex digest raises ValueError before
+    anything is written.
     """
     digest = bytes.fromhex(basis.mesh_hash)
     if len(basis.mesh_hash) != 64 or len(digest) != 32:
@@ -501,18 +506,31 @@ def cache_load(directory, key):
 
 
 def cached_mesh_spectrum(mesh, count, tol=SOLVER_TOL, directory=None,
-                         seed=SOLVER_SEED):
+                         seed=SOLVER_SEED, check_nodes=None):
     """Mesh spectrum with optional disk caching; returns (basis, hit).
 
-    A hit needs the container's own mesh digest to match the mesh."""
-    mesh_hash = mesh.content_hash()
-    key = cache_key(mesh_hash, count, tol, seed)
+    ``mesh`` is a :class:`~weylcount.surface.mesh.MeshSpec`, or a
+    SurfaceMesh, whose identity is its content hash.  The entry is keyed
+    by that identity, and a hit needs the container's own digest to match
+    it, so a spec's mesh is built (and validated) only on a miss.
+    ``check_nodes``, when given, is called with the mesh's nodes before
+    they are used, and raises to refuse them: on a hit with the cached
+    nodes, which are bitwise the vertices of the mesh that was solved, and
+    on a miss with the built mesh's vertices, before the solve."""
+    if hasattr(mesh, "content_hash"):  # a SurfaceMesh
+        mesh = mesh.spec()
+    key = cache_key(mesh.identity, count, tol, seed)
     if directory is not None:
         cached = cache_load(directory, key)
-        if cached is not None and cached.mesh_hash == mesh_hash:
+        if cached is not None and cached.mesh_hash == mesh.identity:
+            if check_nodes is not None:
+                check_nodes(cached.nodes)
             return cached, True
-    basis = solve_lowest(assemble_fem(mesh), count, tol=tol, seed=seed)
-    basis.mesh_hash = mesh_hash
+    built = mesh.build()
+    if check_nodes is not None:
+        check_nodes(built.vertices)
+    basis = solve_lowest(assemble_fem(built), count, tol=tol, seed=seed)
+    basis.mesh_hash = mesh.identity
     if directory is not None:
         cache_store(directory, key, basis)
     return basis, False

@@ -1,10 +1,35 @@
-"""Triangle meshes of closed surfaces: validation, areas, OFF files, icospheres."""
+"""Triangle meshes of closed surfaces: validation, areas, OFF files, icospheres.
+
+A mesh can also be named before it is built, as a :class:`MeshSpec`: an
+icosphere by its level and the generator's revision, an OFF file by the
+sha256 of its bytes.  The spectrum cache keys its entries by that name, so
+a cached mesh basis is found without building the mesh.
+"""
+
+import hashlib
+import io
+from collections import namedtuple
 
 import numpy as np
 
 from ..errors import MeshQualityError
 
 DEGENERATE_AREA = 1e-14
+# the finest icosphere a spec builds: level L has 10 * 4**L + 2 vertices,
+# 655 362 at level 8, and each level takes about four times the memory
+# and time of the last
+MAX_ICOSPHERE_LEVEL = 8
+# names the icosphere generator in a generated mesh's identity; bump it
+# whenever a change to icosphere() changes the bits of any level's mesh
+ICOSPHERE_REVISION = "edge-midpoints-1"
+
+
+class MeshSpec(namedtuple("MeshSpec", ["identity", "build"])):
+    """A mesh named before it is built.  ``identity`` is a sha256 hex
+    digest that fixes the mesh bit for bit; ``build()`` builds and
+    validates that mesh."""
+
+    __slots__ = ()
 
 
 class SurfaceMesh:
@@ -150,14 +175,16 @@ class SurfaceMesh:
 
     def content_hash(self):
         """Hex digest identifying geometry and connectivity bit-for-bit."""
-        import hashlib
-
         digest = hashlib.sha256()
         digest.update(np.int64(self.vertices.shape[0]).tobytes())
         digest.update(np.int64(self.triangles.shape[0]).tobytes())
         digest.update(self.vertices.tobytes())
         digest.update(self.triangles.tobytes())
         return digest.hexdigest()
+
+    def spec(self):
+        """This mesh as a :class:`MeshSpec` named by its content hash."""
+        return MeshSpec(self.content_hash(), lambda: self)
 
 
 def _face_areas(p0, p1, p2):
@@ -218,17 +245,48 @@ def icosphere(level):
     return SurfaceMesh(vertices, faces)
 
 
-def _off_tokens(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                yield from line.split()
+def icosphere_spec(level):
+    """The icosphere of ``level`` as a :class:`MeshSpec`, named by the
+    level, :data:`ICOSPHERE_REVISION` and the NumPy version, whose
+    routines fix the vertex bits.  A level above
+    :data:`MAX_ICOSPHERE_LEVEL` is refused before anything is built."""
+    if level > MAX_ICOSPHERE_LEVEL:
+        raise MeshQualityError(
+            "icosphere level %d is above the cap of %d"
+            % (level, MAX_ICOSPHERE_LEVEL))
+    text = "icosphere:%d:%s:numpy-%s" % (level, ICOSPHERE_REVISION,
+                                         np.__version__)
+    return MeshSpec(hashlib.sha256(text.encode()).hexdigest(),
+                    lambda: icosphere(level))
+
+
+def off_spec(path):
+    """The OFF file at ``path`` as a :class:`MeshSpec`, named by the sha256
+    of its bytes: the same bytes always parse and validate to the same
+    mesh.  ``build()`` parses the bytes that were hashed, not the file as
+    it is by then."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return MeshSpec(hashlib.sha256(data).hexdigest(),
+                    lambda: _parse_off(path, data))
+
+
+def _off_tokens(data):
+    # decoded and split into lines as a text-mode open() would
+    for line in io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield from line.split()
 
 
 def read_off(path):
     """Read an ASCII OFF triangle mesh (validated on construction)."""
-    tokens = _off_tokens(path)
+    with open(path, "rb") as handle:
+        return _parse_off(path, handle.read())
+
+
+def _parse_off(path, data):
+    tokens = _off_tokens(data)
     try:
         header = next(tokens)
     except StopIteration:

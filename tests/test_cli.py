@@ -21,7 +21,13 @@ from weylcount.semiclassical_count import (
     _fit_powers,
 )
 from weylcount.spectral_regions import RegionParams
-from weylcount.surface.mesh import icosphere, write_off
+from weylcount.surface import mesh as mesh_module
+from weylcount.surface.mesh import (
+    MAX_ICOSPHERE_LEVEL,
+    SurfaceMesh,
+    icosphere,
+    write_off,
+)
 from weylcount.symbol_algebra import DEFAULT_SAMPLES, SAMPLE_SEED
 
 
@@ -407,22 +413,49 @@ def test_exact_basis_refuses_other_surfaces(tmp_path, capsys, argv):
     assert not os.path.exists(out_dir)
 
 
+def _forbid_mesh_builds(monkeypatch):
+    """Make every mesh build, validation and FEM solve fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a mesh was built or solved")
+
+    for owner, name in ((mesh_module, "icosphere"),
+                        (mesh_module, "read_off"),
+                        (mesh_module, "_parse_off"),
+                        (SurfaceMesh, "__init__"), (SurfaceMesh, "validate"),
+                        (lb_spectrum, "assemble_fem"),
+                        (lb_spectrum, "solve_lowest")):
+        monkeypatch.setattr(owner, name, forbidden)
+
+
 @pytest.mark.parametrize("surface, expected", [
     ("ellipsoid:2,1,1", 64),
     ("unit-sphere", 0),
 ])
-def test_mesh_must_lie_on_surface(capsys, surface, expected):
+def test_mesh_must_lie_on_surface(capsys, tmp_path, monkeypatch, surface,
+                                  expected):
     # the Weyl prediction is the analytic surface's, so a sphere mesh
-    # reported as an ellipsoid would pass its gates on wrong numbers
-    code, out, err = run(capsys, "count", "--gamma", "2.0", "--r", "1.5",
-                         "--mesh", "icosphere:2", "--modes", "60",
-                         "--surface", surface)
+    # reported as an ellipsoid would pass its gates on wrong numbers.  A
+    # cold run checks the built mesh before it is solved; a cache hit
+    # checks the cached nodes, which are bitwise the mesh's vertices
+    cache = tmp_path / "cache"
+    argv = ("count", "--gamma", "2.0", "--r", "1.5", "--mesh", "icosphere:2",
+            "--modes", "60", "--cache-dir", str(cache))
+    solves = []
+    solve = lb_spectrum.solve_lowest
+    monkeypatch.setattr(lb_spectrum, "solve_lowest",
+                        lambda *a, **k: solves.append(1) or solve(*a, **k))
+    code, out, err = run(capsys, *argv, "--surface", surface)
     assert code == expected
     if expected == 64:
         assert "does not lie on surface 'ellipsoid:2,1,1'" in err
         assert out == ""
+        assert solves == [] and not list(cache.glob("*.wlb"))
+        assert run(capsys, *argv)[0] == 0  # warms the cache on the sphere
     else:
         assert json.loads(out)["N_scalar"] == 9
+        assert solves == [1]
+    _forbid_mesh_builds(monkeypatch)
+    assert run(capsys, *argv, "--surface", surface) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv", [("scan",), ("count", "--r", "2"),
@@ -450,17 +483,23 @@ def test_vertex_table_needs_a_mesh(capsys, tmp_path, monkeypatch, argv):
 def test_vertex_table_is_counted_on_its_mesh(capsys, tmp_path):
     # a table is read at the mesh's vertices, so its range and its Weyl
     # integral come from the mesh too: a constant 3.0 table counts as
-    # --gamma 3.0 on the same basis, with coefficient 8 * mesh area / 4 pi
+    # --gamma 3.0 on the same basis, with coefficient 8 * mesh area / 4 pi,
+    # integral of the cached basis's mesh; the table is counted on a cache
+    # hit too, and a table of another length is refused there as well
     (tmp_path / "table.txt").write_text("3.0\n" * 642, encoding="utf-8")
     basis = ("--mesh", "icosphere:3", "--modes", "100",
              "--cache-dir", str(tmp_path / "cache"))
+    code, _, _ = run(capsys, "spectrum", "--count", "100", *basis[:2],
+                     *basis[4:])
+    assert code == 0
     reports = {}
     for gamma in ("table:%s" % (tmp_path / "table.txt"), "3.0"):
         output = tmp_path / gamma[:5]
-        code, _, err = run(capsys, "scan", "--gamma", gamma, *basis,
-                           "--r-min", "1", "--r-max", "1.5",
-                           "--output", str(output))
+        code, out, err = run(capsys, "scan", "--gamma", gamma, *basis,
+                             "--r-min", "1", "--r-max", "1.5",
+                             "--output", str(output))
         assert code == 0, err
+        assert "spectrum cache hit" in out.splitlines()
         rows = [line.split(",") for line in (output / "report.csv")
                 .read_text(encoding="utf-8").splitlines()[1:]]
         report = json.loads((output / "report.json").read_text(
@@ -478,6 +517,14 @@ def test_vertex_table_is_counted_on_its_mesh(capsys, tmp_path):
     coefficient = 8.0 * icosphere(3).area / (4.0 * np.pi)
     assert report["coefficient"] == pytest.approx(coefficient, rel=1e-12)
     assert count["W"] == pytest.approx(coefficient * 1.3 ** 2, rel=1e-12)
+    (tmp_path / "short.txt").write_text("3.0\n" * 641, encoding="utf-8")
+    for argv in (("scan", "--output", str(tmp_path / "short")),
+                 ("count", "--r", "1.3")):
+        code, out, err = run(capsys, *argv, "--gamma",
+                             "table:%s" % (tmp_path / "short.txt"), *basis)
+        assert (code, out) == (2, "")
+        assert err == ("error: vertex table has 641 entries but the mesh "
+                       "has 642 vertices\n")
 
 
 def test_linalg_error_is_resource_failure(monkeypatch, capsys):
@@ -837,10 +884,14 @@ def test_nonfinite_mesh_vertex_is_mesh_failure(capsys, tmp_path, value,
     lines = path.read_text().splitlines()
     lines[7] = " ".join([value] + lines[7].split()[1:])
     path.write_text("\n".join(lines) + "\n")
-    code, out, err = run(capsys, argv[0], "--mesh", str(path), *argv[1:])
-    assert code == 2
-    assert "vertex 5 has a non-finite coordinate" in err
-    assert out == ""
+    # validation exits 2 before any solve, so with a cache nothing is stored
+    for cache in ((), ("--cache-dir", str(tmp_path / "cache"))):
+        code, out, err = run(capsys, argv[0], "--mesh", str(path), *argv[1:],
+                             *cache)
+        assert code == 2
+        assert "vertex 5 has a non-finite coordinate" in err
+        assert out == ""
+    assert not (tmp_path / "cache").exists()
 
 
 def test_cli_import_leaves_scipy_optimize_out():
@@ -854,6 +905,100 @@ def test_cli_import_leaves_scipy_optimize_out():
          "print('scipy.optimize' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("level", [MAX_ICOSPHERE_LEVEL + 1, 20])
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--count", "10"), ("scan", "--modes", "10"),
+    ("count", "--modes", "10", "--r", "2")],
+    ids=["spectrum", "scan", "count"])
+def test_icosphere_level_above_the_cap_is_refused(capsys, tmp_path,
+                                                  monkeypatch, argv, level):
+    # the level is judged before the mesh is named or the cache is read,
+    # so nothing the size of the level is ever allocated
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an icosphere above the cap was looked up")
+
+    monkeypatch.setattr(mesh_module, "icosphere", forbidden)
+    # the command line looks the generator up through the mesh module; any
+    # binding of its own is barred too
+    monkeypatch.setattr(cli, "icosphere", forbidden, raising=False)
+    monkeypatch.setattr(cli, "cached_mesh_spectrum", forbidden)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--mesh", "icosphere:%d" % level,
+                         "--cache-dir", "cache")
+    assert code == 2
+    assert out == ""
+    assert err == "error: icosphere level %d is above the cap of %d\n" % (
+        level, MAX_ICOSPHERE_LEVEL)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mesh", ["icosphere:3", "ico3.off"])
+@pytest.mark.parametrize("argv", [
+    ("scan", "--gamma", "affine:2,0.5,x", "--modes", "100", "--r-min", "1",
+     "--r-max", "1.5", "--output", "out"),
+    ("count", "--gamma", "affine:2,0.5,x", "--modes", "100", "--r", "1.3"),
+    ("spectrum", "--count", "100")], ids=["scan", "count", "spectrum"])
+def test_warm_mesh_hit_builds_nothing(capsys, tmp_path, monkeypatch, argv,
+                                      mesh):
+    # the cache is keyed by the mesh spec's identity, so a hit needs no
+    # mesh, and it reports what the cold run reported
+    monkeypatch.chdir(tmp_path)
+    write_off(icosphere(3), "ico3.off")
+    runs = []
+    for warm in (False, True):
+        if warm:
+            _forbid_mesh_builds(monkeypatch)
+        code, out, err = run(capsys, *argv, "--mesh", mesh,
+                             "--cache-dir", "cache")
+        assert (code, err) == (0, "")
+        reports = [(tmp_path / "out" / name).read_bytes()
+                   for name in ("report.csv", "report.json")
+                   if argv[0] == "scan"]
+        runs.append((out, reports))
+    (cold, cold_reports), (warm, warm_reports) = runs
+    assert "cache hit" not in cold
+    assert warm_reports == cold_reports
+    unmarked = warm.replace("spectrum cache hit\n", "").replace(
+        " (cache hit)", "")
+    assert unmarked == cold
+    assert (unmarked != warm) == (argv[0] != "count")
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+
+
+def test_icosphere_specs_of_one_level_share_an_entry(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    hits = []
+    for spec in ("icosphere:2", "icosphere:02", " icosphere:2 "):
+        code, out, _ = run(capsys, "spectrum", "--mesh", spec, "--count",
+                           "20", "--cache-dir", str(cache))
+        assert code == 0
+        hits.append("(cache hit)" in out)
+    assert hits == [False, True, True]
+    assert [path.suffix for path in cache.iterdir()] == [".wlb"]
+
+
+def test_off_file_of_other_bytes_is_a_miss(capsys, tmp_path):
+    # an OFF file is named by the sha256 of its bytes, so one changed digit
+    # is another entry, even where it parses to the same coordinates
+    path = tmp_path / "ico2.off"
+    write_off(icosphere(2), path)
+    argv = ("spectrum", "--mesh", str(path), "--count", "20",
+            "--cache-dir", str(tmp_path / "cache"))
+    hits = []
+    for edit in (False, False, True, False):
+        if edit:
+            lines = path.read_text().splitlines()
+            first = lines[2].split()
+            first[0] = first[0][:-1] + ("1" if first[0][-1] != "1" else "2")
+            lines[2] = " ".join(first)
+            path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        hits.append("(cache hit)" in out)
+    assert hits == [False, True, False, True]
+    assert len(list((tmp_path / "cache").iterdir())) == 2
 
 
 def test_bad_icosphere_level(capsys):

@@ -22,6 +22,7 @@ from weylcount.lb_spectrum import (
     CACHE_MAGIC,
     CACHE_VERSION,
     SOLVER_SEED,
+    SOLVER_TOL,
     SpectralBasis,
     assemble_fem,
     cache_key,
@@ -42,6 +43,7 @@ from weylcount.surface import (
     SurfaceMesh,
     icosphere,
 )
+from weylcount.surface.mesh import MeshSpec
 
 from sphere_reference import per_order_legendre
 
@@ -537,6 +539,23 @@ def test_cache_miss_on_perturbed_mesh(tmp_path):
     perturbed = SurfaceMesh(vertices, mesh.triangles)
     _, hit = cached_mesh_spectrum(perturbed, 12, tol=1e-8, directory=directory)
     assert not hit
+
+
+def test_cache_hit_of_a_mesh_spec_builds_nothing(tmp_path):
+    # a spec's entry is keyed by its identity, so only a miss builds the
+    # mesh; the nodes are checked on both paths, and a hit's cached nodes
+    # are bitwise the vertices that were solved
+    mesh, builds, checked = icosphere(2), [], []
+    spec = MeshSpec("ab" * 32, lambda: builds.append(1) or mesh)
+    for expected in (False, True):
+        basis, hit = cached_mesh_spectrum(spec, 12, directory=str(tmp_path),
+                                          check_nodes=checked.append)
+        assert hit == expected and basis.mesh_hash == spec.identity
+    assert builds == [1]
+    assert checked[0] is mesh.vertices
+    assert checked[1].tobytes() == mesh.vertices.tobytes()
+    assert os.listdir(tmp_path) == [
+        cache_key(spec.identity, 12, SOLVER_TOL, SOLVER_SEED) + ".wlb"]
 
 
 def test_cache_absent_key_is_miss(tmp_path):

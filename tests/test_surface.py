@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,12 @@ from weylcount.surface import (
     write_off,
 )
 from weylcount.surface import charts
+from weylcount.surface import mesh as mesh_module
+from weylcount.surface.mesh import (
+    MAX_ICOSPHERE_LEVEL,
+    icosphere_spec,
+    off_spec,
+)
 
 SPHERE_AREA = 4.0 * np.pi
 
@@ -386,6 +394,40 @@ def test_content_hash_sensitive_to_perturbation():
     assert mesh.content_hash() != other.content_hash()
     again = SurfaceMesh(mesh.vertices.copy(), mesh.triangles.copy())
     assert mesh.content_hash() == again.content_hash()
+
+
+def test_icosphere_content_hashes_are_pinned():
+    # a generated mesh is named by its level and ICOSPHERE_REVISION, not by
+    # its bits: bump ICOSPHERE_REVISION when these change
+    assert [icosphere(level).content_hash() for level in range(4)] == [
+        "7430cba663139ecda5c7f753829b0099402227b5c5ef6c20266931e70cc26854",
+        "bcf68b12840205025f0f1bfe09d799f586b62ae7ddd4a113ca6fd8c886fd2b0f",
+        "a6426b412c89b83ab67cdf63cfd6b362e92c3bd4c882a1585de673e0712cc584",
+        "9cf60ba93fe8704bf67468b6d6698c0403fbe81ab79ed44163c5b78a4e6e38ed",
+    ]
+
+
+def test_mesh_specs_are_named_before_they_are_built(tmp_path, monkeypatch):
+    built = icosphere(2)
+    write_off(built, tmp_path / "ico2.off")
+    calls = []
+    monkeypatch.setattr(mesh_module, "icosphere",
+                        lambda level: calls.append(level) or built)
+    identities = [icosphere_spec(level).identity for level in (0, 1, 2, 2)]
+    assert len(set(identities)) == 3 and identities[2] == identities[3]
+    assert all(len(identity) == 64 for identity in identities)
+    spec = off_spec(tmp_path / "ico2.off")
+    assert spec.identity == hashlib.sha256(
+        (tmp_path / "ico2.off").read_bytes()).hexdigest()
+    assert calls == []
+    assert icosphere_spec(2).build() is built and calls == [2]
+    # the spec builds the bytes it hashed, whatever the file holds later
+    (tmp_path / "ico2.off").write_text("OFF\n")
+    assert spec.build().content_hash() == built.content_hash()
+    with pytest.raises(MeshQualityError, match="level %d is above the cap"
+                       % (MAX_ICOSPHERE_LEVEL + 1)):
+        icosphere_spec(MAX_ICOSPHERE_LEVEL + 1)
+    assert calls == [2]
 
 
 # ----------------------------------------------------------------------
