@@ -326,7 +326,7 @@ def _require_on_surface(args, surface, nodes):
     surface, so the mesh must discretize that surface: refuse mesh nodes
     off it."""
     off = np.max(np.abs(np.sum((nodes / surface.axes) ** 2, axis=-1) - 1.0))
-    if off > MESH_SURFACE_TOL:
+    if not off <= MESH_SURFACE_TOL:  # a NaN node is refused too
         raise UsageError(
             "mesh %r does not lie on surface %r: max |sum (x_i/a_i)^2 - 1|"
             " = %.3g over its vertices" % (args.mesh, args.surface, off))

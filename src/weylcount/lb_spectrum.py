@@ -10,13 +10,14 @@ pipeline with the same interface:
   tridiagonal in each order with couplings in closed form; and
 * cotangent finite elements with lumped mass on a triangle mesh, solved as a
   sparse symmetric generalized eigenproblem for the lowest eigenpairs, whose
-  exactly equal eigenvalues form one cluster.  Every coordinate reflection
-  that maps the mesh onto itself (each icosphere has all three) splits the
-  pencil into symmetry classes, up to 8, each solved on its own and merged;
-  a mesh with none is one class.  The basis keeps its mode values at the
-  vertices with the vertex masses, as its ``quadrature``, together with the
-  vertex permutation of each reflection found and each mode's parity under
-  them, so counting can split a section by class too.
+  exactly equal eigenvalues form one cluster.  Every mesh is solved by
+  symmetry class: each coordinate reflection that maps the mesh onto
+  itself (each icosphere has all three) splits the pencil, up to 8
+  classes, each solved on its own and merged, and a mesh with none is the
+  one trivial class.  The basis keeps its mode values at the vertices
+  with the vertex masses, as its ``quadrature``, together with the vertex
+  permutation of each reflection found and each mode's parity under them,
+  so counting can split a section by class too.
 
 Mesh solves are expensive, so they get a small binary disk cache: one
 self-describing "WLB1" container per entry, keyed by the mesh's identity,
@@ -27,13 +28,17 @@ and generator revision, of an OFF file's bytes, or of a SurfaceMesh's
 content.  Container version 3 is laid out little-endian as the magic, a
 ``<IQQQ`` header (version, mode count k, vertex count p, reflection count
 q), the 32 raw bytes of that identity, a ``<ddd`` header (area, trusted
-horizon, residual), the k eigenvalues (``<f8``) and, when p > 0, the p
-masses, the (p, 3) nodes and the (p, k) mode values (``<f8``), then the k
-parities and the (q, p) reflection permutations (``<i8``); the arrays start
-at byte 88, so every array starts 8-byte aligned.  A hit maps the
+horizon, residual), the k eigenvalues, the p masses, the (p, 3) nodes and
+the (p, k) mode values (``<f8``), then the k parities and the (q, p)
+reflection permutations (``<i8``); k and p are at least 1, and the arrays
+start at byte 88, so every array starts 8-byte aligned.  A hit maps the
 container read-only and views its arrays in place, copying nothing; this
 is safe because a writer only ever publishes an entry by one atomic
-rename, so a mapped file is never truncated under a live basis.  An entry of another version, or
+rename, so a mapped file is never truncated under a live basis.  A hit
+checks the tables counting indexes with (each reflection row must be a
+permutation that mirrors the nodes in one coordinate axis, and each
+parity must fit the reflections) and the nodes and masses, so a damaged
+entry is an error, never a wrong count.  An entry of another version, or
 whose digest names another mesh, is a miss.
 """
 
@@ -87,15 +92,16 @@ class SpectralBasis:
 
     A mesh basis holds its ``quadrature``: ``modes[t, j]`` is mode j at
     vertex ``nodes[t]``, whose lumped ``mass[t]`` makes the columns
-    orthonormal, as it was solved or loaded (None for a cache entry without
-    them).  Row b of the int64 ``reflections`` is the vertex permutation of
-    the b-th coordinate reflection that maps the mesh onto itself (none
-    for a mesh without one), and bit b of the int64 ``parity[j]`` is set
-    when mode j is odd under it.  A loaded basis holds read-only views of
-    the mapped cache container.  The exact sphere, whose cluster index is
-    the degree, holds none.  ``trusted_horizon`` is the largest eigenvalue
-    considered resolved: for a mesh, the Weyl count of 5% of the vertex
-    budget, i.e. ``0.05 * vertex_count * 4 pi / area``.
+    orthonormal, as it was solved or loaded.  Row b of the int64
+    ``reflections`` is the vertex permutation of the b-th coordinate
+    reflection that maps the mesh onto itself (none for a mesh without
+    one), and bit b of the int64 ``parity[j]`` is set when mode j is odd
+    under it.  A loaded basis holds read-only views of the mapped cache
+    container.  The exact sphere, whose cluster index is the degree, holds
+    none: ``quadrature`` is None for it and only for it.
+    ``trusted_horizon`` is the largest eigenvalue considered resolved: for
+    a mesh, the Weyl count of 5% of the vertex budget, i.e.
+    ``0.05 * vertex_count * 4 pi / area``.
     """
 
     values: np.ndarray
@@ -246,10 +252,23 @@ def _reflections(stiffness, mass, nodes):
     return reflections
 
 
+def _vertex_orbits(reflections, n):
+    """(group, orbit, firsts): row e of ``group`` composes reflection b for
+    each bit b set in e, ``orbit[t]`` names the orbit of vertex t by its
+    smallest vertex, and ``firsts`` lists those names, ascending."""
+    group = [np.arange(n)]
+    for perm in reflections:
+        group += [element[perm] for element in group]
+    group = np.stack(group)
+    orbit = group.min(axis=0)
+    return group, orbit, np.flatnonzero(orbit == np.arange(n))
+
+
 def _class_bases(reflections, n):
     """(character, basis) pairs: one orthonormal sparse basis per character
     of the group the commuting ``reflections`` generate, in vertex space.
-    Bit b of a character is set when its basis is odd under reflection b.
+    Bit b of a character is set when its basis is odd under reflection b;
+    without reflections the one character 0 has the identity basis.
 
     Column j of a character's basis is the projection of the j-th vertex
     orbit's first vertex onto that character, normalized: +-1/sqrt(orbit
@@ -257,18 +276,14 @@ def _class_bases(reflections, n):
     fix projects to zero and is dropped, and so is a character with no
     column left.
     """
-    group = [np.arange(n)]
-    for perm in reflections:
-        group += [element[perm] for element in group]
-    images = np.stack(group)
-    firsts = np.flatnonzero(images.min(axis=0) == np.arange(n))
+    group, _, firsts = _vertex_orbits(reflections, n)
     columns = np.tile(np.arange(len(firsts)), len(group))
     bases = []
     for character in range(len(group)):
         signs = np.array([(-1.0) ** bin(character & element).count("1")
                           for element in range(len(group))])
         basis = sp.csc_matrix(
-            (np.repeat(signs, len(firsts)), (images[:, firsts].ravel(),
+            (np.repeat(signs, len(firsts)), (group[:, firsts].ravel(),
                                              columns)),
             shape=(n, len(firsts)))
         norms = np.sqrt(np.asarray(basis.multiply(basis).sum(axis=0))[0])
@@ -324,7 +339,9 @@ def _lowest_by_class(stiffness, mass, count, seed, classes):
     start = np.cumsum([0] + sizes)
     values = np.concatenate(values)
     order = np.argsort(values, kind="stable")[:count]
-    vectors = np.empty((stiffness.shape[0], count))
+    # a lone class keeps its solver's Fortran order, which the Gram rounds by
+    vectors = np.empty((stiffness.shape[0], count),
+                       order="F" if len(bases) == 1 else "C")
     for c, basis in enumerate(bases):
         picked = np.flatnonzero(owner[order] == c)
         vectors[:, picked] = basis @ blocks[c][:, order[picked] - start[c]]
@@ -335,15 +352,15 @@ def _lowest_by_class(stiffness, mass, count, seed, classes):
 def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
     """Lowest ``count`` eigenpairs of the (stiffness, mass) pencil.
 
-    Each coordinate reflection that maps the mesh onto itself splits the
-    pencil, so it is solved one symmetry class at a time, up to 8 classes
-    (Bossavit, CMAME 56, 1986); a mesh with no such reflection is one
-    class.  Each class takes a dense solve of the mass-scaled problem for
-    large requests and shift-invert Lanczos otherwise, whose start vector
-    is drawn from ``seed``, so the result is deterministic and depends on
-    the seed only through Lanczos classes.  The basis keeps the
-    reflections' vertex permutations and each mode's class character as
-    its parity.  Residuals
+    Every mesh is solved one symmetry class at a time (Bossavit, CMAME 56,
+    1986): each coordinate reflection that maps the mesh onto itself splits
+    the pencil, up to 8 classes, and a mesh with no such reflection is the
+    one trivial class, the whole pencil.  Each class takes a dense solve of
+    the mass-scaled problem for large requests and shift-invert Lanczos
+    otherwise, whose start vector is drawn from ``seed``, so the result is
+    deterministic and depends on the seed only through Lanczos classes.
+    The basis keeps the reflections' vertex permutations and each mode's
+    class character as its parity.  Residuals
     ||K v - lambda M v|| / ||v|| of the merged pairs are checked on the
     whole pencil against ``tol * (1 + lambda)``; failure raises SolverError
     with the worst value.
@@ -360,12 +377,8 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
             f"{count} modes requested from a {n}-vertex mesh")
 
     reflections = _reflections(stiffness, mass, nodes)
-    if reflections:
-        values, vectors, parity = _lowest_by_class(
-            stiffness, mass, count, seed, _class_bases(reflections, n))
-    else:
-        values, vectors = _lowest_pairs(stiffness, mass, count, seed)
-        parity = np.zeros(count, dtype=np.int64)
+    values, vectors, parity = _lowest_by_class(
+        stiffness, mass, count, seed, _class_bases(reflections, n))
 
     if values[0] < -1e-8:
         raise SolverError(f"spurious negative eigenvalue {values[0]:.3e}",
@@ -415,49 +428,85 @@ def cache_key(mesh_hash, count, tol, seed):
 
 
 def cache_store(directory, key, basis):
-    """Write the basis into <key>.wlb; returns the path.
+    """Write the mesh basis into <key>.wlb; returns the path.
 
     The basis's ``mesh_hash``, the identity of the mesh it was solved on,
-    goes into the header as its 32 raw bytes.  The container is written to
-    a process-unique temp file and published by one atomic rename, so
-    concurrent writers resolve to last-writer-wins without torn files.  A
-    ``mesh_hash`` that is not a sha256 hex digest raises ValueError before
-    anything is written.
+    goes into the header as its 32 raw bytes, and every array of its
+    quadrature follows, so a container always holds p >= 1 vertices.  The
+    container is written to a process-unique temp file and published by
+    one atomic rename, so concurrent writers resolve to last-writer-wins
+    without torn files.  A ``mesh_hash`` that is not a sha256 hex digest,
+    or a basis without a quadrature (the exact sphere), raises ValueError
+    before anything is written.
     """
     digest = bytes.fromhex(basis.mesh_hash)
     if len(basis.mesh_hash) != 64 or len(digest) != 32:
         raise ValueError(f"mesh_hash {basis.mesh_hash!r} is not a sha256 "
                          "hex digest")
+    if basis.quadrature is None:
+        raise ValueError("a cache container holds a mesh basis's vertices")
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, key + ".wlb")
     k = basis.mode_count
     quadrature = basis.quadrature
-    p = 0 if quadrature is None else len(quadrature.nodes)
-    q = 0 if quadrature is None else len(quadrature.reflections)
+    p, q = len(quadrature.nodes), len(quadrature.reflections)
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "wb") as handle:
         handle.write(CACHE_MAGIC + struct.pack(
             _CACHE_HEADER, CACHE_VERSION, k, p, q, digest, basis.area,
             basis.trusted_horizon, basis.residual))
-        arrays = [(basis.eigenvalues, "<f8")]
-        if p:
-            arrays += [(quadrature.mass, "<f8"), (quadrature.nodes, "<f8"),
-                       (quadrature.modes, "<f8"), (quadrature.parity, "<i8"),
-                       (quadrature.reflections, "<i8")]
-        for array, dtype in arrays:
+        arrays = [basis.eigenvalues, quadrature.mass, quadrature.nodes,
+                  quadrature.modes, quadrature.parity, quadrature.reflections]
+        for array, dtype in zip(arrays, ["<f8"] * 4 + ["<i8"] * 2):
             handle.write(np.ascontiguousarray(array, dtype=dtype))
     os.replace(tmp, path)
     return path
 
 
+def _check_tables(path, quadrature):
+    """Refuse, with CacheError, a loaded quadrature that counting could not
+    index safely or that no solve produced: nodes and masses must be
+    finite and the masses positive, each reflection row a permutation of
+    the vertices that mirrors the nodes exactly in one coordinate axis,
+    the axes ascending as :func:`_reflections` finds them, and every
+    parity below 2^q.  O(q p + k), reading no mode value."""
+    nodes, mass, _, parity, reflections = quadrature
+    p = len(nodes)
+    if not (np.isfinite(nodes).all()
+            and 0.0 < mass.min() <= mass.max() < np.inf):
+        raise CacheError(f"cache container {path} holds a non-finite node "
+                         "or a non-positive mass")
+    axis = -1
+    for b, perm in enumerate(reflections):
+        if not (perm.min() >= 0 and perm.max() < p
+                and np.bincount(perm, minlength=p).max() == 1):
+            raise CacheError(f"cache container {path}: reflection {b} is "
+                             f"not a permutation of its {p} vertices")
+        images = np.take(nodes, perm, axis=0)  # faster than nodes[perm]
+        for axis in range(axis + 1, 3):
+            images[:, axis] *= -1.0  # negation is exact, and -0.0 == 0.0
+            if (images == nodes).all():
+                break
+            images[:, axis] *= -1.0
+        else:
+            raise CacheError(f"cache container {path}: reflection {b} does "
+                             "not mirror its nodes in a later coordinate axis")
+    if parity.min() < 0 or parity.max() >= 1 << len(reflections):
+        raise CacheError(f"cache container {path} holds a parity outside "
+                         f"its {len(reflections)} reflections")
+
+
 def cache_load(directory, key):
-    """Load a cached basis; returns None on miss (including version skew).
+    """Load a cached mesh basis; returns None on miss (including version
+    skew).
 
     A hit maps the container read-only: the eigenvalues, masses, nodes,
     mode values, parities and reflections are views of the mapping, not
     copies.  The mapping outlives any later store of the same key, which
     writes a new file and renames it over the old one.  A short, empty or
-    overlong container, or one with a bad magic, raises CacheError.
+    overlong container, one with a bad magic, one without modes or
+    vertices (k = 0 or p = 0), and one whose tables fail
+    :func:`_check_tables`, raises CacheError.
     """
     path = os.path.join(directory, key + ".wlb")
     if not os.path.exists(path):
@@ -475,6 +524,8 @@ def cache_load(directory, key):
             return None  # version skew is a miss, never a silent wrong answer
         _, k, p, q, digest, area, horizon, residual = struct.unpack_from(
             _CACHE_HEADER, blob, 4)
+        if k == 0 or p == 0:
+            raise CacheError(f"cache container {path}: {k} modes, {p} nodes")
         offset = 4 + struct.calcsize(_CACHE_HEADER)
 
         def take(count, shape, dtype="<f8"):
@@ -484,16 +535,15 @@ def cache_load(directory, key):
             return arr.reshape(shape)
 
         eigenvalues = take(k, (k,))
-        quadrature = None
-        if p:
-            mass = take(p, (p,))
-            quadrature = Quadrature(take(3 * p, (p, 3)), mass,
-                                    take(p * k, (p, k)), take(k, (k,), "<i8"),
-                                    take(q * p, (q, p), "<i8"))
+        mass = take(p, (p,))
+        quadrature = Quadrature(take(3 * p, (p, 3)), mass,
+                                take(p * k, (p, k)), take(k, (k,), "<i8"),
+                                take(q * p, (q, p), "<i8"))
         if offset != len(blob):
             raise CacheError(f"trailing bytes in cache container {path}")
     except (struct.error, ValueError) as exc:
         raise CacheError(f"corrupt cache container {path}: {exc}") from exc
+    _check_tables(path, quadrature)
     return SpectralBasis(
         *clusters_of(eigenvalues),
         source="mesh-fem",

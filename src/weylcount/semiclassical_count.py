@@ -49,6 +49,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 
 from .errors import DomainError, InsufficientSpectrumError, UsageError
+from .lb_spectrum import _vertex_orbits
 
 ZERO_TOL = 1e-12
 CUT_FACTOR = 2.0
@@ -508,17 +509,11 @@ def _damping_gram(basis, field, last):
     cut = int(basis.ends[last])
     _, mass, modes, parity, reflections = basis.quadrature
     gamma0 = field.effective(basis.nodes)
-    group, mask = [np.arange(len(mass))], 0
-    for bit, perm in enumerate(reflections):
-        if np.array_equal(gamma0[perm], gamma0):
-            group += [element[perm] for element in group]
-            mask |= 1 << bit
-    # each vertex's orbit under H, named by its first vertex
-    orbit = np.min(group, axis=0)
-    reps = np.flatnonzero(orbit == np.arange(len(mass)))
+    kept = [np.array_equal(gamma0[perm], gamma0) for perm in reflections]
+    _, orbit, reps = _vertex_orbits(reflections[kept], len(mass))
     weight = np.sqrt(np.bincount(orbit)[reps] * mass[reps] * gamma0[reps])
     scaled = modes[reps, :cut] * weight[:, None]
-    classes = parity[:cut] & mask
+    classes = parity[:cut] & sum(keep << bit for bit, keep in enumerate(kept))
     grams = []
     for character in np.unique(classes):
         columns = np.flatnonzero(classes == character)

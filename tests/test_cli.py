@@ -1,8 +1,10 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +15,7 @@ import pytest
 
 from weylcount import cli, lb_spectrum
 from weylcount.cli import main
+from weylcount.errors import UsageError
 from weylcount.lb_spectrum import MAX_EXACT_DEGREE, SOLVER_TOL
 from weylcount.semiclassical_count import (
     CUT_FACTOR,
@@ -21,6 +24,7 @@ from weylcount.semiclassical_count import (
     _fit_powers,
 )
 from weylcount.spectral_regions import RegionParams
+from weylcount.surface import AnalyticSurface
 from weylcount.surface import mesh as mesh_module
 from weylcount.surface.mesh import (
     MAX_ICOSPHERE_LEVEL,
@@ -456,6 +460,16 @@ def test_mesh_must_lie_on_surface(capsys, tmp_path, monkeypatch, surface,
         assert solves == [1]
     _forbid_mesh_builds(monkeypatch)
     assert run(capsys, *argv, "--surface", surface) == (code, out, err)
+
+
+def test_on_surface_check_refuses_a_nan_node():
+    # NaN compares False with any tolerance, so the check asks whether the
+    # distance is within it, not whether it exceeds it
+    nodes = icosphere(1).vertices.copy()
+    nodes[3, 1] = np.nan
+    args = argparse.Namespace(mesh="icosphere:1", surface="unit-sphere")
+    with pytest.raises(UsageError, match="does not lie on surface"):
+        cli._require_on_surface(args, AnalyticSurface.unit_sphere(), nodes)
 
 
 @pytest.mark.parametrize("argv", [("scan",), ("count", "--r", "2"),
@@ -894,17 +908,34 @@ def test_nonfinite_mesh_vertex_is_mesh_failure(capsys, tmp_path, value,
     assert not (tmp_path / "cache").exists()
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # the command line needs no optimizer, and importing scipy.optimize
-    # costs every process time and memory
+def _fresh_python(code):
+    """stdout of ``code`` run by a new interpreter that imports this
+    package's source."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, weylcount.cli; "
-         "print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # the command line needs no optimizer, and importing scipy.optimize
+    # costs every process time and memory
+    assert _fresh_python("import sys, weylcount.cli; "
+                         "print('scipy.optimize' in sys.modules)") == "False\n"
+
+
+def test_lb_spectrum_import_leaves_the_surface_out():
+    # lb_spectrum names mesh specs by duck typing, and semiclassical_count
+    # takes its vertex orbits from lb_spectrum: importing the surface
+    # package there would load scipy.special early, which raised the
+    # import-time peak RSS by about 0.7 MB
+    assert _fresh_python(
+        "import sys, weylcount.lb_spectrum, weylcount.semiclassical_count; "
+        "print(sorted(name for name in sys.modules "
+        "if name.startswith('weylcount.')))") == (
+        "['weylcount.errors', 'weylcount.lb_spectrum', "
+        "'weylcount.semiclassical_count']\n")
 
 
 @pytest.mark.parametrize("level", [MAX_ICOSPHERE_LEVEL + 1, 20])
@@ -1006,3 +1037,61 @@ def test_bad_icosphere_level(capsys):
         code, _, err = run(capsys, "spectrum", "--mesh", spec, "--count", "10")
         assert code == 64
         assert repr(spec) in err
+
+
+@pytest.fixture(scope="module")
+def icosphere3_entry(tmp_path_factory):
+    """(name, bytes) of the cache entry of icosphere:3 with 100 modes."""
+    cache = tmp_path_factory.mktemp("icosphere3") / "cache"
+    assert main(["spectrum", "--mesh", "icosphere:3", "--count", "100",
+                 "--cache-dir", str(cache)]) == 0
+    path, = cache.iterdir()
+    return path.name, path.read_bytes()
+
+
+def _damaged(blob, damage):
+    """The WLB1 version 3 container ``blob`` with one damage done to it."""
+    buf = bytearray(blob)
+    k, p, q = struct.unpack_from("<QQQ", buf, 8)
+    nodes = np.frombuffer(buf, "<f8", 3 * p, 88 + 8 * (k + p))
+    reflections = np.frombuffer(buf, "<i8", q * p,
+                                len(buf) - 8 * q * p).reshape(q, p)
+    if damage == "vertex-less":  # the eigenvalues alone, p = q = 0
+        return (bytes(buf[:16]) + struct.pack("<QQ", 0, 0)
+                + bytes(buf[32:88 + 8 * k]))
+    if damage == "identity-row":
+        reflections[0] = np.arange(p)
+    elif damage == "far-index":
+        reflections[0, 5] = 10 ** 6
+    elif damage == "nan-node":
+        nodes[0] = np.nan
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("damage", [
+    "untouched", "vertex-less", "identity-row", "far-index", "nan-node"])
+@pytest.mark.parametrize("argv", [
+    ("scan", "--r-min", "1", "--r-max", "2", "--steps", "3", "--output",
+     "out"),
+    ("count", "--r", "2")], ids=["scan", "count"])
+def test_damaged_mesh_cache_hit_is_a_resource_failure(
+        capsys, tmp_path, monkeypatch, icosphere3_entry, argv, damage):
+    # at the parent a vertex-less entry raised a TypeError, an identity
+    # reflection row counted N(2) = 16 instead of 15 and exited 0, a far
+    # index raised an IndexError and a NaN node wrote all-zero counts and
+    # exited 3; a hit now checks its tables and refuses each with exit 2
+    monkeypatch.chdir(tmp_path)
+    name, blob = icosphere3_entry
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / name).write_bytes(_damaged(blob, damage))
+    code, out, err = run(capsys, *argv, "--gamma", "affine:2,0.5,x",
+                         "--mesh", "icosphere:3", "--modes", "100",
+                         "--cache-dir", "cache")
+    if damage == "untouched":
+        assert (code, err) == (0, "")
+        assert "cache hit" in out or argv[0] == "count"
+        return
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cache container" in err
+    assert not (tmp_path / "out").exists()

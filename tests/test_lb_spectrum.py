@@ -23,6 +23,7 @@ from weylcount.lb_spectrum import (
     CACHE_VERSION,
     SOLVER_SEED,
     SOLVER_TOL,
+    Quadrature,
     SpectralBasis,
     assemble_fem,
     cache_key,
@@ -392,6 +393,36 @@ def test_solved_modes_keep_their_reflections_and_parities():
     assert np.array_equal(turned.quadrature.parity, np.zeros(20))
 
 
+@pytest.mark.parametrize("level, count", [
+    (2, 20), (2, 60), (3, 20), (3, 60), (3, 200), (4, 20), (4, 200)])
+def test_mesh_without_reflections_is_the_whole_pencil_bit_for_bit(
+        monkeypatch, level, count):
+    # a mesh without reflections is the one trivial class, whose identity
+    # basis gives the whole-pencil solve bit for bit: dense where count >
+    # n // 4 (162, 642 and 2562 vertices), Lanczos otherwise
+    calls = counted_eigsh(monkeypatch)
+    pencil = assemble_fem(rotated(icosphere(level)))
+    n = pencil.stiffness.shape[0]
+    (character, identity), = _class_bases([], n)
+    assert character == 0 and (identity != sp.identity(n)).nnz == 0
+    solved = solve_lowest(pencil, count, tol=1e-8)
+    assert len(calls) == (count <= n // 4)
+
+    def whole_pencil(stiffness, mass, count, seed, classes):
+        values, vectors = lb_spectrum._lowest_pairs(stiffness, mass, count,
+                                                    seed)
+        return values, vectors, np.zeros(count, dtype=np.int64)
+
+    monkeypatch.setattr(lb_spectrum, "_lowest_by_class", whole_pencil)
+    reference = solve_lowest(pencil, count, tol=1e-8)
+    assert solved.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+    assert solved.modes.tobytes() == reference.modes.tobytes()
+    assert solved.residual == reference.residual
+    assert solved.quadrature.reflections.shape == (0, n)
+    assert solved.quadrature.parity.dtype == np.int64
+    assert not solved.quadrature.parity.any()
+
+
 def test_reflected_and_rotated_solves_agree():
     # the icosphere is solved as 8 dense classes, its rotated copy as one
     # Lanczos pencil: the same spectrum, both mass-orthonormal and resolved
@@ -619,6 +650,104 @@ def test_cache_store_refuses_a_bad_mesh_hash(tmp_path, mesh_hash):
     with pytest.raises(ValueError):
         cache_store(str(tmp_path), "0" * 32, basis)
     assert os.listdir(tmp_path) == []
+
+
+def test_cache_store_refuses_a_basis_without_vertices(tmp_path):
+    # a container always holds the vertex data counting reads
+    solved = solve_lowest(assemble_fem(icosphere(1)), 6, tol=1e-8)
+    sphere = exact_sphere_spectrum(3)
+    for basis in (dataclasses.replace(solved, quadrature=None), sphere):
+        basis.mesh_hash = "ab" * 32
+        with pytest.raises(ValueError):
+            cache_store(str(tmp_path), "0" * 32, basis)
+    assert os.listdir(tmp_path) == []
+
+
+def _packed(basis, k, p, q, arrays):
+    """A version 3 container of the basis's header fields with the given
+    counts, followed by ``arrays`` as they are."""
+    return (CACHE_MAGIC + struct.pack(
+        "<IQQQ32sddd", CACHE_VERSION, k, p, q, bytes.fromhex(basis.mesh_hash),
+        basis.area, basis.trusted_horizon, basis.residual)
+        + b"".join(array.tobytes() for array in arrays))
+
+
+def test_cache_container_without_modes_or_vertices_raises(tmp_path):
+    # p = 0 is the eigenvalue-only layout of an entry without vertex data,
+    # which no writer produces; k = 0 holds no modes at all
+    directory = str(tmp_path)
+    mesh = icosphere(1)
+    basis, _ = cached_mesh_spectrum(mesh, 6, tol=1e-8, directory=directory)
+    key = cache_key(mesh.content_hash(), 6, 1e-8, SOLVER_SEED)
+    path = tmp_path / (key + ".wlb")
+    whole = path.read_bytes()
+    assert whole == _packed(basis, 6, 42, 3, [
+        basis.eigenvalues, basis.mass, basis.nodes, basis.modes,
+        basis.quadrature.parity, basis.quadrature.reflections])
+    for contents in (_packed(basis, 6, 0, 0, [basis.eigenvalues]),
+                     _packed(basis, 0, 42, 3, [
+                         basis.mass, basis.nodes,
+                         basis.quadrature.reflections])):
+        path.write_bytes(contents)
+        with pytest.raises(CacheError, match="modes, "):
+            cache_load(directory, key)
+
+
+def _tampered(name, quadrature):
+    """The quadrature's arrays, copied, with one damage done to them."""
+    nodes, mass, modes, parity, reflections = (
+        np.array(array) for array in quadrature)
+    p = len(nodes)
+    if name == "identity-row":  # exits 0 with a wrong count unchecked
+        reflections[0] = np.arange(p)
+    elif name == "far-index":  # an IndexError unchecked
+        reflections[0, 5] = 10 ** 6
+    elif name == "negative-index":  # wraps onto the same vertex
+        reflections[0, 5] -= p
+    elif name == "repeated-index":
+        reflections[0, 1] = reflections[0, 0]
+    elif name == "not-a-permutation":  # mirrors nodes collapsed to 0
+        nodes[:] = 0.0
+        reflections[0] = 0
+    elif name == "descending-axes":
+        reflections[[0, 1]] = reflections[[1, 0]]
+    elif name == "fourth-reflection":
+        reflections = np.vstack([reflections, reflections[2:]])
+    elif name in ("parity-above", "parity-negative"):
+        parity[0] = 8 if name == "parity-above" else -1
+    elif name in ("nan-node", "inf-node"):  # a NaN exits 3 unchecked
+        # with no reflection left, which a NaN node could not mirror
+        reflections, parity[:] = reflections[:0], 0
+        nodes[0, 0] = np.nan if name == "nan-node" else np.inf
+    elif name in ("zero-mass", "nan-mass", "inf-mass"):
+        mass[3] = {"zero-mass": 0.0, "nan-mass": np.nan}.get(name, np.inf)
+    return Quadrature(nodes, mass, modes, parity, reflections)
+
+
+TAMPERS = ["identity-row", "far-index", "negative-index", "repeated-index",
+           "not-a-permutation", "descending-axes", "fourth-reflection",
+           "parity-above", "parity-negative", "nan-node", "inf-node",
+           "zero-mass", "nan-mass", "inf-mass"]
+
+
+@pytest.mark.parametrize("name", ["untouched"] + TAMPERS)
+def test_cache_hit_checks_the_tables_it_indexes_with(tmp_path, name):
+    # counting indexes the vertices with the reflection rows and selects
+    # classes by the parity bits, so a hit refuses tables no solve makes
+    directory = str(tmp_path)
+    mesh = icosphere(1)
+    cached_mesh_spectrum(mesh, 6, tol=1e-8, directory=directory)
+    key = cache_key(mesh.content_hash(), 6, 1e-8, SOLVER_SEED)
+    loaded = cache_load(directory, key)
+    cache_store(directory, key, dataclasses.replace(
+        loaded, quadrature=_tampered(name, loaded.quadrature)))
+    if name == "untouched":
+        again = cache_load(directory, key)
+        for array, loaded_array in zip(again.quadrature, loaded.quadrature):
+            assert array.tobytes() == loaded_array.tobytes()
+        return
+    with pytest.raises(CacheError):
+        cache_load(directory, key)
 
 
 def test_cache_corrupt_container_raises(tmp_path):
