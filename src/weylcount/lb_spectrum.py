@@ -17,7 +17,9 @@ pipeline with the same interface:
   one trivial class.  The basis keeps its mode values at the vertices
   with the vertex masses, as its ``quadrature``, together with the vertex
   permutation of each reflection found and each mode's parity under them,
-  so counting can split a section by class too.
+  so counting can split a section by class too.  After the classes are
+  merged, a solve holds at most two (vertex, mode) tables: the basis and
+  the mass-scaled copy its Gram matrix is formed from.
 
 Mesh solves are expensive, so they get a small binary disk cache: one
 self-describing "WLB1" container per entry, keyed by the mesh's identity,
@@ -42,6 +44,7 @@ entry is an error, never a wrong count.  An entry of another version, or
 whose digest names another mesh, is a miss.
 """
 
+import contextlib
 import hashlib
 import mmap
 import os
@@ -73,6 +76,8 @@ _CACHE_HEADER = "<IQQQ32sddd"
 # names the eigensolver in the cache key, so an entry solved another way
 # (such as the whole-pencil Lanczos solve) never answers a run
 SOLVER_REVISION = "reflection-classes"
+# columns per block of the solver's residual check
+RESIDUAL_BLOCK = 32
 
 Pencil = namedtuple("Pencil", ["stiffness", "mass", "nodes"])
 Quadrature = namedtuple("Quadrature",
@@ -349,6 +354,18 @@ def _lowest_by_class(stiffness, mass, count, seed, classes):
     return values[order], vectors, np.array(characters)[owner[order]]
 
 
+def _column_blocks(count):
+    """(start, stop) of the residual check's column blocks, at most
+    RESIDUAL_BLOCK wide.  A lone last column takes the last column of the
+    block before it: numpy sums the squares of a block of two or more
+    columns row by row, as it sums those of the whole table, but a single
+    column's pairwise."""
+    starts = list(range(0, count, RESIDUAL_BLOCK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts[-1] -= 1
+    return zip(starts, starts[1:] + [count])
+
+
 def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
     """Lowest ``count`` eigenpairs of the (stiffness, mass) pencil.
 
@@ -364,6 +381,13 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
     ||K v - lambda M v|| / ||v|| of the merged pairs are checked on the
     whole pencil against ``tol * (1 + lambda)``; failure raises SolverError
     with the worst value.
+
+    Memory: after the class merge at most two (vertex, mode) tables are
+    live, the basis and the mass-scaled copy its Gram matrix is formed
+    from.  The re-orthonormalization overwrites a multi-class basis in
+    place (a one-class basis, in Fortran order, is solved into a copy that
+    takes the freed Gram copy's place), and the residuals are checked
+    RESIDUAL_BLOCK columns at a time.
     """
     stiffness, mass, nodes = pencil
     n = stiffness.shape[0]
@@ -385,18 +409,31 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
                           residual=float(values[0]))
     values = np.maximum(values, 0.0)
 
-    # re-orthonormalize in the mass inner product (degenerate clusters)
+    # re-orthonormalize in the mass inner product (degenerate clusters); a
+    # C-ordered table (every multi-class solve) is solved in place, as its
+    # transpose is the Fortran-ordered right-hand side LAPACK overwrites
     gram = (vectors * mass[:, None]).T @ vectors
     chol = cholesky(gram, lower=False)
-    vectors = solve_triangular(chol.T, vectors.T, lower=True).T
+    vectors = solve_triangular(chol.T, vectors.T, lower=True,
+                               overwrite_b=True).T
 
-    # K V - M V diag(values), in place to keep the peak of a large basis low
-    residuals = stiffness @ vectors
-    scaled = vectors * mass[:, None]
-    scaled *= values
-    residuals -= scaled
-    del scaled
-    rnorm = np.linalg.norm(residuals, axis=0) / np.linalg.norm(vectors, axis=0)
+    # K V - M V diag(values), one block of columns at a time in one reused
+    # buffer, since each fresh array would cost a page fault per page.  The
+    # column norms are squared in place and summed, as np.linalg.norm sums
+    # them: sqrt(add.reduce(x * x, axis=0))
+    rnorm = np.empty(count)
+    buffer = np.empty((n, min(count, RESIDUAL_BLOCK)))
+    for start, stop in _column_blocks(count):
+        columns, block = vectors[:, start:stop], buffer[:, :stop - start]
+        block[...] = columns
+        residuals = stiffness @ block
+        block *= mass[:, None]
+        block *= values[start:stop]
+        residuals -= block
+        residuals *= residuals
+        np.multiply(columns, columns, out=block)
+        rnorm[start:stop] = (np.sqrt(np.add.reduce(residuals, axis=0))
+                             / np.sqrt(np.add.reduce(block, axis=0)))
     worst = float(np.max(rnorm / (1.0 + values)))
     if worst > tol:
         raise SolverError(
@@ -435,7 +472,8 @@ def cache_store(directory, key, basis):
     quadrature follows, so a container always holds p >= 1 vertices.  The
     container is written to a process-unique temp file and published by
     one atomic rename, so concurrent writers resolve to last-writer-wins
-    without torn files.  A ``mesh_hash`` that is not a sha256 hex digest,
+    without torn files; a write or rename that fails removes the temp file
+    and re-raises.  A ``mesh_hash`` that is not a sha256 hex digest,
     or a basis without a quadrature (the exact sphere), raises ValueError
     before anything is written.
     """
@@ -451,15 +489,21 @@ def cache_store(directory, key, basis):
     quadrature = basis.quadrature
     p, q = len(quadrature.nodes), len(quadrature.reflections)
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(CACHE_MAGIC + struct.pack(
-            _CACHE_HEADER, CACHE_VERSION, k, p, q, digest, basis.area,
-            basis.trusted_horizon, basis.residual))
-        arrays = [basis.eigenvalues, quadrature.mass, quadrature.nodes,
-                  quadrature.modes, quadrature.parity, quadrature.reflections]
-        for array, dtype in zip(arrays, ["<f8"] * 4 + ["<i8"] * 2):
-            handle.write(np.ascontiguousarray(array, dtype=dtype))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(CACHE_MAGIC + struct.pack(
+                _CACHE_HEADER, CACHE_VERSION, k, p, q, digest, basis.area,
+                basis.trusted_horizon, basis.residual))
+            arrays = [basis.eigenvalues, quadrature.mass, quadrature.nodes,
+                      quadrature.modes, quadrature.parity,
+                      quadrature.reflections]
+            for array, dtype in zip(arrays, ["<f8"] * 4 + ["<i8"] * 2):
+                handle.write(np.ascontiguousarray(array, dtype=dtype))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # leave no temp file behind
+            os.remove(tmp)
+        raise
     return path
 
 

@@ -1,15 +1,17 @@
 """Tests for the Laplace-Beltrami spectrum sources and the disk cache."""
 
 import dataclasses
+import errno
 import hashlib
 import os
 import pathlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import eigvalsh
+from scipy.linalg import cholesky, eigvalsh, solve_triangular
 from scipy.special import roots_legendre
 
 from weylcount.errors import (
@@ -36,7 +38,7 @@ from weylcount.lb_spectrum import (
     sphere_degree_for,
 )
 from weylcount import lb_spectrum
-from weylcount.lb_spectrum import _class_bases, _reflections
+from weylcount.lb_spectrum import _class_bases, _column_blocks, _reflections
 from weylcount.semiclassical_count import _damping_gram, build_operator
 from weylcount.surface import (
     AnalyticSurface,
@@ -451,6 +453,100 @@ def test_icosphere_modes_do_not_depend_on_the_seed(monkeypatch, level,
     assert one.modes.tobytes() == two.modes.tobytes()
 
 
+@pytest.mark.parametrize("turn, level, count", [
+    (False, 3, 97), (False, 3, 200), (True, 2, 33)],
+    ids=["8-classes-97", "8-classes-200", "one-class-33"])
+def test_solver_residual_is_the_worst_over_the_whole_table(turn, level,
+                                                           count):
+    # the residual is checked a block of columns at a time; it must be the
+    # worst ||K v - lambda M v|| / ||v|| / (1 + lambda) of the whole table
+    mesh = icosphere(level)
+    pencil = assemble_fem(rotated(mesh) if turn else mesh)
+    basis = solve_lowest(pencil, count, tol=1e-8)
+    lam, modes = basis.eigenvalues, basis.modes
+    residuals = pencil.stiffness @ modes - modes * pencil.mass[:, None] * lam
+    worst = np.max(np.linalg.norm(residuals, axis=0)
+                   / np.linalg.norm(modes, axis=0) / (1.0 + lam))
+    assert basis.residual == worst
+    with pytest.raises(SolverError) as failed:
+        solve_lowest(pencil, count, tol=1e-16)
+    assert failed.value.residual == worst
+    assert str(failed.value) == (f"eigenpair residual {worst:.3e} exceeds "
+                                 "tolerance 1e-16")
+
+
+def test_residual_blocks_give_the_whole_table_norms():
+    # numpy sums the column norms of a block of two or more columns row by
+    # row, as for the whole table, but a single column's pairwise, so no
+    # block may be one lone column unless the table is
+    width = lb_spectrum.RESIDUAL_BLOCK
+    table = np.random.default_rng(7).standard_normal((642, 3 * width + 1))
+    for count in (1, 2, width - 1, width, width + 1, 2 * width + 1,
+                  3 * width + 1):
+        blocks = list(_column_blocks(count))
+        assert blocks[0][0] == 0 and blocks[-1][1] == count
+        assert all(stop == start for (_, stop), (start, _)
+                   in zip(blocks, blocks[1:]))
+        assert all(min(2, count) <= stop - start <= width
+                   for start, stop in blocks)
+        whole = np.linalg.norm(table[:, :count], axis=0)
+        blocked = np.concatenate([np.linalg.norm(table[:, start:stop], axis=0)
+                                  for start, stop in blocks])
+        assert blocked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("turn, level, count, layout", [
+    (False, 3, 200, "C"), (False, 2, 20, "C"), (True, 2, 60, "F"),
+    (True, 3, 20, "F")],
+    ids=["8-classes-200", "8-classes-20", "one-class-60", "one-class-20"])
+def test_reorthonormalization_matches_the_copying_solve(monkeypatch, turn,
+                                                        level, count, layout):
+    # a multi-class table (C order) is re-orthonormalized in place, a
+    # one-class table (Fortran order) into a copy; both give the bits of
+    # the out-of-place triangular solve on the merged pairs
+    merged = []
+    by_class = lb_spectrum._lowest_by_class
+
+    def captured(*args):
+        values, vectors, parity = by_class(*args)
+        merged.append((values.copy(), vectors, vectors.copy(order="K")))
+        return values, vectors, parity
+
+    monkeypatch.setattr(lb_spectrum, "_lowest_by_class", captured)
+    mesh = icosphere(level)
+    pencil = assemble_fem(rotated(mesh) if turn else mesh)
+    basis = solve_lowest(pencil, count, tol=1e-8)
+    (values, solved, vectors), = merged
+    assert vectors.flags[layout + "_CONTIGUOUS"]
+    assert np.shares_memory(basis.modes, solved) == (layout == "C")
+    gram = (vectors * pencil.mass[:, None]).T @ vectors
+    chol = cholesky(gram, lower=False)
+    expected = solve_triangular(chol.T, vectors.T, lower=True).T
+    assert basis.modes.tobytes() == expected.tobytes()
+    assert basis.eigenvalues.tobytes() == np.maximum(values, 0.0).tobytes()
+
+
+def test_solver_peak_holds_at_most_two_and_a_half_tables():
+    # after the class merge a solve holds the basis and the mass-scaled copy
+    # its Gram matrix is formed from; the class solves and small temporaries
+    # add the rest.  A copying re-orthonormalization or a whole-table
+    # residual check each add a full table
+    pencil = assemble_fem(icosphere(3))
+    solve_lowest(pencil, 200, tol=1e-8)  # first-call allocations
+    table = pencil.stiffness.shape[0] * 200 * 8
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        solve_lowest(pencil, 200, tol=1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 2.5 * table
+
+
 def test_solver_rejects_bad_requests():
     pencil = assemble_fem(icosphere(0))
     with pytest.raises(InsufficientSpectrumError):
@@ -650,6 +746,38 @@ def test_cache_store_refuses_a_bad_mesh_hash(tmp_path, mesh_hash):
     with pytest.raises(ValueError):
         cache_store(str(tmp_path), "0" * 32, basis)
     assert os.listdir(tmp_path) == []
+
+
+class _FullDisk:
+    """An array whose conversion fails as a full disk does."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["write", "rename"])
+def test_cache_store_failure_leaves_no_temp_file(tmp_path, monkeypatch,
+                                                 failing):
+    basis, _ = cached_mesh_spectrum(icosphere(1), 6, tol=1e-8)
+    key = "k" * 32
+    broken = basis
+    if failing == "write":  # the 4th array, the mode values, cannot be written
+        broken = dataclasses.replace(basis, quadrature=basis.quadrature
+                                     ._replace(modes=_FullDisk()))
+    else:
+        def no_rename(source, target):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(lb_spectrum.os, "replace", no_rename)
+    with pytest.raises(OSError) as failed:
+        cache_store(str(tmp_path), key, broken)
+    assert failed.value.errno == errno.ENOSPC
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    cache_store(str(tmp_path), key, basis)
+    assert os.listdir(tmp_path) == [key + ".wlb"]
+    loaded = cache_load(str(tmp_path), key)
+    assert loaded.modes.tobytes() == basis.modes.tobytes()
 
 
 def test_cache_store_refuses_a_basis_without_vertices(tmp_path):

@@ -28,6 +28,7 @@ from weylcount.semiclassical_count import (
     CountReport,
     DampingConstants,
     GalerkinOperator,
+    NegativeCount,
     TridiagonalFamily,
     build_operator,
     constants_for,
@@ -667,26 +668,32 @@ def test_sweep_leaves_once_every_later_row_is_certified(sphere, monkeypatch):
                           sweep._tables[ZERO_TOL])
     assert consumed[1] == [rows, rows]
     assert report.n_scalar.tolist() == [
-        closed_form_axis_count(r, 2.0, 0.5) for r in r_grid]
+        closed_form_axis_count(r, 2.0, 0.5).negative for r in r_grid]
 
 
 def closed_form_axis_count(r, offset, slope, zero_tol=ZERO_TOL):
-    """Count of affine:offset,slope,z on the unit sphere from scipy's
-    tridiagonal eigenvalues, truncated at 2x the ellipticity threshold."""
+    """NegativeCount of affine:offset,slope,z on the unit sphere from
+    scipy's tridiagonal eigenvalues, truncated at 2x the ellipticity
+    threshold: eigenvalues below -zero_tol and those within zero_tol.  No
+    eigenvalue may lie within 1e-9 of +-zero_tol, where LAPACK's rounding
+    could move it across."""
     c1 = offset + abs(slope)
     need = 2.0 * (c1 * c1 - 1.0) * r * r
     top = 0
     while top * (top + 1) < need:
         top += 1
-    count = 0
+    negative = borderline = 0
     for m in range(top + 1):
         n = np.arange(m, top + 1)
         diagonal = np.sqrt(1.0 + n * (n + 1.0) / (r * r)) - offset
         k = n[1:]
         jacobi = np.sqrt((k * k - m * m) / ((2.0 * k - 1.0) * (2.0 * k + 1.0)))
         values = eigvalsh_tridiagonal(diagonal, -slope * jacobi)
-        count += (1 if m == 0 else 2) * int(np.sum(values < -zero_tol))
-    return count
+        assert np.min(np.abs(np.abs(values) - zero_tol)) > 1e-9
+        weight = 1 if m == 0 else 2
+        negative += weight * int(np.sum(values < -zero_tol))
+        borderline += weight * int(np.sum(np.abs(values) <= zero_tol))
+    return NegativeCount(negative, borderline)
 
 
 def test_axis_affine_counts_match_closed_form(sphere, tilted):
@@ -695,7 +702,18 @@ def test_axis_affine_counts_match_closed_form(sphere, tilted):
         got = count_negative(build_operator(basis, tilted, 1.0 / r,
                                             surface=sphere))
         assert got.negative == expected == closed_form_axis_count(
-            r, 2.0, 0.5)
+            r, 2.0, 0.5).negative
+
+
+@pytest.mark.parametrize("zero_tol", [ZERO_TOL, 0.05, 1.5])
+@pytest.mark.parametrize("r", [50.0, 100.0])
+def test_axis_affine_borderline_counts_match_closed_form(sphere, tilted, r,
+                                                         zero_tol):
+    # the sweep's count below -zero_tol and its borderline, from the same
+    # pivot recurrence at both shifts, against LAPACK per order
+    got = count_negative(build_operator(exact_sphere_spectrum(420), tilted,
+                                        1.0 / r, surface=sphere), zero_tol)
+    assert got == closed_form_axis_count(r, 2.0, 0.5, zero_tol)
 
 
 # ----------------------------------------------------------------------
