@@ -29,6 +29,7 @@ from . import __version__
 from .errors import InsufficientSpectrumError, UsageError, WeylcountError
 from .lb_spectrum import (
     MAX_EXACT_DEGREE,
+    SOLVER_SEED,
     SOLVER_TOL,
     cached_mesh_spectrum,
     exact_sphere_spectrum,
@@ -66,9 +67,6 @@ EXIT_USAGE = 64
 
 RESIDUAL_GATE = 1e-8
 MESH_SURFACE_TOL = 1e-6
-# spectrum, scan and count share it, as the seed is part of the cache key;
-# it seeds only the symmetry classes of a mesh solved by Lanczos
-DEFAULT_SEED = 42
 
 # UsageError is caught first, so it still exits 64
 _RESOURCE_ERRORS = (WeylcountError, np.linalg.LinAlgError, OSError)
@@ -591,7 +589,7 @@ def _add_basis(sub, modes_flag, max_degree=None):
     sub.add_argument("--cache-dir", help="spectrum cache directory")
     sub.add_argument("--tol", type=_positive, default=SOLVER_TOL,
                      help="FEM residual tolerance (default %(default)s)")
-    sub.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED,
+    sub.add_argument("--seed", type=_nonnegative_int, default=SOLVER_SEED,
                      help="FEM solver seed: it seeds only symmetry classes "
                           "solved by Lanczos, and is part of the cache key "
                           "(default %(default)s)")

@@ -18,8 +18,8 @@ pipeline with the same interface:
   with the vertex masses, as its ``quadrature``, together with the vertex
   permutation of each reflection found and each mode's parity under them,
   so counting can split a section by class too.  After the classes are
-  merged, a solve holds at most two (vertex, mode) tables: the basis and
-  the mass-scaled copy its Gram matrix is formed from.
+  merged, a solve holds one (vertex, mode) table, re-orthonormalized in
+  place.
 
 Mesh solves are expensive, so they get a small binary disk cache: one
 self-describing "WLB1" container per entry, keyed by the mesh's identity,
@@ -64,7 +64,8 @@ from .errors import (
     UsageError,
 )
 
-SOLVER_SEED = 0x5EED
+# seeds only the symmetry classes solved by Lanczos; part of the cache key
+SOLVER_SEED = 42
 SOLVER_TOL = 1e-8
 TRUSTED_MODE_FRACTION = 0.05
 # the largest exact sphere degree the command line builds a basis for
@@ -75,7 +76,7 @@ CACHE_VERSION = 3
 _CACHE_HEADER = "<IQQQ32sddd"
 # names the eigensolver in the cache key, so an entry solved another way
 # (such as the whole-pencil Lanczos solve) never answers a run
-SOLVER_REVISION = "reflection-classes"
+SOLVER_REVISION = "in-place-gram"
 # columns per block of the solver's residual check
 RESIDUAL_BLOCK = 32
 
@@ -306,10 +307,13 @@ def _lowest_pairs(stiffness, mass, count, seed):
     n = stiffness.shape[0]
     if count > n // 4 or count >= n - 1:
         scale = 1.0 / np.sqrt(mass)
-        dense = stiffness.toarray() * scale[:, None] * scale[None, :]
-        dense = 0.5 * (dense + dense.T)
-        values, vectors = eigh(dense, subset_by_index=[0, count - 1])
-        return values, vectors * scale[:, None]
+        dense = stiffness.toarray(order="F")
+        dense *= scale[:, None]
+        dense *= scale
+        values, vectors = eigh(dense, subset_by_index=[0, count - 1],
+                               overwrite_a=True)
+        vectors *= scale[:, None]
+        return values, vectors
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     shift = -0.1 * (1.0 + stiffness.diagonal().max() / mass.max()) * 1e-2
@@ -344,9 +348,7 @@ def _lowest_by_class(stiffness, mass, count, seed, classes):
     start = np.cumsum([0] + sizes)
     values = np.concatenate(values)
     order = np.argsort(values, kind="stable")[:count]
-    # a lone class keeps its solver's Fortran order, which the Gram rounds by
-    vectors = np.empty((stiffness.shape[0], count),
-                       order="F" if len(bases) == 1 else "C")
+    vectors = np.empty((stiffness.shape[0], count))
     for c, basis in enumerate(bases):
         picked = np.flatnonzero(owner[order] == c)
         vectors[:, picked] = basis @ blocks[c][:, order[picked] - start[c]]
@@ -382,12 +384,9 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
     whole pencil against ``tol * (1 + lambda)``; failure raises SolverError
     with the worst value.
 
-    Memory: after the class merge at most two (vertex, mode) tables are
-    live, the basis and the mass-scaled copy its Gram matrix is formed
-    from.  The re-orthonormalization overwrites a multi-class basis in
-    place (a one-class basis, in Fortran order, is solved into a copy that
-    takes the freed Gram copy's place), and the residuals are checked
-    RESIDUAL_BLOCK columns at a time.
+    Memory: after the class merge one (vertex, mode) table is live.  The
+    re-orthonormalization overwrites it in place, and the residuals are
+    checked RESIDUAL_BLOCK columns at a time.
     """
     stiffness, mass, nodes = pencil
     n = stiffness.shape[0]
@@ -409,13 +408,14 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
                           residual=float(values[0]))
     values = np.maximum(values, 0.0)
 
-    # re-orthonormalize in the mass inner product (degenerate clusters); a
-    # C-ordered table (every multi-class solve) is solved in place, as its
-    # transpose is the Fortran-ordered right-hand side LAPACK overwrites
-    gram = (vectors * mass[:, None]).T @ vectors
-    chol = cholesky(gram, lower=False)
+    # re-orthonormalize in the mass inner product (degenerate clusters):
+    # W = sqrt(M) V in place, W <- W R^-1 with R^T R = W^T W, V = W / sqrt(M)
+    root = np.sqrt(mass)[:, None]
+    vectors *= root
+    chol = cholesky(vectors.T @ vectors, lower=False)
     vectors = solve_triangular(chol.T, vectors.T, lower=True,
                                overwrite_b=True).T
+    vectors /= root
 
     # K V - M V diag(values), one block of columns at a time in one reused
     # buffer, since each fresh array would cost a page fault per page.  The

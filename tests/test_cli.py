@@ -16,7 +16,7 @@ import pytest
 from weylcount import cli, lb_spectrum
 from weylcount.cli import main
 from weylcount.errors import UsageError
-from weylcount.lb_spectrum import MAX_EXACT_DEGREE, SOLVER_TOL
+from weylcount.lb_spectrum import MAX_EXACT_DEGREE, SOLVER_SEED, SOLVER_TOL
 from weylcount.semiclassical_count import (
     CUT_FACTOR,
     ZERO_TOL,
@@ -855,7 +855,7 @@ def test_spectrum_scan_and_count_share_one_seed():
     # the solver seed is part of the spectrum cache key
     seeds = {parsed_defaults(command)["seed"]
              for command in ("spectrum", "scan", "count")}
-    assert seeds == {cli.DEFAULT_SEED}
+    assert seeds == {SOLVER_SEED}
 
 
 @pytest.mark.parametrize("argv", [
@@ -908,11 +908,11 @@ def test_nonfinite_mesh_vertex_is_mesh_failure(capsys, tmp_path, value,
     assert not (tmp_path / "cache").exists()
 
 
-def _fresh_python(code):
+def _fresh_python(code, **env):
     """stdout of ``code`` run by a new interpreter that imports this
-    package's source."""
+    package's source, with ``env`` added to its environment."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True).stdout
@@ -936,6 +936,23 @@ def test_lb_spectrum_import_leaves_the_surface_out():
         "if name.startswith('weylcount.')))") == (
         "['weylcount.errors', 'weylcount.lb_spectrum', "
         "'weylcount.semiclassical_count']\n")
+
+
+def test_cold_scan_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # a cold solve's last bits, its .wlb bytes and its residual may change
+    # with the BLAS thread count, which the cache key does not name; the
+    # counts of a cold mesh scan must not
+    reports = []
+    for threads in ("1", "2"):
+        output = tmp_path / threads
+        argv = ["scan", "--gamma", "affine:2,0.5,x", "--mesh", "icosphere:4",
+                "--modes", "400", "--r-min", "1", "--r-max", "4.9",
+                "--steps", "40", "--output", str(output)]
+        _fresh_python("import sys; from weylcount.cli import main; "
+                      f"sys.exit(main({argv!r}))",
+                      OPENBLAS_NUM_THREADS=threads)
+        reports.append((output / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("level", [MAX_ICOSPHERE_LEVEL + 1, 20])
