@@ -483,7 +483,7 @@ def cmd_weyl(args):
     }
     if args.r is not None:
         document["r"] = args.r
-        document["W"] = coefficient * args.r ** 2
+        document["W"] = weyl_prediction(surface, field, args.r)
     _emit_json(document)
     return EXIT_OK
 

@@ -35,9 +35,9 @@ for all orders together, so no block is ever formed.  A scan first plans
 the last cluster of each radius and its recount; an affine field's planned
 sections are then counted by one such sweep, batched over h: a section
 through a lower degree is a leading part of one through a higher degree,
-so the sweep keeps a running count through every degree and each count is
-a lookup in it.  A member leaves the sweep once a pivot bound proves that
-no later row adds a negative pivot.
+so the sweep returns one table of running counts through every degree and
+each count is an entry of it.  A member leaves the sweep once a pivot
+bound proves that no later row adds a negative pivot.
 """
 
 import json
@@ -147,19 +147,19 @@ class TridiagonalFamily:
     row n's entries in all blocks are ``couplings(n, arange(n))`` and no
     family stores its off-diagonals.  Leading axes on ``diagonal`` hold a
     batch of families that share the couplings, as the sections of a scan
-    do, one per radius, counted by one :class:`SturmSweep`.
+    do, one per radius, counted by one sweep (:func:`_running_counts`).
 
     ``dual`` is None when the blocks are sections of the model themselves,
     and otherwise the model's diagonal D, of the diagonal's shape: the
     blocks are then the dual P - D^-1 of the model's D - P^-1, with
     diagonal a - D^-1.  The two have the same inertia, but not the same
     eigenvalues, so a shift s of the model enters the dual inside the
-    inverse, as P - (D + s)^-1 (see :class:`SturmSweep`).
+    inverse, as P - (D + s)^-1 (see :func:`_running_counts`).
 
     ``bound`` is a float kappa at least every |couplings(n, m)| as
     computed, over all rows and orders, and +inf when the family declares
     none; a sweep leaves the rows that a pivot bound proves add no negative
-    pivot (see :class:`SturmSweep`), which an infinite kappa never proves.
+    pivot (:func:`_running_counts`), which an infinite kappa never proves.
     """
 
     diagonal: np.ndarray
@@ -267,9 +267,10 @@ def _squared_rows(couplings, rows):
             yield squares[end - n:end]
 
 
-class SturmSweep:
-    """Counts of the sections of a batch of tridiagonal families, looked up
-    in a table of running counts that one pivot sweep fills per tolerance.
+def _running_counts(family, multiplicity, last, zero_tol):
+    """(2, members, rows) running counts from one pivot sweep of a batch of
+    tridiagonal families: [0, j, n] counts the eigenvalues of member j's
+    section through degree n below -zero_tol, [1, j, n] those up to zero_tol.
 
     The section of a family through degree n is the direct sum of its blocks
     T_m, m <= n, each cut to rows m..n and repeated ``multiplicity[m]``
@@ -325,92 +326,68 @@ class SturmSweep:
     against that root in closed form would need a rounding margin eta; the
     test above applies the computed map itself, so it needs none: eta = 0.
     """
+    _require_tolerance(zero_tol)
+    if (len(last) != family.diagonal.size // len(family)
+            or np.any(np.diff(last) < 0)):
+        raise ValueError("need one ascending last degree per batch member")
+    last = np.asarray(last)
+    # the first member still swept at row n; the members after it are too
+    first = np.searchsorted(last, np.arange(last[-1] + 1))
+    rows = len(first)
+    shifts = np.array([zero_tol, -zero_tol])[:, None, None]
 
-    def __init__(self, family, multiplicity, last):
-        self.family = family
-        self.multiplicity = np.asarray(multiplicity)
-        if (len(last) != family.diagonal.size // len(family)
-                or np.any(np.diff(last) < 0)):
-            raise ValueError("need one ascending last degree per batch member")
-        self._last = np.asarray(last)
-        # the first member still swept at row n; the members after it are too
-        self._first = np.searchsorted(last, np.arange(last[-1] + 1))
-        self._tables = {}
+    def by_row(array):
+        """(rows, 1, members, 1): row n of every member."""
+        return array.reshape(-1, len(family)).T[:rows, None, :, None]
 
-    def count(self, member, degree, zero_tol):
-        """NegativeCount of the section of ``member`` through ``degree``."""
-        if zero_tol not in self._tables:
-            _require_tolerance(zero_tol)
-            self._tables[zero_tol] = self._sweep(zero_tol)
-        below, up_to = self._tables[zero_tol][:, member, degree]
-        return NegativeCount(int(below), int(up_to - below))
-
-    def _floor(self, shifted):
-        """(rows + 1, members) table: entry [n, j] is the smallest shifted
-        diagonal of member j over both shifts and its rows n..last, +inf
-        past its last row."""
-        lowest = shifted.min(axis=1)[..., 0]
-        lowest[np.arange(len(lowest))[:, None] > self._last] = np.inf
-        lowest = np.vstack([lowest, np.full(lowest.shape[1], np.inf)])
-        return np.minimum.accumulate(lowest[::-1], axis=0)[::-1]
-
-    def _sweep(self, zero_tol):
-        """(2, members, rows) table of the running counts of negative pivots
-        at the shifts zero_tol and -zero_tol, weighed by multiplicity."""
-        rows = len(self._first)
-        family = self.family
-        shifts = np.array([zero_tol, -zero_tol])[:, None, None]
-
-        def by_row(array):
-            """(rows, 1, members, 1): row n of every member."""
-            return array.reshape(-1, len(family)).T[:rows, None, :, None]
-
-        outright = 0
-        if family.dual is None:
-            shifted = by_row(family.diagonal) + shifts
-        else:
-            model = by_row(family.dual)
-            moved = model + shifts
-            # a - D^-1 + (D^-1 - (D + s)^-1) = a - (D + s)^-1, -inf at D = -s
-            with np.errstate(divide="ignore"):
-                shifted = by_row(family.diagonal) + (1.0 / model
-                                                     - 1.0 / moved)
-            # row n lies in the blocks through it, multiplicity[:n + 1]
-            outright = ((moved < 0.0)[..., 0].transpose(1, 2, 0)
-                        * np.cumsum(self.multiplicity)[:rows])
-        members = shifted.shape[2]
-        pivots = np.empty((2, members, rows))
-        fresh = np.zeros((2, members, rows), dtype=np.int64)
-        ties = np.array([[[1.0]], [[-1.0]]]) * np.finfo(float).tiny
-        floor = self._floor(shifted)
-        square_bound = family.bound * family.bound
-        certified = 0
-        # a tiny pivot overflows the next quotient to inf, whose pivot is then
-        # -inf, counted negative, and the pivot after it finite again
-        with np.errstate(over="ignore"):
-            for n, squares in enumerate(
-                    _squared_rows(family.couplings, rows)):
-                start = max(self._first[n], certified)
-                if start == members:
-                    break
-                head = pivots[:, start:, :n + 1]
-                np.divide(squares, head[..., :n], out=head[..., :n])
-                head[..., n] = 0.0
-                np.subtract(shifted[n, :, start:], head, out=head)
-                zero = head == 0.0
-                if zero.any():
-                    np.copyto(head, ties, where=zero)
-                fresh[:, start:, n] = (head < 0.0) @ self.multiplicity[:n + 1]
-                if n % CERTIFY_STRIDE == CERTIFY_STRIDE - 1:
-                    sigma = floor[n + 1, start:]
-                    x = np.minimum(head.min(axis=(0, 2)), 0.5 * sigma)
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        proved = (x > 0.0) & (sigma - square_bound / x >= x)
-                    # the first member past the leading certified run
-                    certified = start + int(np.argmin(np.append(proved,
-                                                                False)))
-        fresh += outright
-        return np.cumsum(fresh, axis=-1)
+    outright = 0
+    if family.dual is None:
+        shifted = by_row(family.diagonal) + shifts
+    else:
+        model = by_row(family.dual)
+        moved = model + shifts
+        # a - D^-1 + (D^-1 - (D + s)^-1) = a - (D + s)^-1, -inf at D = -s
+        with np.errstate(divide="ignore"):
+            shifted = by_row(family.diagonal) + (1.0 / model - 1.0 / moved)
+        # row n lies in the blocks through it, multiplicity[:n + 1]
+        outright = ((moved < 0.0)[..., 0].transpose(1, 2, 0)
+                    * np.cumsum(multiplicity)[:rows])
+    members = shifted.shape[2]
+    # floor[n, j]: the smallest shifted diagonal of member j over both
+    # shifts and its rows n..last, +inf past its last row
+    lowest = shifted.min(axis=1)[..., 0]
+    lowest[np.arange(rows)[:, None] > last] = np.inf
+    lowest = np.vstack([lowest, np.full(members, np.inf)])
+    floor = np.minimum.accumulate(lowest[::-1], axis=0)[::-1]
+    pivots = np.empty((2, members, rows))
+    fresh = np.zeros((2, members, rows), dtype=np.int64)
+    ties = np.array([[[1.0]], [[-1.0]]]) * np.finfo(float).tiny
+    square_bound = family.bound * family.bound
+    certified = 0
+    # a tiny pivot overflows the next quotient to inf, whose pivot is then
+    # -inf, counted negative, and the pivot after it finite again
+    with np.errstate(over="ignore"):
+        for n, squares in enumerate(_squared_rows(family.couplings, rows)):
+            start = max(first[n], certified)
+            if start == members:
+                break
+            head = pivots[:, start:, :n + 1]
+            np.divide(squares, head[..., :n], out=head[..., :n])
+            head[..., n] = 0.0
+            np.subtract(shifted[n, :, start:], head, out=head)
+            zero = head == 0.0
+            if zero.any():
+                np.copyto(head, ties, where=zero)
+            fresh[:, start:, n] = (head < 0.0) @ multiplicity[:n + 1]
+            if n % CERTIFY_STRIDE == CERTIFY_STRIDE - 1:
+                sigma = floor[n + 1, start:]
+                x = np.minimum(head.min(axis=(0, 2)), 0.5 * sigma)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    proved = (x > 0.0) & (sigma - square_bound / x >= x)
+                # the first member past the leading certified run
+                certified = start + int(np.argmin(np.append(proved, False)))
+    fresh += outright
+    return np.cumsum(fresh, axis=-1)
 
 
 def _require_tolerance(zero_tol):
@@ -425,7 +402,7 @@ def count_negative(operator, zero_tol=ZERO_TOL, *, _borderline=True):
     the negative inertia of A + zero_tol I counts eigenvalues below
     -zero_tol, and the negative plus zero inertia of A - zero_tol I those up
     to zero_tol.  A tridiagonal family is counted by its pivot recurrence at
-    the same two shifts, as a :class:`SturmSweep` of one member.
+    the same two shifts, as one member of :func:`_running_counts`.
 
     ``_borderline=False`` is for :func:`scan`'s recount, of which a report
     reads only the count below -zero_tol: dense blocks are then factored at
@@ -437,8 +414,9 @@ def count_negative(operator, zero_tol=ZERO_TOL, *, _borderline=True):
         if isinstance(matrix, TridiagonalFamily):
             top = len(matrix) - 1
             # the sweep weighs each block by its multiplicity itself
-            below, within = SturmSweep(matrix, layout, [top]).count(
-                0, top, zero_tol)
+            below, up_to = _running_counts(matrix, layout, [top],
+                                           zero_tol)[:, 0, top]
+            within = up_to - below
         elif matrix.ndim == 1:
             below = np.sum((matrix < -zero_tol) * layout)
             within = np.sum((np.abs(matrix) <= zero_tol) * layout)
@@ -456,9 +434,14 @@ def _last_cluster(basis, field, constants, h, cut_factor):
     ``constants``, or the basis top (constant damping needs no tail at all,
     so there only the threshold itself must be resolved).  Clusters are
     never split, so the section holds ``basis.ends[index]`` modes.  Raises
-    InsufficientSpectrumError when the basis cannot resolve it."""
-    lam_star = constants.ellipticity_threshold(h)
-    need = cut_factor * lam_star
+    InsufficientSpectrumError when the basis cannot resolve it, as when the
+    threshold or the cut target overflows."""
+    with np.errstate(over="ignore"):
+        lam_star = constants.ellipticity_threshold(h)
+        need = cut_factor * lam_star
+    if not np.isfinite(need):
+        raise InsufficientSpectrumError(
+            f"counting at h = {h:g} needs eigenvalues up to {need}")
     basis.require_top(lam_star if field.kind == "constant" else need,
                       context=f"counting at h = {h:g}")
     if lam_star > basis.trusted_horizon:
@@ -618,12 +601,18 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR):
 # ----------------------------------------------------------------------
 
 def weyl_coefficient(surface, field):
-    """(1/4 pi) * integral over the surface of (gamma0^2 - 1)."""
+    """(1/4 pi) * integral over the surface of (gamma0^2 - 1); DomainError
+    when it is not finite, as on a degenerate surface or a huge field."""
     def integrand(points):
         gamma0 = field.effective(points)
         return gamma0 * gamma0 - 1.0
 
-    return float(surface.integrate(integrand)) / (4.0 * np.pi)
+    # refused below, so numpy need not warn of the overflow
+    with np.errstate(all="ignore"):
+        value = float(surface.integrate(integrand)) / (4.0 * np.pi)
+    if not np.isfinite(value):
+        raise DomainError(f"Weyl coefficient is not finite: {value}")
+    return value
 
 
 def _require_radii(r, what="radii"):
@@ -641,8 +630,12 @@ def _require_radii(r, what="radii"):
 
 
 def weyl_prediction(surface, field, r):
-    """The leading Weyl count coefficient * r^2."""
-    return weyl_coefficient(surface, field) * _require_radii(r) ** 2
+    """Coefficient * r^2, the leading Weyl count; DomainError on overflow."""
+    with np.errstate(over="ignore"):
+        prediction = weyl_coefficient(surface, field) * _require_radii(r) ** 2
+    if not np.all(np.isfinite(prediction)):
+        raise DomainError(f"Weyl prediction is not finite: {prediction}")
+    return prediction
 
 
 # ----------------------------------------------------------------------
@@ -655,7 +648,6 @@ class CountReport:
 
     r_grid: np.ndarray
     n_scalar: np.ndarray
-    n_system: np.ndarray
     borderline: np.ndarray
     coefficient: float
     mode_cuts: np.ndarray
@@ -666,6 +658,10 @@ class CountReport:
     stability_delta: int = None
     gamma_label: str = ""
     basis_source: str = ""
+
+    @property
+    def n_system(self):
+        return 2 * self.n_scalar
 
     def weyl(self):
         return self.coefficient * self.r_grid ** 2
@@ -769,16 +765,16 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     last cluster of each radius, ascending, at ``cut_factor`` and then at
     the recount, each found once.  The sections of an affine field on the
     exact sphere, along any axis, above one or below, are members of one
-    batch, one per radius, and one :class:`SturmSweep` counts them all: it
-    sweeps each member through the degree of its widest cut once, and each
-    count is a lookup in it.  Any other section is built from the plan and
-    counted by :func:`count_negative`: constant damping from the basis
-    clusters alone, a mesh basis as one F-ordered block per reflection
-    class the field does not mix, from the class Gram matrices formed once
-    at the widest cut.  A dense primary section is factored at +-zero_tol,
-    and a dense recount, of which the report reads only the count below
-    -zero_tol, at +zero_tol only.  Radii must be finite and positive, or
-    UsageError is raised before any mode cut.
+    batch, one per radius, and one :func:`_running_counts` sweep takes each
+    member through the degree of its widest cut once: every count, primary
+    and recount, is one index into its table.  Any other section is built
+    from the plan and counted by :func:`count_negative`: constant damping
+    from the basis clusters alone, a mesh basis as one F-ordered block per
+    reflection class the field does not mix, from the class Gram matrices
+    formed once at the widest cut.  A dense primary section is factored at
+    +-zero_tol, and a dense recount, of which the report reads only the
+    count below -zero_tol, at +zero_tol only.  Radii must be finite and
+    positive, or UsageError is raised before any mode cut.
     """
     r_grid = _require_radii(r_grid)
     if r_grid.ndim != 1 or len(r_grid) == 0:
@@ -802,10 +798,10 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     if affine is not None:
         # one batch member per radius, swept through its widest cut's degree
         widest = last.max(axis=0)
-        sweep = SturmSweep(*_polar_family(*affine, h_grid[:, None],
-                                          widest[-1]), widest)
-        counts = [[sweep.count(member, degree, zero_tol)
-                   for member, degree in enumerate(row)] for row in last]
+        table = _running_counts(*_polar_family(*affine, h_grid[:, None],
+                                               widest[-1]), widest, zero_tol)
+        below, up_to = table[:, np.arange(len(h_grid)), last]
+        within = up_to - below
     else:
         grams = None if field.kind == "constant" \
             else _damping_gram(basis, field, int(np.max(last)))
@@ -814,7 +810,7 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
                                   zero_tol=zero_tol, _borderline=row == 0)
                    for h, degree in zip(h_grid, degrees)]
                   for row, degrees in enumerate(last)]
-    below, within = np.array(counts).transpose(2, 0, 1)
+        below, within = np.array(counts).transpose(2, 0, 1)
 
     stability_delta = None
     if len(last) == 2:
@@ -825,7 +821,6 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     return CountReport(
         r_grid=r_grid,
         n_scalar=n_scalar,
-        n_system=2 * n_scalar,
         borderline=within[0],
         coefficient=weyl_coefficient(surface, field),
         mode_cuts=basis.ends[last[0]],

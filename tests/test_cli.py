@@ -375,7 +375,6 @@ def test_scan_gate_failure_exit_code(tmp_path, monkeypatch, capsys):
     broken = CountReport(
         r_grid=np.array([5.0, 10.0]),
         n_scalar=np.array([100, 50]),  # non-monotone on purpose
-        n_system=np.array([200, 100]),
         borderline=np.array([0, 0]),
         coefficient=3.0,
         mode_cuts=np.array([10, 10]),
@@ -906,6 +905,57 @@ def test_nonfinite_mesh_vertex_is_mesh_failure(capsys, tmp_path, value,
         assert "vertex 5 has a non-finite coordinate" in err
         assert out == ""
     assert not (tmp_path / "cache").exists()
+
+
+def _strict_json(text):
+    """``text`` parsed as JSON proper, which has no NaN nor +-Infinity."""
+    def refuse(constant):
+        raise ValueError("not JSON: %s" % constant)
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # a threshold or cut target that overflows, which no basis resolves
+    (("count", "--gamma", "2", "--r", "1e154", "--max-degree", "5"), 2),
+    (("count", "--gamma", "2", "--r", "1e154", "--mesh", "icosphere:1",
+      "--modes", "10"), 2),
+    (("count", "--gamma", "1e200", "--r", "1", "--mesh", "icosphere:1",
+      "--modes", "10"), 2),
+    (("scan", "--gamma", "affine:1e200,1,z", "--r-min", "1", "--r-max", "2",
+      "--steps", "2", "--max-degree", "5"), 2),
+    # a Weyl coefficient or prediction that is not finite
+    (("weyl", "--gamma", "2", "--r", "1e154"), 2),
+    (("weyl", "--gamma", "affine:1e160,1,z"), 2),
+    (("weyl", "--surface", "ellipsoid:1e-300,1,1"), 2),
+    (("weyl", "--surface", "ellipsoid:1e-200,1e-200,1e-200"), 2),
+    # a malformed OFF file, a table of the wrong size, more modes than
+    # vertices, a degree-0 basis, and runs that succeed
+    (("spectrum", "--mesh", "bad.off", "--count", "10"), 2),
+    (("count", "--gamma", "table:short.txt", "--r", "1", "--mesh",
+      "icosphere:1", "--modes", "10"), 2),
+    (("spectrum", "--mesh", "icosphere:1", "--count", "100"), 2),
+    (("count", "--gamma", "2", "--r", "1", "--max-degree", "0"), 2),
+    (("scan", "--gamma", "2", "--max-degree", "0", "--r-min", "1",
+      "--r-max", "2"), 2),
+    (("count", "--gamma", "2", "--r", "3", "--max-degree", "20"), 0),
+    (("weyl", "--gamma", "affine:2,0.5,x", "--r", "1e150"), 0),
+])
+def test_every_exit_keeps_the_contract(capsys, tmp_path, monkeypatch, argv,
+                                       expected):
+    # an exception escaping main fails this test itself; a refusal is one
+    # "error:" line and an empty stdout, and the runs that exit 0 (count,
+    # weyl) print strict JSON
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.off").write_text("OFF\n3 1 0\n0 0 x\n",
+                                      encoding="utf-8")
+    (tmp_path / "short.txt").write_text("3.0\n" * 41, encoding="utf-8")
+    code, out, err = run(capsys, *argv)
+    assert code == expected, err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        _strict_json(out)
 
 
 def _fresh_python(code, **env):

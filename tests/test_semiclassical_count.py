@@ -487,13 +487,15 @@ def test_sturm_sweep_needs_one_ascending_last_degree_per_member():
     # counted by no row, or silently left out
     family, multiplicity = semiclassical_count._polar_family(
         2.0, 0.5, False, np.array([[0.5], [0.25]]), 6)
-    sweep = semiclassical_count.SturmSweep(family, multiplicity, [3, 6])
-    assert sweep.count(1, 6, ZERO_TOL) == count_negative(GalerkinOperator(
+    below, up_to = semiclassical_count._running_counts(
+        family, multiplicity, [3, 6], ZERO_TOL)[:, 1, 6]
+    assert (below, up_to - below) == count_negative(GalerkinOperator(
         0, [(TridiagonalFamily(family.diagonal[1], family.couplings),
              multiplicity)]))
     for last in ([6, 3], [6], [2, 4, 6]):
         with pytest.raises(ValueError):
-            semiclassical_count.SturmSweep(family, multiplicity, last)
+            semiclassical_count._running_counts(family, multiplicity, last,
+                                                ZERO_TOL)
 
 
 def test_sweep_generates_each_row_of_couplings_once():
@@ -510,8 +512,8 @@ def test_sweep_generates_each_row_of_couplings_once():
 
 
 def full_recurrence(family, multiplicity, last, zero_tol):
-    """The running-count table a SturmSweep of ``family`` fills, from the
-    plain pivot recurrence: every row of every member through its last,
+    """The running-count table _running_counts returns for ``family``, from
+    the plain pivot recurrence: every row of every member through its last,
     one row's couplings per call, no exit."""
     rows = last[-1] + 1
     members = np.arange(len(last))
@@ -560,10 +562,10 @@ def test_sweep_table_matches_the_full_recurrence(sphere, offset, fraction,
     family, multiplicity = semiclassical_count._polar_family(
         *base, dual, 1.0 / r_grid[:, None], last[-1])
     assert np.isfinite(family.bound)
-    sweep = semiclassical_count.SturmSweep(family, multiplicity, last)
-    assert np.array_equal(sweep._sweep(zero_tol),
-                          full_recurrence(family, multiplicity, last,
-                                          zero_tol))
+    assert np.array_equal(
+        semiclassical_count._running_counts(family, multiplicity, last,
+                                            zero_tol),
+        full_recurrence(family, multiplicity, last, zero_tol))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -615,9 +617,10 @@ def test_late_negative_diagonals_block_the_exit(sphere):
     for family, multiplicity, last in [
             (family, multiplicity, last),
             (planted_dual(3.0), np.ones(40, dtype=int), [39])]:
-        sweep = semiclassical_count.SturmSweep(family, multiplicity, last)
-        assert np.array_equal(sweep._sweep(3.0),
-                              full_recurrence(family, multiplicity, last, 3.0))
+        assert np.array_equal(
+            semiclassical_count._running_counts(family, multiplicity, last,
+                                                3.0),
+            full_recurrence(family, multiplicity, last, 3.0))
     # the -inf row is one negative pivot in each of the 21 blocks through it
     table = full_recurrence(planted_dual(3.0), np.ones(40, dtype=int), [39],
                             3.0)
@@ -639,6 +642,7 @@ def test_sweep_leaves_once_every_later_row_is_certified(sphere, monkeypatch):
     # the same table
     consumed, sweeps = [], []
     original = semiclassical_count._squared_rows
+    running_counts = semiclassical_count._running_counts
 
     def spied(couplings, rows):
         consumed.append([rows, 0])
@@ -646,13 +650,12 @@ def test_sweep_leaves_once_every_later_row_is_certified(sphere, monkeypatch):
             consumed[-1][1] += 1
             yield row
 
-    class Recorded(semiclassical_count.SturmSweep):
-        def __init__(self, *args):
-            sweeps.append(self)
-            super().__init__(*args)
+    def recorded(*args):
+        sweeps.append((args, running_counts(*args)))
+        return sweeps[-1][1]
 
     monkeypatch.setattr(semiclassical_count, "_squared_rows", spied)
-    monkeypatch.setattr(semiclassical_count, "SturmSweep", Recorded)
+    monkeypatch.setattr(semiclassical_count, "_running_counts", recorded)
     field = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0))
     r_grid = np.linspace(12.32, 48.32, 4)
     basis = exact_sphere_spectrum(sphere_degree_for(
@@ -661,11 +664,11 @@ def test_sweep_leaves_once_every_later_row_is_certified(sphere, monkeypatch):
     report = scan(sphere, field, r_grid, basis)
     [(rows, swept)] = consumed
     assert swept <= 0.65 * rows
-    [sweep] = sweeps
-    unbounded = Recorded(dataclasses.replace(sweep.family, bound=np.inf),
-                         sweep.multiplicity, sweep._last)
-    assert np.array_equal(unbounded._sweep(ZERO_TOL),
-                          sweep._tables[ZERO_TOL])
+    [((family, multiplicity, last, zero_tol), table)] = sweeps
+    assert zero_tol == ZERO_TOL
+    unbounded = running_counts(dataclasses.replace(family, bound=np.inf),
+                               multiplicity, last, zero_tol)
+    assert np.array_equal(unbounded, table)
     assert consumed[1] == [rows, rows]
     assert report.n_scalar.tolist() == [
         closed_form_axis_count(r, 2.0, 0.5).negative for r in r_grid]
@@ -986,13 +989,13 @@ def dual_counts_below_reference(operator, basis, h, gram, zero_tol):
     P^-1 is at most the section of 1 / p, so the dual's model D - P^-1 is
     at least the reference's D - G."""
     [(family, multiplicity)] = operator.blocks
-    sweep = semiclassical_count.SturmSweep(family, multiplicity,
-                                           [len(family) - 1])
+    table = semiclassical_count._running_counts(
+        family, multiplicity, [len(family) - 1], zero_tol)
     for degree in range(len(family)):
-        dual = sweep.count(0, degree, zero_tol)
+        below, up_to = table[:, 0, degree]
         reference = count_negative(product_section(
             basis, h, (degree + 1) ** 2, gram), zero_tol=zero_tol)
-        if dual.negative > reference.negative or sum(dual) > sum(reference):
+        if below > reference.negative or up_to > sum(reference):
             return False
     return True
 
@@ -1393,16 +1396,16 @@ def test_affine_scan_is_regime_symmetric_and_monotone(sphere, offset,
 def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
     # a scan of an affine field, above one or below, builds and counts no
     # section of its own: one sweep holds every count, primary and recount,
-    # and its lookups equal the counts of the lone families that
-    # build_operator gives at each radius and cut, at the scan's tolerance
-    # and at another.  A cut below the threshold makes the counts depend
-    # on the cut
+    # and the tables of its batch equal the counts of the lone families
+    # that build_operator gives at each radius and cut, at the scan's
+    # tolerance and at another.  A cut below the threshold makes the counts
+    # depend on the cut
     sweeps = []
+    running_counts = semiclassical_count._running_counts
 
-    class Recorded(semiclassical_count.SturmSweep):
-        def __init__(self, *args):
-            sweeps.append(self)
-            super().__init__(*args)
+    def recorded(*args):
+        sweeps.append(args)
+        return running_counts(*args)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a scan built or counted a section of its own")
@@ -1412,7 +1415,8 @@ def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
             (((2.0, 0.5), [4.0, 6.0, 8.0]), ((0.5, 0.3), [2.0, 3.0, 4.0])),
             (2.0, 0.4)):
         sweeps.clear()
-        monkeypatch.setattr(semiclassical_count, "SturmSweep", Recorded)
+        monkeypatch.setattr(semiclassical_count, "_running_counts",
+                            recorded)
         for name in ("build_operator", "count_negative", "_section",
                      "GalerkinOperator"):
             monkeypatch.setattr(semiclassical_count, name, forbidden)
@@ -1420,17 +1424,21 @@ def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
         report = scan(sphere, field, np.array(radii), basis,
                       cut_factor=cut_factor)
         monkeypatch.undo()
-        [sweep] = sweeps
+        [(family, multiplicity, last, zero_tol)] = sweeps
+        assert zero_tol == ZERO_TOL
+        tables = {tol: running_counts(family, multiplicity, last, tol)
+                  for tol in (0.5, ZERO_TOL)}
         delta = 0
         for member, r in enumerate(radii):
             primary, recount = (build_operator(
                 basis, field, 1.0 / r, surface=sphere, cut_factor=factor)
                 for factor in (cut_factor, STABILITY_FACTOR * cut_factor))
             for alone in (primary, recount):
-                [(family, _)] = alone.blocks
-                for zero_tol in (0.5, ZERO_TOL):
-                    assert sweep.count(member, len(family) - 1, zero_tol) \
-                        == count_negative(alone, zero_tol=zero_tol)
+                [(lone, _)] = alone.blocks
+                for tol, table in tables.items():
+                    below, up_to = table[:, member, len(lone) - 1]
+                    assert (below, up_to - below) \
+                        == count_negative(alone, zero_tol=tol)
             assert report.mode_cuts[member] == primary.mode_cut
             assert (report.n_scalar[member], report.borderline[member]) \
                 == count_negative(primary)
