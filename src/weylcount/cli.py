@@ -323,8 +323,10 @@ def _require_on_surface(args, surface, nodes):
     """The Weyl integral and the damping range come from the analytic
     surface, so the mesh must discretize that surface: refuse mesh nodes
     off it."""
-    off = np.max(np.abs(np.sum((nodes / surface.axes) ** 2, axis=-1) - 1.0))
-    if not off <= MESH_SURFACE_TOL:  # a NaN node is refused too
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.max(np.abs(np.sum((nodes / surface.axes) ** 2, axis=-1)
+                            - 1.0))
+    if not off <= MESH_SURFACE_TOL:  # an inf or NaN off is refused too
         raise UsageError(
             "mesh %r does not lie on surface %r: max |sum (x_i/a_i)^2 - 1|"
             " = %.3g over its vertices" % (args.mesh, args.surface, off))

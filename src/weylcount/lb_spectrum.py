@@ -17,9 +17,9 @@ pipeline with the same interface:
   one trivial class.  The basis keeps its mode values at the vertices
   with the vertex masses, as its ``quadrature``, together with the vertex
   permutation of each reflection found and each mode's parity under them,
-  so counting can split a section by class too.  After the classes are
-  merged, a solve holds one (vertex, mode) table, re-orthonormalized in
-  place.
+  so counting can split a section by class too.  Each class solve returns
+  mass-orthonormal modes, and the classes merge into one (vertex, mode)
+  table, kept as it is.
 
 Mesh solves are expensive, so they get a small binary disk cache: one
 self-describing "WLB1" container per entry, keyed by the mesh's identity,
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cholesky, eigh, solve_triangular
+from scipy.linalg import eigh
 
 from .errors import (
     CacheError,
@@ -76,7 +76,7 @@ CACHE_VERSION = 3
 _CACHE_HEADER = "<IQQQ32sddd"
 # names the eigensolver in the cache key, so an entry solved another way
 # (such as the whole-pencil Lanczos solve) never answers a run
-SOLVER_REVISION = "in-place-gram"
+SOLVER_REVISION = "class-solves"
 # columns per block of the solver's residual check
 RESIDUAL_BLOCK = 32
 
@@ -98,13 +98,15 @@ class SpectralBasis:
 
     A mesh basis holds its ``quadrature``: ``modes[t, j]`` is mode j at
     vertex ``nodes[t]``, whose lumped ``mass[t]`` makes the columns
-    orthonormal, as it was solved or loaded.  Row b of the int64
-    ``reflections`` is the vertex permutation of the b-th coordinate
-    reflection that maps the mesh onto itself (none for a mesh without
-    one), and bit b of the int64 ``parity[j]`` is set when mode j is odd
-    under it.  A loaded basis holds read-only views of the mapped cache
-    container.  The exact sphere, whose cluster index is the degree, holds
-    none: ``quadrature`` is None for it and only for it.
+    orthonormal to the class solves' accuracy, as it was solved or loaded;
+    each mode lies exactly in its own class, so the classes are exactly
+    separate.  Row b of the int64 ``reflections`` is the vertex
+    permutation of the b-th coordinate reflection that maps the mesh onto
+    itself (none for a mesh without one), and bit b of the int64
+    ``parity[j]`` is set when mode j is odd under it.  A loaded basis
+    holds read-only views of the mapped cache container.  The exact
+    sphere, whose cluster index is the degree, holds none: ``quadrature``
+    is None for it and only for it.
     ``trusted_horizon`` is the largest eigenvalue considered resolved: for
     a mesh, the Weyl count of 5% of the vertex budget, i.e.
     ``0.05 * vertex_count * 4 pi / area``.
@@ -384,9 +386,9 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
     whole pencil against ``tol * (1 + lambda)``; failure raises SolverError
     with the worst value.
 
-    Memory: after the class merge one (vertex, mode) table is live.  The
-    re-orthonormalization overwrites it in place, and the residuals are
-    checked RESIDUAL_BLOCK columns at a time.
+    Memory: after the class merge one (vertex, mode) table is live, and
+    it becomes the basis's modes as it is; the residuals are checked
+    RESIDUAL_BLOCK columns at a time.
     """
     stiffness, mass, nodes = pencil
     n = stiffness.shape[0]
@@ -407,15 +409,6 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
         raise SolverError(f"spurious negative eigenvalue {values[0]:.3e}",
                           residual=float(values[0]))
     values = np.maximum(values, 0.0)
-
-    # re-orthonormalize in the mass inner product (degenerate clusters):
-    # W = sqrt(M) V in place, W <- W R^-1 with R^T R = W^T W, V = W / sqrt(M)
-    root = np.sqrt(mass)[:, None]
-    vectors *= root
-    chol = cholesky(vectors.T @ vectors, lower=False)
-    vectors = solve_triangular(chol.T, vectors.T, lower=True,
-                               overwrite_b=True).T
-    vectors /= root
 
     # K V - M V diag(values), one block of columns at a time in one reused
     # buffer, since each fresh array would cost a page fault per page.  The

@@ -35,7 +35,9 @@ class DampingField:
         one base value per mesh vertex.
 
     The field must be strictly positive and stay strictly on one side of 1;
-    a coefficient touching 1 anywhere is rejected.
+    a coefficient touching 1 anywhere is rejected.  ``invert`` is taken and
+    not stored: the effective coefficient max(gamma, 1/gamma) comes from
+    the base alone, so ``invert`` cannot change it, nor any count.
     """
 
     def __init__(self, kind, *, value=None, offset=None, slope=None,
@@ -43,7 +45,6 @@ class DampingField:
         if kind not in KINDS:
             raise UsageError(f"unknown damping field kind {kind!r}")
         self.kind = kind
-        self.invert = bool(invert)
         if kind == "constant":
             if value is None:
                 raise UsageError("constant field needs a value")

@@ -939,21 +939,25 @@ def _strict_json(text):
       "--r-max", "2"), 2),
     (("count", "--gamma", "2", "--r", "3", "--max-degree", "20"), 0),
     (("weyl", "--gamma", "affine:2,0.5,x", "--r", "1e150"), 0),
+    # mesh nodes whose scaled squares overflow lie off the surface
+    (("scan", "--surface", "ellipsoid:1e-300,1,1", "--mesh", "icosphere:1",
+      "--modes", "10", "--r-min", "1", "--r-max", "2"), 64),
 ])
 def test_every_exit_keeps_the_contract(capsys, tmp_path, monkeypatch, argv,
                                        expected):
-    # an exception escaping main fails this test itself; a refusal is one
-    # "error:" line and an empty stdout, and the runs that exit 0 (count,
-    # weyl) print strict JSON
+    # an exception escaping main fails this test itself, and so does a
+    # warning; a refusal is one "error:" or "usage error:" line and an
+    # empty stdout, and the runs that exit 0 (count, weyl) print strict JSON
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.off").write_text("OFF\n3 1 0\n0 0 x\n",
                                       encoding="utf-8")
     (tmp_path / "short.txt").write_text("3.0\n" * 41, encoding="utf-8")
     code, out, err = run(capsys, *argv)
     assert code == expected, err
-    if code == 2:
+    if code in (2, 64):
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: " if code == 2 else "usage error: ")
+        assert err.count("\n") == 1
     else:
         _strict_json(out)
 

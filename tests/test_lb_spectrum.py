@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import cholesky, eigvalsh, solve_triangular
+from scipy.linalg import eigvalsh
 from scipy.special import roots_legendre
 
 from weylcount.errors import (
@@ -375,9 +375,9 @@ def test_mesh_without_exact_reflections_is_one_class():
 
 def test_solved_modes_keep_their_reflections_and_parities():
     # bit b of a mode's parity says whether it is odd under reflection b,
-    # to roundoff: the classes are solved apart and only the final mass
-    # re-orthonormalization mixes them.  A mesh without reflections keeps
-    # none, and every mode has parity 0
+    # bit for bit: the classes are solved apart, each mode is mapped back
+    # from its own class's basis, and no step mixes the classes.  A mesh
+    # without reflections keeps none, and every mode has parity 0
     mesh = icosphere(3)
     basis = solve_lowest(assemble_fem(mesh), 100, tol=1e-8)
     reflections = basis.quadrature.reflections
@@ -385,11 +385,9 @@ def test_solved_modes_keep_their_reflections_and_parities():
     assert reflections.dtype == parity.dtype == np.int64
     assert np.array_equal(reflections, _reflections(*assemble_fem(mesh)))
     assert np.array_equal(np.unique(parity), np.arange(8))
-    scale = np.max(np.abs(basis.modes))
     for bit, perm in enumerate(reflections):
         sign = np.where(parity >> bit & 1, -1.0, 1.0)
-        assert np.max(np.abs(basis.modes[perm] - sign * basis.modes)) \
-            < 1e-12 * scale
+        assert np.array_equal(basis.modes[perm], sign * basis.modes)
     turned = solve_lowest(assemble_fem(rotated(mesh)), 20, tol=1e-8)
     assert turned.quadrature.reflections.shape == (0, mesh.vertex_count)
     assert np.array_equal(turned.quadrature.parity, np.zeros(20))
@@ -498,11 +496,11 @@ def test_residual_blocks_give_the_whole_table_norms():
 @pytest.mark.parametrize("turn, level, count", [
     (False, 3, 200), (False, 2, 20), (True, 2, 60), (True, 3, 20)],
     ids=["8-classes-200", "8-classes-20", "one-class-60", "one-class-20"])
-def test_reorthonormalization_matches_the_copying_solve(monkeypatch, turn,
-                                                        level, count):
-    # every merged table is C-ordered and re-orthonormalized in place on
-    # its sqrt(mass)-scaled rows, giving the bits of the out-of-place
-    # triangular solve on those rows
+def test_merged_class_solves_are_the_basis_modes(monkeypatch, turn, level,
+                                                 count):
+    # the C-ordered table the class solves merge into becomes the basis's
+    # modes as it is, with the clamped eigenvalues: each class solve
+    # returns mass-orthonormal modes, and the classes are exactly separate
     merged = []
     by_class = lb_spectrum._lowest_by_class
 
@@ -518,12 +516,10 @@ def test_reorthonormalization_matches_the_copying_solve(monkeypatch, turn,
     (values, solved, vectors), = merged
     assert solved.flags["C_CONTIGUOUS"]
     assert np.shares_memory(basis.modes, solved)
-    root = np.sqrt(pencil.mass)[:, None]
-    scaled = vectors * root
-    chol = cholesky(scaled.T @ scaled, lower=False)
-    expected = solve_triangular(chol.T, scaled.T, lower=True).T / root
-    assert basis.modes.tobytes() == expected.tobytes()
+    assert basis.modes.tobytes() == vectors.tobytes()
     assert basis.eigenvalues.tobytes() == np.maximum(values, 0.0).tobytes()
+    gram = (basis.modes * pencil.mass[:, None]).T @ basis.modes
+    assert np.max(np.abs(gram - np.eye(count))) <= 1e-12
 
 
 def solver_peak(pencil, count):
@@ -543,10 +539,10 @@ def solver_peak(pencil, count):
 
 
 def test_solver_peak_holds_at_most_two_tables():
-    # after the class merge a solve holds the one table it re-orthonormalizes
-    # in place; the class solves and small temporaries add the rest.  A
-    # mass-scaled copy for the Gram matrix, a copying re-orthonormalization
-    # or a whole-table residual check each add a full table
+    # after the class merge a solve holds the one table that becomes its
+    # modes; the class solves and small temporaries add the rest.  A copy
+    # of the merged table or a whole-table residual check each add a full
+    # table
     assert solver_peak(assemble_fem(icosphere(3)), 200) < 2.0
 
 
@@ -985,14 +981,16 @@ def test_cache_key_depends_on_inputs():
 
 def test_cache_entry_of_the_whole_pencil_solve_is_a_miss(tmp_path):
     # an entry stored under the key of the solver that took the whole
-    # pencil at once, with no solver revision, or of the class solve that
-    # formed its Gram matrix from a mass-scaled copy, never answers a run
+    # pencil at once, with no solver revision, of the class solve that
+    # formed its Gram matrix from a mass-scaled copy, or of the one that
+    # re-orthonormalized the merged table in place, never answers a run
     directory = str(tmp_path)
     mesh = icosphere(1)
     basis = solve_lowest(assemble_fem(mesh), 6, tol=1e-8)
     basis.mesh_hash = mesh.content_hash()
     stem = f"{basis.mesh_hash}:6:{1e-8!r}:{SOLVER_SEED}"
-    for suffix in (":v1", f":v{CACHE_VERSION}:reflection-classes"):
+    for suffix in (":v1", f":v{CACHE_VERSION}:reflection-classes",
+                   f":v{CACHE_VERSION}:in-place-gram"):
         old_key = hashlib.sha256((stem + suffix).encode()).hexdigest()[:32]
         assert old_key != cache_key(basis.mesh_hash, 6, 1e-8, SOLVER_SEED)
         cache_store(directory, old_key, basis)
