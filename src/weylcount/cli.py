@@ -576,7 +576,10 @@ def _add_field(sub):
                      help="constant VALUE, affine:OFFSET,SLOPE,AXIS, "
                           "or table:PATH (default %(default)s)")
     sub.add_argument("--invert", action="store_true",
-                     help="use the reciprocal (below-one) field 1/gamma")
+                     help="take the reciprocal field 1/gamma; the "
+                          "effective coefficient max(gamma, 1/gamma) is the "
+                          "same, so no count changes, and reports differ "
+                          "only in config.invert")
 
 
 def _add_basis(sub, modes_flag, max_degree=None):

@@ -7,7 +7,9 @@ inner product.  Its negative eigenvalues predict the eigenvalue count N(r),
 which the Weyl law pegs at (r^2 / 4 pi) * integral of (gamma0^2 - 1).
 
 A section keeps whole eigenvalue clusters of the basis, and it is stored
-block diagonally (:class:`GalerkinOperator`).  On the exact sphere every
+block diagonally (:class:`GalerkinOperator`).  One builder,
+:func:`_section`, makes every kind of block, and :func:`build_operator`
+is its one-radius entry.  On the exact sphere every
 nonconstant field the program accepts has an affine base profile
 p = a + b<axis, x>, and a rotation taking the axis to +z maps each
 degree's harmonics onto themselves, where the diagonal
@@ -448,13 +450,9 @@ def _last_cluster(basis, field, constants, h, cut_factor):
         raise InsufficientSpectrumError(
             f"threshold {lam_star:.6g} beyond the trusted horizon "
             f"{basis.trusted_horizon:.6g}")
-    threshold = min(need, basis.top)
-    last = int(np.searchsorted(basis.values, threshold))
-    if last == len(basis.values):
-        raise InsufficientSpectrumError(
-            f"basis top {basis.top:.6g} below mode-cut threshold "
-            f"{threshold:.6g}")
-    return last
+    # need is finite and the basis top is its last cluster value, so the
+    # threshold is at most that value and the index is always a cluster
+    return int(np.searchsorted(basis.values, min(need, basis.top)))
 
 
 def _sphere_affine(basis, field, surface):
@@ -505,17 +503,6 @@ def _damping_gram(basis, field, last):
     return grams
 
 
-def _dense_block(diagonal, gram):
-    """diag(diagonal) - gram, built F-ordered, the order LAPACK factors.
-
-    The transpose of ``gram`` is the same matrix in Fortran order where it
-    is exactly symmetric; (0 - g) + d rounds as d - g does, exact zeros
-    keeping their sign."""
-    matrix = np.subtract(0.0, gram.T, order="F")
-    matrix[np.diag_indices(len(diagonal))] += diagonal
-    return matrix
-
-
 def _polar_family(offset, slope, dual, h, degree):
     """(family, multiplicity) of a polar-affine section through ``degree``.
 
@@ -545,30 +532,8 @@ def _polar_family(offset, slope, dual, h, degree):
     return family, np.where(degrees == 0, 1, 2)
 
 
-def _section(basis, field, h, last, grams):
-    """The section at h through cluster ``last``: cluster values for
-    constant damping, else a dense block per pair of ``grams``
-    (:func:`_damping_gram`, at this cut or a wider one)."""
-    cut = int(basis.ends[last])
-    if field.kind == "constant":
-        gamma0 = max(field.value, 1.0 / field.value)
-        values = np.sqrt(1.0 + h * h * basis.values[:last + 1]) - gamma0
-        return GalerkinOperator(cut, [(values,
-                                       basis.multiplicities[:last + 1])])
-
-    diagonal = np.sqrt(1.0 + h * h * basis.leading(cut))
-    blocks = []
-    for columns, gram in grams:
-        # a class's columns ascend, so those below the cut lead
-        kept = int(np.searchsorted(columns, cut))
-        if kept:
-            blocks.append((_dense_block(diagonal[columns[:kept]],
-                                        gram[:kept, :kept]), columns[:kept]))
-    return GalerkinOperator(cut, blocks)
-
-
-def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR):
-    """Assemble the finite model of the counting operator at h.
+def _section(basis, field, surface, h, last, grams=None):
+    """The section at h through cluster ``last``.
 
     Constant damping gives the cluster values sqrt(1 + h^2 lambda) - gamma0,
     read from the basis clusters alone.  A field with an affine base profile
@@ -578,22 +543,45 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR):
     counted twice for +-m: per order m, over degrees n >= m, above one
     diag(sqrt(1 + h^2 n(n+1)) - a) - b J_m, with J_m the Jacobi matrix of
     the orthonormal associated Legendre functions, and below one its dual
-    diag(a - 1 / sqrt(1 + h^2 n(n+1))) + b J_m.  A mesh basis gives one
-    dense block diag(sqrt(1 + h^2 lambda)) - G_c per class of
-    :func:`_damping_gram`, over that class's modes below the cut.
-    """
-    _require_radii(h, "semiclassical parameter h")
-    if field.kind != "constant" and surface is None:
-        raise UsageError("variable damping needs the surface for its range")
-    last = _last_cluster(basis, field, constants_for(field, surface), h,
-                         cut_factor)
+    diag(a - 1 / sqrt(1 + h^2 n(n+1))) + b J_m.  Any other field gives one
+    dense block diag(sqrt(1 + h^2 lambda)) - G_c per pair of ``grams``
+    (:func:`_damping_gram` at this cut, or a wider one), over that class's
+    modes below the cut."""
+    cut = int(basis.ends[last])
+    if field.kind == "constant":
+        gamma0 = max(field.value, 1.0 / field.value)
+        values = np.sqrt(1.0 + h * h * basis.values[:last + 1]) - gamma0
+        return GalerkinOperator(cut, [(values,
+                                       basis.multiplicities[:last + 1])])
     affine = _sphere_affine(basis, field, surface)
     if affine is not None:
         # the exact sphere's cluster index is its degree
-        return GalerkinOperator(int(basis.ends[last]),
-                                [_polar_family(*affine, h, last)])
-    return _section(basis, field, h, last, None if field.kind == "constant"
-                    else _damping_gram(basis, field, last))
+        return GalerkinOperator(cut, [_polar_family(*affine, h, last)])
+
+    if grams is None:
+        grams = _damping_gram(basis, field, last)
+    diagonal = np.sqrt(1.0 + h * h * basis.leading(cut))
+    blocks = []
+    for columns, gram in grams:
+        # a class's columns ascend, so those below the cut lead
+        kept = int(np.searchsorted(columns, cut))
+        if kept:
+            # diag(d) - G_c, F-ordered for LAPACK: G_c^T is G_c in Fortran
+            # order, and (0 - g) + d rounds as d - g, zeros keeping signs
+            block = np.subtract(0.0, gram[:kept, :kept].T, order="F")
+            block[np.diag_indices(kept)] += diagonal[columns[:kept]]
+            blocks.append((block, columns[:kept]))
+    return GalerkinOperator(cut, blocks)
+
+
+def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR):
+    """The section at h through the last cluster that ``cut_factor`` asks
+    for: the one-radius entry to :func:`_section`."""
+    _require_radii(h, "semiclassical parameter h")
+    if field.kind != "constant" and surface is None:
+        raise UsageError("variable damping needs the surface for its range")
+    return _section(basis, field, surface, h, _last_cluster(
+        basis, field, constants_for(field, surface), h, cut_factor))
 
 
 # ----------------------------------------------------------------------
@@ -805,7 +793,8 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     else:
         grams = None if field.kind == "constant" \
             else _damping_gram(basis, field, int(np.max(last)))
-        counts = [[count_negative(_section(basis, field, h, degree, grams),
+        counts = [[count_negative(_section(basis, field, surface, h, degree,
+                                           grams),
                                   # no report reads a recount's borderline
                                   zero_tol=zero_tol, _borderline=row == 0)
                    for h, degree in zip(h_grid, degrees)]
@@ -902,7 +891,13 @@ def monotonicity_probe(basis, field, h_window, surface=None, steps=7,
                        cut_factor=CUT_FACTOR):
     """Check h * dmu/dh > 0 for every eigenvalue mu in the band
     [-delta, delta], at every point of a grid of ``steps`` h values spanning
-    the window, its ends included.
+    the window, its ends included; ``steps`` must be an integer >= 2, or
+    UsageError is raised before any section is built.
+
+    In a model section D - G with G >= c0 and (v, D^-1 v) <= 1, a unit
+    eigenvector v of mu has h * dmu/dh = (v, Dv) - (v, D^-1 v)
+    >= mu + c0 - 1, so every |mu| <= delta = (c0 - 1)/2 has slope >= delta;
+    the bound does not cover a dual section.
 
     Each section is eigendecomposed block by block, and each eigenvalue's
     exact slope read from its eigenvector (:func:`_block_slopes`), so no
@@ -918,8 +913,10 @@ def monotonicity_probe(basis, field, h_window, surface=None, steps=7,
     h_lo, h_hi = float(h_window[0]), float(h_window[1])
     if not 0.0 < h_lo < h_hi:
         raise UsageError("h window must satisfy 0 < h_lo < h_hi")
+    if not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise UsageError(f"probe steps must be an integer >= 2, got {steps!r}")
     constants = constants_for(field, surface)
-    h_grid = np.linspace(h_lo, h_hi, int(steps))
+    h_grid = np.linspace(h_lo, h_hi, steps)
 
     events = []
     for h in h_grid:

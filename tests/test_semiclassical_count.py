@@ -677,10 +677,18 @@ def test_sweep_leaves_once_every_later_row_is_certified(sphere, monkeypatch):
 def closed_form_axis_count(r, offset, slope, zero_tol=ZERO_TOL):
     """NegativeCount of affine:offset,slope,z on the unit sphere from
     scipy's tridiagonal eigenvalues, truncated at 2x the ellipticity
-    threshold: eigenvalues below -zero_tol and those within zero_tol.  No
-    eigenvalue may lie within 1e-9 of +-zero_tol, where LAPACK's rounding
-    could move it across."""
-    c1 = offset + abs(slope)
+    threshold: eigenvalues below -zero_tol and those within zero_tol.
+
+    Per order m, with D = diag(sqrt(1 + n(n+1) / r^2)), a base above one
+    gives the blocks D - a - b J_m, and one below one the model
+    D - P^-1, P = a + b J_m, which by Haynsworth's inertia additivity has
+    as many eigenvalues below -s as the dual a - (D + s)^-1 + b J_m has
+    below 0, for D + s > 0: s = zero_tol counts those below -zero_tol,
+    s = -zero_tol those up to zero_tol.  No eigenvalue may lie within 1e-9
+    of +-zero_tol, nor a dual one within 1e-9 of 0, where LAPACK's
+    rounding could move it across."""
+    dual = offset + abs(slope) < 1.0
+    c1 = 1.0 / (offset - abs(slope)) if dual else offset + abs(slope)
     need = 2.0 * (c1 * c1 - 1.0) * r * r
     top = 0
     while top * (top + 1) < need:
@@ -688,14 +696,24 @@ def closed_form_axis_count(r, offset, slope, zero_tol=ZERO_TOL):
     negative = borderline = 0
     for m in range(top + 1):
         n = np.arange(m, top + 1)
-        diagonal = np.sqrt(1.0 + n * (n + 1.0) / (r * r)) - offset
+        model = np.sqrt(1.0 + n * (n + 1.0) / (r * r))
         k = n[1:]
         jacobi = np.sqrt((k * k - m * m) / ((2.0 * k - 1.0) * (2.0 * k + 1.0)))
-        values = eigvalsh_tridiagonal(diagonal, -slope * jacobi)
-        assert np.min(np.abs(np.abs(values) - zero_tol)) > 1e-9
+        if dual:
+            assert np.all(model > zero_tol)
+            spectra = [eigvalsh_tridiagonal(offset - 1.0 / (model + s),
+                                            slope * jacobi)
+                       for s in (zero_tol, -zero_tol)]
+            assert min(np.min(np.abs(values)) for values in spectra) > 1e-9
+            below, up_to = (int(np.sum(values < 0.0)) for values in spectra)
+        else:
+            values = eigvalsh_tridiagonal(model - offset, -slope * jacobi)
+            assert np.min(np.abs(np.abs(values) - zero_tol)) > 1e-9
+            below = int(np.sum(values < -zero_tol))
+            up_to = int(np.sum(values <= zero_tol))
         weight = 1 if m == 0 else 2
-        negative += weight * int(np.sum(values < -zero_tol))
-        borderline += weight * int(np.sum(np.abs(values) <= zero_tol))
+        negative += weight * below
+        borderline += weight * (up_to - below)
     return NegativeCount(negative, borderline)
 
 
@@ -717,6 +735,19 @@ def test_axis_affine_borderline_counts_match_closed_form(sphere, tilted, r,
     got = count_negative(build_operator(exact_sphere_spectrum(420), tilted,
                                         1.0 / r, surface=sphere), zero_tol)
     assert got == closed_form_axis_count(r, 2.0, 0.5, zero_tol)
+
+
+@pytest.mark.parametrize("r, zero_tol, expected", [
+    (25.0, ZERO_TOL, (3279, 0)), (25.0, 0.05, (3138, 287)),
+    (50.0, ZERO_TOL, (13123, 0)), (50.0, 0.05, (12558, 1148))])
+def test_dual_axis_counts_match_closed_form(sphere, r, zero_tol, expected):
+    # a base below one is counted by the sweep of the dual family; the
+    # oracle forms the dual at each shift itself and counts it with LAPACK
+    # per order, so it repeats none of the program's pivot recurrence
+    field = DampingField.affine(0.5, 0.3, (0.0, 0.0, 1.0))
+    got = count_negative(build_operator(exact_sphere_spectrum(420), field,
+                                        1.0 / r, surface=sphere), zero_tol)
+    assert got == closed_form_axis_count(r, 0.5, 0.3, zero_tol) == expected
 
 
 # ----------------------------------------------------------------------
@@ -962,7 +993,7 @@ def test_dense_section_is_built_in_fortran_order(sphere, mesh_basis,
     operator = build_operator(mesh_basis, field, h, surface=sphere)
     if wider:
         operator = semiclassical_count._section(
-            mesh_basis, field, h, int(np.searchsorted(
+            mesh_basis, field, sphere, h, int(np.searchsorted(
                 mesh_basis.ends, operator.mode_cut)), shared)
     cut = operator.mode_cut
     assert cut < mesh_basis.mode_count
@@ -1674,6 +1705,51 @@ def test_probe_rejects_bad_window(gamma_two):
     basis = exact_sphere_spectrum(10)
     with pytest.raises(UsageError):
         monotonicity_probe(basis, gamma_two, (0.3, 0.2))
+
+
+@pytest.mark.parametrize("steps", [0, 1, -3, 2.7])
+def test_probe_refuses_steps_below_two_or_fractional(gamma_two, monkeypatch,
+                                                     steps):
+    # fewer than two steps cannot include both ends of the window, and a
+    # probe that ran on no h must not pass; no section is built first
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the probe built a section")
+
+    monkeypatch.setattr(semiclassical_count, "_section", forbidden)
+    with pytest.raises(UsageError, match="steps"):
+        monotonicity_probe(exact_sphere_spectrum(10), gamma_two, (0.2, 0.3),
+                           steps=steps)
+
+
+@pytest.fixture(scope="module")
+def level3_200():
+    return solve_lowest(assemble_fem(icosphere(3)), 200)
+
+
+@pytest.mark.parametrize("case", ["sphere z", "sphere constant", "mesh x",
+                                  "mesh below-one y"])
+def test_probe_slopes_meet_the_model_bound(sphere, level3_200, case):
+    # in a model section D - G with G >= c0 every in-band eigenvalue has
+    # h dmu/dh >= delta = (c0 - 1)/2, so the bound is an oracle for every
+    # slope the probe reports.  A mesh section of a base below one is the
+    # Gram section of 1 / p, a model section too; the dual family of a
+    # base below one on the exact sphere is not, and is left out
+    basis, field, radii = {
+        "sphere z": (exact_sphere_spectrum(40),
+                     DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0)),
+                     (8.5, 7.5)),
+        "sphere constant": (exact_sphere_spectrum(40),
+                            DampingField.constant(2.0), (8.5, 7.5)),
+        "mesh x": (level3_200, DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0)),
+                   (2.4, 2.2)),
+        "mesh below-one y": (level3_200,
+                             DampingField.affine(0.6, 0.1, (0.0, 1.0, 0.0)),
+                             (2.4, 2.2)),
+    }[case]
+    probe = monotonicity_probe(basis, field, [1.0 / r for r in radii],
+                               surface=sphere)
+    assert probe.events
+    assert probe.min_slope >= probe.delta * (1.0 - 1e-12)
 
 
 # ----------------------------------------------------------------------
