@@ -42,6 +42,7 @@ each count is an entry of it.  A member leaves the sweep once a pivot
 bound proves that no later row adds a negative pivot.
 """
 
+import functools
 import json
 from collections import namedtuple
 from dataclasses import dataclass
@@ -220,6 +221,16 @@ class GalerkinOperator:
         return np.sort(np.concatenate(spectra))
 
 
+@functools.lru_cache(maxsize=None)
+def _factor_workspace(size):
+    """LAPACK's optimal dsytrf workspace for order ``size``.  Without it
+    LAPACK falls back to the unblocked factorization, about seven times
+    slower at n ~ 1000; the answer depends on the order alone, so each
+    order is queried once."""
+    lwork, _ = dsytrf_lwork(size, lower=1)
+    return int(lwork)
+
+
 def _inertia(matrix, shift):
     """(negative, zero) eigenvalue counts of symmetric matrix + shift * I.
 
@@ -232,17 +243,17 @@ def _inertia(matrix, shift):
     alpha = (1 + sqrt(17)) / 8, so |ab| < alpha^2 c^2 < c^2 and its
     determinant ab - c^2 is negative.  Dense sections are built F-ordered,
     as LAPACK stores them, so the copy factored here is a plain memory
-    copy.
+    copy.  The shift is added in place through the strided view of that
+    copy's diagonal, the same additions to the same entries as through
+    index arrays, so bit for bit; the workspace size is queried once per
+    order (:func:`_factor_workspace`).
     """
     size = len(matrix)
     # factored in place, so this Fortran-ordered copy is the only new buffer
     shifted = np.array(matrix, order="F")
-    shifted[np.diag_indices(size)] += shift
-    # Without the workspace query LAPACK falls back to the unblocked
-    # factorization, about seven times slower at n ~ 1000.
-    lwork, _ = dsytrf_lwork(size, lower=1)
-    factor, pivots, _ = dsytrf(shifted, lower=1, lwork=int(lwork),
-                               overwrite_a=1)
+    shifted.reshape(-1, order="F")[::size + 1] += shift
+    factor, pivots, _ = dsytrf(shifted, lower=1,
+                               lwork=_factor_workspace(size), overwrite_a=1)
     # both rows of a 2 x 2 pivot carry a negative index, a 1 x 1 pivot's
     # row a positive one
     single = factor.diagonal()[pivots > 0]
@@ -482,6 +493,13 @@ def _damping_gram(basis, field, last):
     [reps], over the first vertex of each orbit, and exactly symmetric.
     Where H is trivial (an oblique field, a mesh without reflections) that
     is one pair, W^T W itself.
+
+    Each W_c is gathered straight from the C-ordered mode table, through
+    the flat indices reps * width + columns, into the leading part of one
+    float buffer sized for the largest class and then scaled in place, so
+    no (reps, cut) table is formed.  It holds the values and the
+    C-contiguous (reps, k) layout that slicing a scaled table gave, so the
+    product is the same call on the same operands.
     """
     if basis.modes is None:
         raise UsageError("dense assembly reads the field at the nodes of a "
@@ -493,12 +511,24 @@ def _damping_gram(basis, field, last):
     kept = [np.array_equal(gamma0[perm], gamma0) for perm in reflections]
     _, orbit, reps = _vertex_orbits(reflections[kept], len(mass))
     weight = np.sqrt(np.bincount(orbit)[reps] * mass[reps] * gamma0[reps])
-    scaled = modes[reps, :cut] * weight[:, None]
     classes = parity[:cut] & sum(keep << bit for bit, keep in enumerate(kept))
+    members = [np.flatnonzero(classes == character)
+               for character in np.unique(classes)]
+    size = len(reps) * max(len(columns) for columns in members)
+    # shared by every class: the flat indices of W_c and then W_c itself
+    flat = np.empty(size, dtype=np.intp)
+    values = np.empty(size)
+    # a view of the C-ordered table; any other order would be copied once
+    table = modes.reshape(-1)
     grams = []
-    for character in np.unique(classes):
-        columns = np.flatnonzero(classes == character)
-        part = scaled[:, columns]
+    for columns in members:
+        count = len(reps) * len(columns)
+        index = flat[:count].reshape(len(reps), len(columns))
+        np.add(reps[:, None] * modes.shape[1], columns, out=index)
+        part = values[:count].reshape(index.shape)
+        # mode="clip" writes straight into ``part``; "raise" would buffer
+        np.take(table, index, out=part, mode="clip")
+        part *= weight[:, None]
         grams.append((columns, part.T @ part))
     return grams
 
@@ -569,7 +599,8 @@ def _section(basis, field, surface, h, last, grams=None):
             # diag(d) - G_c, F-ordered for LAPACK: G_c^T is G_c in Fortran
             # order, and (0 - g) + d rounds as d - g, zeros keeping signs
             block = np.subtract(0.0, gram[:kept, :kept].T, order="F")
-            block[np.diag_indices(kept)] += diagonal[columns[:kept]]
+            block.reshape(-1, order="F")[::kept + 1] += \
+                diagonal[columns[:kept]]
             blocks.append((block, columns[:kept]))
     return GalerkinOperator(cut, blocks)
 
@@ -590,10 +621,17 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR):
 
 def weyl_coefficient(surface, field):
     """(1/4 pi) * integral over the surface of (gamma0^2 - 1); DomainError
-    when it is not finite, as on a degenerate surface or a huge field."""
+    when it is not finite, as on a degenerate surface or a huge field.
+
+    The integrand squares and shifts the effective values in place, the
+    same operations as gamma0 * gamma0 - 1.0, so bit for bit, and a
+    quadrature rule's points cost no array beyond those of
+    :meth:`DampingField.effective` and the weighting."""
     def integrand(points):
         gamma0 = field.effective(points)
-        return gamma0 * gamma0 - 1.0
+        gamma0 *= gamma0
+        gamma0 -= 1.0
+        return gamma0
 
     # refused below, so numpy need not warn of the overflow
     with np.errstate(all="ignore"):

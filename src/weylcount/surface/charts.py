@@ -61,12 +61,20 @@ def _integration_grid():
 @functools.lru_cache(maxsize=8)
 def _mapped_rule(axes):
     """(points, weights) of the integration grid mapped onto the ellipsoid
-    with semi-axes ``axes`` (a tuple), built on first use, read-only."""
+    with semi-axes ``axes`` (a tuple), built on first use, read-only.
+
+    The area element's norm |x / axes^2| is squared and summed in the one
+    array of the quotients, as np.linalg.norm squares and sums its copy of
+    them, so the weights are bit for bit those of
+    grid.mass * prod(axes) * norm(points / axes^2) with one (points, 3)
+    temporary instead of three."""
     grid = _integration_grid()
     axes = np.asarray(axes)
     points = grid.nodes * axes
-    weights = grid.mass * np.prod(axes) * np.linalg.norm(
-        points / axes ** 2, axis=-1)
+    squares = points / axes ** 2
+    squares *= squares
+    weights = np.sqrt(np.add.reduce(squares, axis=-1))
+    weights *= grid.mass * np.prod(axes)
     points.flags.writeable = weights.flags.writeable = False
     return points, weights
 

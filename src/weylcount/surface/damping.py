@@ -85,12 +85,19 @@ class DampingField:
 
     # evaluation --------------------------------------------------------
     def base_values(self, points):
-        """The stored base profile at ambient points (or per-vertex)."""
+        """The stored base profile at ambient points (or per-vertex).
+
+        An affine profile is scaled and shifted in place in the one array
+        the projection onto the axis returns, the same products and sums
+        as offset + slope * <axis, x>, so bit for bit."""
         points = np.asarray(points, dtype=float)
         if self.kind == "constant":
             return np.full(points.shape[:-1] or (1,), self.value)
         if self.kind == "affine":
-            return self.offset + self.slope * (points @ self.axis)
+            base = points @ self.axis
+            base *= self.slope
+            base += self.offset
+            return base
         if points.ndim != 2 or len(points) != len(self.table):
             raise InvalidFieldError(
                 f"vertex table has {len(self.table)} entries but "
@@ -98,13 +105,19 @@ class DampingField:
         return self.table.copy()
 
     def effective(self, points):
-        """Effective coefficient max(gamma, 1/gamma), computed from the base."""
+        """Effective coefficient max(gamma, 1/gamma), computed from the base.
+
+        The maximum is written over the reciprocals, so they are the one
+        float array it adds to the base; the values are those of
+        np.maximum(base, 1.0 / base), bit for bit."""
         base = self.base_values(points)
         if np.any(base <= 0.0):
             raise InvalidFieldError("damping field is not strictly positive")
         if np.any(base == 1.0):
             raise InvalidFieldError("damping coefficient equals 1")
-        return np.maximum(base, 1.0 / base)
+        inverse = np.divide(1.0, base)
+        # a single point gives a scalar, which has no buffer to reuse
+        return np.maximum(base, inverse, out=inverse if inverse.ndim else None)
 
     # range analysis ----------------------------------------------------
     def base_range(self, surface):

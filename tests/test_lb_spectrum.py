@@ -522,20 +522,27 @@ def test_merged_class_solves_are_the_basis_modes(monkeypatch, turn, level,
     assert np.max(np.abs(gram - np.eye(count))) <= 1e-12
 
 
-def solver_peak(pencil, count):
-    """tracemalloc peak of one solve, in (vertex, mode) tables."""
-    solve_lowest(pencil, count, tol=1e-8)  # first-call allocations
+def traced_peak(call):
+    """tracemalloc peak of ``call()`` in bytes, after one warm-up call that
+    makes its first-call allocations."""
+    call()
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        solve_lowest(pencil, count, tol=1e-8)
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:
             tracemalloc.stop()
-    return peak / (pencil.stiffness.shape[0] * count * 8)
+    return peak
+
+
+def solver_peak(pencil, count):
+    """tracemalloc peak of one solve, in (vertex, mode) tables."""
+    return traced_peak(lambda: solve_lowest(pencil, count, tol=1e-8)) \
+        / (pencil.stiffness.shape[0] * count * 8)
 
 
 def test_solver_peak_holds_at_most_two_tables():
@@ -662,6 +669,20 @@ def test_cache_written_before_factored_tables_loads(tmp_path):
     for columns, gram in grams:
         np.testing.assert_allclose(gram, whole[np.ix_(columns, columns)],
                                    rtol=0.0, atol=1e-14)
+
+
+def test_modes_are_one_c_ordered_table(tmp_path):
+    # a dense Gram gathers each class's rows from the flat view of the mode
+    # table; only a C-ordered table gives that view without a copy, both
+    # from a fresh solve and from a cache hit
+    fresh = solve_lowest(assemble_fem(icosphere(2)), 12, tol=1e-8)
+    cached_mesh_spectrum(icosphere(2), 12, tol=1e-8, directory=str(tmp_path))
+    loaded, hit = cached_mesh_spectrum(icosphere(2), 12, tol=1e-8,
+                                       directory=str(tmp_path))
+    assert hit
+    for basis in (fresh, loaded):
+        assert basis.modes.flags["C_CONTIGUOUS"]
+        assert np.shares_memory(basis.modes, basis.modes.reshape(-1))
 
 
 def test_cache_miss_on_perturbed_mesh(tmp_path):

@@ -17,6 +17,7 @@ from weylcount.errors import (
     UsageError,
 )
 from weylcount.lb_spectrum import (
+    _vertex_orbits,
     assemble_fem,
     exact_sphere_spectrum,
     solve_lowest,
@@ -41,6 +42,7 @@ from weylcount.semiclassical_count import (
     weyl_prediction,
 )
 from weylcount.surface import AnalyticSurface, DampingField
+from weylcount.surface.charts import _mapped_rule
 from weylcount.surface.mesh import icosphere
 
 from sphere_reference import (
@@ -48,7 +50,7 @@ from sphere_reference import (
     product_section,
     reflection_classes,
 )
-from test_lb_spectrum import rotated
+from test_lb_spectrum import rotated, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -674,6 +676,25 @@ def test_sweep_leaves_once_every_later_row_is_certified(sphere, monkeypatch):
         closed_form_axis_count(r, 2.0, 0.5).negative for r in r_grid]
 
 
+def axis_orders(r, offset, slope):
+    """(m, D, J) per order m of affine:offset,slope,z on the unit sphere,
+    truncated at 2x the ellipticity threshold as the program cuts: D the
+    model diagonal sqrt(1 + n(n+1) / r^2) over degrees n = m..top, and J
+    the off-diagonal of the Jacobi matrix J_m of the orthonormal
+    associated Legendre functions."""
+    dual = offset + abs(slope) < 1.0
+    c1 = 1.0 / (offset - abs(slope)) if dual else offset + abs(slope)
+    need = 2.0 * (c1 * c1 - 1.0) * r * r
+    top = 0
+    while top * (top + 1) < need:
+        top += 1
+    for m in range(top + 1):
+        n = np.arange(m, top + 1)
+        k = n[1:]
+        yield (m, np.sqrt(1.0 + n * (n + 1.0) / (r * r)),
+               np.sqrt((k * k - m * m) / ((2.0 * k - 1.0) * (2.0 * k + 1.0))))
+
+
 def closed_form_axis_count(r, offset, slope, zero_tol=ZERO_TOL):
     """NegativeCount of affine:offset,slope,z on the unit sphere from
     scipy's tridiagonal eigenvalues, truncated at 2x the ellipticity
@@ -688,17 +709,8 @@ def closed_form_axis_count(r, offset, slope, zero_tol=ZERO_TOL):
     of +-zero_tol, nor a dual one within 1e-9 of 0, where LAPACK's
     rounding could move it across."""
     dual = offset + abs(slope) < 1.0
-    c1 = 1.0 / (offset - abs(slope)) if dual else offset + abs(slope)
-    need = 2.0 * (c1 * c1 - 1.0) * r * r
-    top = 0
-    while top * (top + 1) < need:
-        top += 1
     negative = borderline = 0
-    for m in range(top + 1):
-        n = np.arange(m, top + 1)
-        model = np.sqrt(1.0 + n * (n + 1.0) / (r * r))
-        k = n[1:]
-        jacobi = np.sqrt((k * k - m * m) / ((2.0 * k - 1.0) * (2.0 * k + 1.0)))
+    for m, model, jacobi in axis_orders(r, offset, slope):
         if dual:
             assert np.all(model > zero_tol)
             spectra = [eigvalsh_tridiagonal(offset - 1.0 / (model + s),
@@ -750,6 +762,46 @@ def test_dual_axis_counts_match_closed_form(sphere, r, zero_tol, expected):
     assert got == closed_form_axis_count(r, 0.5, 0.3, zero_tol) == expected
 
 
+def dense_dual_axis_count(r, offset, slope, zero_tol):
+    """NegativeCount of affine:offset,slope,z below one on the unit sphere
+    from the dense model itself: per order m, the eigenvalues of
+    diag(D_m) - inv(a + b J_m) below -zero_tol and within zero_tol, at the
+    cut of :func:`closed_form_axis_count`.  It forms neither the dual nor
+    its shifted diagonal, so it repeats no Haynsworth step and no rows
+    counted outright.  No eigenvalue may lie within 1e-9 of +-zero_tol."""
+    negative = borderline = 0
+    for m, model, jacobi in axis_orders(r, offset, slope):
+        base = (np.diag(np.full(len(model), offset))
+                + np.diag(slope * jacobi, 1) + np.diag(slope * jacobi, -1))
+        values = np.linalg.eigvalsh(np.diag(model) - np.linalg.inv(base))
+        assert np.min(np.abs(np.abs(values) - zero_tol)) > 1e-9
+        weight = 1 if m == 0 else 2
+        negative += weight * int(np.sum(values < -zero_tol))
+        borderline += weight * int(np.sum(np.abs(values) <= zero_tol))
+    return NegativeCount(negative, borderline)
+
+
+@pytest.mark.parametrize("r, zero_tol, expected", [
+    (6.0, 1.5, (39, 480)), (6.0, 3.0, (3, 999)),
+    (12.0, 1.5, (160, 1912)), (12.0, 3.0, (15, 3922))])
+def test_dual_rows_counted_outright_match_dense_model(sphere, r, zero_tol,
+                                                      expected):
+    # above zero_tol = 1 some rows have D_n < zero_tol (D_0 = 1 always, and
+    # n <= 12 at r = 12 and zero_tol 1.5), where the dual sweep counts a
+    # negative eigenvalue outside its recurrence; the dense model counts
+    # them as eigenvalues like any other
+    field = DampingField.affine(0.5, 0.3, (0.0, 0.0, 1.0))
+    got = count_negative(build_operator(exact_sphere_spectrum(100), field,
+                                        1.0 / r, surface=sphere), zero_tol)
+    assert got == dense_dual_axis_count(r, 0.5, 0.3, zero_tol) == expected
+
+
+def test_axis_affine_count_matches_closed_form_at_r_200(sphere, tilted):
+    got = count_negative(build_operator(exact_sphere_spectrum(650), tilted,
+                                        1.0 / 200.0, surface=sphere))
+    assert got == closed_form_axis_count(200.0, 2.0, 0.5) == (123342, 0)
+
+
 # ----------------------------------------------------------------------
 # Weyl prediction
 # ----------------------------------------------------------------------
@@ -781,6 +833,44 @@ def test_weyl_on_mesh(tilted):
     assert weyl_coefficient(mesh, tilted) == lumped
     assert weyl_coefficient(mesh, tilted) == pytest.approx(37.0 / 12.0,
                                                            rel=1e-2)
+
+
+WEYL_FIELDS = [
+    DampingField.constant(2.0), DampingField.constant(0.4),
+    DampingField.affine(2.0, 0.4, (0.0, 0.0, 1.0)),
+    DampingField.affine(2.0, 0.4, (1.0, 0.0, 0.0)),
+    DampingField.affine(2.0, 0.4, (1.0, 2.0, 2.0)),
+    DampingField.affine(0.5, 0.2, (0.0, 0.0, 1.0)),
+    DampingField.affine(0.5, 0.2, (1.0, 0.0, 0.0)),
+    DampingField.affine(0.5, 0.2, (1.0, 2.0, 2.0)),
+    DampingField.affine(2.0, 0.4, (1.0, 0.0, 0.0), invert=True),
+    DampingField.affine(0.5, 0.2, (1.0, 2.0, 2.0), invert=True),
+]
+
+
+@pytest.mark.parametrize("axes", [(1.0, 1.0, 1.0), (2.0, 1.0, 1.0)],
+                         ids=["sphere", "ellipsoid"])
+def test_weyl_coefficient_is_the_rule_sum(axes):
+    # the integrand is evaluated in place, bit for bit the rule's sum of
+    # (g * g - 1) * w, g = max(b, 1 / b) from the base values b
+    surface = AnalyticSurface.ellipsoid(*axes)
+    points, weights = _mapped_rule(axes)
+    for field in WEYL_FIELDS:
+        base = np.full(len(points), field.value) \
+            if field.kind == "constant" \
+            else field.offset + field.slope * (points @ field.axis)
+        g = np.maximum(base, 1.0 / base)
+        assert weyl_coefficient(surface, field) == float(
+            np.sum((g * g - 1.0) * weights)) / (4.0 * np.pi)
+
+
+def test_weyl_integrand_holds_two_rule_arrays(sphere, tilted):
+    # the base values and their reciprocals, overwritten by the effective
+    # values and then by the integrand, and the weighted integrand: each
+    # integrand temporary out of place would add a rule array
+    points, _ = _mapped_rule((1.0, 1.0, 1.0))
+    peak = traced_peak(lambda: weyl_coefficient(sphere, tilted))
+    assert peak < 2.5 * len(points) * 8
 
 
 def test_weyl_vanishes_toward_one(sphere):
@@ -1163,6 +1253,78 @@ def test_mesh_gram_is_one_rank_k_update(mesh_basis, field, invariant):
             assert np.array_equal(gram, gram.T)
             assert np.max(np.abs(gram - whole[np.ix_(columns, columns)])) \
                 < 1e-14 * scale
+
+
+def orbit_weights(basis, field):
+    """(reps, weight, invariant) as :func:`_damping_gram` forms them: the
+    first vertex of each vertex orbit of the reflections that leave the
+    field unchanged, sqrt(size * mass * gamma0) there, and the bit mask of
+    those reflections."""
+    _, mass, _, _, reflections = basis.quadrature
+    gamma0 = field.effective(basis.nodes)
+    kept = [np.array_equal(gamma0[perm], gamma0) for perm in reflections]
+    _, orbit, reps = _vertex_orbits(reflections[kept], len(mass))
+    weight = np.sqrt(np.bincount(orbit)[reps] * mass[reps] * gamma0[reps])
+    return reps, weight, sum(keep << bit for bit, keep in enumerate(kept))
+
+
+def sliced_grams(basis, field, last):
+    """(columns, G_c) per class, each W_c sliced from one scaled table
+    (modes[reps, :cut] * weight[:, None])[:, columns]."""
+    cut = int(basis.ends[last])
+    reps, weight, invariant = orbit_weights(basis, field)
+    scaled = basis.modes[reps, :cut] * weight[:, None]
+    classes = basis.quadrature.parity[:cut] & invariant
+    grams = []
+    for character in np.unique(classes):
+        columns = np.flatnonzero(classes == character)
+        part = scaled[:, columns]
+        grams.append((columns, part.T @ part))
+    return grams
+
+
+@pytest.fixture(scope="module")
+def gather_bases():
+    """Bases of 200 modes on icosphere:3 and of 60 modes on a rotated
+    icosphere:2, which no coordinate reflection maps onto itself."""
+    return (solve_lowest(assemble_fem(icosphere(3)), 200),
+            solve_lowest(assemble_fem(rotated(icosphere(2))), 60))
+
+
+@pytest.mark.parametrize("turned, field", [
+    (False, DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))),
+    (False, DampingField.affine(2.0, 0.5, (0.0, 1.0, 0.0))),
+    (False, DampingField.affine(2.0, 0.5, (1.0, 1.0, 0.0))),
+    (False, DampingField.affine(0.6, 0.1, (0.0, 1.0, 0.0))),
+    (True, DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))),
+], ids=["x", "y", "110", "below-one-y", "rotated"])
+def test_gathered_class_grams_match_the_sliced_table(gather_bases, turned,
+                                                     field):
+    # each W_c is gathered from the flat mode table into one reused buffer;
+    # it must hold the values and layout that slicing one scaled table gave,
+    # so each G_c is bit for bit that product, at every cut
+    basis = gather_bases[turned]
+    top = len(basis.values) - 1
+    for last in (top // 3, 2 * top // 3, top):
+        grams = semiclassical_count._damping_gram(basis, field, last)
+        expected = sliced_grams(basis, field, last)
+        assert len(grams) == len(expected) and (len(grams) == 1) == turned
+        for (columns, gram), (want_columns, want) in zip(grams, expected):
+            assert np.array_equal(columns, want_columns)
+            assert np.array_equal(gram, want)
+
+
+def test_class_grams_form_no_scaled_table(gather_bases):
+    # two buffers sized for the largest class and the Gram matrices are all
+    # a dense assembly holds; a (reps, cut) table of the scaled modes, or a
+    # whole-table copy of them, would add one table each
+    basis = gather_bases[0]
+    field = DampingField.affine(2.0, 0.5, (1.0, 0.0, 0.0))
+    last = len(basis.values) - 1
+    reps, _, _ = orbit_weights(basis, field)
+    peak = traced_peak(
+        lambda: semiclassical_count._damping_gram(basis, field, last))
+    assert peak < 1.7 * len(reps) * int(basis.ends[last]) * 8
 
 
 def drawn_base(offset, fraction, dual):

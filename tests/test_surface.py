@@ -26,6 +26,8 @@ from weylcount.surface.mesh import (
     off_spec,
 )
 
+from test_lb_spectrum import traced_peak
+
 SPHERE_AREA = 4.0 * np.pi
 
 
@@ -106,6 +108,16 @@ def test_mapped_rule_is_built_once_and_read_only(axes):
     with pytest.raises(ValueError):
         surface.integrate(writes)
     assert cached[0].tobytes() == points.tobytes()
+
+
+def test_mapped_rule_holds_one_quotient_table():
+    # the area element's squares are formed in place in the one table of
+    # quotients points / axes^2; np.linalg.norm's copy of that table and its
+    # product with the copy would add two more (points, 3) tables
+    count = len(charts._integration_grid().nodes)
+    peak = traced_peak(
+        lambda: charts._mapped_rule.__wrapped__((2.0, 1.0, 1.0)))
+    assert peak < 3.2 * count * 3 * 8
 
 
 def test_ellipsoid_area_matches_prolate_closed_form():
@@ -473,6 +485,18 @@ def test_effective_damping_of_constant_fields():
     assert np.all(DampingField.constant(0.5).effective(pts) == 2.0)
     assert np.all(DampingField.constant(2.0).effective(pts) == 2.0)
     assert np.all(DampingField.constant(4.0, invert=True).effective(pts) == 4.0)
+
+
+def test_effective_damping_at_one_point():
+    # a single point gives the scalar max(b, 1 / b) of its base value b
+    point = np.array([0.3, -0.4, 0.5])
+    for offset, slope, axis in ((2.0, 0.5, (1.0, 0.0, 0.0)),
+                                (0.5, 0.3, (1.0, 2.0, 2.0))):
+        field = DampingField.affine(offset, slope, axis)
+        base = offset + slope * float(point @ field.axis)
+        value = field.effective(point)
+        assert np.ndim(value) == 0 and value == max(base, 1.0 / base)
+    assert DampingField.constant(0.4).effective(point).tolist() == [2.5]
 
 
 def test_affine_field_range_on_sphere():
