@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 resource/precondition failure, 3 invariant-gate
 failure, 64 usage error.  Each option is declared once, with its default,
 in :func:`build_parser`.  Options may also be supplied through a flat
 ``key = value`` config file (``--config``), whose keys are option dests;
-its values become the command's defaults, so explicit flags win.
+its values become the command's defaults, so explicit flags win.  A
+report's ``config`` echoes what :func:`build_parser` declares for its
+command, so an option added there is echoed with no further edit.
 """
 
 import argparse
@@ -227,7 +229,7 @@ def _parse_axis(token):
         raise UsageError("bad axis %r" % (token,)) from err
 
 
-def resolve_field(spec, invert=False):
+def resolve_field(spec):
     """A float (constant), 'affine:OFFSET,SLOPE,AXIS', or 'table:PATH'."""
     spec = str(spec).strip()
     if spec.startswith("affine:"):
@@ -239,16 +241,15 @@ def resolve_field(spec, invert=False):
             offset, slope = float(parts[0]), float(parts[1])
         except ValueError as err:
             raise UsageError("bad affine field %r" % (spec,)) from err
-        return DampingField.affine(offset, slope, _parse_axis(parts[2]),
-                                   invert=invert)
+        return DampingField.affine(offset, slope, _parse_axis(parts[2]))
     if spec.startswith("table:"):
         table = read_vertex_values(spec[len("table:"):])
-        return DampingField.vertex_table(table, invert=invert)
+        return DampingField.vertex_table(table)
     try:
         value = float(spec)
     except ValueError as err:
         raise UsageError("unknown damping field spec %r" % (spec,)) from err
-    return DampingField.constant(value, invert=invert)
+    return DampingField.constant(value)
 
 
 def resolve_mesh(spec):
@@ -340,6 +341,8 @@ def _resolve_basis(args, surface, field, r_max):
     if args.mesh:
         if args.modes is None:
             raise UsageError("--mesh runs need --modes")
+        if args.max_degree is not None:
+            raise UsageError("--max-degree applies only to exact-sphere runs")
         mesh = resolve_mesh(args.mesh)
         counted_on = surface
         if field.kind == "vertex-table":
@@ -359,20 +362,18 @@ def _resolve_basis(args, surface, field, r_max):
     return exact_sphere_spectrum(degree), None, surface
 
 
-def _echo_config(args, keys):
-    resolved = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key.replace("_", "-")] = value
-    return resolved
-
-
-def _basis_keys(args):
-    """Echoed basis options; the solver tolerance is part of the FEM cache
-    key, so --mesh runs echo it too."""
-    keys = ("max_degree", "mesh", "modes", "seed")
-    return keys + ("tol",) if args.mesh else keys
+def _echo_config(args):
+    """Every option of the command's parser whose value is not None, bar the
+    locations --config, --output and --cache-dir, and ``help``, which the
+    namespace lacks.  The solver tolerance is part of the FEM cache key, so
+    only --mesh runs echo --tol: no tolerance shaped an exact basis."""
+    skipped = {"help", "config", "output", "cache_dir"}
+    if not getattr(args, "mesh", None):
+        skipped.add("tol")
+    return {action.dest.replace("_", "-"): getattr(args, action.dest)
+            for action in args._parser._actions
+            if action.dest not in skipped
+            and getattr(args, action.dest) is not None}
 
 
 def _emit_json(document):
@@ -412,14 +413,12 @@ def cmd_spectrum(args):
 
 def cmd_scan(args):
     surface = _resolved("--surface", resolve_surface, args.surface)
-    field = _resolved("--gamma", resolve_field, args.gamma, args.invert)
+    field = _resolved("--gamma", resolve_field, args.gamma)
     grid = _r_grid(args)
     basis, hit, counted_on = _resolve_basis(args, surface, field, args.r_max)
     report = scan(counted_on, field, grid, basis,
                   cut_factor=args.cut_factor, zero_tol=args.zero_tol)
-    config = _echo_config(args, (
-        "surface", "gamma", "invert", "r_min", "r_max", "steps", "log",
-        "cut_factor", "zero_tol") + _basis_keys(args))
+    config = _echo_config(args)
     os.makedirs(args.output, exist_ok=True)
     csv_path = os.path.join(args.output, "report.csv")
     json_path = os.path.join(args.output, "report.json")
@@ -453,7 +452,7 @@ def cmd_count(args):
     if args.r is None:
         raise UsageError("count needs a positive --r")
     surface = _resolved("--surface", resolve_surface, args.surface)
-    field = _resolved("--gamma", resolve_field, args.gamma, args.invert)
+    field = _resolved("--gamma", resolve_field, args.gamma)
     basis, _, counted_on = _resolve_basis(args, surface, field, args.r)
     op = build_operator(basis, field, 1.0 / args.r, surface=counted_on,
                         cut_factor=args.cut_factor)
@@ -465,9 +464,7 @@ def cmd_count(args):
         "borderline": outcome.borderline,
         "W": weyl_prediction(counted_on, field, args.r),
         "mode_cut": op.mode_cut,
-        "config": _echo_config(args, (
-            "surface", "gamma", "invert", "r", "cut_factor", "zero_tol")
-            + _basis_keys(args)),
+        "config": _echo_config(args),
         "version": __version__,
     })
     return EXIT_OK
@@ -475,12 +472,12 @@ def cmd_count(args):
 
 def cmd_weyl(args):
     surface = _resolved("--surface", resolve_surface, args.surface)
-    field = _resolved("--gamma", resolve_field, args.gamma, args.invert)
+    field = _resolved("--gamma", resolve_field, args.gamma)
     _require_no_table(field)
     coefficient = weyl_coefficient(surface, field)
     document = {
         "coefficient": coefficient,
-        "config": _echo_config(args, ("surface", "gamma", "invert", "r")),
+        "config": _echo_config(args),
         "version": __version__,
     }
     if args.r is not None:
@@ -504,7 +501,7 @@ def cmd_verify_symbols(args):
         "residual_gate": RESIDUAL_GATE,
         "residuals": residuals,
         "failures": failures,
-        "config": _echo_config(args, ("surface", "samples", "seed")),
+        "config": _echo_config(args),
         "version": __version__,
     })
     if failures:

@@ -579,7 +579,7 @@ def _section(basis, field, surface, h, last, grams=None):
     modes below the cut."""
     cut = int(basis.ends[last])
     if field.kind == "constant":
-        gamma0 = max(field.value, 1.0 / field.value)
+        gamma0 = field.effective_range(surface)[0]
         values = np.sqrt(1.0 + h * h * basis.values[:last + 1]) - gamma0
         return GalerkinOperator(cut, [(values,
                                        basis.multiplicities[:last + 1])])
@@ -623,8 +623,11 @@ def weyl_coefficient(surface, field):
     """(1/4 pi) * integral over the surface of (gamma0^2 - 1); DomainError
     when it is not finite, as on a degenerate surface or a huge field.
 
-    The integrand squares and shifts the effective values in place, the
-    same operations as gamma0 * gamma0 - 1.0, so bit for bit, and a
+    The field's range is checked first, as for every count
+    (:meth:`DampingField.effective_range`): a field that touches 1 or 0 on
+    the surface raises InvalidFieldError, even where the rule has no node
+    there.  The integrand squares and shifts the effective values in place,
+    the same operations as gamma0 * gamma0 - 1.0, so bit for bit, and a
     quadrature rule's points cost no array beyond those of
     :meth:`DampingField.effective` and the weighting."""
     def integrand(points):
@@ -633,6 +636,7 @@ def weyl_coefficient(surface, field):
         gamma0 -= 1.0
         return gamma0
 
+    field.effective_range(surface)
     # refused below, so numpy need not warn of the overflow
     with np.errstate(all="ignore"):
         value = float(surface.integrate(integrand)) / (4.0 * np.pi)
@@ -855,7 +859,7 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
         fitted_exponent=exponent,
         exponent_reason=exponent_reason,
         stability_delta=stability_delta,
-        gamma_label=getattr(field, "kind", ""),
+        gamma_label=field.kind,
         basis_source=basis.source,
     )
 
@@ -888,9 +892,6 @@ class ProbeReport:
     @property
     def min_slope(self):
         return min((e.slope for e in self.events), default=None)
-
-    def passed(self):
-        return not self.violations
 
 
 def _block_slopes(basis, operator, h):

@@ -1,17 +1,14 @@
 """Damping coefficient fields on closed surfaces.
 
-A field stores the coefficient either directly or (``invert=True``) as the
-pointwise reciprocal of a stored base profile.  The effective coefficient
-``max(gamma, 1/gamma)`` is always computed from the base values, so a field
-and its pointwise reciprocal yield bit-identical effective values -- the two
-damping regimes are exactly symmetric downstream.
+A field stores its base profile gamma as given: a field below one is given
+by its own values (say ``affine:0.5,0.3,z``).  Every count reads the
+effective coefficient ``max(gamma, 1/gamma)`` of the base values, so the
+below-one regime is the above-one regime of the pointwise reciprocal.
 """
 
 import numpy as np
 
 from ..errors import InvalidFieldError, UsageError
-
-KINDS = ("constant", "affine", "vertex-table")
 
 
 def _finite(value, what):
@@ -24,64 +21,51 @@ def _finite(value, what):
 class DampingField:
     """Scalar damping coefficient gamma on a surface.
 
-    Kinds
-    -----
-    constant
-        ``gamma(x) = value`` (or ``1/value`` with ``invert``).
-    affine
-        base profile ``offset + slope * <axis, x>`` with a unit axis;
-        ``invert`` takes the pointwise reciprocal of that profile.
-    vertex-table
+    Kinds, one constructor each
+    ---------------------------
+    :meth:`constant`
+        ``gamma(x) = value``.
+    :meth:`affine`
+        base profile ``offset + slope * <axis, x>`` with a unit axis.
+    :meth:`vertex_table`
         one base value per mesh vertex.
 
     The field must be strictly positive and stay strictly on one side of 1;
-    a coefficient touching 1 anywhere is rejected.  ``invert`` is taken and
-    not stored: the effective coefficient max(gamma, 1/gamma) comes from
-    the base alone, so ``invert`` cannot change it, nor any count.
+    a coefficient touching 1 anywhere is rejected.  Every constructor takes
+    an ``invert`` keyword and ignores it: the effective coefficient
+    max(gamma, 1/gamma) comes from the base alone, so ``invert`` could not
+    change it, nor any count.
     """
 
-    def __init__(self, kind, *, value=None, offset=None, slope=None,
-                 axis=None, table=None, invert=False):
-        if kind not in KINDS:
-            raise UsageError(f"unknown damping field kind {kind!r}")
+    def __init__(self, kind, **params):
+        """A field of ``kind`` with its checked parameters, as one of the
+        constructors builds it."""
         self.kind = kind
-        if kind == "constant":
-            if value is None:
-                raise UsageError("constant field needs a value")
-            self.value = _finite(value, "constant field value")
-        elif kind == "affine":
-            if offset is None or slope is None or axis is None:
-                raise UsageError("affine field needs offset, slope and axis")
-            self.offset = _finite(offset, "affine offset")
-            self.slope = _finite(slope, "affine slope")
-            axis = np.asarray(axis, dtype=float)
-            norm = np.linalg.norm(axis)
-            if axis.shape != (3,) or not 0.0 < norm < np.inf:
-                raise UsageError(
-                    "affine axis must be a finite nonzero 3-vector")
-            self.axis = axis / norm
-        else:
-            if table is None:
-                raise UsageError("vertex-table field needs a value table")
-            self.table = np.asarray(table, dtype=float)
-            if self.table.ndim != 1 or len(self.table) == 0:
-                raise UsageError("vertex table must be a nonempty 1-d array")
-            if not np.all(np.isfinite(self.table)):
-                raise UsageError("vertex table entries must be finite")
+        vars(self).update(params)
 
-    # convenience constructors -----------------------------------------
+    # constructors, one per kind ----------------------------------------
     @classmethod
     def constant(cls, value, invert=False):
-        return cls("constant", value=value, invert=invert)
+        return cls("constant", value=_finite(value, "constant field value"))
 
     @classmethod
     def affine(cls, offset, slope, axis, invert=False):
-        return cls("affine", offset=offset, slope=slope, axis=axis,
-                   invert=invert)
+        offset = _finite(offset, "affine offset")
+        slope = _finite(slope, "affine slope")
+        axis = np.asarray(axis, dtype=float)
+        norm = np.linalg.norm(axis)
+        if axis.shape != (3,) or not 0.0 < norm < np.inf:
+            raise UsageError("affine axis must be a finite nonzero 3-vector")
+        return cls("affine", offset=offset, slope=slope, axis=axis / norm)
 
     @classmethod
     def vertex_table(cls, table, invert=False):
-        return cls("vertex-table", table=table, invert=invert)
+        table = np.asarray(table, dtype=float)
+        if table.ndim != 1 or len(table) == 0:
+            raise UsageError("vertex table must be a nonempty 1-d array")
+        if not np.all(np.isfinite(table)):
+            raise UsageError("vertex table entries must be finite")
+        return cls("vertex-table", table=table)
 
     # evaluation --------------------------------------------------------
     def base_values(self, points):

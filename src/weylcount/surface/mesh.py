@@ -165,11 +165,9 @@ class SurfaceMesh:
         return out
 
     def integrate(self, f):
-        """Lumped vertex-rule integral of ``f`` (callable on points or array)."""
-        if callable(f):
-            values = np.asarray(f(self.vertices), dtype=float)
-        else:
-            values = np.asarray(f, dtype=float)
+        """Lumped vertex-rule integral of ``f(points) -> values``; a scalar
+        value stands for that value at every vertex."""
+        values = np.asarray(f(self.vertices), dtype=float)
         values = np.broadcast_to(values, (len(self.vertices),))
         return float(np.dot(self.vertex_areas(), values))
 

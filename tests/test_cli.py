@@ -141,6 +141,29 @@ def test_mesh_only_flags_need_mesh(capsys, tmp_path, monkeypatch, argv,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--r-min", "1", "--r-max", "2", "--output", "out"),
+    ("count", "--r", "1"),
+])
+def test_max_degree_is_refused_on_mesh_runs(capsys, tmp_path, monkeypatch,
+                                            argv):
+    # the degree shapes only the exact basis, so a mesh run would ignore it;
+    # it is refused before any mesh is built or the cache is read
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the spectrum cache was read")
+
+    _forbid_mesh_builds(monkeypatch)
+    monkeypatch.setattr(cli, "cached_mesh_spectrum", forbidden)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--mesh", "icosphere:1", "--modes",
+                         "10", "--max-degree", "10", "--cache-dir", "cache")
+    assert code == 64
+    assert out == ""
+    assert err == "usage error: --max-degree applies only to exact-sphere " \
+                  "runs\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_spectrum_mesh_needs_count(capsys):
     code, _, err = run(capsys, "spectrum", "--mesh", "icosphere:2")
     assert code == 64
@@ -369,6 +392,43 @@ def test_only_mesh_reports_echo_the_solver_tolerance(tmp_path, capsys):
                 assert echoed["tol"] == 1e-7
             else:
                 assert "tol" not in echoed
+
+
+MESH_BASIS = ("--mesh", "icosphere:2", "--modes", "60", "--cache-dir",
+              "cache")
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--gamma", "affine:2,0.5,z", "--r-min", "5", "--r-max", "8",
+     "--steps", "2", "--output", "out"),
+    ("scan", "--r-min", "1.2", "--r-max", "1.5", "--steps", "2", "--output",
+     "out") + MESH_BASIS,
+    ("count", "--gamma", "0.4", "--r", "5", "--max-degree", "20"),
+    ("count", "--r", "1.5") + MESH_BASIS,
+    ("weyl", "--gamma", "affine:2,0.5,x", "--r", "16"),
+    ("verify-symbols", "--surface", "ellipsoid:2,1,1", "--samples", "20"),
+], ids=["scan", "scan-mesh", "count", "count-mesh", "weyl",
+        "verify-symbols"])
+def test_config_echoes_every_declared_option(tmp_path, capsys, monkeypatch,
+                                             argv):
+    # a report's config is read off the command's parser: every option it
+    # declares is echoed with its value, bar the locations (--config,
+    # --output, --cache-dir), --tol on exact runs and options left None
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    echoed = json.loads(pathlib.Path("out", "report.json").read_text(
+        encoding="utf-8") if argv[0] == "scan" else out)["config"]
+    args = cli.build_parser().parse_args(argv)
+    skipped = {"help", "config", "output", "cache_dir"}
+    if "--mesh" not in argv:
+        skipped.add("tol")
+    declared = {action.dest for action in args._parser._actions} - skipped
+    assert echoed == {dest.replace("_", "-"): getattr(args, dest)
+                      for dest in declared
+                      if getattr(args, dest) is not None}
+    assert ("max-degree" in echoed) == (argv[0] == "count"
+                                        and "--mesh" not in argv)
 
 
 def test_scan_gate_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -739,6 +799,17 @@ def test_field_touching_one_is_precondition_failure(capsys):
     assert "1" in err
 
 
+@pytest.mark.parametrize("gamma", ["1.0", "affine:1.2,0.5,z",
+                                   "affine:0.2,0.2,z", "affine:0.5,1,z"])
+def test_weyl_refuses_the_fields_count_refuses(capsys, gamma):
+    # weyl passes the same range gate as count, so a field touching 1 or 0
+    # somewhere gets no coefficient, even where the rule has no node there
+    weyl = run(capsys, "weyl", "--gamma", gamma)
+    count = run(capsys, "count", "--gamma", gamma, "--r", "5")
+    assert weyl == count
+    assert weyl[0] == 2 and weyl[1] == ""
+
+
 # ----------------------------------------------------------------------
 # verify-symbols
 # ----------------------------------------------------------------------
@@ -942,6 +1013,14 @@ def _strict_json(text):
     # mesh nodes whose scaled squares overflow lie off the surface
     (("scan", "--surface", "ellipsoid:1e-300,1,1", "--mesh", "icosphere:1",
       "--modes", "10", "--r-min", "1", "--r-max", "2"), 64),
+    # a field touching 1, or reaching 0 where the rule has no node
+    (("weyl", "--gamma", "affine:1.2,0.5,z"), 2),
+    (("weyl", "--gamma", "affine:0.2,0.2,z"), 2),
+    # an exact-sphere degree on a mesh run, which it would not shape
+    (("scan", "--mesh", "icosphere:1", "--modes", "10", "--max-degree", "10",
+      "--r-min", "1", "--r-max", "2"), 64),
+    (("count", "--mesh", "icosphere:1", "--modes", "10", "--max-degree", "10",
+      "--r", "1"), 64),
 ])
 def test_every_exit_keeps_the_contract(capsys, tmp_path, monkeypatch, argv,
                                        expected):

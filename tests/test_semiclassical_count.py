@@ -14,6 +14,7 @@ from weylcount import semiclassical_count
 from weylcount.errors import (
     DomainError,
     InsufficientSpectrumError,
+    InvalidFieldError,
     UsageError,
 )
 from weylcount.lb_spectrum import (
@@ -876,6 +877,19 @@ def test_weyl_integrand_holds_two_rule_arrays(sphere, tilted):
 def test_weyl_vanishes_toward_one(sphere):
     barely = DampingField.constant(1.0 + 1e-9)
     assert weyl_coefficient(sphere, barely) < 1e-6
+
+
+@pytest.mark.parametrize("field", [
+    DampingField.affine(1.2, 0.5, (0.0, 0.0, 1.0)),
+    DampingField.affine(0.2, 0.2, (0.0, 0.0, 1.0)),
+], ids=["touches-one", "reaches-zero"])
+def test_weyl_coefficient_refuses_what_counts_refuse(sphere, field):
+    # the product rule has no node where these fields touch 1 or vanish, so
+    # only the range gate every count passes tells them from a valid field
+    with pytest.raises(InvalidFieldError):
+        constants_for(field, sphere)
+    with pytest.raises(InvalidFieldError):
+        weyl_coefficient(sphere, field)
 
 
 def test_weyl_rejects_nonpositive_radius(sphere, gamma_two):
