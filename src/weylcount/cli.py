@@ -11,11 +11,13 @@ Six commands wire the library into a scriptable pipeline:
 
 Exit codes: 0 success, 2 resource/precondition failure, 3 invariant-gate
 failure, 64 usage error.  Each option is declared once, with its default,
-in :func:`build_parser`.  Options may also be supplied through a flat
-``key = value`` config file (``--config``), whose keys are option dests;
-its values become the command's defaults, so explicit flags win.  A
-report's ``config`` echoes what :func:`build_parser` declares for its
-command, so an option added there is echoed with no further edit.
+in :func:`build_parser`; only ``spectrum`` applies its exact degree, 10,
+itself, so that a ``--mesh`` run can refuse any ``--max-degree``.  Options
+may also be supplied through a flat ``key = value`` config file
+(``--config``), whose keys are option dests; its values become the
+command's defaults, so explicit flags win.  A report's ``config`` echoes
+what :func:`build_parser` declares for its command, so an option added
+there is echoed with no further edit.
 """
 
 import argparse
@@ -393,6 +395,8 @@ def cmd_spectrum(args):
                              "spectrum; it cannot be combined with --mesh")
         if args.count is None:
             raise UsageError("--mesh needs --count (number of modes)")
+        if args.max_degree is not None:
+            raise UsageError("--max-degree applies only to exact-sphere runs")
         basis, hit = cached_mesh_spectrum(
             resolve_mesh(args.mesh), args.count, tol=args.tol,
             directory=args.cache_dir, seed=args.seed)
@@ -403,8 +407,9 @@ def cmd_spectrum(args):
               % (basis.area, basis.trusted_horizon, basis.residual))
     else:
         _require_exact_basis(args, surface, "--count")
-        _require_exact_degree(args.max_degree)
-        basis = exact_sphere_spectrum(args.max_degree)
+        degree = 10 if args.max_degree is None else args.max_degree
+        _require_exact_degree(degree)
+        basis = exact_sphere_spectrum(degree)
         print("%d modes, top lambda = %g" % (basis.mode_count, basis.top))
         print("area = %.12g, trusted horizon = %.12g"
               % (basis.area, basis.trusted_horizon))
@@ -573,18 +578,16 @@ def _add_field(sub):
                      help="constant VALUE, affine:OFFSET,SLOPE,AXIS, "
                           "or table:PATH (default %(default)s)")
     sub.add_argument("--invert", action="store_true",
-                     help="take the reciprocal field 1/gamma; the "
-                          "effective coefficient max(gamma, 1/gamma) is the "
-                          "same, so no count changes, and reports differ "
-                          "only in config.invert")
+                     help="accepted and changes no computation; it "
+                          "appears only as config.invert in a report")
 
 
-def _add_basis(sub, modes_flag, max_degree=None):
-    """Exact sphere or mesh FEM basis; the FEM mode count is modes_flag."""
+def _add_basis(sub, modes_flag, degree_default="auto"):
+    """Exact sphere or mesh FEM basis; the FEM mode count is modes_flag.
+    An absent --max-degree is None, so a --mesh run can refuse any value."""
     sub.add_argument("--max-degree", type=_nonnegative_int,
-                     default=max_degree,
                      help="exact sphere basis degree (default %s)"
-                          % ("auto" if max_degree is None else max_degree))
+                          % degree_default)
     sub.add_argument("--mesh", help="icosphere:LEVEL or an OFF file")
     sub.add_argument(modes_flag, type=_positive_int,
                      help="number of FEM modes for --mesh runs")
@@ -619,7 +622,7 @@ def build_parser():
     _add_surface(spectrum)
     spectrum.add_argument("--exact", action="store_true",
                           help="require the closed-form sphere spectrum")
-    _add_basis(spectrum, "--count", max_degree=10)
+    _add_basis(spectrum, "--count", degree_default=10)
 
     scan_cmd = _add_command(commands, "scan", cmd_scan,
                             "count negative modes over an r grid")

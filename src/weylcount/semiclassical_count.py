@@ -276,7 +276,7 @@ def _squared_rows(couplings, rows):
         # row n holds orders 0..n - 1, the rows one run after another
         orders = np.arange(ends[-1]) - np.repeat(ends - degrees, degrees)
         squares = np.square(couplings(np.repeat(degrees, degrees), orders))
-        for n, end in zip(degrees, ends):
+        for n, end in zip(degrees.tolist(), ends.tolist()):
             yield squares[end - n:end]
 
 
@@ -301,6 +301,14 @@ def _running_counts(family, multiplicity, last, zero_tol):
     s = zero_tol and -tiny at s = -zero_tol, so an eigenvalue exactly at
     -zero_tol is not counted below it and one exactly at zero_tol is
     counted within it.
+
+    A row costs five array calls: quotients, pivots, one tie check (the
+    zero mask is built only for a tie), the negative pivots as 0/1 floats,
+    and their dgemv with the multiplicities.  Row 2j + i of the tables is
+    member j at shift i, so the members still swept are the trailing rows.
+    The pivots start zero-filled, and order n's column is first written at
+    row n.  Float row counts are exact: at most the sum of the
+    multiplicities, far below 2^53.
 
     A dual family counts the model D - P^-1 + s I by the inertia of its
     dual at the same shift, P - (D + s)^-1, whose diagonal is
@@ -345,13 +353,13 @@ def _running_counts(family, multiplicity, last, zero_tol):
         raise ValueError("need one ascending last degree per batch member")
     last = np.asarray(last)
     # the first member still swept at row n; the members after it are too
-    first = np.searchsorted(last, np.arange(last[-1] + 1))
+    first = np.searchsorted(last, np.arange(last[-1] + 1)).tolist()
     rows = len(first)
-    shifts = np.array([zero_tol, -zero_tol])[:, None, None]
+    shifts = np.array([zero_tol, -zero_tol])
 
     def by_row(array):
-        """(rows, 1, members, 1): row n of every member."""
-        return array.reshape(-1, len(family)).T[:rows, None, :, None]
+        """(rows, members, 1): row n of every member."""
+        return array.reshape(-1, len(family)).T[:rows, :, None]
 
     outright = 0
     if family.dual is None:
@@ -363,44 +371,52 @@ def _running_counts(family, multiplicity, last, zero_tol):
         with np.errstate(divide="ignore"):
             shifted = by_row(family.diagonal) + (1.0 / model - 1.0 / moved)
         # row n lies in the blocks through it, multiplicity[:n + 1]
-        outright = ((moved < 0.0)[..., 0].transpose(1, 2, 0)
+        outright = ((moved < 0.0).transpose(2, 1, 0)
                     * np.cumsum(multiplicity)[:rows])
-    members = shifted.shape[2]
+    members = shifted.shape[1]
     # floor[n, j]: the smallest shifted diagonal of member j over both
     # shifts and its rows n..last, +inf past its last row
-    lowest = shifted.min(axis=1)[..., 0]
+    lowest = shifted.min(axis=2)
     lowest[np.arange(rows)[:, None] > last] = np.inf
     lowest = np.vstack([lowest, np.full(members, np.inf)])
     floor = np.minimum.accumulate(lowest[::-1], axis=0)[::-1]
-    pivots = np.empty((2, members, rows))
-    fresh = np.zeros((2, members, rows), dtype=np.int64)
-    ties = np.array([[[1.0]], [[-1.0]]]) * np.finfo(float).tiny
+    # row 2j + i is member j at shift i
+    shifted = shifted.reshape(rows, 2 * members, 1)
+    pivots = np.zeros((2 * members, rows))
+    negative = np.empty((2 * members, rows))
+    weights = np.asarray(multiplicity[:rows], dtype=float)
+    fresh = np.zeros((rows, 2 * members))
+    ties = np.tile([1.0, -1.0], members)[:, None] * np.finfo(float).tiny
     square_bound = family.bound * family.bound
     certified = 0
     # a tiny pivot overflows the next quotient to inf, whose pivot is then
-    # -inf, counted negative, and the pivot after it finite again
-    with np.errstate(over="ignore"):
+    # -inf, counted negative, and the pivot after it finite again; ties are
+    # replaced before any pivot divides, so only K / x divides by zero
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for n, squares in enumerate(_squared_rows(family.couplings, rows)):
             start = max(first[n], certified)
             if start == members:
                 break
-            head = pivots[:, start:, :n + 1]
-            np.divide(squares, head[..., :n], out=head[..., :n])
-            head[..., n] = 0.0
-            np.subtract(shifted[n, :, start:], head, out=head)
-            zero = head == 0.0
-            if zero.any():
-                np.copyto(head, ties, where=zero)
-            fresh[:, start:, n] = (head < 0.0) @ multiplicity[:n + 1]
-            if n % CERTIFY_STRIDE == CERTIFY_STRIDE - 1:
+            head = pivots[2 * start:, :n + 1]
+            np.divide(squares, head[:, :n], out=head[:, :n])
+            np.subtract(shifted[n, 2 * start:], head, out=head)
+            if not head.all():
+                np.copyto(head, ties[2 * start:], where=head == 0.0)
+            below = np.less(head, 0.0, out=negative[2 * start:, :n + 1])
+            np.matmul(below, weights[:n + 1], out=fresh[n, 2 * start:])
+            # while the first member's sigma <= 0, no member can leave
+            if (n % CERTIFY_STRIDE == CERTIFY_STRIDE - 1
+                    and floor[n + 1, start] > 0.0):
                 sigma = floor[n + 1, start:]
-                x = np.minimum(head.min(axis=(0, 2)), 0.5 * sigma)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    proved = (x > 0.0) & (sigma - square_bound / x >= x)
+                x = np.minimum(head.reshape(-1, 2, n + 1).min(axis=(1, 2)),
+                               0.5 * sigma)
+                proved = (x > 0.0) & (sigma - square_bound / x >= x)
                 # the first member past the leading certified run
-                certified = start + int(np.argmin(np.append(proved, False)))
-    fresh += outright
-    return np.cumsum(fresh, axis=-1)
+                certified = start + (len(proved) if proved.all()
+                                     else int(proved.argmin()))
+    counts = fresh.reshape(rows, members, 2).T.astype(np.int64)
+    counts += outright
+    return np.cumsum(counts, axis=-1)
 
 
 def _require_tolerance(zero_tol):
@@ -463,7 +479,7 @@ def _last_cluster(basis, field, constants, h, cut_factor):
             f"{basis.trusted_horizon:.6g}")
     # need is finite and the basis top is its last cluster value, so the
     # threshold is at most that value and the index is always a cluster
-    return int(np.searchsorted(basis.values, min(need, basis.top)))
+    return int(basis.values.searchsorted(min(need, basis.top)))
 
 
 def _sphere_affine(basis, field, surface):
@@ -797,9 +813,12 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     exact sphere, along any axis, above one or below, are members of one
     batch, one per radius, and one :func:`_running_counts` sweep takes each
     member through the degree of its widest cut once: every count, primary
-    and recount, is one index into its table.  Any other section is built
-    from the plan and counted by :func:`count_negative`: constant damping
-    from the basis clusters alone, a mesh basis as one F-ordered block per
+    and recount, is one index into its table.  Constant damping builds no
+    section: per radius its cluster values, computed as :func:`_section`
+    computes them, ascend, since every rounding step is nondecreasing, so
+    binary search finds the clusters below -zero_tol and up to zero_tol.
+    Any other section is built from the plan and counted by
+    :func:`count_negative`: a mesh basis as one F-ordered block per
     reflection class the field does not mix, from the class Gram matrices
     formed once at the widest cut.  A dense primary section is factored at
     +-zero_tol, and a dense recount, of which the report reads only the
@@ -824,17 +843,31 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
         pass
     last = np.array(last)
 
+    # each radius's widest cut
+    widest = last.max(axis=0)
     affine = _sphere_affine(basis, field, surface)
     if affine is not None:
         # one batch member per radius, swept through its widest cut's degree
-        widest = last.max(axis=0)
         table = _running_counts(*_polar_family(*affine, h_grid[:, None],
                                                widest[-1]), widest, zero_tol)
         below, up_to = table[:, np.arange(len(h_grid)), last]
         within = up_to - below
+    elif field.kind == "constant":
+        _require_tolerance(zero_tol)
+        gamma0 = field.effective_range(surface)[0]
+        # modes through each cluster, after none
+        ends = np.append(0, basis.ends)
+        counts = np.empty((2,) + last.shape, dtype=ends.dtype)
+        for i, (h, top) in enumerate(zip(h_grid, widest.tolist())):
+            # _section's values, ascending: both counts are leading runs
+            values = np.sqrt(1.0 + h * h * basis.values[:top + 1]) - gamma0
+            split = np.array([[values.searchsorted(-zero_tol)],
+                              [values.searchsorted(zero_tol, "right")]])
+            counts[..., i] = ends[np.minimum(split, last[:, i] + 1)]
+        below, up_to = counts
+        within = up_to - below
     else:
-        grams = None if field.kind == "constant" \
-            else _damping_gram(basis, field, int(np.max(last)))
+        grams = _damping_gram(basis, field, int(np.max(last)))
         counts = [[count_negative(_section(basis, field, surface, h, degree,
                                            grams),
                                   # no report reads a recount's borderline

@@ -52,6 +52,16 @@ def test_spectrum_exact(capsys):
     assert "121 modes, top lambda = 110" in out
 
 
+def test_spectrum_degree_defaults_to_ten(capsys):
+    # --max-degree parses to None when not given, so that a --mesh run can
+    # refuse it; an exact run without it still takes degree 10
+    outputs = [run(capsys, "spectrum", *degree)
+               for degree in ((), ("--max-degree", "10"))]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert "121 modes, top lambda = 110" in outputs[0][1]
+
+
 def test_spectrum_mesh_cache(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     argv = ("spectrum", "--mesh", "icosphere:2", "--count", "20",
@@ -142,8 +152,10 @@ def test_mesh_only_flags_need_mesh(capsys, tmp_path, monkeypatch, argv,
 
 
 @pytest.mark.parametrize("argv", [
-    ("scan", "--r-min", "1", "--r-max", "2", "--output", "out"),
-    ("count", "--r", "1"),
+    ("scan", "--r-min", "1", "--r-max", "2", "--output", "out", "--modes",
+     "10"),
+    ("count", "--r", "1", "--modes", "10"),
+    ("spectrum", "--count", "10"),
 ])
 def test_max_degree_is_refused_on_mesh_runs(capsys, tmp_path, monkeypatch,
                                             argv):
@@ -155,8 +167,8 @@ def test_max_degree_is_refused_on_mesh_runs(capsys, tmp_path, monkeypatch,
     _forbid_mesh_builds(monkeypatch)
     monkeypatch.setattr(cli, "cached_mesh_spectrum", forbidden)
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *argv, "--mesh", "icosphere:1", "--modes",
-                         "10", "--max-degree", "10", "--cache-dir", "cache")
+    code, out, err = run(capsys, *argv, "--mesh", "icosphere:1",
+                         "--max-degree", "10", "--cache-dir", "cache")
     assert code == 64
     assert out == ""
     assert err == "usage error: --max-degree applies only to exact-sphere " \
@@ -1021,6 +1033,8 @@ def _strict_json(text):
       "--r-min", "1", "--r-max", "2"), 64),
     (("count", "--mesh", "icosphere:1", "--modes", "10", "--max-degree", "10",
       "--r", "1"), 64),
+    (("spectrum", "--mesh", "icosphere:2", "--count", "20", "--max-degree",
+      "40"), 64),
 ])
 def test_every_exit_keeps_the_contract(capsys, tmp_path, monkeypatch, argv,
                                        expected):

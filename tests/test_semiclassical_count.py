@@ -639,6 +639,44 @@ def test_late_negative_diagonals_block_the_exit(sphere):
     assert count_negative(operator).negative == 45
 
 
+def test_sweep_weighs_any_multiplicity_and_exact_ties():
+    # multiplicities 3 and 5, not only the polar 1s and 2s, in a batch whose
+    # members stop at different degrees, and exact zero pivots at both
+    # shifts: decoupled rows planted at +-zero_tol and 0, and at rows 25-26
+    # the block [[3/4, 1], [1, 3/4]], whose second pivot at zero_tol 1/4 is
+    # 1 - 1/1 = 0 in every order through it.  Row counts are exact float
+    # sums, and each order's slot enters its first row as zero
+    tol, size = 0.25, 32
+    rng = np.random.default_rng(11)
+    diagonal = rng.standard_normal((4, size)) + 0.4 * np.arange(size)
+    off_diagonal = 0.3 * rng.standard_normal(size * (size - 1) // 2)
+    rows = np.repeat(np.arange(size), np.arange(size))
+    for n in (3, 11, 20, 24):
+        off_diagonal[(rows == n) | (rows == n + 1)] = 0.0
+    diagonal[:, 3] = tol
+    diagonal[:, 11] = -tol
+    diagonal[:, 20] = [tol, -tol, 0.0, tol]
+    diagonal[:, 25:27] = 0.75
+    off_diagonal[rows == 26] = 1.0
+    multiplicity = np.where(np.arange(size) % 2 == 0, 3, 5)
+    for bound in (np.inf, float(np.max(np.abs(off_diagonal)))):
+        family = TridiagonalFamily(diagonal, stored(off_diagonal),
+                                   bound=bound)
+        for last in ([31, 31, 31, 31], [4, 12, 26, 31]):
+            table = semiclassical_count._running_counts(
+                family, multiplicity, last, tol)
+            assert np.array_equal(
+                table, full_recurrence(family, multiplicity, last, tol))
+            # a tie at -zero_tol is within it, and one at zero_tol is not
+            # below -zero_tol: every member's borderline grows at row 3
+            below, up_to = table[:, :, 3] - table[:, :, 2]
+            assert np.all(up_to - below >= multiplicity[3])
+    lone = TridiagonalFamily(diagonal[0], stored(off_diagonal))
+    operator = GalerkinOperator(0, [(lone, multiplicity)])
+    assert count_negative(operator, zero_tol=tol) \
+        == eigvalsh_count(operator, zero_tol=tol)
+
+
 def test_sweep_leaves_once_every_later_row_is_certified(sphere, monkeypatch):
     # the z batch of the axis-blocks benchmark workload sweeps at most 65%
     # of its rows; without a bound the same batch sweeps all of them, to
@@ -1652,6 +1690,45 @@ def test_polar_scan_counts_each_section_from_one_sweep(sphere, monkeypatch):
             delta = max(delta, abs(count_negative(recount).negative
                                    - count_negative(primary).negative))
         assert report.stability_delta == delta
+
+
+@pytest.mark.parametrize("gamma", [2.0, 0.5])
+@pytest.mark.parametrize("size, radii", [(40, [4.0, 6.0, 8.0]),
+                                         (-40, [0.8, 1.0, 1.2])],
+                         ids=["sphere", "mesh"])
+def test_constant_scan_counts_from_cluster_values(sphere, monkeypatch, gamma,
+                                                  size, radii):
+    # a constant scan builds and counts no section: its counts, primary and
+    # recount, are those of the sections build_operator gives at each radius
+    # and cut, also where zero_tol is planted exactly on |value| of a cluster
+    # below zero (strictly below -zero_tol fails) or of one above (up to
+    # zero_tol holds).  gamma 0.5 is the effective 2.  A negative size is a
+    # mesh basis of that many icosphere:2 modes
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a scan built or counted a section of its own")
+
+    basis = exact_sphere_spectrum(size) if size > 0 \
+        else solve_lowest(assemble_fem(icosphere(2)), -size)
+    field = DampingField.constant(gamma)
+    h = 1.0 / radii[1]
+    values = np.sqrt(1.0 + h * h * basis.values) - 2.0
+    tolerances = [ZERO_TOL, -values[values < 0.0][-1],
+                  values[values > 0.0][0]]
+    for zero_tol in tolerances:
+        for name in ("_section", "count_negative", "build_operator"):
+            monkeypatch.setattr(semiclassical_count, name, forbidden)
+        report = scan(sphere, field, radii, basis, zero_tol=zero_tol)
+        monkeypatch.undo()
+        delta = 0
+        for i, r in enumerate(radii):
+            primary, recount = (count_negative(build_operator(
+                basis, field, 1.0 / r, surface=sphere, cut_factor=factor),
+                zero_tol=zero_tol) for factor in (2.0, 2.0 * STABILITY_FACTOR))
+            assert (report.n_scalar[i], report.borderline[i]) == primary
+            delta = max(delta, abs(recount.negative - primary.negative))
+        assert report.stability_delta == delta
+        # the planted cluster lies within the tolerance at radii[1]
+        assert report.borderline[1] > 0 or zero_tol == ZERO_TOL
 
 
 @pytest.mark.parametrize("field, size, radii, recounts", [
