@@ -26,6 +26,24 @@ POLAR_MARGIN = 0.1                      # polar caps excluded from each chart
 SphereGrid = namedtuple("SphereGrid", ["z", "phi", "nodes", "mass"])
 
 
+def _cross(a, b):
+    """Cross product of 3-vectors over the last axis of two arrays.
+
+    np.cross's arithmetic, broadcast alike, in the same promoted dtype and
+    with the same bits: component k is a[k+1] b[k+2] - a[k+2] b[k+1]
+    (indices mod 3), one product written into the output and the other
+    subtracted from it.  It skips np.cross's axis handling, which is most of
+    its cost on small batches.
+    """
+    out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        component = out[..., k]
+        np.multiply(a[..., i], b[..., j], out=component)
+        np.subtract(component, a[..., j] * b[..., i], out=component)
+    return out
+
+
 def sphere_grid(degree):
     """Product quadrature on the unit sphere.
 
@@ -103,9 +121,12 @@ class Chart:
         self._scale = np.asarray(axes, dtype=float) * signs
 
     def _place(self, components):
-        """axes * P applied to the three components of a sphere vector."""
-        return np.stack([components[i] for i in self._order],
-                        axis=-1) * self._scale
+        """axes * P applied to the three components of a sphere vector,
+        each component scaled straight into its column of the output."""
+        out = np.empty(np.shape(components[0]) + (3,))
+        for k, (i, scale) in enumerate(zip(self._order, self._scale)):
+            np.multiply(components[i], scale, out=out[..., k])
+        return out
 
     def _evaluate(self, u, v, tangents=True):
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
@@ -166,7 +187,7 @@ class Chart:
         """
         point, tu, tv = self._evaluate(u, v)
         e, f, g, det = self._gram(tu, tv)
-        normal = np.cross(tu, tv)
+        normal = _cross(tu, tv)
         normal = normal / np.linalg.norm(normal, axis=-1)[..., None]
         eu = (g[..., None] * tu - f[..., None] * tv) / det[..., None]
         ev = (-f[..., None] * tu + e[..., None] * tv) / det[..., None]

@@ -14,6 +14,11 @@ magnetic sides.
 ``identity_suite`` checks all of the algebraic identities over a seeded
 batch of random samples in one pass of array operations and reports the
 worst residual per identity; the CLI exposes it as ``verify-symbols``.
+
+A batch evaluates ``Chart.frames`` (point, normal and dual frame) once per
+chart group, and ``chart_transfer`` hands the moved batch the target frames
+its Jacobian already used.  Cross products go through the charts' helper
+with ``np.cross``'s arithmetic and bits but none of its axis handling.
 """
 
 from dataclasses import dataclass
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchError, UsageError
-from .surface.charts import Chart
+from .surface.charts import Chart, _cross
 
 SAMPLE_SEED = 42
 DEFAULT_SAMPLES = 1000
@@ -88,9 +93,12 @@ class CotangentSample:
         shape = self.chart_index.shape
         self.x = np.asarray(x, dtype=float).reshape(shape + (2,))
         self.xi = np.asarray(xi, dtype=float).reshape(shape + (2,))
-        self.point, self.nu, dual_u, dual_v = _per_chart(
-            surface.charts, self.chart_index, self.x, Chart.frames,
-            (3,), (3,), (3,), (3,))
+        self._set_frames(*_per_chart(surface.charts, self.chart_index, self.x,
+                                     Chart.frames, (3,), (3,), (3,), (3,)))
+
+    def _set_frames(self, point, nu, dual_u, dual_v):
+        """Take ``Chart.frames`` at ``x``; derive beta and r0 from them."""
+        self.point, self.nu = point, nu
         self.beta = self.xi[..., 0:1] * dual_u + self.xi[..., 1:2] * dual_v
         self.r0 = _dot(self.beta, self.beta)
 
@@ -172,7 +180,7 @@ def eigenstructure(sample):
     b = _unit_beta(sample, "eigenstructure")
     return [
         (0.0, sample.nu),
-        (0.0, np.cross(sample.nu, b)),
+        (0.0, _cross(sample.nu, b)),
         (sample.r0, b),
     ]
 
@@ -180,7 +188,7 @@ def eigenstructure(sample):
 def diagonalizing_frame(sample):
     """Orthogonal U with columns [nu | nu x b | b]; U^T B U = diag(0, 0, r0)."""
     b = _unit_beta(sample, "frame")
-    return np.stack([sample.nu, np.cross(sample.nu, b), b], axis=-1)
+    return np.stack([sample.nu, _cross(sample.nu, b), b], axis=-1)
 
 
 def principal_m(sample, z):
@@ -251,10 +259,10 @@ class TransportPrincipal:
         nu = self.sample.nu
         psi0 = self.psi0
         z = _col(self.z)
-        res_a = np.cross(psi0, self.a00) - z * self.b00
-        res_b = np.cross(psi0, self.b00) + z * self.a00
+        res_a = _cross(psi0, self.a00) - z * self.b00
+        res_b = _cross(psi0, self.b00) + z * self.a00
         driven = self.a00 if self.side == "electric" else self.b00
-        res_data = np.cross(nu, driven) - self.g
+        res_data = _cross(nu, driven) - self.g
         return {
             "transport-a": _max_abs(res_a),
             "transport-b": _max_abs(res_b),
@@ -281,14 +289,14 @@ def transport_principal(sample, z, g, side="electric"):
     beta = sample.beta.astype(complex)
     psi0 = _col(rho) * nu - beta
 
-    nu_cross_g = np.cross(nu, g)
-    driven = -nu_cross_g + _col(_dot(nu, np.cross(beta, g)) / rho) * nu
+    nu_cross_g = _cross(nu, g)
+    driven = -nu_cross_g + _col(_dot(nu, _cross(beta, g)) / rho) * nu
     if side == "electric":
         a00 = driven
-        b00 = np.cross(psi0, a00) / _col(z)
+        b00 = _cross(psi0, a00) / _col(z)
     else:
         b00 = driven
-        a00 = -np.cross(psi0, b00) / _col(z)
+        a00 = -_cross(psi0, b00) / _col(z)
     return TransportPrincipal(sample, z, g, side, a00, b00)
 
 
@@ -309,7 +317,9 @@ def chart_transfer(sample, other_index):
     frame at the image with the source's tangents at the sample, J[i, j] =
     <e_i, t_j>; covector components transform with its inverse transpose.
     The result's beta and r0 must match the original's (global
-    invariance), which the identity suite checks.
+    invariance), which the identity suite checks.  The target frames that
+    give the Jacobian also give ``moved`` its point, normal and beta, so the
+    target charts are evaluated once per group.
     """
     charts = sample.surface.charts
     source_index = sample.chart_index.reshape(-1)
@@ -319,6 +329,7 @@ def chart_transfer(sample, other_index):
     xi = sample.xi.reshape(-1, 2)
     x_target = np.empty_like(x)
     xi_target = np.empty_like(xi)
+    frames = np.empty((4, len(x), 3))
     interior = np.zeros(len(x), dtype=bool)
     for s, t in sorted(set(zip(source_index.tolist(), target_index.tolist()))):
         source, target = charts[s], charts[t]
@@ -330,15 +341,19 @@ def chart_transfer(sample, other_index):
                                  tol=-0.1 * (uhi - ulo))
         group, landed = group[inside], landed[inside]
 
-        _, _, dual_u, dual_v = target.frames(landed[:, 0], landed[:, 1])
-        jac = np.stack([dual_u, dual_v], axis=-2) @ np.stack(
+        landed_frames = target.frames(landed[:, 0], landed[:, 1])
+        jac = np.stack(landed_frames[2:], axis=-2) @ np.stack(
             source.tangents(x[group, 0], x[group, 1]), axis=-1)
+        frames[:, group] = landed_frames
         x_target[group] = landed
         xi_target[group] = np.linalg.solve(_transpose(jac),
                                            xi[group][..., None])[..., 0]
         interior[group] = True
-    moved = CotangentSample(sample.surface, target_index[interior],
-                            x_target[interior], xi_target[interior])
+    moved = object.__new__(CotangentSample)
+    moved.surface = sample.surface
+    moved.chart_index = target_index[interior]
+    moved.x, moved.xi = x_target[interior], xi_target[interior]
+    moved._set_frames(*frames[:, interior])
     return moved, interior.reshape(sample.chart_index.shape)
 
 
@@ -353,7 +368,9 @@ def identity_suite(surface, samples=DEFAULT_SAMPLES, seed=SAMPLE_SEED):
     The spectral parameter is drawn per sample as z = -i/(1 + i t) with
     |t| <= h^2 and h uniform in (0.05, 1); gamma0 is uniform in (1.1, 5).
     Each draw is one array over the batch, and each residual is computed
-    for the whole batch at once.
+    for the whole batch at once.  Raises ``UsageError`` when no sample
+    lands well inside the other chart, which would leave chart invariance
+    unchecked.
     """
     batch = random_samples(surface, samples, seed=seed)
     count = len(batch)
@@ -414,16 +431,19 @@ def identity_suite(surface, samples=DEFAULT_SAMPLES, seed=SAMPLE_SEED):
     record("m1-equals-minus-m",
            max_abs(principal_m1(batch, -1j) + m_at_i, (-2, -1)))
 
-    g = np.cross(batch.nu, np.cross(g, batch.nu))  # project tangential
+    g = _cross(batch.nu, _cross(g, batch.nu))  # project tangential
     for side in ("electric", "magnetic"):
         solution = transport_principal(batch, z, g, side=side)
         record(f"transport-{side}", max(solution.residuals().values()))
 
     moved, interior = chart_transfer(batch, 1 - batch.chart_index)
-    if np.any(interior):
-        record("chart-invariance", np.maximum(
-            max_abs(moved.beta - batch.beta[interior], -1),
-            np.abs(moved.r0 - batch.r0[interior])))
+    if not np.any(interior):
+        raise UsageError(
+            f"chart-invariance untested: no sample of {count} lands "
+            "well inside the other chart; draw more samples")
+    record("chart-invariance", np.maximum(
+        max_abs(moved.beta - batch.beta[interior], -1),
+        np.abs(moved.r0 - batch.r0[interior])))
 
     return {
         "surface": surface.name,

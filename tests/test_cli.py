@@ -1035,6 +1035,8 @@ def _strict_json(text):
       "--r", "1"), 64),
     (("spectrum", "--mesh", "icosphere:2", "--count", "20", "--max-degree",
       "40"), 64),
+    # a symbol suite whose one sample cannot test chart invariance
+    (("verify-symbols", "--samples", "1", "--seed", "17"), 64),
 ])
 def test_every_exit_keeps_the_contract(capsys, tmp_path, monkeypatch, argv,
                                        expected):

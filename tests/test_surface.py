@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from weylcount.errors import (
     ChartDegeneracyError,
@@ -197,6 +199,59 @@ def test_frames_dual_to_tangents():
     assert np.max(np.abs(pairing - np.eye(2))) <= 1e-12
     assert np.max(np.abs(np.einsum("ki,ki->k", normal, eu))) <= 1e-12
     assert np.max(np.abs(np.einsum("ki,ki->k", normal, ev))) <= 1e-12
+
+
+def _same_bits(got, want):
+    """Equal dtype, shape and values, NaN where NaN and signed zeros alike."""
+    signs = [np.signbit(part) for array in (got, want)
+             for part in (array.real, array.imag)]
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(signs[0], signs[2])
+            and np.array_equal(signs[1], signs[3]))
+
+
+@st.composite
+def _vector_array(draw, shape, kind):
+    """float64 or complex128 array of ``shape``, with inf and nan entries."""
+    parts = [draw(hnp.arrays(np.float64, shape, elements=st.floats(width=64)))
+             for _ in range(1 if kind == "real" else 2)]
+    if kind == "real":
+        return parts[0]
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(0, 4),
+       layout=st.sampled_from(["batch", "one-left", "one-right", "single",
+                               "outer"]),
+       kinds=st.sampled_from([("real", "real"), ("complex", "complex"),
+                              ("real", "complex"), ("complex", "real")]),
+       data=st.data())
+def test_cross_helper_matches_np_cross_bit_for_bit(rows, layout, kinds, data):
+    # the helper stands in for np.cross on the symbol path, so it must
+    # give the same promoted dtype, broadcast shape and bits, inf and nan
+    # included
+    shapes = {"batch": ((rows, 3), (rows, 3)), "one-left": ((3,), (rows, 3)),
+              "one-right": ((rows, 3), (3,)), "single": ((3,), (3,)),
+              "outer": ((2, 1, 3), (rows, 3))}[layout]
+    a, b = (data.draw(_vector_array(shape, kind))
+            for shape, kind in zip(shapes, kinds))
+    with np.errstate(all="ignore"):
+        assert _same_bits(charts._cross(a, b), np.cross(a, b))
+
+
+@pytest.mark.parametrize("pole", ["z", "x"])
+def test_place_scales_each_component_like_stack_then_scale(pole):
+    chart = AnalyticSurface.ellipsoid(3.0, 2.0, 0.5).charts["zx".index(pole)]
+    rng = np.random.default_rng(13)
+    components = tuple(rng.standard_normal((2, 5)) for _ in range(2)) + (
+        np.zeros((2, 5)),)
+    stacked = np.stack([components[i] for i in chart._order],
+                       axis=-1) * chart._scale
+    assert _same_bits(chart._place(components), stacked)
 
 
 def test_degenerate_chart_raises():

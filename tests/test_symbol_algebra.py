@@ -7,7 +7,7 @@ import pytest
 
 from weylcount import symbol_algebra
 from weylcount.errors import BranchError, UsageError
-from weylcount.surface import AnalyticSurface
+from weylcount.surface import AnalyticSurface, Chart, charts
 from weylcount.symbol_algebra import (
     CotangentSample,
     chart_transfer,
@@ -260,6 +260,63 @@ def test_chart_invariance_is_roundoff(surface):
     for seed in (1, 7, 42):
         report = identity_suite(surface, samples=1000, seed=seed)
         assert report["residuals"]["chart-invariance"] < 1e-12
+
+
+@pytest.mark.parametrize("surface", [
+    AnalyticSurface.unit_sphere(), AnalyticSurface.ellipsoid(2.0, 1.0, 1.0),
+    AnalyticSurface.ellipsoid(3.0, 2.0, 1.0),
+], ids=["sphere", "2,1,1", "3,2,1"])
+def test_moved_batch_equals_a_fresh_sample(surface):
+    # the moved batch takes the target frames its Jacobian used; they must
+    # be the frames a fresh sample evaluates at the landed points
+    for seed in (1, 7, 42):
+        batch = random_samples(surface, 300, seed=seed)
+        moved, _ = chart_transfer(batch, 1 - batch.chart_index)
+        fresh = CotangentSample(surface, moved.chart_index, moved.x, moved.xi)
+        for name in ("point", "nu", "beta", "r0"):
+            assert np.array_equal(getattr(moved, name),
+                                  getattr(fresh, name)), name
+
+
+def test_identity_suite_evaluates_each_chart_frame_once(sphere, monkeypatch):
+    # two chart groups each for the batch, its doubled copy and the moved
+    # batch; the moved batch reuses the frames of the transfer Jacobian
+    calls = []
+    frames = Chart.frames
+
+    def counted(chart, u, v):
+        calls.append(chart.name)
+        return frames(chart, u, v)
+    monkeypatch.setattr(Chart, "frames", counted)
+    batch = random_samples(sphere, 200, seed=42)
+    assert set(batch.chart_index.tolist()) == {0, 1}
+    calls.clear()
+    identity_suite(sphere, samples=200, seed=42)
+    assert sorted(calls) == ["polar-x"] * 3 + ["polar-z"] * 3
+
+
+@pytest.mark.parametrize("surface", [
+    AnalyticSurface.unit_sphere(), AnalyticSurface.ellipsoid(2.0, 1.0, 1.0),
+    AnalyticSurface.ellipsoid(3.0, 2.0, 1.0),
+], ids=["sphere", "2,1,1", "3,2,1"])
+def test_suite_report_is_np_cross_report(surface, monkeypatch):
+    # the cross helper keeps np.cross's arithmetic, so the residuals keep
+    # their bits
+    report = identity_suite(surface, samples=300, seed=42)
+    monkeypatch.setattr(symbol_algebra, "_cross", np.cross)
+    monkeypatch.setattr(charts, "_cross", np.cross)
+    assert report == identity_suite(surface, samples=300, seed=42)
+
+
+def test_suite_refuses_when_chart_invariance_goes_unchecked(sphere):
+    # the one sample of seed 17 lands too close to the other chart's pole,
+    # so the suite would report 15 of its 16 identities
+    batch = random_samples(sphere, 1, seed=17)
+    _, interior = chart_transfer(batch, 1 - batch.chart_index)
+    assert not np.any(interior)
+    with pytest.raises(UsageError, match=r"chart-invariance.* 1 "):
+        identity_suite(sphere, samples=1, seed=17)
+    assert len(identity_suite(sphere, samples=2, seed=17)["residuals"]) == 16
 
 
 def test_identity_suite_sphere(sphere):
