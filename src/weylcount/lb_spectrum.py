@@ -19,7 +19,10 @@ pipeline with the same interface:
   permutation of each reflection found and each mode's parity under them,
   so counting can split a section by class too.  Each class solve returns
   mass-orthonormal modes, and the classes merge into one (vertex, mode)
-  table, kept as it is.
+  table, kept as it is.  Only these cold solves use ``scipy.sparse``, so
+  it is imported inside them (:func:`assemble_fem`, :func:`_class_bases`,
+  :func:`_lowest_pairs`), and a run that loads its basis from the cache
+  or counts on the exact sphere never imports it.
 
 Mesh solves are expensive, so they get a small binary disk cache: one
 self-describing "WLB1" container per entry, keyed by the mesh's identity,
@@ -53,8 +56,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from .errors import (
@@ -213,6 +214,8 @@ def assemble_fem(mesh):
     semidefinite.  The mass diagonal holds the Voronoi vertex areas, so its
     trace equals the surface area.
     """
+    import scipy.sparse as sp
+
     tri = mesh.triangles
     rows, cols, vals = [], [], []
     for c, cot in enumerate(mesh.corner_cotangents()):
@@ -284,6 +287,8 @@ def _class_bases(reflections, n):
     fix projects to zero and is dropped, and so is a character with no
     column left.
     """
+    import scipy.sparse as sp
+
     group, _, firsts = _vertex_orbits(reflections, n)
     columns = np.tile(np.arange(len(firsts)), len(group))
     bases = []
@@ -306,6 +311,9 @@ def _lowest_pairs(stiffness, mass, count, seed):
     """Lowest ``count`` eigenpairs of one pencil with diagonal mass: a dense
     solve of the mass-scaled problem for large requests, shift-invert
     Lanczos from a seeded start vector otherwise."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = stiffness.shape[0]
     if count > n // 4 or count >= n - 1:
         scale = 1.0 / np.sqrt(mass)

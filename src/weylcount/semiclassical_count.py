@@ -34,11 +34,11 @@ factorization of the shifted block.  Dense blocks are factored by LAPACK
 (Bunch-Kaufman); the tridiagonal blocks of an affine section are counted
 by their pivot recurrence, a Sturm sequence, swept over the degrees once
 for all orders together, so no block is ever formed.  A scan first plans
-the last cluster of each radius and its recount; an affine field's planned
-sections are then counted by one such sweep, batched over h: a section
-through a lower degree is a leading part of one through a higher degree,
-so the sweep returns one table of running counts through every degree and
-each count is an entry of it.  A member leaves the sweep once a pivot
+the last cluster of every radius and its recount, one vectorized pass per
+cut factor; an affine field's planned sections are then counted by one
+such sweep, batched over h: a section through a lower degree is a leading
+part of one through a higher degree, so the sweep returns one table of
+running counts through every degree and each count is an entry of it.  A member leaves the sweep once a pivot
 bound proves that no later row adds a negative pivot.
 """
 
@@ -458,28 +458,38 @@ def count_negative(operator, zero_tol=ZERO_TOL, *, _borderline=True):
 
 
 def _last_cluster(basis, field, constants, h, cut_factor):
-    """Index of the last eigenvalue cluster of the section at h: the first
-    cluster at or above ``cut_factor`` times the ellipticity threshold of
-    ``constants``, or the basis top (constant damping needs no tail at all,
-    so there only the threshold itself must be resolved).  Clusters are
-    never split, so the section holds ``basis.ends[index]`` modes.  Raises
-    InsufficientSpectrumError when the basis cannot resolve it, as when the
-    threshold or the cut target overflows."""
+    """Index of the last eigenvalue cluster of the section at each h: the
+    first cluster at or above ``cut_factor`` times the ellipticity threshold
+    of ``constants``, or the basis top (constant damping needs no tail at
+    all, so there only the threshold itself must be resolved).  Clusters
+    are never split, so the section holds ``basis.ends[index]`` modes.
+
+    ``h`` is one value or an array, planned in one pass: the thresholds,
+    their checks and one search for all of them.  Raises
+    InsufficientSpectrumError when the basis cannot resolve an h, as when
+    the threshold or the cut target overflows; with several, the first in
+    order is named, and for it the first check it fails, as checking each
+    h in turn would."""
     with np.errstate(over="ignore"):
-        lam_star = constants.ellipticity_threshold(h)
+        lam_star = constants.ellipticity_threshold(np.asarray(h))
         need = cut_factor * lam_star
-    if not np.isfinite(need):
-        raise InsufficientSpectrumError(
-            f"counting at h = {h:g} needs eigenvalues up to {need}")
-    basis.require_top(lam_star if field.kind == "constant" else need,
-                      context=f"counting at h = {h:g}")
-    if lam_star > basis.trusted_horizon:
+    required = lam_star if field.kind == "constant" else need
+    failed = np.flatnonzero(~np.isfinite(need) | (basis.top < required)
+                            | (lam_star > basis.trusted_horizon))
+    if len(failed):
+        i = failed[0]
+        h, lam_star, need, required = (
+            np.ravel(value)[i] for value in (h, lam_star, need, required))
+        if not np.isfinite(need):
+            raise InsufficientSpectrumError(
+                f"counting at h = {h:g} needs eigenvalues up to {need}")
+        basis.require_top(required, context=f"counting at h = {h:g}")
         raise InsufficientSpectrumError(
             f"threshold {lam_star:.6g} beyond the trusted horizon "
             f"{basis.trusted_horizon:.6g}")
     # need is finite and the basis top is its last cluster value, so the
     # threshold is at most that value and the index is always a cluster
-    return int(basis.values.searchsorted(min(need, basis.top)))
+    return basis.values.searchsorted(np.minimum(need, basis.top))
 
 
 def _sphere_affine(basis, field, surface):
@@ -627,8 +637,8 @@ def build_operator(basis, field, h, surface=None, cut_factor=CUT_FACTOR):
     _require_radii(h, "semiclassical parameter h")
     if field.kind != "constant" and surface is None:
         raise UsageError("variable damping needs the surface for its range")
-    return _section(basis, field, surface, h, _last_cluster(
-        basis, field, constants_for(field, surface), h, cut_factor))
+    return _section(basis, field, surface, h, int(_last_cluster(
+        basis, field, constants_for(field, surface), h, cut_factor)))
 
 
 # ----------------------------------------------------------------------
@@ -643,9 +653,11 @@ def weyl_coefficient(surface, field):
     (:meth:`DampingField.effective_range`): a field that touches 1 or 0 on
     the surface raises InvalidFieldError, even where the rule has no node
     there.  The integrand squares and shifts the effective values in place,
-    the same operations as gamma0 * gamma0 - 1.0, so bit for bit, and a
-    quadrature rule's points cost no array beyond those of
-    :meth:`DampingField.effective` and the weighting."""
+    the same operations as gamma0 * gamma0 - 1.0, so bit for bit, and
+    returns that fresh array, which an analytic surface's quadrature
+    weights in place: on a rule's points the whole integral holds one
+    array of the rule's size, the base values
+    (:meth:`DampingField.effective`)."""
     def integrand(points):
         gamma0 = field.effective(points)
         gamma0 *= gamma0
@@ -808,8 +820,10 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
     The truncation-stability recount enlarges the mode cut by 50%; if the
     basis cannot support the recount the stability delta is left undefined
     rather than failing the scan.  The scan plans its sections first: the
-    last cluster of each radius, ascending, at ``cut_factor`` and then at
-    the recount, each found once.  The sections of an affine field on the
+    last cluster of every radius, at ``cut_factor`` and then at the
+    recount, each plan one pass over all radii (:func:`_last_cluster`),
+    which refuses the first radius it cannot plan as :func:`build_operator`
+    would refuse it.  The sections of an affine field on the
     exact sphere, along any axis, above one or below, are members of one
     batch, one per radius, and one :func:`_running_counts` sweep takes each
     member through the degree of its widest cut once: every count, primary
@@ -833,12 +847,10 @@ def scan(surface, field, r_grid, basis, cut_factor=CUT_FACTOR,
 
     h_grid = 1.0 / r_grid
     constants = constants_for(field, surface)
-    last = [[_last_cluster(basis, field, constants, h, cut_factor)
-             for h in h_grid]]
+    last = [_last_cluster(basis, field, constants, h_grid, cut_factor)]
     try:
-        last.append([_last_cluster(basis, field, constants, h,
-                                   cut_factor * STABILITY_FACTOR)
-                     for h in h_grid])
+        last.append(_last_cluster(basis, field, constants, h_grid,
+                                  cut_factor * STABILITY_FACTOR))
     except InsufficientSpectrumError:
         pass
     last = np.array(last)

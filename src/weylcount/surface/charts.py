@@ -9,6 +9,7 @@ longitudes) mapped by the same matrix.
 """
 
 import functools
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -234,9 +235,25 @@ class AnalyticSurface:
         weighted by the area element a b c |x / axes^2| at its image x.
         The mapped rule is built once per semi-axes and read-only, so ``f``
         must not write into its points.
+
+        The values are weighted in place when ``f`` returns a fresh float
+        array of the rule's shape that nothing else refers to, as the Weyl
+        integrand does; any other result (a scalar, a view such as a column
+        of the points, an array the caller keeps) is weighted into a new
+        array.  Both sum the same products, so bit for bit.
         """
         points, weights = _mapped_rule(tuple(self.axes.tolist()))
-        return float(np.sum(np.asarray(f(points), dtype=float) * weights))
+        values = np.asarray(f(points), dtype=float)
+        # ``alone`` is referred to by its name only; getrefcount counts
+        # ``values`` the same way, so equal counts mean no one else holds it
+        alone = object()
+        if (values.shape == weights.shape and values.flags.owndata
+                and values.flags.writeable
+                and sys.getrefcount(values) == sys.getrefcount(alone)):
+            values *= weights
+        else:
+            values = values * weights
+        return float(np.sum(values))
 
     def area(self):
         return self.integrate(lambda pts: 1.0)

@@ -91,17 +91,21 @@ class DampingField:
     def effective(self, points):
         """Effective coefficient max(gamma, 1/gamma), computed from the base.
 
-        The maximum is written over the reciprocals, so they are the one
-        float array it adds to the base; the values are those of
-        np.maximum(base, 1.0 / base), bit for bit."""
+        The base array is the result: its entries below one are replaced
+        by their reciprocals in place, and the rest kept, so no float array
+        is added to it.  Since 1/b < 1 < b for b > 1, the values are those
+        of np.maximum(base, 1.0 / base), bit for bit.  A single point of an
+        affine field gives a scalar."""
         base = self.base_values(points)
         if np.any(base <= 0.0):
             raise InvalidFieldError("damping field is not strictly positive")
         if np.any(base == 1.0):
             raise InvalidFieldError("damping coefficient equals 1")
-        inverse = np.divide(1.0, base)
-        # a single point gives a scalar, which has no buffer to reuse
-        return np.maximum(base, inverse, out=inverse if inverse.ndim else None)
+        if np.ndim(base) == 0:
+            # a scalar has no buffer to write into
+            return np.maximum(base, 1.0 / base)
+        np.divide(1.0, base, out=base, where=base < 1.0)
+        return base
 
     # range analysis ----------------------------------------------------
     def base_range(self, surface):

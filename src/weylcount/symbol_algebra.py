@@ -16,9 +16,11 @@ batch of random samples in one pass of array operations and reports the
 worst residual per identity; the CLI exposes it as ``verify-symbols``.
 
 A batch evaluates ``Chart.frames`` (point, normal and dual frame) once per
-chart group, and ``chart_transfer`` hands the moved batch the target frames
-its Jacobian already used.  Cross products go through the charts' helper
-with ``np.cross``'s arithmetic and bits but none of its axis handling.
+chart group.  ``chart_transfer`` maps the batch's own points, evaluates
+each source chart once per group for its tangents, and hands the moved
+batch the target frames its Jacobian already used.  Cross products go
+through the charts' helper with ``np.cross``'s arithmetic and bits but
+none of its axis handling.
 """
 
 from dataclasses import dataclass
@@ -317,9 +319,11 @@ def chart_transfer(sample, other_index):
     frame at the image with the source's tangents at the sample, J[i, j] =
     <e_i, t_j>; covector components transform with its inverse transpose.
     The result's beta and r0 must match the original's (global
-    invariance), which the identity suite checks.  The target frames that
-    give the Jacobian also give ``moved`` its point, normal and beta, so the
-    target charts are evaluated once per group.
+    invariance), which the identity suite checks.  The sample's own points
+    are mapped, so a source chart is evaluated once per group, for the
+    tangents of the samples that land inside.  The target frames that give
+    the Jacobian also give ``moved`` its point, normal and beta, so the
+    target charts are evaluated once per group too.
     """
     charts = sample.surface.charts
     source_index = sample.chart_index.reshape(-1)
@@ -327,6 +331,7 @@ def chart_transfer(sample, other_index):
                                    sample.chart_index.shape).reshape(-1)
     x = sample.x.reshape(-1, 2)
     xi = sample.xi.reshape(-1, 2)
+    point = sample.point.reshape(-1, 3)
     x_target = np.empty_like(x)
     xi_target = np.empty_like(xi)
     frames = np.empty((4, len(x), 3))
@@ -334,8 +339,7 @@ def chart_transfer(sample, other_index):
     for s, t in sorted(set(zip(source_index.tolist(), target_index.tolist()))):
         source, target = charts[s], charts[t]
         group = np.flatnonzero((source_index == s) & (target_index == t))
-        landed = np.stack(target.inverse(source.point(x[group, 0],
-                                                      x[group, 1])), axis=-1)
+        landed = np.stack(target.inverse(point[group]), axis=-1)
         (ulo, uhi), _ = Chart.DOMAIN
         inside = target.contains(landed[:, 0], landed[:, 1],
                                  tol=-0.1 * (uhi - ulo))

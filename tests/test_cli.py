@@ -1074,6 +1074,23 @@ def test_cli_import_leaves_scipy_optimize_out():
                          "print('scipy.optimize' in sys.modules)") == "False\n"
 
 
+def test_cli_import_leaves_scipy_sparse_out(tmp_path):
+    # only a cold FEM solve uses scipy.sparse, and it imports it itself:
+    # the command line does not import it, and a cold solve in the same
+    # process still runs
+    argv = ["spectrum", "--mesh", "icosphere:1", "--count", "10",
+            "--cache-dir", str(tmp_path)]
+    out = _fresh_python(
+        "import sys, weylcount.cli; "
+        "print('scipy.sparse' in sys.modules); "
+        f"code = weylcount.cli.main({argv!r}); "
+        "print(code, 'scipy.sparse' in sys.modules)")
+    lines = out.splitlines()
+    assert lines[0] == "False"
+    assert lines[1].startswith("10 modes, top lambda = ")
+    assert lines[-1] == "0 True"
+
+
 def test_lb_spectrum_import_leaves_the_surface_out():
     # lb_spectrum names mesh specs by duck typing, and semiclassical_count
     # takes its vertex orbits from lb_spectrum: importing the surface

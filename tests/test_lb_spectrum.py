@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh
 from scipy.special import roots_legendre
 
@@ -67,13 +68,15 @@ def counted_eigsh(monkeypatch):
     """Patch the Lanczos solver to record each call's size; returns the
     list of (rows, k)."""
     calls = []
-    eigsh = lb_spectrum.spla.eigsh
+    eigsh = spla.eigsh
 
     def counted(matrix, k, **kwargs):
         calls.append((matrix.shape[0], k))
         return eigsh(matrix, k=k, **kwargs)
 
-    monkeypatch.setattr(lb_spectrum.spla, "eigsh", counted)
+    # the solver imports scipy.sparse.linalg where it solves, and looks the
+    # function up there on each call
+    monkeypatch.setattr(spla, "eigsh", counted)
     return calls
 
 

@@ -903,13 +903,32 @@ def test_weyl_coefficient_is_the_rule_sum(axes):
             np.sum((g * g - 1.0) * weights)) / (4.0 * np.pi)
 
 
-def test_weyl_integrand_holds_two_rule_arrays(sphere, tilted):
-    # the base values and their reciprocals, overwritten by the effective
-    # values and then by the integrand, and the weighted integrand: each
-    # integrand temporary out of place would add a rule array
+@pytest.mark.parametrize("field", [
+    DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0)),
+    DampingField.affine(0.5, 0.3, (1.0, 0.0, 0.0)),
+    DampingField.constant(0.4)], ids=["above", "below", "constant"])
+def test_weyl_integrand_holds_one_rule_array(sphere, field):
+    # the base values, overwritten by the effective values, then by the
+    # integrand and then by the weighted integrand; the reciprocals, a copy
+    # of the base or an integrand or weighting temporary out of place would
+    # each add a rule array.  The masks of the checks take 1/8 of one
     points, _ = _mapped_rule((1.0, 1.0, 1.0))
-    peak = traced_peak(lambda: weyl_coefficient(sphere, tilted))
-    assert peak < 2.5 * len(points) * 8
+    weyl_coefficient(sphere, field)
+    peak = traced_peak(lambda: weyl_coefficient(sphere, field))
+    assert peak < 1.5 * len(points) * 8
+
+
+def test_vertex_table_is_left_as_given():
+    # the effective values are written into a copy of the table, never into
+    # the table a field holds
+    basis = solve_lowest(assemble_fem(icosphere(1)), 10)
+    table = np.random.default_rng(3).uniform(0.3, 0.9, len(basis.nodes))
+    field = DampingField.vertex_table(table)
+    given = field.table.tobytes()
+    gamma0 = field.effective(basis.nodes)
+    assert np.array_equal(gamma0, 1.0 / table)
+    semiclassical_count._damping_gram(basis, field, len(basis.values) - 1)
+    assert field.table.tobytes() == given
 
 
 def test_weyl_vanishes_toward_one(sphere):
@@ -1740,11 +1759,12 @@ def test_constant_scan_counts_from_cluster_values(sphere, monkeypatch, gamma,
     ids=["constant", "polar", "polar-short", "mesh", "mesh-short"])
 def test_scan_finds_each_mode_cut_once(sphere, monkeypatch, field, size,
                                        radii, recounts):
-    # a scan finds the last cluster of each radius once per cut factor,
-    # ascending, and builds or looks up its sections from that plan; a
-    # recount the basis supports at the first ``recounts`` radii only ends
-    # the plan at the next one.  A negative size is a mesh basis of that
-    # many icosphere:2 modes, a positive one the exact sphere's degree
+    # a scan plans the last cluster of every radius in one pass per cut
+    # factor, and each radius's cut is the one build_operator finds at that
+    # radius and factor; a recount the basis supports at the first
+    # ``recounts`` radii only is refused as a whole, and the report has no
+    # recount row.  A negative size is a mesh basis of that many
+    # icosphere:2 modes, a positive one the exact sphere's degree
     basis = exact_sphere_spectrum(size) if size > 0 \
         else solve_lowest(assemble_fem(icosphere(2)), -size)
     for r in radii[:recounts]:
@@ -1754,19 +1774,118 @@ def test_scan_finds_each_mode_cut_once(sphere, monkeypatch, field, size,
             build_operator(basis, field, 1.0 / radii[recounts],
                            surface=sphere, cut_factor=3.0)
 
-    factors = []
+    plans = []
     find = semiclassical_count._last_cluster
 
-    def recorded(*args):
-        # the cut factor is the last argument
-        factors.append(args[-1])
-        return find(*args)
+    def recorded(basis, field, constants, h, cut_factor):
+        plans.append([cut_factor, h])
+        last = find(basis, field, constants, h, cut_factor)
+        # reached only by a plan that every radius passes
+        plans[-1].append(last)
+        return last
 
     monkeypatch.setattr(semiclassical_count, "_last_cluster", recorded)
     report = scan(sphere, field, radii, basis)
+    monkeypatch.undo()
+    assert [plan[0] for plan in plans] == [2.0, 3.0]
+    assert [len(plan) == 3 for plan in plans] == [True,
+                                                  recounts == len(radii)]
     assert (report.stability_delta is None) == (recounts < len(radii))
-    assert factors == [2.0] * len(radii) \
-        + [3.0] * min(recounts + 1, len(radii))
+    for factor, h, *last in plans:
+        assert np.array_equal(h, 1.0 / np.asarray(radii))
+    for factor, _, last in (plan for plan in plans if len(plan) == 3):
+        for r, cut in zip(radii, last):
+            assert basis.ends[cut] == build_operator(
+                basis, field, 1.0 / r, surface=sphere,
+                cut_factor=factor).mode_cut
+    assert report.mode_cuts.tolist() == [
+        build_operator(basis, field, 1.0 / r, surface=sphere).mode_cut
+        for r in radii]
+
+
+def horizon_at(basis, horizon):
+    """``basis`` trusted only up to ``horizon``."""
+    return dataclasses.replace(basis, trusted_horizon=horizon)
+
+
+# (field, basis, radii, cut factor, message): the plan fails first at
+# radii[1], by the check named in the id, whose message it matches.  An
+# overflowing cut target or threshold is also beyond the basis top, and
+# "top-and-horizon" fails both of those checks, so these cases also fix
+# which check names the radius
+OVERFLOW = "h = 1e-100 needs eigenvalues up to inf$"
+PLAN_REFUSALS = {
+    "overflow": (DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0)),
+                 exact_sphere_spectrum(20), [1e-100, 1e100, 1e120], 1e110,
+                 OVERFLOW),
+    "overflow-constant": (DampingField.constant(2.0),
+                          exact_sphere_spectrum(20), [1e-100, 1e100, 1e120],
+                          1e110, OVERFLOW),
+    "top": (DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0)),
+            exact_sphere_spectrum(20), [4.0, 7.0, 8.0], 2.0,
+            "h = 0.142857 needs eigenvalues up to 514.5 but the basis stops "
+            "at 420"),
+    "top-constant": (DampingField.constant(2.0), exact_sphere_spectrum(20),
+                     [4.0, 12.0, 13.0], 2.0,
+                     "h = 0.0833333 needs eigenvalues up to 432 but"),
+    "horizon": (DampingField.constant(2.0),
+                horizon_at(exact_sphere_spectrum(40), 100.0),
+                [4.0, 6.0, 30.0], 2.0,
+                "^threshold 108 beyond the trusted horizon 100$"),
+    "top-and-horizon": (DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0)),
+                        horizon_at(exact_sphere_spectrum(20), 100.0),
+                        [4.0, 7.0, 8.0], 2.0,
+                        "h = 0.142857 needs eigenvalues up to 514.5 but"),
+}
+
+
+@pytest.mark.parametrize("case", PLAN_REFUSALS.values(),
+                         ids=PLAN_REFUSALS.keys())
+def test_scan_plan_refuses_as_the_first_failing_radius(sphere, case):
+    # the one-pass plan raises what build_operator raises at the first
+    # radius it cannot plan, message and all, as a plan radius by radius
+    # would; the radius before it plans
+    field, basis, radii, factor, message = case
+    build_operator(basis, field, 1.0 / radii[0], surface=sphere,
+                   cut_factor=factor)
+    with pytest.raises(InsufficientSpectrumError, match=message) as built:
+        build_operator(basis, field, 1.0 / radii[1], surface=sphere,
+                       cut_factor=factor)
+    with pytest.raises(InsufficientSpectrumError) as scanned:
+        scan(sphere, field, radii, basis, cut_factor=factor)
+    assert type(scanned.value) is type(built.value)
+    assert str(scanned.value) == str(built.value)
+
+
+# (field, basis, radii, cut factor): every radius plans at the factor, and
+# the recount fails first at radii[1]; the horizon check does not depend on
+# the factor, so no recount fails it alone
+RECOUNT_REFUSALS = {
+    "top": (DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0)),
+            exact_sphere_spectrum(20), [4.0, 5.5, 6.0], 2.0),
+    # constant damping checks the basis top against the threshold only, so
+    # its cut target may be near overflow
+    "overflow": (DampingField.constant(2.0), exact_sphere_spectrum(20),
+                 [0.5, 1.0, 1.02], 5e307),
+}
+
+
+@pytest.mark.parametrize("case", RECOUNT_REFUSALS.values(),
+                         ids=RECOUNT_REFUSALS.keys())
+def test_scan_without_its_recount_has_no_stability_delta(sphere, case):
+    field, basis, radii, factor = case
+    recount = factor * STABILITY_FACTOR
+    build_operator(basis, field, 1.0 / radii[0], surface=sphere,
+                   cut_factor=recount)
+    with pytest.raises(InsufficientSpectrumError):
+        build_operator(basis, field, 1.0 / radii[1], surface=sphere,
+                       cut_factor=recount)
+    report = scan(sphere, field, radii, basis, cut_factor=factor)
+    assert report.stability_delta is None
+    assert report.truncation_stable is None
+    assert report.mode_cuts.tolist() == [
+        build_operator(basis, field, 1.0 / r, surface=sphere,
+                       cut_factor=factor).mode_cut for r in radii]
 
 
 def test_scan_regime_symmetry_bit_exact(sphere):

@@ -122,6 +122,25 @@ def test_mapped_rule_holds_one_quotient_table():
     assert peak < 3.2 * count * 3 * 8
 
 
+def test_integrate_never_writes_an_array_the_caller_holds():
+    # an integrand's fresh array is weighted in place; an array the caller
+    # keeps, or a writable view of one, is weighted into a new array, and
+    # every way sums the same products
+    surface = AnalyticSurface.ellipsoid(2.0, 1.0, 1.0)
+    points, weights = charts._mapped_rule((2.0, 1.0, 1.0))
+    kept = points[..., 0] ** 2
+    table = np.array(points)
+    expected = float(np.sum(kept * weights))
+    kept_bytes, table_bytes = kept.tobytes(), table.tobytes()
+    assert surface.integrate(lambda p: kept) == expected
+    assert surface.integrate(lambda p: table[:, 0] ** 2) == expected
+    assert surface.integrate(lambda p: p[..., 0] ** 2) == expected
+    assert kept.tobytes() == kept_bytes
+    assert surface.integrate(lambda p: table[:, 0]) == float(
+        np.sum(points[..., 0] * weights))
+    assert table.tobytes() == table_bytes
+
+
 def test_ellipsoid_area_matches_prolate_closed_form():
     # semi-axes (2, 1, 1): S = 2 pi b^2 (1 + a/(b e) asin e), e^2 = 1 - b^2/a^2
     ecc = np.sqrt(1.0 - 0.25)
@@ -572,6 +591,36 @@ def test_reciprocal_field_effective_values_bit_identical():
     ga = above.effective(pts)
     gb = below.effective(pts)
     assert np.array_equal(ga, gb)  # bit-for-bit
+
+
+def test_effective_is_the_maximum_with_the_reciprocal():
+    # the reciprocal written over the base where it is below one gives
+    # np.maximum(base, 1 / base) bit for bit, on both sides of one, for
+    # every kind; one point of an affine field gives a scalar
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((500, 3))
+    pts /= np.linalg.norm(pts, axis=-1)[:, None]
+    fields = [DampingField.constant(value)
+              for value in (0.4, 2.0, 1.0 - 1e-15, 1.0 + 1e-15)]
+    fields += [DampingField.affine(offset, slope, axis)
+               for offset, slope in ((2.0, 0.5), (0.5, 0.3), (1.0, 0.5))
+               for axis in ((0.0, 0.0, 1.0), (1.0, 2.0, 2.0))]
+    fields += [DampingField.vertex_table(table) for table in (
+        rng.uniform(1.5, 3.0, len(pts)), rng.uniform(0.2, 0.9, len(pts)),
+        rng.uniform(0.5, 2.0, len(pts)))]
+    for field in fields:
+        if field.kind == "constant":
+            base = np.full(len(pts), field.value)
+        elif field.kind == "affine":
+            base = field.offset + field.slope * (pts @ field.axis)
+        else:
+            base = field.table.copy()
+        assert np.array_equal(field.effective(pts),
+                              np.maximum(base, 1.0 / base)), field.kind
+        if field.kind == "affine":
+            value = field.effective(pts[7])
+            assert np.ndim(value) == 0
+            assert value == np.maximum(base[7], 1.0 / base[7])
 
 
 def test_field_touching_one_rejected():

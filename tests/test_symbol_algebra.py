@@ -295,6 +295,46 @@ def test_identity_suite_evaluates_each_chart_frame_once(sphere, monkeypatch):
     assert sorted(calls) == ["polar-x"] * 3 + ["polar-z"] * 3
 
 
+def test_identity_suite_evaluates_each_source_chart_once(sphere,
+                                                          monkeypatch):
+    # per chart group: the batch's frames, the doubled batch's frames, the
+    # metric of the inverse-metric check, the moved batch's frames, and the
+    # source tangents of the transfer, which maps the batch's own points
+    calls = []
+    evaluate = Chart._evaluate
+
+    def counted(chart, u, v, tangents=True):
+        calls.append((chart.name, tangents))
+        return evaluate(chart, u, v, tangents)
+    monkeypatch.setattr(Chart, "_evaluate", counted)
+    batch = random_samples(sphere, 200, seed=42)
+    calls.clear()
+    chart_transfer(batch, 1 - batch.chart_index)
+    assert sorted(calls) == [("polar-x", True)] * 2 + [("polar-z", True)] * 2
+    calls.clear()
+    identity_suite(sphere, samples=200, seed=42)
+    assert sorted(calls) == [("polar-x", True)] * 5 + [("polar-z", True)] * 5
+
+
+@pytest.mark.parametrize("surface", [
+    AnalyticSurface.unit_sphere(), AnalyticSurface.ellipsoid(2.0, 1.0, 1.0),
+    AnalyticSurface.ellipsoid(3.0, 2.0, 1.0),
+], ids=["sphere", "2,1,1", "3,2,1"])
+def test_transfer_lands_where_the_source_chart_maps(surface):
+    # the batch's own points land where the source chart's point map at its
+    # parameters lands, bit for bit
+    for seed in (1, 7, 42):
+        batch = random_samples(surface, 300, seed=seed)
+        moved, interior = chart_transfer(batch, 1 - batch.chart_index)
+        landed = np.empty((len(batch), 2))
+        for s in (0, 1):
+            group = batch.chart_index == s
+            source, target = surface.charts[s], surface.charts[1 - s]
+            landed[group] = np.stack(target.inverse(source.point(
+                batch.x[group, 0], batch.x[group, 1])), axis=-1)
+        assert np.array_equal(moved.x, landed[interior])
+
+
 @pytest.mark.parametrize("surface", [
     AnalyticSurface.unit_sphere(), AnalyticSurface.ellipsoid(2.0, 1.0, 1.0),
     AnalyticSurface.ellipsoid(3.0, 2.0, 1.0),
