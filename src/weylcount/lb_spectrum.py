@@ -19,10 +19,12 @@ pipeline with the same interface:
   permutation of each reflection found and each mode's parity under them,
   so counting can split a section by class too.  Each class solve returns
   mass-orthonormal modes, and the classes merge into one (vertex, mode)
-  table, kept as it is.  Only these cold solves use ``scipy.sparse``, so
-  it is imported inside them (:func:`assemble_fem`, :func:`_class_bases`,
-  :func:`_lowest_pairs`), and a run that loads its basis from the cache
-  or counts on the exact sphere never imports it.
+  table, kept as it is.  Only these cold solves use scipy, so
+  ``scipy.sparse`` is imported inside them (:func:`assemble_fem`,
+  :func:`_class_bases`, :func:`_lowest_pairs`) and ``scipy.linalg`` inside
+  the dense class solve (:func:`_lowest_pairs`): a run that loads its
+  basis from the cache or counts on the exact sphere imports neither from
+  here.
 
 Mesh solves are expensive, so they get a small binary disk cache: one
 self-describing "WLB1" container per entry, keyed by the mesh's identity,
@@ -56,7 +58,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (
     CacheError,
@@ -316,6 +317,8 @@ def _lowest_pairs(stiffness, mass, count, seed):
 
     n = stiffness.shape[0]
     if count > n // 4 or count >= n - 1:
+        from scipy.linalg import eigh
+
         scale = 1.0 / np.sqrt(mass)
         dense = stiffness.toarray(order="F")
         dense *= scale[:, None]
@@ -343,7 +346,15 @@ def _lowest_by_class(stiffness, mass, count, seed, classes):
     (:func:`_class_bases`) takes the lowest min(count, columns) pairs of
     (Q^T K Q, Q^T M Q), whose mass is still diagonal, the classes' values
     are merged by a stable sort, and only the selected vectors are mapped
-    back to the vertices."""
+    back to the vertices.
+
+    Once the classes solved so far hold ``count`` values, the count-th
+    smallest of them bounds every value the merge selects, since later
+    classes can only lower it.  After each class solve every block is cut
+    to its leading pairs with value at most that bound, kept as a copy so
+    the dropped columns are freed: the values come back ascending, and
+    those equal to the bound stay, so the stable sort selects the same
+    pairs in the same order."""
     characters, bases = zip(*classes)
     values, blocks = [], []
     for basis in bases:
@@ -353,6 +364,15 @@ def _lowest_by_class(stiffness, mass, count, seed, classes):
             basis.multiply(basis).T @ mass, share, seed)
         values.append(block_values)
         blocks.append(block_vectors)
+        solved = np.concatenate(values)
+        if len(solved) < count:
+            continue
+        bound = np.partition(solved, count - 1)[count - 1]
+        for c, class_values in enumerate(values):
+            cut = int(np.searchsorted(class_values, bound, side="right"))
+            if cut < len(class_values):
+                values[c] = class_values[:cut]
+                blocks[c] = blocks[c][:, :cut].copy(order="K")
     sizes = [len(v) for v in values]
     owner = np.repeat(np.arange(len(bases)), sizes)
     start = np.cumsum([0] + sizes)
@@ -394,9 +414,12 @@ def solve_lowest(pencil, count, tol=SOLVER_TOL, seed=SOLVER_SEED):
     whole pencil against ``tol * (1 + lambda)``; failure raises SolverError
     with the worst value.
 
-    Memory: after the class merge one (vertex, mode) table is live, and
-    it becomes the basis's modes as it is; the residuals are checked
-    RESIDUAL_BLOCK columns at a time.
+    Memory: the class solves keep only the pairs the merge can still
+    select (:func:`_lowest_by_class`), so while the (vertex, mode) table
+    is filled the class blocks hold about ``count`` columns in all, each
+    as long as its class; after the merge that table is the only one
+    live, and it becomes the basis's modes as it is.  The residuals are
+    checked RESIDUAL_BLOCK columns at a time.
     """
     stiffness, mass, nodes = pencil
     n = stiffness.shape[0]

@@ -40,6 +40,12 @@ such sweep, batched over h: a section through a lower degree is a leading
 part of one through a higher degree, so the sweep returns one table of
 running counts through every degree and each count is an entry of it.  A member leaves the sweep once a pivot
 bound proves that no later row adds a negative pivot.
+
+Only dense counting, eigenvalue listings and the monotonicity probe use
+``scipy.linalg``, so it is imported where they run: LAPACK through
+:func:`_lapack`, once per process, and the tridiagonal eigensolvers inside
+:meth:`GalerkinOperator.eigenvalues` and :func:`_block_slopes`.  Counting
+on the exact sphere, Weyl coefficients and reports load no scipy module.
 """
 
 import functools
@@ -48,8 +54,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 
 from .errors import DomainError, InsufficientSpectrumError, UsageError
 from .lb_spectrum import _vertex_orbits
@@ -208,6 +212,8 @@ class GalerkinOperator:
         model's do, with h-slopes of the model's sign, but their values,
         their slopes and their band around zero are the dual's, as
         :func:`monotonicity_probe` sees them too."""
+        from scipy.linalg import eigvalsh_tridiagonal
+
         spectra = []
         for matrix, layout in self.blocks:
             if isinstance(matrix, TridiagonalFamily):
@@ -222,12 +228,22 @@ class GalerkinOperator:
 
 
 @functools.lru_cache(maxsize=None)
+def _lapack():
+    """``scipy.linalg.lapack``, imported on the first dense count.  Each
+    factorization looks its routine up on the module, as a from-import
+    would, but for a cached call instead of an import per block."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack
+
+
+@functools.lru_cache(maxsize=None)
 def _factor_workspace(size):
     """LAPACK's optimal dsytrf workspace for order ``size``.  Without it
     LAPACK falls back to the unblocked factorization, about seven times
     slower at n ~ 1000; the answer depends on the order alone, so each
     order is queried once."""
-    lwork, _ = dsytrf_lwork(size, lower=1)
+    lwork, _ = _lapack().dsytrf_lwork(size, lower=1)
     return int(lwork)
 
 
@@ -252,8 +268,8 @@ def _inertia(matrix, shift):
     # factored in place, so this Fortran-ordered copy is the only new buffer
     shifted = np.array(matrix, order="F")
     shifted.reshape(-1, order="F")[::size + 1] += shift
-    factor, pivots, _ = dsytrf(shifted, lower=1,
-                               lwork=_factor_workspace(size), overwrite_a=1)
+    factor, pivots, _ = _lapack().dsytrf(
+        shifted, lower=1, lwork=_factor_workspace(size), overwrite_a=1)
     # both rows of a 2 x 2 pivot carry a negative index, a 1 x 1 pivot's
     # row a positive one
     single = factor.diagonal()[pivots > 0]
@@ -951,6 +967,8 @@ def _block_slopes(basis, operator, h):
     diagonal D_i - c has w_i = (D_i^2 - 1) / D_i, and a dual row's
     a - 1 / D_i has w_i = (D_i^2 - 1) / D_i^3.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     def weights(lam, dual=False):
         model = np.sqrt(1.0 + h * h * lam)
         return h * h * lam / model ** (3 if dual else 1)

@@ -1093,15 +1093,67 @@ def test_cli_import_leaves_scipy_sparse_out(tmp_path):
 
 def test_lb_spectrum_import_leaves_the_surface_out():
     # lb_spectrum names mesh specs by duck typing, and semiclassical_count
-    # takes its vertex orbits from lb_spectrum: importing the surface
-    # package there would load scipy.special early, which raised the
-    # import-time peak RSS by about 0.7 MB
+    # takes its vertex orbits from lb_spectrum: both are handed surfaces
+    # and fields, so importing the surface package there would only load
+    # modules neither calls
     assert _fresh_python(
         "import sys, weylcount.lb_spectrum, weylcount.semiclassical_count; "
         "print(sorted(name for name in sys.modules "
         "if name.startswith('weylcount.')))") == (
         "['weylcount.errors', 'weylcount.lb_spectrum', "
         "'weylcount.semiclassical_count']\n")
+
+
+def _scipy_after(runs, cwd):
+    """Lines from a new interpreter: the scipy modules it holds after
+    importing the command line, then after each ``main(argv)`` of ``runs``
+    in turn, that run's exit code and the scipy modules held, each list
+    as 'name name ...'.  Each run's stdout is dropped."""
+    out = _fresh_python(
+        "import contextlib, io, os, sys, weylcount.cli\n"
+        f"os.chdir({str(cwd)!r})\n"
+        "def held():\n"
+        "    return ' '.join(sorted(name for name in sys.modules\n"
+        "                           if name.split('.')[0] == 'scipy'))\n"
+        "print(held())\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = weylcount.cli.main(argv)\n"
+        "    print(code, held())\n")
+    return out.splitlines()
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    # integrals read a stored Gauss-Legendre rule, and scipy.linalg is
+    # imported only where a dense count, an eigenvalue listing or a solve
+    # runs: importing the command line, symbol checks, Weyl coefficients,
+    # regions, the exact spectrum and exact-sphere scans and counts,
+    # constant and affine, load no scipy module at all
+    runs = [["verify-symbols", "--samples", "20"],
+            ["weyl", "--gamma", "affine:2,0.5,x"],
+            ["scan", "--gamma", "2.0", "--output", "constant"],
+            ["scan", "--gamma", "affine:2,0.5,z", "--r-min", "12",
+             "--r-max", "48", "--output", "affine"],
+            ["count", "--gamma", "affine:2,0.5,x", "--r", "10"],
+            ["regions", "--bound", "2.0"],
+            ["spectrum", "--exact", "--max-degree", "10"]]
+    assert _scipy_after(runs, tmp_path) == [""] + ["0 "] * len(runs)
+    assert (tmp_path / "affine" / "report.csv").exists()
+
+
+def test_warm_mesh_scan_loads_scipy_linalg_only(tmp_path):
+    # a cache hit solves nothing, so it needs neither scipy.sparse nor,
+    # since integrals read a stored rule, scipy.special; its dense class
+    # blocks are factored by LAPACK from scipy.linalg
+    argv = ["scan", "--gamma", "affine:2,0.5,x", "--mesh", "icosphere:1",
+            "--modes", "30", "--r-min", "0.3", "--r-max", "0.6", "--steps",
+            "3", "--cache-dir", "cache", "--output", "out"]
+    cold, warm = (_scipy_after([argv], tmp_path)[1].split()
+                  for _ in range(2))
+    assert cold[0] == warm[0] == "0"
+    assert "scipy.sparse" in cold and "scipy.linalg" in warm
+    assert not any(name.startswith(("scipy.special", "scipy.sparse"))
+                   for name in warm)
 
 
 def test_cold_scan_csv_does_not_depend_on_the_blas_thread_count(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import roots_legendre
 
 from weylcount.errors import (
     ChartDegeneracyError,
@@ -69,8 +70,11 @@ def test_integration_grid_is_built_once_and_read_only(monkeypatch):
     ellipsoid = AnalyticSurface.ellipsoid(2.0, 1.0, 1.0)
     first = [sphere.area(), ellipsoid.area()]
     grid = charts._integration_grid()
-    assert np.array_equal(grid.nodes,
-                          charts.sphere_grid(charts.INTEGRATION_DEGREE).nodes)
+    # the stored rule's grid is the computed rule's, every array bit for bit
+    for array, computed in zip(grid,
+                               charts.sphere_grid(charts.INTEGRATION_DEGREE)):
+        assert array.dtype == computed.dtype
+        assert array.tobytes() == computed.tobytes()
     for array in grid:
         assert not array.flags.writeable
 
@@ -80,6 +84,16 @@ def test_integration_grid_is_built_once_and_read_only(monkeypatch):
     monkeypatch.setattr(charts, "sphere_grid", rebuilt)
     assert [sphere.area(), ellipsoid.area()] == first
     assert charts._integration_grid() is grid
+
+
+def test_stored_rule_is_scipys_bit_for_bit():
+    # integrals read the 96-point rule stored as float.hex strings, so they
+    # need no scipy.special; both halves must be scipy's, nodes and weights
+    nodes, weights = roots_legendre(charts.INTEGRATION_DEGREE + 3)
+    stored = charts._stored_rule()
+    assert [len(array) for array in stored] == [96, 96]
+    assert stored[0].tobytes() == nodes.tobytes()
+    assert stored[1].tobytes() == weights.tobytes()
 
 
 @pytest.mark.parametrize("axes", [(1.0, 1.0, 1.0), (2.0, 1.0, 1.0)],
