@@ -15,7 +15,8 @@ p = a + b<axis, x>, and a rotation taking the axis to +z maps each
 degree's harmonics onto themselves, where the diagonal
 sqrt(1 + h^2 n(n+1)) is constant, so the section is unitarily equivalent
 to the one for a + b z, which splits by order m into tridiagonal blocks,
-kept as the diagonal and a closed form of the couplings.  Above one the
+kept as the diagonal and a closed form of the squared couplings, which
+alone decide the inertia and the spectrum (Parlett, 1980).  Above one the
 effective coefficient is p itself, and the blocks are those of D - P, P
 the section of multiplication by p.  Below one it is 1 / p, which is not
 affine, and the blocks are those of the dual P - D^-1.  D and P are
@@ -148,13 +149,13 @@ def inequality_check(constants, count=10000, seed=0):
 class TridiagonalFamily:
     """Symmetric tridiagonal blocks T_0, ..., T_L that share one diagonal.
 
-    T_m spans rows m..L with diagonal ``diagonal[..., m:]``; its entry
-    coupling rows n - 1 and n (m < n <= L) is ``couplings(n, m)``, a
-    function that broadcasts over integer arrays of rows and orders, so
-    row n's entries in all blocks are ``couplings(n, arange(n))`` and no
-    family stores its off-diagonals.  Leading axes on ``diagonal`` hold a
-    batch of families that share the couplings, as the sections of a scan
-    do, one per radius, counted by one sweep (:func:`_running_counts`).
+    T_m spans rows m..L with diagonal ``diagonal[..., m:]``.  A family
+    keeps only the squares of its off-diagonals, which alone decide the
+    pivots, eigenvalues and eigenvector squares: ``squares(n)`` is row n's
+    vector, entry m the square of T_m's entry coupling rows n - 1 and n.
+    Leading axes on ``diagonal`` hold a batch of families that share the
+    squares, as the sections of a scan do, one per radius, counted by one
+    sweep (:func:`_running_counts`).
 
     ``dual`` is None when the blocks are sections of the model themselves,
     and otherwise the model's diagonal D, of the diagonal's shape: the
@@ -163,24 +164,31 @@ class TridiagonalFamily:
     eigenvalues, so a shift s of the model enters the dual inside the
     inverse, as P - (D + s)^-1 (see :func:`_running_counts`).
 
-    ``bound`` is a float kappa at least every |couplings(n, m)| as
-    computed, over all rows and orders, and +inf when the family declares
-    none; a sweep leaves the rows that a pivot bound proves add no negative
-    pivot (:func:`_running_counts`), which an infinite kappa never proves.
+    ``bound`` is a float kappa with fl(kappa^2) at least every computed
+    square, and +inf when the family declares none; a sweep leaves the
+    rows that a pivot bound proves add no negative pivot
+    (:func:`_running_counts`), which an infinite kappa never proves.
     """
 
     diagonal: np.ndarray
-    couplings: object
+    squares: object
     dual: np.ndarray = None
     bound: float = np.inf
 
     def __len__(self):
         return self.diagonal.shape[-1]
 
-    def block(self, order):
-        """(diagonal, off-diagonal) of T_order."""
-        return (self.diagonal[..., order:],
-                self.couplings(np.arange(order + 1, len(self)), order))
+    def blocks(self):
+        """(diagonal, off-diagonal) of T_0, ..., T_L in turn, the
+        off-diagonals the nonnegative roots of one table of all squares,
+        each row asked for once, as large as the blocks' spectra."""
+        size = len(self)
+        table = np.zeros((size, size))
+        for n in range(1, size):
+            table[:n, n] = self.squares(n)
+        np.sqrt(table, out=table)
+        for order in range(size):
+            yield self.diagonal[..., order:], table[order, order + 1:]
 
 
 @dataclass
@@ -217,9 +225,8 @@ class GalerkinOperator:
         spectra = []
         for matrix, layout in self.blocks:
             if isinstance(matrix, TridiagonalFamily):
-                spectra += [np.tile(eigvalsh_tridiagonal(*matrix.block(m)),
-                                    layout[m])
-                            for m in range(len(matrix))]
+                spectra += [np.tile(eigvalsh_tridiagonal(*block), count)
+                            for block, count in zip(matrix.blocks(), layout)]
             elif matrix.ndim == 1:
                 spectra.append(np.repeat(matrix, layout))
             else:
@@ -277,23 +284,8 @@ def _inertia(matrix, shift):
             np.count_nonzero(single == 0.0))
 
 
-# rows of couplings generated by one call
-CHUNK_ROWS = 16
 # rows swept between two checks of the pivot bound
 CERTIFY_STRIDE = 8
-
-
-def _squared_rows(couplings, rows):
-    """The squares of row n's couplings, n = 0..rows - 1, in turn, from one
-    call per CHUNK_ROWS rows, so memory stays linear in the rows."""
-    for first in range(0, rows, CHUNK_ROWS):
-        degrees = np.arange(first, min(first + CHUNK_ROWS, rows))
-        ends = np.cumsum(degrees)
-        # row n holds orders 0..n - 1, the rows one run after another
-        orders = np.arange(ends[-1]) - np.repeat(ends - degrees, degrees)
-        squares = np.square(couplings(np.repeat(degrees, degrees), orders))
-        for n, end in zip(degrees.tolist(), ends.tolist()):
-            yield squares[end - n:end]
 
 
 def _running_counts(family, multiplicity, last, zero_tol):
@@ -308,11 +300,11 @@ def _running_counts(family, multiplicity, last, zero_tol):
 
     The LDL^T pivots of a tridiagonal T + s I obey the recurrence
     d(n) = T_nn + s - T_n,n-1^2 / d(n - 1), and the negative pivots count
-    the eigenvalues of T below -s.  A section's pivots are the leading
-    pivots of every wider section, so each row n is swept once, for every
-    block and every member holding it (a member only through its ``last``),
-    at s = zero_tol and s = -zero_tol together.  Row n's couplings are
-    generated as the sweep reaches it, CHUNK_ROWS rows at a time, so memory
+    the eigenvalues of T below -s; only the squared off-diagonals enter.  A
+    section's pivots are the leading pivots of every wider section, so each
+    row n is swept once, for every block and every member holding it (a
+    member only through its ``last``), at s = zero_tol and s = -zero_tol
+    together, asking ``squares(n)`` once, on reaching row n, so memory
     stays linear in the rows.  An exactly zero pivot becomes +tiny at
     s = zero_tol and -tiny at s = -zero_tol, so an eigenvalue exactly at
     -zero_tol is not counted below it and one exactly at zero_tol is
@@ -333,7 +325,7 @@ def _running_counts(family, multiplicity, last, zero_tol):
     adds one negative eigenvalue to each block holding it, and a row with
     D_n = zero_tol has the diagonal -inf, one negative pivot.
 
-    A family with a coupling bound kappa leaves the sweep early, bit for
+    A family with a bound kappa leaves the sweep early, bit for
     bit.  Every CERTIFY_STRIDE rows, after row n, let delta be a member's
     smallest pivot over both shifts and the orders m <= n, sigma the
     smallest shifted diagonal over both shifts and its rows n + 1..last,
@@ -344,11 +336,11 @@ def _running_counts(family, multiplicity, last, zero_tol):
     nothing: fl(sigma - inf) is -inf, or NaN at sigma = inf, never >= x.
 
     Proof that no later row of a certified member adds a negative pivot,
-    for the recurrence as computed: d' = fl(s - fl(c / d)), with c = fl(t^2)
-    a computed squared coupling, s a computed shifted diagonal and fl
-    rounding to nearest, which is monotone.  Claim: every pivot from row n
-    on is >= x.  At row n every pivot is >= delta >= x.  At a later row, a
-    pivot d >= x (+inf included) has c <= K, since |t| <= kappa, so
+    for the recurrence as computed: d' = fl(s - fl(c / d)), with c a
+    computed square, s a computed shifted diagonal and fl rounding to
+    nearest, which is monotone.  Claim: every pivot from row n on is >= x.
+    At row n every pivot is >= delta >= x.  At a later row, a pivot d >= x
+    (+inf included) has c <= K, as ``bound`` promises, so
     fl(c / d) <= fl(K / x); and s >= sigma, so
     d' = fl(s - fl(c / d)) >= fl(sigma - fl(K / x)) >= x.  An order opening
     at that row has the first pivot fl(s - 0) = s >= sigma, and
@@ -409,12 +401,12 @@ def _running_counts(family, multiplicity, last, zero_tol):
     # -inf, counted negative, and the pivot after it finite again; ties are
     # replaced before any pivot divides, so only K / x divides by zero
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for n, squares in enumerate(_squared_rows(family.couplings, rows)):
+        for n in range(rows):
             start = max(first[n], certified)
             if start == members:
                 break
             head = pivots[2 * start:, :n + 1]
-            np.divide(squares, head[:, :n], out=head[:, :n])
+            np.divide(family.squares(n), head[:, :n], out=head[:, :n])
             np.subtract(shifted[n, 2 * start:], head, out=head)
             if not head.all():
                 np.copyto(head, ties[2 * start:], where=head == 0.0)
@@ -582,25 +574,27 @@ def _polar_family(offset, slope, dual, h, degree):
     with J_m(n) = sqrt((n^2 - m^2) / ((2n - 1)(2n + 1))) the Jacobi entries
     of the orthonormal associated Legendre functions; a ``dual`` family,
     below one, has the blocks diag(offset - 1 / sqrt(1 + h^2 n(n+1)))
-    + slope J_m.  A column of h values gives a batch of families, which
-    share the couplings.  Orders m >= 1 count twice, for +-m.
+    + slope J_m.  Both serve row n's squares slope^2 J_m(n)^2 as
+    (n^2 - m^2) * factor[n], factor[n] = slope^2 / ((2n - 1)(2n + 1)),
+    from arrays of the degree's length.  A column of h values gives a batch
+    of families, which share the squares.  Orders m >= 1 count twice, +-m.
 
-    J_m(n)^2 <= n^2 / (4n^2 - 1) <= 1/3 for n >= 1, and the few roundings
-    of a computed coupling stay far inside the 2^-40 headroom of the
+    J_m(n)^2 <= n^2 / (4n^2 - 1) <= 1/3 for n >= 1, and the three
+    roundings of a served square stay far inside the 2^-40 headroom of the
     family's bound |slope| / sqrt(3).
     """
     degrees = np.arange(degree + 1)
-    scale = slope if dual else -slope
+    powers = np.square(degrees, dtype=float)
+    factor = slope * slope / ((2.0 * degrees - 1.0) * (2.0 * degrees + 1.0))
 
-    def couplings(rows, orders):
-        return scale * np.sqrt((rows * rows - orders * orders)
-                               / ((2.0 * rows - 1.0) * (2.0 * rows + 1.0)))
+    def squares(n):
+        return (powers[n] - powers[:n]) * factor[n]
 
     model = np.sqrt(1.0 + h * h * degrees * (degrees + 1.0))
     bound = abs(slope) * (1.0 + 2.0 ** -40) / np.sqrt(3.0)
-    family = TridiagonalFamily(offset - 1.0 / model, couplings, dual=model,
+    family = TridiagonalFamily(offset - 1.0 / model, squares, dual=model,
                                bound=bound) \
-        if dual else TridiagonalFamily(model - offset, couplings, bound=bound)
+        if dual else TridiagonalFamily(model - offset, squares, bound=bound)
     return family, np.where(degrees == 0, 1, 2)
 
 
@@ -977,8 +971,8 @@ def _block_slopes(basis, operator, h):
         if isinstance(matrix, TridiagonalFamily):
             # the exact sphere's cluster index is its degree
             w = weights(basis.values[:len(matrix)], matrix.dual is not None)
-            for order in range(len(matrix)):
-                values, vectors = eigh_tridiagonal(*matrix.block(order))
+            for order, block in enumerate(matrix.blocks()):
+                values, vectors = eigh_tridiagonal(*block)
                 yield values, np.square(vectors).T @ w[order:]
         elif matrix.ndim == 1:
             yield from zip(matrix[:, None],

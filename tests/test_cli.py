@@ -733,8 +733,8 @@ def cluster_enumeration(gamma0, r):
 def test_exact_sphere_scan_memory_is_linear_in_r(tmp_path, capsys, argv):
     # a section through degree L holds (L + 1)^2 modes, 96 020 401 at the
     # constant scan's top radius, and L^2 / 2 couplings, about 7.9 million
-    # at the z scan's widest recount; the scans read clusters and generate
-    # the couplings row by row
+    # at the z scan's widest recount; the scans read clusters and ask for
+    # the squared couplings row by row
     tracemalloc.start()
     try:
         code, _, _ = run(capsys, *argv, "--output", str(tmp_path))

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ def test_affine_operator_block_structure(sphere, tilted):
     op = build_operator(basis, tilted, 1.0, surface=sphere)
     # degrees 0..3 are retained: one block per order m over degrees m..3
     [(family, multiplicity)] = op.blocks
-    blocks = [family.block(m) for m in range(len(family))]
+    blocks = list(family.blocks())
     assert [len(diagonal) for diagonal, _ in blocks] == [4, 3, 2, 1]
     assert multiplicity.tolist() == [1, 2, 2, 2]
     assert op.mode_cut == 16 == len(op.eigenvalues())
@@ -202,9 +203,10 @@ def test_affine_operator_block_structure(sphere, tilted):
                  + np.diag(off_diagonal, -1))
         assert np.array_equal(block, block.T)
         assert np.array_equal(block, np.triu(np.tril(block, 1), -1))
-        # -b times the Jacobi entries <q_{n-1,m}, z q_{n,m}>
+        # |b| times the Jacobi entries <q_{n-1,m}, z q_{n,m}>: a family
+        # keeps their squares, so the signs are gone
         n = np.arange(m + 1, 4)
-        assert np.allclose(off_diagonal, -0.5 * np.sqrt(
+        assert np.allclose(off_diagonal, 0.5 * np.sqrt(
             (n * n - m * m) / ((2.0 * n - 1.0) * (2.0 * n + 1.0))),
             rtol=0.0, atol=1e-15)
 
@@ -423,10 +425,10 @@ def test_inertia_count_matches_eigvalsh(size, seed, diagonal, scale,
 
 
 def stored(off_diagonal):
-    """Coupling source of a family whose entry coupling rows n - 1 and n of
+    """The squares of a family whose entry coupling rows n - 1 and n of
     block m is ``off_diagonal[n (n - 1) / 2 + m]``: row n's entries are one
     run."""
-    return lambda rows, orders: off_diagonal[rows * (rows - 1) // 2 + orders]
+    return lambda n: np.square(off_diagonal[n * (n - 1) // 2:n * (n + 1) // 2])
 
 
 def random_family(data, size):
@@ -456,7 +458,7 @@ def test_sturm_count_matches_eigvalsh_tridiagonal(size, data):
     family = random_family(data, size)
     multiplicity = np.array(data.draw(st.lists(
         st.integers(1, 3), min_size=size, max_size=size)))
-    spectra = [eigvalsh_tridiagonal(*family.block(m)) for m in range(size)]
+    spectra = [eigvalsh_tridiagonal(*block) for block in family.blocks()]
     values = np.concatenate(spectra)
     # planted eigenvalues are exact; any other must sit clear of the ties
     gap = np.abs(np.abs(values) - ZERO_TOL)
@@ -497,7 +499,7 @@ def test_sturm_sweep_needs_one_ascending_last_degree_per_member():
     below, up_to = semiclassical_count._running_counts(
         family, multiplicity, [3, 6], ZERO_TOL)[:, 1, 6]
     assert (below, up_to - below) == count_negative(GalerkinOperator(
-        0, [(TridiagonalFamily(family.diagonal[1], family.couplings),
+        0, [(TridiagonalFamily(family.diagonal[1], family.squares),
              multiplicity)]))
     for last in ([6, 3], [6], [2, 4, 6]):
         with pytest.raises(ValueError):
@@ -505,17 +507,81 @@ def test_sturm_sweep_needs_one_ascending_last_degree_per_member():
                                                 ZERO_TOL)
 
 
+def asking(family, asked):
+    """``family`` with its squares recorded: each row n asked for is
+    appended to ``asked``."""
+    def squares(n):
+        asked.append(n)
+        return family.squares(n)
+
+    return dataclasses.replace(family, squares=squares)
+
+
 def test_sweep_generates_each_row_of_couplings_once():
-    # rows come in order, bit for bit as the blocks read them
+    # the sweep asks for each row's squared couplings at most once, in
+    # order: without a bound every row, with one a leading run of rows
     family, multiplicity = semiclassical_count._polar_family(
         2.0, 0.5, False, 1.0 / 12.0, 40)
-    rows = list(semiclassical_count._squared_rows(family.couplings, 41))
-    assert [len(row) for row in rows] == list(range(41))
-    for m in range(41):
-        assert np.array_equal(np.square(family.block(m)[1]),
-                              [rows[n][m] for n in range(m + 1, 41)])
-    operator = GalerkinOperator(0, [(family, multiplicity)])
-    assert count_negative(operator) == eigvalsh_count(operator)
+    expected = eigvalsh_count(GalerkinOperator(0, [(family, multiplicity)]))
+    for bound in (np.inf, family.bound):
+        asked = []
+        assert count_negative(GalerkinOperator(0, [(asking(
+            dataclasses.replace(family, bound=bound), asked),
+            multiplicity)])) == expected
+        assert asked == list(range(len(asked)))
+        assert (len(asked) < 41) == np.isfinite(bound)
+
+
+@pytest.mark.parametrize("slope", [0.5, 0.1, -1.5, 2.0 ** 0.5])
+def test_polar_squares_are_the_jacobi_squares(slope):
+    # the premise of the sweep's certificate: each served square of a polar
+    # family is n^2 - m^2, exact, times one float factor, three roundings
+    # from slope^2 (n^2 - m^2) / ((2n - 1)(2n + 1)), so within 3 ulp of it
+    # in exact arithmetic, and at most fl(bound^2); the model and the dual
+    # family, above one and below, serve the same squares bit for bit
+    model, _ = semiclassical_count._polar_family(2.0, slope, False, 0.1, 400)
+    dual, _ = semiclassical_count._polar_family(0.5, slope, True, 0.1, 400)
+    assert model.dual is None and dual.dual is not None
+    square_bound = model.bound * model.bound
+    exact_slope = Fraction(slope) ** 2
+    for n in range(401):
+        squares = model.squares(n)
+        assert np.array_equal(squares, dual.squares(n))
+        assert squares.shape == (n,) and np.all(squares <= square_bound)
+        if n % 10 and n > 40:
+            continue
+        for m, (square, spacing) in enumerate(zip(squares.tolist(),
+                                                  np.spacing(squares))):
+            exact = exact_slope * (n * n - m * m) / ((2 * n - 1) * (2 * n + 1))
+            assert abs(Fraction(square) - exact) <= 3 * Fraction(spacing)
+
+
+def test_blocks_ask_for_each_row_once(sphere):
+    # an eigenvalue listing and a probe section ask a family for each row's
+    # squares once, L calls for L + 1 orders, not once per order; each
+    # off-diagonal is nonnegative and squares back to its row within 1 ulp
+    basis = exact_sphere_spectrum(60)
+    for field in (DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0)),
+                  below_one((0.0, 0.0, 1.0))):
+        op = build_operator(basis, field, 1.0 / 12.0, surface=sphere)
+        [(family, multiplicity)] = op.blocks
+        size = len(family)
+        assert size > 20
+        for listing in (
+                lambda op: op.eigenvalues(),
+                lambda op: list(semiclassical_count._block_slopes(
+                    basis, op, 1.0 / 12.0))):
+            asked = []
+            spied = GalerkinOperator(op.mode_cut, [(asking(family, asked),
+                                                    multiplicity)])
+            assert len(listing(spied)) == len(listing(op))
+            assert asked == list(range(1, size))
+        for m, (diagonal, off_diagonal) in enumerate(family.blocks()):
+            assert np.array_equal(diagonal, family.diagonal[m:])
+            rows = np.array([family.squares(n)[m] for n in range(m + 1, size)])
+            assert np.all(off_diagonal >= 0.0)
+            assert np.all(np.abs(np.square(off_diagonal) - rows)
+                          <= np.spacing(rows))
 
 
 def full_recurrence(family, multiplicity, last, zero_tol):
@@ -539,7 +605,7 @@ def full_recurrence(family, multiplicity, last, zero_tol):
     fresh = np.zeros(shifted.shape, dtype=np.int64)
     pivots = np.zeros((2, len(last), 0))
     for n in range(rows):
-        squares = np.square(family.couplings(n, np.arange(n)))
+        squares = family.squares(n)
         with np.errstate(over="ignore"):
             pivots = shifted[..., n, None] - np.append(
                 squares / pivots, np.zeros((2, len(last), 1)), axis=-1)
@@ -682,24 +748,17 @@ def test_sweep_weighs_any_multiplicity_and_exact_ties():
 
 
 def test_sweep_leaves_once_every_later_row_is_certified(sphere, monkeypatch):
-    # the z batch of the axis-blocks benchmark workload sweeps at most 65%
-    # of its rows; without a bound the same batch sweeps all of them, to
-    # the same table
-    consumed, sweeps = [], []
-    original = semiclassical_count._squared_rows
+    # the z batch of the axis-blocks benchmark workload asks for at most
+    # 65% of its rows' squares; without a bound the same batch asks for all
+    # of them, to the same table
+    asked, sweeps = [], []
     running_counts = semiclassical_count._running_counts
 
-    def spied(couplings, rows):
-        consumed.append([rows, 0])
-        for row in original(couplings, rows):
-            consumed[-1][1] += 1
-            yield row
-
-    def recorded(*args):
-        sweeps.append((args, running_counts(*args)))
+    def recorded(family, *args):
+        sweeps.append(((family,) + args,
+                       running_counts(asking(family, asked), *args)))
         return sweeps[-1][1]
 
-    monkeypatch.setattr(semiclassical_count, "_squared_rows", spied)
     monkeypatch.setattr(semiclassical_count, "_running_counts", recorded)
     field = DampingField.affine(2.0, 0.5, (0.0, 0.0, 1.0))
     r_grid = np.linspace(12.32, 48.32, 4)
@@ -707,14 +766,15 @@ def test_sweep_leaves_once_every_later_row_is_certified(sphere, monkeypatch):
         3.2 * constants_for(field, sphere).ellipticity_threshold(
             1.0 / r_grid[-1])))
     report = scan(sphere, field, r_grid, basis)
-    [(rows, swept)] = consumed
-    assert swept <= 0.65 * rows
     [((family, multiplicity, last, zero_tol), table)] = sweeps
+    rows = last[-1] + 1
     assert zero_tol == ZERO_TOL
-    unbounded = running_counts(dataclasses.replace(family, bound=np.inf),
-                               multiplicity, last, zero_tol)
+    assert asked == list(range(len(asked))) and len(asked) <= 0.65 * rows
+    asked.clear()
+    unbounded = running_counts(asking(dataclasses.replace(
+        family, bound=np.inf), asked), multiplicity, last, zero_tol)
     assert np.array_equal(unbounded, table)
-    assert consumed[1] == [rows, rows]
+    assert asked == list(range(rows))
     assert report.n_scalar.tolist() == [
         closed_form_axis_count(r, 2.0, 0.5).negative for r in r_grid]
 
@@ -1988,8 +2048,8 @@ def block_spectra(operator):
     spectra = []
     for matrix, _ in operator.blocks:
         if isinstance(matrix, TridiagonalFamily):
-            spectra += [eigvalsh_tridiagonal(*matrix.block(m))
-                        for m in range(len(matrix))]
+            spectra += [eigvalsh_tridiagonal(*block)
+                        for block in matrix.blocks()]
         elif matrix.ndim == 1:
             spectra += list(matrix[:, None])
         else:
